@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     DimensionError,
     InconsistentChoiError,
+    NotInvertibleError,
     NotOrthogonalError,
     PhaseAlignmentError,
     SubspaceViolationError,
@@ -70,15 +71,13 @@ def phi_on_cross_term(phi: Superoperator, A1: Coisometry, A2: Coisometry) -> np.
     return total / 4.0
 
 
-def _expand_in_image_basis(T: np.ndarray, b1: np.ndarray, b2: np.ndarray):
+def _expand_in_image_basis(T: np.ndarray, b: tuple[np.ndarray, np.ndarray], gram4: np.ndarray):
     """Least-squares coefficients of T in {b_p b_q*} via the Gram system.
 
     The basis need not be orthogonal (its orthogonality is a conclusion, not a
-    premise), hence the explicit 4 x 4 Gram solve.
+    premise), hence the explicit 4 x 4 Gram solve with ``gram4``, the Gram
+    matrix of {b_p b_q*}.
     """
-    b = (b1, b2)
-    gram2 = np.array([[np.vdot(bp, bq) for bq in b] for bp in b])
-    gram4 = kron(gram2, gram2.conj())
     rhs = np.array([np.vdot(bp, T @ bq) for bp in b for bq in b])
     coeffs = np.linalg.solve(gram4, rhs)
     recon = sum(
@@ -95,14 +94,25 @@ def restricted_g(
     phi(vec(A_i) vec(A_j)*) is expanded in {vec(B_p) vec(B_q)*} for the image
     representatives B_p; the 2 x 2 coefficient matrix is G(E_ij).  A large
     expansion residual means phi moved the subspace, which no MES preserver
-    can do, hence SubspaceViolationError.
+    can do, hence SubspaceViolationError.  Image representatives that are
+    (nearly) parallel mean phi sends pi(A1) - pi(A2) to zero, so phi is not
+    injective on span(MES), hence NotInvertibleError.
     """
     if not are_orthogonal(A1, A2):
         raise NotOrthogonalError("restricted map needs an orthogonal coisometry pair")
     dims = phi.dims
     B1 = zeta_image(phi, A1, tol)
     B2 = zeta_image(phi, A2, tol)
-    b1, b2 = vec(B1.matrix), vec(B2.matrix)
+    b = (vec(B1.matrix), vec(B2.matrix))
+    gram2 = np.array([[np.vdot(bp, bq) for bq in b] for bp in b])
+    # det / (product of the diagonal) is sin^2 of the angle between B1 and B2
+    sin2 = float(np.linalg.det(gram2).real / (gram2[0, 0].real * gram2[1, 1].real))
+    if sin2 < tol:
+        raise NotInvertibleError(
+            f"orthogonal coisometries share one image class (sin^2 {sin2:.3e}): "
+            "map is singular on span(MES)"
+        )
+    gram4 = kron(gram2, gram2.conj())
     gmat = np.zeros((4, 4), dtype=complex)
     for i, Ai in enumerate((A1, A2)):
         for j, Aj in enumerate((A1, A2)):
@@ -110,7 +120,7 @@ def restricted_g(
                 target = dims.m * apply(phi, pi(Ai).matrix)
             else:
                 target = phi_on_cross_term(phi, Ai, Aj)
-            coeffs, residual = _expand_in_image_basis(target, b1, b2)
+            coeffs, residual = _expand_in_image_basis(target, b, gram4)
             if residual >= scaled_tol(tol, frobenius(target)):
                 raise SubspaceViolationError(
                     f"cross-term image left its subspace (residual {residual:.3e})"

@@ -20,21 +20,10 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, NotMESError, NotUnitaryError
-from .states import (
-    Coisometry,
-    DensityOperator,
-    canonical_family,
-    is_mes,
-    orthogonal_family,
-    pi,
-    random_coisometry,
-)
-from .tensor import Dims, as_complex, frobenius, kron, scaled_tol, vec
-
-_SPAN_SEED = 0x6D6573  # fixed stream so span bases are a function of dims only
+from .states import DensityOperator, is_mes, pi, random_coisometry
+from .tensor import Dims, as_complex, frobenius, kron, scaled_tol, unvec, vec
 
 
 class SigmaFlag(enum.Enum):
@@ -51,8 +40,9 @@ class Superoperator:
 
     The matrix is defined on all of L(X (x) Y) even though the classification
     results only constrain behavior on span(MES); every certificate and
-    recovery in this package reads the map on MES samples only, so the
-    off-span action is a representation detail.
+    recovery in this package reads the map on MES elements or on an
+    orthonormal basis of span(MES), so the off-span action is a
+    representation detail.
     """
 
     matrix: np.ndarray
@@ -147,53 +137,30 @@ def make_trace_preserver(rho: DensityOperator) -> Superoperator:
     return Superoperator(matrix=mat, dims=rho.dims)
 
 
-def _family_states(dims: Dims, family: list[Coisometry]) -> list[np.ndarray]:
-    """MES elements generated by a mutually orthogonal family: pi of each block
-    and of the combinations (A_p + i^l A_q)/sqrt(2) (coisometries since the
-    blocks are orthogonal)."""
-    out = [pi(c).matrix for c in family]
-    for p in range(len(family)):
-        for q in range(p + 1, len(family)):
-            for ell in range(4):
-                comb = (family[p].matrix + (1j**ell) * family[q].matrix) / np.sqrt(2.0)
-                out.append(pi(comb, dims).matrix)
-    return out
-
-
 @functools.lru_cache(maxsize=32)
 def span_mes_basis(dims: Dims) -> tuple[np.ndarray, ...]:
-    """Deterministic basis of span(MES) made of actual MES elements.
+    """Orthonormal basis of span(MES) in the Frobenius inner product.
 
-    MES samples are drawn from a fixed seeded Haar stream (plus the canonical
-    family) until the numerical rank (SVD at 1e-9) is unchanged for three
-    consecutive batches; a pivoted QR then selects a maximal linearly
-    independent subset.  The cardinality is the computed complex dimension of
-    span(MES) -- it is not assumed from any closed form.
+    Every MES satisfies tr_Y rho = I/m, so span(MES) is the kernel of
+    M -> tr_Y(M) - (tr M / m) I_m; in the square case (k = 1) coisometries
+    are unitary and tr_X(M) - (tr M / n) I_n must vanish as well.  The basis
+    is the right-singular vectors of that constraint map past its rank, so
+    the elements are generally not MES themselves.
     """
-    per_draw = dims.k + 2 * dims.k * (dims.k - 1)
-    guess = dims.mn * dims.mn - dims.m * dims.m + 1
-    draws_per_batch = max(4, -(-guess // per_draw))
-    elements = _family_states(dims, canonical_family(dims))
-    ranks: list[int] = []
-    draw = 0
-    for _ in range(60):
-        for _ in range(draws_per_batch):
-            seed = np.random.SeedSequence([_SPAN_SEED, dims.m, dims.k, draw])
-            elements.extend(_family_states(dims, orthogonal_family(dims, seed)))
-            draw += 1
-        stacked = np.array([vec(e) for e in elements]).T
-        s = np.linalg.svd(stacked, compute_uv=False)
-        ranks.append(int(np.sum(s > 1e-9 * s[0])))
-        if len(ranks) >= 3 and ranks[-1] == ranks[-2] == ranks[-3]:
-            break
-    else:
-        raise RuntimeError(f"span rank failed to stabilize for dims {dims}: {ranks}")
-    rank = ranks[-1]
-    stacked = np.array([vec(e) for e in elements]).T
-    _, _, piv = scipy.linalg.qr(stacked, mode="economic", pivoting=True)
+    m, n = dims.m, dims.n
+    eye_m, eye_n = np.eye(m), np.eye(n)
+    trace = np.eye(dims.mn).reshape(1, -1)  # tr M = <vec(I), vec(M)>
+    # vec(M) is indexed (i, p, j, q): i, j on X and p, q on Y
+    tr_y = np.einsum("ik,jl,pq->ijkplq", eye_m, eye_m, eye_n).reshape(m * m, -1)
+    rows = [tr_y - eye_m.reshape(-1, 1) * trace / m]
+    if dims.k == 1:
+        tr_x = np.einsum("ik,pr,qs->pqirks", eye_m, eye_n, eye_n).reshape(n * n, -1)
+        rows.append(tr_x - eye_n.reshape(-1, 1) * trace / n)
+    _, s, vh = np.linalg.svd(np.vstack(rows))
+    rank = int(np.sum(s > 1e-9 * s[0]))
     basis = []
-    for col in piv[:rank]:
-        e = elements[int(col)].copy()
+    for row in vh[rank:]:
+        e = unvec(row.conj(), dims.mn, dims.mn)
         e.flags.writeable = False
         basis.append(e)
     return tuple(basis)
@@ -202,8 +169,7 @@ def span_mes_basis(dims: Dims) -> tuple[np.ndarray, ...]:
 @functools.lru_cache(maxsize=32)
 def _span_orthobasis(dims: Dims) -> np.ndarray:
     """Orthonormal column basis of span(MES) inside C^{(mn)^2}."""
-    cols = np.array([vec(e) for e in span_mes_basis(dims)]).T
-    q, _ = np.linalg.qr(cols)
+    q = np.array([vec(e) for e in span_mes_basis(dims)]).T
     q.flags.writeable = False
     return q
 

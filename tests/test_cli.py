@@ -62,6 +62,16 @@ def test_classify_trace_form_exit_4(tmp_path, capsys):
     assert json.loads(stderr)["error"] == "NotInvertibleError"
 
 
+def test_extend_auto_sigma_trace_form_exit_4(tmp_path, capsys):
+    out = str(tmp_path / "trace.json")
+    assert run_cli(capsys, "gen", "--form", "trace", "--out", out)[0] == 0
+    code, _, stderr = run_cli(
+        capsys, "extend", out, "--sigma", "auto", "--out", str(tmp_path / "ext.json")
+    )
+    assert code == 4
+    assert json.loads(stderr)["error"] == "NotInvertibleError"
+
+
 def test_classify_random_matrix_exit_3(tmp_path, capsys):
     rng = np.random.default_rng(0)
     dims = Dims.from_mk(2, 2)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -31,7 +36,7 @@ DIMS = Dims.from_mk(2, 2)
 
 # complex dimensions of span(MES), pinned from a brute-force sampling oracle
 # (rank of vec'd projections of independently sampled coisometries)
-SPAN_DIMS = {(1, 2): 4, (2, 1): 10, (2, 2): 61, (2, 3): 141}
+SPAN_DIMS = {(1, 2): 4, (2, 1): 10, (2, 2): 61, (2, 3): 141, (3, 1): 65}
 
 
 def test_apply_identity_and_linearity(rng):
@@ -170,18 +175,25 @@ def test_span_mes_basis_dimension(m, k):
     assert s[-1] > 1e-9 * s[0]  # genuinely independent
 
 
-@pytest.mark.parametrize("m,k", [(2, 1), (2, 2)])
+@pytest.mark.parametrize("m,k", [(2, 1), (2, 2), (2, 3), (3, 1)])
 def test_span_dimension_against_sampling_oracle(m, k):
     # independent oracle: rank of the raw projections of many sampled
     # coisometries, with no structured combinations at all
+    from meskit.superop import _span_orthobasis
+
     dims = Dims.from_mk(m, k)
     cols = [
         vec(pi(random_coisometry(dims, np.random.SeedSequence([777, i]))).matrix)
         for i in range(4 * dims.mn * dims.mn)
     ]
-    s = np.linalg.svd(np.array(cols).T, compute_uv=False)
+    stacked = np.array(cols).T
+    s = np.linalg.svd(stacked, compute_uv=False)
     rank = int(np.sum(s > 1e-9 * s[0]))
     assert rank == SPAN_DIMS[(m, k)]
+    # every sampled projection lies in the span basis, not just as many of them
+    q = _span_orthobasis(dims)
+    outside = stacked - q @ (q.conj().T @ stacked)
+    assert np.linalg.norm(outside, axis=0).max() < 1e-10
 
 
 def test_span_basis_elements_satisfy_partial_trace_law():
@@ -189,6 +201,16 @@ def test_span_basis_elements_satisfy_partial_trace_law():
     for b in basis:
         expected = (np.trace(b) / 2.0) * np.eye(2)
         assert np.linalg.norm(partial_trace_y(b, DIMS) - expected) < 1e-10
+
+
+def test_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import meskit, sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_span_basis_m1_is_full_operator_space():
