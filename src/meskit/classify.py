@@ -6,23 +6,27 @@ Pipeline stages, each with a typed failure:
 1. sampled preserver check            -> NotPreserverError
 2. invertibility on span(MES)         -> NotInvertibleError
 3. sigma discriminant (det J(G))      -> InconsistentChoiError
-4. conjugation-unitary recovery       -> NoSolutionError / AmbiguousSolutionError
+4. conjugation-unitary recovery       -> NoSolutionError
 5. nearest Kronecker factorization    -> NotKroneckerError
 
-Stage 4 solves the homogeneous system ``phi(M_i) W = W M_i`` over sampled MES
-elements M_i; the commutant of enough generic MES elements is trivial, so the
-null space is one complex line through the conjugation unitary.
+Stage 4 reads the unitary W off the sigma-corrected matrix itself.  For basis
+vectors x_a, x_b with different Y indices, x_a x_b* lies in span(MES) (its
+trace and partial trace vanish), so column ``a*mn + b`` of the matrix is
+vec(w_a w_b*), with w_a the columns of W.  One rank-one column fixes w_r and
+w_s up to a common phase, and every other w_a follows by one matrix-vector
+product.  The returned ``verification_residual`` is the spectral norm of
+``phi - Ad_W o sigma`` on an orthonormal basis of span(MES), which bounds the
+residual of every MES, since each has unit Frobenius norm.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .choi import detect_sigma
 from .errors import (
-    AmbiguousSolutionError,
     DimensionError,
     InconsistentChoiError,
     NoSolutionError,
@@ -30,11 +34,10 @@ from .errors import (
     NotKroneckerError,
     NotPreserverError,
 )
-from .states import pi, random_coisometry
 from .superop import (
     SigmaFlag,
     Superoperator,
-    apply,
+    _span_orthobasis,
     is_invertible_on_span,
     preserves_mes,
     transpose_matrix,
@@ -46,29 +49,7 @@ from .tensor import (
     frobenius,
     kron,
     nearest_kron_factor,
-    unvec,
 )
-
-
-@dataclass(frozen=True)
-class DecomposeConfig:
-    """Knobs for :func:`decompose`; defaults match the pipeline tolerances.
-
-    ``tol`` gates the Kronecker residual of the recovered unitary.
-    ``recover_samples`` defaults to 2 (mn)^2 MES samples.
-    ``gap_tol`` is the singular-value gap threshold certifying a
-    one-dimensional null space in the recovery stage.
-    """
-
-    tol: float = 1e-9
-    preserver_samples: int = 20
-    preserver_tol: float = 1e-8
-    invert_tol: float = 1e-9
-    sigma_tol: float = 1e-8
-    recover_samples: int | None = None
-    gap_tol: float = 1e-6
-    verify_samples: int = 20
-    seed: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,90 +63,74 @@ class Decomposition:
     verification_residual: float
 
 
-def recover_unitary(
-    phi_corrected,
-    dims: Dims,
-    num_samples: int | None = None,
-    tol: float = 1e-6,
-    seed=0,
-) -> np.ndarray:
-    """Conjugation unitary W with phi(M) = W M W* on span(MES).
+def recover_unitary(phi_corrected, dims: Dims) -> np.ndarray:
+    """Conjugation unitary W with phi(M) = W M W* on span(MES), for k >= 2.
 
-    Builds the homogeneous system ``phi(M_i) W - W M_i = 0`` over sampled MES
-    elements, i.e. rows ``kron(phi(M_i), I) - kron(I, M_i^T)`` acting on
-    vec(W).  The null space is computed from the accumulated normal matrix
-    (eigendecomposition); squaring caps the observable singular-value ratio
-    near 1e-8, which the default ``tol`` accounts for.  Requires a certified
-    nullity of exactly one: smallest ratio below ``tol``, second-smallest
-    above ``10 * tol``.  The null vector is corrected to the nearest unitary
-    and phase-gauged.
+    With r = 0 (Y index 0) and s = 1 (Y index 1), Z = phi(x_r x_s*) =
+    w_r w_s*, so w_r is Z's leading left singular vector and w_s = Z* w_r.
+    Then w_a = phi(x_a x_r*) w_r when a's Y index is nonzero, and
+    w_a = phi(x_a x_s*) w_s otherwise; all columns share one phase.  The
+    result is corrected to the nearest unitary and phase-gauged.  Raises
+    NoSolutionError when the columns read off are not unitary within a
+    relative 1e-6 (the trace form gives Z = 0).
     """
     mat = phi_corrected.matrix if hasattr(phi_corrected, "matrix") else as_complex(phi_corrected)
     d = dims.mn
-    if num_samples is None:
-        num_samples = 2 * d * d
-    states = []
-    for i in range(num_samples):
-        A = random_coisometry(dims, np.random.SeedSequence([int(seed), 29, i]))
-        states.append(pi(A).matrix)
-    M = np.array(states)
-    P = (M.reshape(num_samples, -1) @ mat.T).reshape(num_samples, d, d)
-    B = M.transpose(0, 2, 1)  # M_i^T
-    PH = P.conj().transpose(0, 2, 1)
-    BH = B.conj().transpose(0, 2, 1)
-    normal = kron(np.einsum("iab,ibc->ac", PH, P), np.eye(d))
-    normal += kron(np.eye(d), np.einsum("iab,ibc->ac", BH, B))
-    normal -= np.einsum("iab,icd->acbd", PH, B).reshape(d * d, d * d)
-    normal -= np.einsum("iab,icd->acbd", P, BH).reshape(d * d, d * d)
-    w, vecs = np.linalg.eigh((normal + normal.conj().T) / 2.0)
-    svals = np.sqrt(np.clip(w, 0.0, None))
-    top = float(svals[-1])
-    if top <= 0.0 or float(svals[0]) >= tol * top:
+    r, s = 0, 1
+    images = mat.reshape(d, d, d, d)  # images[:, :, a, b] = phi(x_a x_b*)
+    Z = images[:, :, r, s]
+    w_r = np.linalg.svd(Z)[0][:, 0]
+    w_s = Z.conj().T @ w_r
+    nonzero_y = (np.arange(d) % dims.n != 0)[None, :]
+    W0 = np.where(
+        nonzero_y,
+        np.einsum("ija,j->ia", images[:, :, :, r], w_r),
+        np.einsum("ija,j->ia", images[:, :, :, s], w_s),
+    )
+    u, svals, vh = np.linalg.svd(W0)
+    top = float(svals[0])
+    if top <= 0.0 or float(svals[-1]) < (1.0 - 1e-6) * top:
         raise NoSolutionError(
-            f"no conjugation form: smallest singular ratio {svals[0] / max(top, 1e-300):.3e}"
+            f"no conjugation form: singular ratio {svals[-1] / max(top, 1e-300):.3e} "
+            "of the recovered columns"
         )
-    if float(svals[1]) <= 10.0 * tol * top:
-        raise AmbiguousSolutionError(
-            f"null space dimension > 1: second ratio {svals[1] / top:.3e}"
-        )
-    W0 = unvec(vecs[:, 0], d, d)
-    u, _, vh = np.linalg.svd(W0)
     return fix_global_phase(u @ vh)
 
 
-def decompose(phi: Superoperator, config: DecomposeConfig | None = None) -> Decomposition:
+def decompose(phi: Superoperator, tol: float = 1e-9, seed=0) -> Decomposition:
     """Classify an invertible MES preserver as (sigma, U, V).
 
-    Raises the typed error of the first failing pipeline stage; on success the
-    returned record carries the Kronecker residual of the recovered unitary
-    and a fresh-sample verification residual against the reconstructed form.
+    ``tol`` gates the Kronecker residual of the recovered unitary; ``seed``
+    drives the sampled preserver check and the sigma discriminant.  Raises
+    the typed error of the first failing pipeline stage; on success the
+    returned record carries the Kronecker residual and the span certificate
+    of :func:`verify_theorem_form`.
     """
-    cfg = config or DecomposeConfig()
     dims = phi.dims
     if dims.k < 2:
         raise DimensionError(
             "classification applies to block counts k >= 2; square-space (k = 1) "
             "maps are out of scope"
         )
-    if not preserves_mes(phi, cfg.preserver_samples, cfg.preserver_tol, seed=cfg.seed):
+    if not preserves_mes(phi, seed=seed):
         raise NotPreserverError("stage preserves-mes: a sampled MES image is not an MES")
-    if not is_invertible_on_span(phi, cfg.invert_tol):
+    if not is_invertible_on_span(phi):
         raise NotInvertibleError("stage invertibility: map is singular on span(MES)")
     try:
-        sigma = detect_sigma(phi, seed=cfg.seed, tol=cfg.sigma_tol)
+        sigma = detect_sigma(phi, seed=seed)
     except InconsistentChoiError as exc:
         raise InconsistentChoiError(f"stage discriminant: {exc}") from exc
     mat = phi.matrix
     if sigma is SigmaFlag.TRANSPOSE:
         mat = mat @ transpose_matrix(dims.mn)
     try:
-        W = recover_unitary(mat, dims, cfg.recover_samples, cfg.gap_tol, seed=cfg.seed)
-    except (NoSolutionError, AmbiguousSolutionError) as exc:
-        raise type(exc)(f"stage recovery: {exc}") from exc
+        W = recover_unitary(mat, dims)
+    except NoSolutionError as exc:
+        raise NoSolutionError(f"stage recovery: {exc}") from exc
     U, V, kron_residual = nearest_kron_factor(W, dims)
-    if kron_residual >= cfg.tol:
+    if kron_residual >= tol:
         raise NotKroneckerError(
-            f"stage factorization: Kronecker residual {kron_residual:.3e} >= {cfg.tol:.1e}"
+            f"stage factorization: Kronecker residual {kron_residual:.3e} >= {tol:.1e}"
         )
     unitary_dev = max(
         frobenius(U @ U.conj().T - np.eye(dims.m)),
@@ -175,37 +140,25 @@ def decompose(phi: Superoperator, config: DecomposeConfig | None = None) -> Deco
         raise NotKroneckerError(
             f"stage factorization: factors deviate from unitarity by {unitary_dev:.3e}"
         )
-    partial = Decomposition(
+    dec = Decomposition(
         sigma=sigma, U=U, V=V, kron_residual=kron_residual, verification_residual=0.0
     )
-    verification = verify_theorem_form(
-        phi, partial, num_samples=cfg.verify_samples, seed=cfg.seed
-    )
-    return Decomposition(
-        sigma=sigma,
-        U=U,
-        V=V,
-        kron_residual=kron_residual,
-        verification_residual=verification,
-    )
+    return replace(dec, verification_residual=verify_theorem_form(phi, dec))
 
 
-def verify_theorem_form(
-    phi: Superoperator, dec: Decomposition, num_samples: int = 20, seed=0
-) -> float:
-    """Certificate residual: max over fresh MES samples of
-    ``|| phi(M) - (U (x) V) M^sigma (U (x) V)* ||_F``.
+def verify_theorem_form(phi: Superoperator, dec: Decomposition) -> float:
+    """Certificate residual ``|| (phi - Ad_{U (x) V} o sigma) Q ||_2`` over an
+    orthonormal basis Q of span(MES).
 
-    Returns 0 for zero samples and never raises on a large residual.
+    Every MES M has unit Frobenius norm, so this bounds
+    ``|| phi(M) - (U (x) V) M^sigma (U (x) V)* ||_F`` for all of them.  It is
+    deterministic and never raises on a large residual.
     """
-    if num_samples <= 0:
-        return 0.0
-    dims = phi.dims
+    d = phi.dims.mn
+    q = _span_orthobasis(phi.dims)
     W = kron(dec.U, dec.V)
-    worst = 0.0
-    for i in range(num_samples):
-        A = random_coisometry(dims, np.random.SeedSequence([int(seed), 31, i]))
-        M = pi(A).matrix
-        Msig = M.T if dec.sigma is SigmaFlag.TRANSPOSE else M
-        worst = max(worst, frobenius(apply(phi, M) - W @ Msig @ W.conj().T))
-    return worst
+    basis = q.T.reshape(-1, d, d)
+    if dec.sigma is SigmaFlag.TRANSPOSE:
+        basis = basis.transpose(0, 2, 1)
+    expected = (W @ basis @ W.conj().T).reshape(-1, d * d).T
+    return float(np.linalg.norm(phi.matrix @ q - expected, 2))

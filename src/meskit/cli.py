@@ -7,10 +7,13 @@ suite).  Results go to stdout as JSON; failures emit an error JSON on stderr.
 
 Exit codes: 0 success, 2 usage/parse errors, 3 not a preserver, 4 not
 invertible on the MES span, 5 inconsistent Choi discriminant, 6 recovered
-unitary not a Kronecker product, 1 unexpected numerical breakdown.
+unitary not a Kronecker product, 1 unexpected numerical breakdown or a
+report with ``"all_pass": false`` (``extend``, ``check-lemmas``).
 
 The default tolerance is 1e-9; the MESKIT_TOL environment variable overrides
-it and an explicit ``--tol`` flag wins over both.
+it and an explicit ``--tol`` flag wins over both.  Each subcommand accepts
+only the flags it reads: ``--tol`` for ``classify``, ``extend`` and
+``check-lemmas``, ``--samples`` for ``extend`` and ``check-lemmas``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from . import lemmas, serialize
 from .choi import detect_sigma
-from .classify import DecomposeConfig, Decomposition, decompose
+from .classify import Decomposition, decompose
 from .errors import (
     DimensionError,
     InconsistentChoiError,
@@ -95,12 +98,13 @@ def _error_code(exc: MESKitError) -> int:
 
 
 def _config(args) -> RunConfig:
+    tol = getattr(args, "tol", None)
     return RunConfig(
         m=getattr(args, "m", 1),
         k=getattr(args, "k", 1),
         seed=args.seed,
-        tol=args.tol if args.tol is not None else _default_tol(),
-        samples=args.samples,
+        tol=tol if tol is not None else _default_tol(),
+        samples=getattr(args, "samples", None),
         output_path=getattr(args, "out", None),
     )
 
@@ -168,9 +172,8 @@ def cmd_classify(args) -> int:
         phi = _load_superop(args.input)
     except (OSError, ValueError, KeyError, TypeError, DimensionError) as exc:
         return _fail(exc, _EXIT_USAGE)
-    cfg = DecomposeConfig(tol=config.tol, recover_samples=config.samples, seed=config.seed)
     try:
-        dec = decompose(phi, cfg)
+        dec = decompose(phi, tol=config.tol, seed=config.seed)
     except MESKitError as exc:
         return _fail(exc, _error_code(exc))
     payload = _decomposition_obj(dec)
@@ -231,7 +234,7 @@ def cmd_extend(args) -> int:
         },
     )
     print(serialize.dumps(report))
-    return 0
+    return 0 if report["all_pass"] else 1
 
 
 def cmd_check_lemmas(args) -> int:
@@ -253,15 +256,20 @@ def cmd_check_lemmas(args) -> int:
     return 0 if report["all_pass"] else 1
 
 
-def _add_common(parser: argparse.ArgumentParser, dims: bool) -> None:
+def _add_common(
+    parser: argparse.ArgumentParser, dims: bool = False, tol: bool = False, samples: bool = False
+) -> None:
+    """Adds ``--seed`` and, of the shared flags, only those the subcommand reads."""
     if dims:
         parser.add_argument("--m", type=int, default=2, help="dimension of the X factor")
         parser.add_argument("--k", type=int, default=2, help="block count (Y has dimension k*m)")
     parser.add_argument("--seed", type=int, default=0, help="seed for all randomized draws")
-    parser.add_argument(
-        "--tol", type=float, default=None, help="tolerance (default 1e-9, or MESKIT_TOL)"
-    )
-    parser.add_argument("--samples", type=int, default=None, help="sample-count override")
+    if tol:
+        parser.add_argument(
+            "--tol", type=float, default=None, help="tolerance (default 1e-9, or MESKIT_TOL)"
+        )
+    if samples:
+        parser.add_argument("--samples", type=int, default=None, help="sample-count override")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,19 +288,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     classify = sub.add_parser("classify", help="decompose a superoperator into sigma, U, V")
     classify.add_argument("input", help="superoperator JSON file")
-    _add_common(classify, dims=False)
+    _add_common(classify, tol=True)
     classify.add_argument("--out", default=None, help="also write the decomposition here")
     classify.set_defaults(func=cmd_classify)
 
     ext = sub.add_parser("extend", help="blockwise extension plus commutation report")
     ext.add_argument("input", help="superoperator JSON file")
-    _add_common(ext, dims=False)
+    _add_common(ext, tol=True, samples=True)
     ext.add_argument("--sigma", choices=["identity", "transpose", "auto"], default="auto")
     ext.add_argument("--out", default=None, help="output path for the extension (default extended.json)")
     ext.set_defaults(func=cmd_extend)
 
     check = sub.add_parser("check-lemmas", help="run the structural identity suite")
-    _add_common(check, dims=True)
+    _add_common(check, dims=True, tol=True, samples=True)
     check.set_defaults(func=cmd_check_lemmas)
 
     return parser

@@ -50,11 +50,7 @@ class PhaseAlignmentError(MESKitError):
 
 
 class NoSolutionError(MESKitError):
-    """A homogeneous system expected to have a 1-dim null space has none."""
-
-
-class AmbiguousSolutionError(MESKitError):
-    """A homogeneous system expected to have a 1-dim null space has a larger one."""
+    """No conjugation unitary fits the map: the recovered columns are not unitary."""
 
 
 class NotPreserverError(MESKitError):

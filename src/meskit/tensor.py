@@ -91,15 +91,24 @@ def partial_trace_y(M, dims) -> np.ndarray:
     return np.einsum("ipjp->ij", M.reshape(m, n, m, n)).copy()
 
 
+def _pivot(a) -> complex:
+    """The largest-magnitude entry of ``a``.
+
+    Entries within a relative 1e-9 of the largest count as ties, which go to
+    the lowest row-major index, so rounding noise cannot move the pivot
+    between exactly tied entries (|U_00| = |U_11| for every 2 x 2 unitary).
+    """
+    mags = np.abs(a.reshape(-1))
+    return a.reshape(-1)[int(np.argmax(mags >= (1.0 - 1e-9) * mags.max()))]
+
+
 def fix_global_phase(a) -> np.ndarray:
     """Rotate the largest-magnitude entry onto the positive real axis.
 
     Ties pick the lowest row-major index; the zero array is returned unchanged.
     """
     a = as_complex(a)
-    flat = a.reshape(-1)
-    idx = int(np.argmax(np.abs(flat)))
-    pivot = flat[idx]
+    pivot = _pivot(a)
     if abs(pivot) == 0.0:
         return a.copy()
     return a * (abs(pivot) / pivot)
@@ -157,7 +166,7 @@ def nearest_kron_factor(W, dims: Dims) -> tuple[np.ndarray, np.ndarray, float]:
     u, s, vh = np.linalg.svd(R)
     U = np.sqrt(m) * unvec(u[:, 0], m, m)
     V = unvec(s[0] * vh[0, :], n, n) / np.sqrt(m)
-    pivot = U.reshape(-1)[int(np.argmax(np.abs(U)))]
+    pivot = _pivot(U)
     if abs(pivot) > 0.0:
         phase = pivot / abs(pivot)
         U = U / phase

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from meskit import (
-    AmbiguousSolutionError,
-    DecomposeConfig,
     DimensionError,
     Dims,
     NoSolutionError,
@@ -11,6 +9,7 @@ from meskit import (
     NotPreserverError,
     SigmaFlag,
     Superoperator,
+    apply,
     decompose,
     identity_superop,
     kron,
@@ -29,23 +28,32 @@ DIMS = Dims.from_mk(2, 2)
 def test_recover_unitary_from_conjugation():
     u, v = unitary_pair(DIMS, 1)
     phi = make_adjoint_preserver(u, v, SigmaFlag.IDENTITY)
-    w = recover_unitary(phi, DIMS, num_samples=40)
+    w = recover_unitary(phi, DIMS)
     assert phase_aligned_distance(w, kron(u, v)) < 1e-8
 
 
 def test_recover_unitary_identity():
-    w = recover_unitary(identity_superop(DIMS), DIMS, num_samples=40)
+    # the identity map is Ad_I: the recovered unitary is I in the phase gauge
+    w = recover_unitary(identity_superop(DIMS), DIMS)
     np.testing.assert_allclose(w, np.eye(8), atol=1e-10)
+
+
+def test_recover_unitary_null_space_contains_identity_for_identity_map():
+    # the only conjugations that fix every matrix are the scalars: on a
+    # non-square split the identity map still recovers I up to phase
+    dims = Dims.from_mk(3, 2)
+    w = recover_unitary(identity_superop(dims), dims)
+    assert phase_aligned_distance(w, np.eye(dims.mn)) < 1e-10
 
 
 def test_recover_unitary_rejects_trace_form():
     rho = pi(random_coisometry(DIMS, 3))
     phi = make_trace_preserver(rho)
-    with pytest.raises((NoSolutionError, AmbiguousSolutionError)):
+    with pytest.raises(NoSolutionError):
         recover_unitary(phi, DIMS)
 
 
-@pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (2, 3)])
+@pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (2, 3), (3, 2)])
 @pytest.mark.parametrize("sigma", [SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE])
 def test_decompose_roundtrip(m, k, sigma):
     dims = Dims.from_mk(m, k)
@@ -108,10 +116,9 @@ def test_decompose_gauge_deterministic():
     np.testing.assert_allclose(dec1.V, dec2.V, atol=1e-10)
 
 
-def test_decompose_custom_config_samples():
+def test_decompose_custom_seed():
     u, v = unitary_pair(DIMS, 13)
-    cfg = DecomposeConfig(recover_samples=40, verify_samples=5, seed=3)
-    dec = decompose(make_adjoint_preserver(u, v, SigmaFlag.IDENTITY), cfg)
+    dec = decompose(make_adjoint_preserver(u, v, SigmaFlag.IDENTITY), seed=3)
     assert dec.verification_residual < 1e-9
 
 
@@ -119,13 +126,41 @@ def test_verify_theorem_form_matching_and_mismatched():
     u, v = unitary_pair(DIMS, 15)
     phi = make_adjoint_preserver(u, v, SigmaFlag.IDENTITY)
     dec = decompose(phi)
-    assert verify_theorem_form(phi, dec, num_samples=20) < 1e-9
+    assert verify_theorem_form(phi, dec) < 1e-9
     other = decompose(make_adjoint_preserver(*unitary_pair(DIMS, 17), SigmaFlag.IDENTITY))
-    assert verify_theorem_form(phi, other, num_samples=20) > 0.1
-    assert verify_theorem_form(phi, dec, num_samples=0) == 0.0
+    assert verify_theorem_form(phi, other) > 0.1
 
 
-def test_recover_unitary_null_space_contains_identity_for_identity_map():
-    # the commutant of enough sampled projections is the scalar line
-    w = recover_unitary(identity_superop(DIMS), DIMS, num_samples=30, seed=5)
-    assert phase_aligned_distance(w, np.eye(8)) < 1e-10
+def _noisy_preserver(dims, sigma, eps, seed):
+    u, v = unitary_pair(dims, seed)
+    phi = make_adjoint_preserver(u, v, sigma)
+    g = complex_gaussian(np.random.default_rng(seed), *phi.matrix.shape)
+    noisy = Superoperator(matrix=phi.matrix + eps * g / np.linalg.norm(g), dims=dims)
+    return noisy, u, v
+
+
+# At (1,2) the whole noise norm falls on 16 entries, and the sampled preserver
+# check (tolerance 1e-8) refuses about half of the maps at 1e-8; 3e-9 passes.
+@pytest.mark.parametrize("m,k,eps", [(1, 2, 3e-9), (2, 2, 1e-8), (2, 3, 1e-8), (3, 2, 1e-8)])
+@pytest.mark.parametrize("sigma", [SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE])
+def test_decompose_tolerates_small_noise(m, k, eps, sigma):
+    # Frobenius-normalised noise still decomposes, within criterion 2's bound
+    phi, u, v = _noisy_preserver(Dims.from_mk(m, k), sigma, eps, 21)
+    dec = decompose(phi)
+    assert dec.sigma is sigma
+    assert phase_aligned_distance(kron(dec.U, dec.V), kron(u, v)) < 1e-7
+
+
+@pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("sigma", [SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE])
+def test_verification_residual_bounds_every_mes(m, k, sigma):
+    # the span certificate covers all MES, not just a sampled few
+    dims = Dims.from_mk(m, k)
+    phi, _, _ = _noisy_preserver(dims, sigma, 1e-9, 23)
+    dec = decompose(phi)
+    W = kron(dec.U, dec.V)
+    for i in range(50):
+        M = pi(random_coisometry(dims, np.random.SeedSequence([23, 97, i]))).matrix
+        Msig = M.T if sigma is SigmaFlag.TRANSPOSE else M
+        residual = np.linalg.norm(apply(phi, M) - W @ Msig @ W.conj().T)
+        assert residual <= dec.verification_residual

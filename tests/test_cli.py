@@ -72,6 +72,28 @@ def test_extend_auto_sigma_trace_form_exit_4(tmp_path, capsys):
     assert json.loads(stderr)["error"] == "NotInvertibleError"
 
 
+def test_extend_failing_report_exit_1(tmp_path, capsys):
+    # the trace form is not a conjugation, so its forced identity extension fails the report
+    out = str(tmp_path / "trace.json")
+    assert run_cli(capsys, "gen", "--form", "trace", "--out", out)[0] == 0
+    code, stdout, _ = run_cli(
+        capsys, "extend", out, "--sigma", "identity", "--out", str(tmp_path / "ext.json")
+    )
+    assert code == 1
+    report = json.loads(stdout)
+    assert not report["all_pass"] and not report["mes_preservation"]["pass"]
+
+
+def test_flags_only_where_read(tmp_path, capsys):
+    out = str(tmp_path / "sop.json")
+    for flag, value in (("--tol", "-5"), ("--samples", "3")):
+        code, _, stderr = run_cli(capsys, "gen", flag, value, "--out", out)
+        assert code == 2 and "unrecognized arguments" in stderr
+    assert run_cli(capsys, "gen", "--out", out)[0] == 0
+    code, stdout, stderr = run_cli(capsys, "classify", out, "--samples", "3")
+    assert code == 2 and stdout == "" and "--samples" in stderr
+
+
 def test_classify_random_matrix_exit_3(tmp_path, capsys):
     rng = np.random.default_rng(0)
     dims = Dims.from_mk(2, 2)
