@@ -5,7 +5,8 @@ Pipeline stages, each with a typed failure:
 
 1. sampled preserver check            -> NotPreserverError
 2. invertibility on span(MES)         -> NotInvertibleError
-3. sigma discriminant (det J(G))      -> InconsistentChoiError
+3. sigma discriminant (det J(G))      -> InconsistentChoiError, or
+   NotMESError when an image there is not an MES
 4. conjugation-unitary recovery       -> NoSolutionError
 5. nearest Kronecker factorization    -> NotKroneckerError
 
@@ -32,6 +33,7 @@ from .errors import (
     NoSolutionError,
     NotInvertibleError,
     NotKroneckerError,
+    NotMESError,
     NotPreserverError,
 )
 from .superop import (
@@ -118,8 +120,8 @@ def decompose(phi: Superoperator, tol: float = 1e-9, seed=0) -> Decomposition:
         raise NotInvertibleError("stage invertibility: map is singular on span(MES)")
     try:
         sigma = detect_sigma(phi, seed=seed)
-    except InconsistentChoiError as exc:
-        raise InconsistentChoiError(f"stage discriminant: {exc}") from exc
+    except (InconsistentChoiError, NotMESError) as exc:
+        raise type(exc)(f"stage discriminant: {exc}") from exc
     mat = phi.matrix
     if sigma is SigmaFlag.TRANSPOSE:
         mat = mat @ transpose_matrix(dims.mn)

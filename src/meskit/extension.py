@@ -64,17 +64,6 @@ def block_join(blocks, dims: Dims) -> np.ndarray:
     return blocks.transpose(0, 2, 1, 3).reshape(n * n, n * n).copy()
 
 
-def _grouping_permutation(dims: Dims) -> np.ndarray:
-    """Map each flat vec index of L(Y (x) Y) to its (block-pair, inner) index."""
-    n, mn, k = dims.n, dims.mn, dims.k
-    side = n * n
-    a = np.arange(side * side)
-    row, col = divmod(a, side)
-    p, r = divmod(row, mn)
-    q, s = divmod(col, mn)
-    return ((p * k + q) * mn + r) * mn + s
-
-
 def extend(phi: Superoperator, sigma: SigmaFlag) -> ExtendedSuperoperator:
     """Blockwise extension of ``phi`` to L(Y (x) Y).
 
@@ -83,21 +72,24 @@ def extend(phi: Superoperator, sigma: SigmaFlag) -> ExtendedSuperoperator:
     flag.  The flag must come from the discriminant of ``phi`` for the
     extension to preserve MES; it is taken as an explicit argument so that the
     (fallible) detection stays separate from this (infallible) construction.
+
+    The n^4 x n^4 matrix is allocated once: indexed as
+    ``[p, r, q, s, p', r', q', s']`` (vec index ``(p, r, q, s)`` of block
+    ``(p, q)``, entry ``(r, s)``), the slot ``(p, q) <- (p, q)`` (identity) or
+    ``(p, q) <- (q, p)`` (transpose) holds phi's matrix as an (mn,)*4 array.
     """
     dims = phi.dims
     if dims.k < 2:
         raise DimensionError("extension is defined for block counts k >= 2")
-    k = dims.k
-    if sigma is SigmaFlag.TRANSPOSE:
-        block_perm = np.zeros((k * k, k * k))
-        for p in range(k):
-            for q in range(k):
-                block_perm[p * k + q, q * k + p] = 1.0
-        grouped = kron(block_perm, phi.matrix)
-    else:
-        grouped = kron(np.eye(k * k), phi.matrix)
-    g = _grouping_permutation(dims)
-    matrix = grouped[np.ix_(g, g)]
+    k, mn = dims.k, dims.mn
+    side = dims.n**4
+    matrix = np.zeros((side, side), dtype=complex)
+    slots = matrix.reshape((k, mn) * 4)
+    block = phi.matrix.reshape((mn,) * 4)
+    for p in range(k):
+        for q in range(k):
+            a, b = (q, p) if sigma is SigmaFlag.TRANSPOSE else (p, q)
+            slots[p, :, q, :, a, :, b, :] = block
     return ExtendedSuperoperator(matrix=matrix, base_dims=dims, sigma=sigma)
 
 

@@ -1,7 +1,9 @@
 """JSON formats shared by the CLI and the file interfaces.
 
 Matrix payload: ``{"rows": r, "cols": c, "data": [[re, im], ...]}`` with the
-entries in row-major order; a vector is a matrix with ``cols = 1``.
+entries in row-major order; a vector is a matrix with ``cols = 1``.  In memory,
+:func:`matrix_to_obj` carries ``data`` as an ``(r*c, 2)`` float64 view of the
+matrix, which the encoder writes in fixed-size chunks.
 
 Serialization is deterministic: floats are emitted with 17 significant digits
 (lossless for float64), keys in fixed insertion order, files written via a
@@ -21,12 +23,39 @@ from .errors import DimensionError
 from .tensor import Dims
 
 
+# Entries of a matrix's data encoded per chunk: bounds the text and the
+# formatted floats held at once while a matrix is written.
+_CHUNK_ENTRIES = 1 << 14
+
+
 def dumps(obj) -> str:
     """Deterministic JSON encoding with 17-significant-digit floats."""
-    return _encode(obj)
+    return "".join(_chunks(obj))
 
 
-def _encode(obj) -> str:
+def _chunks(obj):
+    """Yield the JSON text of ``obj`` in pieces; an ``(N, 2)`` float array (a
+    matrix's ``data``) is written as the list of its rows."""
+    if isinstance(obj, np.ndarray):
+        yield from _array_chunks(obj)
+    elif isinstance(obj, dict):
+        yield "{"
+        for i, (k, v) in enumerate(obj.items()):
+            yield f"{', ' if i else ''}{json.dumps(str(k))}: "
+            yield from _chunks(v)
+        yield "}"
+    elif isinstance(obj, (list, tuple)):
+        yield "["
+        for i, v in enumerate(obj):
+            if i:
+                yield ", "
+            yield from _chunks(v)
+        yield "]"
+    else:
+        yield _scalar(obj)
+
+
+def _scalar(obj) -> str:
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
@@ -40,22 +69,40 @@ def _encode(obj) -> str:
         return json.dumps(obj)
     if obj is None:
         return "null"
-    if isinstance(obj, dict):
-        items = ", ".join(f"{json.dumps(str(k))}: {_encode(v)}" for k, v in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_encode(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
+def _array_chunks(a: np.ndarray):
+    """Yield an ``(N, 2)`` float array as the text ``[[x, y], ...]``,
+    ``_CHUNK_ENTRIES`` rows at a time.  Each distinct float64 bit pattern of a
+    chunk is formatted once (bits keep -0.0 apart from 0.0); the separators are
+    interleaved as shared string objects, so no per-entry string is built."""
+    if a.ndim != 2 or a.shape[1] != 2 or a.dtype.kind != "f":
+        raise TypeError(f"cannot serialize a {a.dtype} array of shape {a.shape}")
+    yield "["
+    for start in range(0, len(a), _CHUNK_ENTRIES):
+        chunk = np.ascontiguousarray(a[start : start + _CHUNK_ENTRIES], dtype=np.float64)
+        if not np.isfinite(chunk).all():
+            raise ValueError("non-finite number cannot be serialized")
+        bits, inverse = np.unique(chunk.view(np.int64).reshape(-1), return_inverse=True)
+        text = np.array([format(x, ".17g") for x in bits.view(np.float64).tolist()], dtype=object)
+        pieces = np.empty((len(chunk), 4), dtype=object)
+        pieces[:, 0::2] = text[inverse.reshape(chunk.shape)]
+        pieces[:, 1] = ", "
+        pieces[:, 3] = "], ["
+        yield (", [" if start else "[") + "".join(pieces.reshape(-1)[:-1].tolist()) + "]"
+    yield "]"
+
+
 def write_json(path: str, obj) -> None:
-    """Atomically write ``obj`` as JSON to ``path`` (temp file + rename)."""
-    text = dumps(obj) + "\n"
+    """Atomically write ``obj`` as JSON to ``path`` (temp file + rename),
+    streaming the text so the whole document is never held in memory."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(_chunks(obj))
+            handle.write("\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -77,11 +124,10 @@ def matrix_to_obj(a: np.ndarray) -> dict:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
     rows, cols = a.shape
-    flat = a.reshape(-1)
     return {
         "rows": int(rows),
         "cols": int(cols),
-        "data": [[float(z.real), float(z.imag)] for z in flat],
+        "data": np.ascontiguousarray(a).view(np.float64).reshape(-1, 2),
     }
 
 
@@ -94,13 +140,13 @@ def matrix_from_obj(obj) -> np.ndarray:
     data = obj["data"]
     if len(data) != rows * cols:
         raise DimensionError(f"expected {rows * cols} entries, got {len(data)}")
-    out = np.empty(rows * cols, dtype=complex)
-    for i, pair in enumerate(data):
-        re, im = float(pair[0]), float(pair[1])
-        out[i] = complex(re, im)
-    if not np.all(np.isfinite(out)):
+    # ragged or non-numeric data raises ValueError here
+    pairs = np.array(data, dtype=np.float64, order="C")
+    if pairs.shape != (rows * cols, 2):
+        raise ValueError("matrix data must be a list of [re, im] pairs")
+    if not np.isfinite(pairs).all():
         raise ValueError("matrix contains non-finite entries")
-    return out.reshape(rows, cols)
+    return pairs.view(complex).reshape(rows, cols)
 
 
 def dims_to_obj(dims: Dims) -> dict:

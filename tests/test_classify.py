@@ -6,6 +6,7 @@ from meskit import (
     Dims,
     NoSolutionError,
     NotInvertibleError,
+    NotMESError,
     NotPreserverError,
     SigmaFlag,
     Superoperator,
@@ -149,6 +150,15 @@ def test_decompose_tolerates_small_noise(m, k, eps, sigma):
     dec = decompose(phi)
     assert dec.sigma is sigma
     assert phase_aligned_distance(kron(dec.U, dec.V), kron(u, v)) < 1e-7
+
+
+@pytest.mark.parametrize("sigma", [SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE])
+def test_decompose_names_discriminant_stage_on_not_mes(sigma):
+    # this noisy map passes the sampled preserver stage; an image inside the
+    # sigma discriminant is then not an MES, and the refusal names that stage
+    phi, _, _ = _noisy_preserver(Dims.from_mk(1, 2), sigma, 1e-8, 3)
+    with pytest.raises(NotMESError, match=r"^stage discriminant: "):
+        decompose(phi)
 
 
 @pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (2, 3), (3, 2)])

@@ -112,6 +112,17 @@ def test_classify_parse_failure_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_classify_ragged_data_exit_2(tmp_path, capsys):
+    path = tmp_path / "ragged.json"
+    obj = serialize.superoperator_to_obj(np.eye(16, dtype=complex), Dims.from_mk(1, 2))
+    obj["matrix"]["data"] = [[0.0, 0.0]] * 255 + [[0.0]]
+    path.write_text(json.dumps(obj))
+    code, stdout, stderr = run_cli(capsys, "classify", str(path))
+    assert code == 2 and stdout == ""
+    error = json.loads(stderr)  # one error JSON, no traceback
+    assert error["error"] == "ValueError" and error["exit_code"] == 2
+
+
 def test_classify_single_block_out_of_scope(tmp_path, capsys):
     out = str(tmp_path / "square.json")
     assert run_cli(capsys, "gen", "--m", "2", "--k", "1", "--form", "adjoint", "--out", out)[0] == 0

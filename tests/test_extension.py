@@ -5,6 +5,7 @@ from meskit import (
     DimensionError,
     Dims,
     SigmaFlag,
+    Superoperator,
     ad_commutation_residual,
     apply,
     block_join,
@@ -46,6 +47,37 @@ def test_block_split_join_convention(rng):
 def test_extend_identity_is_identity():
     ext = extend(identity_superop(DIMS), SigmaFlag.IDENTITY)
     np.testing.assert_allclose(ext.matrix, np.eye(256), atol=1e-14)
+
+
+def _kron_extension(phi, sigma):
+    """The kron-and-permute construction: kron(B, phi) with B the identity or
+    the block swap on k^2 block pairs, then regrouped by vec index."""
+    dims = phi.dims
+    n, mn, k = dims.n, dims.mn, dims.k
+    block_perm = np.eye(k * k)
+    if sigma is SigmaFlag.TRANSPOSE:
+        block_perm = np.zeros((k * k, k * k))
+        for p in range(k):
+            for q in range(k):
+                block_perm[p * k + q, q * k + p] = 1.0
+    grouped = np.kron(block_perm, phi.matrix)
+    row, col = divmod(np.arange(n**4), n * n)
+    p, r = divmod(row, mn)
+    q, s = divmod(col, mn)
+    g = ((p * k + q) * mn + r) * mn + s
+    return grouped[np.ix_(g, g)]
+
+
+@pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (2, 3)])
+@pytest.mark.parametrize("sigma", BOTH)
+def test_extend_equals_kron_construction(m, k, sigma, rng):
+    dims = Dims.from_mk(m, k)
+    phi = Superoperator(complex_gaussian(rng, dims.mn**2, dims.mn**2), dims)
+    ext = extend(phi, sigma).matrix
+    assert np.array_equal(ext, _kron_extension(phi, sigma))
+    # structural zeros are +0 (kron wrote 0 * negative as -0)
+    zeros = ext[ext == 0]
+    assert not np.signbit(zeros.real).any() and not np.signbit(zeros.imag).any()
 
 
 def test_extend_rejects_single_block():

@@ -1,11 +1,67 @@
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from meskit import DimensionError, Dims
+from meskit import DimensionError, Dims, SigmaFlag, extend, make_adjoint_preserver
 from meskit import serialize
-from conftest import complex_gaussian
+from conftest import complex_gaussian, unitary_pair
+
+CHUNK = serialize._CHUNK_ENTRIES
+
+
+def _reference_dumps(obj) -> str:
+    """Per-entry encoder whose bytes the streamed writer must reproduce."""
+    if isinstance(obj, dict):
+        items = ", ".join(f"{json.dumps(str(k))}: {_reference_dumps(v)}" for k, v in obj.items())
+        return "{" + items + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(_reference_dumps(v) for v in obj) + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return format(obj, ".17g")
+    if obj is None:
+        return "null"
+    return json.dumps(obj)
+
+
+def _reference_matrix_obj(a) -> dict:
+    a = np.asarray(a, dtype=complex)
+    return {
+        "rows": a.shape[0],
+        "cols": a.shape[1],
+        "data": [[float(z.real), float(z.imag)] for z in a.reshape(-1)],
+    }
+
+
+def _assert_same_text(text: str, expected: str) -> None:
+    # report the first difference; a full diff of ~1 MB strings takes minutes
+    if text != expected:
+        i = len(os.path.commonprefix([text, expected]))
+        got, want = text[max(i - 30, 0) : i + 30], expected[max(i - 30, 0) : i + 30]
+        pytest.fail(f"text differs at offset {i}: {got!r} != {want!r}")
+
+
+def _special_matrix() -> np.ndarray:
+    values = [
+        complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), complex(0.0, 0.0),
+        complex(5e-324, -5e-324), complex(1e300, -1e300),
+        complex(-1e300, 0.1), complex(1 / 3, -2.5),
+    ]
+    return np.array(values).reshape(2, 4)
+
+
+def _repetitive_column(entries: int, rng) -> np.ndarray:
+    # zeros of both signs and repeated values, so chunks share bit patterns
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 1e-17, *rng.standard_normal(6)])
+    re, im = rng.choice(pool, entries), rng.choice(pool, entries)
+    re[::7] = rng.standard_normal(len(re[::7]))
+    return (re + 1j * im).reshape(entries, 1)
 
 
 def test_matrix_roundtrip(rng):
@@ -45,6 +101,69 @@ def test_dumps_is_deterministic_and_17g():
     assert text == serialize.dumps(payload)
     assert "0.10000000000000001" in text
     assert json.loads(text)["x"] == 0.1
+
+
+@pytest.mark.parametrize("entries", [1, CHUNK - 1, CHUNK, CHUNK + 1])
+def test_dumps_matches_per_entry_reference(entries, rng, tmp_path):
+    mats = [_special_matrix(), _repetitive_column(entries, rng)]
+    payload = {
+        "flags": [True, False, None, "s\"q", 3, -0.0, 2.5, (1, 2)],
+        "mats": [serialize.matrix_to_obj(a) for a in mats],
+        "nested": {"empty": [], "d": {}},
+    }
+    reference = {
+        "flags": [True, False, None, "s\"q", 3, -0.0, 2.5, [1, 2]],
+        "mats": [_reference_matrix_obj(a) for a in mats],
+        "nested": {"empty": [], "d": {}},
+    }
+    expected = _reference_dumps(reference)
+    _assert_same_text(serialize.dumps(payload), expected)
+    path = tmp_path / "out.json"
+    serialize.write_json(str(path), payload)
+    _assert_same_text(path.read_text(), expected + "\n")
+
+
+def test_matrix_to_obj_is_a_view(rng):
+    a = complex_gaussian(rng, 3, 4)
+    data = serialize.matrix_to_obj(a)["data"]
+    assert data.shape == (12, 2) and np.shares_memory(data, a)
+
+
+def test_dumps_rejects_nonfinite_array():
+    with pytest.raises(ValueError):
+        serialize.dumps({"data": np.array([[0.0, np.nan]])})
+
+
+@pytest.mark.parametrize(
+    "data",
+    [[[0.0, 0.0], [1.0]], [[0.0, 0.0], ["x", 1.0]], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [0.0, 1.0]],
+    ids=["ragged", "non-numeric", "triples", "flat"],
+)
+def test_matrix_from_obj_rejects_malformed_data(data):
+    with pytest.raises(ValueError):
+        serialize.matrix_from_obj({"rows": 2, "cols": 1, "data": data})
+
+
+def test_matrix_from_obj_is_fresh_and_exact(rng):
+    a = complex_gaussian(rng, 2, 2)
+    a[0, 0] = complex(-0.0, -0.0)
+    back = serialize.matrix_from_obj(serialize.matrix_to_obj(a))
+    assert not np.shares_memory(back, a)
+    assert np.array_equal(back.view(np.int64), a.view(np.int64))  # bits, signed zeros too
+
+
+def test_write_json_peak_memory_below_the_matrix(tmp_path):
+    # the (3,2) extension, 1296 x 1296: the writer streams it in chunks
+    dims = Dims.from_mk(3, 2)
+    phi = make_adjoint_preserver(*unitary_pair(dims, 1), SigmaFlag.IDENTITY)
+    matrix = extend(phi, SigmaFlag.IDENTITY).matrix
+    tracemalloc.start()
+    try:
+        serialize.write_json(str(tmp_path / "ext.json"), serialize.matrix_to_obj(matrix))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < matrix.nbytes
 
 
 def test_superoperator_obj_roundtrip(rng):
