@@ -27,6 +27,11 @@ from .states import Coisometry, are_orthogonal, orthogonal_family, pi, represent
 from .superop import SigmaFlag, Superoperator, apply
 from .tensor import frobenius, kron, scaled_tol, unvec, vec
 
+# Relative threshold of the sin^2 check between image representatives and of
+# the subspace and phase-coherence residuals; images are tested for MES
+# membership by :func:`representative`, at the same 1e-8.
+_TOL = 1e-8
+
 
 @dataclass(frozen=True, eq=False)
 class RestrictedMapG:
@@ -45,13 +50,13 @@ class RestrictedMapG:
         return unvec(self.matrix @ vec(X), 2, 2)
 
 
-def zeta_image(phi: Superoperator, A: Coisometry, tol: float = 1e-8) -> Coisometry:
+def zeta_image(phi: Superoperator, A: Coisometry) -> Coisometry:
     """Canonical coisometry B with pi(B) = phi(pi(A)).
 
     Raises NotMESError when the image is not an MES (phi is not a preserver).
     """
     image = apply(phi, pi(A).matrix)
-    return representative(image, phi.dims, tol)
+    return representative(image, phi.dims)
 
 
 def phi_on_cross_term(phi: Superoperator, A1: Coisometry, A2: Coisometry) -> np.ndarray:
@@ -86,9 +91,7 @@ def _expand_in_image_basis(T: np.ndarray, b: tuple[np.ndarray, np.ndarray], gram
     return coeffs.reshape(2, 2), frobenius(T - recon)
 
 
-def restricted_g(
-    phi: Superoperator, A1: Coisometry, A2: Coisometry, tol: float = 1e-8
-) -> RestrictedMapG:
+def restricted_g(phi: Superoperator, A1: Coisometry, A2: Coisometry) -> RestrictedMapG:
     """Coefficient map G of phi on the cross-term subspace of (A1, A2).
 
     phi(vec(A_i) vec(A_j)*) is expanded in {vec(B_p) vec(B_q)*} for the image
@@ -101,13 +104,13 @@ def restricted_g(
     if not are_orthogonal(A1, A2):
         raise NotOrthogonalError("restricted map needs an orthogonal coisometry pair")
     dims = phi.dims
-    B1 = zeta_image(phi, A1, tol)
-    B2 = zeta_image(phi, A2, tol)
+    B1 = zeta_image(phi, A1)
+    B2 = zeta_image(phi, A2)
     b = (vec(B1.matrix), vec(B2.matrix))
     gram2 = np.array([[np.vdot(bp, bq) for bq in b] for bp in b])
     # det / (product of the diagonal) is sin^2 of the angle between B1 and B2
     sin2 = float(np.linalg.det(gram2).real / (gram2[0, 0].real * gram2[1, 1].real))
-    if sin2 < tol:
+    if sin2 < _TOL:
         raise NotInvertibleError(
             f"orthogonal coisometries share one image class (sin^2 {sin2:.3e}): "
             "map is singular on span(MES)"
@@ -121,7 +124,7 @@ def restricted_g(
             else:
                 target = phi_on_cross_term(phi, Ai, Aj)
             coeffs, residual = _expand_in_image_basis(target, b, gram4)
-            if residual >= scaled_tol(tol, frobenius(target)):
+            if residual >= scaled_tol(_TOL, frobenius(target)):
                 raise SubspaceViolationError(
                     f"cross-term image left its subspace (residual {residual:.3e})"
                 )
@@ -155,7 +158,7 @@ def flag_from_determinant(det: complex) -> SigmaFlag:
     raise InconsistentChoiError(f"det J(G) = {det:.6f} is near neither 0 nor -1")
 
 
-def detect_sigma(phi: Superoperator, seed=0, tol: float = 1e-8) -> SigmaFlag:
+def detect_sigma(phi: Superoperator, seed=0) -> SigmaFlag:
     """Identity/transpose discriminant via det J(G).
 
     A preserver gives det 0 (identity branch) or -1 (transpose branch)
@@ -164,7 +167,7 @@ def detect_sigma(phi: Superoperator, seed=0, tol: float = 1e-8) -> SigmaFlag:
     if phi.dims.k < 2:
         raise DimensionError("sigma detection needs an orthogonal pair, so k >= 2")
     family = orthogonal_family(phi.dims, np.random.SeedSequence([int(seed), 13]))
-    G = restricted_g(phi, family[0], family[1], tol)
+    G = restricted_g(phi, family[0], family[1])
     return flag_from_determinant(np.linalg.det(choi_matrix(G)))
 
 
@@ -185,16 +188,14 @@ def _coherence_residual(
     return worst
 
 
-def align_images(
-    phi: Superoperator, family: list[Coisometry], tol: float = 1e-8
-) -> list[Coisometry]:
+def align_images(phi: Superoperator, family: list[Coisometry]) -> list[Coisometry]:
     """Phase-coherent image family B_1..B_k of a mutually orthogonal family.
 
     B_1 is the canonical image representative; the phase of each later B_j is
     read off the (1, j) cross term, so that phi(vec(A_p)vec(A_q)*) equals
     vec(B_p)vec(B_q)* in the identity branch or vec(B_q)vec(B_p)* in the
     transpose branch.  Both branch readings are tried; if neither is coherent
-    within ``tol`` the map is not a preserver and PhaseAlignmentError is
+    within a relative 1e-8 the map is not a preserver and PhaseAlignmentError is
     raised.
     """
     dims = phi.dims
@@ -202,7 +203,7 @@ def align_images(
         for q in range(p + 1, len(family)):
             if not are_orthogonal(family[p], family[q]):
                 raise NotOrthogonalError("alignment needs a mutually orthogonal family")
-    B1 = zeta_image(phi, family[0], tol)
+    B1 = zeta_image(phi, family[0])
     b1 = vec(B1.matrix)
     candidates: dict[bool, list[np.ndarray]] = {}
     for swap in (False, True):
@@ -216,7 +217,7 @@ def align_images(
         swap: _coherence_residual(phi, family, vecs, swap) for swap, vecs in candidates.items()
     }
     swap = min(residuals, key=residuals.get)
-    if residuals[swap] >= scaled_tol(tol, float(dims.m)):
+    if residuals[swap] >= scaled_tol(_TOL, float(dims.m)):
         raise PhaseAlignmentError(
             f"no coherent phase assignment (best residual {residuals[swap]:.3e})"
         )

@@ -10,10 +10,10 @@ invertible on the MES span, 5 inconsistent Choi discriminant, 6 recovered
 unitary not a Kronecker product, 1 unexpected numerical breakdown or a
 report with ``"all_pass": false`` (``extend``, ``check-lemmas``).
 
-The default tolerance is 1e-9; the MESKIT_TOL environment variable overrides
-it and an explicit ``--tol`` flag wins over both.  Each subcommand accepts
-only the flags it reads: ``--tol`` for ``classify``, ``extend`` and
-``check-lemmas``, ``--samples`` for ``extend`` and ``check-lemmas``.
+Each subcommand accepts only the flags it reads: ``--tol`` for ``classify``,
+``extend`` and ``check-lemmas``, ``--samples`` (default 20) for ``extend`` and
+``check-lemmas``.  Where ``--tol`` is accepted, it defaults to the MESKIT_TOL
+environment variable and then to 1e-9; other subcommands ignore MESKIT_TOL.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from .errors import (
     NotMESError,
     NotPreserverError,
 )
-from .extension import ad_commutation_residual, extend, p_operator, q_operator
+from .extension import ad_commutation_residual, extend, structural_unitaries
 from .states import is_mes, pi, random_coisometry
 from .superop import (
     SigmaFlag,
@@ -47,7 +46,7 @@ from .superop import (
     make_swap_preserver,
     make_trace_preserver,
 )
-from .tensor import Dims, haar_unitary, kron
+from .tensor import Dims, haar_unitary
 
 _EXIT_USAGE = 2
 _ERROR_EXIT_CODES = {
@@ -57,29 +56,6 @@ _ERROR_EXIT_CODES = {
     InconsistentChoiError: 5,
     NotKroneckerError: 6,
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved command-line options shared by the subcommands."""
-
-    m: int
-    k: int
-    seed: int
-    tol: float
-    samples: int | None
-    output_path: str | None
-
-    def __post_init__(self) -> None:
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.samples is not None and self.samples < 1:
-            raise ValueError("samples must be >= 1")
-
-
-def _default_tol() -> float:
-    env = os.environ.get("MESKIT_TOL")
-    return float(env) if env else 1e-9
 
 
 def _fail(exc: BaseException, code: int) -> int:
@@ -97,16 +73,17 @@ def _error_code(exc: MESKitError) -> int:
     return 1
 
 
-def _config(args) -> RunConfig:
-    tol = getattr(args, "tol", None)
-    return RunConfig(
-        m=getattr(args, "m", 1),
-        k=getattr(args, "k", 1),
-        seed=args.seed,
-        tol=tol if tol is not None else _default_tol(),
-        samples=getattr(args, "samples", None),
-        output_path=getattr(args, "out", None),
-    )
+def _check_settings(args) -> None:
+    """Resolves ``--tol`` (flag, then MESKIT_TOL, then 1e-9) on the subcommands
+    that take it, and rejects a non-positive tolerance or sample count."""
+    if "tol" in args:
+        if args.tol is None:
+            env = os.environ.get("MESKIT_TOL")
+            args.tol = float(env) if env else 1e-9
+        if args.tol <= 0:
+            raise ValueError("tol must be positive")
+    if "samples" in args and args.samples < 1:
+        raise ValueError("samples must be >= 1")
 
 
 def _truth_path(out: str) -> str:
@@ -124,36 +101,29 @@ def _decomposition_obj(dec: Decomposition) -> dict:
 
 
 def cmd_gen(args) -> int:
-    config = _config(args)
     sigma = SigmaFlag(args.sigma)
-    out = config.output_path or "superop.json"
+    out = args.out or "superop.json"
     try:
-        dims = Dims.from_mk(config.m, config.k)
+        dims = Dims.from_mk(args.m, args.k)
     except DimensionError as exc:
         return _fail(exc, _EXIT_USAGE)
-    truth: dict = {"form": args.form, "m": config.m, "k": config.k, "seed": config.seed}
-    if args.form == "adjoint":
-        u = haar_unitary(dims.m, np.random.SeedSequence([config.seed, 41, 0]))
-        v = haar_unitary(dims.n, np.random.SeedSequence([config.seed, 41, 1]))
-        phi = make_adjoint_preserver(u, v, sigma)
-        truth.update(
-            {"sigma": sigma.value, "U": serialize.matrix_to_obj(u), "V": serialize.matrix_to_obj(v)}
-        )
-    elif args.form == "swap":
-        if config.k != 1:
+    truth: dict = {"form": args.form, "m": args.m, "k": args.k, "seed": args.seed}
+    if args.form == "trace":
+        rho = pi(random_coisometry(dims, np.random.SeedSequence([args.seed, 41, 2])))
+        phi = make_trace_preserver(rho)
+        truth.update({"rho": serialize.matrix_to_obj(rho.matrix)})
+    else:
+        if args.form == "swap" and args.k != 1:
             return _fail(
                 DimensionError("the switch form needs a square space: use --k 1"), _EXIT_USAGE
             )
-        u = haar_unitary(dims.m, np.random.SeedSequence([config.seed, 41, 0]))
-        v = haar_unitary(dims.m, np.random.SeedSequence([config.seed, 41, 1]))
-        phi = make_swap_preserver(u, v, sigma)
+        make = make_swap_preserver if args.form == "swap" else make_adjoint_preserver
+        u = haar_unitary(dims.m, np.random.SeedSequence([args.seed, 41, 0]))
+        v = haar_unitary(dims.n, np.random.SeedSequence([args.seed, 41, 1]))
+        phi = make(u, v, sigma)
         truth.update(
             {"sigma": sigma.value, "U": serialize.matrix_to_obj(u), "V": serialize.matrix_to_obj(v)}
         )
-    else:  # trace
-        rho = pi(random_coisometry(dims, np.random.SeedSequence([config.seed, 41, 2])))
-        phi = make_trace_preserver(rho)
-        truth.update({"rho": serialize.matrix_to_obj(rho.matrix)})
     serialize.write_json(out, serialize.superoperator_to_obj(phi.matrix, phi.dims))
     serialize.write_json(_truth_path(out), truth)
     print(serialize.dumps({"superop": out, "truth": _truth_path(out)}))
@@ -167,66 +137,55 @@ def _load_superop(path: str) -> Superoperator:
 
 
 def cmd_classify(args) -> int:
-    config = _config(args)
     try:
         phi = _load_superop(args.input)
     except (OSError, ValueError, KeyError, TypeError, DimensionError) as exc:
         return _fail(exc, _EXIT_USAGE)
     try:
-        dec = decompose(phi, tol=config.tol, seed=config.seed)
+        dec = decompose(phi, tol=args.tol, seed=args.seed)
     except MESKitError as exc:
         return _fail(exc, _error_code(exc))
     payload = _decomposition_obj(dec)
-    if config.output_path:
-        serialize.write_json(config.output_path, payload)
+    if args.out:
+        serialize.write_json(args.out, payload)
     print(serialize.dumps(payload))
     return 0
 
 
 def cmd_extend(args) -> int:
-    config = _config(args)
     try:
         phi = _load_superop(args.input)
     except (OSError, ValueError, KeyError, TypeError, DimensionError) as exc:
         return _fail(exc, _EXIT_USAGE)
     try:
         if args.sigma == "auto":
-            sigma = detect_sigma(phi, seed=config.seed)
+            sigma = detect_sigma(phi, seed=args.seed)
         else:
             sigma = SigmaFlag(args.sigma)
         ext = extend(phi, sigma)
     except MESKitError as exc:
         return _fail(exc, _error_code(exc))
     dims = phi.dims
-    samples = config.samples if config.samples is not None else 20
-    operators = [(f"P{j}xI", kron(p_operator(j, dims), np.eye(dims.n))) for j in range(1, dims.k + 1)]
-    operators += [
-        (f"Q{p}{q}", q_operator(p, q, dims))
-        for p in range(1, dims.k + 1)
-        for q in range(p + 1, dims.k + 1)
-    ]
+    samples = args.samples
     states = [
-        pi(random_coisometry(ext.yy_dims, np.random.SeedSequence([config.seed, 43, i]))).matrix
+        pi(random_coisometry(ext.yy_dims, np.random.SeedSequence([args.seed, 43, i]))).matrix
         for i in range(samples)
     ]
     commutation = []
-    for name, w in operators:
+    for name, w in structural_unitaries(dims):
         residual = max(ad_commutation_residual(ext, w, s) for s in states)
-        commutation.append(
-            {"operator": name, "max_residual": residual, "pass": residual < config.tol}
-        )
+        commutation.append({"operator": name, "max_residual": residual, "pass": residual < args.tol})
     mes_ok = sum(1 for s in states if is_mes(apply(ext, s), ext.yy_dims, 1e-8))
     report = {
         "sigma": sigma.value,
         "dims": serialize.dims_to_obj(dims),
         "commutation": commutation,
         "mes_preservation": {"samples": samples, "preserved": mes_ok, "pass": mes_ok == samples},
-        "tol": config.tol,
+        "tol": args.tol,
         "all_pass": all(c["pass"] for c in commutation) and mes_ok == samples,
     }
-    out = config.output_path or "extended.json"
     serialize.write_json(
-        out,
+        args.out or "extended.json",
         {
             "base_dims": serialize.dims_to_obj(dims),
             "sigma": sigma.value,
@@ -238,17 +197,15 @@ def cmd_extend(args) -> int:
 
 
 def cmd_check_lemmas(args) -> int:
-    config = _config(args)
     try:
-        dims = Dims.from_mk(config.m, config.k)
+        dims = Dims.from_mk(args.m, args.k)
     except DimensionError as exc:
         return _fail(exc, _EXIT_USAGE)
-    samples = config.samples if config.samples is not None else 20
-    results = lemmas.run_all(dims, tol=config.tol, samples=samples, seed=config.seed)
+    results = lemmas.run_all(dims, tol=args.tol, samples=args.samples, seed=args.seed)
     report = {
         "dims": serialize.dims_to_obj(dims),
-        "tol": config.tol,
-        "samples": samples,
+        "tol": args.tol,
+        "samples": args.samples,
         "checks": [r.to_obj() for r in results],
         "all_pass": all(r.passed for r in results),
     }
@@ -269,7 +226,7 @@ def _add_common(
             "--tol", type=float, default=None, help="tolerance (default 1e-9, or MESKIT_TOL)"
         )
     if samples:
-        parser.add_argument("--samples", type=int, default=None, help="sample-count override")
+        parser.add_argument("--samples", type=int, default=20, help="sample count (default 20)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,6 +270,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else _EXIT_USAGE
     try:
+        _check_settings(args)
         return args.func(args)
     except ValueError as exc:
         return _fail(exc, _EXIT_USAGE)

@@ -115,6 +115,19 @@ def q_operator(p: int, q: int, dims: Dims) -> np.ndarray:
     return kron(kron(t, np.eye(dims.m)), np.eye(dims.n))
 
 
+def structural_unitaries(dims: Dims) -> list[tuple[str, np.ndarray]]:
+    """The unitaries on Y (x) Y the extension commutes with, as ``(name, W)``:
+    ``P{j}xI`` = P_j (x) I_n for j = 1..k, then ``Q{p}{q}`` for p < q."""
+    eye_n = np.eye(dims.n)
+    pairs = [(f"P{j}xI", kron(p_operator(j, dims), eye_n)) for j in range(1, dims.k + 1)]
+    pairs += [
+        (f"Q{p}{q}", q_operator(p, q, dims))
+        for p in range(1, dims.k + 1)
+        for q in range(p + 1, dims.k + 1)
+    ]
+    return pairs
+
+
 def ad_commutation_residual(phi_like, W, M) -> float:
     """|| phi(W M W*) - W phi(M) W* ||_F at a single operator M."""
     W = as_complex(W)
@@ -134,12 +147,13 @@ def _yy_sampling_dims(phi_like) -> Dims:
     raise TypeError("expected an ExtendedSuperoperator or a square-space Superoperator")
 
 
-def commutes_with_ad(phi_tilde, W, num_samples: int = 20, tol: float = 1e-9, seed=0) -> bool:
-    """True iff phi_tilde commutes with M -> W M W* on sampled MES of Y (x) Y."""
+def commutes_with_ad(phi_tilde, W, seed=0) -> bool:
+    """True iff phi_tilde commutes with M -> W M W* within 1e-9 on 20 sampled
+    MES of Y (x) Y."""
     dims = _yy_sampling_dims(phi_tilde)
-    for i in range(num_samples):
+    for i in range(20):
         A = random_coisometry(dims, np.random.SeedSequence([int(seed), 17, i]))
-        if ad_commutation_residual(phi_tilde, W, pi(A).matrix) >= tol:
+        if ad_commutation_residual(phi_tilde, W, pi(A).matrix) >= 1e-9:
             return False
     return True
 

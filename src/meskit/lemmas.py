@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .choi import align_images, choi_matrix, restricted_g
-from .extension import ad_commutation_residual, extend, p_operator, q_operator
+from .extension import ad_commutation_residual, extend, structural_unitaries
 from .states import is_coisometry, orthogonal_family, pi, random_coisometry
 from .superop import SigmaFlag, Superoperator, apply, make_adjoint_preserver, make_swap_preserver
 from .tensor import (
@@ -250,11 +250,7 @@ def check_extension_preserves_mes(dims: Dims, samples: int, seed) -> float:
 
 def check_structural_commutation(dims: Dims, samples: int, seed) -> float:
     """The extension commutes with conjugation by every P_j (x) I and Q_pq."""
-    eye_n = np.eye(dims.n)
-    operators = [kron(p_operator(j, dims), eye_n) for j in range(1, dims.k + 1)]
-    operators += [
-        q_operator(p, q, dims) for p in range(1, dims.k + 1) for q in range(p + 1, dims.k + 1)
-    ]
+    operators = [w for _, w in structural_unitaries(dims)]
     worst = 0.0
     for sigma in _BOTH_SIGMA:
         phi = _random_preserver(dims, sigma, seed, 117)

@@ -6,8 +6,9 @@ entries in row-major order; a vector is a matrix with ``cols = 1``.  In memory,
 matrix, which the encoder writes in fixed-size chunks.
 
 Serialization is deterministic: floats are emitted with 17 significant digits
-(lossless for float64), keys in fixed insertion order, files written via a
-temp file + rename so readers never observe partial output.
+(lossless for float64; :func:`read_json` reads ``-0`` back as -0.0), keys in
+fixed insertion order, files written via a temp file + rename so readers never
+observe partial output.
 """
 
 from __future__ import annotations
@@ -110,9 +111,15 @@ def write_json(path: str, obj) -> None:
         raise
 
 
+def _parse_int(token: str):
+    # the encoder writes -0.0 as "-0", which int() would read as +0
+    return -0.0 if token == "-0" else int(token)
+
+
 def read_json(path: str):
+    """Parse a JSON file; the token ``-0`` reads back as the float -0.0."""
     with open(path) as handle:
-        return json.load(handle)
+        return json.load(handle, parse_int=_parse_int)
 
 
 def matrix_to_obj(a: np.ndarray) -> dict:

@@ -171,19 +171,19 @@ def are_orthogonal(A, B, tol: float = DEFAULT_TOL) -> bool:
     return forward and backward
 
 
-def representative(M, dims: Dims | None = None, tol: float = 1e-8) -> Coisometry:
+def representative(M, dims: Dims | None = None) -> Coisometry:
     """Canonical coisometry A with pi(A) = M, for M in MES.
 
     The rank-1 factor is rescaled by sqrt(m) and then corrected to put
     A A* = I to working precision (division by the square root of the mean
     diagonal of A A*); the phase follows the global gauge.  Raises
-    NotMESError when M fails :func:`is_mes` at ``tol``.
+    NotMESError when M fails :func:`is_mes` at 1e-8.
     """
     d = _dims_of(M, dims)
     mat = _matrix_of(M)
-    if not is_mes(mat, d, tol):
+    if not is_mes(mat, d, _VALIDATION_TOL):
         raise NotMESError("operator is not a maximally entangled state within tolerance")
-    v, _ = rank_one_factor(mat, tol)
+    v, _ = rank_one_factor(mat, _VALIDATION_TOL)
     A = np.sqrt(d.m) * unvec(v, d.m, d.n)
     gram = A @ A.conj().T
     mean_diag = float(np.trace(gram).real) / d.m

@@ -84,12 +84,12 @@ def apply(phi, M) -> np.ndarray:
     return (mat @ M.reshape(-1)).reshape(d, d)
 
 
-def _require_unitary(U: np.ndarray, name: str, tol: float = 1e-10) -> np.ndarray:
+def _require_unitary(U: np.ndarray, name: str) -> np.ndarray:
     U = as_complex(U)
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise NotUnitaryError(f"{name} must be square, got shape {U.shape}")
     dev = frobenius(U @ U.conj().T - np.eye(U.shape[0]))
-    if dev >= scaled_tol(tol, frobenius(U)):
+    if dev >= scaled_tol(1e-10, frobenius(U)):
         raise NotUnitaryError(f"{name} deviates from unitarity by {dev:.3e}")
     return U
 
@@ -174,26 +174,27 @@ def _span_orthobasis(dims: Dims) -> np.ndarray:
     return q
 
 
-def preserves_mes(phi: Superoperator, num_samples: int = 20, tol: float = 1e-8, seed=0) -> bool:
-    """Probabilistic preserver check: images of sampled MES must be MES.
+def preserves_mes(phi: Superoperator, seed=0) -> bool:
+    """Probabilistic preserver check: the images of 20 sampled MES must be
+    MES within 1e-8.
 
     Sample i uses a seed derived from (seed, i), so the result does not depend
     on evaluation order.
     """
-    for i in range(num_samples):
+    for i in range(20):
         A = random_coisometry(phi.dims, np.random.SeedSequence([_as_int(seed), 11, i]))
-        if not is_mes(apply(phi, pi(A).matrix), phi.dims, tol):
+        if not is_mes(apply(phi, pi(A).matrix), phi.dims, 1e-8):
             return False
     return True
 
 
-def is_invertible_on_span(phi: Superoperator, tol: float = 1e-9) -> bool:
+def is_invertible_on_span(phi: Superoperator) -> bool:
     """True iff the restriction of phi to span(MES) has smallest singular
-    value above ``tol`` (in the orthonormal coordinates of the span basis)."""
+    value above 1e-9 (in the orthonormal coordinates of the span basis)."""
     q = _span_orthobasis(phi.dims)
     restricted = q.conj().T @ (phi.matrix @ q)
     s = np.linalg.svd(restricted, compute_uv=False)
-    return float(s[-1]) > tol
+    return float(s[-1]) > 1e-9
 
 
 def _as_int(seed) -> int:

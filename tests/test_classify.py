@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -10,17 +12,26 @@ from meskit import (
     NotPreserverError,
     SigmaFlag,
     Superoperator,
+    align_images,
     apply,
+    commutes_with_ad,
     decompose,
+    detect_sigma,
     identity_superop,
+    is_invertible_on_span,
     kron,
     make_adjoint_preserver,
     make_trace_preserver,
     pi,
+    preserves_mes,
     random_coisometry,
     recover_unitary,
+    representative,
+    restricted_g,
     verify_theorem_form,
+    zeta_image,
 )
+from meskit.superop import _require_unitary
 from conftest import complex_gaussian, phase_aligned_distance, unitary_pair
 
 DIMS = Dims.from_mk(2, 2)
@@ -39,7 +50,7 @@ def test_recover_unitary_identity():
     np.testing.assert_allclose(w, np.eye(8), atol=1e-10)
 
 
-def test_recover_unitary_null_space_contains_identity_for_identity_map():
+def test_recover_unitary_identity_map_on_non_square_split():
     # the only conjugations that fix every matrix are the scalars: on a
     # non-square split the identity map still recovers I up to phase
     dims = Dims.from_mk(3, 2)
@@ -174,3 +185,22 @@ def test_verification_residual_bounds_every_mes(m, k, sigma):
         Msig = M.T if sigma is SigmaFlag.TRANSPOSE else M
         residual = np.linalg.norm(apply(phi, M) - W @ Msig @ W.conj().T)
         assert residual <= dec.verification_residual
+
+
+@pytest.mark.parametrize(
+    "func",
+    [
+        preserves_mes,
+        is_invertible_on_span,
+        _require_unitary,
+        zeta_image,
+        restricted_g,
+        detect_sigma,
+        align_images,
+        representative,
+        commutes_with_ad,
+    ],
+)
+def test_stage_thresholds_are_fixed(func):
+    # each stage's threshold lives at its one use, not in a keyword
+    assert not {"tol", "num_samples"} & set(inspect.signature(func).parameters)

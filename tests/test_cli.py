@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from meskit import Dims, kron, serialize
 from meskit.cli import main
@@ -84,14 +85,43 @@ def test_extend_failing_report_exit_1(tmp_path, capsys):
     assert not report["all_pass"] and not report["mes_preservation"]["pass"]
 
 
-def test_flags_only_where_read(tmp_path, capsys):
+def test_flags_only_where_read(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "sop.json")
     for flag, value in (("--tol", "-5"), ("--samples", "3")):
         code, _, stderr = run_cli(capsys, "gen", flag, value, "--out", out)
         assert code == 2 and "unrecognized arguments" in stderr
+    monkeypatch.setenv("MESKIT_TOL", "abc")  # gen takes no --tol, so it ignores MESKIT_TOL
     assert run_cli(capsys, "gen", "--out", out)[0] == 0
+    monkeypatch.delenv("MESKIT_TOL")
     code, stdout, stderr = run_cli(capsys, "classify", out, "--samples", "3")
     assert code == 2 and stdout == "" and "--samples" in stderr
+
+
+@pytest.mark.parametrize(
+    "argv,env,message",
+    [
+        (["classify", "SOP", "--tol", "0"], None, "tol must be positive"),
+        (["classify", "SOP", "--tol", "-5"], None, "tol must be positive"),
+        (["extend", "SOP", "--samples", "0"], None, "samples must be >= 1"),
+        (["check-lemmas", "--samples", "0"], None, "samples must be >= 1"),
+        (["classify", "SOP"], "abc", "could not convert string to float: 'abc'"),
+        (["classify", "SOP"], "-1", "tol must be positive"),
+        (["extend", "SOP", "--tol", "0", "--samples", "0"], "abc", "tol must be positive"),
+    ],
+)
+def test_invalid_settings_exit_2(argv, env, message, tmp_path, capsys, monkeypatch):
+    # checked before the command runs: one error JSON, nothing on stdout, no file
+    sop, out = tmp_path / "sop.json", tmp_path / "out.json"
+    assert run_cli(capsys, "gen", "--out", str(sop))[0] == 0
+    if env is not None:
+        monkeypatch.setenv("MESKIT_TOL", env)
+    argv = [str(sop) if a == "SOP" else a for a in argv]
+    if argv[0] != "check-lemmas":
+        argv += ["--out", str(out)]
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 2 and stdout == "" and not out.exists()
+    expected = {"error": "ValueError", "message": message, "exit_code": 2}
+    assert stderr == serialize.dumps(expected) + "\n"
 
 
 def test_classify_random_matrix_exit_3(tmp_path, capsys):

@@ -23,6 +23,7 @@ from meskit import (
     pi,
     q_operator,
     random_coisometry,
+    structural_unitaries,
     switch_commutation_witness,
 )
 from conftest import complex_gaussian, unitary_pair
@@ -166,6 +167,16 @@ def test_extension_commutes_with_structural_conjugations(sigma):
     for p in range(1, dims.k + 1):
         for q in range(p + 1, dims.k + 1):
             assert commutes_with_ad(ext, q_operator(p, q, dims))
+
+
+def test_structural_unitaries_order_and_values():
+    dims = Dims.from_mk(2, 3)
+    pairs = structural_unitaries(dims)
+    assert [name for name, _ in pairs] == ["P1xI", "P2xI", "P3xI", "Q12", "Q13", "Q23"]
+    expected = [kron(p_operator(j, dims), np.eye(dims.n)) for j in (1, 2, 3)]
+    expected += [q_operator(p, q, dims) for p, q in ((1, 2), (1, 3), (2, 3))]
+    for (_, w), e in zip(pairs, expected):
+        np.testing.assert_array_equal(w, e)
 
 
 def test_switch_form_fails_sign_commutation_with_witness():

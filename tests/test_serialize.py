@@ -78,6 +78,15 @@ def test_matrix_roundtrip_through_text(rng):
     np.testing.assert_array_equal(back, a)  # 17 significant digits are lossless
 
 
+def test_signed_zeros_survive_a_file_roundtrip(tmp_path):
+    a = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)], [complex(-0.0, -0.0), 0.0]])
+    path = str(tmp_path / "zeros.json")
+    serialize.write_json(path, serialize.matrix_to_obj(a))
+    back = serialize.matrix_from_obj(serialize.read_json(path))
+    np.testing.assert_array_equal(np.signbit(back.real), np.signbit(a.real))
+    np.testing.assert_array_equal(np.signbit(back.imag), np.signbit(a.imag))
+
+
 def test_vector_convention():
     obj = serialize.matrix_to_obj(np.array([1j, 2.0]))
     assert obj["rows"] == 2 and obj["cols"] == 1
