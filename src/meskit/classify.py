@@ -46,9 +46,9 @@ from .superop import (
     SigmaFlag,
     Superoperator,
     _span_orthobasis,
+    _transpose_columns,
     is_invertible_on_span,
     preserves_mes,
-    transpose_matrix,
 )
 from .tensor import (
     Dims,
@@ -130,7 +130,7 @@ def decompose(phi: Superoperator, tol: float = 1e-9, seed=0) -> Decomposition:
         raise type(exc)(f"stage discriminant: {exc}") from exc
     mat = phi.matrix
     if sigma is SigmaFlag.TRANSPOSE:
-        mat = mat @ transpose_matrix(dims.mn)
+        mat = _transpose_columns(mat, dims.mn)
     try:
         W = recover_unitary(mat, dims)
     except NoSolutionError as exc:

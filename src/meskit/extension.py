@@ -8,7 +8,9 @@ of blocks ``M_pq`` in L(X (x) Y) occupying contiguous mn x mn slices.
 The extension applies the base map blockwise -- ``[Phi(M_pq)]`` in the
 identity branch, ``[Phi(M_qp)]`` (block transpose first) in the transpose
 branch -- and commutes with conjugation by the structural sign and block-swap
-unitaries built below.
+unitaries built below.  It is stored as the base map and the flag and
+evaluated block by block, one (mn)^2 x (mn)^2 product for all k^2 blocks;
+the dense n^4 x n^4 matrix is built only on request, to write it out.
 """
 
 from __future__ import annotations
@@ -25,25 +27,52 @@ from .tensor import Dims, as_complex, frobenius, kron
 
 @dataclass(frozen=True, eq=False)
 class ExtendedSuperoperator:
-    """Superoperator on L(Y (x) Y) obtained by blockwise extension."""
+    """Superoperator on L(Y (x) Y) obtained by blockwise extension of ``base``."""
 
-    matrix: np.ndarray
-    base_dims: Dims
+    base: Superoperator
     sigma: SigmaFlag
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", as_complex(self.matrix))
-        side = self.base_dims.n**4
-        if self.matrix.shape != (side, side):
-            raise DimensionError(
-                f"extended superoperator must be {side}x{side}, got {self.matrix.shape}"
-            )
+        if self.base.dims.k < 2:
+            raise DimensionError("extension is defined for block counts k >= 2")
 
     @property
     def yy_dims(self) -> Dims:
         """Dims of the square space the extension acts on."""
-        n = self.base_dims.n
+        n = self.base.dims.n
         return Dims(m=n, n=n, k=1)
+
+    def apply_to(self, M) -> np.ndarray:
+        """The image [phi(M_pq)] (identity) or [phi(M_qp)] (transpose) of an
+        n^2 x n^2 operator M, without the dense matrix."""
+        dims = self.base.dims
+        k, mn = dims.k, dims.mn
+        blocks = block_split(M, dims)
+        if self.sigma is SigmaFlag.TRANSPOSE:
+            blocks = blocks.transpose(1, 0, 2, 3)
+        images = blocks.reshape(k * k, mn * mn) @ self.base.matrix.T
+        return block_join(images.reshape(k, k, mn, mn), dims)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense n^4 x n^4 matrix, built anew on each access.
+
+        Indexed as ``[p, r, q, s, p', r', q', s']`` (vec index ``(p, r, q, s)``
+        of block ``(p, q)``, entry ``(r, s)``), the slot ``(p, q) <- (p, q)``
+        (identity) or ``(p, q) <- (q, p)`` (transpose) holds phi's matrix as
+        an (mn,)*4 array; every other entry is +0.
+        """
+        dims = self.base.dims
+        k, mn = dims.k, dims.mn
+        side = dims.n**4
+        matrix = np.zeros((side, side), dtype=complex)
+        slots = matrix.reshape((k, mn) * 4)
+        block = self.base.matrix.reshape((mn,) * 4)
+        for p in range(k):
+            for q in range(k):
+                a, b = (q, p) if self.sigma is SigmaFlag.TRANSPOSE else (p, q)
+                slots[p, :, q, :, a, :, b, :] = block
+        return matrix
 
 
 def block_split(M, dims: Dims) -> np.ndarray:
@@ -72,25 +101,10 @@ def extend(phi: Superoperator, sigma: SigmaFlag) -> ExtendedSuperoperator:
     flag.  The flag must come from the discriminant of ``phi`` for the
     extension to preserve MES; it is taken as an explicit argument so that the
     (fallible) detection stays separate from this (infallible) construction.
-
-    The n^4 x n^4 matrix is allocated once: indexed as
-    ``[p, r, q, s, p', r', q', s']`` (vec index ``(p, r, q, s)`` of block
-    ``(p, q)``, entry ``(r, s)``), the slot ``(p, q) <- (p, q)`` (identity) or
-    ``(p, q) <- (q, p)`` (transpose) holds phi's matrix as an (mn,)*4 array.
+    Nothing of size n^4 x n^4 is allocated; see
+    :attr:`ExtendedSuperoperator.matrix` for the dense form.
     """
-    dims = phi.dims
-    if dims.k < 2:
-        raise DimensionError("extension is defined for block counts k >= 2")
-    k, mn = dims.k, dims.mn
-    side = dims.n**4
-    matrix = np.zeros((side, side), dtype=complex)
-    slots = matrix.reshape((k, mn) * 4)
-    block = phi.matrix.reshape((mn,) * 4)
-    for p in range(k):
-        for q in range(k):
-            a, b = (q, p) if sigma is SigmaFlag.TRANSPOSE else (p, q)
-            slots[p, :, q, :, a, :, b, :] = block
-    return ExtendedSuperoperator(matrix=matrix, base_dims=dims, sigma=sigma)
+    return ExtendedSuperoperator(base=phi, sigma=sigma)
 
 
 def p_operator(j: int, dims: Dims) -> np.ndarray:

@@ -4,12 +4,17 @@ A superoperator is stored as an (mn)^2 x (mn)^2 matrix acting on row-vectorized
 operators: ``vec(Phi(M)) = Phi.matrix @ vec(M)``.  Under the row-stacking
 convention, conjugation ``M -> W M W*`` has matrix ``kron(W, conj(W))`` and the
 basis transpose ``M -> M^T`` is the permutation built by :func:`transpose_matrix`.
+The constructors never multiply by that permutation: composing with the
+transpose permutes the columns of ``kron(W, conj(W))``, so each matrix is
+written once as an outer product of W and conj(W) in the permuted index
+order.
 
 The constructors cover the three canonical preserver families:
 
 * ``make_adjoint_preserver``: ``M -> (U (x) V) M^sigma (U (x) V)*``
 * ``make_swap_preserver`` (square case only): the same composed with the
-  switch ``A (x) B -> B (x) A``
+  switch ``A (x) B -> B (x) A``, which is conjugation by the flip unitary F,
+  so the map is the adjoint form of ``(U (x) V) F``
 * ``make_trace_preserver``: ``M -> tr(M) rho`` for a fixed MES ``rho``
 """
 
@@ -67,17 +72,30 @@ def transpose_matrix(d: int) -> np.ndarray:
     return t
 
 
+def _transpose_columns(a: np.ndarray, d: int) -> np.ndarray:
+    """``a @ transpose_matrix(d)`` by indexing: column (i, j) of the result is
+    column (j, i) of ``a``, which has d^2 columns."""
+    rows = a.shape[0]
+    return a.reshape(rows, d, d).transpose(0, 2, 1).reshape(rows, d * d)
+
+
 def identity_superop(dims: Dims) -> Superoperator:
     side = dims.mn * dims.mn
     return Superoperator(matrix=np.eye(side, dtype=complex), dims=dims)
 
 
 def apply(phi, M) -> np.ndarray:
-    """Evaluate a superoperator on an operator: unvec(matrix @ vec(M))."""
-    mat = phi.matrix if hasattr(phi, "matrix") else as_complex(phi)
+    """Evaluate a superoperator on an operator: unvec(matrix @ vec(M)).
+
+    A map that evaluates itself without a dense matrix (the blockwise
+    extension) provides ``apply_to(M)``, which is called instead.
+    """
     M = as_complex(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionError(f"expected a square operator, got shape {M.shape}")
+    if hasattr(phi, "apply_to"):
+        return phi.apply_to(M)
+    mat = phi.matrix if hasattr(phi, "matrix") else as_complex(phi)
     d = M.shape[0]
     if mat.shape != (d * d, d * d):
         raise DimensionError(f"superoperator side {mat.shape} does not match operator {M.shape}")
@@ -94,6 +112,17 @@ def _require_unitary(U: np.ndarray, name: str) -> np.ndarray:
     return U
 
 
+def _conjugation_matrix(w: np.ndarray, sigma: SigmaFlag) -> np.ndarray:
+    """Matrix of M -> w M^sigma w*: ``kron(w, conj(w))``, with its columns
+    permuted by the transpose when sigma is the transpose flag."""
+    d = w.shape[0]
+    if sigma is SigmaFlag.TRANSPOSE:
+        blocks = np.multiply(w[:, None, None, :], w.conj()[None, :, :, None])
+    else:
+        blocks = np.multiply(w[:, None, :, None], w.conj()[None, :, None, :])
+    return blocks.reshape(d * d, d * d)
+
+
 def make_adjoint_preserver(U, V, sigma: SigmaFlag) -> Superoperator:
     """Superoperator M -> (U (x) V) M^sigma (U (x) V)* for unitary U (m x m) and
     V (n x n); m must divide n."""
@@ -103,29 +132,25 @@ def make_adjoint_preserver(U, V, sigma: SigmaFlag) -> Superoperator:
     if n % m != 0:
         raise DimensionError(f"V dimension {n} is not a multiple of U dimension {m}")
     dims = Dims(m=m, n=n, k=n // m)
-    w = kron(U, V)
-    mat = kron(w, w.conj())
-    if sigma is SigmaFlag.TRANSPOSE:
-        mat = mat @ transpose_matrix(dims.mn)
-    return Superoperator(matrix=mat, dims=dims)
+    return Superoperator(matrix=_conjugation_matrix(kron(U, V), sigma), dims=dims)
 
 
 def make_swap_preserver(U, V, sigma: SigmaFlag) -> Superoperator:
     """Square-case preserver M -> (U (x) V) (S(M))^sigma (U (x) V)* where S is
-    the switch A (x) B -> B (x) A; requires U and V of equal size."""
+    the switch A (x) B -> B (x) A; requires U and V of equal size.
+
+    S is conjugation by the real, symmetric flip F, so (S(M))^T = S(M^T) and
+    the map is M -> W M^sigma W* with W = (U (x) V) F, whose column (a, b) is
+    column (b, a) of U (x) V.
+    """
     U = _require_unitary(U, "U")
     V = _require_unitary(V, "V")
     if U.shape != V.shape:
         raise DimensionError(f"switch form needs equal factor dimensions, got {U.shape} and {V.shape}")
     m = U.shape[0]
     dims = Dims(m=m, n=m, k=1)
-    flip = transpose_matrix(m)  # the flip unitary on C^m (x) C^m
-    switch = kron(flip, flip.conj())
-    w = kron(U, V)
-    mat = kron(w, w.conj())
-    if sigma is SigmaFlag.TRANSPOSE:
-        mat = mat @ transpose_matrix(dims.mn)
-    return Superoperator(matrix=mat @ switch, dims=dims)
+    w = _transpose_columns(kron(U, V), m)
+    return Superoperator(matrix=_conjugation_matrix(w, sigma), dims=dims)
 
 
 def make_trace_preserver(rho: DensityOperator) -> Superoperator:

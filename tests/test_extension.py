@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,41 @@ def test_extend_equals_kron_construction(m, k, sigma, rng):
     # structural zeros are +0 (kron wrote 0 * negative as -0)
     zeros = ext[ext == 0]
     assert not np.signbit(zeros.real).any() and not np.signbit(zeros.imag).any()
+
+
+@pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (2, 3)])
+@pytest.mark.parametrize("sigma", BOTH)
+def test_blockwise_apply_equals_dense_matvec(m, k, sigma, rng):
+    dims = Dims.from_mk(m, k)
+    phi = Superoperator(complex_gaussian(rng, dims.mn**2, dims.mn**2), dims)
+    ext = extend(phi, sigma)
+    side = dims.n**2
+    M = complex_gaussian(rng, side, side)
+    dense = (ext.matrix @ M.reshape(-1)).reshape(side, side)
+    assert np.linalg.norm(apply(ext, M) - dense) <= 1e-13 * np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (16, 8), (16,)])
+def test_blockwise_apply_rejects_wrong_shape(shape, rng):
+    ext = extend(_preserver(3, SigmaFlag.IDENTITY), SigmaFlag.IDENTITY)
+    with pytest.raises(DimensionError):
+        apply(ext, rng.standard_normal(shape))
+
+
+def test_extension_peak_memory_far_below_the_dense_matrix(rng):
+    dims = Dims.from_mk(3, 2)
+    phi = _preserver(1, SigmaFlag.TRANSPOSE, dims)
+    states = [complex_gaussian(rng, dims.n**2, dims.n**2) for _ in range(3)]
+    dense_nbytes = dims.n**8 * np.dtype(complex).itemsize  # the n^4 x n^4 matrix
+    tracemalloc.start()
+    try:
+        ext = extend(phi, SigmaFlag.TRANSPOSE)
+        for state in states:
+            apply(ext, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_nbytes / 10
 
 
 def test_extend_rejects_single_block():

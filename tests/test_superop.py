@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,53 @@ def test_apply_rejects_mismatched_shapes(rng):
 def test_transpose_matrix_action(rng):
     m = complex_gaussian(rng, 3, 3)
     np.testing.assert_allclose(transpose_matrix(3) @ vec(m), vec(m.T), atol=1e-14)
+
+
+def _matmul_preserver(u, v, sigma, swap=False):
+    """The constructors' former matrix products: kron(w, conj(w)), times the
+    transpose permutation for sigma = transpose, times kron(F, conj(F)) for the
+    switch form (F the flip on C^m (x) C^m)."""
+    w = kron(u, v)
+    mat = kron(w, w.conj())
+    if sigma is SigmaFlag.TRANSPOSE:
+        mat = mat @ transpose_matrix(w.shape[0])
+    if swap:
+        flip = transpose_matrix(u.shape[0])
+        mat = mat @ kron(flip, flip.conj())
+    return mat
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (3, 2), (3, 1)])
+@pytest.mark.parametrize("sigma", [SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE])
+@pytest.mark.parametrize("factors", ["identity", "haar"])
+def test_constructors_match_the_matrix_products_bitwise(m, k, sigma, factors):
+    # bitwise, so signed zeros count: gen writes these matrices byte for byte
+    dims = Dims.from_mk(m, k)
+    if factors == "identity":
+        u, v = np.eye(m), np.eye(dims.n)
+    else:
+        u, v = unitary_pair(dims, 23)
+    assert _same_bits(make_adjoint_preserver(u, v, sigma).matrix, _matmul_preserver(u, v, sigma))
+    if k == 1:
+        assert _same_bits(
+            make_swap_preserver(u, v, sigma).matrix, _matmul_preserver(u, v, sigma, swap=True)
+        )
+
+
+@pytest.mark.parametrize("sigma", [SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE])
+def test_adjoint_preserver_peak_memory_near_its_output(sigma):
+    u, v = unitary_pair(Dims.from_mk(3, 2), 1)
+    tracemalloc.start()
+    try:
+        phi = make_adjoint_preserver(u, v, sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * phi.matrix.nbytes
 
 
 def test_adjoint_preserver_moves_projections():
