@@ -19,6 +19,7 @@ environment variable and then to 1e-9; other subcommands ignore MESKIT_TOL.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -75,13 +76,16 @@ def _error_code(exc: MESKitError) -> int:
 
 def _check_settings(args) -> None:
     """Resolves ``--tol`` (flag, then MESKIT_TOL, then 1e-9) on the subcommands
-    that take it, and rejects a non-positive tolerance or sample count."""
+    that take it, and rejects a non-positive or non-finite tolerance and a
+    non-positive sample count."""
     if "tol" in args:
         if args.tol is None:
             env = os.environ.get("MESKIT_TOL")
             args.tol = float(env) if env else 1e-9
         if args.tol <= 0:
             raise ValueError("tol must be positive")
+        if not math.isfinite(args.tol):
+            raise ValueError("tol must be finite")
     if "samples" in args and args.samples < 1:
         raise ValueError("samples must be >= 1")
 
@@ -184,12 +188,13 @@ def cmd_extend(args) -> int:
         "tol": args.tol,
         "all_pass": all(c["pass"] for c in commutation) and mes_ok == samples,
     }
+    side = ext.yy_dims.mn**2
     serialize.write_json(
         args.out or "extended.json",
         {
             "base_dims": serialize.dims_to_obj(dims),
             "sigma": sigma.value,
-            "matrix": serialize.matrix_to_obj(ext.matrix),
+            "matrix": serialize.row_slabs_to_obj(ext.row_slabs(), side, side),
         },
     )
     print(serialize.dumps(report))

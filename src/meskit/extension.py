@@ -10,7 +10,9 @@ identity branch, ``[Phi(M_qp)]`` (block transpose first) in the transpose
 branch -- and commutes with conjugation by the structural sign and block-swap
 unitaries built below.  It is stored as the base map and the flag and
 evaluated block by block, one (mn)^2 x (mn)^2 product for all k^2 blocks;
-the dense n^4 x n^4 matrix is built only on request, to write it out.
+its dense n^4 x n^4 matrix comes in row slabs
+(:meth:`ExtendedSuperoperator.row_slabs`), which ``meskit extend`` writes one
+at a time.
 """
 
 from __future__ import annotations
@@ -53,25 +55,35 @@ class ExtendedSuperoperator:
         images = blocks.reshape(k * k, mn * mn) @ self.base.matrix.T
         return block_join(images.reshape(k, k, mn, mn), dims)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense n^4 x n^4 matrix, built anew on each access.
+    def row_slabs(self):
+        """Yield the dense n^4 x n^4 matrix as n^2 fresh row slabs of shape
+        (n^2, n^4), top to bottom, without ever holding the whole matrix.
 
         Indexed as ``[p, r, q, s, p', r', q', s']`` (vec index ``(p, r, q, s)``
-        of block ``(p, q)``, entry ``(r, s)``), the slot ``(p, q) <- (p, q)``
-        (identity) or ``(p, q) <- (q, p)`` (transpose) holds phi's matrix as
-        an (mn,)*4 array; every other entry is +0.
+        of block ``(p, q)``, entry ``(r, s)``), the slab of block row ``p`` and
+        base row ``r`` holds row ``r`` of phi's matrix, as an (mn,)*3 array, in
+        the slot ``(p, q) <- (p, q)`` (identity) or ``(p, q) <- (q, p)``
+        (transpose) of every block column ``q``; every other entry is +0.
         """
         dims = self.base.dims
         k, mn = dims.k, dims.mn
-        side = dims.n**4
-        matrix = np.zeros((side, side), dtype=complex)
-        slots = matrix.reshape((k, mn) * 4)
         block = self.base.matrix.reshape((mn,) * 4)
         for p in range(k):
-            for q in range(k):
-                a, b = (q, p) if self.sigma is SigmaFlag.TRANSPOSE else (p, q)
-                slots[p, :, q, :, a, :, b, :] = block
+            for r in range(mn):
+                slab = np.zeros((k, mn) * 3, dtype=complex)
+                for q in range(k):
+                    a, b = (q, p) if self.sigma is SigmaFlag.TRANSPOSE else (p, q)
+                    slab[q, :, a, :, b, :] = block[r]
+                yield slab.reshape(dims.n**2, dims.n**4)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense n^4 x n^4 matrix, built anew on each access from
+        :meth:`row_slabs`."""
+        n = self.base.dims.n
+        matrix = np.empty((n**4, n**4), dtype=complex)
+        for rows, slab in zip(matrix.reshape(n**2, n**2, n**4), self.row_slabs()):
+            rows[...] = slab
         return matrix
 
 
@@ -102,7 +114,7 @@ def extend(phi: Superoperator, sigma: SigmaFlag) -> ExtendedSuperoperator:
     extension to preserve MES; it is taken as an explicit argument so that the
     (fallible) detection stays separate from this (infallible) construction.
     Nothing of size n^4 x n^4 is allocated; see
-    :attr:`ExtendedSuperoperator.matrix` for the dense form.
+    :meth:`ExtendedSuperoperator.row_slabs` for the dense form.
     """
     return ExtendedSuperoperator(base=phi, sigma=sigma)
 

@@ -16,7 +16,7 @@ import numpy as np
 from .choi import align_images, choi_matrix, restricted_g
 from .extension import ad_commutation_residual, extend, structural_unitaries
 from .states import is_coisometry, orthogonal_family, pi, random_coisometry
-from .superop import SigmaFlag, Superoperator, apply, make_adjoint_preserver, make_swap_preserver
+from .superop import SigmaFlag, Superoperator, apply, make_adjoint_preserver
 from .tensor import (
     Dims,
     frobenius,
@@ -264,17 +264,21 @@ def check_structural_commutation(dims: Dims, samples: int, seed) -> float:
 
 def check_switch_identities(dims: Dims, samples: int, seed) -> float:
     """Switch/transpose/conjugation action on projections of unitaries:
-    S(pi_A) = pi_{A^T}, (pi_A)^T = pi_{conj(A)}, ad_{U (x) V}(pi_A) = pi_{U A V^T}."""
+    S(pi_A) = pi_{A^T}, (pi_A)^T = pi_{conj(A)}, ad_{U (x) V}(pi_A) = pi_{U A V^T}.
+
+    S is conjugation by the flip A (x) B -> B (x) A, applied as the index
+    permutation (i, p, j, q) -> (p, i, q, j) of the n^2 x n^2 state.
+    """
     n = dims.n
     square = Dims(m=n, n=n, k=1)
-    switch = make_swap_preserver(np.eye(n), np.eye(n), SigmaFlag.IDENTITY)
     worst = 0.0
     for i in range(samples):
         a = haar_unitary(n, np.random.SeedSequence([int(seed), 119, i, 0]))
         u = haar_unitary(n, np.random.SeedSequence([int(seed), 119, i, 1]))
         v = haar_unitary(n, np.random.SeedSequence([int(seed), 119, i, 2]))
         state = pi(a, square).matrix
-        worst = max(worst, frobenius(apply(switch, state) - pi(a.T, square).matrix))
+        switched = state.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)
+        worst = max(worst, frobenius(switched - pi(a.T, square).matrix))
         worst = max(worst, frobenius(state.T - pi(a.conj(), square).matrix))
         w = kron(u, v)
         worst = max(

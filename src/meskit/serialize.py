@@ -3,7 +3,8 @@
 Matrix payload: ``{"rows": r, "cols": c, "data": [[re, im], ...]}`` with the
 entries in row-major order; a vector is a matrix with ``cols = 1``.  In memory,
 :func:`matrix_to_obj` carries ``data`` as an ``(r*c, 2)`` float64 view of the
-matrix, which the encoder writes in fixed-size chunks.
+matrix, and :func:`row_slabs_to_obj` as a one-shot iterator of such views, one
+per slab of rows; the encoder writes either in fixed-size chunks.
 
 Serialization is deterministic: floats are emitted with 17 significant digits
 (lossless for float64; :func:`read_json` reads ``-0`` back as -0.0), keys in
@@ -17,6 +18,7 @@ import json
 import math
 import os
 import tempfile
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -36,8 +38,11 @@ def dumps(obj) -> str:
 
 def _chunks(obj):
     """Yield the JSON text of ``obj`` in pieces; an ``(N, 2)`` float array (a
-    matrix's ``data``) is written as the list of its rows."""
+    matrix's ``data``) is written as the list of its rows, and an iterator of
+    such arrays (the data in row slabs) as the one list of all their rows."""
     if isinstance(obj, np.ndarray):
+        yield from _array_chunks((obj,))
+    elif isinstance(obj, Iterator):
         yield from _array_chunks(obj)
     elif isinstance(obj, dict):
         yield "{"
@@ -73,25 +78,31 @@ def _scalar(obj) -> str:
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def _array_chunks(a: np.ndarray):
-    """Yield an ``(N, 2)`` float array as the text ``[[x, y], ...]``,
-    ``_CHUNK_ENTRIES`` rows at a time.  Each distinct float64 bit pattern of a
-    chunk is formatted once (bits keep -0.0 apart from 0.0); the separators are
-    interleaved as shared string objects, so no per-entry string is built."""
-    if a.ndim != 2 or a.shape[1] != 2 or a.dtype.kind != "f":
-        raise TypeError(f"cannot serialize a {a.dtype} array of shape {a.shape}")
+def _array_chunks(slabs):
+    """Yield the rows of a sequence of ``(N, 2)`` float arrays as the one text
+    ``[[x, y], ...]``, ``_CHUNK_ENTRIES`` rows at a time.  Each distinct
+    float64 bit pattern of a chunk is formatted once (bits keep -0.0 apart from
+    0.0); the separators are interleaved as shared string objects, so no
+    per-entry string is built."""
     yield "["
-    for start in range(0, len(a), _CHUNK_ENTRIES):
-        chunk = np.ascontiguousarray(a[start : start + _CHUNK_ENTRIES], dtype=np.float64)
-        if not np.isfinite(chunk).all():
-            raise ValueError("non-finite number cannot be serialized")
-        bits, inverse = np.unique(chunk.view(np.int64).reshape(-1), return_inverse=True)
-        text = np.array([format(x, ".17g") for x in bits.view(np.float64).tolist()], dtype=object)
-        pieces = np.empty((len(chunk), 4), dtype=object)
-        pieces[:, 0::2] = text[inverse.reshape(chunk.shape)]
-        pieces[:, 1] = ", "
-        pieces[:, 3] = "], ["
-        yield (", [" if start else "[") + "".join(pieces.reshape(-1)[:-1].tolist()) + "]"
+    opening = "["
+    for a in slabs:
+        if not isinstance(a, np.ndarray):
+            raise TypeError(f"cannot serialize a {type(a).__name__} as matrix data")
+        if a.ndim != 2 or a.shape[1] != 2 or a.dtype.kind != "f":
+            raise TypeError(f"cannot serialize a {a.dtype} array of shape {a.shape}")
+        for start in range(0, len(a), _CHUNK_ENTRIES):
+            chunk = np.ascontiguousarray(a[start : start + _CHUNK_ENTRIES], dtype=np.float64)
+            if not np.isfinite(chunk).all():
+                raise ValueError("non-finite number cannot be serialized")
+            bits, inverse = np.unique(chunk.view(np.int64).reshape(-1), return_inverse=True)
+            text = np.array([format(x, ".17g") for x in bits.view(np.float64).tolist()], dtype=object)
+            pieces = np.empty((len(chunk), 4), dtype=object)
+            pieces[:, 0::2] = text[inverse.reshape(chunk.shape)]
+            pieces[:, 1] = ", "
+            pieces[:, 3] = "], ["
+            yield opening + "".join(pieces.reshape(-1)[:-1].tolist()) + "]"
+            opening = ", ["
     yield "]"
 
 
@@ -136,6 +147,25 @@ def matrix_to_obj(a: np.ndarray) -> dict:
         "cols": int(cols),
         "data": np.ascontiguousarray(a).view(np.float64).reshape(-1, 2),
     }
+
+
+def row_slabs_to_obj(slabs, rows: int, cols: int) -> dict:
+    """Matrix payload of a ``rows`` x ``cols`` matrix given as an iterable of
+    complex row slabs, top to bottom.  Each slab is encoded when the payload is
+    written and can then be dropped, so the matrix is never held whole; the
+    payload can be written once."""
+
+    def data():
+        seen = 0
+        for slab in slabs:
+            if slab.ndim != 2 or slab.shape[1] != cols:
+                raise DimensionError(f"expected slabs of {cols} columns, got shape {slab.shape}")
+            seen += len(slab)
+            yield np.ascontiguousarray(slab, dtype=complex).view(np.float64).reshape(-1, 2)
+        if seen != rows:
+            raise DimensionError(f"expected {rows} rows, got {seen}")
+
+    return {"rows": rows, "cols": cols, "data": data()}
 
 
 def matrix_from_obj(obj) -> np.ndarray:

@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from meskit import Dims, kron, serialize
+from meskit import Dims, SigmaFlag, Superoperator, extend, kron, serialize
 from meskit.cli import main
+from meskit.extension import ExtendedSuperoperator
 
 
 def run_cli(capsys, *argv):
@@ -107,6 +109,11 @@ def test_flags_only_where_read(tmp_path, capsys, monkeypatch):
         (["classify", "SOP"], "abc", "could not convert string to float: 'abc'"),
         (["classify", "SOP"], "-1", "tol must be positive"),
         (["extend", "SOP", "--tol", "0", "--samples", "0"], "abc", "tol must be positive"),
+        (["classify", "SOP", "--tol", "nan"], None, "tol must be finite"),
+        (["extend", "SOP", "--tol", "nan"], None, "tol must be finite"),
+        (["check-lemmas", "--tol", "inf"], None, "tol must be finite"),
+        (["classify", "SOP"], "inf", "tol must be finite"),
+        (["check-lemmas"], "nan", "tol must be finite"),
     ],
 )
 def test_invalid_settings_exit_2(argv, env, message, tmp_path, capsys, monkeypatch):
@@ -196,6 +203,44 @@ def test_extend_reports_commutation(tmp_path, capsys):
     assert ext_obj["sigma"] == "identity"
     matrix = serialize.matrix_from_obj(ext_obj["matrix"])
     assert matrix.shape == (256, 256)
+
+
+@pytest.mark.parametrize("m,k", [(2, 2), (1, 3)])
+@pytest.mark.parametrize("sigma", ["identity", "transpose"])
+def test_extend_file_matches_dense_reference(m, k, sigma, tmp_path, capsys, monkeypatch):
+    # the file is streamed in row slabs, never from the dense matrix, yet its
+    # bytes are those of the dense matrix written whole
+    sop, out = tmp_path / "sop.json", tmp_path / "ext.json"
+    gen = ["gen", "--m", str(m), "--k", str(k), "--sigma", sigma, "--seed", "4", "--out", str(sop)]
+    assert run_cli(capsys, *gen)[0] == 0
+    matrix, dims = serialize.superoperator_from_obj(serialize.read_json(str(sop)))
+    ext = extend(Superoperator(matrix, dims), SigmaFlag(sigma))
+    reference = {
+        "base_dims": serialize.dims_to_obj(dims),
+        "sigma": sigma,
+        "matrix": serialize.matrix_to_obj(ext.matrix),
+    }
+
+    def refuse(self):
+        raise AssertionError("the dense extension matrix was built")
+
+    monkeypatch.setattr(ExtendedSuperoperator, "matrix", property(refuse))
+    assert run_cli(capsys, "extend", str(sop), "--sigma", sigma, "--out", str(out))[0] == 0
+    assert out.read_text() == serialize.dumps(reference) + "\n"
+
+
+def test_extend_peak_memory_below_the_dense_matrix(tmp_path, capsys):
+    # at (2,3), n = 6: the dense n^4 x n^4 extension would be 16 n^8 = 26.9 MB
+    sop, out = str(tmp_path / "sop.json"), str(tmp_path / "ext.json")
+    assert run_cli(capsys, "gen", "--m", "2", "--k", "3", "--out", sop)[0] == 0
+    tracemalloc.start()
+    try:
+        code = main(["extend", sop, "--samples", "3", "--out", out])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 16 * 6**8 / 4
 
 
 def test_extend_identity_superop_is_identity_extension(tmp_path, capsys):

@@ -28,6 +28,7 @@ from meskit import (
     structural_unitaries,
     switch_commutation_witness,
 )
+from meskit.lemmas import check_switch_identities
 from conftest import complex_gaussian, unitary_pair
 
 DIMS = Dims.from_mk(2, 2)
@@ -252,3 +253,23 @@ def test_square_space_projection_identities():
         w = kron(u, v)
         conj = w @ state @ w.conj().T
         assert np.linalg.norm(conj - pi(u @ a @ v.T, square).matrix) < 1e-10
+    # the switch is the flip permutation of indices, as check_switch_identities applies it
+    rng = np.random.default_rng(7)
+    for n in (2, 3, 4):
+        M = complex_gaussian(rng, n * n, n * n)
+        swap = make_swap_preserver(np.eye(n), np.eye(n), SigmaFlag.IDENTITY)
+        flipped = M.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)
+        assert np.array_equal(flipped, apply(swap, M))
+
+
+def test_switch_check_peak_memory_below_the_switch_matrix():
+    # at n = 6 the dense switch on L(Y (x) Y) would be 16 n^8 = 26.9 MB
+    dims = Dims.from_mk(3, 2)
+    tracemalloc.start()
+    try:
+        residual = check_switch_identities(dims, 3, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert residual < 1e-9
+    assert peak < 16 * dims.n**8 / 4

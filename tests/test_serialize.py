@@ -138,6 +138,22 @@ def test_matrix_to_obj_is_a_view(rng):
     assert data.shape == (12, 2) and np.shares_memory(data, a)
 
 
+def test_row_slabs_write_the_bytes_of_the_whole_matrix(rng):
+    # slabs of 0, 1, 3 and 1 rows; the 3-row slab spans more than one chunk
+    a = complex_gaussian(rng, 5, CHUNK // 2 + 3)
+    a[1, 2] = complex(-0.0, 0.0)
+    slabs = [a[:0], a[:1], a[1:4], a[4:]]
+    text = serialize.dumps(serialize.row_slabs_to_obj(iter(slabs), *a.shape))
+    _assert_same_text(text, serialize.dumps(serialize.matrix_to_obj(a)))
+    for bad, error in [
+        ([a[:2], a[2:, 1:]], DimensionError),  # a slab of the wrong width
+        ([a[:2], a[2:4]], DimensionError),  # too few rows in all
+        ([a[:2], np.full((3, a.shape[1]), np.nan)], ValueError),
+    ]:
+        with pytest.raises(error):
+            serialize.dumps(serialize.row_slabs_to_obj(bad, *a.shape))
+
+
 def test_dumps_rejects_nonfinite_array():
     with pytest.raises(ValueError):
         serialize.dumps({"data": np.array([[0.0, np.nan]])})
