@@ -43,7 +43,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/superop.json"
         serialize.write_json(path, serialize.superoperator_to_obj(hidden.matrix, hidden.dims))
-        matrix, loaded_dims = serialize.superoperator_from_obj(serialize.read_json(path))
+        matrix, loaded_dims = serialize.read_superoperator(path)
     phi = Superoperator(matrix=matrix, dims=loaded_dims)
     print(f"hidden preserver: dims m={dims.m}, n={dims.n}, k={dims.k}, sigma={sigma.value}")
 

@@ -7,7 +7,9 @@ Kronecker residual's ``tol`` is an argument of :func:`decompose`:
 1. sampled preserver check            -> NotPreserverError
    (20 seeded MES, each image an MES within a relative 1e-8)
 2. invertibility on span(MES)         -> NotInvertibleError
-   (smallest singular value on the span > 1e-9)
+   (smallest singular value on the span > 1e-9, read off
+   (I - PP*) phi (I - PP*) + PP*, where P is the closed-form basis of the
+   span's complement {A (x) I_n : tr A = 0}; no basis of the span is built)
 3. sigma discriminant (det J(G))      -> InconsistentChoiError, or
    NotMESError when an image there is not an MES
    (balls of radius 0.5 around det 0 and det -1)
@@ -22,8 +24,8 @@ trace and partial trace vanish), so column ``a*mn + b`` of the matrix is
 vec(w_a w_b*), with w_a the columns of W.  One rank-one column fixes w_r and
 w_s up to a common phase, and every other w_a follows by one matrix-vector
 product.  The returned ``verification_residual`` is the spectral norm of
-``phi - Ad_W o sigma`` on an orthonormal basis of span(MES), which bounds the
-residual of every MES, since each has unit Frobenius norm.
+``phi - Ad_W o sigma`` on span(MES), taken with the same P projected out, which
+bounds the residual of every MES, since each has unit Frobenius norm.
 """
 
 from __future__ import annotations
@@ -45,7 +47,9 @@ from .errors import (
 from .superop import (
     SigmaFlag,
     Superoperator,
-    _span_orthobasis,
+    _add_product,
+    _conjugation_matrix,
+    _span_complement,
     _transpose_columns,
     is_invertible_on_span,
     preserves_mes,
@@ -128,11 +132,12 @@ def decompose(phi: Superoperator, tol: float = 1e-9, seed=0) -> Decomposition:
         sigma = detect_sigma(phi, seed=seed)
     except (InconsistentChoiError, NotMESError) as exc:
         raise type(exc)(f"stage discriminant: {exc}") from exc
-    mat = phi.matrix
-    if sigma is SigmaFlag.TRANSPOSE:
-        mat = _transpose_columns(mat, dims.mn)
     try:
-        W = recover_unitary(mat, dims)
+        # the sigma-corrected copy lives only for this call
+        W = recover_unitary(
+            _transpose_columns(phi.matrix, dims.mn) if sigma is SigmaFlag.TRANSPOSE else phi.matrix,
+            dims,
+        )
     except NoSolutionError as exc:
         raise NoSolutionError(f"stage recovery: {exc}") from exc
     U, V, kron_residual = nearest_kron_factor(W, dims)
@@ -160,13 +165,14 @@ def verify_theorem_form(phi: Superoperator, dec: Decomposition) -> float:
 
     Every MES M has unit Frobenius norm, so this bounds
     ``|| phi(M) - (U (x) V) M^sigma (U (x) V)* ||_F`` for all of them.  It is
+    computed as ``|| X (I - PP*) ||_2`` with X = phi - Ad_{U (x) V} o sigma
+    and P the closed-form basis of the span's complement, since
+    QQ* = I - PP*: X is formed once and P projected out of it in place, so
+    phi, X and the norm's own copy are the only matrices of that size.  It is
     deterministic and never raises on a large residual.
     """
-    d = phi.dims.mn
-    q = _span_orthobasis(phi.dims)
-    W = kron(dec.U, dec.V)
-    basis = q.T.reshape(-1, d, d)
-    if dec.sigma is SigmaFlag.TRANSPOSE:
-        basis = basis.transpose(0, 2, 1)
-    expected = (W @ basis @ W.conj().T).reshape(-1, d * d).T
-    return float(np.linalg.norm(phi.matrix @ q - expected, 2))
+    x = _conjugation_matrix(kron(dec.U, dec.V), dec.sigma)
+    np.subtract(phi.matrix, x, out=x)
+    p = _span_complement(phi.dims)
+    _add_product(x, -(x @ p), p.conj().T)
+    return float(np.linalg.norm(x, 2))

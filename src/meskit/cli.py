@@ -50,6 +50,9 @@ from .superop import (
 from .tensor import Dims, haar_unitary
 
 _EXIT_USAGE = 2
+# What reading a malformed superoperator file raises; OverflowError comes from
+# a count such as 1e999 (int(inf)) or an integer entry too large for a float.
+_READ_ERRORS = (OSError, ValueError, KeyError, TypeError, OverflowError, DimensionError)
 _ERROR_EXIT_CODES = {
     NotPreserverError: 3,
     NotMESError: 3,
@@ -135,15 +138,14 @@ def cmd_gen(args) -> int:
 
 
 def _load_superop(path: str) -> Superoperator:
-    obj = serialize.read_json(path)
-    matrix, dims = serialize.superoperator_from_obj(obj)
+    matrix, dims = serialize.read_superoperator(path)
     return Superoperator(matrix=matrix, dims=dims)
 
 
 def cmd_classify(args) -> int:
     try:
         phi = _load_superop(args.input)
-    except (OSError, ValueError, KeyError, TypeError, DimensionError) as exc:
+    except _READ_ERRORS as exc:
         return _fail(exc, _EXIT_USAGE)
     try:
         dec = decompose(phi, tol=args.tol, seed=args.seed)
@@ -159,7 +161,7 @@ def cmd_classify(args) -> int:
 def cmd_extend(args) -> int:
     try:
         phi = _load_superop(args.input)
-    except (OSError, ValueError, KeyError, TypeError, DimensionError) as exc:
+    except _READ_ERRORS as exc:
         return _fail(exc, _EXIT_USAGE)
     try:
         if args.sigma == "auto":

@@ -5,11 +5,14 @@ entries in row-major order; a vector is a matrix with ``cols = 1``.  In memory,
 :func:`matrix_to_obj` carries ``data`` as an ``(r*c, 2)`` float64 view of the
 matrix, and :func:`row_slabs_to_obj` as a one-shot iterator of such views, one
 per slab of rows; the encoder writes either in fixed-size chunks.
+:func:`read_superoperator` reads a superoperator file back without building
+the matrix as Python lists: it parses the ``data`` array in slices of rows
+straight into one float64 array.
 
 Serialization is deterministic: floats are emitted with 17 significant digits
-(lossless for float64; :func:`read_json` reads ``-0`` back as -0.0), keys in
-fixed insertion order, files written via a temp file + rename so readers never
-observe partial output.
+(lossless for float64; both readers read ``-0`` back as -0.0), keys in fixed
+insertion order, files written via a temp file + rename so readers never
+observe partial output; a written file gets the mode ``0o666`` less the umask.
 """
 
 from __future__ import annotations
@@ -17,8 +20,10 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import tempfile
 from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +34,10 @@ from .tensor import Dims
 # Entries of a matrix's data encoded per chunk: bounds the text and the
 # formatted floats held at once while a matrix is written.
 _CHUNK_ENTRIES = 1 << 14
+
+# Bytes of a matrix's data array parsed per slice when a file is read: bounds
+# the Python lists held at once.
+_SLICE_BYTES = 1 << 16
 
 
 def dumps(obj) -> str:
@@ -113,6 +122,10 @@ def write_json(path: str, obj) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
+            # mkstemp creates the file 0600; give it the mode open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.writelines(_chunks(obj))
             handle.write("\n")
         os.replace(tmp, path)
@@ -127,10 +140,134 @@ def _parse_int(token: str):
     return -0.0 if token == "-0" else int(token)
 
 
+def _loads(text: bytes):
+    # files are UTF-8, as open() reads them; a bad byte raises ValueError
+    return json.loads(text.decode("utf-8"), parse_int=_parse_int)
+
+
 def read_json(path: str):
     """Parse a JSON file; the token ``-0`` reads back as the float -0.0."""
     with open(path) as handle:
         return json.load(handle, parse_int=_parse_int)
+
+
+def read_superoperator(path: str) -> tuple[np.ndarray, Dims]:
+    """``superoperator_from_obj(read_json(path))``, with the same checks,
+    holding only the file's bytes, the matrix and one slice of rows.  A file
+    with faults in more than one place may be refused for another of them.
+
+    The document is parsed with its top-level ``matrix.data`` array cut out
+    and a placeholder in its place; the array is then parsed in slices of
+    about ``_SLICE_BYTES``, each cut after a row, and each slice's pairs are
+    converted as :func:`matrix_from_obj` converts them, into one float64
+    array.  A document without such an array is parsed whole.
+    """
+    with open(path, "rb") as handle:
+        buf = handle.read()
+    span = _data_span(buf)
+    if span is None:
+        return superoperator_from_obj(_loads(buf))
+    data = _DataSpan(buf, *span)
+    obj = _loads(buf[: data.start] + _PLACEHOLDER + buf[data.end :])
+    matrix = obj.get("matrix") if isinstance(obj, dict) else None
+    if isinstance(matrix, dict) and matrix.get("data") == "\x00":
+        matrix["data"] = data
+    else:  # a repeated key replaced the array, which must still be JSON
+        for _ in data.row_slices():
+            pass
+    return superoperator_from_obj(obj)
+
+
+# A string (so that brackets inside one are skipped) or a structural character.
+_TOKEN = re.compile(rb'"(?:[^"\\]|\\.)*"|[][{}:,]', re.DOTALL)
+# The (opener, key) stack at the value of a top-level object's "matrix" key.
+_MATRIX_PATH = [(b"{", None), (b"{", b'"matrix"')]
+# JSON whitespace only: bytes a cut skips must be ones json would skip too.
+_EMPTY_ARRAY = re.compile(rb"\[[ \t\n\r]*\]")
+_LAST_PAIR_END = re.compile(rb"\][ \t\n\r]*\]")
+_PAIR_END = re.compile(rb"\][ \t\n\r]*,")
+# A one-character string, NUL: no other string of the document can equal it
+# unless the document spells \u0000 outside the array.
+_NUL_ESCAPE = b"\\u0000"
+_PLACEHOLDER = b'"' + _NUL_ESCAPE + b'"'
+
+
+def _data_span(buf: bytes):
+    """Byte span ``(start, end)`` of the array at ``matrix.data`` of a
+    top-level object, or None.
+
+    Only the tokens in front of the array are walked; the array is taken to
+    end at the first ``]`` that closes right after another, as an array of
+    ``[re, im]`` pairs does.  Nothing found here is trusted: the document
+    with the span cut out and the span itself must each parse as JSON, and
+    then the document parses, as a whole, to the same values.
+    """
+    path, key = [], None
+    for token in _TOKEN.finditer(buf):
+        t = token[0]
+        if t == b"[" and key == b'"data"' and path == _MATRIX_PATH:
+            start = token.start()
+            close = _EMPTY_ARRAY.match(buf, start) or _LAST_PAIR_END.search(buf, start)
+            if close is None:
+                return None
+            end = close.end()
+            if buf.find(_NUL_ESCAPE, 0, start) >= 0 or buf.find(_NUL_ESCAPE, end) >= 0:
+                return None
+            return start, end
+        if t in (b"{", b"["):
+            path.append((t, key))
+            key = None
+        elif t in (b"}", b"]", b","):
+            if t != b"," and path:
+                path.pop()
+            key = None
+        elif t != b":" and path and path[-1][0] == b"{" and key is None:
+            key = t
+    return None
+
+
+@dataclass(frozen=True)
+class _DataSpan:
+    """A matrix's ``data`` array as the bytes ``buf[start:end]``, parsed when
+    the matrix is built."""
+
+    buf: bytes
+    start: int
+    end: int
+
+    def row_slices(self):
+        """The array's entries as lists of about ``_SLICE_BYTES`` of text."""
+        pos, stop = self.start + 1, self.end - 1
+        while pos < stop:
+            cut = None
+            if pos + _SLICE_BYTES < stop:
+                cut = _PAIR_END.search(self.buf, pos + _SLICE_BYTES, stop)
+            end = cut.start() + 1 if cut else stop
+            text = self.buf[pos:end].decode("utf-8")
+            try:
+                rows = json.loads("[" + text + "]", parse_int=_parse_int)
+            except json.JSONDecodeError as exc:
+                # name the place in the file, as a parse of the whole file would
+                before = self.buf[:pos].decode("utf-8") + text[: max(exc.pos - 1, 0)]
+                raise json.JSONDecodeError(exc.msg, before, len(before)) from None
+            if rows:  # only the empty array gives an empty slice
+                yield rows
+            pos = cut.end() if cut else stop
+
+    def pairs(self, expected: int) -> np.ndarray:
+        # a pair takes at least 6 bytes with its separator, which bounds the
+        # allocation whatever rows and cols claim
+        out = np.empty((min(expected, (self.end - self.start) // 6), 2))
+        count = 0
+        for rows in self.row_slices():
+            if count + len(rows) <= len(out):
+                out[count : count + len(rows)] = _pairs(rows)
+            count += len(rows)
+        if count != expected:
+            raise DimensionError(f"expected {expected} entries, got {count}")
+        if count > len(out):  # entries too short to be pairs
+            raise ValueError("matrix data must be a list of [re, im] pairs")
+        return out
 
 
 def matrix_to_obj(a: np.ndarray) -> dict:
@@ -175,15 +312,23 @@ def matrix_from_obj(obj) -> np.ndarray:
     if rows < 1 or cols < 1:
         raise DimensionError(f"matrix dimensions must be positive: {rows}x{cols}")
     data = obj["data"]
-    if len(data) != rows * cols:
+    if isinstance(data, _DataSpan):
+        pairs = data.pairs(rows * cols)
+    elif len(data) != rows * cols:
         raise DimensionError(f"expected {rows * cols} entries, got {len(data)}")
-    # ragged or non-numeric data raises ValueError here
-    pairs = np.array(data, dtype=np.float64, order="C")
-    if pairs.shape != (rows * cols, 2):
-        raise ValueError("matrix data must be a list of [re, im] pairs")
+    else:
+        pairs = _pairs(data)
     if not np.isfinite(pairs).all():
         raise ValueError("matrix contains non-finite entries")
     return pairs.view(complex).reshape(rows, cols)
+
+
+def _pairs(data) -> np.ndarray:
+    # ragged or non-numeric data raises ValueError here
+    pairs = np.array(data, dtype=np.float64, order="C")
+    if pairs.shape != (len(data), 2):
+        raise ValueError("matrix data must be a list of [re, im] pairs")
+    return pairs
 
 
 def dims_to_obj(dims: Dims) -> dict:

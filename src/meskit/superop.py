@@ -16,6 +16,11 @@ The constructors cover the three canonical preserver families:
   switch ``A (x) B -> B (x) A``, which is conjugation by the flip unitary F,
   so the map is the adjoint form of ``(U (x) V) F``
 * ``make_trace_preserver``: ``M -> tr(M) rho`` for a fixed MES ``rho``
+
+span(MES) has a closed-form orthogonal complement, {A (x) I_n : tr A = 0}
+(plus {I_m (x) B : tr B = 0} when k = 1), so the checks on the span work with
+its small orthonormal basis P and the projector I - PP*.  The dense basis of
+the span itself, :func:`span_mes_basis`, is not on the classification path.
 """
 
 from __future__ import annotations
@@ -45,8 +50,8 @@ class Superoperator:
 
     The matrix is defined on all of L(X (x) Y) even though the classification
     results only constrain behavior on span(MES); every certificate and
-    recovery in this package reads the map on MES elements or on an
-    orthonormal basis of span(MES), so the off-span action is a
+    recovery in this package reads the map on MES elements or on span(MES)
+    with its complement projected out, so the off-span action is a
     representation detail.
     """
 
@@ -191,12 +196,49 @@ def span_mes_basis(dims: Dims) -> tuple[np.ndarray, ...]:
     return tuple(basis)
 
 
+def _traceless_basis(m: int) -> list[np.ndarray]:
+    """Orthonormal real basis of the traceless m x m matrices: the m(m - 1)
+    matrix units off the diagonal, then the m - 1 diagonal matrices
+    diag(1, ..., 1, -j, 0, ..., 0) / sqrt(j (j + 1)) with j ones."""
+    eye = np.eye(m)
+    basis = [np.outer(eye[i], eye[j]) for i in range(m) for j in range(m) if i != j]
+    for j in range(1, m):
+        diagonal = np.r_[np.ones(j), -j, np.zeros(m - j - 1)]
+        basis.append(np.diag(diagonal) / np.sqrt(j * (j + 1)))
+    return basis
+
+
 @functools.lru_cache(maxsize=32)
-def _span_orthobasis(dims: Dims) -> np.ndarray:
-    """Orthonormal column basis of span(MES) inside C^{(mn)^2}."""
-    q = np.array([vec(e) for e in span_mes_basis(dims)]).T
-    q.flags.writeable = False
-    return q
+def _span_complement(dims: Dims) -> np.ndarray:
+    """Orthonormal column basis P of the orthogonal complement of span(MES)
+    inside C^{(mn)^2}, in closed form.
+
+    span(MES) is the kernel of M -> tr_Y(M) - (tr M / m) I_m, so its
+    complement is the range of the adjoint map A -> A (x) I_n - (tr A / m) I,
+    that is {A (x) I_n : tr A = 0}: the columns are vec(A_j (x) I_n) / sqrt(n)
+    over the traceless basis A_j, m^2 - 1 of them.  For k = 1 the tr_X
+    constraint adds vec(I_m (x) B_j) / sqrt(m), orthogonal to the first
+    family, for 2m^2 - 2 columns.
+    """
+    m, n = dims.m, dims.n
+    cols = [kron(a, np.eye(n)) / np.sqrt(n) for a in _traceless_basis(m)]
+    if dims.k == 1:
+        cols += [kron(np.eye(m), b) / np.sqrt(m) for b in _traceless_basis(n)]
+    p = np.array(cols, dtype=complex).reshape(len(cols), dims.mn**2).T
+    p.flags.writeable = False
+    return p
+
+
+# Bytes of the temporary of one row slab in :func:`_add_product`.
+_SLAB_BYTES = 1 << 20
+
+
+def _add_product(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """``x += a @ b`` in place, one slab of rows at a time, so no temporary
+    the size of x is made; a has few columns."""
+    step = max(1, _SLAB_BYTES // (x.itemsize * x.shape[1]))
+    for i in range(0, x.shape[0], step):
+        x[i : i + step] += a[i : i + step] @ b
 
 
 def preserves_mes(phi: Superoperator, seed=0) -> bool:
@@ -215,10 +257,19 @@ def preserves_mes(phi: Superoperator, seed=0) -> bool:
 
 def is_invertible_on_span(phi: Superoperator) -> bool:
     """True iff the restriction of phi to span(MES) has smallest singular
-    value above 1e-9 (in the orthonormal coordinates of the span basis)."""
-    q = _span_orthobasis(phi.dims)
-    restricted = q.conj().T @ (phi.matrix @ q)
-    s = np.linalg.svd(restricted, compute_uv=False)
+    value above 1e-9 (in orthonormal coordinates of the span).
+
+    With P the closed-form complement basis and Q any orthonormal basis of
+    the span, QQ* = I - PP*, so ``(I - PP*) phi (I - PP*) + PP*`` has the
+    singular values of Q* phi Q plus a 1 per column of P, and 1 is above the
+    threshold.  The matrix is formed in one copy of phi.
+    """
+    p = _span_complement(phi.dims)
+    ph = p.conj().T
+    r = phi.matrix.copy()
+    _add_product(r, -(phi.matrix @ p), ph)  # phi (I - PP*)
+    _add_product(r, p, ph - ph @ r)  # (I - PP*) r + PP*
+    s = np.linalg.svd(r, compute_uv=False)
     return float(s[-1]) > 1e-9
 
 

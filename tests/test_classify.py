@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,9 +30,12 @@ from meskit import (
     representative,
     restricted_g,
     verify_theorem_form,
+    span_mes_basis,
+    vec,
     zeta_image,
 )
-from meskit.superop import _require_unitary
+from meskit.classify import Decomposition
+from meskit.superop import _require_unitary, _span_complement, make_swap_preserver
 from conftest import complex_gaussian, phase_aligned_distance, unitary_pair
 
 DIMS = Dims.from_mk(2, 2)
@@ -204,3 +208,61 @@ def test_verification_residual_bounds_every_mes(m, k, sigma):
 def test_stage_thresholds_are_fixed(func):
     # each stage's threshold lives at its one use, not in a keyword
     assert not {"tol", "num_samples"} & set(inspect.signature(func).parameters)
+
+
+def _dense_oracle(phi, dec):
+    """The invertibility verdict and the certificate residual on an
+    orthonormal basis Q of span(MES) built from span_mes_basis."""
+    q = np.array([vec(e) for e in span_mes_basis(phi.dims)]).T
+    s = np.linalg.svd(q.conj().T @ phi.matrix @ q, compute_uv=False)
+    d = phi.dims.mn
+    W = kron(dec.U, dec.V)
+    basis = q.T.reshape(-1, d, d)
+    if dec.sigma is SigmaFlag.TRANSPOSE:
+        basis = basis.transpose(0, 2, 1)
+    expected = (W @ basis @ W.conj().T).reshape(-1, d * d).T
+    return float(s[-1]) > 1e-9, float(np.linalg.norm(phi.matrix @ q - expected, 2))
+
+
+def _stage_inputs(m, k):
+    """(name, map, decomposition to certify against) on both verdicts of
+    stage 2, with certificate residuals near 0 and far from it."""
+    dims = Dims.from_mk(m, k)
+    u, v = unitary_pair(dims, 29)
+    ident = Decomposition(SigmaFlag.IDENTITY, np.eye(dims.m), np.eye(dims.n), 0.0, 0.0)
+    yield "identity", identity_superop(dims), ident
+    make = make_swap_preserver if k == 1 else make_adjoint_preserver
+    for sigma in SigmaFlag:
+        phi = make(u, v, sigma)
+        for claimed in SigmaFlag:  # the right sigma and the wrong one
+            dec = Decomposition(claimed, u, v, 0.0, 0.0)
+            yield f"preserver-{sigma.value}-as-{claimed.value}", phi, dec
+    rho = pi(random_coisometry(dims, np.random.SeedSequence([29, 2])))
+    yield "trace", make_trace_preserver(rho), ident
+    g = complex_gaussian(np.random.default_rng(29), dims.mn**2, dims.mn**2)
+    yield "gaussian", Superoperator(matrix=g, dims=dims), ident
+
+
+@pytest.mark.parametrize("m,k", [(2, 1), (2, 2), (2, 3), (3, 2)])
+def test_closed_form_stages_match_the_dense_span_basis(m, k):
+    for name, phi, dec in _stage_inputs(m, k):
+        invertible, residual = _dense_oracle(phi, dec)
+        assert invertible == (name != "trace"), name
+        assert is_invertible_on_span(phi) == invertible, name
+        assert verify_theorem_form(phi, dec) == pytest.approx(residual, rel=1e-12, abs=1e-14), name
+
+
+@pytest.mark.parametrize("sigma", list(SigmaFlag))
+def test_decompose_peak_memory_near_the_map(sigma):
+    # phi, the certificate's X = phi - Ad_W o sigma and the norm's own copy
+    dims = Dims.from_mk(3, 2)
+    phi = make_adjoint_preserver(*unitary_pair(dims, 37), sigma)
+    _span_complement.cache_clear()
+    tracemalloc.start()
+    try:
+        dec = decompose(phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dec.sigma is sigma
+    assert peak < 3.5 * phi.matrix.nbytes

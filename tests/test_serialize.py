@@ -5,8 +5,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from meskit import DimensionError, Dims, SigmaFlag, extend, make_adjoint_preserver
-from meskit import serialize
+from meskit import (
+    DimensionError,
+    Dims,
+    SigmaFlag,
+    extend,
+    make_adjoint_preserver,
+    make_trace_preserver,
+    pi,
+    random_coisometry,
+    serialize,
+)
+from meskit.cli import main
 from conftest import complex_gaussian, unitary_pair
 
 CHUNK = serialize._CHUNK_ENTRIES
@@ -221,3 +231,136 @@ def test_coisometry_obj_carries_dims(rng):
     dims = Dims.from_mk(2, 2)
     obj = serialize.coisometry_to_obj(complex_gaussian(rng, 2, 4), dims)
     assert obj["m"] == 2 and obj["n"] == 4
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _superop_file(path, m, k, form, sigma=SigmaFlag.IDENTITY) -> str:
+    dims = Dims.from_mk(m, k)
+    if form == "trace":
+        phi = make_trace_preserver(pi(random_coisometry(dims, np.random.SeedSequence([5, 2]))))
+    else:
+        phi = make_adjoint_preserver(*unitary_pair(dims, 5), sigma)
+    serialize.write_json(str(path), serialize.superoperator_to_obj(phi.matrix, dims))
+    return str(path)
+
+
+def _assert_reads_as_json_reader(path) -> None:
+    matrix, dims = serialize.read_superoperator(path)
+    want, want_dims = serialize.superoperator_from_obj(serialize.read_json(path))
+    assert dims == want_dims
+    assert _same_bits(matrix, want)
+
+
+@pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("sigma", list(SigmaFlag))
+def test_read_superoperator_matches_the_json_reader(m, k, sigma, tmp_path):
+    _assert_reads_as_json_reader(_superop_file(tmp_path / "sop.json", m, k, "adjoint", sigma))
+
+
+def test_read_superoperator_keeps_signed_zeros(tmp_path):
+    path = _superop_file(tmp_path / "trace.json", 2, 2, "trace")
+    assert "-0]" in open(path).read()  # the trace form has -0 entries
+    _assert_reads_as_json_reader(path)
+    a = np.zeros((16, 16), dtype=complex)
+    a[3, 4] = complex(-0.0, 0.0)
+    a[5, 6] = complex(0.0, -0.0)
+    path = str(tmp_path / "z.json")
+    serialize.write_json(path, serialize.superoperator_to_obj(a, Dims.from_mk(2, 1)))
+    back, _ = serialize.read_superoperator(path)
+    assert _same_bits(back, a)
+
+
+def _writer_text(tmp_path):
+    """A (2,2) file as the writer lays it out, three data slices long, and its
+    text split around the data array: ``head`` ends at ``"data": ``."""
+    path = _superop_file(tmp_path / "sop.json", 2, 2, "adjoint", SigmaFlag.TRANSPOSE)
+    text = open(path).read()
+    assert len(text) > 2 * serialize._SLICE_BYTES
+    head, tail = text.split('"data": ')
+    close = tail.index("]]") + 2
+    return text, head + '"data": ', tail[:close], tail[close:]
+
+
+def test_read_superoperator_accepts_what_json_accepts(tmp_path):
+    text, head, data, rest = _writer_text(tmp_path)
+    reordered = {"matrix": {"data": "D", "cols": 64, "rows": 64}, "dims": json.loads(text)["dims"]}
+    spaced = data.replace("], [", "]\n ,\r\n\t[").replace(", ", " ,  ")
+    variants = {
+        "reordered": json.dumps(reordered).replace('"D"', data),
+        "whitespace": head[:-1] + "\n" + spaced + "\n" + rest,
+        # strings with brackets, and "matrix" and "data" keys off the path
+        "extra keys": '{"note": "a ]], [[ \\" \\\\", "data": [[1, 2]], '
+        + '"meta": {"matrix": {"data": [[3, 4]]}}, ' + text[1:-2] + ', "after": [[{"]": []}]]}\n',
+        # json keeps the last of repeated keys
+        "repeated data key": head + "[[9, 9]], " + '"data": ' + data + rest,
+    }
+    for name, variant in variants.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(variant)
+        assert serialize._data_span(path.read_bytes()) is not None, name  # read in slices
+        _assert_reads_as_json_reader(str(path))
+
+
+def test_read_superoperator_refuses_what_the_json_reader_refuses(tmp_path, capsys):
+    text, head, data, rest = _writer_text(tmp_path)
+    first = text.index("[[") + 1
+    pair = text[first : text.index("]", first) + 1]
+    cut = text.index("], [", first + serialize._SLICE_BYTES)
+    refused = {
+        "truncated": text[:4096],
+        "one-element row": text.replace(pair, "[0.5]", 1),
+        "three-element row": text.replace(pair, pair[:-1] + ", 0.5]", 1),
+        "nan token": text.replace(pair, "[NaN, 0]", 1),
+        "overflow": text.replace(pair, "[1e999, 0]", 1),
+        "count": text.replace(pair + ", ", "", 1),
+        "count, one more": text.replace(pair, pair + ", " + pair, 1),
+        "empty data": head + "[ ]" + rest,
+        # as many entries as rows x cols, but too short to be pairs
+        "one-element rows": head + "[" + ", ".join(["[0]"] * 64 * 64) + "]" + rest,
+        # where a slice is cut: only JSON whitespace may sit between rows
+        "form feed between rows": text[:cut] + "]\f, [" + text[cut + 4 :],
+        "missing matrix": text.replace('"matrix"', '"matrices"'),
+        "rows 1e999": text.replace('"rows": 64', '"rows": 1e999'),
+        "integer entry beyond float": text.replace(pair, "[1" + "0" * 400 + ", 0]", 1),
+        # a repeated key replaces the array: with the placeholder's value, and
+        # after an array that is not JSON
+        "repeated data key, NUL": head + data + ', "data": "\\u0000"' + rest,
+        "repeated data key, bad array": head + "[[1, 2,]], " + '"data": ' + data + rest,
+    }
+    for name, bad in refused.items():
+        path = tmp_path / "bad.json"
+        path.write_text(bad)
+        with pytest.raises(Exception) as want:  # the whole-document reader, as the oracle
+            serialize.superoperator_from_obj(serialize.read_json(str(path)))
+        with pytest.raises(want.type):
+            serialize.read_superoperator(str(path))
+        assert main(["classify", str(path)]) == 2, name
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == want.type.__name__, name
+        if "shape was" not in err["message"]:  # numpy's shape is the slice's
+            assert err["message"] == str(want.value), name
+
+
+def test_read_superoperator_peak_memory_below_file_and_two_matrices(tmp_path):
+    path = _superop_file(tmp_path / "sop.json", 3, 2, "adjoint")
+    size = os.path.getsize(path)
+    tracemalloc.start()
+    try:
+        matrix, _ = serialize.read_superoperator(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size + 2 * matrix.nbytes
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o027, 0o640), (0o077, 0o600)])
+def test_write_json_gives_the_mode_of_the_umask(umask, mode, tmp_path):
+    old = os.umask(umask)
+    try:
+        serialize.write_json(str(tmp_path / "out.json"), {"a": 1})
+    finally:
+        os.umask(old)
+    assert os.stat(tmp_path / "out.json").st_mode & 0o777 == mode

@@ -40,6 +40,11 @@ DIMS = Dims.from_mk(2, 2)
 SPAN_DIMS = {(1, 2): 4, (2, 1): 10, (2, 2): 61, (2, 3): 141, (3, 1): 65}
 
 
+def _span_columns(dims: Dims) -> np.ndarray:
+    """Orthonormal column basis Q of span(MES) from the dense span_mes_basis."""
+    return np.array([vec(e) for e in span_mes_basis(dims)]).T
+
+
 def test_apply_identity_and_linearity(rng):
     ident = identity_superop(DIMS)
     m = complex_gaussian(rng, 8, 8)
@@ -227,8 +232,6 @@ def test_span_mes_basis_dimension(m, k):
 def test_span_dimension_against_sampling_oracle(m, k):
     # independent oracle: rank of the raw projections of many sampled
     # coisometries, with no structured combinations at all
-    from meskit.superop import _span_orthobasis
-
     dims = Dims.from_mk(m, k)
     cols = [
         vec(pi(random_coisometry(dims, np.random.SeedSequence([777, i]))).matrix)
@@ -239,7 +242,7 @@ def test_span_dimension_against_sampling_oracle(m, k):
     rank = int(np.sum(s > 1e-9 * s[0]))
     assert rank == SPAN_DIMS[(m, k)]
     # every sampled projection lies in the span basis, not just as many of them
-    q = _span_orthobasis(dims)
+    q = _span_columns(dims)
     outside = stacked - q @ (q.conj().T @ stacked)
     assert np.linalg.norm(outside, axis=0).max() < 1e-10
 
@@ -281,9 +284,7 @@ def test_is_invertible_on_span_identity_and_adjoint():
 
 def test_identity_restriction_is_isometric():
     # smallest singular value of the restricted identity is exactly 1
-    from meskit.superop import _span_orthobasis
-
-    q = _span_orthobasis(DIMS)
+    q = _span_columns(DIMS)
     restricted = q.conj().T @ (identity_superop(DIMS).matrix @ q)
     s = np.linalg.svd(restricted, compute_uv=False)
     assert s[-1] == pytest.approx(1.0, abs=1e-12)
@@ -312,3 +313,19 @@ def test_equal_conjugations_share_a_line():
     assert np.linalg.norm(phi1 - phi2) < 1e-10
     stacked = np.stack([vec(w1), vec(w2)]).T
     assert np.linalg.matrix_rank(stacked, tol=1e-10) == 1
+
+
+@pytest.mark.parametrize("m,k", [(1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_span_complement_is_orthogonal_to_the_dense_span_basis(m, k):
+    from meskit.superop import _span_complement
+
+    dims = Dims.from_mk(m, k)
+    p = _span_complement(dims)
+    q = _span_columns(dims)
+    side = dims.mn * dims.mn
+    assert p.shape == (side, side - q.shape[1])
+    assert p.shape[1] == (m * m - 1) * (2 if k == 1 else 1)
+    np.testing.assert_allclose(p.conj().T @ p, np.eye(p.shape[1]), atol=1e-13)
+    assert np.abs(p.conj().T @ q).max(initial=0.0) < 1e-12
+    # together they span the whole space: QQ* + PP* = I
+    np.testing.assert_allclose(q @ q.conj().T + p @ p.conj().T, np.eye(side), atol=1e-12)
