@@ -104,8 +104,8 @@ def restricted_g(phi: Superoperator, A1: Coisometry, A2: Coisometry) -> Restrict
     if not are_orthogonal(A1, A2):
         raise NotOrthogonalError("restricted map needs an orthogonal coisometry pair")
     dims = phi.dims
-    B1 = zeta_image(phi, A1)
-    B2 = zeta_image(phi, A2)
+    images = [apply(phi, pi(a).matrix) for a in (A1, A2)]
+    B1, B2 = (representative(image, dims) for image in images)
     b = (vec(B1.matrix), vec(B2.matrix))
     gram2 = np.array([[np.vdot(bp, bq) for bq in b] for bp in b])
     # det / (product of the diagonal) is sin^2 of the angle between B1 and B2
@@ -120,7 +120,7 @@ def restricted_g(phi: Superoperator, A1: Coisometry, A2: Coisometry) -> Restrict
     for i, Ai in enumerate((A1, A2)):
         for j, Aj in enumerate((A1, A2)):
             if i == j:
-                target = dims.m * apply(phi, pi(Ai).matrix)
+                target = dims.m * images[i]
             else:
                 target = phi_on_cross_term(phi, Ai, Aj)
             coeffs, residual = _expand_in_image_basis(target, b, gram4)
@@ -171,23 +171,6 @@ def detect_sigma(phi: Superoperator, seed=0) -> SigmaFlag:
     return flag_from_determinant(np.linalg.det(choi_matrix(G)))
 
 
-def _coherence_residual(
-    phi: Superoperator, family: list[Coisometry], vecs: list[np.ndarray], swap: bool
-) -> float:
-    """Max deviation of phi(vec(A_p) vec(A_q)*) from the aligned outer products."""
-    dims = phi.dims
-    worst = 0.0
-    for p in range(len(family)):
-        for q in range(len(family)):
-            if p == q:
-                target = dims.m * apply(phi, pi(family[p]).matrix)
-            else:
-                target = phi_on_cross_term(phi, family[p], family[q])
-            bp, bq = (vecs[q], vecs[p]) if swap else (vecs[p], vecs[q])
-            worst = max(worst, frobenius(target - np.outer(bp, bq.conj())))
-    return worst
-
-
 def align_images(phi: Superoperator, family: list[Coisometry]) -> list[Coisometry]:
     """Phase-coherent image family B_1..B_k of a mutually orthogonal family.
 
@@ -199,28 +182,32 @@ def align_images(phi: Superoperator, family: list[Coisometry]) -> list[Coisometr
     raised.
     """
     dims = phi.dims
-    for p in range(len(family)):
-        for q in range(p + 1, len(family)):
+    k = len(family)
+    for p in range(k):
+        for q in range(p + 1, k):
             if not are_orthogonal(family[p], family[q]):
                 raise NotOrthogonalError("alignment needs a mutually orthogonal family")
-    B1 = zeta_image(phi, family[0])
-    b1 = vec(B1.matrix)
-    candidates: dict[bool, list[np.ndarray]] = {}
-    for swap in (False, True):
-        vecs = [b1]
-        for j in range(1, len(family)):
-            cross = phi_on_cross_term(phi, family[0], family[j])
-            bj = (cross @ b1 if swap else cross.conj().T @ b1) / dims.m
-            vecs.append(bj)
-        candidates[swap] = vecs
-    residuals = {
-        swap: _coherence_residual(phi, family, vecs, swap) for swap, vecs in candidates.items()
-    }
-    swap = min(residuals, key=residuals.get)
-    if residuals[swap] >= scaled_tol(_TOL, float(dims.m)):
-        raise PhaseAlignmentError(
-            f"no coherent phase assignment (best residual {residuals[swap]:.3e})"
-        )
-    return [
-        Coisometry(matrix=unvec(v, dims.m, dims.n), dims=dims) for v in candidates[swap]
+    images = [apply(phi, pi(a).matrix) for a in family]
+    b1 = vec(representative(images[0], dims).matrix)
+    # table[p][q] = phi(vec(A_p) vec(A_q)*), each value computed once; the
+    # transpose branch expects vec(B_q) vec(B_p)* there
+    table = [
+        [
+            dims.m * images[p] if p == q else phi_on_cross_term(phi, family[p], family[q])
+            for q in range(k)
+        ]
+        for p in range(k)
     ]
+    readings = []
+    for swap in (False, True):
+        vecs = [b1] + [(t @ b1 if swap else t.conj().T @ b1) / dims.m for t in table[0][1:]]
+        residual = max(
+            frobenius((table[q][p] if swap else table[p][q]) - np.outer(vecs[p], vecs[q].conj()))
+            for p in range(k)
+            for q in range(k)
+        )
+        readings.append((residual, vecs))
+    residual, vecs = min(readings, key=lambda r: r[0])  # a tie goes to the identity reading
+    if residual >= scaled_tol(_TOL, float(dims.m)):
+        raise PhaseAlignmentError(f"no coherent phase assignment (best residual {residual:.3e})")
+    return [Coisometry(matrix=unvec(v, dims.m, dims.n), dims=dims) for v in vecs]

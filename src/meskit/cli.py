@@ -5,10 +5,11 @@ Subcommands: ``gen`` (emit a canonical preserver plus a ground-truth sidecar),
 extension plus commutation report), ``check-lemmas`` (structural identity
 suite).  Results go to stdout as JSON; failures emit an error JSON on stderr.
 
-Exit codes: 0 success, 2 usage/parse errors, 3 not a preserver, 4 not
-invertible on the MES span, 5 inconsistent Choi discriminant, 6 recovered
-unitary not a Kronecker product, 1 unexpected numerical breakdown or a
-report with ``"all_pass": false`` (``extend``, ``check-lemmas``).
+Exit codes: 0 success, 2 usage/parse errors, 3 not a preserver (including a
+failed span certificate), 4 not invertible on the MES span, 5 inconsistent
+Choi discriminant, 6 recovered unitary not a Kronecker product, 1 unexpected
+numerical breakdown or a report with ``"all_pass": false`` (``extend``,
+``check-lemmas``).
 
 Each subcommand accepts only the flags it reads: ``--tol`` for ``classify``,
 ``extend`` and ``check-lemmas``, ``--samples`` (default 20) for ``extend`` and

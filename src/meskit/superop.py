@@ -263,6 +263,9 @@ def is_invertible_on_span(phi: Superoperator) -> bool:
     the span, QQ* = I - PP*, so ``(I - PP*) phi (I - PP*) + PP*`` has the
     singular values of Q* phi Q plus a 1 per column of P, and 1 is above the
     threshold.  The matrix is formed in one copy of phi.
+
+    Not on :func:`meskit.classify.decompose`'s path (its span certificate
+    implies invertibility); kept for the tests and the benchmark's set-up.
     """
     p = _span_complement(phi.dims)
     ph = p.conj().T

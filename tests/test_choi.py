@@ -234,3 +234,21 @@ def test_projective_semilinearity_on_pairs(sigma, rng):
         target = coeff[0] * images[0].matrix + coeff[1] * images[1].matrix
         dist = np.linalg.norm(apply(phi, pi(source, DIMS).matrix) - pi(target, DIMS).matrix)
         assert dist < 1e-8
+
+
+@pytest.mark.parametrize("m,k", [(3, 2), (2, 3)])
+def test_align_images_reads_each_value_once(m, k, monkeypatch):
+    # k diagonal values and four MES evaluations per cross term, each made once
+    import meskit.choi
+
+    dims = Dims.from_mk(m, k)
+    phi = make_adjoint_preserver(*unitary_pair(dims, 49), SigmaFlag.TRANSPOSE)
+    calls = []
+
+    def counting_apply(op, M):
+        calls.append(1)
+        return apply(op, M)
+
+    monkeypatch.setattr(meskit.choi, "apply", counting_apply)
+    align_images(phi, orthogonal_family(dims, 51))
+    assert len(calls) <= k + 4 * k * (k - 1)

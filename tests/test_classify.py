@@ -1,4 +1,5 @@
 import inspect
+import json
 import tracemalloc
 
 import numpy as np
@@ -23,18 +24,21 @@ from meskit import (
     kron,
     make_adjoint_preserver,
     make_trace_preserver,
+    orthogonal_family,
     pi,
     preserves_mes,
     random_coisometry,
     recover_unitary,
     representative,
     restricted_g,
+    serialize,
     verify_theorem_form,
     span_mes_basis,
     vec,
     zeta_image,
 )
 from meskit.classify import Decomposition
+from meskit.cli import main
 from meskit.superop import _require_unitary, _span_complement, make_swap_preserver
 from conftest import complex_gaussian, phase_aligned_distance, unitary_pair
 
@@ -176,6 +180,67 @@ def test_decompose_names_discriminant_stage_on_not_mes(sigma):
         decompose(phi)
 
 
+@pytest.mark.parametrize("m,k", [(2, 2), (3, 2)])
+def test_decompose_names_discriminant_stage_on_trace_form(m, k):
+    # the trace form is singular on span(MES); the discriminant's sin^2 check refuses it
+    dims = Dims.from_mk(m, k)
+    phi = make_trace_preserver(pi(random_coisometry(dims, 7)))
+    with pytest.raises(NotInvertibleError, match=r"^stage discriminant: .*sin\^2 "):
+        decompose(phi)
+
+
+# Frobenius-normalised noise that every seed survived before the certificate
+# gated success; tol=1e-3 keeps the Kronecker gate from deciding
+@pytest.mark.parametrize("m,k,eps", [(1, 2, 3e-9), (2, 2, 2e-8), (2, 3, 2e-8), (3, 2, 2e-8)])
+@pytest.mark.parametrize("sigma", [SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE])
+def test_certificate_gate_keeps_the_noise_band(m, k, eps, sigma):
+    for seed in range(20):
+        phi, _, _ = _noisy_preserver(Dims.from_mk(m, k), sigma, eps, seed)
+        dec = decompose(phi, tol=1e-3)
+        assert dec.sigma is sigma
+        assert dec.verification_residual < 1e-7
+
+
+def _sampled_stage_blind_map():
+    """Ad_W o (I + c w w*) at (2,2) with c = 1e-3 and w a unit vector of
+    span(MES) orthogonal to every input the sampled stages (seed 0) and the
+    unitary recovery evaluate, so only the span certificate can see c."""
+    dims = DIMS
+    d = dims.mn
+    rows = [
+        vec(pi(random_coisometry(dims, np.random.SeedSequence([0, 11, i]))).matrix)
+        for i in range(20)
+    ]
+    a1, a2 = orthogonal_family(dims, np.random.SeedSequence([0, 13]))[:2]
+    for x, y in ((a1, a2), (a2, a1)):
+        rows.append(vec(pi(x).matrix))
+        rows += [
+            vec(pi((x.matrix + 1j**ell * y.matrix) / np.sqrt(2), dims).matrix) for ell in range(4)
+        ]
+    eye = np.eye(d * d)
+    for a in range(d):
+        for b in (0, 1):
+            rows += [eye[a * d + b], eye[b * d + a]]
+    constraints = np.vstack([np.array(rows).conj(), _span_complement(dims).conj().T])
+    assert np.linalg.matrix_rank(constraints) == 55
+    w = np.linalg.svd(constraints)[2][-1].conj()
+    assert np.abs(constraints @ w).max() < 1e-12
+    phi = make_adjoint_preserver(*unitary_pair(dims, 51), SigmaFlag.IDENTITY)
+    return Superoperator(matrix=phi.matrix @ (eye + 1e-3 * np.outer(w, w.conj())), dims=dims)
+
+
+def test_certificate_refuses_a_map_the_sampled_stages_miss(tmp_path, capsys):
+    phi = _sampled_stage_blind_map()
+    with pytest.raises(NotPreserverError, match=r"^stage certificate: span residual 1\.000e-03 "):
+        decompose(phi)
+    path = str(tmp_path / "blind.json")
+    serialize.write_json(path, serialize.superoperator_to_obj(phi.matrix, phi.dims))
+    assert main(["classify", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "NotPreserverError"
+
+
 @pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (2, 3), (3, 2)])
 @pytest.mark.parametrize("sigma", [SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE])
 def test_verification_residual_bounds_every_mes(m, k, sigma):
@@ -226,7 +291,7 @@ def _dense_oracle(phi, dec):
 
 def _stage_inputs(m, k):
     """(name, map, decomposition to certify against) on both verdicts of
-    stage 2, with certificate residuals near 0 and far from it."""
+    is_invertible_on_span, with certificate residuals near 0 and far from it."""
     dims = Dims.from_mk(m, k)
     u, v = unitary_pair(dims, 29)
     ident = Decomposition(SigmaFlag.IDENTITY, np.eye(dims.m), np.eye(dims.n), 0.0, 0.0)
