@@ -13,6 +13,11 @@ Serialization is deterministic: floats are emitted with 17 significant digits
 (lossless for float64; both readers read ``-0`` back as -0.0), keys in fixed
 insertion order, files written via a temp file + rename so readers never
 observe partial output; a written file gets the mode ``0o666`` less the umask.
+Every float is written as ``format(x, ".17g")`` writes it: a matrix's floats
+by an array kernel (:mod:`meskit._float_kernel`) that rounds a chunk's digits
+in long double and sends each value whose rounding it cannot certify to
+``format``.
+Files are UTF-8 (the writer's JSON is ASCII) whatever the locale.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ import json
 import math
 import os
 import re
-import tempfile
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -31,8 +35,8 @@ from .errors import DimensionError
 from .tensor import Dims
 
 
-# Entries of a matrix's data encoded per chunk: bounds the text and the
-# formatted floats held at once while a matrix is written.
+# Entries of a matrix's data encoded per chunk: bounds the text held at once
+# while a matrix is written.
 _CHUNK_ENTRIES = 1 << 14
 
 # Bytes of a matrix's data array parsed per slice when a file is read: bounds
@@ -42,32 +46,33 @@ _SLICE_BYTES = 1 << 16
 
 def dumps(obj) -> str:
     """Deterministic JSON encoding with 17-significant-digit floats."""
-    return "".join(_chunks(obj))
+    return b"".join(_chunks(obj)).decode("ascii")
 
 
 def _chunks(obj):
-    """Yield the JSON text of ``obj`` in pieces; an ``(N, 2)`` float array (a
-    matrix's ``data``) is written as the list of its rows, and an iterator of
-    such arrays (the data in row slabs) as the one list of all their rows."""
+    """Yield the JSON text of ``obj`` in pieces of ASCII bytes; an ``(N, 2)``
+    float array (a matrix's ``data``) is written as the list of its rows, and
+    an iterator of such arrays (the data in row slabs) as the one list of all
+    their rows."""
     if isinstance(obj, np.ndarray):
         yield from _array_chunks((obj,))
     elif isinstance(obj, Iterator):
         yield from _array_chunks(obj)
     elif isinstance(obj, dict):
-        yield "{"
+        yield b"{"
         for i, (k, v) in enumerate(obj.items()):
-            yield f"{', ' if i else ''}{json.dumps(str(k))}: "
+            yield f"{', ' if i else ''}{json.dumps(str(k))}: ".encode()
             yield from _chunks(v)
-        yield "}"
+        yield b"}"
     elif isinstance(obj, (list, tuple)):
-        yield "["
+        yield b"["
         for i, v in enumerate(obj):
             if i:
-                yield ", "
+                yield b", "
             yield from _chunks(v)
-        yield "]"
+        yield b"]"
     else:
-        yield _scalar(obj)
+        yield _scalar(obj).encode()
 
 
 def _scalar(obj) -> str:
@@ -89,12 +94,12 @@ def _scalar(obj) -> str:
 
 def _array_chunks(slabs):
     """Yield the rows of a sequence of ``(N, 2)`` float arrays as the one text
-    ``[[x, y], ...]``, ``_CHUNK_ENTRIES`` rows at a time.  Each distinct
-    float64 bit pattern of a chunk is formatted once (bits keep -0.0 apart from
-    0.0); the separators are interleaved as shared string objects, so no
-    per-entry string is built."""
-    yield "["
-    opening = "["
+    ``[[x, y], ...]``, each chunk of ``_CHUNK_ENTRIES`` rows encoded by the
+    float kernel."""
+    from ._float_kernel import encode_rows  # compiled on first use, not at import
+
+    yield b"["
+    separator = b""
     for a in slabs:
         if not isinstance(a, np.ndarray):
             raise TypeError(f"cannot serialize a {type(a).__name__} as matrix data")
@@ -104,30 +109,23 @@ def _array_chunks(slabs):
             chunk = np.ascontiguousarray(a[start : start + _CHUNK_ENTRIES], dtype=np.float64)
             if not np.isfinite(chunk).all():
                 raise ValueError("non-finite number cannot be serialized")
-            bits, inverse = np.unique(chunk.view(np.int64).reshape(-1), return_inverse=True)
-            text = np.array([format(x, ".17g") for x in bits.view(np.float64).tolist()], dtype=object)
-            pieces = np.empty((len(chunk), 4), dtype=object)
-            pieces[:, 0::2] = text[inverse.reshape(chunk.shape)]
-            pieces[:, 1] = ", "
-            pieces[:, 3] = "], ["
-            yield opening + "".join(pieces.reshape(-1)[:-1].tolist()) + "]"
-            opening = ", ["
-    yield "]"
+            for text in encode_rows(chunk):
+                yield separator + text
+                separator = b", "
+    yield b"]"
 
 
 def write_json(path: str, obj) -> None:
     """Atomically write ``obj`` as JSON to ``path`` (temp file + rename),
     streaming the text so the whole document is never held in memory."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    # a new file of its own, with the mode open() gives: 0o666 less the umask
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as handle:
-            # mkstemp creates the file 0600; give it the mode open() would
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(handle.fileno(), 0o666 & ~umask)
+        with open(fd, "wb") as handle:
             handle.writelines(_chunks(obj))
-            handle.write("\n")
+            handle.write(b"\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -147,7 +145,7 @@ def _loads(text: bytes):
 
 def read_json(path: str):
     """Parse a JSON file; the token ``-0`` reads back as the float -0.0."""
-    with open(path) as handle:
+    with open(path, encoding="utf-8") as handle:
         return json.load(handle, parse_int=_parse_int)
 
 

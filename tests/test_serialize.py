@@ -1,9 +1,15 @@
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from meskit import (
     DimensionError,
@@ -16,6 +22,7 @@ from meskit import (
     random_coisometry,
     serialize,
 )
+from meskit import _float_kernel
 from meskit.cli import main
 from conftest import complex_gaussian, unitary_pair
 
@@ -140,6 +147,89 @@ def test_dumps_matches_per_entry_reference(entries, rng, tmp_path):
     path = tmp_path / "out.json"
     serialize.write_json(str(path), payload)
     _assert_same_text(path.read_text(), expected + "\n")
+
+
+def _assert_encodes_as_format(values) -> np.ndarray:
+    """``dumps`` of a matrix of ``values``, repeated to at least one entry
+    more than a chunk so that rows straddle the kernel's block boundaries and
+    the chunk boundary, is the per-entry text of ``format(x, ".17g")``;
+    returns the matrix's floats."""
+    flat = np.resize(np.asarray(values, dtype=np.float64), 2 * max(CHUNK + 1, len(values)))
+    a = flat.view(complex).reshape(-1, 1)
+    expected = _reference_dumps(_reference_matrix_obj(a))
+    _assert_same_text(serialize.dumps(serialize.matrix_to_obj(a)), expected)
+    return flat
+
+
+def _edge_values() -> np.ndarray:
+    info = np.finfo(np.float64)
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    switches = np.array([1e-5, 1e-4, 1e16, 1e17])  # fixed/scientific switches
+    steps = np.arange(-8, 9)[:, None]
+    near_switches = switches * (1 + steps * info.eps)
+    for _ in range(3):  # a few ulps below each switch exactly
+        switches = np.nextafter(switches, 0)
+        near_switches = np.append(near_switches, switches)
+    values = np.concatenate([
+        [0.0, 5e-324, info.smallest_normal - 5e-324, info.smallest_normal, info.max],
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+        near_switches.reshape(-1),
+        [float(2**53), float(2**53 - 1), 100.0, 1200.0, 1e15, 120.5, 99999999999999984.0],
+        np.arange(0.0, 2.0**53, 2.0**53 / 997),  # exact integers
+        # exact 18-digit ties, to even: 0.10000228881835938, 0.10000991821289062
+        [26215 / 2**18, 26217 / 2**18],
+    ])
+    values = values[np.isfinite(values)]
+    return np.concatenate([values, -values])
+
+
+def test_dumps_is_format_at_edge_values():
+    _assert_encodes_as_format(_edge_values())
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
+def test_dumps_is_format_for_any_float(values):
+    _assert_encodes_as_format(values)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=64))
+def test_dumps_is_format_for_any_bit_pattern(bits):
+    values = np.array(bits, dtype=np.int64).view(np.float64)
+    assume(np.isfinite(values).any())
+    _assert_encodes_as_format(values[np.isfinite(values)])
+
+
+def test_dumps_without_extended_precision_formats_every_value(monkeypatch, rng):
+    # where long double is a plain double, its powers of ten stop at 1e308
+    # and its error bound certifies no rounding: every nonzero value takes
+    # the format route
+    double = np.finfo(np.float64)
+    exponents = range(16 - _float_kernel._E_MAX, 17 - _float_kernel._E_MIN)
+    tables = _float_kernel.tables()._replace(
+        pow10=_float_kernel.powers_of_ten(exponents, double), slack=2 * float(double.eps)
+    )
+    monkeypatch.setattr(_float_kernel, "tables", lambda: tables)
+    formatted = []
+
+    def counting_format(x, spec):
+        formatted.append(x)
+        return format(x, spec)
+
+    monkeypatch.setattr(_float_kernel, "format", counting_format, raising=False)
+    flat = _assert_encodes_as_format(np.concatenate([_edge_values(), rng.standard_normal(CHUNK)]))
+    assert len(formatted) == np.count_nonzero(flat)
+
+
+def test_powers_of_ten_are_correctly_rounded():
+    # the kernel's error bound assumes each power within half an ulp
+    largest = np.finfo(np.longdouble).max
+    exponents = range(16 - _float_kernel._E_MAX, 17 - _float_kernel._E_MIN)
+    for k, power in zip(exponents, _float_kernel.tables().pow10):
+        if power < largest:
+            error = abs(Fraction(*power.as_integer_ratio()) - Fraction(10) ** k)
+            assert error <= Fraction(*np.spacing(power).as_integer_ratio()) / 2, k
 
 
 def test_matrix_to_obj_is_a_view(rng):
@@ -364,3 +454,32 @@ def test_write_json_gives_the_mode_of_the_umask(umask, mode, tmp_path):
     finally:
         os.umask(old)
     assert os.stat(tmp_path / "out.json").st_mode & 0o777 == mode
+
+
+def test_write_json_leaves_the_umask_alone(tmp_path, monkeypatch):
+    # os.umask sets the mask of the whole process, for every thread's files
+    def umask(mask):
+        raise AssertionError("write_json changed the process umask")
+
+    monkeypatch.setattr(os, "umask", umask)
+    serialize.write_json(str(tmp_path / "out.json"), {"a": 1})
+    assert json.loads((tmp_path / "out.json").read_text()) == {"a": 1}
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_json_files_are_utf8_in_an_ascii_locale(tmp_path):
+    path = tmp_path / "note.json"
+    path.write_bytes('{"note": "\u00e9"}'.encode("utf-8"))
+    code = (
+        "import sys\n"
+        "from meskit import serialize\n"
+        "assert serialize.read_json(sys.argv[1]) == {'note': '\\u00e9'}\n"
+        "serialize.write_json(sys.argv[1], {'\\u00e9': ['\\u00e9', 0.5]})\n"
+        "assert serialize.read_json(sys.argv[1]) == {'\\u00e9': ['\\u00e9', 0.5]}\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUTF8": "0", "LC_ALL": "C"}
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
