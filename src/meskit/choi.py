@@ -24,7 +24,7 @@ from .errors import (
     SubspaceViolationError,
 )
 from .states import Coisometry, are_orthogonal, orthogonal_family, pi, representative
-from .superop import SigmaFlag, Superoperator, apply
+from .superop import SigmaFlag, Superoperator, _as_int, apply
 from .tensor import frobenius, kron, scaled_tol, unvec, vec
 
 # Relative threshold of the sin^2 check between image representatives and of
@@ -162,11 +162,12 @@ def detect_sigma(phi: Superoperator, seed=0) -> SigmaFlag:
     """Identity/transpose discriminant via det J(G).
 
     A preserver gives det 0 (identity branch) or -1 (transpose branch)
-    regardless of the orthogonal pair used to build G.
+    regardless of the orthogonal pair used to build G.  ``seed`` must be an
+    integer (TypeError otherwise); it picks that pair.
     """
     if phi.dims.k < 2:
         raise DimensionError("sigma detection needs an orthogonal pair, so k >= 2")
-    family = orthogonal_family(phi.dims, np.random.SeedSequence([int(seed), 13]))
+    family = orthogonal_family(phi.dims, np.random.SeedSequence([_as_int(seed), 13]))
     G = restricted_g(phi, family[0], family[1])
     return flag_from_determinant(np.linalg.det(choi_matrix(G)))
 

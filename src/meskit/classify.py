@@ -1,36 +1,70 @@
 """Full decomposition pipeline: certify a superoperator as an invertible MES
 preserver and recover its (sigma, U, V) conjugation form.
 
-Pipeline stages, each with a typed failure and a fixed threshold; only the
-Kronecker residual's ``tol`` is an argument of :func:`decompose`:
+:func:`decompose` tries a sample-free success path first and runs the seeded
+sampled stages only when it fails, to name the refusal.  Each stage has a
+typed failure and a fixed threshold; only ``tol`` is an argument.
 
-1. sampled preserver check            -> NotPreserverError
+Success path (no random number is drawn):
+
+1. sigma readout                      (:func:`_read_sigma`; no threshold:
+                                       a wrong pick fails stage 4)
+   For basis indices a = 0, b = 1, c = 2 (Y indices 0, 1, 2), phi(x_a x_b*)
+   and phi(x_a x_c*) share their left singular vector w_a under the identity
+   and their right one under the transpose; the readout keeps the hypothesis
+   whose pair is closer.  When n = 2 (m = 1) there is no third index; there
+   span(MES) is the whole space, and c = 0 serves.
+2. conjugation-unitary recovery       -> NoSolutionError
+   (smallest/largest singular value of the columns read off >= 1 - 1e-6)
+3. nearest Kronecker factorization    -> NotKroneckerError
+   (Kronecker residual < ``tol``; factors unitary within 1e-8)
+4. span certificate                   -> NotPreserverError
+   (``verification_residual`` < 1e-6); the path accepts only when the
+   residual is also below ``tol``
+
+Diagnostic route, run only when the success path did not accept; it raises
+the first failure, so a refusal names its stage:
+
+5. sampled preserver check            -> NotPreserverError
    (20 seeded MES, each image an MES within a relative 1e-8)
-2. sigma discriminant (det J(G))      -> InconsistentChoiError
+6. sigma discriminant (det J(G))      -> InconsistentChoiError
    (balls of radius 0.5 around det 0 and det -1); before it, NotMESError,
    NotInvertibleError (two image classes coincide, sin^2 < 1e-8: the trace
    form) or SubspaceViolationError (cross-term residual, relative 1e-8)
-3. conjugation-unitary recovery       -> NoSolutionError
-   (smallest/largest singular value of the columns read off >= 1 - 1e-6)
-4. nearest Kronecker factorization    -> NotKroneckerError
-   (Kronecker residual < ``tol``; factors unitary within 1e-8)
-5. span certificate                   -> NotPreserverError
-   (``verification_residual`` < 1e-6)
+7. stages 2-4 under the detected sigma, without the ``tol`` bound on the
+   certificate; when it is the sigma read in stage 1, the success path's
+   result or failure is reused.
 
-Stage 3 reads the unitary W off the sigma-corrected matrix itself.  For basis
+Stage 2 reads the unitary W off the sigma-corrected matrix itself.  For basis
 vectors x_a, x_b with different Y indices, x_a x_b* lies in span(MES) (its
 trace and partial trace vanish), so column ``a*mn + b`` of the matrix is
 vec(w_a w_b*), with w_a the columns of W.  One rank-one column fixes w_r and
 w_s up to a common phase, and every other w_a follows by one matrix-vector
 product.
 
-Stage 5 decides success.  ``verification_residual`` is the spectral norm eps
+Stage 4 decides success.  ``verification_residual`` is the spectral norm eps
 of ``phi - Ad_W o sigma`` on span(MES), with the closed-form basis P of the
 span's complement {A (x) I_n : tr A = 0} projected out; it bounds the
 residual of every MES (each has unit Frobenius norm).  Ad_W o sigma is a
 Frobenius isometry of span(MES) onto itself, so eps < 1 puts phi's smallest
 singular value on the span at or above 1 - eps: no separate invertibility
-check is needed.
+check is needed.  Whichever route accepts, sigma, U, V and both residuals come
+from the same stages 2-4 on the same sigma-corrected matrix, so they do not
+depend on the route or on ``seed``.
+
+Noise contract.  The success path holds the certificate to ``tol`` as well
+as the Kronecker residual: at m = 1 every unitary is a Kronecker product, so
+the Kronecker residual alone bounds no noise there.  With the default
+``tol`` = 1e-9 the verdicts stay those of the sampled stages alone: in a
+seeded scan of Frobenius-normalised noise (1e-10 to 1e-6, ten seeds, both
+sigma, (m,k) from (1,2) to (3,3): 900 maps) none moved; 398 of its 512
+accepts drew no sample, and the other 114 certified between ``tol`` and
+1e-6, took the diagnostic route and passed it.  A looser ``tol`` widens the
+success path up to the 1e-6 certificate, so noise that the sampled stages
+refuse at their 1e-8 but that certifies below 1e-6 is accepted: at ``tol`` =
+1e-3 the same scan accepted 898 maps, none sampled, 286 of them refused
+before by the sampled preserver check (at (1,2) from 1e-8, at (2,2) and
+(2,3) from 1e-7, at (3,2) and (3,3) from 3e-7).
 """
 
 from __future__ import annotations
@@ -54,6 +88,7 @@ from .superop import (
     SigmaFlag,
     Superoperator,
     _add_product,
+    _as_int,
     _conjugation_matrix,
     _span_complement,
     _transpose_columns,
@@ -114,28 +149,35 @@ def recover_unitary(phi_corrected, dims: Dims) -> np.ndarray:
     return fix_global_phase(u @ vh)
 
 
-def decompose(phi: Superoperator, tol: float = 1e-9, seed=0) -> Decomposition:
-    """Classify an invertible MES preserver as (sigma, U, V).
+def _read_sigma(phi: Superoperator) -> SigmaFlag:
+    """The sigma hypothesis worth certifying, read in closed form.
 
-    ``tol`` gates the Kronecker residual of the recovered unitary; ``seed``
-    drives only stages 1 and 2, the sampled preserver check and the sigma
-    discriminant.  Raises the typed error of the first failing pipeline
-    stage.  Success needs the span certificate of :func:`verify_theorem_form`
-    below 1e-6, and the returned record carries it with the Kronecker
-    residual.
+    Under the identity, phi(x_0 x_1*) = w_0 w_1* and phi(x_0 x_c*) = w_0 w_c*
+    share the left singular vector w_0; under the transpose they are
+    w_1 w_0* and w_c w_0* and share the right one.  The flag whose leading
+    singular vectors are closer (sin^2 of their angle) is returned.  c = 2
+    when n >= 3.  When n = 2 (so m = 1) there is no third index, but the
+    span's complement {A (x) I : tr A = 0} is {0}, so x_0 x_0* lies in
+    span(MES) and c = 0 serves: phi(x_0 x_0*) = w_0 w_0* under either flag.
+    """
+    d = phi.dims.mn
+    c = 2 if phi.dims.n >= 3 else 0
+    images = phi.matrix.reshape(d, d, d, d)  # images[:, :, a, b] = phi(x_a x_b*)
+    u1, _, vh1 = np.linalg.svd(images[:, :, 0, 1])
+    u2, _, vh2 = np.linalg.svd(images[:, :, 0, c])
+    left = 1.0 - abs(np.vdot(u1[:, 0], u2[:, 0])) ** 2
+    right = 1.0 - abs(np.vdot(vh1[0], vh2[0])) ** 2
+    return SigmaFlag.IDENTITY if left <= right else SigmaFlag.TRANSPOSE
+
+
+def _certify(phi: Superoperator, sigma: SigmaFlag, tol: float) -> Decomposition:
+    """Stages 2-4 under ``sigma``: recovery, Kronecker split, span certificate.
+
+    Raises the typed error of the first failing stage; the returned record
+    carries the certificate below 1e-6 and the Kronecker residual below
+    ``tol``.
     """
     dims = phi.dims
-    if dims.k < 2:
-        raise DimensionError(
-            "classification applies to block counts k >= 2; square-space (k = 1) "
-            "maps are out of scope"
-        )
-    if not preserves_mes(phi, seed=seed):
-        raise NotPreserverError("stage preserves-mes: a sampled MES image is not an MES")
-    try:
-        sigma = detect_sigma(phi, seed=seed)
-    except (InconsistentChoiError, NotInvertibleError, NotMESError, SubspaceViolationError) as exc:
-        raise type(exc)(f"stage discriminant: {exc}") from exc
     try:
         # the sigma-corrected copy lives only for this call
         W = recover_unitary(
@@ -164,6 +206,46 @@ def decompose(phi: Superoperator, tol: float = 1e-9, seed=0) -> Decomposition:
     if residual >= 1e-6:
         raise NotPreserverError(f"stage certificate: span residual {residual:.3e} >= 1e-6")
     return replace(dec, verification_residual=residual)
+
+
+def decompose(phi: Superoperator, tol: float = 1e-9, seed=0) -> Decomposition:
+    """Classify an invertible MES preserver as (sigma, U, V).
+
+    The sample-free success path (stages 1-4 of the module docstring) accepts
+    when the Kronecker residual and the span certificate are both below
+    ``tol`` (the certificate also below 1e-6).  Otherwise the diagnostic route
+    runs the sampled stages and raises the typed error of the first failing
+    stage, or accepts a map they pass whose certificate is below 1e-6.
+    ``seed`` must be an integer (TypeError otherwise, on every path) and
+    drives only that route; an accept does not depend on it.  The returned
+    record carries the certificate of :func:`verify_theorem_form` and the
+    Kronecker residual.
+    """
+    seed = _as_int(seed)
+    if phi.dims.k < 2:
+        raise DimensionError(
+            "classification applies to block counts k >= 2; square-space (k = 1) "
+            "maps are out of scope"
+        )
+    read = _read_sigma(phi)
+    try:
+        outcome = _certify(phi, read, tol)
+    except (NoSolutionError, NotKroneckerError, NotPreserverError) as exc:
+        outcome = exc
+    if isinstance(outcome, Decomposition) and outcome.verification_residual < tol:
+        return outcome
+    if not preserves_mes(phi, seed=seed):
+        raise NotPreserverError("stage preserves-mes: a sampled MES image is not an MES")
+    try:
+        sigma = detect_sigma(phi, seed=seed)
+    except (InconsistentChoiError, NotInvertibleError, NotMESError, SubspaceViolationError) as exc:
+        raise type(exc)(f"stage discriminant: {exc}") from exc
+    if sigma is not read:
+        return _certify(phi, sigma, tol)
+    # stages 2-4 under the read sigma already ran: reuse their verdict
+    if not isinstance(outcome, Decomposition):
+        raise outcome
+    return outcome
 
 
 def verify_theorem_form(phi: Superoperator, dec: Decomposition) -> float:

@@ -1,6 +1,10 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +12,10 @@ import pytest
 from meskit import (
     DimensionError,
     Dims,
+    MESKitError,
     NoSolutionError,
     NotInvertibleError,
+    NotKroneckerError,
     NotMESError,
     NotPreserverError,
     SigmaFlag,
@@ -37,7 +43,8 @@ from meskit import (
     vec,
     zeta_image,
 )
-from meskit.classify import Decomposition
+from meskit import choi, classify, superop
+from meskit.classify import Decomposition, _certify, _read_sigma
 from meskit.cli import main
 from meskit.superop import _require_unitary, _span_complement, make_swap_preserver
 from conftest import complex_gaussian, phase_aligned_distance, unitary_pair
@@ -268,6 +275,7 @@ def test_verification_residual_bounds_every_mes(m, k, sigma):
         align_images,
         representative,
         commutes_with_ad,
+        _read_sigma,
     ],
 )
 def test_stage_thresholds_are_fixed(func):
@@ -331,3 +339,159 @@ def test_decompose_peak_memory_near_the_map(sigma):
         tracemalloc.stop()
     assert dec.sigma is sigma
     assert peak < 3.5 * phi.matrix.nbytes
+
+
+def _forbid_sampling(monkeypatch):
+    """Make the sampled stages' draws raise, so a run that samples fails."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sampled stage ran")
+
+    monkeypatch.setattr(superop, "random_coisometry", refuse)
+    monkeypatch.setattr(choi, "orthogonal_family", refuse)
+
+
+@pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("sigma", list(SigmaFlag))
+def test_accept_runs_no_sampled_stage(m, k, sigma, monkeypatch):
+    phi = make_adjoint_preserver(*unitary_pair(Dims.from_mk(m, k), 41), sigma)
+    # at (1,2), n = 2: no third index, so the readout compares with phi(x_0 x_0*)
+    assert _read_sigma(phi) is sigma
+    # the diagnostic route: sampled preserver check, discriminant, then stages 2-4
+    assert preserves_mes(phi)
+    reference = _certify(phi, detect_sigma(phi), 1e-9)
+    _forbid_sampling(monkeypatch)
+    dec = decompose(phi)
+    assert dec.sigma is reference.sigma is sigma
+    np.testing.assert_array_equal(dec.U, reference.U)
+    np.testing.assert_array_equal(dec.V, reference.V)
+    assert dec.kron_residual == reference.kron_residual
+    assert dec.verification_residual == reference.verification_residual
+
+
+def test_accept_does_not_depend_on_seed():
+    phi = make_adjoint_preserver(*unitary_pair(Dims.from_mk(2, 3), 45), SigmaFlag.TRANSPOSE)
+    decs = [decompose(phi, seed=seed) for seed in (0, 1, 2**40, np.int64(7))]
+    for dec in decs[1:]:
+        assert dec.sigma is decs[0].sigma
+        np.testing.assert_array_equal(dec.U, decs[0].U)
+        np.testing.assert_array_equal(dec.V, decs[0].V)
+        assert dec.verification_residual == decs[0].verification_residual
+
+
+@pytest.mark.parametrize("seed", [2.7, "1"])
+def test_seed_must_be_an_integer(seed):
+    accept = make_adjoint_preserver(*unitary_pair(DIMS, 47), SigmaFlag.IDENTITY)
+    refusal = make_trace_preserver(pi(random_coisometry(DIMS, 47)))
+    for phi in (accept, refusal):
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            decompose(phi, seed=seed)
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            detect_sigma(phi, seed=seed)
+
+
+@pytest.mark.parametrize("form,loaded", [("adjoint", False), ("trace", True)])
+def test_classify_accept_does_not_import_numpy_random(tmp_path, form, loaded):
+    # the trace-form refusal runs the sampled stages, so it shows the check can see the import
+    dims = Dims.from_mk(2, 3)
+    if form == "trace":
+        phi = make_trace_preserver(pi(random_coisometry(dims, 49)))
+    else:
+        phi = make_adjoint_preserver(*unitary_pair(dims, 49), SigmaFlag.TRANSPOSE)
+    path = tmp_path / "superop.json"
+    serialize.write_json(str(path), serialize.superoperator_to_obj(phi.matrix, phi.dims))
+    # numpy 1.x loads numpy.random with numpy itself; only numpy >= 2 loads it lazily
+    code = (
+        "import sys\n"
+        "import numpy\n"
+        "eager = 'numpy.random' in sys.modules\n"
+        "import meskit.cli\n"
+        "code = meskit.cli.main(['classify', sys.argv[1]])\n"
+        "print(code, eager, 'numpy.random' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    exit_code, eager, after = out.stdout.split()[-3:]
+    assert exit_code == ("4" if loaded else "0")
+    assert after == str(loaded or eager == "True")
+
+
+def _diagnostic_verdict(phi, tol):
+    """The verdict of the sampled pipeline alone: preserver check,
+    discriminant, then stages 2-4 under the detected sigma."""
+    if not preserves_mes(phi):
+        return "NotPreserverError"
+    try:
+        return _certify(phi, detect_sigma(phi), tol).sigma
+    except MESKitError as exc:
+        return type(exc).__name__
+
+
+def _verdict(phi, tol):
+    try:
+        return decompose(phi, tol=tol).sigma
+    except MESKitError as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (3, 2)])
+def test_noise_contract_default_tol_keeps_the_sampled_verdict(m, k):
+    # the success path holds the certificate to tol, so with the default tol a
+    # seeded noise scan gives the sampled pipeline's verdicts, refusals included
+    verdicts = set()
+    for sigma in SigmaFlag:
+        for eps in (1e-9, 1e-8, 3e-8, 1e-6):
+            for seed in range(3):
+                phi, _, _ = _noisy_preserver(Dims.from_mk(m, k), sigma, eps, 60 + seed)
+                verdict = _verdict(phi, 1e-9)
+                assert verdict == _diagnostic_verdict(phi, 1e-9), (sigma, eps, seed)
+                verdicts.add(verdict)
+    assert set(SigmaFlag) < verdicts
+
+
+# Noise the sampled preserver check refuses at its 1e-8 that still certifies
+# below 1e-6 under the right sigma.
+@pytest.mark.parametrize("m,k,eps", [(1, 2, 3e-8), (2, 2, 1e-7), (2, 3, 1e-7), (3, 2, 3e-7)])
+@pytest.mark.parametrize("sigma", [SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE])
+def test_noise_contract_loose_tol_accepts_the_band_without_sampling(m, k, eps, sigma, monkeypatch):
+    phi, _, _ = _noisy_preserver(Dims.from_mk(m, k), sigma, eps, 21)
+    with pytest.raises(NotPreserverError, match=r"^stage preserves-mes: "):
+        decompose(phi)
+    _forbid_sampling(monkeypatch)
+    dec = decompose(phi, tol=1e-3)
+    assert dec.sigma is sigma
+    assert 1e-8 < dec.verification_residual < 1e-6
+
+
+def test_noise_contract_default_tol_samples_above_tol(monkeypatch):
+    # noise that certifies between tol and 1e-6 is accepted by the sampled route
+    phi, _, _ = _noisy_preserver(DIMS, SigmaFlag.IDENTITY, 1e-8, 21)
+    dec = decompose(phi)
+    assert dec.kron_residual < 1e-9 < dec.verification_residual < 1e-6
+    _forbid_sampling(monkeypatch)
+    with pytest.raises(AssertionError, match="a sampled stage ran"):
+        decompose(phi)
+
+
+@pytest.mark.parametrize("tol,error", [(1e-9, None), (1e-13, NotKroneckerError)])
+def test_diagnostic_route_reuses_the_read_sigma_verdict(tol, error, monkeypatch):
+    # the sampled stages pass and detect the read sigma: stages 2-4 do not run twice,
+    # whether they accepted (certificate above tol) or refused (Kronecker residual)
+    phi, _, _ = _noisy_preserver(DIMS, SigmaFlag.IDENTITY, 1e-8, 21)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return _certify(*args)
+
+    monkeypatch.setattr(classify, "_certify", counted)
+    if error is None:
+        assert decompose(phi, tol=tol).sigma is SigmaFlag.IDENTITY
+    else:
+        with pytest.raises(error, match=r"^stage factorization: "):
+            decompose(phi, tol=tol)
+    assert calls == [SigmaFlag.IDENTITY]
