@@ -217,11 +217,13 @@ def decompose(phi: Superoperator, tol: float = 1e-9, seed=0) -> Decomposition:
     runs the sampled stages and raises the typed error of the first failing
     stage, or accepts a map they pass whose certificate is below 1e-6.
     ``seed`` must be an integer (TypeError otherwise, on every path) and
-    drives only that route; an accept does not depend on it.  The returned
-    record carries the certificate of :func:`verify_theorem_form` and the
-    Kronecker residual.
+    drives only that route; an accept does not depend on it.  A non-finite
+    entry is refused first (NotPreserverError).  The returned record carries
+    the certificate of :func:`verify_theorem_form` and the Kronecker residual.
     """
     seed = _as_int(seed)
+    if not np.isfinite(phi.matrix).all():
+        raise NotPreserverError("stage input: the matrix has a non-finite entry")
     if phi.dims.k < 2:
         raise DimensionError(
             "classification applies to block counts k >= 2; square-space (k = 1) "

@@ -2,19 +2,23 @@
 
 Subcommands: ``gen`` (emit a canonical preserver plus a ground-truth sidecar),
 ``classify`` (decompose a superoperator into sigma/U/V), ``extend`` (blockwise
-extension plus commutation report), ``check-lemmas`` (structural identity
+extension plus its certificate), ``check-lemmas`` (structural identity
 suite).  Results go to stdout as JSON; failures emit an error JSON on stderr.
+
+``extend --sigma auto`` refuses a map as ``classify`` does and reports its span
+certificate, which bounds the extension on every MES of Y (x) Y; an explicit
+``--sigma`` certifies the map under that sigma.
 
 Exit codes: 0 success, 2 usage/parse errors, 3 not a preserver (including a
 failed span certificate), 4 not invertible on the MES span, 5 inconsistent
 Choi discriminant, 6 recovered unitary not a Kronecker product, 1 unexpected
-numerical breakdown or a report with ``"all_pass": false`` (``extend``,
-``check-lemmas``).
+numerical breakdown or a report with ``"all_pass": false`` (``extend`` under
+an explicit sigma, ``check-lemmas``).
 
 Each subcommand accepts only the flags it reads: ``--tol`` for ``classify``,
-``extend`` and ``check-lemmas``, ``--samples`` (default 20) for ``extend`` and
-``check-lemmas``.  Where ``--tol`` is accepted, it defaults to the MESKIT_TOL
-environment variable and then to 1e-9; other subcommands ignore MESKIT_TOL.
+``extend`` and ``check-lemmas``, ``--samples`` (default 20) for ``check-lemmas``
+only.  Where ``--tol`` is accepted, it defaults to the MESKIT_TOL environment
+variable and then to 1e-9; other subcommands ignore MESKIT_TOL.
 """
 
 from __future__ import annotations
@@ -27,23 +31,22 @@ import sys
 import numpy as np
 
 from . import lemmas, serialize
-from .choi import detect_sigma
-from .classify import Decomposition, decompose
+from .classify import Decomposition, _certify, decompose
 from .errors import (
     DimensionError,
     InconsistentChoiError,
     MESKitError,
+    NoSolutionError,
     NotInvertibleError,
     NotKroneckerError,
     NotMESError,
     NotPreserverError,
 )
-from .extension import ad_commutation_residual, extend, structural_unitaries
-from .states import is_mes, pi, random_coisometry
+from .extension import extend
+from .states import pi, random_coisometry
 from .superop import (
     SigmaFlag,
     Superoperator,
-    apply,
     make_adjoint_preserver,
     make_swap_preserver,
     make_trace_preserver,
@@ -164,44 +167,37 @@ def cmd_extend(args) -> int:
         phi = _load_superop(args.input)
     except _READ_ERRORS as exc:
         return _fail(exc, _EXIT_USAGE)
+    auto = args.sigma == "auto"
     try:
-        if args.sigma == "auto":
-            sigma = detect_sigma(phi, seed=args.seed)
-        else:
-            sigma = SigmaFlag(args.sigma)
-        ext = extend(phi, sigma)
+        if auto:
+            dec = decompose(phi, tol=args.tol, seed=args.seed)
+        ext = extend(phi, dec.sigma if auto else SigmaFlag(args.sigma))
     except MESKitError as exc:
         return _fail(exc, _error_code(exc))
-    dims = phi.dims
-    samples = args.samples
-    states = [
-        pi(random_coisometry(ext.yy_dims, np.random.SeedSequence([args.seed, 43, i]))).matrix
-        for i in range(samples)
-    ]
-    commutation = []
-    for name, w in structural_unitaries(dims):
-        residual = max(ad_commutation_residual(ext, w, s) for s in states)
-        commutation.append({"operator": name, "max_residual": residual, "pass": residual < args.tol})
-    mes_ok = sum(1 for s in states if is_mes(apply(ext, s), ext.yy_dims, 1e-8))
+    if not auto:
+        try:
+            dec = _certify(phi, ext.sigma, args.tol)
+        except (NoSolutionError, NotKroneckerError, NotPreserverError) as exc:
+            dec = exc
+    certified = isinstance(dec, Decomposition)
     report = {
-        "sigma": sigma.value,
-        "dims": serialize.dims_to_obj(dims),
-        "commutation": commutation,
-        "mes_preservation": {"samples": samples, "preserved": mes_ok, "pass": mes_ok == samples},
+        "sigma": ext.sigma.value,
+        "dims": serialize.dims_to_obj(phi.dims),
+        "certificate": dec.verification_residual if certified else str(dec),
         "tol": args.tol,
-        "all_pass": all(c["pass"] for c in commutation) and mes_ok == samples,
+        "all_pass": certified,
     }
     side = ext.yy_dims.mn**2
     serialize.write_json(
         args.out or "extended.json",
         {
-            "base_dims": serialize.dims_to_obj(dims),
-            "sigma": sigma.value,
+            "base_dims": serialize.dims_to_obj(phi.dims),
+            "sigma": ext.sigma.value,
             "matrix": serialize.row_slabs_to_obj(ext.row_slabs(), side, side),
         },
     )
     print(serialize.dumps(report))
-    return 0 if report["all_pass"] else 1
+    return 0 if certified else 1
 
 
 def cmd_check_lemmas(args) -> int:
@@ -257,9 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     classify.add_argument("--out", default=None, help="also write the decomposition here")
     classify.set_defaults(func=cmd_classify)
 
-    ext = sub.add_parser("extend", help="blockwise extension plus commutation report")
+    ext = sub.add_parser("extend", help="blockwise extension plus its span certificate")
     ext.add_argument("input", help="superoperator JSON file")
-    _add_common(ext, tol=True, samples=True)
+    _add_common(ext, tol=True)
     ext.add_argument("--sigma", choices=["identity", "transpose", "auto"], default="auto")
     ext.add_argument("--out", default=None, help="output path for the extension (default extended.json)")
     ext.set_defaults(func=cmd_extend)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .states import pi, random_coisometry
-from .superop import SigmaFlag, Superoperator, apply
+from .superop import SigmaFlag, Superoperator, _as_int, apply
 from .tensor import Dims, as_complex, frobenius, kron
 
 
@@ -178,7 +178,7 @@ def commutes_with_ad(phi_tilde, W, seed=0) -> bool:
     MES of Y (x) Y."""
     dims = _yy_sampling_dims(phi_tilde)
     for i in range(20):
-        A = random_coisometry(dims, np.random.SeedSequence([int(seed), 17, i]))
+        A = random_coisometry(dims, np.random.SeedSequence([_as_int(seed), 17, i]))
         if ad_commutation_residual(phi_tilde, W, pi(A).matrix) >= 1e-9:
             return False
     return True

@@ -16,7 +16,7 @@ import numpy as np
 from .choi import align_images, choi_matrix, restricted_g
 from .extension import ad_commutation_residual, extend, structural_unitaries
 from .states import is_coisometry, orthogonal_family, pi, random_coisometry
-from .superop import SigmaFlag, Superoperator, apply, make_adjoint_preserver
+from .superop import SigmaFlag, Superoperator, _as_int, apply, make_adjoint_preserver
 from .tensor import (
     Dims,
     frobenius,
@@ -42,7 +42,7 @@ class CheckResult:
 
 
 def _rng(seed, *path) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *path]))
+    return np.random.default_rng(np.random.SeedSequence([_as_int(seed), *path]))
 
 
 def _complex_matrix(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
@@ -50,8 +50,8 @@ def _complex_matrix(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
 
 
 def _random_preserver(dims: Dims, sigma: SigmaFlag, seed, *path) -> Superoperator:
-    u = haar_unitary(dims.m, np.random.SeedSequence([int(seed), *path, 0]))
-    v = haar_unitary(dims.n, np.random.SeedSequence([int(seed), *path, 1]))
+    u = haar_unitary(dims.m, np.random.SeedSequence([_as_int(seed), *path, 0]))
+    v = haar_unitary(dims.n, np.random.SeedSequence([_as_int(seed), *path, 1]))
     return make_adjoint_preserver(u, v, sigma)
 
 
@@ -74,7 +74,7 @@ def check_mes_partial_trace(dims: Dims, samples: int, seed) -> float:
     worst = 0.0
     for i in range(samples):
         states = [
-            pi(random_coisometry(dims, np.random.SeedSequence([int(seed), 102, i, j]))).matrix
+            pi(random_coisometry(dims, np.random.SeedSequence([_as_int(seed), 102, i, j]))).matrix
             for j in range(3)
         ]
         worst = max(worst, frobenius(partial_trace_y(states[0], dims) - eye / dims.m))
@@ -94,7 +94,7 @@ def check_pure_states_in_span(dims: Dims, samples: int, seed) -> float:
     worst = 0.0
     for i in range(samples):
         if i % 2 == 0:
-            state = pi(random_coisometry(dims, np.random.SeedSequence([int(seed), 103, i])))
+            state = pi(random_coisometry(dims, np.random.SeedSequence([_as_int(seed), 103, i])))
             mat = state.matrix
         else:
             u = rng.standard_normal(dims.mn) + 1j * rng.standard_normal(dims.mn)
@@ -137,12 +137,12 @@ def check_orthogonality_equivalence(dims: Dims, samples: int, seed) -> float:
     rng = _rng(seed, 104)
     disagreements = 0
     for i in range(samples):
-        family = orthogonal_family(dims, np.random.SeedSequence([int(seed), 104, i]))
+        family = orthogonal_family(dims, np.random.SeedSequence([_as_int(seed), 104, i]))
         conds = _five_way_conditions(family[0].matrix, family[1].matrix, rng)
         if not all(conds):
             disagreements += 1
-        b1 = random_coisometry(dims, np.random.SeedSequence([int(seed), 105, i, 0]))
-        b2 = random_coisometry(dims, np.random.SeedSequence([int(seed), 105, i, 1]))
+        b1 = random_coisometry(dims, np.random.SeedSequence([_as_int(seed), 105, i, 0]))
+        b2 = random_coisometry(dims, np.random.SeedSequence([_as_int(seed), 105, i, 1]))
         conds = _five_way_conditions(b1.matrix, b2.matrix, rng)
         if any(conds):
             disagreements += 1
@@ -156,7 +156,7 @@ def check_choi_discriminant(dims: Dims, samples: int, seed) -> float:
     for i in range(samples):
         for sigma in _BOTH_SIGMA:
             phi = _random_preserver(dims, sigma, seed, 106, i)
-            family = orthogonal_family(dims, np.random.SeedSequence([int(seed), 107, i]))
+            family = orthogonal_family(dims, np.random.SeedSequence([_as_int(seed), 107, i]))
             det = complex(np.linalg.det(choi_matrix(restricted_g(phi, family[0], family[1]))))
             target = 0.0 if sigma is SigmaFlag.IDENTITY else -1.0
             worst = max(worst, abs(det - target))
@@ -172,7 +172,7 @@ def check_pair_semilinearity(dims: Dims, samples: int, seed) -> float:
     for i in range(samples):
         for sigma in _BOTH_SIGMA:
             phi = _random_preserver(dims, sigma, seed, 109, i)
-            family = orthogonal_family(dims, np.random.SeedSequence([int(seed), 110, i]))
+            family = orthogonal_family(dims, np.random.SeedSequence([_as_int(seed), 110, i]))
             pair = [family[0], family[1]]
             images = align_images(phi, pair)
             ab = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -210,7 +210,7 @@ def check_family_alignment(dims: Dims, samples: int, seed) -> float:
     for i in range(samples):
         for sigma in _BOTH_SIGMA:
             phi = _random_preserver(dims, sigma, seed, 113, i)
-            family = orthogonal_family(dims, np.random.SeedSequence([int(seed), 114, i]))
+            family = orthogonal_family(dims, np.random.SeedSequence([_as_int(seed), 114, i]))
             images = align_images(phi, family)
             for p in range(dims.k):
                 for q in range(dims.k):
@@ -238,7 +238,7 @@ def check_extension_preserves_mes(dims: Dims, samples: int, seed) -> float:
         phi = _random_preserver(dims, sigma, seed, 115)
         ext = extend(phi, sigma)
         for i in range(samples):
-            state = pi(random_coisometry(ext.yy_dims, np.random.SeedSequence([int(seed), 116, i])))
+            state = pi(random_coisometry(ext.yy_dims, np.random.SeedSequence([_as_int(seed), 116, i])))
             image = apply(ext, state.matrix)
             _, rank1_residual = rank_one_factor(image, 1e-6)
             ptrace_dev = frobenius(
@@ -256,7 +256,7 @@ def check_structural_commutation(dims: Dims, samples: int, seed) -> float:
         phi = _random_preserver(dims, sigma, seed, 117)
         ext = extend(phi, sigma)
         for i in range(samples):
-            state = pi(random_coisometry(ext.yy_dims, np.random.SeedSequence([int(seed), 118, i])))
+            state = pi(random_coisometry(ext.yy_dims, np.random.SeedSequence([_as_int(seed), 118, i])))
             for w in operators:
                 worst = max(worst, ad_commutation_residual(ext, w, state.matrix))
     return worst
@@ -273,9 +273,9 @@ def check_switch_identities(dims: Dims, samples: int, seed) -> float:
     square = Dims(m=n, n=n, k=1)
     worst = 0.0
     for i in range(samples):
-        a = haar_unitary(n, np.random.SeedSequence([int(seed), 119, i, 0]))
-        u = haar_unitary(n, np.random.SeedSequence([int(seed), 119, i, 1]))
-        v = haar_unitary(n, np.random.SeedSequence([int(seed), 119, i, 2]))
+        a = haar_unitary(n, np.random.SeedSequence([_as_int(seed), 119, i, 0]))
+        u = haar_unitary(n, np.random.SeedSequence([_as_int(seed), 119, i, 1]))
+        v = haar_unitary(n, np.random.SeedSequence([_as_int(seed), 119, i, 2]))
         state = pi(a, square).matrix
         switched = state.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)
         worst = max(worst, frobenius(switched - pi(a.T, square).matrix))

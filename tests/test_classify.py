@@ -25,6 +25,7 @@ from meskit import (
     commutes_with_ad,
     decompose,
     detect_sigma,
+    extend,
     identity_superop,
     is_invertible_on_span,
     kron,
@@ -43,7 +44,7 @@ from meskit import (
     vec,
     zeta_image,
 )
-from meskit import choi, classify, superop
+from meskit import choi, classify, lemmas, superop
 from meskit.classify import Decomposition, _certify, _read_sigma
 from meskit.cli import main
 from meskit.superop import _require_unitary, _span_complement, make_swap_preserver
@@ -388,6 +389,21 @@ def test_seed_must_be_an_integer(seed):
             decompose(phi, seed=seed)
         with pytest.raises(TypeError, match="seed must be an integer"):
             detect_sigma(phi, seed=seed)
+    with pytest.raises(TypeError, match="seed must be an integer"):
+        lemmas.run_all(DIMS, samples=1, seed=seed)
+    ext = extend(accept, SigmaFlag.IDENTITY)
+    with pytest.raises(TypeError, match="seed must be an integer"):
+        commutes_with_ad(ext, np.eye(DIMS.n**2), seed=seed)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_decompose_refuses_non_finite_input(value):
+    # a typed refusal before any stage, not numpy's LinAlgError from an SVD
+    phi = make_adjoint_preserver(*unitary_pair(DIMS, 53), SigmaFlag.IDENTITY)
+    matrix = phi.matrix.copy()
+    matrix[3, 5] = value
+    with pytest.raises(NotPreserverError, match=r"^stage input: "):
+        decompose(Superoperator(matrix=matrix, dims=DIMS))
 
 
 @pytest.mark.parametrize("form,loaded", [("adjoint", False), ("trace", True)])

@@ -4,9 +4,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from meskit import Dims, SigmaFlag, Superoperator, extend, kron, serialize
+from conftest import complex_gaussian, unitary_pair
+from meskit import (
+    Dims,
+    SigmaFlag,
+    Superoperator,
+    decompose,
+    extend,
+    kron,
+    make_trace_preserver,
+    pi,
+    random_coisometry,
+    serialize,
+)
 from meskit.cli import main
 from meskit.extension import ExtendedSuperoperator
+from meskit.superop import _conjugation_matrix
 
 
 def run_cli(capsys, *argv):
@@ -76,15 +89,15 @@ def test_extend_auto_sigma_trace_form_exit_4(tmp_path, capsys):
 
 
 def test_extend_failing_report_exit_1(tmp_path, capsys):
-    # the trace form is not a conjugation, so its forced identity extension fails the report
-    out = str(tmp_path / "trace.json")
+    # the trace form is not a conjugation, so its forced identity extension fails the
+    # certificate at recovery; the extension is still written
+    out, ext = str(tmp_path / "trace.json"), tmp_path / "ext.json"
     assert run_cli(capsys, "gen", "--form", "trace", "--out", out)[0] == 0
-    code, stdout, _ = run_cli(
-        capsys, "extend", out, "--sigma", "identity", "--out", str(tmp_path / "ext.json")
-    )
+    code, stdout, _ = run_cli(capsys, "extend", out, "--sigma", "identity", "--out", str(ext))
     assert code == 1
     report = json.loads(stdout)
-    assert not report["all_pass"] and not report["mes_preservation"]["pass"]
+    assert not report["all_pass"] and report["certificate"].startswith("stage recovery: ")
+    assert json.loads(ext.read_text())["sigma"] == "identity"
 
 
 def test_flags_only_where_read(tmp_path, capsys, monkeypatch):
@@ -95,8 +108,9 @@ def test_flags_only_where_read(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MESKIT_TOL", "abc")  # gen takes no --tol, so it ignores MESKIT_TOL
     assert run_cli(capsys, "gen", "--out", out)[0] == 0
     monkeypatch.delenv("MESKIT_TOL")
-    code, stdout, stderr = run_cli(capsys, "classify", out, "--samples", "3")
-    assert code == 2 and stdout == "" and "--samples" in stderr
+    for command in ("classify", "extend"):
+        code, stdout, stderr = run_cli(capsys, command, out, "--samples", "3")
+        assert code == 2 and stdout == "" and "--samples" in stderr
 
 
 @pytest.mark.parametrize(
@@ -104,11 +118,11 @@ def test_flags_only_where_read(tmp_path, capsys, monkeypatch):
     [
         (["classify", "SOP", "--tol", "0"], None, "tol must be positive"),
         (["classify", "SOP", "--tol", "-5"], None, "tol must be positive"),
-        (["extend", "SOP", "--samples", "0"], None, "samples must be >= 1"),
+        (["extend", "SOP", "--tol", "0"], None, "tol must be positive"),
         (["check-lemmas", "--samples", "0"], None, "samples must be >= 1"),
         (["classify", "SOP"], "abc", "could not convert string to float: 'abc'"),
         (["classify", "SOP"], "-1", "tol must be positive"),
-        (["extend", "SOP", "--tol", "0", "--samples", "0"], "abc", "tol must be positive"),
+        (["check-lemmas", "--tol", "0", "--samples", "0"], "abc", "tol must be positive"),
         (["classify", "SOP", "--tol", "nan"], None, "tol must be finite"),
         (["extend", "SOP", "--tol", "nan"], None, "tol must be finite"),
         (["check-lemmas", "--tol", "inf"], None, "tol must be finite"),
@@ -186,7 +200,7 @@ def test_gen_swap_square_space_ok(tmp_path, capsys):
     assert matrix.shape == (81, 81)
 
 
-def test_extend_reports_commutation(tmp_path, capsys):
+def test_extend_reports_the_certificate(tmp_path, capsys):
     out = str(tmp_path / "sop.json")
     assert run_cli(
         capsys, "gen", "--m", "2", "--k", "2", "--sigma", "identity", "--out", out, "--seed", "5"
@@ -195,14 +209,69 @@ def test_extend_reports_commutation(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "extend", out, "--out", ext_out)
     assert code == 0
     report = json.loads(stdout)
-    assert report["sigma"] == "identity"
-    assert report["all_pass"]
-    assert {c["operator"] for c in report["commutation"]} == {"P1xI", "P2xI", "Q12"}
-    assert all(c["max_residual"] < 1e-9 for c in report["commutation"])
+    assert list(report) == ["sigma", "dims", "certificate", "tol", "all_pass"]
+    assert report["sigma"] == "identity" and report["all_pass"]
+    # the certificate is classify's span residual
+    dec = json.loads(run_cli(capsys, "classify", out)[1])
+    assert report["certificate"] == dec["verification_residual"] < 1e-9
     ext_obj = json.loads((tmp_path / "ext.json").read_text())
     assert ext_obj["sigma"] == "identity"
     matrix = serialize.matrix_from_obj(ext_obj["matrix"])
     assert matrix.shape == (256, 256)
+
+
+def _write_map(path, dims, sigma, eps=0.0, form="adjoint"):
+    """Write a trace form, or Ad_W o sigma with W the unitary nearest to
+    U (x) V plus Frobenius-normalised noise ``eps``: a conjugation that is
+    not a Kronecker product once ``eps`` > 0."""
+    if form == "trace":
+        phi = make_trace_preserver(pi(random_coisometry(dims, 31)))
+    else:
+        u, v = unitary_pair(dims, 31)
+        g = complex_gaussian(np.random.default_rng(31), dims.mn, dims.mn)
+        a, _, b = np.linalg.svd(kron(u, v) + eps * g / np.linalg.norm(g))
+        phi = Superoperator(_conjugation_matrix(a @ b, sigma), dims)
+    serialize.write_json(str(path), serialize.superoperator_to_obj(phi.matrix, dims))
+
+
+@pytest.mark.parametrize(
+    "form,sigma,eps,code",
+    [("trace", SigmaFlag.IDENTITY, 0.0, 4)]
+    + [("adjoint", sigma, eps, code) for sigma in SigmaFlag for eps, code in ((0.0, 0), (3e-9, 6))],
+)
+def test_extend_auto_agrees_with_classify(form, sigma, eps, code, tmp_path, capsys):
+    # one decision for both commands: the same exit code and error type
+    sop, ext = tmp_path / "sop.json", tmp_path / "ext.json"
+    _write_map(sop, Dims.from_mk(2, 2), sigma, eps, form)
+    classified = run_cli(capsys, "classify", str(sop))
+    extended = run_cli(capsys, "extend", str(sop), "--sigma", "auto", "--out", str(ext))
+    assert classified[0] == extended[0] == code
+    if code:
+        assert json.loads(extended[2])["error"] == json.loads(classified[2])["error"]
+        assert extended[1] == "" and not ext.exists()
+    else:
+        assert json.loads(extended[1])["sigma"] == json.loads(classified[1])["sigma"] == sigma.value
+
+
+@pytest.mark.parametrize("m,k", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("sigma", list(SigmaFlag))
+def test_extend_certificate_bounds_every_mes(m, k, sigma, tmp_path, capsys):
+    # each block of an MES of Y (x) Y lies in span(MES), so the certificate bounds
+    # the extension's distance from Ad_{I_k (x) U (x) V} o sigma on MES of Y (x) Y
+    dims, sop = Dims.from_mk(m, k), tmp_path / "sop.json"
+    _write_map(sop, dims, sigma, 1e-9)
+    code, stdout, _ = run_cli(capsys, "extend", str(sop), "--out", str(tmp_path / "ext.json"))
+    assert code == 0
+    bound = json.loads(stdout)["certificate"]
+    phi = Superoperator(*serialize.read_superoperator(str(sop)))
+    dec = decompose(phi)
+    ext, w = extend(phi, dec.sigma), kron(np.eye(k), kron(dec.U, dec.V))
+    worst = 0.0
+    for i in range(20):
+        rho = pi(random_coisometry(ext.yy_dims, np.random.SeedSequence([7, i]))).matrix
+        target = w @ (rho.T if sigma is SigmaFlag.TRANSPOSE else rho) @ w.conj().T
+        worst = max(worst, np.linalg.norm(ext.apply_to(rho) - target))
+    assert 0.0 < worst <= bound < 1e-9
 
 
 @pytest.mark.parametrize("m,k", [(2, 2), (1, 3)])
@@ -235,7 +304,7 @@ def test_extend_peak_memory_below_the_dense_matrix(tmp_path, capsys):
     assert run_cli(capsys, "gen", "--m", "2", "--k", "3", "--out", sop)[0] == 0
     tracemalloc.start()
     try:
-        code = main(["extend", sop, "--samples", "3", "--out", out])
+        code = main(["extend", sop, "--out", out])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
