@@ -7,7 +7,7 @@ suite).  Results go to stdout as JSON; failures emit an error JSON on stderr.
 
 ``extend --sigma auto`` refuses a map as ``classify`` does and reports its span
 certificate, which bounds the extension on every MES of Y (x) Y; an explicit
-``--sigma`` certifies the map under that sigma.
+``--sigma`` passes only when ``classify`` accepts the map with that sigma.
 
 Exit codes: 0 success, 2 usage/parse errors, 3 not a preserver (including a
 failed span certificate), 4 not invertible on the MES span, 5 inconsistent
@@ -31,12 +31,11 @@ import sys
 import numpy as np
 
 from . import lemmas, serialize
-from .classify import Decomposition, _certify, decompose
+from .classify import Decomposition, decompose
 from .errors import (
     DimensionError,
     InconsistentChoiError,
     MESKitError,
-    NoSolutionError,
     NotInvertibleError,
     NotKroneckerError,
     NotMESError,
@@ -169,16 +168,16 @@ def cmd_extend(args) -> int:
         return _fail(exc, _EXIT_USAGE)
     auto = args.sigma == "auto"
     try:
-        if auto:
-            dec = decompose(phi, tol=args.tol, seed=args.seed)
-        ext = extend(phi, dec.sigma if auto else SigmaFlag(args.sigma))
+        # under an explicit sigma, k = 1 is a usage error before any stage runs
+        ext = None if auto else extend(phi, SigmaFlag(args.sigma))
+        dec = decompose(phi, tol=args.tol, seed=args.seed)
     except MESKitError as exc:
-        return _fail(exc, _error_code(exc))
-    if not auto:
-        try:
-            dec = _certify(phi, ext.sigma, args.tol)
-        except (NoSolutionError, NotKroneckerError, NotPreserverError) as exc:
-            dec = exc
+        if auto or isinstance(exc, DimensionError):
+            return _fail(exc, _error_code(exc))
+        dec = exc
+    ext = ext or extend(phi, dec.sigma)
+    if isinstance(dec, Decomposition) and dec.sigma is not ext.sigma:
+        dec = f"stage sigma: certified as {dec.sigma.value}, not {ext.sigma.value}"
     certified = isinstance(dec, Decomposition)
     report = {
         "sigma": ext.sigma.value,

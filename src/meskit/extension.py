@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .states import pi, random_coisometry
-from .superop import SigmaFlag, Superoperator, _as_int, apply
+from .superop import SigmaFlag, Superoperator, apply
 from .tensor import Dims, as_complex, frobenius, kron
 
 
@@ -161,27 +160,6 @@ def ad_commutation_residual(phi_like, W, M) -> float:
     left = apply(phi_like, W @ M @ W.conj().T)
     right = W @ apply(phi_like, M) @ W.conj().T
     return frobenius(left - right)
-
-
-def _yy_sampling_dims(phi_like) -> Dims:
-    if isinstance(phi_like, ExtendedSuperoperator):
-        return phi_like.yy_dims
-    if isinstance(phi_like, Superoperator):
-        if phi_like.dims.m != phi_like.dims.n:
-            raise DimensionError("commutation sampling needs a map on a square space")
-        return phi_like.dims
-    raise TypeError("expected an ExtendedSuperoperator or a square-space Superoperator")
-
-
-def commutes_with_ad(phi_tilde, W, seed=0) -> bool:
-    """True iff phi_tilde commutes with M -> W M W* within 1e-9 on 20 sampled
-    MES of Y (x) Y."""
-    dims = _yy_sampling_dims(phi_tilde)
-    for i in range(20):
-        A = random_coisometry(dims, np.random.SeedSequence([_as_int(seed), 17, i]))
-        if ad_commutation_residual(phi_tilde, W, pi(A).matrix) >= 1e-9:
-            return False
-    return True
 
 
 def off_block_rotation(dims: Dims) -> np.ndarray:

@@ -13,7 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NotHermitianError, NotMESError, ZeroOperatorError
+from .errors import (
+    DimensionError,
+    NotCoisometryError,
+    NotHermitianError,
+    NotMESError,
+    ZeroOperatorError,
+)
 from .tensor import (
     DEFAULT_TOL,
     Dims,
@@ -46,7 +52,7 @@ class Coisometry:
             )
         dev = frobenius(self.matrix @ self.matrix.conj().T - np.eye(self.dims.m))
         if dev >= scaled_tol(_VALIDATION_TOL, frobenius(self.matrix)):
-            raise ValueError(f"A A* deviates from identity by {dev:.3e}")
+            raise NotCoisometryError(f"A A* deviates from identity by {dev:.3e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,7 +183,8 @@ def representative(M, dims: Dims | None = None) -> Coisometry:
     The rank-1 factor is rescaled by sqrt(m) and then corrected to put
     A A* = I to working precision (division by the square root of the mean
     diagonal of A A*); the phase follows the global gauge.  Raises
-    NotMESError when M fails :func:`is_mes` at 1e-8.
+    NotMESError when M fails :func:`is_mes` at 1e-8, or passes it but the
+    rescaled factor is still not a coisometry within 1e-8.
     """
     d = _dims_of(M, dims)
     mat = _matrix_of(M)
@@ -189,4 +196,6 @@ def representative(M, dims: Dims | None = None) -> Coisometry:
     mean_diag = float(np.trace(gram).real) / d.m
     if mean_diag > 0:
         A = A / np.sqrt(mean_diag)
+    if not is_coisometry(A, _VALIDATION_TOL):
+        raise NotMESError("operator's rank-one factor is not a coisometry within tolerance")
     return Coisometry(matrix=fix_global_phase(A), dims=d)

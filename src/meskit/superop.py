@@ -2,12 +2,10 @@
 
 A superoperator is stored as an (mn)^2 x (mn)^2 matrix acting on row-vectorized
 operators: ``vec(Phi(M)) = Phi.matrix @ vec(M)``.  Under the row-stacking
-convention, conjugation ``M -> W M W*`` has matrix ``kron(W, conj(W))`` and the
-basis transpose ``M -> M^T`` is the permutation built by :func:`transpose_matrix`.
-The constructors never multiply by that permutation: composing with the
-transpose permutes the columns of ``kron(W, conj(W))``, so each matrix is
-written once as an outer product of W and conj(W) in the permuted index
-order.
+convention, conjugation ``M -> W M W*`` has matrix ``kron(W, conj(W))``;
+composing it with the transpose ``M -> M^T`` moves column (j, i) to column
+(i, j), so each matrix is written once as an outer product of W and conj(W)
+in the permuted index order, with no permutation matrix.
 
 The constructors cover the three canonical preserver families:
 
@@ -19,8 +17,8 @@ The constructors cover the three canonical preserver families:
 
 span(MES) has a closed-form orthogonal complement, {A (x) I_n : tr A = 0}
 (plus {I_m (x) B : tr B = 0} when k = 1), so the checks on the span work with
-its small orthonormal basis P and the projector I - PP*.  The dense basis of
-the span itself, :func:`span_mes_basis`, is not on the classification path.
+its small orthonormal basis P and the projector I - PP*; no basis of the
+span itself is built.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ import numpy as np
 
 from .errors import DimensionError, NotMESError, NotUnitaryError
 from .states import DensityOperator, is_mes, pi, random_coisometry
-from .tensor import Dims, as_complex, frobenius, kron, scaled_tol, unvec, vec
+from .tensor import Dims, as_complex, frobenius, kron, scaled_tol, vec
 
 
 class SigmaFlag(enum.Enum):
@@ -68,18 +66,9 @@ class Superoperator:
             )
 
 
-def transpose_matrix(d: int) -> np.ndarray:
-    """Permutation matrix T with T @ vec(M) = vec(M^T) for d x d matrices."""
-    t = np.zeros((d * d, d * d))
-    idx = np.arange(d * d)
-    rows, cols = divmod(idx, d)
-    t[idx, cols * d + rows] = 1.0
-    return t
-
-
 def _transpose_columns(a: np.ndarray, d: int) -> np.ndarray:
-    """``a @ transpose_matrix(d)`` by indexing: column (i, j) of the result is
-    column (j, i) of ``a``, which has d^2 columns."""
+    """The d^2 columns of ``a`` permuted by the transpose of d x d matrices:
+    column (i, j) of the result is column (j, i) of ``a``."""
     rows = a.shape[0]
     return a.reshape(rows, d, d).transpose(0, 2, 1).reshape(rows, d * d)
 
@@ -167,35 +156,6 @@ def make_trace_preserver(rho: DensityOperator) -> Superoperator:
     return Superoperator(matrix=mat, dims=rho.dims)
 
 
-@functools.lru_cache(maxsize=32)
-def span_mes_basis(dims: Dims) -> tuple[np.ndarray, ...]:
-    """Orthonormal basis of span(MES) in the Frobenius inner product.
-
-    Every MES satisfies tr_Y rho = I/m, so span(MES) is the kernel of
-    M -> tr_Y(M) - (tr M / m) I_m; in the square case (k = 1) coisometries
-    are unitary and tr_X(M) - (tr M / n) I_n must vanish as well.  The basis
-    is the right-singular vectors of that constraint map past its rank, so
-    the elements are generally not MES themselves.
-    """
-    m, n = dims.m, dims.n
-    eye_m, eye_n = np.eye(m), np.eye(n)
-    trace = np.eye(dims.mn).reshape(1, -1)  # tr M = <vec(I), vec(M)>
-    # vec(M) is indexed (i, p, j, q): i, j on X and p, q on Y
-    tr_y = np.einsum("ik,jl,pq->ijkplq", eye_m, eye_m, eye_n).reshape(m * m, -1)
-    rows = [tr_y - eye_m.reshape(-1, 1) * trace / m]
-    if dims.k == 1:
-        tr_x = np.einsum("ik,pr,qs->pqirks", eye_m, eye_n, eye_n).reshape(n * n, -1)
-        rows.append(tr_x - eye_n.reshape(-1, 1) * trace / n)
-    _, s, vh = np.linalg.svd(np.vstack(rows))
-    rank = int(np.sum(s > 1e-9 * s[0]))
-    basis = []
-    for row in vh[rank:]:
-        e = unvec(row.conj(), dims.mn, dims.mn)
-        e.flags.writeable = False
-        basis.append(e)
-    return tuple(basis)
-
-
 def _traceless_basis(m: int) -> list[np.ndarray]:
     """Orthonormal real basis of the traceless m x m matrices: the m(m - 1)
     matrix units off the diagonal, then the m - 1 diagonal matrices
@@ -265,7 +225,7 @@ def is_invertible_on_span(phi: Superoperator) -> bool:
     threshold.  The matrix is formed in one copy of phi.
 
     Not on :func:`meskit.classify.decompose`'s path (its span certificate
-    implies invertibility); kept for the tests and the benchmark's set-up.
+    implies invertibility); ``perfbench``'s set-up warms P's cache with it.
     """
     p = _span_complement(phi.dims)
     ph = p.conj().T

@@ -18,7 +18,6 @@ from meskit import (
     align_images,
     apply,
     choi_matrix,
-    commutes_with_ad,
     decompose,
     detect_sigma,
     extend,
@@ -41,7 +40,7 @@ from meskit import (
     vec,
 )
 from meskit.superop import Superoperator
-from conftest import complex_gaussian, phase_aligned_distance
+from conftest import commutes_with_ad, complex_gaussian, phase_aligned_distance
 
 BOTH = (SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE)
 

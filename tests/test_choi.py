@@ -11,6 +11,7 @@ from meskit import (
     apply,
     choi_matrix,
     detect_sigma,
+    haar_unitary,
     identity_superop,
     kron,
     make_adjoint_preserver,
@@ -22,6 +23,7 @@ from meskit import (
     vec,
     zeta_image,
 )
+from meskit.superop import _conjugation_matrix
 from conftest import complex_gaussian, phase_aligned_distance, unitary_pair
 
 DIMS = Dims.from_mk(2, 2)
@@ -57,6 +59,19 @@ def test_zeta_image_rejects_non_preserver(rng):
     bad = Superoperator(matrix=complex_gaussian(rng, 64, 64), dims=DIMS)
     with pytest.raises(NotMESError):
         zeta_image(bad, random_coisometry(DIMS, 11))
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_detect_sigma_refuses_a_near_mes_image_with_a_typed_error(seed):
+    # Ad_W for W = U (x) V plus 3e-8 noise: an image passes is_mes at 1e-8, but its
+    # rescaled rank-one factor is not a coisometry within 1e-8
+    dims = Dims.from_mk(2, 3)
+    w = kron(haar_unitary(2, seed), haar_unitary(6, seed + 100))
+    noise = complex_gaussian(np.random.default_rng(seed), *w.shape)
+    w = w + 3e-8 * np.linalg.norm(w) * noise / np.linalg.norm(noise)
+    phi = Superoperator(_conjugation_matrix(w, SigmaFlag.IDENTITY), dims)
+    with pytest.raises(NotMESError, match="rank-one factor is not a coisometry"):
+        detect_sigma(phi)
 
 
 def test_cross_term_identity_map():

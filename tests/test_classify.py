@@ -22,10 +22,8 @@ from meskit import (
     Superoperator,
     align_images,
     apply,
-    commutes_with_ad,
     decompose,
     detect_sigma,
-    extend,
     identity_superop,
     is_invertible_on_span,
     kron,
@@ -40,7 +38,6 @@ from meskit import (
     restricted_g,
     serialize,
     verify_theorem_form,
-    span_mes_basis,
     vec,
     zeta_image,
 )
@@ -48,7 +45,7 @@ from meskit import choi, classify, lemmas, superop
 from meskit.classify import Decomposition, _certify, _read_sigma
 from meskit.cli import main
 from meskit.superop import _require_unitary, _span_complement, make_swap_preserver
-from conftest import complex_gaussian, phase_aligned_distance, unitary_pair
+from conftest import complex_gaussian, phase_aligned_distance, span_mes_basis, unitary_pair
 
 DIMS = Dims.from_mk(2, 2)
 
@@ -275,7 +272,6 @@ def test_verification_residual_bounds_every_mes(m, k, sigma):
         detect_sigma,
         align_images,
         representative,
-        commutes_with_ad,
         _read_sigma,
     ],
 )
@@ -391,9 +387,6 @@ def test_seed_must_be_an_integer(seed):
             detect_sigma(phi, seed=seed)
     with pytest.raises(TypeError, match="seed must be an integer"):
         lemmas.run_all(DIMS, samples=1, seed=seed)
-    ext = extend(accept, SigmaFlag.IDENTITY)
-    with pytest.raises(TypeError, match="seed must be an integer"):
-        commutes_with_ad(ext, np.eye(DIMS.n**2), seed=seed)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])

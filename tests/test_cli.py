@@ -89,14 +89,14 @@ def test_extend_auto_sigma_trace_form_exit_4(tmp_path, capsys):
 
 
 def test_extend_failing_report_exit_1(tmp_path, capsys):
-    # the trace form is not a conjugation, so its forced identity extension fails the
-    # certificate at recovery; the extension is still written
+    # classify refuses the trace form at the discriminant, so its forced identity
+    # extension reports that refusal; the extension is still written
     out, ext = str(tmp_path / "trace.json"), tmp_path / "ext.json"
     assert run_cli(capsys, "gen", "--form", "trace", "--out", out)[0] == 0
     code, stdout, _ = run_cli(capsys, "extend", out, "--sigma", "identity", "--out", str(ext))
     assert code == 1
     report = json.loads(stdout)
-    assert not report["all_pass"] and report["certificate"].startswith("stage recovery: ")
+    assert not report["all_pass"] and report["certificate"].startswith("stage discriminant: ")
     assert json.loads(ext.read_text())["sigma"] == "identity"
 
 
@@ -221,11 +221,16 @@ def test_extend_reports_the_certificate(tmp_path, capsys):
 
 
 def _write_map(path, dims, sigma, eps=0.0, form="adjoint"):
-    """Write a trace form, or Ad_W o sigma with W the unitary nearest to
-    U (x) V plus Frobenius-normalised noise ``eps``: a conjugation that is
-    not a Kronecker product once ``eps`` > 0."""
+    """Write a trace form, Ad_W o sigma with W the unitary nearest to
+    U (x) V plus Frobenius-normalised noise ``eps`` (a conjugation that is
+    not a Kronecker product once ``eps`` > 0), or, for the "noisy" form,
+    Ad_{U (x) V} o sigma plus noise ``eps`` on the map's matrix."""
     if form == "trace":
         phi = make_trace_preserver(pi(random_coisometry(dims, 31)))
+    elif form == "noisy":
+        exact = _conjugation_matrix(kron(*unitary_pair(dims, 31)), sigma)
+        g = complex_gaussian(np.random.default_rng(31), *exact.shape)
+        phi = Superoperator(exact + eps * np.linalg.norm(exact) * g / np.linalg.norm(g), dims)
     else:
         u, v = unitary_pair(dims, 31)
         g = complex_gaussian(np.random.default_rng(31), dims.mn, dims.mn)
@@ -234,23 +239,45 @@ def _write_map(path, dims, sigma, eps=0.0, form="adjoint"):
     serialize.write_json(str(path), serialize.superoperator_to_obj(phi.matrix, dims))
 
 
+@pytest.mark.parametrize("requested", ["auto", "identity", "transpose"])
 @pytest.mark.parametrize(
-    "form,sigma,eps,code",
-    [("trace", SigmaFlag.IDENTITY, 0.0, 4)]
-    + [("adjoint", sigma, eps, code) for sigma in SigmaFlag for eps, code in ((0.0, 0), (3e-9, 6))],
+    "form,mk,sigma,eps,code",
+    [("trace", (2, 2), SigmaFlag.IDENTITY, 0.0, 4)]
+    + [
+        ("adjoint", (2, 2), sigma, eps, code)
+        for sigma in SigmaFlag
+        for eps, code in ((0.0, 0), (3e-9, 6))
+    ]
+    # certifies below 1e-6 but not below tol, and fails the sampled preserver check
+    + [("noisy", (1, 2), sigma, 3e-8, 3) for sigma in SigmaFlag],
 )
-def test_extend_auto_agrees_with_classify(form, sigma, eps, code, tmp_path, capsys):
-    # one decision for both commands: the same exit code and error type
+def test_extend_auto_agrees_with_classify(form, mk, sigma, eps, code, requested, tmp_path, capsys):
+    # one decision for both commands: under auto the same exit code and error type,
+    # under an explicit sigma a pass exactly when classify accepts with that sigma
     sop, ext = tmp_path / "sop.json", tmp_path / "ext.json"
-    _write_map(sop, Dims.from_mk(2, 2), sigma, eps, form)
+    _write_map(sop, Dims.from_mk(*mk), sigma, eps, form)
     classified = run_cli(capsys, "classify", str(sop))
-    extended = run_cli(capsys, "extend", str(sop), "--sigma", "auto", "--out", str(ext))
-    assert classified[0] == extended[0] == code
-    if code:
-        assert json.loads(extended[2])["error"] == json.loads(classified[2])["error"]
-        assert extended[1] == "" and not ext.exists()
+    extended = run_cli(capsys, "extend", str(sop), "--sigma", requested, "--out", str(ext))
+    assert classified[0] == code
+    if requested == "auto":
+        assert extended[0] == code
+        if code:
+            assert json.loads(extended[2])["error"] == json.loads(classified[2])["error"]
+            assert extended[1] == "" and not ext.exists()
+        else:
+            assert json.loads(extended[1])["sigma"] == json.loads(classified[1])["sigma"]
+            assert json.loads(extended[1])["sigma"] == sigma.value
+        return
+    report = json.loads(extended[1])
+    accepted = code == 0 and sigma.value == requested
+    assert extended[0] == (0 if accepted else 1) and report["all_pass"] is accepted
+    assert report["sigma"] == json.loads(ext.read_text())["sigma"] == requested
+    if accepted:
+        assert report["certificate"] == json.loads(classified[1])["verification_residual"]
+    elif code:
+        assert report["certificate"] == json.loads(classified[2])["message"]
     else:
-        assert json.loads(extended[1])["sigma"] == json.loads(classified[1])["sigma"] == sigma.value
+        assert report["certificate"] == f"stage sigma: certified as {sigma.value}, not {requested}"
 
 
 @pytest.mark.parametrize("m,k", [(2, 2), (2, 3), (3, 2)])

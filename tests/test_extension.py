@@ -12,7 +12,6 @@ from meskit import (
     apply,
     block_join,
     block_split,
-    commutes_with_ad,
     extend,
     haar_unitary,
     identity_superop,
@@ -29,7 +28,7 @@ from meskit import (
     switch_commutation_witness,
 )
 from meskit.lemmas import check_switch_identities
-from conftest import complex_gaussian, unitary_pair
+from conftest import commutes_with_ad, complex_gaussian, unitary_pair
 
 DIMS = Dims.from_mk(2, 2)
 BOTH = (SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meskit import (
+    Coisometry,
     DimensionError,
     Dims,
     NotMESError,
@@ -20,6 +21,7 @@ from meskit import (
     representative,
     vec,
 )
+from meskit.errors import MESKitError, NotCoisometryError
 from conftest import complex_gaussian
 
 DIMS = Dims.from_mk(2, 2)
@@ -145,6 +147,13 @@ def test_representative_rejects_rank_two():
     mix = (pi(fam[0]).matrix + pi(fam[1]).matrix) / 2.0
     with pytest.raises(NotMESError):
         representative(mix, DIMS)
+
+
+def test_coisometry_rejects_with_a_typed_error():
+    # in the package's taxonomy, and still the ValueError it was before
+    with pytest.raises(NotCoisometryError, match="deviates from identity") as info:
+        Coisometry(matrix=2 * np.eye(2, 4), dims=DIMS)
+    assert isinstance(info.value, MESKitError) and isinstance(info.value, ValueError)
 
 
 @given(st.integers(0, 10**6))

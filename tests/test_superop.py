@@ -27,11 +27,9 @@ from meskit import (
     pi,
     preserves_mes,
     random_coisometry,
-    span_mes_basis,
-    transpose_matrix,
     vec,
 )
-from conftest import complex_gaussian, unitary_pair
+from conftest import complex_gaussian, span_mes_basis, transpose_matrix, unitary_pair
 
 DIMS = Dims.from_mk(2, 2)
 
