@@ -5,52 +5,51 @@ preserver and recover its (sigma, U, V) conjugation form.
 sampled stages only when it fails, to name the refusal.  Each stage has a
 typed failure and a fixed threshold; only ``tol`` is an argument.
 
-Success path (no random number is drawn):
+Success path (no random number is drawn), tried under sigma = identity
+and, only when that attempt raises, under sigma = transpose; it accepts the
+first record whose certificate is below ``tol``:
 
-1. sigma readout                      (:func:`_read_sigma`; no threshold:
-                                       a wrong pick fails stage 4)
-   For basis indices a = 0, b = 1, c = 2 (Y indices 0, 1, 2), phi(x_a x_b*)
-   and phi(x_a x_c*) share their left singular vector w_a under the identity
-   and their right one under the transpose; the readout keeps the hypothesis
-   whose pair is closer.  When n = 2 (m = 1) there is no third index; there
-   span(MES) is the whole space, and c = 0 serves.
-2. conjugation-unitary recovery       -> NoSolutionError
+1. conjugation-unitary recovery       -> NoSolutionError
    (smallest/largest singular value of the columns read off >= 1 - 1e-6)
-3. nearest Kronecker factorization    -> NotKroneckerError
+2. nearest Kronecker factorization    -> NotKroneckerError
    (Kronecker residual < ``tol``; factors unitary within 1e-8)
-4. span certificate                   -> NotPreserverError
+3. span certificate                   -> NotPreserverError
    (``verification_residual`` < 1e-6); the path accepts only when the
    residual is also below ``tol``
+
+A wrong sigma cannot accept: under it phi(x_a x_b*) is w_b w_a*, so stage 1
+reads off w_1 and w_0 as columns 0 and 1 and zeros elsewhere.  For mn >= 3
+that is rank 2 and stage 1 refuses; at (m,k) = (1,2) the two columns form a
+unitary and stage 3 refuses (residual 2 on exact maps).
 
 Diagnostic route, run only when the success path did not accept; it raises
 the first failure, so a refusal names its stage:
 
-5. sampled preserver check            -> NotPreserverError
-   (20 seeded MES, each image an MES within a relative 1e-8)
-6. sigma discriminant (det J(G))      -> InconsistentChoiError
-   (balls of radius 0.5 around det 0 and det -1); before it, NotMESError,
-   NotInvertibleError (two image classes coincide, sin^2 < 1e-8: the trace
-   form) or SubspaceViolationError (cross-term residual, relative 1e-8)
-7. stages 2-4 under the detected sigma, without the ``tol`` bound on the
-   certificate; when it is the sigma read in stage 1, the success path's
-   result or failure is reused.
+- sampled preserver check            -> NotPreserverError
+  (20 seeded MES, each image an MES within a relative 1e-8)
+- sigma discriminant (det J(G))      -> InconsistentChoiError
+  (balls of radius 0.5 around det 0 and det -1); before it, NotMESError,
+  NotInvertibleError (two image classes coincide, sin^2 < 1e-8: the trace
+  form) or SubspaceViolationError (cross-term residual, relative 1e-8)
+- stages 1-3 under the detected sigma, without the ``tol`` bound on the
+  certificate; a sigma already tried keeps its outcome (one run per sigma).
 
-Stage 2 reads the unitary W off the sigma-corrected matrix itself.  For basis
-vectors x_a, x_b with different Y indices, x_a x_b* lies in span(MES) (its
-trace and partial trace vanish), so column ``a*mn + b`` of the matrix is
-vec(w_a w_b*), with w_a the columns of W.  One rank-one column fixes w_r and
-w_s up to a common phase, and every other w_a follows by one matrix-vector
-product.
+Stage 1 reads the unitary W off the sigma-corrected images themselves.  For
+basis vectors x_a, x_b with different Y indices, x_a x_b* lies in span(MES)
+(its trace and partial trace vanish), so column ``a*mn + b`` of the
+corrected matrix is vec(w_a w_b*), with w_a the columns of W.  One rank-one
+column fixes w_r and w_s up to a common phase, and every other w_a follows
+by one matrix-vector product.
 
-Stage 4 decides success.  ``verification_residual`` is the spectral norm eps
+Stage 3 decides success.  ``verification_residual`` is the spectral norm eps
 of ``phi - Ad_W o sigma`` on span(MES), with the closed-form basis P of the
 span's complement {A (x) I_n : tr A = 0} projected out; it bounds the
 residual of every MES (each has unit Frobenius norm).  Ad_W o sigma is a
 Frobenius isometry of span(MES) onto itself, so eps < 1 puts phi's smallest
 singular value on the span at or above 1 - eps: no separate invertibility
 check is needed.  Whichever route accepts, sigma, U, V and both residuals come
-from the same stages 2-4 on the same sigma-corrected matrix, so they do not
-depend on the route or on ``seed``.
+from the same stages 1-3 under the same sigma, so they do not depend on the
+route or on ``seed``.
 
 Noise contract.  The success path holds the certificate to ``tol`` as well
 as the Kronecker residual: at m = 1 every unitary is a Kronecker product, so
@@ -91,7 +90,6 @@ from .superop import (
     _as_int,
     _conjugation_matrix,
     _span_complement,
-    _transpose_columns,
     preserves_mes,
 )
 from .tensor import (
@@ -124,7 +122,9 @@ def recover_unitary(phi_corrected, dims: Dims) -> np.ndarray:
     w_a = phi(x_a x_s*) w_s otherwise; all columns share one phase.  The
     result is corrected to the nearest unitary and phase-gauged.  Raises
     NoSolutionError when the columns read off are not unitary within a
-    relative 1e-6 (the trace form gives Z = 0).
+    relative 1e-6 (the trace form gives Z = 0).  ``phi_corrected`` is the
+    sigma-corrected map, its (d^2, d^2) matrix, or its (d, d, d, d) image
+    array ``images[:, :, a, b] = phi(x_a x_b*)``, which may be a view.
     """
     mat = phi_corrected.matrix if hasattr(phi_corrected, "matrix") else as_complex(phi_corrected)
     d = dims.mn
@@ -149,41 +149,18 @@ def recover_unitary(phi_corrected, dims: Dims) -> np.ndarray:
     return fix_global_phase(u @ vh)
 
 
-def _read_sigma(phi: Superoperator) -> SigmaFlag:
-    """The sigma hypothesis worth certifying, read in closed form.
-
-    Under the identity, phi(x_0 x_1*) = w_0 w_1* and phi(x_0 x_c*) = w_0 w_c*
-    share the left singular vector w_0; under the transpose they are
-    w_1 w_0* and w_c w_0* and share the right one.  The flag whose leading
-    singular vectors are closer (sin^2 of their angle) is returned.  c = 2
-    when n >= 3.  When n = 2 (so m = 1) there is no third index, but the
-    span's complement {A (x) I : tr A = 0} is {0}, so x_0 x_0* lies in
-    span(MES) and c = 0 serves: phi(x_0 x_0*) = w_0 w_0* under either flag.
-    """
-    d = phi.dims.mn
-    c = 2 if phi.dims.n >= 3 else 0
-    images = phi.matrix.reshape(d, d, d, d)  # images[:, :, a, b] = phi(x_a x_b*)
-    u1, _, vh1 = np.linalg.svd(images[:, :, 0, 1])
-    u2, _, vh2 = np.linalg.svd(images[:, :, 0, c])
-    left = 1.0 - abs(np.vdot(u1[:, 0], u2[:, 0])) ** 2
-    right = 1.0 - abs(np.vdot(vh1[0], vh2[0])) ** 2
-    return SigmaFlag.IDENTITY if left <= right else SigmaFlag.TRANSPOSE
-
-
 def _certify(phi: Superoperator, sigma: SigmaFlag, tol: float) -> Decomposition:
-    """Stages 2-4 under ``sigma``: recovery, Kronecker split, span certificate.
+    """Stages 1-3 under ``sigma``: recovery, Kronecker split, span certificate.
 
     Raises the typed error of the first failing stage; the returned record
     carries the certificate below 1e-6 and the Kronecker residual below
     ``tol``.
     """
     dims = phi.dims
+    images = phi.matrix.reshape((dims.mn,) * 4)  # images[:, :, a, b] = phi(x_a x_b*)
     try:
-        # the sigma-corrected copy lives only for this call
-        W = recover_unitary(
-            _transpose_columns(phi.matrix, dims.mn) if sigma is SigmaFlag.TRANSPOSE else phi.matrix,
-            dims,
-        )
+        # under the transpose, phi o sigma's images are a view: no copy of phi
+        W = recover_unitary(images.swapaxes(2, 3) if sigma is SigmaFlag.TRANSPOSE else images, dims)
     except NoSolutionError as exc:
         raise NoSolutionError(f"stage recovery: {exc}") from exc
     U, V, kron_residual = nearest_kron_factor(W, dims)
@@ -211,11 +188,12 @@ def _certify(phi: Superoperator, sigma: SigmaFlag, tol: float) -> Decomposition:
 def decompose(phi: Superoperator, tol: float = 1e-9, seed=0) -> Decomposition:
     """Classify an invertible MES preserver as (sigma, U, V).
 
-    The sample-free success path (stages 1-4 of the module docstring) accepts
-    when the Kronecker residual and the span certificate are both below
-    ``tol`` (the certificate also below 1e-6).  Otherwise the diagnostic route
-    runs the sampled stages and raises the typed error of the first failing
-    stage, or accepts a map they pass whose certificate is below 1e-6.
+    The sample-free success path (stages 1-3 of the module docstring, under
+    the identity, then the transpose if that raises) accepts when the
+    Kronecker residual and the span certificate are both below ``tol`` (the
+    certificate also below 1e-6).  Otherwise the diagnostic route runs the
+    sampled stages and raises the typed error of the first failing stage, or
+    accepts a map they pass whose certificate is below 1e-6.
     ``seed`` must be an integer (TypeError otherwise, on every path) and
     drives only that route; an accept does not depend on it.  A non-finite
     entry is refused first (NotPreserverError).  The returned record carries
@@ -229,23 +207,24 @@ def decompose(phi: Superoperator, tol: float = 1e-9, seed=0) -> Decomposition:
             "classification applies to block counts k >= 2; square-space (k = 1) "
             "maps are out of scope"
         )
-    read = _read_sigma(phi)
-    try:
-        outcome = _certify(phi, read, tol)
-    except (NoSolutionError, NotKroneckerError, NotPreserverError) as exc:
-        outcome = exc
-    if isinstance(outcome, Decomposition) and outcome.verification_residual < tol:
-        return outcome
+    outcomes: dict = {}  # sigma -> its Decomposition or its stage failure
+    for sigma in SigmaFlag:  # the identity first; the transpose only if it raises
+        try:
+            outcomes[sigma] = _certify(phi, sigma, tol)
+        except (NoSolutionError, NotKroneckerError, NotPreserverError) as exc:
+            outcomes[sigma] = exc
+            continue
+        if outcomes[sigma].verification_residual < tol:
+            return outcomes[sigma]
+        break
     if not preserves_mes(phi, seed=seed):
         raise NotPreserverError("stage preserves-mes: a sampled MES image is not an MES")
     try:
         sigma = detect_sigma(phi, seed=seed)
     except (InconsistentChoiError, NotInvertibleError, NotMESError, SubspaceViolationError) as exc:
         raise type(exc)(f"stage discriminant: {exc}") from exc
-    if sigma is not read:
-        return _certify(phi, sigma, tol)
-    # stages 2-4 under the read sigma already ran: reuse their verdict
-    if not isinstance(outcome, Decomposition):
+    outcome = outcomes[sigma] if sigma in outcomes else _certify(phi, sigma, tol)
+    if isinstance(outcome, Exception):
         raise outcome
     return outcome
 

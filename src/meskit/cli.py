@@ -9,7 +9,8 @@ suite).  Results go to stdout as JSON; failures emit an error JSON on stderr.
 certificate, which bounds the extension on every MES of Y (x) Y; an explicit
 ``--sigma`` passes only when ``classify`` accepts the map with that sigma.
 
-Exit codes: 0 success, 2 usage/parse errors, 3 not a preserver (including a
+Exit codes: 0 success, 2 usage/parse errors (an ``--out`` that cannot be
+written, ``check-lemmas`` with k = 1), 3 not a preserver (including a
 failed span certificate), 4 not invertible on the MES span, 5 inconsistent
 Choi discriminant, 6 recovered unitary not a Kronecker product, 1 unexpected
 numerical breakdown or a report with ``"all_pass": false`` (``extend`` under
@@ -277,6 +278,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:
         return _fail(exc, _EXIT_USAGE)
+    except OSError as exc:  # an output file that cannot be written
+        return _fail(type(exc)(exc.errno, exc.strerror), _EXIT_USAGE)
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .choi import align_images, choi_matrix, restricted_g
+from .errors import DimensionError
 from .extension import ad_commutation_residual, extend, structural_unitaries
 from .states import is_coisometry, orthogonal_family, pi, random_coisometry
 from .superop import SigmaFlag, Superoperator, _as_int, apply, make_adjoint_preserver
@@ -304,7 +305,9 @@ _CHECKS = [
 
 
 def run_all(dims: Dims, tol: float = 1e-9, samples: int = 20, seed: int = 0) -> list[CheckResult]:
-    """Run every structural check at the given dimensions."""
+    """Run every structural check at the given dimensions (k >= 2)."""
+    if dims.k < 2:
+        raise DimensionError("the lemma suite needs an orthogonal pair, so k >= 2")
     results = []
     for name, func in _CHECKS:
         residual = float(func(dims, samples, seed))

@@ -42,7 +42,7 @@ from meskit import (
     zeta_image,
 )
 from meskit import choi, classify, lemmas, superop
-from meskit.classify import Decomposition, _certify, _read_sigma
+from meskit.classify import Decomposition, _certify
 from meskit.cli import main
 from meskit.superop import _require_unitary, _span_complement, make_swap_preserver
 from conftest import complex_gaussian, phase_aligned_distance, span_mes_basis, unitary_pair
@@ -272,7 +272,6 @@ def test_verification_residual_bounds_every_mes(m, k, sigma):
         detect_sigma,
         align_images,
         representative,
-        _read_sigma,
     ],
 )
 def test_stage_thresholds_are_fixed(func):
@@ -352,9 +351,7 @@ def _forbid_sampling(monkeypatch):
 @pytest.mark.parametrize("sigma", list(SigmaFlag))
 def test_accept_runs_no_sampled_stage(m, k, sigma, monkeypatch):
     phi = make_adjoint_preserver(*unitary_pair(Dims.from_mk(m, k), 41), sigma)
-    # at (1,2), n = 2: no third index, so the readout compares with phi(x_0 x_0*)
-    assert _read_sigma(phi) is sigma
-    # the diagnostic route: sampled preserver check, discriminant, then stages 2-4
+    # the diagnostic route: sampled preserver check, discriminant, then stages 1-3
     assert preserves_mes(phi)
     reference = _certify(phi, detect_sigma(phi), 1e-9)
     _forbid_sampling(monkeypatch)
@@ -487,9 +484,10 @@ def test_noise_contract_default_tol_samples_above_tol(monkeypatch):
 
 
 @pytest.mark.parametrize("tol,error", [(1e-9, None), (1e-13, NotKroneckerError)])
-def test_diagnostic_route_reuses_the_read_sigma_verdict(tol, error, monkeypatch):
-    # the sampled stages pass and detect the read sigma: stages 2-4 do not run twice,
-    # whether they accepted (certificate above tol) or refused (Kronecker residual)
+def test_diagnostic_route_reuses_each_sigma_verdict(tol, error, monkeypatch):
+    # the sampled stages pass and detect a sigma the success path tried: stages 1-3
+    # run at most once per sigma, whether they accepted (certificate above tol) or
+    # refused (Kronecker residual, so the transpose is tried too)
     phi, _, _ = _noisy_preserver(DIMS, SigmaFlag.IDENTITY, 1e-8, 21)
     calls = []
 
@@ -500,7 +498,46 @@ def test_diagnostic_route_reuses_the_read_sigma_verdict(tol, error, monkeypatch)
     monkeypatch.setattr(classify, "_certify", counted)
     if error is None:
         assert decompose(phi, tol=tol).sigma is SigmaFlag.IDENTITY
+        assert calls == [SigmaFlag.IDENTITY]
     else:
         with pytest.raises(error, match=r"^stage factorization: "):
             decompose(phi, tol=tol)
-    assert calls == [SigmaFlag.IDENTITY]
+        assert calls == [SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE]
+
+
+@pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("sigma", list(SigmaFlag))
+def test_wrong_sigma_is_refused_before_it_can_accept(m, k, sigma, monkeypatch):
+    # the identity is tried first; on a transpose map it fails at recovery (mn >= 3:
+    # the columns read off have rank 2) or, at (1,2), at the certificate
+    phi = make_adjoint_preserver(*unitary_pair(Dims.from_mk(m, k), 43), sigma)
+    attempts, shared = [], []
+
+    def certify(*args):
+        try:
+            outcome = _certify(*args)
+        except MESKitError as exc:
+            outcome = exc
+        attempts.append((args[1], outcome))
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    def recover(images, dims):
+        shared.append(np.shares_memory(images, phi.matrix))
+        return recover_unitary(images, dims)
+
+    monkeypatch.setattr(classify, "_certify", certify)
+    monkeypatch.setattr(classify, "recover_unitary", recover)
+    _forbid_sampling(monkeypatch)
+    dec = decompose(phi)
+    assert dec.sigma is sigma
+    if sigma is SigmaFlag.IDENTITY:
+        assert [s for s, _ in attempts] == [SigmaFlag.IDENTITY]
+    else:
+        assert [s for s, _ in attempts] == [SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE]
+        wrong = attempts[0][1]
+        stage = "recovery" if m >= 2 else "certificate"
+        assert isinstance(wrong, MESKitError) and str(wrong).startswith(f"stage {stage}: ")
+    # the transpose's corrected images are a view of phi's matrix, not a copy
+    assert all(shared) and len(shared) == len(attempts)

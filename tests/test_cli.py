@@ -377,6 +377,25 @@ def test_check_lemmas_reports_tolerance_floor(capsys):
     assert not report["all_pass"]
 
 
+@pytest.mark.parametrize("m", ["1", "2"])
+def test_check_lemmas_single_block_exit_2(m, capsys):
+    code, stdout, stderr = run_cli(capsys, "check-lemmas", "--m", m, "--k", "1", "--samples", "1")
+    assert code == 2 and stdout == ""
+    error = json.loads(stderr)  # one error JSON, no traceback
+    assert error["error"] == "DimensionError" and "k >= 2" in error["message"]
+
+
+@pytest.mark.parametrize("command", ["gen", "classify", "extend"])
+def test_unwritable_out_exit_2(command, tmp_path, capsys):
+    source = str(tmp_path / "sop.json")
+    assert run_cli(capsys, "gen", "--m", "1", "--k", "2", "--out", source)[0] == 0
+    argv = ["gen", "--m", "1", "--k", "2"] if command == "gen" else [command, source]
+    code, stdout, stderr = run_cli(capsys, *argv, "--out", str(tmp_path / "missing" / "x.json"))
+    assert code == 2 and stdout == ""
+    assert json.loads(stderr)["error"] == "FileNotFoundError"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sop.json", "sop.truth.json"]
+
+
 def test_env_var_overrides_default_tol(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "sop.json")
     assert run_cli(capsys, "gen", "--m", "2", "--k", "2", "--out", out)[0] == 0
