@@ -47,7 +47,7 @@ def main() -> None:
     phi = Superoperator(matrix=matrix, dims=loaded_dims)
     print(f"hidden preserver: dims m={dims.m}, n={dims.n}, k={dims.k}, sigma={sigma.value}")
 
-    dec = decompose(phi, seed=args.seed)
+    dec = decompose(phi)
     w_true = kron(u, v)
     w_rec = kron(dec.U, dec.V)
     overlap = np.vdot(w_rec.reshape(-1), w_true.reshape(-1))

@@ -1,69 +1,51 @@
 """Full decomposition pipeline: certify a superoperator as an invertible MES
 preserver and recover its (sigma, U, V) conjugation form.
 
-:func:`decompose` tries a sample-free success path first and runs the seeded
-sampled stages only when it fails, to name the refusal.  Each stage has a
-typed failure and a fixed threshold; only ``tol`` is an argument.
+:func:`decompose` draws no random number.  It tries sigma = identity, then,
+only when that attempt is refused, sigma = transpose; each attempt runs three
+stages, each with a typed failure and a fixed threshold (only ``tol`` is an
+argument):
 
-Success path (no random number is drawn), tried under sigma = identity
-and, only when that attempt raises, under sigma = transpose; it accepts the
-first record whose certificate is below ``tol``:
+1. recovery of the conjugation unitary W
+   -> NotInvertibleError when phi(x_r x_s*) is (relatively) zero,
+      NotPreserverError when the columns read off are not unitary
+2. span certificate of Ad_{U (x) V} o sigma, with U (x) V the nearest
+   Kronecker product to W (``verification_residual`` < min(5 ``tol``, 1e-6))
+   -> NotPreserverError
+3. factorization: Kronecker residual < ``tol``, factors unitary within 1e-8
+   -> NotKroneckerError
 
-1. conjugation-unitary recovery       -> NoSolutionError
-   (smallest/largest singular value of the columns read off >= 1 - 1e-6)
-2. nearest Kronecker factorization    -> NotKroneckerError
-   (Kronecker residual < ``tol``; factors unitary within 1e-8)
-3. span certificate                   -> NotPreserverError
-   (``verification_residual`` < 1e-6); the path accepts only when the
-   residual is also below ``tol``
+Verdict rule: phi is accepted, with the first sigma whose attempt passes all
+three stages, exactly when its certificate is below min(5 ``tol``, 1e-6) and
+its Kronecker residual below ``tol``.  When both attempts are refused, the
+refusal of the attempt that got further is raised (recovery < certificate <
+factorization); when both stopped at the certificate (only seen at (m,k) =
+(1,2)) the one with the smaller residual, and otherwise the identity's.  The
+message names the stage.  The certificate is checked before the Kronecker
+residual because noise on phi moves both: a map certified near 1e-6 is not
+a preserver, and refusing it for its Kronecker residual would call it a
+non-Kronecker conjugation.
+
+Stage 1 reads the unitary W off phi's images.  For basis vectors x_a, x_b
+with different Y indices, x_a x_b* lies in span(MES) (its trace and partial
+trace vanish), so column ``a*mn + b`` of phi o sigma's matrix is
+vec(w_a w_b*), with w_a the columns of W.  One rank-one column fixes w_r and
+w_s up to a common phase, and every other w_a follows by one matrix-vector
+product.  x_r x_s* is a unit element of span(MES), so a map that sends it to
+(relatively) zero is singular on the span: the trace form gives exactly 0.
 
 A wrong sigma cannot accept: under it phi(x_a x_b*) is w_b w_a*, so stage 1
 reads off w_1 and w_0 as columns 0 and 1 and zeros elsewhere.  For mn >= 3
 that is rank 2 and stage 1 refuses; at (m,k) = (1,2) the two columns form a
-unitary and stage 3 refuses (residual 2 on exact maps).
+unitary and stage 2 refuses (residual 2 on exact maps).
 
-Diagnostic route, run only when the success path did not accept; it raises
-the first failure, so a refusal names its stage:
-
-- sampled preserver check            -> NotPreserverError
-  (20 seeded MES, each image an MES within a relative 1e-8)
-- sigma discriminant (det J(G))      -> InconsistentChoiError
-  (balls of radius 0.5 around det 0 and det -1); before it, NotMESError,
-  NotInvertibleError (two image classes coincide, sin^2 < 1e-8: the trace
-  form) or SubspaceViolationError (cross-term residual, relative 1e-8)
-- stages 1-3 under the detected sigma, without the ``tol`` bound on the
-  certificate; a sigma already tried keeps its outcome (one run per sigma).
-
-Stage 1 reads the unitary W off the sigma-corrected images themselves.  For
-basis vectors x_a, x_b with different Y indices, x_a x_b* lies in span(MES)
-(its trace and partial trace vanish), so column ``a*mn + b`` of the
-corrected matrix is vec(w_a w_b*), with w_a the columns of W.  One rank-one
-column fixes w_r and w_s up to a common phase, and every other w_a follows
-by one matrix-vector product.
-
-Stage 3 decides success.  ``verification_residual`` is the spectral norm eps
+Stage 2 decides success.  ``verification_residual`` is the spectral norm eps
 of ``phi - Ad_W o sigma`` on span(MES), with the closed-form basis P of the
 span's complement {A (x) I_n : tr A = 0} projected out; it bounds the
 residual of every MES (each has unit Frobenius norm).  Ad_W o sigma is a
 Frobenius isometry of span(MES) onto itself, so eps < 1 puts phi's smallest
 singular value on the span at or above 1 - eps: no separate invertibility
-check is needed.  Whichever route accepts, sigma, U, V and both residuals come
-from the same stages 1-3 under the same sigma, so they do not depend on the
-route or on ``seed``.
-
-Noise contract.  The success path holds the certificate to ``tol`` as well
-as the Kronecker residual: at m = 1 every unitary is a Kronecker product, so
-the Kronecker residual alone bounds no noise there.  With the default
-``tol`` = 1e-9 the verdicts stay those of the sampled stages alone: in a
-seeded scan of Frobenius-normalised noise (1e-10 to 1e-6, ten seeds, both
-sigma, (m,k) from (1,2) to (3,3): 900 maps) none moved; 398 of its 512
-accepts drew no sample, and the other 114 certified between ``tol`` and
-1e-6, took the diagnostic route and passed it.  A looser ``tol`` widens the
-success path up to the 1e-6 certificate, so noise that the sampled stages
-refuse at their 1e-8 but that certifies below 1e-6 is accepted: at ``tol`` =
-1e-3 the same scan accepted 898 maps, none sampled, 286 of them refused
-before by the sampled preserver check (at (1,2) from 1e-8, at (2,2) and
-(2,3) from 1e-7, at (3,2) and (3,3) from 3e-7).
+check is needed.
 """
 
 from __future__ import annotations
@@ -72,26 +54,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .choi import detect_sigma
 from .errors import (
     DimensionError,
-    InconsistentChoiError,
+    MESKitError,
     NoSolutionError,
     NotInvertibleError,
     NotKroneckerError,
-    NotMESError,
     NotPreserverError,
-    SubspaceViolationError,
 )
-from .superop import (
-    SigmaFlag,
-    Superoperator,
-    _add_product,
-    _as_int,
-    _conjugation_matrix,
-    _span_complement,
-    preserves_mes,
-)
+from .superop import SigmaFlag, Superoperator, _add_product, _conjugation_matrix, _span_complement
 from .tensor import (
     Dims,
     as_complex,
@@ -100,6 +71,8 @@ from .tensor import (
     kron,
     nearest_kron_factor,
 )
+
+_STAGES = ("stage recovery", "stage certificate", "stage factorization")
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,16 +94,23 @@ def recover_unitary(phi_corrected, dims: Dims) -> np.ndarray:
     Then w_a = phi(x_a x_r*) w_r when a's Y index is nonzero, and
     w_a = phi(x_a x_s*) w_s otherwise; all columns share one phase.  The
     result is corrected to the nearest unitary and phase-gauged.  Raises
-    NoSolutionError when the columns read off are not unitary within a
-    relative 1e-6 (the trace form gives Z = 0).  ``phi_corrected`` is the
-    sigma-corrected map, its (d^2, d^2) matrix, or its (d, d, d, d) image
-    array ``images[:, :, a, b] = phi(x_a x_b*)``, which may be a view.
+    NotInvertibleError when ``||Z||_F <= 1e-6 ||phi||_F / mn`` (phi is
+    singular on span(MES); the trace form gives Z = 0) and NoSolutionError
+    when the columns read off are not unitary within a relative 1e-6.
+    ``phi_corrected`` is the sigma-corrected map, its (d^2, d^2) matrix, or
+    its (d, d, d, d) image array ``images[:, :, a, b] = phi(x_a x_b*)``,
+    which may be a view.
     """
     mat = phi_corrected.matrix if hasattr(phi_corrected, "matrix") else as_complex(phi_corrected)
     d = dims.mn
     r, s = 0, 1
     images = mat.reshape(d, d, d, d)  # images[:, :, a, b] = phi(x_a x_b*)
     Z = images[:, :, r, s]
+    z_norm = frobenius(Z)
+    if z_norm <= 1e-6 * frobenius(mat) / d:
+        raise NotInvertibleError(
+            f"singular on span(MES): |phi(x_r x_s*)|_F = {z_norm:.3e} for a unit element"
+        )
     w_r = np.linalg.svd(Z)[0][:, 0]
     w_s = Z.conj().T @ w_r
     nonzero_y = (np.arange(d) % dims.n != 0)[None, :]
@@ -150,20 +130,28 @@ def recover_unitary(phi_corrected, dims: Dims) -> np.ndarray:
 
 
 def _certify(phi: Superoperator, sigma: SigmaFlag, tol: float) -> Decomposition:
-    """Stages 1-3 under ``sigma``: recovery, Kronecker split, span certificate.
+    """Stages 1-3 under ``sigma``: recovery, span certificate, factorization.
 
-    Raises the typed error of the first failing stage; the returned record
-    carries the certificate below 1e-6 and the Kronecker residual below
-    ``tol``.
+    Raises the typed error of the first failing stage, its message prefixed
+    with the stage's name; a certificate failure carries its ``residual``.
     """
     dims = phi.dims
     images = phi.matrix.reshape((dims.mn,) * 4)  # images[:, :, a, b] = phi(x_a x_b*)
     try:
         # under the transpose, phi o sigma's images are a view: no copy of phi
         W = recover_unitary(images.swapaxes(2, 3) if sigma is SigmaFlag.TRANSPOSE else images, dims)
+    except NotInvertibleError as exc:
+        raise NotInvertibleError(f"stage recovery: {exc}") from exc
     except NoSolutionError as exc:
-        raise NoSolutionError(f"stage recovery: {exc}") from exc
+        raise NotPreserverError(f"stage recovery: {exc}") from exc
     U, V, kron_residual = nearest_kron_factor(W, dims)
+    dec = Decomposition(sigma, U, V, kron_residual, verification_residual=0.0)
+    residual = verify_theorem_form(phi, dec)
+    bound = min(5 * tol, 1e-6)
+    if residual >= bound:
+        refusal = NotPreserverError(f"stage certificate: span residual {residual:.3e} >= {bound:.1e}")
+        refusal.residual = residual
+        raise refusal
     if kron_residual >= tol:
         raise NotKroneckerError(
             f"stage factorization: Kronecker residual {kron_residual:.3e} >= {tol:.1e}"
@@ -176,30 +164,25 @@ def _certify(phi: Superoperator, sigma: SigmaFlag, tol: float) -> Decomposition:
         raise NotKroneckerError(
             f"stage factorization: factors deviate from unitarity by {unitary_dev:.3e}"
         )
-    dec = Decomposition(
-        sigma=sigma, U=U, V=V, kron_residual=kron_residual, verification_residual=0.0
-    )
-    residual = verify_theorem_form(phi, dec)
-    if residual >= 1e-6:
-        raise NotPreserverError(f"stage certificate: span residual {residual:.3e} >= 1e-6")
     return replace(dec, verification_residual=residual)
 
 
-def decompose(phi: Superoperator, tol: float = 1e-9, seed=0) -> Decomposition:
+def _progress(refusal: MESKitError) -> tuple:
+    """How far a refused attempt got: its stage, then the smaller residual."""
+    stage = str(refusal).partition(":")[0]
+    return _STAGES.index(stage), -getattr(refusal, "residual", 0.0)
+
+
+def decompose(phi: Superoperator, tol: float = 1e-9) -> Decomposition:
     """Classify an invertible MES preserver as (sigma, U, V).
 
-    The sample-free success path (stages 1-3 of the module docstring, under
-    the identity, then the transpose if that raises) accepts when the
-    Kronecker residual and the span certificate are both below ``tol`` (the
-    certificate also below 1e-6).  Otherwise the diagnostic route runs the
-    sampled stages and raises the typed error of the first failing stage, or
-    accepts a map they pass whose certificate is below 1e-6.
-    ``seed`` must be an integer (TypeError otherwise, on every path) and
-    drives only that route; an accept does not depend on it.  A non-finite
-    entry is refused first (NotPreserverError).  The returned record carries
-    the certificate of :func:`verify_theorem_form` and the Kronecker residual.
+    Runs :func:`_certify` under the identity, then under the transpose if
+    that is refused, and returns the first record: its certificate is below
+    min(5 ``tol``, 1e-6) and its Kronecker residual below ``tol``.  When both
+    are refused, raises the refusal of the attempt that got further (see the
+    module docstring).  A non-finite entry is refused first
+    (NotPreserverError, "stage input").  No random number is drawn.
     """
-    seed = _as_int(seed)
     if not np.isfinite(phi.matrix).all():
         raise NotPreserverError("stage input: the matrix has a non-finite entry")
     if phi.dims.k < 2:
@@ -207,26 +190,13 @@ def decompose(phi: Superoperator, tol: float = 1e-9, seed=0) -> Decomposition:
             "classification applies to block counts k >= 2; square-space (k = 1) "
             "maps are out of scope"
         )
-    outcomes: dict = {}  # sigma -> its Decomposition or its stage failure
-    for sigma in SigmaFlag:  # the identity first; the transpose only if it raises
+    refusals = []
+    for sigma in SigmaFlag:  # the identity first; the transpose only if it is refused
         try:
-            outcomes[sigma] = _certify(phi, sigma, tol)
-        except (NoSolutionError, NotKroneckerError, NotPreserverError) as exc:
-            outcomes[sigma] = exc
-            continue
-        if outcomes[sigma].verification_residual < tol:
-            return outcomes[sigma]
-        break
-    if not preserves_mes(phi, seed=seed):
-        raise NotPreserverError("stage preserves-mes: a sampled MES image is not an MES")
-    try:
-        sigma = detect_sigma(phi, seed=seed)
-    except (InconsistentChoiError, NotInvertibleError, NotMESError, SubspaceViolationError) as exc:
-        raise type(exc)(f"stage discriminant: {exc}") from exc
-    outcome = outcomes[sigma] if sigma in outcomes else _certify(phi, sigma, tol)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+            return _certify(phi, sigma, tol)
+        except (NotInvertibleError, NotKroneckerError, NotPreserverError) as exc:
+            refusals.append(exc)
+    raise max(refusals, key=_progress)  # max keeps the first of equals: the identity's
 
 
 def verify_theorem_form(phi: Superoperator, dec: Decomposition) -> float:

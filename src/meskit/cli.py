@@ -10,16 +10,18 @@ certificate, which bounds the extension on every MES of Y (x) Y; an explicit
 ``--sigma`` passes only when ``classify`` accepts the map with that sigma.
 
 Exit codes: 0 success, 2 usage/parse errors (an ``--out`` that cannot be
-written, ``check-lemmas`` with k = 1), 3 not a preserver (including a
-failed span certificate), 4 not invertible on the MES span, 5 inconsistent
-Choi discriminant, 6 recovered unitary not a Kronecker product, 1 unexpected
-numerical breakdown or a report with ``"all_pass": false`` (``extend`` under
-an explicit sigma, ``check-lemmas``).
+written, ``check-lemmas`` with k = 1), 3 not a preserver (at stage recovery
+or a failed span certificate), 4 singular on the MES span, 6 recovered
+unitary not a Kronecker product, 1 unexpected numerical breakdown or a report
+with ``"all_pass": false`` (``extend`` under an explicit sigma,
+``check-lemmas``).
 
 Each subcommand accepts only the flags it reads: ``--tol`` for ``classify``,
 ``extend`` and ``check-lemmas``, ``--samples`` (default 20) for ``check-lemmas``
-only.  Where ``--tol`` is accepted, it defaults to the MESKIT_TOL environment
-variable and then to 1e-9; other subcommands ignore MESKIT_TOL.
+only, and ``--seed`` (a non-negative integer, default 0) for the commands that
+draw at random, ``gen`` and ``check-lemmas``.  Where ``--tol`` is accepted, it
+defaults to the MESKIT_TOL environment variable and then to 1e-9; other
+subcommands ignore MESKIT_TOL.
 """
 
 from __future__ import annotations
@@ -35,11 +37,9 @@ from . import lemmas, serialize
 from .classify import Decomposition, decompose
 from .errors import (
     DimensionError,
-    InconsistentChoiError,
     MESKitError,
     NotInvertibleError,
     NotKroneckerError,
-    NotMESError,
     NotPreserverError,
 )
 from .extension import extend
@@ -59,9 +59,7 @@ _EXIT_USAGE = 2
 _READ_ERRORS = (OSError, ValueError, KeyError, TypeError, OverflowError, DimensionError)
 _ERROR_EXIT_CODES = {
     NotPreserverError: 3,
-    NotMESError: 3,
     NotInvertibleError: 4,
-    InconsistentChoiError: 5,
     NotKroneckerError: 6,
 }
 
@@ -83,8 +81,8 @@ def _error_code(exc: MESKitError) -> int:
 
 def _check_settings(args) -> None:
     """Resolves ``--tol`` (flag, then MESKIT_TOL, then 1e-9) on the subcommands
-    that take it, and rejects a non-positive or non-finite tolerance and a
-    non-positive sample count."""
+    that take it, and rejects a non-positive or non-finite tolerance, a
+    non-positive sample count and a negative seed."""
     if "tol" in args:
         if args.tol is None:
             env = os.environ.get("MESKIT_TOL")
@@ -95,6 +93,8 @@ def _check_settings(args) -> None:
             raise ValueError("tol must be finite")
     if "samples" in args and args.samples < 1:
         raise ValueError("samples must be >= 1")
+    if "seed" in args and args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
 
 
 def _truth_path(out: str) -> str:
@@ -152,7 +152,7 @@ def cmd_classify(args) -> int:
     except _READ_ERRORS as exc:
         return _fail(exc, _EXIT_USAGE)
     try:
-        dec = decompose(phi, tol=args.tol, seed=args.seed)
+        dec = decompose(phi, tol=args.tol)
     except MESKitError as exc:
         return _fail(exc, _error_code(exc))
     payload = _decomposition_obj(dec)
@@ -171,7 +171,7 @@ def cmd_extend(args) -> int:
     try:
         # under an explicit sigma, k = 1 is a usage error before any stage runs
         ext = None if auto else extend(phi, SigmaFlag(args.sigma))
-        dec = decompose(phi, tol=args.tol, seed=args.seed)
+        dec = decompose(phi, tol=args.tol)
     except MESKitError as exc:
         if auto or isinstance(exc, DimensionError):
             return _fail(exc, _error_code(exc))
@@ -220,11 +220,12 @@ def cmd_check_lemmas(args) -> int:
 def _add_common(
     parser: argparse.ArgumentParser, dims: bool = False, tol: bool = False, samples: bool = False
 ) -> None:
-    """Adds ``--seed`` and, of the shared flags, only those the subcommand reads."""
+    """Adds, of the shared flags, only those the subcommand reads; the commands
+    that take dimensions draw at random, so they also take ``--seed``."""
     if dims:
         parser.add_argument("--m", type=int, default=2, help="dimension of the X factor")
         parser.add_argument("--k", type=int, default=2, help="block count (Y has dimension k*m)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for all randomized draws")
+        parser.add_argument("--seed", type=int, default=0, help="seed for all randomized draws")
     if tol:
         parser.add_argument(
             "--tol", type=float, default=None, help="tolerance (default 1e-9, or MESKIT_TOL)"

@@ -54,7 +54,8 @@ class NoSolutionError(MESKitError):
 
 
 class NotPreserverError(MESKitError):
-    """Sampling found a maximally entangled state whose image is not one."""
+    """The map is not an MES preserver: no conjugation form fits it, or its
+    span certificate, or a sampled MES image, fails."""
 
 
 class NotInvertibleError(MESKitError):

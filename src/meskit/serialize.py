@@ -117,11 +117,15 @@ def _array_chunks(slabs):
 
 def write_json(path: str, obj) -> None:
     """Atomically write ``obj`` as JSON to ``path`` (temp file + rename),
-    streaming the text so the whole document is never held in memory."""
+    streaming the text so the whole document is never held in memory.  A temp
+    file that cannot be created raises its ``OSError`` naming ``path``."""
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
     # a new file of its own, with the mode open() gives: 0o666 less the umask
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         with open(fd, "wb") as handle:
             handle.writelines(_chunks(obj))

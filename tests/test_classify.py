@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,10 +14,8 @@ from meskit import (
     DimensionError,
     Dims,
     MESKitError,
-    NoSolutionError,
     NotInvertibleError,
     NotKroneckerError,
-    NotMESError,
     NotPreserverError,
     SigmaFlag,
     Superoperator,
@@ -29,6 +28,7 @@ from meskit import (
     kron,
     make_adjoint_preserver,
     make_trace_preserver,
+    nearest_kron_factor,
     orthogonal_family,
     pi,
     preserves_mes,
@@ -72,9 +72,10 @@ def test_recover_unitary_identity_map_on_non_square_split():
 
 
 def test_recover_unitary_rejects_trace_form():
+    # the trace form sends the unit element x_r x_s* of span(MES) to exactly 0
     rho = pi(random_coisometry(DIMS, 3))
     phi = make_trace_preserver(rho)
-    with pytest.raises(NoSolutionError):
+    with pytest.raises(NotInvertibleError):
         recover_unitary(phi, DIMS)
 
 
@@ -141,12 +142,6 @@ def test_decompose_gauge_deterministic():
     np.testing.assert_allclose(dec1.V, dec2.V, atol=1e-10)
 
 
-def test_decompose_custom_seed():
-    u, v = unitary_pair(DIMS, 13)
-    dec = decompose(make_adjoint_preserver(u, v, SigmaFlag.IDENTITY), seed=3)
-    assert dec.verification_residual < 1e-9
-
-
 def test_verify_theorem_form_matching_and_mismatched():
     u, v = unitary_pair(DIMS, 15)
     phi = make_adjoint_preserver(u, v, SigmaFlag.IDENTITY)
@@ -164,8 +159,8 @@ def _noisy_preserver(dims, sigma, eps, seed):
     return noisy, u, v
 
 
-# At (1,2) the whole noise norm falls on 16 entries, and the sampled preserver
-# check (tolerance 1e-8) refuses about half of the maps at 1e-8; 3e-9 passes.
+# At (1,2) the whole noise norm falls on 16 entries: maps at 1e-8 certify near
+# 1e-8, above 5 tol, while 3e-9 certifies below it.
 @pytest.mark.parametrize("m,k,eps", [(1, 2, 3e-9), (2, 2, 1e-8), (2, 3, 1e-8), (3, 2, 1e-8)])
 @pytest.mark.parametrize("sigma", [SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE])
 def test_decompose_tolerates_small_noise(m, k, eps, sigma):
@@ -177,21 +172,30 @@ def test_decompose_tolerates_small_noise(m, k, eps, sigma):
 
 
 @pytest.mark.parametrize("sigma", [SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE])
-def test_decompose_names_discriminant_stage_on_not_mes(sigma):
-    # this noisy map passes the sampled preserver stage; an image inside the
-    # sigma discriminant is then not an MES, and the refusal names that stage
+def test_decompose_names_certificate_stage_on_noise(sigma):
+    # this noisy map certifies at 8.9e-9 or 1.0e-8, above 5 tol, and the refusal names that stage
     phi, _, _ = _noisy_preserver(Dims.from_mk(1, 2), sigma, 1e-8, 3)
-    with pytest.raises(NotMESError, match=r"^stage discriminant: "):
+    with pytest.raises(NotPreserverError, match=r"^stage certificate: span residual .* >= 5\.0e-09$"):
         decompose(phi)
 
 
-@pytest.mark.parametrize("m,k", [(2, 2), (3, 2)])
-def test_decompose_names_discriminant_stage_on_trace_form(m, k):
-    # the trace form is singular on span(MES); the discriminant's sin^2 check refuses it
-    dims = Dims.from_mk(m, k)
-    phi = make_trace_preserver(pi(random_coisometry(dims, 7)))
-    with pytest.raises(NotInvertibleError, match=r"^stage discriminant: .*sin\^2 "):
+def _recovery_refusals():
+    """Trace forms and the zero map are singular on span(MES); 1e-7 phi is
+    not, but its columns read off are not unitary."""
+    for m, k in ((2, 2), (3, 2)):
+        trace = make_trace_preserver(pi(random_coisometry(Dims.from_mk(m, k), 7)))
+        yield pytest.param(trace, NotInvertibleError, id=f"trace-{m}-{k}")
+    zero = Superoperator(matrix=np.zeros((64, 64), dtype=complex), dims=DIMS)
+    yield pytest.param(zero, NotInvertibleError, id="zero")
+    phi = make_adjoint_preserver(*unitary_pair(DIMS, 7), SigmaFlag.IDENTITY)
+    yield pytest.param(Superoperator(matrix=1e-7 * phi.matrix, dims=DIMS), NotPreserverError, id="scaled")
+
+
+@pytest.mark.parametrize("phi,error", list(_recovery_refusals()))
+def test_decompose_names_recovery_stage(phi, error):
+    with pytest.raises(error, match=r"^stage recovery: ") as raised:
         decompose(phi)
+    assert type(raised.value) is error
 
 
 # Frobenius-normalised noise that every seed survived before the certificate
@@ -338,20 +342,23 @@ def test_decompose_peak_memory_near_the_map(sigma):
 
 
 def _forbid_sampling(monkeypatch):
-    """Make the sampled stages' draws raise, so a run that samples fails."""
+    """Make the sampled stages' draws, and numpy's generators, raise, so a
+    run that samples fails."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("a sampled stage ran")
 
     monkeypatch.setattr(superop, "random_coisometry", refuse)
     monkeypatch.setattr(choi, "orthogonal_family", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
 
 
 @pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)])
 @pytest.mark.parametrize("sigma", list(SigmaFlag))
 def test_accept_runs_no_sampled_stage(m, k, sigma, monkeypatch):
     phi = make_adjoint_preserver(*unitary_pair(Dims.from_mk(m, k), 41), sigma)
-    # the diagnostic route: sampled preserver check, discriminant, then stages 1-3
+    # the sampled reference: preserver check, discriminant, then stages 1-3
     assert preserves_mes(phi)
     reference = _certify(phi, detect_sigma(phi), 1e-9)
     _forbid_sampling(monkeypatch)
@@ -363,23 +370,11 @@ def test_accept_runs_no_sampled_stage(m, k, sigma, monkeypatch):
     assert dec.verification_residual == reference.verification_residual
 
 
-def test_accept_does_not_depend_on_seed():
-    phi = make_adjoint_preserver(*unitary_pair(Dims.from_mk(2, 3), 45), SigmaFlag.TRANSPOSE)
-    decs = [decompose(phi, seed=seed) for seed in (0, 1, 2**40, np.int64(7))]
-    for dec in decs[1:]:
-        assert dec.sigma is decs[0].sigma
-        np.testing.assert_array_equal(dec.U, decs[0].U)
-        np.testing.assert_array_equal(dec.V, decs[0].V)
-        assert dec.verification_residual == decs[0].verification_residual
-
-
 @pytest.mark.parametrize("seed", [2.7, "1"])
 def test_seed_must_be_an_integer(seed):
     accept = make_adjoint_preserver(*unitary_pair(DIMS, 47), SigmaFlag.IDENTITY)
     refusal = make_trace_preserver(pi(random_coisometry(DIMS, 47)))
     for phi in (accept, refusal):
-        with pytest.raises(TypeError, match="seed must be an integer"):
-            decompose(phi, seed=seed)
         with pytest.raises(TypeError, match="seed must be an integer"):
             detect_sigma(phi, seed=seed)
     with pytest.raises(TypeError, match="seed must be an integer"):
@@ -396,9 +391,13 @@ def test_decompose_refuses_non_finite_input(value):
         decompose(Superoperator(matrix=matrix, dims=DIMS))
 
 
-@pytest.mark.parametrize("form,loaded", [("adjoint", False), ("trace", True)])
-def test_classify_accept_does_not_import_numpy_random(tmp_path, form, loaded):
-    # the trace-form refusal runs the sampled stages, so it shows the check can see the import
+@pytest.mark.parametrize(
+    "form,expected,loaded",
+    [("adjoint", "0", False), ("trace", "4", False), ("check-lemmas", "0", True)],
+)
+def test_classify_accept_does_not_import_numpy_random(tmp_path, form, expected, loaded):
+    # neither an accept nor a refusal draws; check-lemmas samples, so it shows
+    # the check can see the import
     dims = Dims.from_mk(2, 3)
     if form == "trace":
         phi = make_trace_preserver(pi(random_coisometry(dims, 49)))
@@ -406,66 +405,65 @@ def test_classify_accept_does_not_import_numpy_random(tmp_path, form, loaded):
         phi = make_adjoint_preserver(*unitary_pair(dims, 49), SigmaFlag.TRANSPOSE)
     path = tmp_path / "superop.json"
     serialize.write_json(str(path), serialize.superoperator_to_obj(phi.matrix, phi.dims))
+    argv = ["check-lemmas", "--samples", "1"] if form == "check-lemmas" else ["classify", str(path)]
     # numpy 1.x loads numpy.random with numpy itself; only numpy >= 2 loads it lazily
     code = (
         "import sys\n"
         "import numpy\n"
         "eager = 'numpy.random' in sys.modules\n"
         "import meskit.cli\n"
-        "code = meskit.cli.main(['classify', sys.argv[1]])\n"
+        "code = meskit.cli.main(sys.argv[1:])\n"
         "print(code, eager, 'numpy.random' in sys.modules)\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run(
-        [sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
     exit_code, eager, after = out.stdout.split()[-3:]
-    assert exit_code == ("4" if loaded else "0")
+    assert exit_code == expected
     assert after == str(loaded or eager == "True")
 
 
-def _diagnostic_verdict(phi, tol):
-    """The verdict of the sampled pipeline alone: preserver check,
-    discriminant, then stages 2-4 under the detected sigma."""
-    if not preserves_mes(phi):
-        return "NotPreserverError"
-    try:
-        return _certify(phi, detect_sigma(phi), tol).sigma
-    except MESKitError as exc:
-        return type(exc).__name__
-
-
-def _verdict(phi, tol):
-    try:
-        return decompose(phi, tol=tol).sigma
-    except MESKitError as exc:
-        return type(exc).__name__
+def _stage_readings(phi, sigma):
+    """The certificate and Kronecker residual under ``sigma``, read off without
+    the verdict's bounds."""
+    images = phi.matrix.reshape((phi.dims.mn,) * 4)
+    w = recover_unitary(images.swapaxes(2, 3) if sigma is SigmaFlag.TRANSPOSE else images, phi.dims)
+    u, v, kron_residual = nearest_kron_factor(w, phi.dims)
+    return verify_theorem_form(phi, Decomposition(sigma, u, v, kron_residual, 0.0)), kron_residual
 
 
 @pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (3, 2)])
-def test_noise_contract_default_tol_keeps_the_sampled_verdict(m, k):
-    # the success path holds the certificate to tol, so with the default tol a
-    # seeded noise scan gives the sampled pipeline's verdicts, refusals included
+def test_noise_contract_default_tol_follows_the_certificate(m, k):
+    # one closed-form rule: accept exactly when the certificate is below 5 tol and
+    # the Kronecker residual below tol; a certificate refusal names a residual >= 5 tol
     verdicts = set()
     for sigma in SigmaFlag:
         for eps in (1e-9, 1e-8, 3e-8, 1e-6):
             for seed in range(3):
                 phi, _, _ = _noisy_preserver(Dims.from_mk(m, k), sigma, eps, 60 + seed)
-                verdict = _verdict(phi, 1e-9)
-                assert verdict == _diagnostic_verdict(phi, 1e-9), (sigma, eps, seed)
+                certificate, kron_residual = _stage_readings(phi, sigma)
+                try:
+                    verdict = decompose(phi).sigma
+                except MESKitError as exc:
+                    verdict = type(exc).__name__
+                    if str(exc).startswith("stage certificate: "):
+                        refused = re.fullmatch(r"stage certificate: span residual (\S+) >= 5\.0e-09", str(exc))
+                        assert refused and float(refused[1]) >= 5e-9, str(exc)
+                accept = certificate < 5e-9 and kron_residual < 1e-9
+                assert (verdict is sigma) == accept, (sigma, eps, seed, verdict, certificate)
                 verdicts.add(verdict)
     assert set(SigmaFlag) < verdicts
 
 
-# Noise the sampled preserver check refuses at its 1e-8 that still certifies
-# below 1e-6 under the right sigma.
+# Noise that certifies above 5 tol but below 1e-6 under the right sigma.
 @pytest.mark.parametrize("m,k,eps", [(1, 2, 3e-8), (2, 2, 1e-7), (2, 3, 1e-7), (3, 2, 3e-7)])
 @pytest.mark.parametrize("sigma", [SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE])
 def test_noise_contract_loose_tol_accepts_the_band_without_sampling(m, k, eps, sigma, monkeypatch):
     phi, _, _ = _noisy_preserver(Dims.from_mk(m, k), sigma, eps, 21)
-    with pytest.raises(NotPreserverError, match=r"^stage preserves-mes: "):
+    with pytest.raises(NotPreserverError, match=r"^stage certificate: "):
         decompose(phi)
     _forbid_sampling(monkeypatch)
     dec = decompose(phi, tol=1e-3)
@@ -473,22 +471,29 @@ def test_noise_contract_loose_tol_accepts_the_band_without_sampling(m, k, eps, s
     assert 1e-8 < dec.verification_residual < 1e-6
 
 
-def test_noise_contract_default_tol_samples_above_tol(monkeypatch):
-    # noise that certifies between tol and 1e-6 is accepted by the sampled route
+def test_noise_contract_default_tol_accepts_below_five_tol(monkeypatch):
+    # noise that certifies between tol and 5 tol is accepted, without sampling
     phi, _, _ = _noisy_preserver(DIMS, SigmaFlag.IDENTITY, 1e-8, 21)
-    dec = decompose(phi)
-    assert dec.kron_residual < 1e-9 < dec.verification_residual < 1e-6
     _forbid_sampling(monkeypatch)
-    with pytest.raises(AssertionError, match="a sampled stage ran"):
-        decompose(phi)
+    dec = decompose(phi)
+    assert dec.kron_residual < 1e-9 < dec.verification_residual < 5e-9
 
 
-@pytest.mark.parametrize("tol,error", [(1e-9, None), (1e-13, NotKroneckerError)])
-def test_diagnostic_route_reuses_each_sigma_verdict(tol, error, monkeypatch):
-    # the sampled stages pass and detect a sigma the success path tried: stages 1-3
-    # run at most once per sigma, whether they accepted (certificate above tol) or
-    # refused (Kronecker residual, so the transpose is tried too)
-    phi, _, _ = _noisy_preserver(DIMS, SigmaFlag.IDENTITY, 1e-8, 21)
+def _refusals():
+    """Each refusal kind at (2,2)."""
+    trace = make_trace_preserver(pi(random_coisometry(DIMS, 57)))
+    yield pytest.param(trace, NotInvertibleError, id="trace")
+    g = complex_gaussian(np.random.default_rng(57), 64, 64)
+    yield pytest.param(Superoperator(matrix=g, dims=DIMS), NotPreserverError, id="random")
+    noise = _noisy_preserver(DIMS, SigmaFlag.TRANSPOSE, 1e-6, 21)[0]
+    yield pytest.param(noise, NotPreserverError, id="noise")
+    # Frobenius-relative noise 2.5e-9: certified below 5 tol, Kronecker residual 1.5e-9
+    band = _noisy_preserver(DIMS, SigmaFlag.IDENTITY, 2e-8, 21)[0]
+    yield pytest.param(band, NotKroneckerError, id="kronecker-band")
+
+
+@pytest.mark.parametrize("phi,error", list(_refusals()))
+def test_refusal_makes_at_most_two_certify_calls(phi, error, monkeypatch):
     calls = []
 
     def counted(*args):
@@ -496,13 +501,21 @@ def test_diagnostic_route_reuses_each_sigma_verdict(tol, error, monkeypatch):
         return _certify(*args)
 
     monkeypatch.setattr(classify, "_certify", counted)
+    with pytest.raises(error):
+        decompose(phi)
+    assert calls == [SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE]
+
+
+@pytest.mark.parametrize("phi,error", [pytest.param(None, None, id="accept"), *_refusals()])
+def test_decompose_never_samples(phi, error, monkeypatch):
+    if phi is None:
+        phi = make_adjoint_preserver(*unitary_pair(DIMS, 57), SigmaFlag.TRANSPOSE)
+    _forbid_sampling(monkeypatch)
     if error is None:
-        assert decompose(phi, tol=tol).sigma is SigmaFlag.IDENTITY
-        assert calls == [SigmaFlag.IDENTITY]
+        assert decompose(phi).sigma is SigmaFlag.TRANSPOSE
     else:
-        with pytest.raises(error, match=r"^stage factorization: "):
-            decompose(phi, tol=tol)
-        assert calls == [SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE]
+        with pytest.raises(error):
+            decompose(phi)
 
 
 @pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)])

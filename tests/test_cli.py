@@ -39,7 +39,7 @@ def test_gen_classify_roundtrip(tmp_path, capsys):
     truth = json.loads((tmp_path / "sop.truth.json").read_text())
     assert truth["sigma"] == "transpose" and paths["superop"] == out
 
-    code, stdout, _ = run_cli(capsys, "classify", out, "--seed", "1")
+    code, stdout, _ = run_cli(capsys, "classify", out)
     assert code == 0
     dec = json.loads(stdout)
     assert dec["sigma"] == "transpose"
@@ -65,8 +65,8 @@ def test_gen_is_byte_deterministic(tmp_path, capsys):
 def test_classify_stdout_is_deterministic(tmp_path, capsys):
     out = str(tmp_path / "sop.json")
     assert run_cli(capsys, "gen", "--m", "2", "--k", "2", "--seed", "13", "--out", out)[0] == 0
-    first = run_cli(capsys, "classify", out, "--seed", "2")
-    second = run_cli(capsys, "classify", out, "--seed", "2")
+    first = run_cli(capsys, "classify", out)
+    second = run_cli(capsys, "classify", out)
     assert first == second
 
 
@@ -89,14 +89,14 @@ def test_extend_auto_sigma_trace_form_exit_4(tmp_path, capsys):
 
 
 def test_extend_failing_report_exit_1(tmp_path, capsys):
-    # classify refuses the trace form at the discriminant, so its forced identity
+    # classify refuses the trace form at recovery, so its forced identity
     # extension reports that refusal; the extension is still written
     out, ext = str(tmp_path / "trace.json"), tmp_path / "ext.json"
     assert run_cli(capsys, "gen", "--form", "trace", "--out", out)[0] == 0
     code, stdout, _ = run_cli(capsys, "extend", out, "--sigma", "identity", "--out", str(ext))
     assert code == 1
     report = json.loads(stdout)
-    assert not report["all_pass"] and report["certificate"].startswith("stage discriminant: ")
+    assert not report["all_pass"] and report["certificate"].startswith("stage recovery: ")
     assert json.loads(ext.read_text())["sigma"] == "identity"
 
 
@@ -128,6 +128,8 @@ def test_flags_only_where_read(tmp_path, capsys, monkeypatch):
         (["check-lemmas", "--tol", "inf"], None, "tol must be finite"),
         (["classify", "SOP"], "inf", "tol must be finite"),
         (["check-lemmas"], "nan", "tol must be finite"),
+        (["gen", "--seed", "-1"], None, "--seed must be >= 0, got -1"),
+        (["check-lemmas", "--seed", "-1"], None, "--seed must be >= 0, got -1"),
     ],
 )
 def test_invalid_settings_exit_2(argv, env, message, tmp_path, capsys, monkeypatch):
@@ -143,6 +145,15 @@ def test_invalid_settings_exit_2(argv, env, message, tmp_path, capsys, monkeypat
     assert code == 2 and stdout == "" and not out.exists()
     expected = {"error": "ValueError", "message": message, "exit_code": 2}
     assert stderr == serialize.dumps(expected) + "\n"
+
+
+@pytest.mark.parametrize("command", ["classify", "extend"])
+def test_seed_only_where_drawn(command, tmp_path, capsys):
+    # classify and extend draw no random number, so they take no --seed
+    sop = str(tmp_path / "sop.json")
+    assert run_cli(capsys, "gen", "--out", sop)[0] == 0
+    code, stdout, stderr = run_cli(capsys, command, sop, "--seed", "1")
+    assert code == 2 and stdout == "" and "--seed" in stderr
 
 
 def test_classify_random_matrix_exit_3(tmp_path, capsys):
@@ -248,8 +259,10 @@ def _write_map(path, dims, sigma, eps=0.0, form="adjoint"):
         for sigma in SigmaFlag
         for eps, code in ((0.0, 0), (3e-9, 6))
     ]
-    # certifies below 1e-6 but not below tol, and fails the sampled preserver check
-    + [("noisy", (1, 2), sigma, 3e-8, 3) for sigma in SigmaFlag],
+    # certifies below 1e-6 but not below 5 tol
+    + [("noisy", (1, 2), sigma, 3e-8, 3) for sigma in SigmaFlag]
+    # certifies below 5 tol, with a Kronecker residual above tol
+    + [("noisy", (2, 2), sigma, 2.5e-9, 6) for sigma in SigmaFlag],
 )
 def test_extend_auto_agrees_with_classify(form, mk, sigma, eps, code, requested, tmp_path, capsys):
     # one decision for both commands: under auto the same exit code and error type,

@@ -1,3 +1,4 @@
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -18,3 +19,15 @@ def test_script_runs(script, argv, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [script, *argv])
     runpy.run_path(str(SCRIPTS / script), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def test_noise_scan_prints_one_verdict_per_map(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["noise_scan.py", "--dims", "2x2", "--seeds", "1"])
+    runpy.run_path(str(SCRIPTS / "noise_scan.py"), run_name="__main__")
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(rows) == 48  # 2 tol x (2 sigma x 11 noisy maps + a trace form + a random map)
+    exits = {(row["kind"], row["exit"]) for row in rows}
+    assert {("noise", 0), ("noise", 3), ("trace", 4), ("random", 3)} <= exits
+    for row in rows:
+        if row["exit"] == 0:
+            assert row["verdict"] == row["sigma"] and float(row["certificate"]) < 1e-6

@@ -317,6 +317,15 @@ def test_write_json_atomic_replace(tmp_path):
     assert list(tmp_path.iterdir()) == [path]  # no stray temp files
 
 
+def test_write_json_into_a_missing_directory_names_the_path(tmp_path):
+    # the error names the file asked for, not the hidden temp file
+    path = str(tmp_path / "missing" / "x.json")
+    with pytest.raises(FileNotFoundError) as raised:
+        serialize.write_json(path, {"a": 1})
+    assert raised.value.filename == path and ".tmp" not in str(raised.value)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_coisometry_obj_carries_dims(rng):
     dims = Dims.from_mk(2, 2)
     obj = serialize.coisometry_to_obj(complex_gaussian(rng, 2, 4), dims)
