@@ -15,14 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    InconsistentChoiError,
-    NotInvertibleError,
-    NotOrthogonalError,
-    PhaseAlignmentError,
-    SubspaceViolationError,
-)
+from .errors import DimensionError, NotInvertibleError, NotOrthogonalError, NotPreserverError
 from .states import Coisometry, are_orthogonal, orthogonal_family, pi, representative
 from .superop import SigmaFlag, Superoperator, _as_int, apply
 from .tensor import frobenius, kron, scaled_tol, unvec, vec
@@ -97,9 +90,10 @@ def restricted_g(phi: Superoperator, A1: Coisometry, A2: Coisometry) -> Restrict
     phi(vec(A_i) vec(A_j)*) is expanded in {vec(B_p) vec(B_q)*} for the image
     representatives B_p; the 2 x 2 coefficient matrix is G(E_ij).  A large
     expansion residual means phi moved the subspace, which no MES preserver
-    can do, hence SubspaceViolationError.  Image representatives that are
+    can do, hence NotPreserverError.  Image representatives that are
     (nearly) parallel mean phi sends pi(A1) - pi(A2) to zero, so phi is not
-    injective on span(MES), hence NotInvertibleError.
+    injective on span(MES), hence NotInvertibleError.  Both messages start
+    with "stage restricted map: ".
     """
     if not are_orthogonal(A1, A2):
         raise NotOrthogonalError("restricted map needs an orthogonal coisometry pair")
@@ -112,8 +106,8 @@ def restricted_g(phi: Superoperator, A1: Coisometry, A2: Coisometry) -> Restrict
     sin2 = float(np.linalg.det(gram2).real / (gram2[0, 0].real * gram2[1, 1].real))
     if sin2 < _TOL:
         raise NotInvertibleError(
-            f"orthogonal coisometries share one image class (sin^2 {sin2:.3e}): "
-            "map is singular on span(MES)"
+            "stage restricted map: orthogonal coisometries share one image class "
+            f"(sin^2 {sin2:.3e}): map is singular on span(MES)"
         )
     gram4 = kron(gram2, gram2.conj())
     gmat = np.zeros((4, 4), dtype=complex)
@@ -125,8 +119,9 @@ def restricted_g(phi: Superoperator, A1: Coisometry, A2: Coisometry) -> Restrict
                 target = phi_on_cross_term(phi, Ai, Aj)
             coeffs, residual = _expand_in_image_basis(target, b, gram4)
             if residual >= scaled_tol(_TOL, frobenius(target)):
-                raise SubspaceViolationError(
-                    f"cross-term image left its subspace (residual {residual:.3e})"
+                raise NotPreserverError(
+                    "stage restricted map: cross-term image left its subspace "
+                    f"(residual {residual:.3e})"
                 )
             gmat[:, 2 * i + j] = coeffs.reshape(-1)
     return RestrictedMapG(matrix=gmat, basis_a=(A1, A2), basis_b=(B1, B2))
@@ -148,14 +143,15 @@ def flag_from_determinant(det: complex) -> SigmaFlag:
 
     Acceptance balls of radius 0.5 around 0 (identity) and -1 (transpose):
     the two theoretical values are distance 1 apart, so 0.5 is the maximal
-    symmetric margin.  Anything outside both balls is not a preserver.
+    symmetric margin.  Anything outside both balls is not a preserver:
+    NotPreserverError, its message starting with "stage discriminant: ".
     """
     det = complex(det)
     if abs(det) < 0.5:
         return SigmaFlag.IDENTITY
     if abs(det + 1.0) < 0.5:
         return SigmaFlag.TRANSPOSE
-    raise InconsistentChoiError(f"det J(G) = {det:.6f} is near neither 0 nor -1")
+    raise NotPreserverError(f"stage discriminant: det J(G) = {det:.6f} is near neither 0 nor -1")
 
 
 def detect_sigma(phi: Superoperator, seed=0) -> SigmaFlag:
@@ -179,8 +175,8 @@ def align_images(phi: Superoperator, family: list[Coisometry]) -> list[Coisometr
     read off the (1, j) cross term, so that phi(vec(A_p)vec(A_q)*) equals
     vec(B_p)vec(B_q)* in the identity branch or vec(B_q)vec(B_p)* in the
     transpose branch.  Both branch readings are tried; if neither is coherent
-    within a relative 1e-8 the map is not a preserver and PhaseAlignmentError is
-    raised.
+    within a relative 1e-8 the map is not a preserver and NotPreserverError is
+    raised, its message starting with "stage alignment: ".
     """
     dims = phi.dims
     k = len(family)
@@ -210,5 +206,7 @@ def align_images(phi: Superoperator, family: list[Coisometry]) -> list[Coisometr
         readings.append((residual, vecs))
     residual, vecs = min(readings, key=lambda r: r[0])  # a tie goes to the identity reading
     if residual >= scaled_tol(_TOL, float(dims.m)):
-        raise PhaseAlignmentError(f"no coherent phase assignment (best residual {residual:.3e})")
+        raise NotPreserverError(
+            f"stage alignment: no coherent phase assignment (best residual {residual:.3e})"
+        )
     return [Coisometry(matrix=unvec(v, dims.m, dims.n), dims=dims) for v in vecs]

@@ -57,7 +57,6 @@ import numpy as np
 from .errors import (
     DimensionError,
     MESKitError,
-    NoSolutionError,
     NotInvertibleError,
     NotKroneckerError,
     NotPreserverError,
@@ -95,8 +94,9 @@ def recover_unitary(phi_corrected, dims: Dims) -> np.ndarray:
     w_a = phi(x_a x_s*) w_s otherwise; all columns share one phase.  The
     result is corrected to the nearest unitary and phase-gauged.  Raises
     NotInvertibleError when ``||Z||_F <= 1e-6 ||phi||_F / mn`` (phi is
-    singular on span(MES); the trace form gives Z = 0) and NoSolutionError
-    when the columns read off are not unitary within a relative 1e-6.
+    singular on span(MES); the trace form gives Z = 0) and NotPreserverError
+    when the columns read off are not unitary within a relative 1e-6, each
+    with the prefix "stage recovery: ".
     ``phi_corrected`` is the sigma-corrected map, its (d^2, d^2) matrix, or
     its (d, d, d, d) image array ``images[:, :, a, b] = phi(x_a x_b*)``,
     which may be a view.
@@ -109,7 +109,8 @@ def recover_unitary(phi_corrected, dims: Dims) -> np.ndarray:
     z_norm = frobenius(Z)
     if z_norm <= 1e-6 * frobenius(mat) / d:
         raise NotInvertibleError(
-            f"singular on span(MES): |phi(x_r x_s*)|_F = {z_norm:.3e} for a unit element"
+            f"stage recovery: singular on span(MES): |phi(x_r x_s*)|_F = {z_norm:.3e} "
+            "for a unit element"
         )
     w_r = np.linalg.svd(Z)[0][:, 0]
     w_s = Z.conj().T @ w_r
@@ -122,9 +123,9 @@ def recover_unitary(phi_corrected, dims: Dims) -> np.ndarray:
     u, svals, vh = np.linalg.svd(W0)
     top = float(svals[0])
     if top <= 0.0 or float(svals[-1]) < (1.0 - 1e-6) * top:
-        raise NoSolutionError(
-            f"no conjugation form: singular ratio {svals[-1] / max(top, 1e-300):.3e} "
-            "of the recovered columns"
+        raise NotPreserverError(
+            "stage recovery: no conjugation form: singular ratio "
+            f"{svals[-1] / max(top, 1e-300):.3e} of the recovered columns"
         )
     return fix_global_phase(u @ vh)
 
@@ -133,17 +134,13 @@ def _certify(phi: Superoperator, sigma: SigmaFlag, tol: float) -> Decomposition:
     """Stages 1-3 under ``sigma``: recovery, span certificate, factorization.
 
     Raises the typed error of the first failing stage, its message prefixed
-    with the stage's name; a certificate failure carries its ``residual``.
+    with the stage's name (:func:`recover_unitary` raises stage recovery's
+    itself); a certificate failure carries its ``residual``.
     """
     dims = phi.dims
     images = phi.matrix.reshape((dims.mn,) * 4)  # images[:, :, a, b] = phi(x_a x_b*)
-    try:
-        # under the transpose, phi o sigma's images are a view: no copy of phi
-        W = recover_unitary(images.swapaxes(2, 3) if sigma is SigmaFlag.TRANSPOSE else images, dims)
-    except NotInvertibleError as exc:
-        raise NotInvertibleError(f"stage recovery: {exc}") from exc
-    except NoSolutionError as exc:
-        raise NotPreserverError(f"stage recovery: {exc}") from exc
+    # under the transpose, phi o sigma's images are a view: no copy of phi
+    W = recover_unitary(images.swapaxes(2, 3) if sigma is SigmaFlag.TRANSPOSE else images, dims)
     U, V, kron_residual = nearest_kron_factor(W, dims)
     dec = Decomposition(sigma, U, V, kron_residual, verification_residual=0.0)
     residual = verify_theorem_form(phi, dec)

@@ -169,14 +169,12 @@ def cmd_extend(args) -> int:
         return _fail(exc, _EXIT_USAGE)
     auto = args.sigma == "auto"
     try:
-        # under an explicit sigma, k = 1 is a usage error before any stage runs
-        ext = None if auto else extend(phi, SigmaFlag(args.sigma))
         dec = decompose(phi, tol=args.tol)
     except MESKitError as exc:
-        if auto or isinstance(exc, DimensionError):
+        if auto or isinstance(exc, DimensionError):  # k = 1 is a usage error under any sigma
             return _fail(exc, _error_code(exc))
         dec = exc
-    ext = ext or extend(phi, dec.sigma)
+    ext = extend(phi, dec.sigma if auto else SigmaFlag(args.sigma))
     if isinstance(dec, Decomposition) and dec.sigma is not ext.sigma:
         dec = f"stage sigma: certified as {dec.sigma.value}, not {ext.sigma.value}"
     certified = isinstance(dec, Decomposition)

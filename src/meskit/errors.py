@@ -1,7 +1,11 @@
 """Typed error taxonomy shared by all modules.
 
 Library code raises these instead of bare ``ValueError`` so that callers
-(and the CLI exit-code mapping) can branch on the failure mode.
+(and the CLI exit-code mapping) can branch on the failure mode.  A verdict
+on a map has one of three types, one per way to miss the invertible
+preserver form: NotPreserverError, NotInvertibleError or NotKroneckerError.
+The type names the verdict, and the message's ``stage ...:`` prefix names
+the step that reached it.
 """
 
 
@@ -37,25 +41,10 @@ class NotOrthogonalError(MESKitError, ValueError):
     """Two coisometries required to satisfy A B* = 0 do not."""
 
 
-class SubspaceViolationError(MESKitError):
-    """A map image left the two-dimensional cross-term subspace it must stay in."""
-
-
-class InconsistentChoiError(MESKitError):
-    """det of the restricted 4x4 Choi matrix is near neither 0 nor -1."""
-
-
-class PhaseAlignmentError(MESKitError):
-    """No coherent phase assignment exists for a family of image coisometries."""
-
-
-class NoSolutionError(MESKitError):
-    """No conjugation unitary fits the map: the recovered columns are not unitary."""
-
-
 class NotPreserverError(MESKitError):
-    """The map is not an MES preserver: no conjugation form fits it, or its
-    span certificate, or a sampled MES image, fails."""
+    """The map is not an MES preserver.  Raised by ``decompose`` at stages
+    input, recovery and certificate, and by :mod:`meskit.choi` at stages
+    restricted map, discriminant and alignment."""
 
 
 class NotInvertibleError(MESKitError):

@@ -41,7 +41,7 @@ class ExtendedSuperoperator:
     def yy_dims(self) -> Dims:
         """Dims of the square space the extension acts on."""
         n = self.base.dims.n
-        return Dims(m=n, n=n, k=1)
+        return Dims(n, n)
 
     def apply_to(self, M) -> np.ndarray:
         """The image [phi(M_pq)] (identity) or [phi(M_qp)] (transpose) of an

@@ -271,7 +271,7 @@ def check_switch_identities(dims: Dims, samples: int, seed) -> float:
     permutation (i, p, j, q) -> (p, i, q, j) of the n^2 x n^2 state.
     """
     n = dims.n
-    square = Dims(m=n, n=n, k=1)
+    square = Dims(n, n)
     worst = 0.0
     for i in range(samples):
         a = haar_unitary(n, np.random.SeedSequence([_as_int(seed), 119, i, 0]))

@@ -338,14 +338,12 @@ def dims_to_obj(dims: Dims) -> dict:
 
 
 def dims_from_obj(obj) -> Dims:
-    return Dims(m=int(obj["m"]), n=int(obj["n"]), k=int(obj["k"]))
-
-
-def coisometry_to_obj(matrix: np.ndarray, dims: Dims) -> dict:
-    out = matrix_to_obj(matrix)
-    out["m"] = dims.m
-    out["n"] = dims.n
-    return out
+    """Dims of a ``{"m", "n", "k"}`` object, whose ``k`` must equal n / m."""
+    m, n, k = int(obj["m"]), int(obj["n"]), int(obj["k"])
+    dims = Dims(m, n)
+    if k != dims.k:
+        raise DimensionError(f"block count k = {k} disagrees with n / m = {dims.k}")
+    return dims
 
 
 def superoperator_to_obj(matrix: np.ndarray, dims: Dims) -> dict:

@@ -100,9 +100,7 @@ def pi(A, dims: Dims | None = None) -> DensityOperator:
         d = dims
     else:
         m, n = mat.shape
-        if n % m != 0:
-            raise DimensionError(f"cannot infer block count for shape {mat.shape}")
-        d = Dims(m=m, n=n, k=n // m)
+        d = Dims(m, n)
     w = vec(mat)
     norm2 = float(np.vdot(w, w).real)
     if norm2 <= 0.0:
@@ -141,8 +139,6 @@ def is_mes(M, dims: Dims | None = None, tol: float = DEFAULT_TOL) -> bool:
 
 def random_coisometry(dims: Dims, seed=0) -> Coisometry:
     """First m rows of a Haar n x n unitary."""
-    if dims.m > dims.n:
-        raise DimensionError(f"need m <= n for a coisometry, got {dims}")
     u = haar_unitary(dims.n, seed)
     return Coisometry(matrix=u[: dims.m, :], dims=dims)
 

@@ -122,10 +122,7 @@ def make_adjoint_preserver(U, V, sigma: SigmaFlag) -> Superoperator:
     V (n x n); m must divide n."""
     U = _require_unitary(U, "U")
     V = _require_unitary(V, "V")
-    m, n = U.shape[0], V.shape[0]
-    if n % m != 0:
-        raise DimensionError(f"V dimension {n} is not a multiple of U dimension {m}")
-    dims = Dims(m=m, n=n, k=n // m)
+    dims = Dims(U.shape[0], V.shape[0])
     return Superoperator(matrix=_conjugation_matrix(kron(U, V), sigma), dims=dims)
 
 
@@ -142,7 +139,7 @@ def make_swap_preserver(U, V, sigma: SigmaFlag) -> Superoperator:
     if U.shape != V.shape:
         raise DimensionError(f"switch form needs equal factor dimensions, got {U.shape} and {V.shape}")
     m = U.shape[0]
-    dims = Dims(m=m, n=m, k=1)
+    dims = Dims(m, m)
     w = _transpose_columns(kron(U, V), m)
     return Superoperator(matrix=_conjugation_matrix(w, sigma), dims=dims)
 

@@ -25,21 +25,25 @@ DEFAULT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Dims:
-    """Dimensions of the bipartite space X (x) Y with the block constraint n = k*m."""
+    """Dimensions of X (x) Y: m must divide n, and the block count k = n / m is derived."""
 
     m: int
     n: int
-    k: int
 
     def __post_init__(self) -> None:
-        if self.m < 1 or self.n < 1 or self.k < 1:
+        if self.m < 1 or self.n < 1:
             raise DimensionError(f"dimensions must be positive, got {self}")
-        if self.n != self.k * self.m:
-            raise DimensionError(f"block constraint n = k*m violated: {self}")
+        if self.n % self.m != 0:
+            raise DimensionError(f"block constraint: m must divide n, got {self}")
 
     @classmethod
     def from_mk(cls, m: int, k: int) -> "Dims":
-        return cls(m=m, n=k * m, k=k)
+        return cls(m, k * m)
+
+    @property
+    def k(self) -> int:
+        """Block count n / m."""
+        return self.n // self.m
 
     @property
     def mn(self) -> int:

@@ -240,7 +240,7 @@ def test_criterion_7_negative_controls():
         v = haar_unitary(4, np.random.SeedSequence([8200, seed, 1]))
         psi = make_swap_preserver(u, v, SigmaFlag.IDENTITY)
         w = kron(p_operator(1, dims), np.eye(4))
-        witness = pi(switch_commutation_witness(dims, u), Dims(m=4, n=4, k=1)).matrix
+        witness = pi(switch_commutation_witness(dims, u), Dims(4, 4)).matrix
         if ad_commutation_residual(psi, w, witness) <= 1e-3:
             false_accepts += 1
         if commutes_with_ad(psi, w, seed=seed):

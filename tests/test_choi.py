@@ -177,14 +177,14 @@ def test_restricted_g_rank_one_preservation(rng):
 
 
 def test_flag_from_determinant_balls():
-    from meskit import InconsistentChoiError, flag_from_determinant
+    from meskit import NotPreserverError, flag_from_determinant
 
     assert flag_from_determinant(0.0) is SigmaFlag.IDENTITY
     assert flag_from_determinant(0.2 - 0.3j) is SigmaFlag.IDENTITY
     assert flag_from_determinant(-1.0) is SigmaFlag.TRANSPOSE
     assert flag_from_determinant(-0.8 + 0.1j) is SigmaFlag.TRANSPOSE
     for outside in (-0.5, 0.7, -1.9, 2.0, -0.5 + 0.2j):
-        with pytest.raises(InconsistentChoiError):
+        with pytest.raises(NotPreserverError):
             flag_from_determinant(outside)
 
 

@@ -23,6 +23,7 @@ from meskit import (
     apply,
     decompose,
     detect_sigma,
+    flag_from_determinant,
     identity_superop,
     is_invertible_on_span,
     kron,
@@ -113,7 +114,7 @@ def test_decompose_rejects_random_superoperator(rng):
 
 
 def test_decompose_rejects_single_block():
-    square = Dims(m=2, n=2, k=1)
+    square = Dims(2, 2)
     phi = make_adjoint_preserver(np.eye(2), np.eye(2), SigmaFlag.IDENTITY)
     assert phi.dims == square
     with pytest.raises(DimensionError):
@@ -196,6 +197,38 @@ def test_decompose_names_recovery_stage(phi, error):
     with pytest.raises(error, match=r"^stage recovery: ") as raised:
         decompose(phi)
     assert type(raised.value) is error
+
+
+def _cross_term_leak(dims, seed):
+    """Ad_W plus a term that vanishes on pi(A1) and pi(A2) but not on the
+    cross term vec(A1) vec(A2)*, with (A1, A2) an orthogonal pair."""
+    a1, a2 = orthogonal_family(dims, seed)[:2]
+    cross = np.outer(vec(a1.matrix), vec(a2.matrix).conj())
+    junk = complex_gaussian(np.random.default_rng(seed), dims.mn, dims.mn)
+    phi = make_adjoint_preserver(*unitary_pair(dims, seed), SigmaFlag.IDENTITY)
+    leak = phi.matrix + np.outer(vec(junk), vec(cross).conj())
+    return Superoperator(matrix=leak, dims=dims), a1, a2
+
+
+def test_refusals_name_their_verdict_and_stage(rng):
+    # each refusal is raised where it is found, with its verdict's type and its stage's name
+    leak, a1, a2 = _cross_term_leak(DIMS, 43)
+    for a in (a1, a2):  # the leak leaves the images of pi(A1) and pi(A2) MES
+        zeta_image(leak, a)
+    trace = make_trace_preserver(pi(random_coisometry(DIMS, 3)))
+    noise = Superoperator(matrix=complex_gaussian(rng, 64, 64), dims=DIMS)
+    cases = [
+        (lambda: recover_unitary(noise, DIMS), NotPreserverError, "stage recovery: "),
+        (lambda: recover_unitary(trace, DIMS), NotInvertibleError, "stage recovery: "),
+        (lambda: flag_from_determinant(0.7), NotPreserverError, "stage discriminant: "),
+        (lambda: restricted_g(leak, a1, a2), NotPreserverError, "stage restricted map: "),
+        (lambda: restricted_g(trace, a1, a2), NotInvertibleError, "stage restricted map: "),
+        (lambda: align_images(leak, [a1, a2]), NotPreserverError, "stage alignment: "),
+    ]
+    for call, error, stage in cases:
+        with pytest.raises(MESKitError) as raised:
+            call()
+        assert type(raised.value) is error and str(raised.value).startswith(stage), raised.value
 
 
 # Frobenius-normalised noise that every seed survived before the certificate

@@ -193,6 +193,28 @@ def test_classify_single_block_out_of_scope(tmp_path, capsys):
     assert json.loads(stderr)["error"] == "DimensionError"
 
 
+def test_classify_block_count_must_match_the_shape(tmp_path, capsys):
+    # k is derived from (m, n), so a file whose "k" disagrees is refused on reading
+    path = tmp_path / "k.json"
+    obj = serialize.superoperator_to_obj(np.eye(64, dtype=complex), Dims.from_mk(2, 2))
+    obj["dims"]["k"] = 3
+    serialize.write_json(str(path), obj)
+    code, stdout, stderr = run_cli(capsys, "classify", str(path))
+    assert code == 2 and stdout == ""
+    assert json.loads(stderr)["error"] == "DimensionError"
+
+
+def test_extend_explicit_sigma_single_block_exit_2(tmp_path, capsys):
+    out = str(tmp_path / "swap.json")
+    assert run_cli(capsys, "gen", "--m", "2", "--k", "1", "--form", "swap", "--out", out)[0] == 0
+    ext_out = tmp_path / "ext.json"
+    code, stdout, stderr = run_cli(capsys, "extend", out, "--sigma", "identity", "--out", str(ext_out))
+    assert code == 2 and stdout == "" and "Traceback" not in stderr
+    error = json.loads(stderr)  # one error JSON
+    assert error["error"] == "DimensionError" and error["exit_code"] == 2
+    assert not ext_out.exists()
+
+
 def test_gen_swap_requires_square_space(tmp_path, capsys):
     code, _, stderr = run_cli(
         capsys, "gen", "--m", "2", "--k", "2", "--form", "swap",
@@ -207,7 +229,7 @@ def test_gen_swap_square_space_ok(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "gen", "--m", "3", "--k", "1", "--form", "swap", "--out", out)
     assert code == 0
     matrix, dims = serialize.superoperator_from_obj(json.loads((tmp_path / "swap.json").read_text()))
-    assert dims == Dims(m=3, n=3, k=1)
+    assert dims == Dims(3, 3)
     assert matrix.shape == (81, 81)
 
 

@@ -119,7 +119,7 @@ def test_extension_peak_memory_far_below_the_dense_matrix(rng):
 
 
 def test_extend_rejects_single_block():
-    square = Dims(m=2, n=2, k=1)
+    square = Dims(2, 2)
     phi = make_adjoint_preserver(np.eye(2), np.eye(2), SigmaFlag.IDENTITY)
     assert phi.dims == square
     with pytest.raises(DimensionError):
@@ -225,7 +225,7 @@ def test_switch_form_fails_sign_commutation_with_witness():
     w = kron(p_operator(1, DIMS), np.eye(4))
     a = switch_commutation_witness(DIMS, u)
     assert np.linalg.norm(a @ a.conj().T - np.eye(4)) < 1e-12
-    state = pi(a, Dims(m=4, n=4, k=1)).matrix
+    state = pi(a, Dims(4, 4)).matrix
     assert ad_commutation_residual(psi, w, state) > 0.1
     assert not commutes_with_ad(psi, w)
 
@@ -240,7 +240,7 @@ def test_square_space_projection_identities():
     # switch, transpose and conjugation act on projections of unitaries as
     # transpose, complex conjugation, and U A V^T respectively
     n = 4
-    square = Dims(m=n, n=n, k=1)
+    square = Dims(n, n)
     switch = make_swap_preserver(np.eye(n), np.eye(n), SigmaFlag.IDENTITY)
     for seed in range(50):
         a = haar_unitary(n, np.random.SeedSequence([seed, 0]))

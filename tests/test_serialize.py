@@ -326,12 +326,6 @@ def test_write_json_into_a_missing_directory_names_the_path(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_coisometry_obj_carries_dims(rng):
-    dims = Dims.from_mk(2, 2)
-    obj = serialize.coisometry_to_obj(complex_gaussian(rng, 2, 4), dims)
-    assert obj["m"] == 2 and obj["n"] == 4
-
-
 def _same_bits(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 

@@ -210,4 +210,4 @@ def test_dims_cannot_represent_m_gt_n():
     # a coisometry needs m <= n; the Dims block constraint already rules the
     # rest out, so the failure surfaces at Dims construction
     with pytest.raises(DimensionError):
-        Dims(m=4, n=2, k=1)
+        Dims(4, 2)

@@ -156,7 +156,7 @@ def test_adjoint_preserver_functoriality():
 
 
 def test_swap_preserver_transposes_projections():
-    square = Dims(m=2, n=2, k=1)
+    square = Dims(2, 2)
     sw = make_swap_preserver(np.eye(2), np.eye(2), SigmaFlag.IDENTITY)
     a = haar_unitary(2, 17)
     np.testing.assert_allclose(
@@ -167,7 +167,7 @@ def test_swap_preserver_transposes_projections():
 
 
 def test_swap_preserver_preserves_square_mes():
-    square = Dims(m=2, n=2, k=1)
+    square = Dims(2, 2)
     u = haar_unitary(2, 19)
     v = haar_unitary(2, 21)
     for sigma in (SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE):
@@ -183,7 +183,7 @@ def test_swap_preserver_rejects_rectangular():
 
 
 def test_swap_and_adjoint_agree_on_symmetric_products(rng):
-    square = Dims(m=2, n=2, k=1)
+    square = Dims(2, 2)
     u = haar_unitary(2, 23)
     v = haar_unitary(2, 25)
     a = complex_gaussian(rng, 2, 2)

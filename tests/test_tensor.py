@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,10 +124,16 @@ def test_partial_trace_rejects_bad_shape():
 
 def test_dims_validation():
     with pytest.raises(DimensionError):
-        Dims(m=2, n=5, k=2)
+        Dims(2, 5)
     with pytest.raises(DimensionError):
-        Dims(m=0, n=0, k=1)
+        Dims(0, 0)
     assert Dims.from_mk(2, 3).mn == 12
+
+
+def test_dims_is_a_shape_and_derives_k():
+    assert [f.name for f in dataclasses.fields(Dims)] == ["m", "n"]
+    assert Dims(2, 4).k == 2
+    assert Dims.from_mk(2, 3) == Dims(2, 6)
 
 
 def test_haar_unitary_is_unitary():
@@ -205,7 +213,7 @@ def test_nearest_kron_factor_identity():
 def test_nearest_kron_factor_swap_is_far():
     # the swap operator is maximally non-Kronecker: its rearrangement has four
     # equal singular values, leaving residual sqrt(3)
-    dims = Dims(m=2, n=2, k=1)
+    dims = Dims(2, 2)
     swap = np.zeros((4, 4))
     for i in range(2):
         for j in range(2):
