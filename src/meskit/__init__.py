@@ -2,21 +2,21 @@
 
 Builds maximally entangled states from coisometries, constructs the canonical
 preserver forms (unitary conjugation with an optional transpose, the square-
-space switch form, and the trace form), detects the identity-vs-transpose
-branch through a 4x4 Choi-matrix determinant, extends preservers blockwise to
-the square space, and decomposes an arbitrary preserver back into its
-(sigma, U, V) data.
+space switch form, and the trace form), extends preservers blockwise to the
+square space, and decomposes an arbitrary preserver back into its
+(sigma, U, V) data.  ``decompose`` picks sigma by certifying
+Ad_(U (x) V) o sigma on all of span(MES), and draws no sample.  The paper's
+identity-vs-transpose discriminant, the determinant of the 4x4 Choi matrix
+J(G), is one of the identities ``meskit check-lemmas`` verifies.
 """
 
 from .choi import (
-    RestrictedMapG,
     align_images,
     choi_matrix,
     detect_sigma,
     flag_from_determinant,
     phi_on_cross_term,
     restricted_g,
-    zeta_image,
 )
 from .classify import (
     Decomposition,
@@ -52,7 +52,6 @@ from .states import (
     Coisometry,
     DensityOperator,
     are_orthogonal,
-    canonical_family,
     is_coisometry,
     is_mes,
     orthogonal_family,
@@ -64,7 +63,6 @@ from .superop import (
     SigmaFlag,
     Superoperator,
     apply,
-    identity_superop,
     is_invertible_on_span,
     make_adjoint_preserver,
     make_swap_preserver,
@@ -102,7 +100,6 @@ __all__ = [
     "NotOrthogonalError",
     "NotPreserverError",
     "NotUnitaryError",
-    "RestrictedMapG",
     "SigmaFlag",
     "Superoperator",
     "ZeroOperatorError",
@@ -112,7 +109,6 @@ __all__ = [
     "are_orthogonal",
     "block_join",
     "block_split",
-    "canonical_family",
     "choi_matrix",
     "decompose",
     "detect_sigma",
@@ -120,7 +116,6 @@ __all__ = [
     "fix_global_phase",
     "flag_from_determinant",
     "haar_unitary",
-    "identity_superop",
     "is_coisometry",
     "is_invertible_on_span",
     "is_mes",
@@ -147,5 +142,4 @@ __all__ = [
     "unvec",
     "vec",
     "verify_theorem_form",
-    "zeta_image",
 ]

@@ -11,8 +11,6 @@ MES elements (cross terms come from the polarization identity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError, NotInvertibleError, NotOrthogonalError, NotPreserverError
@@ -24,32 +22,6 @@ from .tensor import frobenius, kron, scaled_tol, unvec, vec
 # the subspace and phase-coherence residuals; images are tested for MES
 # membership by :func:`representative`, at the same 1e-8.
 _TOL = 1e-8
-
-
-@dataclass(frozen=True, eq=False)
-class RestrictedMapG:
-    """Map G: C^{2x2} -> C^{2x2} induced on an orthogonal coisometry pair.
-
-    ``matrix`` acts on row-vectorized 2 x 2 matrices.  The construction
-    normalizes G(E11) = E11 and G(E22) = E22.  ``basis_a`` is the orthogonal
-    input pair, ``basis_b`` the image representatives.
-    """
-
-    matrix: np.ndarray
-    basis_a: tuple[Coisometry, Coisometry]
-    basis_b: tuple[Coisometry, Coisometry]
-
-    def evaluate(self, X) -> np.ndarray:
-        return unvec(self.matrix @ vec(X), 2, 2)
-
-
-def zeta_image(phi: Superoperator, A: Coisometry) -> Coisometry:
-    """Canonical coisometry B with pi(B) = phi(pi(A)).
-
-    Raises NotMESError when the image is not an MES (phi is not a preserver).
-    """
-    image = apply(phi, pi(A).matrix)
-    return representative(image, phi.dims)
 
 
 def phi_on_cross_term(phi: Superoperator, A1: Coisometry, A2: Coisometry) -> np.ndarray:
@@ -69,8 +41,28 @@ def phi_on_cross_term(phi: Superoperator, A1: Coisometry, A2: Coisometry) -> np.
     return total / 4.0
 
 
+def _image_table(
+    phi: Superoperator, family: list[Coisometry]
+) -> tuple[list[np.ndarray], list[list[np.ndarray]]]:
+    """The images phi(pi(A_p)) of a mutually orthogonal family and the table
+    phi(vec(A_p) vec(A_q)*), each value computed once: m times the image on
+    the diagonal (vec(A) vec(A)* = m pi(A)), :func:`phi_on_cross_term` off it,
+    which raises NotOrthogonalError for a non-orthogonal pair."""
+    images = [apply(phi, pi(a).matrix) for a in family]
+    k = len(family)
+    table = [
+        [
+            phi.dims.m * images[p] if p == q else phi_on_cross_term(phi, family[p], family[q])
+            for q in range(k)
+        ]
+        for p in range(k)
+    ]
+    return images, table
+
+
 def _expand_in_image_basis(T: np.ndarray, b: tuple[np.ndarray, np.ndarray], gram4: np.ndarray):
-    """Least-squares coefficients of T in {b_p b_q*} via the Gram system.
+    """Least-squares coefficients of T in {b_p b_q*} (index 2p + q) via the
+    Gram system, and the residual of the expansion.
 
     The basis need not be orthogonal (its orthogonality is a conclusion, not a
     premise), hence the explicit 4 x 4 Gram solve with ``gram4``, the Gram
@@ -81,26 +73,23 @@ def _expand_in_image_basis(T: np.ndarray, b: tuple[np.ndarray, np.ndarray], gram
     recon = sum(
         coeffs[2 * p + q] * np.outer(b[p], b[q].conj()) for p in range(2) for q in range(2)
     )
-    return coeffs.reshape(2, 2), frobenius(T - recon)
+    return coeffs, frobenius(T - recon)
 
 
-def restricted_g(phi: Superoperator, A1: Coisometry, A2: Coisometry) -> RestrictedMapG:
-    """Coefficient map G of phi on the cross-term subspace of (A1, A2).
+def restricted_g(phi: Superoperator, A1: Coisometry, A2: Coisometry) -> np.ndarray:
+    """The 4 x 4 matrix G of phi on the cross-term subspace of (A1, A2).
 
-    phi(vec(A_i) vec(A_j)*) is expanded in {vec(B_p) vec(B_q)*} for the image
-    representatives B_p; the 2 x 2 coefficient matrix is G(E_ij).  A large
+    G acts on row-vectorized 2 x 2 matrices: its column 2i + j is vec(G(E_ij)),
+    the coefficients of phi(vec(A_i) vec(A_j)*) in {vec(B_p) vec(B_q)*} for
+    the image representatives B_p, so G(E11) = E11 and G(E22) = E22.  A large
     expansion residual means phi moved the subspace, which no MES preserver
     can do, hence NotPreserverError.  Image representatives that are
     (nearly) parallel mean phi sends pi(A1) - pi(A2) to zero, so phi is not
     injective on span(MES), hence NotInvertibleError.  Both messages start
     with "stage restricted map: ".
     """
-    if not are_orthogonal(A1, A2):
-        raise NotOrthogonalError("restricted map needs an orthogonal coisometry pair")
-    dims = phi.dims
-    images = [apply(phi, pi(a).matrix) for a in (A1, A2)]
-    B1, B2 = (representative(image, dims) for image in images)
-    b = (vec(B1.matrix), vec(B2.matrix))
+    images, table = _image_table(phi, [A1, A2])
+    b = tuple(vec(representative(image, phi.dims).matrix) for image in images)
     gram2 = np.array([[np.vdot(bp, bq) for bq in b] for bp in b])
     # det / (product of the diagonal) is sin^2 of the angle between B1 and B2
     sin2 = float(np.linalg.det(gram2).real / (gram2[0, 0].real * gram2[1, 1].real))
@@ -111,31 +100,26 @@ def restricted_g(phi: Superoperator, A1: Coisometry, A2: Coisometry) -> Restrict
         )
     gram4 = kron(gram2, gram2.conj())
     gmat = np.zeros((4, 4), dtype=complex)
-    for i, Ai in enumerate((A1, A2)):
-        for j, Aj in enumerate((A1, A2)):
-            if i == j:
-                target = dims.m * images[i]
-            else:
-                target = phi_on_cross_term(phi, Ai, Aj)
+    for i in range(2):
+        for j in range(2):
+            target = table[i][j]
             coeffs, residual = _expand_in_image_basis(target, b, gram4)
             if residual >= scaled_tol(_TOL, frobenius(target)):
                 raise NotPreserverError(
                     "stage restricted map: cross-term image left its subspace "
                     f"(residual {residual:.3e})"
                 )
-            gmat[:, 2 * i + j] = coeffs.reshape(-1)
-    return RestrictedMapG(matrix=gmat, basis_a=(A1, A2), basis_b=(B1, B2))
+            gmat[:, 2 * i + j] = coeffs
+    return gmat
 
 
-def choi_matrix(G: RestrictedMapG) -> np.ndarray:
-    """J(G) = sum_ij E_ij (x) G(E_ij), the 4 x 4 block matrix of the G(E_ij)."""
-    eye2 = np.eye(2)
-    J = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            e_ij = np.outer(eye2[i], eye2[j])
-            J += np.kron(e_ij, G.evaluate(e_ij))
-    return J
+def choi_matrix(G: np.ndarray) -> np.ndarray:
+    """J(G) = sum_ij E_ij (x) G(E_ij) for the matrix G of :func:`restricted_g`.
+
+    Entry (2i + a, 2j + b) of J is entry (a, b) of G(E_ij), which is
+    G[2a + b, 2i + j], so J is a realignment of G's entries.
+    """
+    return G.reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
 
 
 def flag_from_determinant(det: complex) -> SigmaFlag:
@@ -180,21 +164,9 @@ def align_images(phi: Superoperator, family: list[Coisometry]) -> list[Coisometr
     """
     dims = phi.dims
     k = len(family)
-    for p in range(k):
-        for q in range(p + 1, k):
-            if not are_orthogonal(family[p], family[q]):
-                raise NotOrthogonalError("alignment needs a mutually orthogonal family")
-    images = [apply(phi, pi(a).matrix) for a in family]
+    images, table = _image_table(phi, family)
     b1 = vec(representative(images[0], dims).matrix)
-    # table[p][q] = phi(vec(A_p) vec(A_q)*), each value computed once; the
-    # transpose branch expects vec(B_q) vec(B_p)* there
-    table = [
-        [
-            dims.m * images[p] if p == q else phi_on_cross_term(phi, family[p], family[q])
-            for q in range(k)
-        ]
-        for p in range(k)
-    ]
+    # the transpose branch expects vec(B_q) vec(B_p)* at table[p][q]
     readings = []
     for swap in (False, True):
         vecs = [b1] + [(t @ b1 if swap else t.conj().T @ b1) / dims.m for t in table[0][1:]]

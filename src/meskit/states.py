@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     DimensionError,
     NotCoisometryError,
+    NotDensityError,
     NotHermitianError,
     NotMESError,
     ZeroOperatorError,
@@ -68,11 +69,11 @@ class DensityOperator:
         if self.matrix.shape != (mn, mn):
             raise DimensionError(f"density operator must be {mn}x{mn}, got {self.matrix.shape}")
         if frobenius(self.matrix - self.matrix.conj().T) >= _VALIDATION_TOL:
-            raise ValueError("density operator is not Hermitian")
+            raise NotHermitianError("density operator is not Hermitian")
         if abs(np.trace(self.matrix) - 1.0) >= _VALIDATION_TOL:
-            raise ValueError("density operator trace differs from 1")
+            raise NotDensityError("density operator trace differs from 1")
         if float(np.linalg.eigvalsh((self.matrix + self.matrix.conj().T) / 2)[0]) < -_VALIDATION_TOL:
-            raise ValueError("density operator has a negative eigenvalue")
+            raise NotDensityError("density operator has a negative eigenvalue")
 
 
 def _matrix_of(a) -> np.ndarray:
@@ -149,15 +150,6 @@ def orthogonal_family(dims: Dims, seed=0) -> list[Coisometry]:
     u = haar_unitary(dims.n, seed)
     return [
         Coisometry(matrix=u[j * dims.m : (j + 1) * dims.m, :], dims=dims)
-        for j in range(dims.k)
-    ]
-
-
-def canonical_family(dims: Dims) -> list[Coisometry]:
-    """The coordinate family [I|0|...|0], [0|I|0|...], ..."""
-    eye = np.eye(dims.n, dtype=complex)
-    return [
-        Coisometry(matrix=eye[j * dims.m : (j + 1) * dims.m, :], dims=dims)
         for j in range(dims.k)
     ]
 

@@ -73,11 +73,6 @@ def _transpose_columns(a: np.ndarray, d: int) -> np.ndarray:
     return a.reshape(rows, d, d).transpose(0, 2, 1).reshape(rows, d * d)
 
 
-def identity_superop(dims: Dims) -> Superoperator:
-    side = dims.mn * dims.mn
-    return Superoperator(matrix=np.eye(side, dtype=complex), dims=dims)
-
-
 def apply(phi, M) -> np.ndarray:
     """Evaluate a superoperator on an operator: unvec(matrix @ vec(M)).
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from meskit import (
+    Coisometry,
     DimensionError,
     Dims,
     ExtendedSuperoperator,
@@ -32,6 +33,21 @@ def unitary_pair(dims: Dims, seed: int):
     u = haar_unitary(dims.m, np.random.SeedSequence([seed, 0]))
     v = haar_unitary(dims.n, np.random.SeedSequence([seed, 1]))
     return u, v
+
+
+def identity_superop(dims: Dims) -> Superoperator:
+    """The identity map on L(X (x) Y)."""
+    side = dims.mn * dims.mn
+    return Superoperator(matrix=np.eye(side, dtype=complex), dims=dims)
+
+
+def canonical_family(dims: Dims) -> list[Coisometry]:
+    """The coordinate family [I|0|...|0], [0|I|0|...], ..."""
+    eye = np.eye(dims.n, dtype=complex)
+    return [
+        Coisometry(matrix=eye[j * dims.m : (j + 1) * dims.m, :], dims=dims)
+        for j in range(dims.k)
+    ]
 
 
 # Reference implementations the closed forms in meskit are checked against:

@@ -12,7 +12,6 @@ from meskit import (
     choi_matrix,
     detect_sigma,
     haar_unitary,
-    identity_superop,
     kron,
     make_adjoint_preserver,
     orthogonal_family,
@@ -20,11 +19,16 @@ from meskit import (
     pi,
     random_coisometry,
     restricted_g,
+    unvec,
     vec,
-    zeta_image,
 )
 from meskit.superop import _conjugation_matrix
-from conftest import complex_gaussian, phase_aligned_distance, unitary_pair
+from conftest import (
+    canonical_family,
+    complex_gaussian,
+    identity_superop,
+    unitary_pair,
+)
 
 DIMS = Dims.from_mk(2, 2)
 
@@ -33,32 +37,9 @@ def _preserver(seed, sigma):
     return make_adjoint_preserver(*unitary_pair(DIMS, seed), sigma)
 
 
-def test_zeta_image_of_identity_is_input():
-    a = random_coisometry(DIMS, 1)
-    b = zeta_image(identity_superop(DIMS), a)
-    assert phase_aligned_distance(b.matrix, a.matrix) < 1e-10
-
-
-def test_zeta_image_of_adjoint_preserver():
-    u, v = unitary_pair(DIMS, 3)
-    phi = make_adjoint_preserver(u, v, SigmaFlag.IDENTITY)
-    a = random_coisometry(DIMS, 5)
-    b = zeta_image(phi, a)
-    assert phase_aligned_distance(b.matrix, u @ a.matrix @ v.T) < 1e-10
-
-
-def test_zeta_image_of_transpose_preserver():
-    u, v = unitary_pair(DIMS, 7)
-    phi = make_adjoint_preserver(u, v, SigmaFlag.TRANSPOSE)
-    a = random_coisometry(DIMS, 9)
-    b = zeta_image(phi, a)
-    assert phase_aligned_distance(b.matrix, u @ a.matrix.conj() @ v.T) < 1e-10
-
-
-def test_zeta_image_rejects_non_preserver(rng):
-    bad = Superoperator(matrix=complex_gaussian(rng, 64, 64), dims=DIMS)
-    with pytest.raises(NotMESError):
-        zeta_image(bad, random_coisometry(DIMS, 11))
+def _evaluate(g, X):
+    """G(X) for the matrix G of restricted_g, which acts on row-vectorized X."""
+    return unvec(g @ vec(X), 2, 2)
 
 
 @pytest.mark.parametrize("seed", [3, 4])
@@ -101,11 +82,9 @@ def test_cross_term_matches_direct_conjugation():
 def test_restricted_g_identity():
     # the canonical family already satisfies the phase gauge, so the image
     # representatives coincide with the inputs and G is exactly the identity
-    from meskit import canonical_family
-
     fam = canonical_family(DIMS)
     g = restricted_g(identity_superop(DIMS), fam[0], fam[1])
-    np.testing.assert_allclose(g.matrix, np.eye(4), atol=1e-10)
+    np.testing.assert_allclose(g, np.eye(4), atol=1e-10)
 
 
 def test_restricted_g_identity_on_random_pair_is_diagonal_phase():
@@ -113,11 +92,11 @@ def test_restricted_g_identity_on_random_pair_is_diagonal_phase():
     # with unimodular entries and normalized corners
     fam = orthogonal_family(DIMS, 21)
     g = restricted_g(identity_superop(DIMS), fam[0], fam[1])
-    off = g.matrix - np.diag(np.diagonal(g.matrix))
+    off = g - np.diag(np.diagonal(g))
     assert np.abs(off).max() < 1e-10
-    np.testing.assert_allclose(np.abs(np.diagonal(g.matrix)), np.ones(4), atol=1e-10)
-    assert g.matrix[0, 0] == pytest.approx(1.0)
-    assert g.matrix[3, 3] == pytest.approx(1.0)
+    np.testing.assert_allclose(np.abs(np.diagonal(g)), np.ones(4), atol=1e-10)
+    assert g[0, 0] == pytest.approx(1.0)
+    assert g[3, 3] == pytest.approx(1.0)
 
 
 def test_restricted_g_diagonal_normalization_and_offdiagonal_phase():
@@ -128,9 +107,9 @@ def test_restricted_g_diagonal_normalization_and_offdiagonal_phase():
     e22 = np.array([[0.0, 0.0], [0.0, 1.0]])
     for sigma in (SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE):
         g = restricted_g(_preserver(25, sigma), fam[0], fam[1])
-        np.testing.assert_allclose(g.evaluate(e11), e11, atol=1e-10)
-        np.testing.assert_allclose(g.evaluate(e22), e22, atol=1e-10)
-        image12 = g.evaluate(e12)
+        np.testing.assert_allclose(_evaluate(g, e11), e11, atol=1e-10)
+        np.testing.assert_allclose(_evaluate(g, e22), e22, atol=1e-10)
+        image12 = _evaluate(g, e12)
         pattern = e12 if sigma is SigmaFlag.IDENTITY else e21
         coeff = image12[pattern.astype(bool)][0]
         assert abs(abs(coeff) - 1.0) < 1e-10
@@ -138,8 +117,6 @@ def test_restricted_g_diagonal_normalization_and_offdiagonal_phase():
 
 
 def test_choi_matrix_of_identity_map():
-    from meskit import canonical_family
-
     fam = canonical_family(DIMS)
     j = choi_matrix(restricted_g(identity_superop(DIMS), fam[0], fam[1]))
     expected = np.zeros((4, 4))
@@ -164,13 +141,48 @@ def test_choi_matrix_forms_and_determinant():
     assert abs(np.linalg.det(j_tr) + 1.0) < 1e-10
 
 
+def _choi_by_definition(g):
+    """J(G) = sum_ij E_ij (x) G(E_ij), summed term by term."""
+    eye2 = np.eye(2)
+    J = np.zeros((4, 4), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            e_ij = np.outer(eye2[i], eye2[j])
+            J += np.kron(e_ij, _evaluate(g, e_ij))
+    return J
+
+
+@pytest.mark.parametrize("m,k", [(2, 2), (3, 2)])
+@pytest.mark.parametrize("sigma", [SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE])
+def test_choi_matrix_realigns_g_exactly(m, k, sigma):
+    # the realignment moves G's entries without arithmetic, so it agrees with
+    # the sum of E_ij (x) G(E_ij) bit for bit, and so does det J(G)
+    dims = Dims.from_mk(m, k)
+    for seed in range(5):
+        phi = make_adjoint_preserver(*unitary_pair(dims, 60 + seed), sigma)
+        fam = orthogonal_family(dims, 70 + seed)
+        g = restricted_g(phi, fam[0], fam[1])
+        j, reference = choi_matrix(g), _choi_by_definition(g)
+        assert np.array_equal(j, reference)
+        assert np.linalg.det(j) == np.linalg.det(reference)
+
+
+def test_restricted_g_and_align_images_reject_non_orthogonal():
+    phi = _preserver(27, SigmaFlag.IDENTITY)
+    a = random_coisometry(DIMS, 15)
+    with pytest.raises(NotOrthogonalError):
+        restricted_g(phi, a, a)
+    with pytest.raises(NotOrthogonalError):
+        align_images(phi, [a, a])
+
+
 def test_restricted_g_rank_one_preservation(rng):
     # images of rank-1 PSD coefficient matrices stay rank-1 PSD
     g = restricted_g(_preserver(33, SigmaFlag.IDENTITY), *orthogonal_family(DIMS, 35)[:2])
     for _ in range(50):
         ab = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         ab /= np.linalg.norm(ab)
-        image = g.evaluate(np.outer(ab, ab.conj()))
+        image = _evaluate(g, np.outer(ab, ab.conj()))
         assert abs(np.linalg.det(image)) < 1e-8
         assert abs(np.trace(image) - 1.0) < 1e-8
         assert np.linalg.eigvalsh((image + image.conj().T) / 2.0)[0] > -1e-8
@@ -201,8 +213,6 @@ def test_detect_sigma_pair_independent():
 
 
 def test_align_images_identity_on_canonical_family():
-    from meskit import canonical_family
-
     family = canonical_family(DIMS)
     images = align_images(identity_superop(DIMS), family)
     for a, b in zip(family, images):

@@ -24,7 +24,6 @@ from meskit import (
     decompose,
     detect_sigma,
     flag_from_determinant,
-    identity_superop,
     is_invertible_on_span,
     kron,
     make_adjoint_preserver,
@@ -40,13 +39,18 @@ from meskit import (
     serialize,
     verify_theorem_form,
     vec,
-    zeta_image,
 )
 from meskit import choi, classify, lemmas, superop
 from meskit.classify import Decomposition, _certify
 from meskit.cli import main
 from meskit.superop import _require_unitary, _span_complement, make_swap_preserver
-from conftest import complex_gaussian, phase_aligned_distance, span_mes_basis, unitary_pair
+from conftest import (
+    complex_gaussian,
+    identity_superop,
+    phase_aligned_distance,
+    span_mes_basis,
+    unitary_pair,
+)
 
 DIMS = Dims.from_mk(2, 2)
 
@@ -214,7 +218,7 @@ def test_refusals_name_their_verdict_and_stage(rng):
     # each refusal is raised where it is found, with its verdict's type and its stage's name
     leak, a1, a2 = _cross_term_leak(DIMS, 43)
     for a in (a1, a2):  # the leak leaves the images of pi(A1) and pi(A2) MES
-        zeta_image(leak, a)
+        representative(apply(leak, pi(a).matrix), DIMS)
     trace = make_trace_preserver(pi(random_coisometry(DIMS, 3)))
     noise = Superoperator(matrix=complex_gaussian(rng, 64, 64), dims=DIMS)
     cases = [
@@ -304,7 +308,6 @@ def test_verification_residual_bounds_every_mes(m, k, sigma):
         preserves_mes,
         is_invertible_on_span,
         _require_unitary,
-        zeta_image,
         restricted_g,
         detect_sigma,
         align_images,

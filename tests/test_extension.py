@@ -14,7 +14,6 @@ from meskit import (
     block_split,
     extend,
     haar_unitary,
-    identity_superop,
     is_mes,
     kron,
     make_adjoint_preserver,
@@ -28,7 +27,7 @@ from meskit import (
     switch_commutation_witness,
 )
 from meskit.lemmas import check_switch_identities
-from conftest import commutes_with_ad, complex_gaussian, unitary_pair
+from conftest import commutes_with_ad, complex_gaussian, identity_superop, unitary_pair
 
 DIMS = Dims.from_mk(2, 2)
 BOTH = (SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE)

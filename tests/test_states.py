@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 
 from meskit import (
     Coisometry,
+    DensityOperator,
     DimensionError,
     Dims,
     NotMESError,
     ZeroOperatorError,
     are_orthogonal,
-    canonical_family,
     haar_unitary,
     is_coisometry,
     is_mes,
@@ -21,8 +21,8 @@ from meskit import (
     representative,
     vec,
 )
-from meskit.errors import MESKitError, NotCoisometryError
-from conftest import complex_gaussian
+from meskit.errors import MESKitError, NotCoisometryError, NotDensityError, NotHermitianError
+from conftest import canonical_family, complex_gaussian
 
 DIMS = Dims.from_mk(2, 2)
 
@@ -107,13 +107,6 @@ def test_orthogonal_family_blocks():
     assert np.linalg.norm(stacked @ stacked.conj().T - np.eye(6)) < 1e-12
 
 
-def test_canonical_family_is_coordinate_blocks():
-    family = canonical_family(DIMS)
-    np.testing.assert_array_equal(family[0].matrix, np.hstack([np.eye(2), np.zeros((2, 2))]))
-    np.testing.assert_array_equal(family[1].matrix, np.hstack([np.zeros((2, 2)), np.eye(2)]))
-    assert are_orthogonal(family[0], family[1])
-
-
 def test_are_orthogonal_negative():
     a = random_coisometry(DIMS, 1)
     assert not are_orthogonal(a, a)
@@ -153,6 +146,22 @@ def test_coisometry_rejects_with_a_typed_error():
     # in the package's taxonomy, and still the ValueError it was before
     with pytest.raises(NotCoisometryError, match="deviates from identity") as info:
         Coisometry(matrix=2 * np.eye(2, 4), dims=DIMS)
+    assert isinstance(info.value, MESKitError) and isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "matrix,error,message",
+    [
+        (np.triu(np.ones((8, 8))) / 8, NotHermitianError, "not Hermitian"),
+        (np.eye(8) / 4, NotDensityError, "trace differs from 1"),
+        (np.diag([2.0, -1.0, 0, 0, 0, 0, 0, 0]), NotDensityError, "negative eigenvalue"),
+    ],
+    ids=["hermitian", "trace", "eigenvalue"],
+)
+def test_density_operator_rejects_with_a_typed_error(matrix, error, message):
+    # each check raises its own type in the package's taxonomy, still a ValueError
+    with pytest.raises(error, match=message) as info:
+        DensityOperator(matrix=matrix, dims=DIMS)
     assert isinstance(info.value, MESKitError) and isinstance(info.value, ValueError)
 
 

@@ -16,7 +16,6 @@ from meskit import (
     Superoperator,
     apply,
     haar_unitary,
-    identity_superop,
     is_invertible_on_span,
     is_mes,
     kron,
@@ -29,7 +28,13 @@ from meskit import (
     random_coisometry,
     vec,
 )
-from conftest import complex_gaussian, span_mes_basis, transpose_matrix, unitary_pair
+from conftest import (
+    complex_gaussian,
+    identity_superop,
+    span_mes_basis,
+    transpose_matrix,
+    unitary_pair,
+)
 
 DIMS = Dims.from_mk(2, 2)
 
