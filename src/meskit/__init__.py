@@ -50,7 +50,6 @@ from .extension import (
 )
 from .states import (
     Coisometry,
-    DensityOperator,
     are_orthogonal,
     is_coisometry,
     is_mes,
@@ -88,7 +87,6 @@ __all__ = [
     "Coisometry",
     "DEFAULT_TOL",
     "Decomposition",
-    "DensityOperator",
     "DimensionError",
     "Dims",
     "ExtendedSuperoperator",

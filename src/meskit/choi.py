@@ -31,13 +31,13 @@ def phi_on_cross_term(phi: Superoperator, A1: Coisometry, A2: Coisometry) -> np.
     C_l = A1 + i^l A2, and each (A1 + i^l A2)/sqrt(2) is a coisometry exactly
     when A1 and A2 are orthogonal, so every term is 2m times an MES element.
     """
-    if not are_orthogonal(A1, A2):
+    if not are_orthogonal(A1.matrix, A2.matrix):
         raise NotOrthogonalError("cross terms need an orthogonal coisometry pair")
     dims = A1.dims
     total = np.zeros((dims.mn, dims.mn), dtype=complex)
     for ell in range(4):
         comb = (A1.matrix + (1j**ell) * A2.matrix) / np.sqrt(2.0)
-        total += (1j**ell) * 2.0 * dims.m * apply(phi, pi(comb, dims).matrix)
+        total += (1j**ell) * 2.0 * dims.m * apply(phi, pi(comb))
     return total / 4.0
 
 
@@ -48,7 +48,7 @@ def _image_table(
     phi(vec(A_p) vec(A_q)*), each value computed once: m times the image on
     the diagonal (vec(A) vec(A)* = m pi(A)), :func:`phi_on_cross_term` off it,
     which raises NotOrthogonalError for a non-orthogonal pair."""
-    images = [apply(phi, pi(a).matrix) for a in family]
+    images = [apply(phi, pi(a.matrix)) for a in family]
     k = len(family)
     table = [
         [

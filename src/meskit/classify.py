@@ -64,7 +64,6 @@ from .errors import (
 from .superop import SigmaFlag, Superoperator, _add_product, _conjugation_matrix, _span_complement
 from .tensor import (
     Dims,
-    as_complex,
     fix_global_phase,
     frobenius,
     kron,
@@ -85,7 +84,7 @@ class Decomposition:
     verification_residual: float
 
 
-def recover_unitary(phi_corrected, dims: Dims) -> np.ndarray:
+def recover_unitary(images: np.ndarray, dims: Dims) -> np.ndarray:
     """Conjugation unitary W with phi(M) = W M W* on span(MES), for k >= 2.
 
     With r = 0 (Y index 0) and s = 1 (Y index 1), Z = phi(x_r x_s*) =
@@ -97,17 +96,14 @@ def recover_unitary(phi_corrected, dims: Dims) -> np.ndarray:
     singular on span(MES); the trace form gives Z = 0) and NotPreserverError
     when the columns read off are not unitary within a relative 1e-6, each
     with the prefix "stage recovery: ".
-    ``phi_corrected`` is the sigma-corrected map, its (d^2, d^2) matrix, or
-    its (d, d, d, d) image array ``images[:, :, a, b] = phi(x_a x_b*)``,
-    which may be a view.
+    ``images`` is the sigma-corrected map's (d, d, d, d) image array
+    ``images[:, :, a, b] = phi(x_a x_b*)``, which may be a view.
     """
-    mat = phi_corrected.matrix if hasattr(phi_corrected, "matrix") else as_complex(phi_corrected)
     d = dims.mn
     r, s = 0, 1
-    images = mat.reshape(d, d, d, d)  # images[:, :, a, b] = phi(x_a x_b*)
     Z = images[:, :, r, s]
     z_norm = frobenius(Z)
-    if z_norm <= 1e-6 * frobenius(mat) / d:
+    if z_norm <= 1e-6 * frobenius(images) / d:
         raise NotInvertibleError(
             f"stage recovery: singular on span(MES): |phi(x_r x_s*)|_F = {z_norm:.3e} "
             "for a unit element"

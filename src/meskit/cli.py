@@ -19,16 +19,14 @@ with ``"all_pass": false`` (``extend`` under an explicit sigma,
 Each subcommand accepts only the flags it reads: ``--tol`` for ``classify``,
 ``extend`` and ``check-lemmas``, ``--samples`` (default 20) for ``check-lemmas``
 only, and ``--seed`` (a non-negative integer, default 0) for the commands that
-draw at random, ``gen`` and ``check-lemmas``.  Where ``--tol`` is accepted, it
-defaults to the MESKIT_TOL environment variable and then to 1e-9; other
-subcommands ignore MESKIT_TOL.
+draw at random, ``gen`` and ``check-lemmas``.  ``--tol`` defaults to 1e-9; no
+environment variable sets it.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -80,13 +78,9 @@ def _error_code(exc: MESKitError) -> int:
 
 
 def _check_settings(args) -> None:
-    """Resolves ``--tol`` (flag, then MESKIT_TOL, then 1e-9) on the subcommands
-    that take it, and rejects a non-positive or non-finite tolerance, a
-    non-positive sample count and a negative seed."""
+    """Rejects a non-positive or non-finite tolerance, a non-positive sample
+    count and a negative seed."""
     if "tol" in args:
-        if args.tol is None:
-            env = os.environ.get("MESKIT_TOL")
-            args.tol = float(env) if env else 1e-9
         if args.tol <= 0:
             raise ValueError("tol must be positive")
         if not math.isfinite(args.tol):
@@ -120,9 +114,9 @@ def cmd_gen(args) -> int:
         return _fail(exc, _EXIT_USAGE)
     truth: dict = {"form": args.form, "m": args.m, "k": args.k, "seed": args.seed}
     if args.form == "trace":
-        rho = pi(random_coisometry(dims, np.random.SeedSequence([args.seed, 41, 2])))
-        phi = make_trace_preserver(rho)
-        truth.update({"rho": serialize.matrix_to_obj(rho.matrix)})
+        rho = pi(random_coisometry(dims, np.random.SeedSequence([args.seed, 41, 2])).matrix)
+        phi = make_trace_preserver(rho, dims)
+        truth.update({"rho": serialize.matrix_to_obj(rho)})
     else:
         if args.form == "swap" and args.k != 1:
             return _fail(
@@ -225,9 +219,7 @@ def _add_common(
         parser.add_argument("--k", type=int, default=2, help="block count (Y has dimension k*m)")
         parser.add_argument("--seed", type=int, default=0, help="seed for all randomized draws")
     if tol:
-        parser.add_argument(
-            "--tol", type=float, default=None, help="tolerance (default 1e-9, or MESKIT_TOL)"
-        )
+        parser.add_argument("--tol", type=float, default=1e-9, help="tolerance (default 1e-9)")
     if samples:
         parser.add_argument("--samples", type=int, default=20, help="sample count (default 20)")
 

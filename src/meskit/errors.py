@@ -33,11 +33,6 @@ class NotCoisometryError(MESKitError, ValueError):
     """A matrix A with A A* = I was expected and not supplied."""
 
 
-class NotDensityError(MESKitError, ValueError):
-    """A Hermitian matrix required to have trace 1 and no negative eigenvalue
-    does not."""
-
-
 class NotMESError(MESKitError, ValueError):
     """An operator is not a maximally entangled state within tolerance."""
 

@@ -75,7 +75,7 @@ def check_mes_partial_trace(dims: Dims, samples: int, seed) -> float:
     worst = 0.0
     for i in range(samples):
         states = [
-            pi(random_coisometry(dims, np.random.SeedSequence([_as_int(seed), 102, i, j]))).matrix
+            pi(random_coisometry(dims, np.random.SeedSequence([_as_int(seed), 102, i, j])).matrix)
             for j in range(3)
         ]
         worst = max(worst, frobenius(partial_trace_y(states[0], dims) - eye / dims.m))
@@ -95,8 +95,7 @@ def check_pure_states_in_span(dims: Dims, samples: int, seed) -> float:
     worst = 0.0
     for i in range(samples):
         if i % 2 == 0:
-            state = pi(random_coisometry(dims, np.random.SeedSequence([_as_int(seed), 103, i])))
-            mat = state.matrix
+            mat = pi(random_coisometry(dims, np.random.SeedSequence([_as_int(seed), 103, i])).matrix)
         else:
             u = rng.standard_normal(dims.mn) + 1j * rng.standard_normal(dims.mn)
             u /= np.linalg.norm(u)
@@ -183,7 +182,7 @@ def check_pair_semilinearity(dims: Dims, samples: int, seed) -> float:
             target = coeff[0] * images[0].matrix + coeff[1] * images[1].matrix
             worst = max(
                 worst,
-                frobenius(apply(phi, pi(source, dims).matrix) - pi(target, dims).matrix),
+                frobenius(apply(phi, pi(source)) - pi(target)),
             )
     return worst
 
@@ -227,7 +226,7 @@ def check_family_alignment(dims: Dims, samples: int, seed) -> float:
             target = sum(c * b.matrix for c, b in zip(out_coeff, images))
             worst = max(
                 worst,
-                frobenius(apply(phi, pi(source, dims).matrix) - pi(target, dims).matrix),
+                frobenius(apply(phi, pi(source)) - pi(target)),
             )
     return worst
 
@@ -239,8 +238,9 @@ def check_extension_preserves_mes(dims: Dims, samples: int, seed) -> float:
         phi = _random_preserver(dims, sigma, seed, 115)
         ext = extend(phi, sigma)
         for i in range(samples):
-            state = pi(random_coisometry(ext.yy_dims, np.random.SeedSequence([_as_int(seed), 116, i])))
-            image = apply(ext, state.matrix)
+            seq = np.random.SeedSequence([_as_int(seed), 116, i])
+            state = pi(random_coisometry(ext.yy_dims, seq).matrix)
+            image = apply(ext, state)
             _, rank1_residual = rank_one_factor(image, 1e-6)
             ptrace_dev = frobenius(
                 partial_trace_y(image, ext.yy_dims) - np.eye(dims.n) / dims.n
@@ -257,9 +257,10 @@ def check_structural_commutation(dims: Dims, samples: int, seed) -> float:
         phi = _random_preserver(dims, sigma, seed, 117)
         ext = extend(phi, sigma)
         for i in range(samples):
-            state = pi(random_coisometry(ext.yy_dims, np.random.SeedSequence([_as_int(seed), 118, i])))
+            seq = np.random.SeedSequence([_as_int(seed), 118, i])
+            state = pi(random_coisometry(ext.yy_dims, seq).matrix)
             for w in operators:
-                worst = max(worst, ad_commutation_residual(ext, w, state.matrix))
+                worst = max(worst, ad_commutation_residual(ext, w, state))
     return worst
 
 
@@ -271,21 +272,17 @@ def check_switch_identities(dims: Dims, samples: int, seed) -> float:
     permutation (i, p, j, q) -> (p, i, q, j) of the n^2 x n^2 state.
     """
     n = dims.n
-    square = Dims(n, n)
     worst = 0.0
     for i in range(samples):
         a = haar_unitary(n, np.random.SeedSequence([_as_int(seed), 119, i, 0]))
         u = haar_unitary(n, np.random.SeedSequence([_as_int(seed), 119, i, 1]))
         v = haar_unitary(n, np.random.SeedSequence([_as_int(seed), 119, i, 2]))
-        state = pi(a, square).matrix
+        state = pi(a)
         switched = state.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)
-        worst = max(worst, frobenius(switched - pi(a.T, square).matrix))
-        worst = max(worst, frobenius(state.T - pi(a.conj(), square).matrix))
+        worst = max(worst, frobenius(switched - pi(a.T)))
+        worst = max(worst, frobenius(state.T - pi(a.conj())))
         w = kron(u, v)
-        worst = max(
-            worst,
-            frobenius(w @ state @ w.conj().T - pi(u @ a @ v.T, square).matrix),
-        )
+        worst = max(worst, frobenius(w @ state @ w.conj().T - pi(u @ a @ v.T)))
     return worst
 
 

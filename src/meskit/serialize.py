@@ -1,10 +1,10 @@
 """JSON formats shared by the CLI and the file interfaces.
 
 Matrix payload: ``{"rows": r, "cols": c, "data": [[re, im], ...]}`` with the
-entries in row-major order; a vector is a matrix with ``cols = 1``.  In memory,
-:func:`matrix_to_obj` carries ``data`` as an ``(r*c, 2)`` float64 view of the
-matrix, and :func:`row_slabs_to_obj` as a one-shot iterator of such views, one
-per slab of rows; the encoder writes either in fixed-size chunks.
+entries of a 2-D matrix in row-major order.  In memory, :func:`matrix_to_obj`
+carries ``data`` as an ``(r*c, 2)`` float64 view of the matrix, and
+:func:`row_slabs_to_obj` as a one-shot iterator of such views, one per slab of
+rows; the encoder writes either in fixed-size chunks.
 :func:`read_superoperator` reads a superoperator file back without building
 the matrix as Python lists: it parses the ``data`` array in slices of rows
 straight into one float64 array.
@@ -274,8 +274,6 @@ class _DataSpan:
 
 def matrix_to_obj(a: np.ndarray) -> dict:
     a = np.asarray(a, dtype=complex)
-    if a.ndim == 1:
-        a = a.reshape(-1, 1)
     if a.ndim != 2:
         raise DimensionError(f"expected a matrix, got ndim={a.ndim}")
     if not np.all(np.isfinite(a)):

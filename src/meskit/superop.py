@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NotMESError, NotUnitaryError
-from .states import DensityOperator, is_mes, pi, random_coisometry
+from .states import is_mes, pi, random_coisometry
 from .tensor import Dims, as_complex, frobenius, kron, scaled_tol, vec
 
 
@@ -84,8 +84,7 @@ def apply(phi, M) -> np.ndarray:
         raise DimensionError(f"expected a square operator, got shape {M.shape}")
     if hasattr(phi, "apply_to"):
         return phi.apply_to(M)
-    mat = phi.matrix if hasattr(phi, "matrix") else as_complex(phi)
-    d = M.shape[0]
+    mat, d = phi.matrix, M.shape[0]
     if mat.shape != (d * d, d * d):
         raise DimensionError(f"superoperator side {mat.shape} does not match operator {M.shape}")
     return (mat @ M.reshape(-1)).reshape(d, d)
@@ -139,13 +138,12 @@ def make_swap_preserver(U, V, sigma: SigmaFlag) -> Superoperator:
     return Superoperator(matrix=_conjugation_matrix(w, sigma), dims=dims)
 
 
-def make_trace_preserver(rho: DensityOperator) -> Superoperator:
-    """Non-invertible preserver M -> tr(M) rho for a fixed MES rho."""
-    if not is_mes(rho):
+def make_trace_preserver(rho: np.ndarray, dims: Dims) -> Superoperator:
+    """Non-invertible preserver M -> tr(M) rho for a fixed MES rho on X (x) Y."""
+    if not is_mes(rho, dims):
         raise NotMESError("trace-form preserver requires an MES target state")
-    mn = rho.dims.mn
-    mat = np.outer(vec(rho.matrix), vec(np.eye(mn)))
-    return Superoperator(matrix=mat, dims=rho.dims)
+    mat = np.outer(vec(rho), vec(np.eye(dims.mn)))
+    return Superoperator(matrix=mat, dims=dims)
 
 
 def _traceless_basis(m: int) -> list[np.ndarray]:
@@ -202,7 +200,7 @@ def preserves_mes(phi: Superoperator, seed=0) -> bool:
     """
     for i in range(20):
         A = random_coisometry(phi.dims, np.random.SeedSequence([_as_int(seed), 11, i]))
-        if not is_mes(apply(phi, pi(A).matrix), phi.dims, 1e-8):
+        if not is_mes(apply(phi, pi(A.matrix)), phi.dims, 1e-8):
             return False
     return True
 

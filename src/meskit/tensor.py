@@ -82,13 +82,9 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_complex(a), as_complex(b))
 
 
-def partial_trace_y(M, dims) -> np.ndarray:
-    """Trace out the Y factor: the unique linear map with A (x) B -> tr(B) A.
-
-    ``dims`` may be a :class:`Dims` or a plain ``(m, n)`` pair; the partial
-    trace itself needs no block structure.
-    """
-    m, n = (dims.m, dims.n) if isinstance(dims, Dims) else (int(dims[0]), int(dims[1]))
+def partial_trace_y(M, dims: Dims) -> np.ndarray:
+    """Trace out the Y factor: the unique linear map with A (x) B -> tr(B) A."""
+    m, n = dims.m, dims.n
     M = as_complex(M)
     if M.shape != (m * n, m * n):
         raise DimensionError(f"expected {m * n}x{m * n} operator, got {M.shape}")

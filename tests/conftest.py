@@ -107,7 +107,7 @@ def commutes_with_ad(phi_tilde, W, seed=0) -> bool:
     dims = _yy_sampling_dims(phi_tilde)
     for i in range(20):
         A = random_coisometry(dims, np.random.SeedSequence([_as_int(seed), 17, i]))
-        if ad_commutation_residual(phi_tilde, W, pi(A).matrix) >= 1e-9:
+        if ad_commutation_residual(phi_tilde, W, pi(A.matrix)) >= 1e-9:
             return False
     return True
 

@@ -126,7 +126,7 @@ def test_criterion_3_partial_trace_identity():
         for m, n in grids:
             a = complex_gaussian(rng, m, n)
             b = complex_gaussian(rng, m, n)
-            lhs = partial_trace_y(np.outer(vec(a), vec(b).conj()), (m, n))
+            lhs = partial_trace_y(np.outer(vec(a), vec(b).conj()), Dims(m, n))
             worst = max(worst, float(np.linalg.norm(lhs - a @ b.conj().T)))
             count += 1
     ok = worst < 1e-12
@@ -204,9 +204,7 @@ def test_criterion_6_extension():
         for sigma in BOTH:
             ext = extend(_preserver(dims, sigma, 7000), sigma)
             for i in range(50):
-                state = pi(
-                    random_coisometry(ext.yy_dims, np.random.SeedSequence([7100, i]))
-                ).matrix
+                state = pi(random_coisometry(ext.yy_dims, np.random.SeedSequence([7100, i])).matrix)
                 image = apply(ext, state)
                 assert is_mes(image, ext.yy_dims, 1e-8)
                 for w in operators:
@@ -225,7 +223,8 @@ def test_criterion_7_negative_controls():
     dims = Dims.from_mk(2, 2)
     false_accepts = 0
     for seed in range(50):
-        phi = make_trace_preserver(pi(random_coisometry(dims, np.random.SeedSequence([8000, seed]))))
+        rho = pi(random_coisometry(dims, np.random.SeedSequence([8000, seed])).matrix)
+        phi = make_trace_preserver(rho, dims)
         with pytest.raises(NotInvertibleError):
             decompose(phi)
         bad = Superoperator(
@@ -240,7 +239,7 @@ def test_criterion_7_negative_controls():
         v = haar_unitary(4, np.random.SeedSequence([8200, seed, 1]))
         psi = make_swap_preserver(u, v, SigmaFlag.IDENTITY)
         w = kron(p_operator(1, dims), np.eye(4))
-        witness = pi(switch_commutation_witness(dims, u), Dims(4, 4)).matrix
+        witness = pi(switch_commutation_witness(dims, u))
         if ad_commutation_residual(psi, w, witness) <= 1e-3:
             false_accepts += 1
         if commutes_with_ad(psi, w, seed=seed):
@@ -265,7 +264,7 @@ def test_criterion_8_family_semilinearity():
             source = sum(c * f.matrix for c, f in zip(coeff, family))
             target = sum(c * b.matrix for c, b in zip(out_coeff, images))
             dist = float(
-                np.linalg.norm(apply(phi, pi(source, dims).matrix) - pi(target, dims).matrix)
+                np.linalg.norm(apply(phi, pi(source)) - pi(target))
             )
             worst = max(worst, dist)
     ok = worst < 1e-8

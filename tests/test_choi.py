@@ -236,7 +236,7 @@ def test_align_images_orthogonality_and_coherence(sigma):
     for p in range(3):
         for q in range(3):
             target = phi_on_cross_term(phi, family[p], family[q]) if p != q else (
-                2.0 * apply(phi, pi(family[p]).matrix)
+                2.0 * apply(phi, pi(family[p].matrix))
             )
             bp, bq = (images[q], images[p]) if sigma is SigmaFlag.TRANSPOSE else (
                 images[p],
@@ -257,7 +257,7 @@ def test_projective_semilinearity_on_pairs(sigma, rng):
         coeff = ab.conj() if sigma is SigmaFlag.TRANSPOSE else ab
         source = ab[0] * fam[0].matrix + ab[1] * fam[1].matrix
         target = coeff[0] * images[0].matrix + coeff[1] * images[1].matrix
-        dist = np.linalg.norm(apply(phi, pi(source, DIMS).matrix) - pi(target, DIMS).matrix)
+        dist = np.linalg.norm(apply(phi, pi(source)) - pi(target))
         assert dist < 1e-8
 
 

@@ -55,16 +55,21 @@ from conftest import (
 DIMS = Dims.from_mk(2, 2)
 
 
+def _images(phi):
+    """The (d, d, d, d) image array ``images[:, :, a, b] = phi(x_a x_b*)``."""
+    return phi.matrix.reshape((phi.dims.mn,) * 4)
+
+
 def test_recover_unitary_from_conjugation():
     u, v = unitary_pair(DIMS, 1)
     phi = make_adjoint_preserver(u, v, SigmaFlag.IDENTITY)
-    w = recover_unitary(phi, DIMS)
+    w = recover_unitary(_images(phi), DIMS)
     assert phase_aligned_distance(w, kron(u, v)) < 1e-8
 
 
 def test_recover_unitary_identity():
     # the identity map is Ad_I: the recovered unitary is I in the phase gauge
-    w = recover_unitary(identity_superop(DIMS), DIMS)
+    w = recover_unitary(_images(identity_superop(DIMS)), DIMS)
     np.testing.assert_allclose(w, np.eye(8), atol=1e-10)
 
 
@@ -72,16 +77,16 @@ def test_recover_unitary_identity_map_on_non_square_split():
     # the only conjugations that fix every matrix are the scalars: on a
     # non-square split the identity map still recovers I up to phase
     dims = Dims.from_mk(3, 2)
-    w = recover_unitary(identity_superop(dims), dims)
+    w = recover_unitary(_images(identity_superop(dims)), dims)
     assert phase_aligned_distance(w, np.eye(dims.mn)) < 1e-10
 
 
 def test_recover_unitary_rejects_trace_form():
     # the trace form sends the unit element x_r x_s* of span(MES) to exactly 0
-    rho = pi(random_coisometry(DIMS, 3))
-    phi = make_trace_preserver(rho)
+    rho = pi(random_coisometry(DIMS, 3).matrix)
+    phi = make_trace_preserver(rho, DIMS)
     with pytest.raises(NotInvertibleError):
-        recover_unitary(phi, DIMS)
+        recover_unitary(_images(phi), DIMS)
 
 
 @pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (2, 3), (3, 2)])
@@ -106,7 +111,7 @@ def test_decompose_identity():
 
 
 def test_decompose_rejects_trace_form():
-    phi = make_trace_preserver(pi(random_coisometry(DIMS, 7)))
+    phi = make_trace_preserver(pi(random_coisometry(DIMS, 7).matrix), DIMS)
     with pytest.raises(NotInvertibleError):
         decompose(phi)
 
@@ -188,7 +193,8 @@ def _recovery_refusals():
     """Trace forms and the zero map are singular on span(MES); 1e-7 phi is
     not, but its columns read off are not unitary."""
     for m, k in ((2, 2), (3, 2)):
-        trace = make_trace_preserver(pi(random_coisometry(Dims.from_mk(m, k), 7)))
+        dims = Dims.from_mk(m, k)
+        trace = make_trace_preserver(pi(random_coisometry(dims, 7).matrix), dims)
         yield pytest.param(trace, NotInvertibleError, id=f"trace-{m}-{k}")
     zero = Superoperator(matrix=np.zeros((64, 64), dtype=complex), dims=DIMS)
     yield pytest.param(zero, NotInvertibleError, id="zero")
@@ -218,12 +224,12 @@ def test_refusals_name_their_verdict_and_stage(rng):
     # each refusal is raised where it is found, with its verdict's type and its stage's name
     leak, a1, a2 = _cross_term_leak(DIMS, 43)
     for a in (a1, a2):  # the leak leaves the images of pi(A1) and pi(A2) MES
-        representative(apply(leak, pi(a).matrix), DIMS)
-    trace = make_trace_preserver(pi(random_coisometry(DIMS, 3)))
+        representative(apply(leak, pi(a.matrix)), DIMS)
+    trace = make_trace_preserver(pi(random_coisometry(DIMS, 3).matrix), DIMS)
     noise = Superoperator(matrix=complex_gaussian(rng, 64, 64), dims=DIMS)
     cases = [
-        (lambda: recover_unitary(noise, DIMS), NotPreserverError, "stage recovery: "),
-        (lambda: recover_unitary(trace, DIMS), NotInvertibleError, "stage recovery: "),
+        (lambda: recover_unitary(_images(noise), DIMS), NotPreserverError, "stage recovery: "),
+        (lambda: recover_unitary(_images(trace), DIMS), NotInvertibleError, "stage recovery: "),
         (lambda: flag_from_determinant(0.7), NotPreserverError, "stage discriminant: "),
         (lambda: restricted_g(leak, a1, a2), NotPreserverError, "stage restricted map: "),
         (lambda: restricted_g(trace, a1, a2), NotInvertibleError, "stage restricted map: "),
@@ -254,14 +260,14 @@ def _sampled_stage_blind_map():
     dims = DIMS
     d = dims.mn
     rows = [
-        vec(pi(random_coisometry(dims, np.random.SeedSequence([0, 11, i]))).matrix)
+        vec(pi(random_coisometry(dims, np.random.SeedSequence([0, 11, i])).matrix))
         for i in range(20)
     ]
     a1, a2 = orthogonal_family(dims, np.random.SeedSequence([0, 13]))[:2]
     for x, y in ((a1, a2), (a2, a1)):
-        rows.append(vec(pi(x).matrix))
+        rows.append(vec(pi(x.matrix)))
         rows += [
-            vec(pi((x.matrix + 1j**ell * y.matrix) / np.sqrt(2), dims).matrix) for ell in range(4)
+            vec(pi((x.matrix + 1j**ell * y.matrix) / np.sqrt(2))) for ell in range(4)
         ]
     eye = np.eye(d * d)
     for a in range(d):
@@ -296,7 +302,7 @@ def test_verification_residual_bounds_every_mes(m, k, sigma):
     dec = decompose(phi)
     W = kron(dec.U, dec.V)
     for i in range(50):
-        M = pi(random_coisometry(dims, np.random.SeedSequence([23, 97, i]))).matrix
+        M = pi(random_coisometry(dims, np.random.SeedSequence([23, 97, i])).matrix)
         Msig = M.T if sigma is SigmaFlag.TRANSPOSE else M
         residual = np.linalg.norm(apply(phi, M) - W @ Msig @ W.conj().T)
         assert residual <= dec.verification_residual
@@ -346,8 +352,8 @@ def _stage_inputs(m, k):
         for claimed in SigmaFlag:  # the right sigma and the wrong one
             dec = Decomposition(claimed, u, v, 0.0, 0.0)
             yield f"preserver-{sigma.value}-as-{claimed.value}", phi, dec
-    rho = pi(random_coisometry(dims, np.random.SeedSequence([29, 2])))
-    yield "trace", make_trace_preserver(rho), ident
+    rho = pi(random_coisometry(dims, np.random.SeedSequence([29, 2])).matrix)
+    yield "trace", make_trace_preserver(rho, dims), ident
     g = complex_gaussian(np.random.default_rng(29), dims.mn**2, dims.mn**2)
     yield "gaussian", Superoperator(matrix=g, dims=dims), ident
 
@@ -409,7 +415,7 @@ def test_accept_runs_no_sampled_stage(m, k, sigma, monkeypatch):
 @pytest.mark.parametrize("seed", [2.7, "1"])
 def test_seed_must_be_an_integer(seed):
     accept = make_adjoint_preserver(*unitary_pair(DIMS, 47), SigmaFlag.IDENTITY)
-    refusal = make_trace_preserver(pi(random_coisometry(DIMS, 47)))
+    refusal = make_trace_preserver(pi(random_coisometry(DIMS, 47).matrix), DIMS)
     for phi in (accept, refusal):
         with pytest.raises(TypeError, match="seed must be an integer"):
             detect_sigma(phi, seed=seed)
@@ -436,7 +442,7 @@ def test_classify_accept_does_not_import_numpy_random(tmp_path, form, expected, 
     # the check can see the import
     dims = Dims.from_mk(2, 3)
     if form == "trace":
-        phi = make_trace_preserver(pi(random_coisometry(dims, 49)))
+        phi = make_trace_preserver(pi(random_coisometry(dims, 49).matrix), dims)
     else:
         phi = make_adjoint_preserver(*unitary_pair(dims, 49), SigmaFlag.TRANSPOSE)
     path = tmp_path / "superop.json"
@@ -465,7 +471,7 @@ def test_classify_accept_does_not_import_numpy_random(tmp_path, form, expected, 
 def _stage_readings(phi, sigma):
     """The certificate and Kronecker residual under ``sigma``, read off without
     the verdict's bounds."""
-    images = phi.matrix.reshape((phi.dims.mn,) * 4)
+    images = _images(phi)
     w = recover_unitary(images.swapaxes(2, 3) if sigma is SigmaFlag.TRANSPOSE else images, phi.dims)
     u, v, kron_residual = nearest_kron_factor(w, phi.dims)
     return verify_theorem_form(phi, Decomposition(sigma, u, v, kron_residual, 0.0)), kron_residual
@@ -517,7 +523,7 @@ def test_noise_contract_default_tol_accepts_below_five_tol(monkeypatch):
 
 def _refusals():
     """Each refusal kind at (2,2)."""
-    trace = make_trace_preserver(pi(random_coisometry(DIMS, 57)))
+    trace = make_trace_preserver(pi(random_coisometry(DIMS, 57).matrix), DIMS)
     yield pytest.param(trace, NotInvertibleError, id="trace")
     g = complex_gaussian(np.random.default_rng(57), 64, 64)
     yield pytest.param(Superoperator(matrix=g, dims=DIMS), NotPreserverError, id="random")

@@ -100,44 +100,36 @@ def test_extend_failing_report_exit_1(tmp_path, capsys):
     assert json.loads(ext.read_text())["sigma"] == "identity"
 
 
-def test_flags_only_where_read(tmp_path, capsys, monkeypatch):
+def test_flags_only_where_read(tmp_path, capsys):
     out = str(tmp_path / "sop.json")
     for flag, value in (("--tol", "-5"), ("--samples", "3")):
         code, _, stderr = run_cli(capsys, "gen", flag, value, "--out", out)
         assert code == 2 and "unrecognized arguments" in stderr
-    monkeypatch.setenv("MESKIT_TOL", "abc")  # gen takes no --tol, so it ignores MESKIT_TOL
     assert run_cli(capsys, "gen", "--out", out)[0] == 0
-    monkeypatch.delenv("MESKIT_TOL")
     for command in ("classify", "extend"):
         code, stdout, stderr = run_cli(capsys, command, out, "--samples", "3")
         assert code == 2 and stdout == "" and "--samples" in stderr
 
 
 @pytest.mark.parametrize(
-    "argv,env,message",
+    "argv,message",
     [
-        (["classify", "SOP", "--tol", "0"], None, "tol must be positive"),
-        (["classify", "SOP", "--tol", "-5"], None, "tol must be positive"),
-        (["extend", "SOP", "--tol", "0"], None, "tol must be positive"),
-        (["check-lemmas", "--samples", "0"], None, "samples must be >= 1"),
-        (["classify", "SOP"], "abc", "could not convert string to float: 'abc'"),
-        (["classify", "SOP"], "-1", "tol must be positive"),
-        (["check-lemmas", "--tol", "0", "--samples", "0"], "abc", "tol must be positive"),
-        (["classify", "SOP", "--tol", "nan"], None, "tol must be finite"),
-        (["extend", "SOP", "--tol", "nan"], None, "tol must be finite"),
-        (["check-lemmas", "--tol", "inf"], None, "tol must be finite"),
-        (["classify", "SOP"], "inf", "tol must be finite"),
-        (["check-lemmas"], "nan", "tol must be finite"),
-        (["gen", "--seed", "-1"], None, "--seed must be >= 0, got -1"),
-        (["check-lemmas", "--seed", "-1"], None, "--seed must be >= 0, got -1"),
+        (["classify", "SOP", "--tol", "0"], "tol must be positive"),
+        (["classify", "SOP", "--tol", "-5"], "tol must be positive"),
+        (["extend", "SOP", "--tol", "0"], "tol must be positive"),
+        (["check-lemmas", "--samples", "0"], "samples must be >= 1"),
+        (["check-lemmas", "--tol", "0", "--samples", "0"], "tol must be positive"),
+        (["classify", "SOP", "--tol", "nan"], "tol must be finite"),
+        (["extend", "SOP", "--tol", "nan"], "tol must be finite"),
+        (["check-lemmas", "--tol", "inf"], "tol must be finite"),
+        (["gen", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["check-lemmas", "--seed", "-1"], "--seed must be >= 0, got -1"),
     ],
 )
-def test_invalid_settings_exit_2(argv, env, message, tmp_path, capsys, monkeypatch):
+def test_invalid_settings_exit_2(argv, message, tmp_path, capsys):
     # checked before the command runs: one error JSON, nothing on stdout, no file
     sop, out = tmp_path / "sop.json", tmp_path / "out.json"
     assert run_cli(capsys, "gen", "--out", str(sop))[0] == 0
-    if env is not None:
-        monkeypatch.setenv("MESKIT_TOL", env)
     argv = [str(sop) if a == "SOP" else a for a in argv]
     if argv[0] != "check-lemmas":
         argv += ["--out", str(out)]
@@ -259,7 +251,7 @@ def _write_map(path, dims, sigma, eps=0.0, form="adjoint"):
     not a Kronecker product once ``eps`` > 0), or, for the "noisy" form,
     Ad_{U (x) V} o sigma plus noise ``eps`` on the map's matrix."""
     if form == "trace":
-        phi = make_trace_preserver(pi(random_coisometry(dims, 31)))
+        phi = make_trace_preserver(pi(random_coisometry(dims, 31).matrix), dims)
     elif form == "noisy":
         exact = _conjugation_matrix(kron(*unitary_pair(dims, 31)), sigma)
         g = complex_gaussian(np.random.default_rng(31), *exact.shape)
@@ -330,7 +322,7 @@ def test_extend_certificate_bounds_every_mes(m, k, sigma, tmp_path, capsys):
     ext, w = extend(phi, dec.sigma), kron(np.eye(k), kron(dec.U, dec.V))
     worst = 0.0
     for i in range(20):
-        rho = pi(random_coisometry(ext.yy_dims, np.random.SeedSequence([7, i]))).matrix
+        rho = pi(random_coisometry(ext.yy_dims, np.random.SeedSequence([7, i])).matrix)
         target = w @ (rho.T if sigma is SigmaFlag.TRANSPOSE else rho) @ w.conj().T
         worst = max(worst, np.linalg.norm(ext.apply_to(rho) - target))
     assert 0.0 < worst <= bound < 1e-9
@@ -431,13 +423,21 @@ def test_unwritable_out_exit_2(command, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sop.json", "sop.truth.json"]
 
 
-def test_env_var_overrides_default_tol(tmp_path, capsys, monkeypatch):
+def test_tol_flag_overrides_default_tol(tmp_path, capsys):
     out = str(tmp_path / "sop.json")
     assert run_cli(capsys, "gen", "--m", "2", "--k", "2", "--out", out)[0] == 0
-    monkeypatch.setenv("MESKIT_TOL", "1e-3")
-    code, stdout, _ = run_cli(capsys, "classify", out)
+    code, stdout, _ = run_cli(capsys, "classify", out, "--tol", "1e-3")
     assert code == 0  # looser gate still classifies cleanly
-    monkeypatch.delenv("MESKIT_TOL")
+
+
+def test_classify_ignores_meskit_tol(tmp_path, capsys, monkeypatch):
+    # --tol is the one source of the tolerance: the environment does not set it
+    out = str(tmp_path / "sop.json")
+    assert run_cli(capsys, "gen", "--out", out)[0] == 0
+    expected = run_cli(capsys, "classify", out)
+    assert expected[0] == 0
+    monkeypatch.setenv("MESKIT_TOL", "abc")
+    assert run_cli(capsys, "classify", out) == expected
 
 
 def test_usage_error_unknown_command(capsys):

@@ -145,7 +145,7 @@ def test_extend_preserves_square_mes(sigma):
     phi = _preserver(5, sigma)
     ext = extend(phi, sigma)
     for seed in range(25):
-        state = pi(random_coisometry(ext.yy_dims, seed)).matrix
+        state = pi(random_coisometry(ext.yy_dims, seed).matrix)
         assert is_mes(apply(ext, state), ext.yy_dims, 1e-8)
 
 
@@ -224,7 +224,7 @@ def test_switch_form_fails_sign_commutation_with_witness():
     w = kron(p_operator(1, DIMS), np.eye(4))
     a = switch_commutation_witness(DIMS, u)
     assert np.linalg.norm(a @ a.conj().T - np.eye(4)) < 1e-12
-    state = pi(a, Dims(4, 4)).matrix
+    state = pi(a)
     assert ad_commutation_residual(psi, w, state) > 0.1
     assert not commutes_with_ad(psi, w)
 
@@ -239,18 +239,17 @@ def test_square_space_projection_identities():
     # switch, transpose and conjugation act on projections of unitaries as
     # transpose, complex conjugation, and U A V^T respectively
     n = 4
-    square = Dims(n, n)
     switch = make_swap_preserver(np.eye(n), np.eye(n), SigmaFlag.IDENTITY)
     for seed in range(50):
         a = haar_unitary(n, np.random.SeedSequence([seed, 0]))
         u = haar_unitary(n, np.random.SeedSequence([seed, 1]))
         v = haar_unitary(n, np.random.SeedSequence([seed, 2]))
-        state = pi(a, square).matrix
-        assert np.linalg.norm(apply(switch, state) - pi(a.T, square).matrix) < 1e-10
-        assert np.linalg.norm(state.T - pi(a.conj(), square).matrix) < 1e-10
+        state = pi(a)
+        assert np.linalg.norm(apply(switch, state) - pi(a.T)) < 1e-10
+        assert np.linalg.norm(state.T - pi(a.conj())) < 1e-10
         w = kron(u, v)
         conj = w @ state @ w.conj().T
-        assert np.linalg.norm(conj - pi(u @ a @ v.T, square).matrix) < 1e-10
+        assert np.linalg.norm(conj - pi(u @ a @ v.T)) < 1e-10
     # the switch is the flip permutation of indices, as check_switch_identities applies it
     rng = np.random.default_rng(7)
     for n in (2, 3, 4):

@@ -104,16 +104,17 @@ def test_signed_zeros_survive_a_file_roundtrip(tmp_path):
     np.testing.assert_array_equal(np.signbit(back.imag), np.signbit(a.imag))
 
 
-def test_vector_convention():
-    obj = serialize.matrix_to_obj(np.array([1j, 2.0]))
-    assert obj["rows"] == 2 and obj["cols"] == 1
-
-
 def test_matrix_rejects_nonfinite():
     with pytest.raises(ValueError):
         serialize.matrix_to_obj(np.array([[np.inf]]))
     with pytest.raises(ValueError):
         serialize.matrix_from_obj({"rows": 1, "cols": 1, "data": [[float("nan"), 0.0]]})
+
+
+def test_matrix_to_obj_rejects_a_vector():
+    # nothing writes a vector, so a 1-D array is not a matrix payload
+    with pytest.raises(DimensionError, match="ndim=1"):
+        serialize.matrix_to_obj(np.array([1j, 2.0]))
 
 
 def test_matrix_rejects_wrong_count():
@@ -333,7 +334,8 @@ def _same_bits(a, b) -> bool:
 def _superop_file(path, m, k, form, sigma=SigmaFlag.IDENTITY) -> str:
     dims = Dims.from_mk(m, k)
     if form == "trace":
-        phi = make_trace_preserver(pi(random_coisometry(dims, np.random.SeedSequence([5, 2]))))
+        rho = pi(random_coisometry(dims, np.random.SeedSequence([5, 2])).matrix)
+        phi = make_trace_preserver(rho, dims)
     else:
         phi = make_adjoint_preserver(*unitary_pair(dims, 5), sigma)
     serialize.write_json(str(path), serialize.superoperator_to_obj(phi.matrix, dims))

@@ -89,9 +89,9 @@ def test_kron_consistent_with_vec(seed):
 
 def test_partial_trace_product_rule(rng):
     a = complex_gaussian(rng, 2, 2)
-    b = complex_gaussian(rng, 3, 3)
+    b = complex_gaussian(rng, 4, 4)
     np.testing.assert_allclose(
-        partial_trace_y(kron(a, b), (2, 3)), np.trace(b) * a, atol=1e-12
+        partial_trace_y(kron(a, b), Dims(2, 4)), np.trace(b) * a, atol=1e-12
     )
 
 
