@@ -122,6 +122,10 @@ def test_flags_only_where_read(tmp_path, capsys):
         (["classify", "SOP", "--tol", "nan"], "tol must be finite"),
         (["extend", "SOP", "--tol", "nan"], "tol must be finite"),
         (["check-lemmas", "--tol", "inf"], "tol must be finite"),
+        (["extend", "SOP", "--tol", "-1"], "tol must be positive"),
+        (["classify", "SOP", "--tol", "inf"], "tol must be finite"),
+        (["check-lemmas", "--tol", "nan"], "tol must be finite"),
+        (["classify", "SOP", "--tol=-inf"], "tol must be positive"),
         (["gen", "--seed", "-1"], "--seed must be >= 0, got -1"),
         (["check-lemmas", "--seed", "-1"], "--seed must be >= 0, got -1"),
     ],

@@ -172,6 +172,23 @@ def test_coisometry_rejects_with_a_typed_error():
     assert isinstance(info.value, MESKitError) and isinstance(info.value, ValueError)
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.triu(np.ones((8, 8))) / 8,
+        np.eye(8) / 4,
+        np.diag([2.0, -1.0, 0, 0, 0, 0, 0, 0]),
+    ],
+    ids=["hermitian", "trace", "eigenvalue"],
+)
+def test_non_states_are_not_mes(matrix):
+    # a matrix that is no state (not Hermitian, wrong trace, a negative
+    # eigenvalue) is simply not an MES, and has no representative
+    assert not is_mes(matrix, DIMS)
+    with pytest.raises(NotMESError):
+        representative(matrix, DIMS)
+
+
 @given(st.integers(0, 10**6))
 @settings(max_examples=25, deadline=None)
 def test_five_way_orthogonality_equivalence(seed):
