@@ -58,7 +58,7 @@ def main() -> None:
     print(f"factor error vs truth  = {aligned:.3e} (up to one global phase)")
 
     ext = extend(phi, dec.sigma)
-    state = pi(random_coisometry(ext.yy_dims, args.seed).matrix)
+    state = pi(random_coisometry(ext.yy_dims, args.seed))
     checks = [("P1 x I", kron(p_operator(1, dims), np.eye(dims.n)))]
     if dims.k >= 2:
         checks.append(("Q12", q_operator(1, 2, dims)))

@@ -49,7 +49,6 @@ from .extension import (
     switch_commutation_witness,
 )
 from .states import (
-    Coisometry,
     are_orthogonal,
     is_coisometry,
     is_mes,
@@ -84,7 +83,6 @@ from .tensor import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Coisometry",
     "DEFAULT_TOL",
     "Decomposition",
     "DimensionError",

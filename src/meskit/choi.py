@@ -14,41 +14,39 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, NotInvertibleError, NotOrthogonalError, NotPreserverError
-from .states import Coisometry, are_orthogonal, orthogonal_family, pi, representative
+from .states import are_orthogonal, is_coisometry, orthogonal_family, pi, representative
 from .superop import SigmaFlag, Superoperator, _as_int, apply
 from .tensor import frobenius, kron, scaled_tol, unvec, vec
 
-# Relative threshold of the sin^2 check between image representatives and of
-# the subspace and phase-coherence residuals; images are tested for MES
-# membership by :func:`representative`, at the same 1e-8.
+# Relative threshold of the sin^2 check between image representatives, the
+# subspace and phase-coherence residuals and the aligned images' coisometry
+# test; :func:`representative` tests images for MES at the same 1e-8.
 _TOL = 1e-8
 
 
-def phi_on_cross_term(phi: Superoperator, A1: Coisometry, A2: Coisometry) -> np.ndarray:
+def phi_on_cross_term(phi: Superoperator, A1: np.ndarray, A2: np.ndarray) -> np.ndarray:
     """phi(vec(A1) vec(A2)*) reconstructed from four MES evaluations.
 
     By polarization, vec(A1)vec(A2)* = (1/4) sum_l i^l vec(C_l)vec(C_l)* with
     C_l = A1 + i^l A2, and each (A1 + i^l A2)/sqrt(2) is a coisometry exactly
     when A1 and A2 are orthogonal, so every term is 2m times an MES element.
     """
-    if not are_orthogonal(A1.matrix, A2.matrix):
+    if not are_orthogonal(A1, A2):
         raise NotOrthogonalError("cross terms need an orthogonal coisometry pair")
-    dims = A1.dims
+    dims = phi.dims
     total = np.zeros((dims.mn, dims.mn), dtype=complex)
     for ell in range(4):
-        comb = (A1.matrix + (1j**ell) * A2.matrix) / np.sqrt(2.0)
+        comb = (A1 + (1j**ell) * A2) / np.sqrt(2.0)
         total += (1j**ell) * 2.0 * dims.m * apply(phi, pi(comb))
     return total / 4.0
 
 
-def _image_table(
-    phi: Superoperator, family: list[Coisometry]
-) -> tuple[list[np.ndarray], list[list[np.ndarray]]]:
+def _image_table(phi: Superoperator, family) -> tuple[list[np.ndarray], list[list[np.ndarray]]]:
     """The images phi(pi(A_p)) of a mutually orthogonal family and the table
     phi(vec(A_p) vec(A_q)*), each value computed once: m times the image on
     the diagonal (vec(A) vec(A)* = m pi(A)), :func:`phi_on_cross_term` off it,
     which raises NotOrthogonalError for a non-orthogonal pair."""
-    images = [apply(phi, pi(a.matrix)) for a in family]
+    images = [apply(phi, pi(a)) for a in family]
     k = len(family)
     table = [
         [
@@ -76,8 +74,9 @@ def _expand_in_image_basis(T: np.ndarray, b: tuple[np.ndarray, np.ndarray], gram
     return coeffs, frobenius(T - recon)
 
 
-def restricted_g(phi: Superoperator, A1: Coisometry, A2: Coisometry) -> np.ndarray:
-    """The 4 x 4 matrix G of phi on the cross-term subspace of (A1, A2).
+def restricted_g(phi: Superoperator, A1: np.ndarray, A2: np.ndarray) -> np.ndarray:
+    """The 4 x 4 matrix G of phi on the cross-term subspace of the orthogonal
+    coisometries A1, A2, each its (m, n) array.
 
     G acts on row-vectorized 2 x 2 matrices: its column 2i + j is vec(G(E_ij)),
     the coefficients of phi(vec(A_i) vec(A_j)*) in {vec(B_p) vec(B_q)*} for
@@ -86,10 +85,11 @@ def restricted_g(phi: Superoperator, A1: Coisometry, A2: Coisometry) -> np.ndarr
     can do, hence NotPreserverError.  Image representatives that are
     (nearly) parallel mean phi sends pi(A1) - pi(A2) to zero, so phi is not
     injective on span(MES), hence NotInvertibleError.  Both messages start
-    with "stage restricted map: ".
+    with "stage restricted map: ".  An image that is not an MES raises
+    NotMESError from :func:`representative`.
     """
     images, table = _image_table(phi, [A1, A2])
-    b = tuple(vec(representative(image, phi.dims).matrix) for image in images)
+    b = tuple(vec(representative(image, phi.dims)) for image in images)
     gram2 = np.array([[np.vdot(bp, bq) for bq in b] for bp in b])
     # det / (product of the diagonal) is sin^2 of the angle between B1 and B2
     sin2 = float(np.linalg.det(gram2).real / (gram2[0, 0].real * gram2[1, 1].real))
@@ -152,20 +152,24 @@ def detect_sigma(phi: Superoperator, seed=0) -> SigmaFlag:
     return flag_from_determinant(np.linalg.det(choi_matrix(G)))
 
 
-def align_images(phi: Superoperator, family: list[Coisometry]) -> list[Coisometry]:
-    """Phase-coherent image family B_1..B_k of a mutually orthogonal family.
+def align_images(phi: Superoperator, family) -> list[np.ndarray]:
+    """Phase-coherent image family B_1..B_k, each its (m, n) array, of a
+    mutually orthogonal family of coisometries (a list or a (k, m, n) stack).
 
     B_1 is the canonical image representative; the phase of each later B_j is
     read off the (1, j) cross term, so that phi(vec(A_p)vec(A_q)*) equals
     vec(B_p)vec(B_q)* in the identity branch or vec(B_q)vec(B_p)* in the
     transpose branch.  Both branch readings are tried; if neither is coherent
     within a relative 1e-8 the map is not a preserver and NotPreserverError is
-    raised, its message starting with "stage alignment: ".
+    raised, its message starting with "stage alignment: ".  So is an aligned
+    B_j that is not a coisometry within a relative 1e-8, as under conjugation
+    by a unitary that fixes vec(A_1) but is no Kronecker product.  An image
+    that is not an MES raises NotMESError from :func:`representative`.
     """
     dims = phi.dims
     k = len(family)
     images, table = _image_table(phi, family)
-    b1 = vec(representative(images[0], dims).matrix)
+    b1 = vec(representative(images[0], dims))
     # the transpose branch expects vec(B_q) vec(B_p)* at table[p][q]
     readings = []
     for swap in (False, True):
@@ -181,4 +185,8 @@ def align_images(phi: Superoperator, family: list[Coisometry]) -> list[Coisometr
         raise NotPreserverError(
             f"stage alignment: no coherent phase assignment (best residual {residual:.3e})"
         )
-    return [Coisometry(matrix=unvec(v, dims.m, dims.n), dims=dims) for v in vecs]
+    aligned = [unvec(v, dims.m, dims.n) for v in vecs]
+    for j, b in enumerate(aligned, 1):
+        if not is_coisometry(b, _TOL):
+            raise NotPreserverError(f"stage alignment: image {j} is not a coisometry")
+    return aligned

@@ -114,7 +114,7 @@ def cmd_gen(args) -> int:
         return _fail(exc, _EXIT_USAGE)
     truth: dict = {"form": args.form, "m": args.m, "k": args.k, "seed": args.seed}
     if args.form == "trace":
-        rho = pi(random_coisometry(dims, np.random.SeedSequence([args.seed, 41, 2])).matrix)
+        rho = pi(random_coisometry(dims, np.random.SeedSequence([args.seed, 41, 2])))
         phi = make_trace_preserver(rho, dims)
         truth.update({"rho": serialize.matrix_to_obj(rho)})
     else:

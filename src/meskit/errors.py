@@ -29,10 +29,6 @@ class NotUnitaryError(MESKitError, ValueError):
     """A matrix required to be unitary deviates beyond tolerance."""
 
 
-class NotCoisometryError(MESKitError, ValueError):
-    """A matrix A with A A* = I was expected and not supplied."""
-
-
 class NotMESError(MESKitError, ValueError):
     """An operator is not a maximally entangled state within tolerance."""
 

@@ -29,8 +29,6 @@ from .tensor import (
     vec,
 )
 
-_BOTH_SIGMA = (SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE)
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -75,7 +73,7 @@ def check_mes_partial_trace(dims: Dims, samples: int, seed) -> float:
     worst = 0.0
     for i in range(samples):
         states = [
-            pi(random_coisometry(dims, np.random.SeedSequence([_as_int(seed), 102, i, j])).matrix)
+            pi(random_coisometry(dims, np.random.SeedSequence([_as_int(seed), 102, i, j])))
             for j in range(3)
         ]
         worst = max(worst, frobenius(partial_trace_y(states[0], dims) - eye / dims.m))
@@ -95,7 +93,7 @@ def check_pure_states_in_span(dims: Dims, samples: int, seed) -> float:
     worst = 0.0
     for i in range(samples):
         if i % 2 == 0:
-            mat = pi(random_coisometry(dims, np.random.SeedSequence([_as_int(seed), 103, i])).matrix)
+            mat = pi(random_coisometry(dims, np.random.SeedSequence([_as_int(seed), 103, i])))
         else:
             u = rng.standard_normal(dims.mn) + 1j * rng.standard_normal(dims.mn)
             u /= np.linalg.norm(u)
@@ -138,12 +136,12 @@ def check_orthogonality_equivalence(dims: Dims, samples: int, seed) -> float:
     disagreements = 0
     for i in range(samples):
         family = orthogonal_family(dims, np.random.SeedSequence([_as_int(seed), 104, i]))
-        conds = _five_way_conditions(family[0].matrix, family[1].matrix, rng)
+        conds = _five_way_conditions(family[0], family[1], rng)
         if not all(conds):
             disagreements += 1
         b1 = random_coisometry(dims, np.random.SeedSequence([_as_int(seed), 105, i, 0]))
         b2 = random_coisometry(dims, np.random.SeedSequence([_as_int(seed), 105, i, 1]))
-        conds = _five_way_conditions(b1.matrix, b2.matrix, rng)
+        conds = _five_way_conditions(b1, b2, rng)
         if any(conds):
             disagreements += 1
     return float(disagreements)
@@ -154,7 +152,7 @@ def check_choi_discriminant(dims: Dims, samples: int, seed) -> float:
     transpose-branch preservers, for every orthogonal pair used to build G."""
     worst = 0.0
     for i in range(samples):
-        for sigma in _BOTH_SIGMA:
+        for sigma in SigmaFlag:
             phi = _random_preserver(dims, sigma, seed, 106, i)
             family = orthogonal_family(dims, np.random.SeedSequence([_as_int(seed), 107, i]))
             det = complex(np.linalg.det(choi_matrix(restricted_g(phi, family[0], family[1]))))
@@ -170,7 +168,7 @@ def check_pair_semilinearity(dims: Dims, samples: int, seed) -> float:
     rng = _rng(seed, 108)
     worst = 0.0
     for i in range(samples):
-        for sigma in _BOTH_SIGMA:
+        for sigma in SigmaFlag:
             phi = _random_preserver(dims, sigma, seed, 109, i)
             family = orthogonal_family(dims, np.random.SeedSequence([_as_int(seed), 110, i]))
             pair = [family[0], family[1]]
@@ -178,8 +176,8 @@ def check_pair_semilinearity(dims: Dims, samples: int, seed) -> float:
             ab = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             ab /= np.linalg.norm(ab)
             coeff = ab.conj() if sigma is SigmaFlag.TRANSPOSE else ab
-            source = ab[0] * pair[0].matrix + ab[1] * pair[1].matrix
-            target = coeff[0] * images[0].matrix + coeff[1] * images[1].matrix
+            source = ab[0] * pair[0] + ab[1] * pair[1]
+            target = coeff[0] * images[0] + coeff[1] * images[1]
             worst = max(
                 worst,
                 frobenius(apply(phi, pi(source)) - pi(target)),
@@ -208,7 +206,7 @@ def check_family_alignment(dims: Dims, samples: int, seed) -> float:
     rng = _rng(seed, 112)
     worst = 0.0
     for i in range(samples):
-        for sigma in _BOTH_SIGMA:
+        for sigma in SigmaFlag:
             phi = _random_preserver(dims, sigma, seed, 113, i)
             family = orthogonal_family(dims, np.random.SeedSequence([_as_int(seed), 114, i]))
             images = align_images(phi, family)
@@ -217,13 +215,13 @@ def check_family_alignment(dims: Dims, samples: int, seed) -> float:
                     expect = np.eye(dims.m) if p == q else np.zeros((dims.m, dims.m))
                     worst = max(
                         worst,
-                        frobenius(images[p].matrix @ images[q].matrix.conj().T - expect),
+                        frobenius(images[p] @ images[q].conj().T - expect),
                     )
             coeff = rng.standard_normal(dims.k) + 1j * rng.standard_normal(dims.k)
             coeff /= np.linalg.norm(coeff)
             out_coeff = coeff.conj() if sigma is SigmaFlag.TRANSPOSE else coeff
-            source = sum(c * f.matrix for c, f in zip(coeff, family))
-            target = sum(c * b.matrix for c, b in zip(out_coeff, images))
+            source = sum(c * f for c, f in zip(coeff, family))
+            target = sum(c * b for c, b in zip(out_coeff, images))
             worst = max(
                 worst,
                 frobenius(apply(phi, pi(source)) - pi(target)),
@@ -234,12 +232,12 @@ def check_family_alignment(dims: Dims, samples: int, seed) -> float:
 def check_extension_preserves_mes(dims: Dims, samples: int, seed) -> float:
     """The blockwise extension maps MES of Y (x) Y to MES of Y (x) Y."""
     worst = 0.0
-    for sigma in _BOTH_SIGMA:
+    for sigma in SigmaFlag:
         phi = _random_preserver(dims, sigma, seed, 115)
         ext = extend(phi, sigma)
         for i in range(samples):
             seq = np.random.SeedSequence([_as_int(seed), 116, i])
-            state = pi(random_coisometry(ext.yy_dims, seq).matrix)
+            state = pi(random_coisometry(ext.yy_dims, seq))
             image = apply(ext, state)
             _, rank1_residual = rank_one_factor(image, 1e-6)
             ptrace_dev = frobenius(
@@ -253,12 +251,12 @@ def check_structural_commutation(dims: Dims, samples: int, seed) -> float:
     """The extension commutes with conjugation by every P_j (x) I and Q_pq."""
     operators = [w for _, w in structural_unitaries(dims)]
     worst = 0.0
-    for sigma in _BOTH_SIGMA:
+    for sigma in SigmaFlag:
         phi = _random_preserver(dims, sigma, seed, 117)
         ext = extend(phi, sigma)
         for i in range(samples):
             seq = np.random.SeedSequence([_as_int(seed), 118, i])
-            state = pi(random_coisometry(ext.yy_dims, seq).matrix)
+            state = pi(random_coisometry(ext.yy_dims, seq))
             for w in operators:
                 worst = max(worst, ad_commutation_residual(ext, w, state))
     return worst

@@ -4,21 +4,19 @@ A coisometry is an m x n matrix A with A A* = I_m.  Maximally entangled
 states (MES) on X (x) Y are exactly the rank-1 projections
 ``pi(A) = vec(A) vec(A)* / tr(A A*)`` of coisometries, and their partial
 trace over Y is I_m / m.  A state is its (mn, mn) matrix: :func:`pi` returns
-the projector as a plain array, and the functions here take arrays (a
-:class:`Coisometry` caller passes ``.matrix``), with the dimensions passed
-where the shape does not fix them.  Membership tests use the partial-trace
-criterion together with a rank-1 check.
+the projector as a plain array.  A coisometry is likewise its (m, n) array,
+and no type wraps it: the producers here build one by construction or check
+it.  The functions take arrays, with the dimensions passed where the shape
+does not fix them.  Membership tests use the partial-trace criterion
+together with a rank-1 check.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     DimensionError,
-    NotCoisometryError,
     NotHermitianError,
     NotMESError,
     ZeroOperatorError,
@@ -38,24 +36,6 @@ from .tensor import (
 )
 
 _VALIDATION_TOL = 1e-8
-
-
-@dataclass(frozen=True, eq=False)
-class Coisometry:
-    """An m x n matrix A with A A* = I_m, tagged with its block dimensions."""
-
-    matrix: np.ndarray
-    dims: Dims
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", as_complex(self.matrix))
-        if self.matrix.shape != (self.dims.m, self.dims.n):
-            raise DimensionError(
-                f"coisometry must be {self.dims.m}x{self.dims.n}, got {self.matrix.shape}"
-            )
-        dev = frobenius(self.matrix @ self.matrix.conj().T - np.eye(self.dims.m))
-        if dev >= scaled_tol(_VALIDATION_TOL, frobenius(self.matrix)):
-            raise NotCoisometryError(f"A A* deviates from identity by {dev:.3e}")
 
 
 def pi(A) -> np.ndarray:
@@ -103,40 +83,37 @@ def is_mes(M, dims: Dims, tol: float = DEFAULT_TOL) -> bool:
     return _mes_factor(as_complex(M), dims, tol) is not None
 
 
-def random_coisometry(dims: Dims, seed=0) -> Coisometry:
+def random_coisometry(dims: Dims, seed=0) -> np.ndarray:
     """First m rows of a Haar n x n unitary."""
-    u = haar_unitary(dims.n, seed)
-    return Coisometry(matrix=u[: dims.m, :], dims=dims)
+    return haar_unitary(dims.n, seed)[: dims.m]
 
 
-def orthogonal_family(dims: Dims, seed=0) -> list[Coisometry]:
-    """The k mutually orthogonal coisometries given by the m-row blocks of a
-    Haar n x n unitary; stacking them back reproduces that unitary."""
-    u = haar_unitary(dims.n, seed)
-    return [
-        Coisometry(matrix=u[j * dims.m : (j + 1) * dims.m, :], dims=dims)
-        for j in range(dims.k)
-    ]
+def orthogonal_family(dims: Dims, seed=0) -> np.ndarray:
+    """The k mutually orthogonal coisometries, stacked (k, m, n), given by the
+    m-row blocks of a Haar n x n unitary; reshaping to (n, n) reproduces
+    that unitary."""
+    return haar_unitary(dims.n, seed).reshape(dims.k, dims.m, dims.n)
 
 
 def are_orthogonal(A, B) -> bool:
-    """True iff A B* = 0 within DEFAULT_TOL.  B A* is checked too; the two agree."""
+    """True iff A B* = 0 within DEFAULT_TOL."""
     a, b = as_complex(A), as_complex(B)
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch {a.shape} vs {b.shape}")
     bound = scaled_tol(DEFAULT_TOL, max(frobenius(a), frobenius(b)))
-    return frobenius(a @ b.conj().T) < bound and frobenius(b @ a.conj().T) < bound
+    return frobenius(a @ b.conj().T) < bound
 
 
-def representative(M, dims: Dims) -> Coisometry:
-    """Canonical coisometry A with pi(A) = M, for M in MES.
+def representative(M, dims: Dims) -> np.ndarray:
+    """Canonical coisometry A, an (m, n) array, with pi(A) = M, for M in MES.
 
     The rank-1 factor is rescaled by sqrt(m) and then corrected to put
     A A* = I to working precision (division by the square root of the mean
     diagonal of A A*); the phase follows the global gauge.  Raises
     NotMESError when M fails :func:`is_mes` at 1e-8, or passes it but the
     rescaled factor is still not a coisometry within 1e-8.  M is factored
-    once: the MES test and the factor share one eigendecomposition.
+    once (the MES test and the factor share one eigendecomposition), and the
+    factor's coisometry deviation is formed once.
     """
     v = _mes_factor(as_complex(M), dims, _VALIDATION_TOL)
     if v is None:
@@ -148,4 +125,4 @@ def representative(M, dims: Dims) -> Coisometry:
         A = A / np.sqrt(mean_diag)
     if not is_coisometry(A, _VALIDATION_TOL):
         raise NotMESError("operator's rank-one factor is not a coisometry within tolerance")
-    return Coisometry(matrix=fix_global_phase(A), dims=dims)
+    return fix_global_phase(A)

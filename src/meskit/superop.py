@@ -200,7 +200,7 @@ def preserves_mes(phi: Superoperator, seed=0) -> bool:
     """
     for i in range(20):
         A = random_coisometry(phi.dims, np.random.SeedSequence([_as_int(seed), 11, i]))
-        if not is_mes(apply(phi, pi(A.matrix)), phi.dims, 1e-8):
+        if not is_mes(apply(phi, pi(A)), phi.dims, 1e-8):
             return False
     return True
 

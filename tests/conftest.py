@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from meskit import (
-    Coisometry,
     DimensionError,
     Dims,
     ExtendedSuperoperator,
@@ -41,13 +40,9 @@ def identity_superop(dims: Dims) -> Superoperator:
     return Superoperator(matrix=np.eye(side, dtype=complex), dims=dims)
 
 
-def canonical_family(dims: Dims) -> list[Coisometry]:
-    """The coordinate family [I|0|...|0], [0|I|0|...], ..."""
-    eye = np.eye(dims.n, dtype=complex)
-    return [
-        Coisometry(matrix=eye[j * dims.m : (j + 1) * dims.m, :], dims=dims)
-        for j in range(dims.k)
-    ]
+def canonical_family(dims: Dims) -> np.ndarray:
+    """The coordinate family [I|0|...|0], [0|I|0|...], ..., stacked (k, m, n)."""
+    return np.eye(dims.n, dtype=complex).reshape(dims.k, dims.m, dims.n)
 
 
 # Reference implementations the closed forms in meskit are checked against:
@@ -107,7 +102,7 @@ def commutes_with_ad(phi_tilde, W, seed=0) -> bool:
     dims = _yy_sampling_dims(phi_tilde)
     for i in range(20):
         A = random_coisometry(dims, np.random.SeedSequence([_as_int(seed), 17, i]))
-        if ad_commutation_residual(phi_tilde, W, pi(A.matrix)) >= 1e-9:
+        if ad_commutation_residual(phi_tilde, W, pi(A)) >= 1e-9:
             return False
     return True
 

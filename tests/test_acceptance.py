@@ -156,10 +156,10 @@ def test_criterion_4_orthogonality_equivalence():
     for i in range(500):
         dims = dims_cycle[i % len(dims_cycle)]
         family = orthogonal_family(dims, np.random.SeedSequence([5100, i]))
-        if not all(_five_conditions(family[0].matrix, family[1].matrix, rng)):
+        if not all(_five_conditions(family[0], family[1], rng)):
             disagreements += 1
-        b1 = random_coisometry(dims, np.random.SeedSequence([5200, i, 0])).matrix
-        b2 = random_coisometry(dims, np.random.SeedSequence([5200, i, 1])).matrix
+        b1 = random_coisometry(dims, np.random.SeedSequence([5200, i, 0]))
+        b2 = random_coisometry(dims, np.random.SeedSequence([5200, i, 1]))
         if any(_five_conditions(b1, b2, rng)):
             disagreements += 1
     ok = disagreements == 0
@@ -183,7 +183,7 @@ def test_criterion_5_polarization_reconstruction():
                 a1, a2 = family[0], family[1]
                 reconstructed = phi_on_cross_term(phi, a1, a2)
                 direct = apply(
-                    phi, np.outer(vec(a1.matrix), vec(a2.matrix).conj())
+                    phi, np.outer(vec(a1), vec(a2).conj())
                 )
                 worst = max(worst, float(np.linalg.norm(reconstructed - direct)))
                 cases += 1
@@ -204,7 +204,7 @@ def test_criterion_6_extension():
         for sigma in BOTH:
             ext = extend(_preserver(dims, sigma, 7000), sigma)
             for i in range(50):
-                state = pi(random_coisometry(ext.yy_dims, np.random.SeedSequence([7100, i])).matrix)
+                state = pi(random_coisometry(ext.yy_dims, np.random.SeedSequence([7100, i])))
                 image = apply(ext, state)
                 assert is_mes(image, ext.yy_dims, 1e-8)
                 for w in operators:
@@ -223,7 +223,7 @@ def test_criterion_7_negative_controls():
     dims = Dims.from_mk(2, 2)
     false_accepts = 0
     for seed in range(50):
-        rho = pi(random_coisometry(dims, np.random.SeedSequence([8000, seed])).matrix)
+        rho = pi(random_coisometry(dims, np.random.SeedSequence([8000, seed])))
         phi = make_trace_preserver(rho, dims)
         with pytest.raises(NotInvertibleError):
             decompose(phi)
@@ -261,8 +261,8 @@ def test_criterion_8_family_semilinearity():
             coeff = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             coeff /= np.linalg.norm(coeff)
             out_coeff = coeff.conj() if sigma is SigmaFlag.TRANSPOSE else coeff
-            source = sum(c * f.matrix for c, f in zip(coeff, family))
-            target = sum(c * b.matrix for c, b in zip(out_coeff, images))
+            source = sum(c * f for c, f in zip(coeff, family))
+            target = sum(c * b for c, b in zip(out_coeff, images))
             dist = float(
                 np.linalg.norm(apply(phi, pi(source)) - pi(target))
             )

@@ -58,7 +58,7 @@ def test_detect_sigma_refuses_a_near_mes_image_with_a_typed_error(seed):
 def test_cross_term_identity_map():
     fam = orthogonal_family(DIMS, 13)
     out = phi_on_cross_term(identity_superop(DIMS), fam[0], fam[1])
-    expected = np.outer(vec(fam[0].matrix), vec(fam[1].matrix).conj())
+    expected = np.outer(vec(fam[0]), vec(fam[1]).conj())
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
@@ -73,7 +73,7 @@ def test_cross_term_matches_direct_conjugation():
     phi = make_adjoint_preserver(u, v, SigmaFlag.IDENTITY)
     fam = orthogonal_family(DIMS, 19)
     w = kron(u, v)
-    cross = np.outer(vec(fam[0].matrix), vec(fam[1].matrix).conj())
+    cross = np.outer(vec(fam[0]), vec(fam[1]).conj())
     np.testing.assert_allclose(
         phi_on_cross_term(phi, fam[0], fam[1]), w @ cross @ w.conj().T, atol=1e-11
     )
@@ -216,7 +216,7 @@ def test_align_images_identity_on_canonical_family():
     family = canonical_family(DIMS)
     images = align_images(identity_superop(DIMS), family)
     for a, b in zip(family, images):
-        np.testing.assert_allclose(a.matrix, b.matrix, atol=1e-10)
+        np.testing.assert_allclose(a, b, atol=1e-10)
 
 
 @pytest.mark.parametrize("sigma", [SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE])
@@ -230,19 +230,19 @@ def test_align_images_orthogonality_and_coherence(sigma):
         for q in range(3):
             expect = np.eye(2) if p == q else np.zeros((2, 2))
             assert (
-                np.linalg.norm(images[p].matrix @ images[q].matrix.conj().T - expect) < 1e-9
+                np.linalg.norm(images[p] @ images[q].conj().T - expect) < 1e-9
             )
     # coherence against the known conjugation images
     for p in range(3):
         for q in range(3):
             target = phi_on_cross_term(phi, family[p], family[q]) if p != q else (
-                2.0 * apply(phi, pi(family[p].matrix))
+                2.0 * apply(phi, pi(family[p]))
             )
             bp, bq = (images[q], images[p]) if sigma is SigmaFlag.TRANSPOSE else (
                 images[p],
                 images[q],
             )
-            recon = np.outer(vec(bp.matrix), vec(bq.matrix).conj())
+            recon = np.outer(vec(bp), vec(bq).conj())
             assert np.linalg.norm(target - recon) < 1e-9
 
 
@@ -255,8 +255,8 @@ def test_projective_semilinearity_on_pairs(sigma, rng):
         ab = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         ab /= np.linalg.norm(ab)
         coeff = ab.conj() if sigma is SigmaFlag.TRANSPOSE else ab
-        source = ab[0] * fam[0].matrix + ab[1] * fam[1].matrix
-        target = coeff[0] * images[0].matrix + coeff[1] * images[1].matrix
+        source = ab[0] * fam[0] + ab[1] * fam[1]
+        target = coeff[0] * images[0] + coeff[1] * images[1]
         dist = np.linalg.norm(apply(phi, pi(source)) - pi(target))
         assert dist < 1e-8
 

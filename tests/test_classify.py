@@ -24,6 +24,7 @@ from meskit import (
     decompose,
     detect_sigma,
     flag_from_determinant,
+    haar_unitary,
     is_invertible_on_span,
     kron,
     make_adjoint_preserver,
@@ -43,7 +44,12 @@ from meskit import (
 from meskit import choi, classify, lemmas, superop
 from meskit.classify import Decomposition, _certify
 from meskit.cli import main
-from meskit.superop import _require_unitary, _span_complement, make_swap_preserver
+from meskit.superop import (
+    _conjugation_matrix,
+    _require_unitary,
+    _span_complement,
+    make_swap_preserver,
+)
 from conftest import (
     complex_gaussian,
     identity_superop,
@@ -83,7 +89,7 @@ def test_recover_unitary_identity_map_on_non_square_split():
 
 def test_recover_unitary_rejects_trace_form():
     # the trace form sends the unit element x_r x_s* of span(MES) to exactly 0
-    rho = pi(random_coisometry(DIMS, 3).matrix)
+    rho = pi(random_coisometry(DIMS, 3))
     phi = make_trace_preserver(rho, DIMS)
     with pytest.raises(NotInvertibleError):
         recover_unitary(_images(phi), DIMS)
@@ -111,7 +117,7 @@ def test_decompose_identity():
 
 
 def test_decompose_rejects_trace_form():
-    phi = make_trace_preserver(pi(random_coisometry(DIMS, 7).matrix), DIMS)
+    phi = make_trace_preserver(pi(random_coisometry(DIMS, 7)), DIMS)
     with pytest.raises(NotInvertibleError):
         decompose(phi)
 
@@ -194,7 +200,7 @@ def _recovery_refusals():
     not, but its columns read off are not unitary."""
     for m, k in ((2, 2), (3, 2)):
         dims = Dims.from_mk(m, k)
-        trace = make_trace_preserver(pi(random_coisometry(dims, 7).matrix), dims)
+        trace = make_trace_preserver(pi(random_coisometry(dims, 7)), dims)
         yield pytest.param(trace, NotInvertibleError, id=f"trace-{m}-{k}")
     zero = Superoperator(matrix=np.zeros((64, 64), dtype=complex), dims=DIMS)
     yield pytest.param(zero, NotInvertibleError, id="zero")
@@ -213,20 +219,33 @@ def _cross_term_leak(dims, seed):
     """Ad_W plus a term that vanishes on pi(A1) and pi(A2) but not on the
     cross term vec(A1) vec(A2)*, with (A1, A2) an orthogonal pair."""
     a1, a2 = orthogonal_family(dims, seed)[:2]
-    cross = np.outer(vec(a1.matrix), vec(a2.matrix).conj())
+    cross = np.outer(vec(a1), vec(a2).conj())
     junk = complex_gaussian(np.random.default_rng(seed), dims.mn, dims.mn)
     phi = make_adjoint_preserver(*unitary_pair(dims, seed), SigmaFlag.IDENTITY)
     leak = phi.matrix + np.outer(vec(junk), vec(cross).conj())
     return Superoperator(matrix=leak, dims=dims), a1, a2
 
 
+def _twist_fixing(a1, dims, seed):
+    """Ad_W for the unitary W = w w* + B H B* with w = vec(A1)/sqrt(m), B an
+    orthonormal basis of w's complement and H a Haar unitary: W fixes vec(A1)
+    but is no Kronecker product, so the aligned image of A2 is no coisometry
+    while every alignment residual stays at rounding level."""
+    w = vec(a1) / np.sqrt(dims.m)
+    basis = np.linalg.svd(w.conj()[np.newaxis])[2][1:].conj().T
+    h = haar_unitary(dims.mn - 1, seed)
+    twist = np.outer(w, w.conj()) + basis @ h @ basis.conj().T
+    return Superoperator(_conjugation_matrix(twist, SigmaFlag.IDENTITY), dims)
+
+
 def test_refusals_name_their_verdict_and_stage(rng):
     # each refusal is raised where it is found, with its verdict's type and its stage's name
     leak, a1, a2 = _cross_term_leak(DIMS, 43)
     for a in (a1, a2):  # the leak leaves the images of pi(A1) and pi(A2) MES
-        representative(apply(leak, pi(a.matrix)), DIMS)
-    trace = make_trace_preserver(pi(random_coisometry(DIMS, 3).matrix), DIMS)
+        representative(apply(leak, pi(a)), DIMS)
+    trace = make_trace_preserver(pi(random_coisometry(DIMS, 3)), DIMS)
     noise = Superoperator(matrix=complex_gaussian(rng, 64, 64), dims=DIMS)
+    twist = _twist_fixing(a1, DIMS, 43)
     cases = [
         (lambda: recover_unitary(_images(noise), DIMS), NotPreserverError, "stage recovery: "),
         (lambda: recover_unitary(_images(trace), DIMS), NotInvertibleError, "stage recovery: "),
@@ -234,6 +253,7 @@ def test_refusals_name_their_verdict_and_stage(rng):
         (lambda: restricted_g(leak, a1, a2), NotPreserverError, "stage restricted map: "),
         (lambda: restricted_g(trace, a1, a2), NotInvertibleError, "stage restricted map: "),
         (lambda: align_images(leak, [a1, a2]), NotPreserverError, "stage alignment: "),
+        (lambda: align_images(twist, [a1, a2]), NotPreserverError, "stage alignment: "),
     ]
     for call, error, stage in cases:
         with pytest.raises(MESKitError) as raised:
@@ -260,14 +280,14 @@ def _sampled_stage_blind_map():
     dims = DIMS
     d = dims.mn
     rows = [
-        vec(pi(random_coisometry(dims, np.random.SeedSequence([0, 11, i])).matrix))
+        vec(pi(random_coisometry(dims, np.random.SeedSequence([0, 11, i]))))
         for i in range(20)
     ]
     a1, a2 = orthogonal_family(dims, np.random.SeedSequence([0, 13]))[:2]
     for x, y in ((a1, a2), (a2, a1)):
-        rows.append(vec(pi(x.matrix)))
+        rows.append(vec(pi(x)))
         rows += [
-            vec(pi((x.matrix + 1j**ell * y.matrix) / np.sqrt(2))) for ell in range(4)
+            vec(pi((x + 1j**ell * y) / np.sqrt(2))) for ell in range(4)
         ]
     eye = np.eye(d * d)
     for a in range(d):
@@ -302,7 +322,7 @@ def test_verification_residual_bounds_every_mes(m, k, sigma):
     dec = decompose(phi)
     W = kron(dec.U, dec.V)
     for i in range(50):
-        M = pi(random_coisometry(dims, np.random.SeedSequence([23, 97, i])).matrix)
+        M = pi(random_coisometry(dims, np.random.SeedSequence([23, 97, i])))
         Msig = M.T if sigma is SigmaFlag.TRANSPOSE else M
         residual = np.linalg.norm(apply(phi, M) - W @ Msig @ W.conj().T)
         assert residual <= dec.verification_residual
@@ -352,7 +372,7 @@ def _stage_inputs(m, k):
         for claimed in SigmaFlag:  # the right sigma and the wrong one
             dec = Decomposition(claimed, u, v, 0.0, 0.0)
             yield f"preserver-{sigma.value}-as-{claimed.value}", phi, dec
-    rho = pi(random_coisometry(dims, np.random.SeedSequence([29, 2])).matrix)
+    rho = pi(random_coisometry(dims, np.random.SeedSequence([29, 2])))
     yield "trace", make_trace_preserver(rho, dims), ident
     g = complex_gaussian(np.random.default_rng(29), dims.mn**2, dims.mn**2)
     yield "gaussian", Superoperator(matrix=g, dims=dims), ident
@@ -415,7 +435,7 @@ def test_accept_runs_no_sampled_stage(m, k, sigma, monkeypatch):
 @pytest.mark.parametrize("seed", [2.7, "1"])
 def test_seed_must_be_an_integer(seed):
     accept = make_adjoint_preserver(*unitary_pair(DIMS, 47), SigmaFlag.IDENTITY)
-    refusal = make_trace_preserver(pi(random_coisometry(DIMS, 47).matrix), DIMS)
+    refusal = make_trace_preserver(pi(random_coisometry(DIMS, 47)), DIMS)
     for phi in (accept, refusal):
         with pytest.raises(TypeError, match="seed must be an integer"):
             detect_sigma(phi, seed=seed)
@@ -442,7 +462,7 @@ def test_classify_accept_does_not_import_numpy_random(tmp_path, form, expected, 
     # the check can see the import
     dims = Dims.from_mk(2, 3)
     if form == "trace":
-        phi = make_trace_preserver(pi(random_coisometry(dims, 49).matrix), dims)
+        phi = make_trace_preserver(pi(random_coisometry(dims, 49)), dims)
     else:
         phi = make_adjoint_preserver(*unitary_pair(dims, 49), SigmaFlag.TRANSPOSE)
     path = tmp_path / "superop.json"
@@ -523,7 +543,7 @@ def test_noise_contract_default_tol_accepts_below_five_tol(monkeypatch):
 
 def _refusals():
     """Each refusal kind at (2,2)."""
-    trace = make_trace_preserver(pi(random_coisometry(DIMS, 57).matrix), DIMS)
+    trace = make_trace_preserver(pi(random_coisometry(DIMS, 57)), DIMS)
     yield pytest.param(trace, NotInvertibleError, id="trace")
     g = complex_gaussian(np.random.default_rng(57), 64, 64)
     yield pytest.param(Superoperator(matrix=g, dims=DIMS), NotPreserverError, id="random")

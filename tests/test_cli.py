@@ -255,7 +255,7 @@ def _write_map(path, dims, sigma, eps=0.0, form="adjoint"):
     not a Kronecker product once ``eps`` > 0), or, for the "noisy" form,
     Ad_{U (x) V} o sigma plus noise ``eps`` on the map's matrix."""
     if form == "trace":
-        phi = make_trace_preserver(pi(random_coisometry(dims, 31).matrix), dims)
+        phi = make_trace_preserver(pi(random_coisometry(dims, 31)), dims)
     elif form == "noisy":
         exact = _conjugation_matrix(kron(*unitary_pair(dims, 31)), sigma)
         g = complex_gaussian(np.random.default_rng(31), *exact.shape)
@@ -326,7 +326,7 @@ def test_extend_certificate_bounds_every_mes(m, k, sigma, tmp_path, capsys):
     ext, w = extend(phi, dec.sigma), kron(np.eye(k), kron(dec.U, dec.V))
     worst = 0.0
     for i in range(20):
-        rho = pi(random_coisometry(ext.yy_dims, np.random.SeedSequence([7, i])).matrix)
+        rho = pi(random_coisometry(ext.yy_dims, np.random.SeedSequence([7, i])))
         target = w @ (rho.T if sigma is SigmaFlag.TRANSPOSE else rho) @ w.conj().T
         worst = max(worst, np.linalg.norm(ext.apply_to(rho) - target))
     assert 0.0 < worst <= bound < 1e-9
@@ -397,6 +397,15 @@ def test_check_lemmas_passes_at_bigger_dims(capsys):
     code, stdout, _ = run_cli(capsys, "check-lemmas", "--m", "3", "--k", "2", "--samples", "3")
     assert code == 0
     assert json.loads(stdout)["all_pass"]
+
+
+@pytest.mark.parametrize("k", ["2", "3"])
+def test_check_lemmas_passes_with_single_row_coisometries(k, capsys):
+    # at m = 1 every coisometry is one unit row
+    code, stdout, _ = run_cli(capsys, "check-lemmas", "--m", "1", "--k", k, "--samples", "5")
+    assert code == 0
+    report = json.loads(stdout)
+    assert report["all_pass"] and report["dims"] == {"m": 1, "n": int(k), "k": int(k)}
 
 
 def test_check_lemmas_reports_tolerance_floor(capsys):

@@ -145,7 +145,7 @@ def test_extend_preserves_square_mes(sigma):
     phi = _preserver(5, sigma)
     ext = extend(phi, sigma)
     for seed in range(25):
-        state = pi(random_coisometry(ext.yy_dims, seed).matrix)
+        state = pi(random_coisometry(ext.yy_dims, seed))
         assert is_mes(apply(ext, state), ext.yy_dims, 1e-8)
 
 

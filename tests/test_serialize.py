@@ -334,7 +334,7 @@ def _same_bits(a, b) -> bool:
 def _superop_file(path, m, k, form, sigma=SigmaFlag.IDENTITY) -> str:
     dims = Dims.from_mk(m, k)
     if form == "trace":
-        rho = pi(random_coisometry(dims, np.random.SeedSequence([5, 2])).matrix)
+        rho = pi(random_coisometry(dims, np.random.SeedSequence([5, 2])))
         phi = make_trace_preserver(rho, dims)
     else:
         phi = make_adjoint_preserver(*unitary_pair(dims, 5), sigma)

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meskit import (
-    Coisometry,
     DimensionError,
     Dims,
     NotMESError,
@@ -20,7 +19,6 @@ from meskit import (
     representative,
     vec,
 )
-from meskit.errors import MESKitError, NotCoisometryError
 from conftest import canonical_family, complex_gaussian
 
 DIMS = Dims.from_mk(2, 2)
@@ -28,7 +26,7 @@ DIMS = Dims.from_mk(2, 2)
 
 def test_pi_is_the_projector_array(rng):
     # pi returns vec(A) vec(A)* / ||A||_F^2 itself, bit for bit, whether or not A is a coisometry
-    for a in (random_coisometry(DIMS, 3).matrix, complex_gaussian(rng, 2, 4)):
+    for a in (random_coisometry(DIMS, 3), complex_gaussian(rng, 2, 4)):
         w = vec(a)
         expected = np.outer(w, w.conj()) / np.vdot(w, w).real
         assert np.array_equal(pi(a), expected)
@@ -36,8 +34,8 @@ def test_pi_is_the_projector_array(rng):
 
 def test_pi_of_canonical_coisometry():
     a = canonical_family(DIMS)[0]
-    w = vec(a.matrix)
-    np.testing.assert_allclose(pi(a.matrix), np.outer(w, w.conj()) / 2.0, atol=1e-15)
+    w = vec(a)
+    np.testing.assert_allclose(pi(a), np.outer(w, w.conj()) / 2.0, atol=1e-15)
 
 
 def test_pi_scale_invariance(rng):
@@ -53,12 +51,12 @@ def test_pi_rejects_zero():
 def test_pi_partial_trace_is_maximally_mixed():
     a = random_coisometry(DIMS, 5)
     np.testing.assert_allclose(
-        partial_trace_y(pi(a.matrix), DIMS), np.eye(2) / 2.0, atol=1e-12
+        partial_trace_y(pi(a), DIMS), np.eye(2) / 2.0, atol=1e-12
     )
 
 
 def test_is_coisometry_canonical_and_scaled():
-    a = canonical_family(DIMS)[0].matrix
+    a = canonical_family(DIMS)[0]
     assert is_coisometry(a)
     bad = a.copy()
     bad[0] *= 2.0
@@ -71,7 +69,7 @@ def test_is_coisometry_haar_rows():
 
 
 def test_is_mes_positive_and_negatives(rng):
-    assert is_mes(pi(random_coisometry(DIMS, 3).matrix), DIMS)
+    assert is_mes(pi(random_coisometry(DIMS, 3)), DIMS)
     # unentangled product vector: partial trace is a rank-1 projection, not I/2
     x = complex_gaussian(rng, 2, 1)[:, 0]
     y = complex_gaussian(rng, 4, 1)[:, 0]
@@ -80,7 +78,7 @@ def test_is_mes_positive_and_negatives(rng):
     assert not is_mes(np.outer(u, u.conj()), DIMS)
     # rank-2 mixture of orthogonal MES
     fam = orthogonal_family(DIMS, 7)
-    mix = (pi(fam[0].matrix) + pi(fam[1].matrix)) / 2.0
+    mix = (pi(fam[0]) + pi(fam[1])) / 2.0
     assert not is_mes(mix, DIMS)
     # non-Hermitian input is simply not an MES
     assert not is_mes(complex_gaussian(rng, 8, 8), DIMS)
@@ -89,16 +87,16 @@ def test_is_mes_positive_and_negatives(rng):
 def test_random_coisometry_properties():
     for seed in range(100):
         a = random_coisometry(DIMS, seed)
-        dev = np.linalg.norm(a.matrix @ a.matrix.conj().T - np.eye(2))
+        dev = np.linalg.norm(a @ a.conj().T - np.eye(2))
         assert dev < 1e-12
-    assert np.linalg.norm(random_coisometry(DIMS, 0).matrix - random_coisometry(DIMS, 1).matrix) > 1e-3
+    assert np.linalg.norm(random_coisometry(DIMS, 0) - random_coisometry(DIMS, 1)) > 1e-3
 
 
 def test_random_coisometry_unit_row_case():
     dims = Dims.from_mk(1, 3)
     a = random_coisometry(dims, 2)
-    assert a.matrix.shape == (1, 3)
-    assert np.linalg.norm(a.matrix) == pytest.approx(1.0, abs=1e-12)
+    assert a.shape == (1, 3)
+    assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_orthogonal_family_blocks():
@@ -108,15 +106,19 @@ def test_orthogonal_family_blocks():
     for p in range(3):
         for q in range(3):
             expect = np.eye(2) if p == q else np.zeros((2, 2))
-            prod = family[p].matrix @ family[q].matrix.conj().T
+            prod = family[p] @ family[q].conj().T
             assert np.linalg.norm(prod - expect) < 1e-12
-    stacked = np.vstack([f.matrix for f in family])
+    stacked = family.reshape(6, 6)
     assert np.linalg.norm(stacked @ stacked.conj().T - np.eye(6)) < 1e-12
+    # the family is the reshaped Haar unitary and its first block the random coisometry, bit for bit
+    for s in (0, 11):
+        assert np.array_equal(orthogonal_family(dims, s).reshape(6, 6), haar_unitary(6, s))
+        assert np.array_equal(random_coisometry(dims, s), orthogonal_family(dims, s)[0])
 
 
 def test_are_orthogonal_negative():
     a = random_coisometry(DIMS, 1)
-    assert not are_orthogonal(a.matrix, a.matrix)
+    assert not are_orthogonal(a, a)
 
 
 def test_unit_sphere_combinations_of_orthogonal_pair(rng):
@@ -124,22 +126,22 @@ def test_unit_sphere_combinations_of_orthogonal_pair(rng):
     for _ in range(20):
         ab = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         ab /= np.linalg.norm(ab)
-        assert is_coisometry(ab[0] * family[0].matrix + ab[1] * family[1].matrix, 1e-10)
+        assert is_coisometry(ab[0] * family[0] + ab[1] * family[1], 1e-10)
 
 
 def test_representative_roundtrip():
     for seed in range(20):
         a = random_coisometry(DIMS, seed)
-        b = representative(pi(a.matrix), DIMS)
-        assert np.linalg.norm(pi(b.matrix) - pi(a.matrix)) < 1e-10
-        overlap = abs(np.vdot(vec(b.matrix), vec(a.matrix))) / 2.0
+        b = representative(pi(a), DIMS)
+        assert np.linalg.norm(pi(b) - pi(a)) < 1e-10
+        overlap = abs(np.vdot(vec(b), vec(a))) / 2.0
         assert overlap == pytest.approx(1.0, abs=1e-10)
 
 
 def test_representative_canonical_exact():
     a = canonical_family(DIMS)[0]
-    b = representative(pi(a.matrix), DIMS)
-    np.testing.assert_allclose(b.matrix, a.matrix, atol=1e-12)
+    b = representative(pi(a), DIMS)
+    np.testing.assert_allclose(b, a, atol=1e-12)
 
 
 def test_representative_factors_once(monkeypatch):
@@ -151,25 +153,18 @@ def test_representative_factors_once(monkeypatch):
         calls.append(1)
         return eigh(*args, **kwargs)
 
-    state = pi(random_coisometry(DIMS, 19).matrix)
-    expected = representative(state, DIMS).matrix
+    state = pi(random_coisometry(DIMS, 19))
+    expected = representative(state, DIMS)
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    assert np.array_equal(representative(state, DIMS).matrix, expected)
+    assert np.array_equal(representative(state, DIMS), expected)
     assert len(calls) == 1
 
 
 def test_representative_rejects_rank_two():
     fam = orthogonal_family(DIMS, 17)
-    mix = (pi(fam[0].matrix) + pi(fam[1].matrix)) / 2.0
+    mix = (pi(fam[0]) + pi(fam[1])) / 2.0
     with pytest.raises(NotMESError):
         representative(mix, DIMS)
-
-
-def test_coisometry_rejects_with_a_typed_error():
-    # in the package's taxonomy, and still the ValueError it was before
-    with pytest.raises(NotCoisometryError, match="deviates from identity") as info:
-        Coisometry(matrix=2 * np.eye(2, 4), dims=DIMS)
-    assert isinstance(info.value, MESKitError) and isinstance(info.value, ValueError)
 
 
 @pytest.mark.parametrize(
@@ -195,9 +190,9 @@ def test_five_way_orthogonality_equivalence(seed):
     dims = Dims.from_mk(2, 3)
     rng = np.random.default_rng(seed)
     family = orthogonal_family(dims, seed)
-    a1, a2 = family[0].matrix, family[1].matrix
-    b1 = random_coisometry(dims, np.random.SeedSequence([seed, 1])).matrix
-    b2 = random_coisometry(dims, np.random.SeedSequence([seed, 2])).matrix
+    a1, a2 = family[0], family[1]
+    b1 = random_coisometry(dims, np.random.SeedSequence([seed, 1]))
+    b2 = random_coisometry(dims, np.random.SeedSequence([seed, 2]))
     for x1, x2, expect in [(a1, a2, True), (b1, b2, False)]:
         c1 = np.linalg.norm(x1 @ x2.conj().T) < 1e-9
         c2 = np.linalg.norm(x2 @ x1.conj().T) < 1e-9
@@ -217,7 +212,7 @@ def test_pure_state_span_membership_biconditional(rng):
     # rank-1 trace-1 PSD: partial-trace criterion agrees with coisometry extraction
     from meskit import rank_one_factor, unvec
 
-    mes = pi(random_coisometry(DIMS, 23).matrix)
+    mes = pi(random_coisometry(DIMS, 23))
     u = complex_gaussian(rng, 8, 1)[:, 0]
     u /= np.linalg.norm(u)
     generic = np.outer(u, u.conj())
@@ -231,12 +226,12 @@ def test_pure_state_span_membership_biconditional(rng):
 def test_pi_injective_on_projective_classes():
     a = random_coisometry(DIMS, 29)
     b = random_coisometry(DIMS, 31)
-    assert np.linalg.norm(pi(a.matrix) - pi(1j * a.matrix)) < 1e-10
-    stacked = np.stack([vec(a.matrix), vec((1j * a.matrix))]).T
+    assert np.linalg.norm(pi(a) - pi(1j * a)) < 1e-10
+    stacked = np.stack([vec(a), vec((1j * a))]).T
     assert np.linalg.matrix_rank(stacked, tol=1e-10) == 1
-    different = np.stack([vec(a.matrix), vec(b.matrix)]).T
+    different = np.stack([vec(a), vec(b)]).T
     assert np.linalg.matrix_rank(different, tol=1e-10) == 2
-    assert np.linalg.norm(pi(a.matrix) - pi(b.matrix)) > 1e-3
+    assert np.linalg.norm(pi(a) - pi(b)) > 1e-3
 
 
 def test_dims_cannot_represent_m_gt_n():

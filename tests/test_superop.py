@@ -121,15 +121,15 @@ def test_adjoint_preserver_moves_projections():
     u, v = unitary_pair(DIMS, 5)
     phi = make_adjoint_preserver(u, v, SigmaFlag.IDENTITY)
     a = random_coisometry(DIMS, 7)
-    expected = pi(u @ a.matrix @ v.T)
-    np.testing.assert_allclose(apply(phi, pi(a.matrix)), expected, atol=1e-12)
+    expected = pi(u @ a @ v.T)
+    np.testing.assert_allclose(apply(phi, pi(a)), expected, atol=1e-12)
 
 
 def test_transpose_preserver_conjugates_projections():
     phi = make_adjoint_preserver(np.eye(2), np.eye(4), SigmaFlag.TRANSPOSE)
     a = random_coisometry(DIMS, 9)
-    expected = pi(a.matrix.conj())
-    np.testing.assert_allclose(apply(phi, pi(a.matrix)), expected, atol=1e-12)
+    expected = pi(a.conj())
+    np.testing.assert_allclose(apply(phi, pi(a)), expected, atol=1e-12)
 
 
 def test_adjoint_preserver_identity_case():
@@ -141,7 +141,7 @@ def test_adjoint_preserver_preserves_mes():
     for sigma in (SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE):
         phi = make_adjoint_preserver(*unitary_pair(DIMS, 11), sigma)
         for seed in range(100):
-            image = apply(phi, pi(random_coisometry(DIMS, seed).matrix))
+            image = apply(phi, pi(random_coisometry(DIMS, seed)))
             assert is_mes(image, DIMS, 1e-10)
 
 
@@ -197,9 +197,9 @@ def test_swap_and_adjoint_agree_on_symmetric_products(rng):
 
 
 def test_trace_preserver_behavior(rng):
-    rho = pi(random_coisometry(DIMS, 27).matrix)
+    rho = pi(random_coisometry(DIMS, 27))
     phi = make_trace_preserver(rho, DIMS)
-    m = pi(random_coisometry(DIMS, 29).matrix)
+    m = pi(random_coisometry(DIMS, 29))
     np.testing.assert_allclose(apply(phi, m), rho, atol=1e-12)
     traceless = complex_gaussian(rng, 8, 8)
     traceless -= np.trace(traceless) / 8.0 * np.eye(8)
@@ -231,7 +231,7 @@ def test_span_dimension_against_sampling_oracle(m, k):
     # coisometries, with no structured combinations at all
     dims = Dims.from_mk(m, k)
     cols = [
-        vec(pi(random_coisometry(dims, np.random.SeedSequence([777, i])).matrix))
+        vec(pi(random_coisometry(dims, np.random.SeedSequence([777, i]))))
         for i in range(4 * dims.mn * dims.mn)
     ]
     stacked = np.array(cols).T
@@ -259,6 +259,17 @@ def test_import_does_not_load_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_public_names_resolve():
+    import meskit
+
+    assert len(set(meskit.__all__)) == len(meskit.__all__)
+    for name in meskit.__all__:
+        getattr(meskit, name)
+    namespace: dict = {}
+    exec("from meskit import *", namespace)
+    assert set(meskit.__all__) <= set(namespace)
 
 
 def test_span_basis_m1_is_full_operator_space():
@@ -291,7 +302,7 @@ def test_scalar_commutant_of_mes_samples():
     # only multiples of the identity commute with enough sampled projections
     rows = []
     for seed in range(12):
-        m = pi(random_coisometry(DIMS, seed).matrix)
+        m = pi(random_coisometry(DIMS, seed))
         rows.append(kron(m, np.eye(8)) - kron(np.eye(8), m.T))
     stacked = np.vstack(rows)
     s = np.linalg.svd(stacked, compute_uv=False)
