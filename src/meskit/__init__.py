@@ -42,11 +42,9 @@ from .extension import (
     block_join,
     block_split,
     extend,
-    off_block_rotation,
     p_operator,
     q_operator,
     structural_unitaries,
-    switch_commutation_witness,
 )
 from .states import (
     are_orthogonal,
@@ -65,7 +63,6 @@ from .superop import (
     make_adjoint_preserver,
     make_swap_preserver,
     make_trace_preserver,
-    preserves_mes,
 )
 from .tensor import (
     DEFAULT_TOL,
@@ -120,13 +117,11 @@ __all__ = [
     "make_swap_preserver",
     "make_trace_preserver",
     "nearest_kron_factor",
-    "off_block_rotation",
     "orthogonal_family",
     "p_operator",
     "partial_trace_y",
     "phi_on_cross_term",
     "pi",
-    "preserves_mes",
     "q_operator",
     "random_coisometry",
     "rank_one_factor",
@@ -134,7 +129,6 @@ __all__ = [
     "representative",
     "restricted_g",
     "structural_unitaries",
-    "switch_commutation_witness",
     "unvec",
     "vec",
     "verify_theorem_form",

@@ -135,15 +135,10 @@ def powers_of_ten(exponents, info) -> np.ndarray:
     return np.where(big, info.max, np.ldexp(value, np.where(big, 0, shifts).astype(np.intc)))
 
 
-def encode_rows(pairs: np.ndarray):
-    """Yield the text ``[x, y], [x, y], ...`` of a contiguous ``(N, 2)``
-    float64 array of finite values, one piece per ``_BLOCK`` rows (to be
-    joined by ``", "``), each float as ``format(x, ".17g")`` writes it."""
-    for start in range(0, len(pairs), _BLOCK):
-        yield _encode_block(pairs[start : start + _BLOCK])
-
-
-def _encode_block(pairs: np.ndarray) -> bytes:
+def encode_block(pairs: np.ndarray) -> bytes:
+    """The text ``[x, y], [x, y], ...`` of a contiguous ``(N, 2)`` float64
+    array of finite values, at most ``_BLOCK`` rows, each float as
+    ``format(x, ".17g")`` writes it."""
     t = tables()
     # a zero is "0" or "-0"; the nonzero values are laid out below
     zero = np.signbit(pairs) * 2

@@ -162,9 +162,9 @@ def align_images(phi: Superoperator, family) -> list[np.ndarray]:
     transpose branch.  Both branch readings are tried; if neither is coherent
     within a relative 1e-8 the map is not a preserver and NotPreserverError is
     raised, its message starting with "stage alignment: ".  So is an aligned
-    B_j that is not a coisometry within a relative 1e-8, as under conjugation
-    by a unitary that fixes vec(A_1) but is no Kronecker product.  An image
-    that is not an MES raises NotMESError from :func:`representative`.
+    B_j, j >= 2, that is not a coisometry within a relative 1e-8, as under
+    conjugation by a unitary that fixes vec(A_1) but is no Kronecker product.
+    :func:`representative` checks B_1 and raises NotMESError if it fails.
     """
     dims = phi.dims
     k = len(family)
@@ -186,7 +186,7 @@ def align_images(phi: Superoperator, family) -> list[np.ndarray]:
             f"stage alignment: no coherent phase assignment (best residual {residual:.3e})"
         )
     aligned = [unvec(v, dims.m, dims.n) for v in vecs]
-    for j, b in enumerate(aligned, 1):
+    for j, b in enumerate(aligned[1:], 2):
         if not is_coisometry(b, _TOL):
             raise NotPreserverError(f"stage alignment: image {j} is not a coisometry")
     return aligned

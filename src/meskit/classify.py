@@ -63,6 +63,7 @@ from .errors import (
 )
 from .superop import SigmaFlag, Superoperator, _add_product, _conjugation_matrix, _span_complement
 from .tensor import (
+    DEFAULT_TOL,
     Dims,
     fix_global_phase,
     frobenius,
@@ -166,7 +167,7 @@ def _progress(refusal: MESKitError) -> tuple:
     return _STAGES.index(stage), -getattr(refusal, "residual", 0.0)
 
 
-def decompose(phi: Superoperator, tol: float = 1e-9) -> Decomposition:
+def decompose(phi: Superoperator, tol: float = DEFAULT_TOL) -> Decomposition:
     """Classify an invertible MES preserver as (sigma, U, V).
 
     Runs :func:`_certify` under the identity, then under the transpose if

@@ -49,7 +49,7 @@ from .superop import (
     make_swap_preserver,
     make_trace_preserver,
 )
-from .tensor import Dims, haar_unitary
+from .tensor import DEFAULT_TOL, Dims, haar_unitary
 
 _EXIT_USAGE = 2
 # What reading a malformed superoperator file raises; OverflowError comes from
@@ -219,7 +219,7 @@ def _add_common(
         parser.add_argument("--k", type=int, default=2, help="block count (Y has dimension k*m)")
         parser.add_argument("--seed", type=int, default=0, help="seed for all randomized draws")
     if tol:
-        parser.add_argument("--tol", type=float, default=1e-9, help="tolerance (default 1e-9)")
+        parser.add_argument("--tol", type=float, default=DEFAULT_TOL, help="tolerance (default 1e-9)")
     if samples:
         parser.add_argument("--samples", type=int, default=20, help="sample count (default 20)")
 

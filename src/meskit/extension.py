@@ -78,7 +78,8 @@ class ExtendedSuperoperator:
     @property
     def matrix(self) -> np.ndarray:
         """The dense n^4 x n^4 matrix, built anew on each access from
-        :meth:`row_slabs`."""
+        :meth:`row_slabs`.  Its only reader outside the tests is
+        ``perfbench``'s span hook on :func:`extend`; that is why it stays."""
         n = self.base.dims.n
         matrix = np.empty((n**4, n**4), dtype=complex)
         for rows, slab in zip(matrix.reshape(n**2, n**2, n**4), self.row_slabs()):
@@ -160,25 +161,3 @@ def ad_commutation_residual(phi_like, W, M) -> float:
     left = apply(phi_like, W @ M @ W.conj().T)
     right = W @ apply(phi_like, M) @ W.conj().T
     return frobenius(left - right)
-
-
-def off_block_rotation(dims: Dims) -> np.ndarray:
-    """The unitary (1/sqrt2) [[I, I], [I, -I]] on the first two X-blocks of Y
-    (identity elsewhere): the direction along which switch-form maps fail to
-    commute with the first sign conjugation."""
-    if dims.k < 2:
-        raise DimensionError("needs at least two blocks")
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    out = np.zeros((dims.n, dims.n), dtype=complex)
-    out[: 2 * dims.m, : 2 * dims.m] = kron(h, np.eye(dims.m))
-    if dims.k > 2:
-        out[2 * dims.m :, 2 * dims.m :] = np.eye(dims.m * (dims.k - 2))
-    return out
-
-
-def switch_commutation_witness(dims: Dims, U) -> np.ndarray:
-    """Unitary A on Y with U A^T equal to :func:`off_block_rotation`, an MES
-    direction exhibiting the failure of P_1-commutation for switch-form maps."""
-    U = as_complex(U)
-    h = off_block_rotation(dims)
-    return (U.conj().T @ h).T

@@ -19,6 +19,7 @@ from .extension import ad_commutation_residual, extend, structural_unitaries
 from .states import is_coisometry, orthogonal_family, pi, random_coisometry
 from .superop import SigmaFlag, Superoperator, _as_int, apply, make_adjoint_preserver
 from .tensor import (
+    DEFAULT_TOL,
     Dims,
     frobenius,
     haar_unitary,
@@ -112,7 +113,7 @@ def check_pure_states_in_span(dims: Dims, samples: int, seed) -> float:
     return max(worst, float(disagreements))
 
 
-def _five_way_conditions(A1: np.ndarray, A2: np.ndarray, rng, tol: float = 1e-9) -> list[bool]:
+def _five_way_conditions(A1: np.ndarray, A2: np.ndarray, rng, tol: float = DEFAULT_TOL) -> list[bool]:
     m = A1.shape[0]
     c1 = frobenius(A1 @ A2.conj().T) < tol
     c2 = frobenius(A2 @ A1.conj().T) < tol
@@ -299,7 +300,7 @@ _CHECKS = [
 ]
 
 
-def run_all(dims: Dims, tol: float = 1e-9, samples: int = 20, seed: int = 0) -> list[CheckResult]:
+def run_all(dims: Dims, tol: float = DEFAULT_TOL, samples: int = 20, seed: int = 0) -> list[CheckResult]:
     """Run every structural check at the given dimensions (k >= 2)."""
     if dims.k < 2:
         raise DimensionError("the lemma suite needs an orthogonal pair, so k >= 2")

@@ -35,10 +35,6 @@ from .errors import DimensionError
 from .tensor import Dims
 
 
-# Entries of a matrix's data encoded per chunk: bounds the text held at once
-# while a matrix is written.
-_CHUNK_ENTRIES = 1 << 14
-
 # Bytes of a matrix's data array parsed per slice when a file is read: bounds
 # the Python lists held at once.
 _SLICE_BYTES = 1 << 16
@@ -94,9 +90,9 @@ def _scalar(obj) -> str:
 
 def _array_chunks(slabs):
     """Yield the rows of a sequence of ``(N, 2)`` float arrays as the one text
-    ``[[x, y], ...]``, each chunk of ``_CHUNK_ENTRIES`` rows encoded by the
-    float kernel."""
-    from ._float_kernel import encode_rows  # compiled on first use, not at import
+    ``[[x, y], ...]``, each chunk of the float kernel's ``_BLOCK`` rows
+    encoded by it."""
+    from ._float_kernel import _BLOCK, encode_block  # compiled on first use, not at import
 
     yield b"["
     separator = b""
@@ -105,13 +101,15 @@ def _array_chunks(slabs):
             raise TypeError(f"cannot serialize a {type(a).__name__} as matrix data")
         if a.ndim != 2 or a.shape[1] != 2 or a.dtype.kind != "f":
             raise TypeError(f"cannot serialize a {a.dtype} array of shape {a.shape}")
-        for start in range(0, len(a), _CHUNK_ENTRIES):
-            chunk = np.ascontiguousarray(a[start : start + _CHUNK_ENTRIES], dtype=np.float64)
+        for start in range(0, len(a), _BLOCK):
+            chunk = np.ascontiguousarray(a[start : start + _BLOCK], dtype=np.float64)
             if not np.isfinite(chunk).all():
                 raise ValueError("non-finite number cannot be serialized")
-            for text in encode_rows(chunk):
-                yield separator + text
-                separator = b", "
+            # kept until the next block is encoded: freed first, glibc trims the heap
+            # and each block faults its temporaries in again (5x the page faults)
+            text = encode_block(chunk)
+            yield separator + text
+            separator = b", "
     yield b"]"
 
 

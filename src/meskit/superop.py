@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NotMESError, NotUnitaryError
-from .states import is_mes, pi, random_coisometry
+from .states import is_mes
 from .tensor import Dims, as_complex, frobenius, kron, scaled_tol, vec
 
 
@@ -191,20 +191,6 @@ def _add_product(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
         x[i : i + step] += a[i : i + step] @ b
 
 
-def preserves_mes(phi: Superoperator, seed=0) -> bool:
-    """Probabilistic preserver check: the images of 20 sampled MES must be
-    MES within 1e-8.
-
-    Sample i uses a seed derived from (seed, i), so the result does not depend
-    on evaluation order.
-    """
-    for i in range(20):
-        A = random_coisometry(phi.dims, np.random.SeedSequence([_as_int(seed), 11, i]))
-        if not is_mes(apply(phi, pi(A)), phi.dims, 1e-8):
-            return False
-    return True
-
-
 def is_invertible_on_span(phi: Superoperator) -> bool:
     """True iff the restriction of phi to span(MES) has smallest singular
     value above 1e-9 (in orthonormal coordinates of the span).
@@ -215,7 +201,8 @@ def is_invertible_on_span(phi: Superoperator) -> bool:
     threshold.  The matrix is formed in one copy of phi.
 
     Not on :func:`meskit.classify.decompose`'s path (its span certificate
-    implies invertibility); ``perfbench``'s set-up warms P's cache with it.
+    implies invertibility).  Its only caller outside the tests is
+    ``perfbench``, whose set-up warms P's cache with it; that is why it stays.
     """
     p = _span_complement(phi.dims)
     ph = p.conj().T

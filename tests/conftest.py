@@ -9,6 +9,7 @@ from meskit import (
     ExtendedSuperoperator,
     Superoperator,
     haar_unitary,
+    kron,
     pi,
     random_coisometry,
     unvec,
@@ -47,7 +48,7 @@ def canonical_family(dims: Dims) -> np.ndarray:
 
 # Reference implementations the closed forms in meskit are checked against:
 # the permutation matrix of the transpose, a dense basis of span(MES), and a
-# sampled commutation test.
+# sampled commutation test with its switch-form witness.
 def transpose_matrix(d: int) -> np.ndarray:
     """Permutation matrix T with T @ vec(M) = vec(M^T) for d x d matrices."""
     t = np.zeros((d * d, d * d))
@@ -105,6 +106,16 @@ def commutes_with_ad(phi_tilde, W, seed=0) -> bool:
         if ad_commutation_residual(phi_tilde, W, pi(A)) >= 1e-9:
             return False
     return True
+
+
+def switch_commutation_witness(dims: Dims, u) -> np.ndarray:
+    """Unitary A on Y with u A^T the rotation (1/sqrt2) [[I, I], [I, -I]] on
+    the first two X-blocks of Y (identity elsewhere): an MES direction along
+    which switch-form maps fail to commute with the first sign conjugation."""
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    rotation = np.eye(dims.n, dtype=complex)
+    rotation[: 2 * dims.m, : 2 * dims.m] = kron(h, np.eye(dims.m))
+    return (u.conj().T @ rotation).T
 
 
 @pytest.fixture

@@ -36,11 +36,15 @@ from meskit import (
     q_operator,
     random_coisometry,
     restricted_g,
-    switch_commutation_witness,
     vec,
 )
 from meskit.superop import Superoperator
-from conftest import commutes_with_ad, complex_gaussian, phase_aligned_distance
+from conftest import (
+    commutes_with_ad,
+    complex_gaussian,
+    phase_aligned_distance,
+    switch_commutation_witness,
+)
 
 BOTH = (SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE)
 

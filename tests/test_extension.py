@@ -18,16 +18,20 @@ from meskit import (
     kron,
     make_adjoint_preserver,
     make_swap_preserver,
-    off_block_rotation,
     p_operator,
     pi,
     q_operator,
     random_coisometry,
     structural_unitaries,
-    switch_commutation_witness,
 )
 from meskit.lemmas import check_switch_identities
-from conftest import commutes_with_ad, complex_gaussian, identity_superop, unitary_pair
+from conftest import (
+    commutes_with_ad,
+    complex_gaussian,
+    identity_superop,
+    switch_commutation_witness,
+    unitary_pair,
+)
 
 DIMS = Dims.from_mk(2, 2)
 BOTH = (SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE)
@@ -232,7 +236,8 @@ def test_switch_form_fails_sign_commutation_with_witness():
 def test_switch_witness_construction():
     u = haar_unitary(4, 15)
     a = switch_commutation_witness(DIMS, u)
-    np.testing.assert_allclose(u @ a.T, off_block_rotation(DIMS), atol=1e-12)
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    np.testing.assert_allclose(u @ a.T, kron(h, np.eye(2)), atol=1e-12)
 
 
 def test_square_space_projection_identities():

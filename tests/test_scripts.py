@@ -1,3 +1,5 @@
+import ast
+import importlib.util
 import json
 import runpy
 import sys
@@ -6,6 +8,7 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+PERFBENCH = SCRIPTS.parent / "perfbench"
 
 
 @pytest.mark.parametrize(
@@ -31,3 +34,31 @@ def test_noise_scan_prints_one_verdict_per_map(monkeypatch, capsys):
     for row in rows:
         if row["exit"] == 0:
             assert row["verdict"] == row["sigma"] and float(row["certificate"]) < 1e-6
+
+
+def _perfbench_meskit_imports():
+    """``file:module[:name]`` of each meskit import in ``perfbench/*.py``, at
+    any depth (the workloads import inside their functions)."""
+    found = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                if node.module.split(".")[0] == "meskit":
+                    found += [f"{path.name}:{node.module}:{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                found += [
+                    f"{path.name}:{alias.name}"
+                    for alias in node.names
+                    if alias.name.split(".")[0] == "meskit"
+                ]
+    return found
+
+
+@pytest.mark.parametrize("entry", _perfbench_meskit_imports())
+def test_perfbench_imports_resolve(entry):
+    # the benchmark harness imports these; one that src/ no longer has fails
+    # every benchmark run
+    _, module, *name = entry.split(":")
+    mod = importlib.import_module(module)
+    if name:
+        assert hasattr(mod, name[0]) or importlib.util.find_spec(f"{module}.{name[0]}"), entry

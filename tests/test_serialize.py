@@ -26,7 +26,7 @@ from meskit import _float_kernel
 from meskit.cli import main
 from conftest import complex_gaussian, unitary_pair
 
-CHUNK = serialize._CHUNK_ENTRIES
+CHUNK = _float_kernel._BLOCK
 
 
 def _reference_dumps(obj) -> str:
@@ -152,9 +152,8 @@ def test_dumps_matches_per_entry_reference(entries, rng, tmp_path):
 
 def _assert_encodes_as_format(values) -> np.ndarray:
     """``dumps`` of a matrix of ``values``, repeated to at least one entry
-    more than a chunk so that rows straddle the kernel's block boundaries and
-    the chunk boundary, is the per-entry text of ``format(x, ".17g")``;
-    returns the matrix's floats."""
+    more than a chunk so that rows straddle the kernel's block boundary, is
+    the per-entry text of ``format(x, ".17g")``; returns the matrix's floats."""
     flat = np.resize(np.asarray(values, dtype=np.float64), 2 * max(CHUNK + 1, len(values)))
     a = flat.view(complex).reshape(-1, 1)
     expected = _reference_dumps(_reference_matrix_obj(a))

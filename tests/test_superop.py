@@ -13,7 +13,6 @@ from meskit import (
     NotMESError,
     NotUnitaryError,
     SigmaFlag,
-    Superoperator,
     apply,
     haar_unitary,
     is_invertible_on_span,
@@ -24,7 +23,6 @@ from meskit import (
     make_trace_preserver,
     partial_trace_y,
     pi,
-    preserves_mes,
     random_coisometry,
     vec,
 )
@@ -204,7 +202,6 @@ def test_trace_preserver_behavior(rng):
     traceless = complex_gaussian(rng, 8, 8)
     traceless -= np.trace(traceless) / 8.0 * np.eye(8)
     assert np.linalg.norm(apply(phi, traceless)) < 1e-12
-    assert preserves_mes(phi)
     assert not is_invertible_on_span(phi)
 
 
@@ -275,13 +272,6 @@ def test_public_names_resolve():
 def test_span_basis_m1_is_full_operator_space():
     dims = Dims.from_mk(1, 3)
     assert len(span_mes_basis(dims)) == 9
-
-
-def test_preserves_mes_positive_and_negative(rng):
-    phi = make_adjoint_preserver(*unitary_pair(DIMS, 31), SigmaFlag.TRANSPOSE)
-    assert preserves_mes(phi)
-    bad = Superoperator(matrix=complex_gaussian(rng, 64, 64), dims=DIMS)
-    assert not preserves_mes(bad)
 
 
 def test_is_invertible_on_span_identity_and_adjoint():
