@@ -29,7 +29,6 @@ import json
 import numpy as np
 
 from meskit import Dims, MESKitError, SigmaFlag, Superoperator, decompose, haar_unitary, kron
-from meskit.cli import _error_code
 from meskit.superop import _conjugation_matrix
 
 NOISE = tuple(10.0 ** (-10 + i / 2) for i in range(9))
@@ -70,7 +69,7 @@ def verdict(phi: Superoperator, tol: float) -> dict:
     try:
         dec = decompose(phi, tol)
     except MESKitError as exc:
-        return {"verdict": type(exc).__name__, "exit": _error_code(exc), "message": str(exc)}
+        return {"verdict": type(exc).__name__, "exit": exc.exit_code, "message": str(exc)}
     bits = hashlib.sha256(dec.U.tobytes() + dec.V.tobytes()).hexdigest()[:16]
     return {
         "verdict": dec.sigma.value,

@@ -14,7 +14,9 @@ written, ``check-lemmas`` with k = 1), 3 not a preserver (at stage recovery
 or a failed span certificate), 4 singular on the MES span, 6 recovered
 unitary not a Kronecker product, 1 unexpected numerical breakdown or a report
 with ``"all_pass": false`` (``extend`` under an explicit sigma,
-``check-lemmas``).
+``check-lemmas``).  :func:`main` maps every refusal once: a package error
+exits with its type's ``exit_code``, and any other ``ValueError`` or an
+``OSError`` with 2.
 
 Each subcommand accepts only the flags it reads: ``--tol`` for ``classify``,
 ``extend`` and ``check-lemmas``, ``--samples`` (default 20) for ``check-lemmas``
@@ -33,13 +35,7 @@ import numpy as np
 
 from . import lemmas, serialize
 from .classify import Decomposition, decompose
-from .errors import (
-    DimensionError,
-    MESKitError,
-    NotInvertibleError,
-    NotKroneckerError,
-    NotPreserverError,
-)
+from .errors import DimensionError, MESKitError
 from .extension import extend
 from .states import pi, random_coisometry
 from .superop import (
@@ -52,29 +48,12 @@ from .superop import (
 from .tensor import DEFAULT_TOL, Dims, haar_unitary
 
 _EXIT_USAGE = 2
-# What reading a malformed superoperator file raises; OverflowError comes from
-# a count such as 1e999 (int(inf)) or an integer entry too large for a float.
-_READ_ERRORS = (OSError, ValueError, KeyError, TypeError, OverflowError, DimensionError)
-_ERROR_EXIT_CODES = {
-    NotPreserverError: 3,
-    NotInvertibleError: 4,
-    NotKroneckerError: 6,
-}
 
 
 def _fail(exc: BaseException, code: int) -> int:
     payload = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
     print(serialize.dumps(payload), file=sys.stderr)
     return code
-
-
-def _error_code(exc: MESKitError) -> int:
-    for cls, code in _ERROR_EXIT_CODES.items():
-        if isinstance(exc, cls):
-            return code
-    if isinstance(exc, DimensionError):
-        return _EXIT_USAGE
-    return 1
 
 
 def _check_settings(args) -> None:
@@ -108,10 +87,7 @@ def _decomposition_obj(dec: Decomposition) -> dict:
 def cmd_gen(args) -> int:
     sigma = SigmaFlag(args.sigma)
     out = args.out or "superop.json"
-    try:
-        dims = Dims.from_mk(args.m, args.k)
-    except DimensionError as exc:
-        return _fail(exc, _EXIT_USAGE)
+    dims = Dims.from_mk(args.m, args.k)
     truth: dict = {"form": args.form, "m": args.m, "k": args.k, "seed": args.seed}
     if args.form == "trace":
         rho = pi(random_coisometry(dims, np.random.SeedSequence([args.seed, 41, 2])))
@@ -119,9 +95,7 @@ def cmd_gen(args) -> int:
         truth.update({"rho": serialize.matrix_to_obj(rho)})
     else:
         if args.form == "swap" and args.k != 1:
-            return _fail(
-                DimensionError("the switch form needs a square space: use --k 1"), _EXIT_USAGE
-            )
+            raise DimensionError("the switch form needs a square space: use --k 1")
         make = make_swap_preserver if args.form == "swap" else make_adjoint_preserver
         u = haar_unitary(dims.m, np.random.SeedSequence([args.seed, 41, 0]))
         v = haar_unitary(dims.n, np.random.SeedSequence([args.seed, 41, 1]))
@@ -141,15 +115,7 @@ def _load_superop(path: str) -> Superoperator:
 
 
 def cmd_classify(args) -> int:
-    try:
-        phi = _load_superop(args.input)
-    except _READ_ERRORS as exc:
-        return _fail(exc, _EXIT_USAGE)
-    try:
-        dec = decompose(phi, tol=args.tol)
-    except MESKitError as exc:
-        return _fail(exc, _error_code(exc))
-    payload = _decomposition_obj(dec)
+    payload = _decomposition_obj(decompose(_load_superop(args.input), tol=args.tol))
     if args.out:
         serialize.write_json(args.out, payload)
     print(serialize.dumps(payload))
@@ -157,16 +123,13 @@ def cmd_classify(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    try:
-        phi = _load_superop(args.input)
-    except _READ_ERRORS as exc:
-        return _fail(exc, _EXIT_USAGE)
+    phi = _load_superop(args.input)
     auto = args.sigma == "auto"
     try:
         dec = decompose(phi, tol=args.tol)
     except MESKitError as exc:
         if auto or isinstance(exc, DimensionError):  # k = 1 is a usage error under any sigma
-            return _fail(exc, _error_code(exc))
+            raise
         dec = exc
     ext = extend(phi, dec.sigma if auto else SigmaFlag(args.sigma))
     if isinstance(dec, Decomposition) and dec.sigma is not ext.sigma:
@@ -193,17 +156,14 @@ def cmd_extend(args) -> int:
 
 
 def cmd_check_lemmas(args) -> int:
-    try:
-        dims = Dims.from_mk(args.m, args.k)
-    except DimensionError as exc:
-        return _fail(exc, _EXIT_USAGE)
-    results = lemmas.run_all(dims, tol=args.tol, samples=args.samples, seed=args.seed)
+    dims = Dims.from_mk(args.m, args.k)
+    checks = lemmas.run_all(dims, tol=args.tol, samples=args.samples, seed=args.seed)
     report = {
         "dims": serialize.dims_to_obj(dims),
         "tol": args.tol,
         "samples": args.samples,
-        "checks": [r.to_obj() for r in results],
-        "all_pass": all(r.passed for r in results),
+        "checks": checks,
+        "all_pass": all(c["pass"] for c in checks),
     }
     print(serialize.dumps(report))
     return 0 if report["all_pass"] else 1
@@ -267,10 +227,10 @@ def main(argv=None) -> int:
     try:
         _check_settings(args)
         return args.func(args)
-    except ValueError as exc:
+    except MESKitError as exc:
+        return _fail(exc, exc.exit_code)
+    except (ValueError, OSError) as exc:
         return _fail(exc, _EXIT_USAGE)
-    except OSError as exc:  # an output file that cannot be written
-        return _fail(type(exc)(exc.errno, exc.strerror), _EXIT_USAGE)
 
 
 if __name__ == "__main__":

@@ -9,8 +9,6 @@ positive tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .choi import align_images, choi_matrix, restricted_g
@@ -29,16 +27,6 @@ from .tensor import (
     unvec,
     vec,
 )
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    max_residual: float
-    passed: bool
-
-    def to_obj(self) -> dict:
-        return {"name": self.name, "max_residual": self.max_residual, "pass": self.passed}
 
 
 def _rng(seed, *path) -> np.random.Generator:
@@ -300,12 +288,13 @@ _CHECKS = [
 ]
 
 
-def run_all(dims: Dims, tol: float = DEFAULT_TOL, samples: int = 20, seed: int = 0) -> list[CheckResult]:
-    """Run every structural check at the given dimensions (k >= 2)."""
+def run_all(dims: Dims, tol: float = DEFAULT_TOL, samples: int = 20, seed: int = 0) -> list[dict]:
+    """Run every structural check at the given dimensions (k >= 2), giving
+    each check's report row ``{"name", "max_residual", "pass"}``."""
     if dims.k < 2:
         raise DimensionError("the lemma suite needs an orthogonal pair, so k >= 2")
     results = []
     for name, func in _CHECKS:
         residual = float(func(dims, samples, seed))
-        results.append(CheckResult(name=name, max_residual=residual, passed=residual < tol))
+        results.append({"name": name, "max_residual": residual, "pass": residual < tol})
     return results

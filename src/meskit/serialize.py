@@ -38,6 +38,7 @@ from .tensor import Dims
 # Bytes of a matrix's data array parsed per slice when a file is read: bounds
 # the Python lists held at once.
 _SLICE_BYTES = 1 << 16
+_NOT_PAIRS = "matrix data must be a list of [re, im] pairs"
 
 
 def dumps(obj) -> str:
@@ -115,24 +116,24 @@ def _array_chunks(slabs):
 
 def write_json(path: str, obj) -> None:
     """Atomically write ``obj`` as JSON to ``path`` (temp file + rename),
-    streaming the text so the whole document is never held in memory.  A temp
-    file that cannot be created raises its ``OSError`` naming ``path``."""
+    streaming the text so the whole document is never held in memory.  Every
+    ``OSError`` names ``path``, never the temp file."""
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
-    # a new file of its own, with the mode open() gives: 0o666 less the umask
     try:
+        # a new file of its own, with the mode open() gives: 0o666 less the umask
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "wb") as handle:
+                handle.writelines(_chunks(obj))
+                handle.write(b"\n")
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
     except OSError as exc:
         raise type(exc)(exc.errno, exc.strerror, path) from None
-    try:
-        with open(fd, "wb") as handle:
-            handle.writelines(_chunks(obj))
-            handle.write(b"\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _parse_int(token: str):
@@ -140,15 +141,18 @@ def _parse_int(token: str):
     return -0.0 if token == "-0" else int(token)
 
 
-def _loads(text: bytes):
-    # files are UTF-8, as open() reads them; a bad byte raises ValueError
-    return json.loads(text.decode("utf-8"), parse_int=_parse_int)
+def _loads(text: str):
+    # nesting deeper than the parser's recursion can go is a ValueError too
+    try:
+        return json.loads(text, parse_int=_parse_int)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to parse") from None
 
 
 def read_json(path: str):
     """Parse a JSON file; the token ``-0`` reads back as the float -0.0."""
     with open(path, encoding="utf-8") as handle:
-        return json.load(handle, parse_int=_parse_int)
+        return _loads(handle.read())
 
 
 def read_superoperator(path: str) -> tuple[np.ndarray, Dims]:
@@ -164,11 +168,12 @@ def read_superoperator(path: str) -> tuple[np.ndarray, Dims]:
     """
     with open(path, "rb") as handle:
         buf = handle.read()
+    # files are UTF-8, as open() reads them; a bad byte raises ValueError
     span = _data_span(buf)
     if span is None:
-        return superoperator_from_obj(_loads(buf))
+        return superoperator_from_obj(_loads(buf.decode("utf-8")))
     data = _DataSpan(buf, *span)
-    obj = _loads(buf[: data.start] + _PLACEHOLDER + buf[data.end :])
+    obj = _loads((buf[: data.start] + _PLACEHOLDER + buf[data.end :]).decode("utf-8"))
     matrix = obj.get("matrix") if isinstance(obj, dict) else None
     if isinstance(matrix, dict) and matrix.get("data") == "\x00":
         matrix["data"] = data
@@ -245,7 +250,7 @@ class _DataSpan:
             end = cut.start() + 1 if cut else stop
             text = self.buf[pos:end].decode("utf-8")
             try:
-                rows = json.loads("[" + text + "]", parse_int=_parse_int)
+                rows = _loads("[" + text + "]")
             except json.JSONDecodeError as exc:
                 # name the place in the file, as a parse of the whole file would
                 before = self.buf[:pos].decode("utf-8") + text[: max(exc.pos - 1, 0)]
@@ -266,7 +271,7 @@ class _DataSpan:
         if count != expected:
             raise DimensionError(f"expected {expected} entries, got {count}")
         if count > len(out):  # entries too short to be pairs
-            raise ValueError("matrix data must be a list of [re, im] pairs")
+            raise ValueError(_NOT_PAIRS)
         return out
 
 
@@ -303,15 +308,35 @@ def row_slabs_to_obj(slabs, rows: int, cols: int) -> dict:
     return {"rows": rows, "cols": cols, "data": data()}
 
 
+def _field(obj, key: str):
+    """``obj[key]``, or a ValueError naming ``key`` when ``obj`` is not an
+    object that carries it."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"expected an object with the key {key!r}")
+    return obj[key]
+
+
+def _count(obj, key: str) -> int:
+    """``int(obj[key])``, or a ValueError naming ``key`` when its value is not
+    a finite number (such as ``1e999``)."""
+    value = _field(obj, key)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"the key {key!r} must hold an integer, got {value!r:.40}") from None
+
+
 def matrix_from_obj(obj) -> np.ndarray:
-    if not isinstance(obj, dict) or not {"rows", "cols", "data"} <= set(obj):
-        raise ValueError("matrix object must carry rows, cols and data")
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    """The matrix of a matrix payload; a payload that lacks a key or holds a
+    value of the wrong kind raises ValueError."""
+    rows, cols = _count(obj, "rows"), _count(obj, "cols")
     if rows < 1 or cols < 1:
         raise DimensionError(f"matrix dimensions must be positive: {rows}x{cols}")
-    data = obj["data"]
+    data = _field(obj, "data")
     if isinstance(data, _DataSpan):
         pairs = data.pairs(rows * cols)
+    elif not isinstance(data, (list, np.ndarray)):
+        raise ValueError(_NOT_PAIRS)
     elif len(data) != rows * cols:
         raise DimensionError(f"expected {rows * cols} entries, got {len(data)}")
     else:
@@ -322,10 +347,14 @@ def matrix_from_obj(obj) -> np.ndarray:
 
 
 def _pairs(data) -> np.ndarray:
-    # ragged or non-numeric data raises ValueError here
-    pairs = np.array(data, dtype=np.float64, order="C")
+    # ragged or non-numeric data raises ValueError here, and so does an
+    # entry that no float holds, such as an integer of 400 digits
+    try:
+        pairs = np.array(data, dtype=np.float64, order="C")
+    except (TypeError, OverflowError):
+        raise ValueError(_NOT_PAIRS) from None
     if pairs.shape != (len(data), 2):
-        raise ValueError("matrix data must be a list of [re, im] pairs")
+        raise ValueError(_NOT_PAIRS)
     return pairs
 
 
@@ -335,7 +364,7 @@ def dims_to_obj(dims: Dims) -> dict:
 
 def dims_from_obj(obj) -> Dims:
     """Dims of a ``{"m", "n", "k"}`` object, whose ``k`` must equal n / m."""
-    m, n, k = int(obj["m"]), int(obj["n"]), int(obj["k"])
+    m, n, k = _count(obj, "m"), _count(obj, "n"), _count(obj, "k")
     dims = Dims(m, n)
     if k != dims.k:
         raise DimensionError(f"block count k = {k} disagrees with n / m = {dims.k}")
@@ -347,8 +376,12 @@ def superoperator_to_obj(matrix: np.ndarray, dims: Dims) -> dict:
 
 
 def superoperator_from_obj(obj) -> tuple[np.ndarray, Dims]:
-    dims = dims_from_obj(obj["dims"])
-    matrix = matrix_from_obj(obj["matrix"])
+    """The matrix and dims of a superoperator object.  A document that is not
+    one (a missing or mistyped key, or a count such as ``1e999``) raises
+    ValueError naming the key, and an inconsistent shape DimensionError, so
+    reading a file raises only ValueError and OSError."""
+    dims = dims_from_obj(_field(obj, "dims"))
+    matrix = matrix_from_obj(_field(obj, "matrix"))
     side = dims.mn * dims.mn
     if matrix.shape != (side, side):
         raise DimensionError(

@@ -6,9 +6,16 @@ import pytest
 
 from conftest import complex_gaussian, unitary_pair
 from meskit import (
+    DimensionError,
     Dims,
+    MESKitError,
+    NotInvertibleError,
+    NotKroneckerError,
+    NotPreserverError,
+    NotUnitaryError,
     SigmaFlag,
     Superoperator,
+    ZeroOperatorError,
     decompose,
     extend,
     kron,
@@ -161,6 +168,101 @@ def test_classify_random_matrix_exit_3(tmp_path, capsys):
     code, _, stderr = run_cli(capsys, "classify", str(path))
     assert code == 3
     assert json.loads(stderr)["error"] == "NotPreserverError"
+
+
+@pytest.mark.parametrize(
+    "error,code",
+    [
+        (DimensionError, 2),
+        (NotPreserverError, 3),
+        (NotInvertibleError, 4),
+        (NotKroneckerError, 6),
+        (MESKitError, 1),
+        # a ValueError too, but no verdict: unexpected, not a usage error
+        (ZeroOperatorError, 1),
+    ],
+)
+def test_each_refusal_exits_with_its_documented_code(error, code, tmp_path, capsys, monkeypatch):
+    sop, ext = str(tmp_path / "sop.json"), tmp_path / "ext.json"
+    assert run_cli(capsys, "gen", "--out", sop)[0] == 0
+
+    def refuse(phi, tol):
+        raise error("stage test: refused")
+
+    monkeypatch.setattr("meskit.cli.decompose", refuse)
+    for argv in (["classify", sop], ["extend", sop, "--out", str(ext)]):
+        assert run_cli(capsys, *argv) == (
+            code,
+            "",
+            serialize.dumps(
+                {"error": error.__name__, "message": "stage test: refused", "exit_code": code}
+            ) + "\n",
+        )
+    assert not ext.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,target",
+    [
+        (["gen", "--out", "OUT"], "meskit.cli.make_adjoint_preserver"),
+        (["check-lemmas", "--samples", "1"], "meskit.lemmas.run_all"),
+    ],
+    ids=["gen", "check-lemmas"],
+)
+def test_non_verdict_error_exits_1_from_every_command(argv, target, tmp_path, capsys, monkeypatch):
+    # as under classify: a package error that is no verdict is unexpected (exit 1),
+    # though NotUnitaryError is also a ValueError (exit 2)
+    def refuse(*args, **kwargs):
+        raise NotUnitaryError("broken")
+
+    monkeypatch.setattr(target, refuse)
+    argv = [str(tmp_path / "sop.json") if a == "OUT" else a for a in argv]
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 1 and stdout == ""
+    assert json.loads(stderr) == {"error": "NotUnitaryError", "message": "broken", "exit_code": 1}
+
+
+def _not_a_superoperator(tmp_path, capsys, kind):
+    """A JSON document that is no superoperator object, and the key it misses
+    or mistypes."""
+    sop, path = tmp_path / "sop.json", tmp_path / f"{kind}.json"
+    assert run_cli(capsys, "gen", "--m", "1", "--k", "2", "--out", str(sop))[0] == 0
+    if kind == "extend output":
+        assert run_cli(capsys, "extend", str(sop), "--out", str(path))[0] == 0
+        return path, "dims"
+    text = sop.read_text()
+    bad, key = {
+        "list": ("[" + text.strip() + "]", "dims"),
+        "missing n": (text.replace('"n": 2, ', ""), "n"),
+        "rows 1e999": (text.replace('"rows": 4', '"rows": 1e999'), "rows"),
+    }[kind]
+    assert bad != text
+    path.write_text(bad)
+    return path, key
+
+
+@pytest.mark.parametrize("command", ["classify", "extend"])
+@pytest.mark.parametrize("kind", ["extend output", "list", "missing n", "rows 1e999"])
+def test_not_a_superoperator_exit_2_naming_the_key(kind, command, tmp_path, capsys):
+    path, key = _not_a_superoperator(tmp_path, capsys, kind)
+    out = tmp_path / "out.json"
+    code, stdout, stderr = run_cli(capsys, command, str(path), "--out", str(out))
+    assert code == 2 and stdout == "" and not out.exists()
+    error = json.loads(stderr)  # one error JSON, no traceback
+    assert error["error"] == "ValueError" and error["exit_code"] == 2
+    assert repr(key) in error["message"]
+
+
+@pytest.mark.parametrize("command", ["classify", "extend"])
+def test_missing_input_is_named(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = run_cli(capsys, command, "nonexist.json")
+    assert code == 2 and stdout == ""
+    assert json.loads(stderr) == {
+        "error": "FileNotFoundError",
+        "message": "[Errno 2] No such file or directory: 'nonexist.json'",
+        "exit_code": 2,
+    }
 
 
 def test_classify_parse_failure_exit_2(tmp_path, capsys):
@@ -430,9 +532,11 @@ def test_unwritable_out_exit_2(command, tmp_path, capsys):
     source = str(tmp_path / "sop.json")
     assert run_cli(capsys, "gen", "--m", "1", "--k", "2", "--out", source)[0] == 0
     argv = ["gen", "--m", "1", "--k", "2"] if command == "gen" else [command, source]
-    code, stdout, stderr = run_cli(capsys, *argv, "--out", str(tmp_path / "missing" / "x.json"))
+    out = str(tmp_path / "missing" / "x.json")
+    code, stdout, stderr = run_cli(capsys, *argv, "--out", out)
     assert code == 2 and stdout == ""
-    assert json.loads(stderr)["error"] == "FileNotFoundError"
+    error = json.loads(stderr)
+    assert error["error"] == "FileNotFoundError" and error["message"].endswith(f": {out!r}")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sop.json", "sop.truth.json"]
 
 

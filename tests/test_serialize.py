@@ -261,8 +261,16 @@ def test_dumps_rejects_nonfinite_array():
 
 @pytest.mark.parametrize(
     "data",
-    [[[0.0, 0.0], [1.0]], [[0.0, 0.0], ["x", 1.0]], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [0.0, 1.0]],
-    ids=["ragged", "non-numeric", "triples", "flat"],
+    [
+        [[0.0, 0.0], [1.0]],
+        [[0.0, 0.0], ["x", 1.0]],
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+        [0.0, 1.0],
+        [[0.0, 0.0], [{}, 1.0]],
+        [[0.0, 0.0], [10**400, 1.0]],
+        5,
+    ],
+    ids=["ragged", "non-numeric", "triples", "flat", "object entry", "beyond float", "scalar"],
 )
 def test_matrix_from_obj_rejects_malformed_data(data):
     with pytest.raises(ValueError):
@@ -309,6 +317,43 @@ def test_superoperator_obj_checks_side(rng):
         serialize.superoperator_from_obj(obj)
 
 
+_DROP = object()
+
+
+@pytest.mark.parametrize(
+    "where,value,key",
+    [
+        (("dims",), _DROP, "dims"),
+        (("dims",), [1, 2, 2], "m"),
+        (("dims", "n"), _DROP, "n"),
+        (("dims", "m"), "one", "m"),
+        (("dims", "k"), None, "k"),
+        (("matrix",), _DROP, "matrix"),
+        (("matrix", "rows"), float("inf"), "rows"),
+        (("matrix", "cols"), _DROP, "cols"),
+        (("matrix", "data"), _DROP, "data"),
+    ],
+    ids=["no dims", "dims list", "no n", "m text", "k null", "no matrix", "rows inf", "no cols",
+         "no data"],
+)
+def test_superoperator_from_obj_names_the_key(where, value, key, rng):
+    # a document that is no superoperator object is a ValueError, never a
+    # KeyError, TypeError or OverflowError
+    obj = serialize.superoperator_to_obj(complex_gaussian(rng, 4, 4), Dims.from_mk(1, 2))
+    obj = json.loads(serialize.dumps(obj))
+    *parents, last = where
+    target = obj
+    for name in parents:
+        target = target[name]
+    if value is _DROP:
+        del target[last]
+    else:
+        target[last] = value
+    with pytest.raises(ValueError, match=repr(key)) as raised:
+        serialize.superoperator_from_obj(obj)
+    assert type(raised.value) is ValueError
+
+
 def test_write_json_atomic_replace(tmp_path):
     path = tmp_path / "out.json"
     serialize.write_json(str(path), {"a": 1})
@@ -324,6 +369,17 @@ def test_write_json_into_a_missing_directory_names_the_path(tmp_path):
         serialize.write_json(path, {"a": 1})
     assert raised.value.filename == path and ".tmp" not in str(raised.value)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_write_json_over_a_directory_names_the_path(tmp_path):
+    # the rename fails after the temp file is written: its error too names
+    # only the file asked for, and the temp file is removed
+    path = tmp_path / "x.json"
+    path.mkdir()
+    with pytest.raises(IsADirectoryError) as raised:
+        serialize.write_json(str(path), {"a": 1})
+    assert raised.value.filename == str(path) and raised.value.filename2 is None
+    assert list(tmp_path.iterdir()) == [path] and list(path.iterdir()) == []
 
 
 def _same_bits(a, b) -> bool:
@@ -423,6 +479,11 @@ def test_read_superoperator_refuses_what_the_json_reader_refuses(tmp_path, capsy
         # after an array that is not JSON
         "repeated data key, NUL": head + data + ', "data": "\\u0000"' + rest,
         "repeated data key, bad array": head + "[[1, 2,]], " + '"data": ' + data + rest,
+        # deeper than json's recursion can go: a ValueError, not a RecursionError
+        "deep nesting": '{"dims": ' + "[" * 100000 + "]" * 100000 + "}",
+        "deep object in a row": text.replace(
+            pair, "[" + '{"a": ' * 100000 + "0" + "}" * 100000 + ", 0]", 1
+        ),
     }
     for name, bad in refused.items():
         path = tmp_path / "bad.json"
