@@ -13,7 +13,6 @@ import numpy as np
 from meskit import (
     Dims,
     SigmaFlag,
-    Superoperator,
     decompose,
     extend,
     haar_unitary,
@@ -43,8 +42,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/superop.json"
         serialize.write_json(path, serialize.superoperator_to_obj(hidden.matrix, hidden.dims))
-        matrix, loaded_dims = serialize.read_superoperator(path)
-    phi = Superoperator(matrix=matrix, dims=loaded_dims)
+        phi = serialize.read_superoperator(path)
     print(f"hidden preserver: dims m={dims.m}, n={dims.n}, k={dims.k}, sigma={sigma.value}")
 
     dec = decompose(phi)

@@ -6,7 +6,10 @@ coisometries.  Restricted to the span of two orthogonal coisometries it is
 captured by a map G on 2 x 2 matrices whose Choi matrix J(G) has determinant
 0 when the preserver is a plain conjugation and -1 when it composes with the
 transpose.  Everything here is computed only from values of the preserver on
-MES elements (cross terms come from the polarization identity).
+MES elements (cross terms come from the polarization identity), so ``phi``
+may be any map with ``dims`` that :func:`~meskit.superop.apply` evaluates: a
+dense :class:`~meskit.superop.Superoperator`, or a map with its own
+``apply_to``, as the lemma suite's preservers are.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionError, NotInvertibleError, NotOrthogonalError, NotPreserverError
 from .states import are_orthogonal, is_coisometry, orthogonal_family, pi, representative
-from .superop import SigmaFlag, Superoperator, _as_int, apply
+from .superop import SigmaFlag, _as_int, apply
 from .tensor import frobenius, kron, scaled_tol, unvec, vec
 
 # Relative threshold of the sin^2 check between image representatives, the
@@ -24,7 +27,7 @@ from .tensor import frobenius, kron, scaled_tol, unvec, vec
 _TOL = 1e-8
 
 
-def phi_on_cross_term(phi: Superoperator, A1: np.ndarray, A2: np.ndarray) -> np.ndarray:
+def phi_on_cross_term(phi, A1: np.ndarray, A2: np.ndarray) -> np.ndarray:
     """phi(vec(A1) vec(A2)*) reconstructed from four MES evaluations.
 
     By polarization, vec(A1)vec(A2)* = (1/4) sum_l i^l vec(C_l)vec(C_l)* with
@@ -41,7 +44,7 @@ def phi_on_cross_term(phi: Superoperator, A1: np.ndarray, A2: np.ndarray) -> np.
     return total / 4.0
 
 
-def _image_table(phi: Superoperator, family) -> tuple[list[np.ndarray], list[list[np.ndarray]]]:
+def _image_table(phi, family) -> tuple[list[np.ndarray], list[list[np.ndarray]]]:
     """The images phi(pi(A_p)) of a mutually orthogonal family and the table
     phi(vec(A_p) vec(A_q)*), each value computed once: m times the image on
     the diagonal (vec(A) vec(A)* = m pi(A)), :func:`phi_on_cross_term` off it,
@@ -74,7 +77,7 @@ def _expand_in_image_basis(T: np.ndarray, b: tuple[np.ndarray, np.ndarray], gram
     return coeffs, frobenius(T - recon)
 
 
-def restricted_g(phi: Superoperator, A1: np.ndarray, A2: np.ndarray) -> np.ndarray:
+def restricted_g(phi, A1: np.ndarray, A2: np.ndarray) -> np.ndarray:
     """The 4 x 4 matrix G of phi on the cross-term subspace of the orthogonal
     coisometries A1, A2, each its (m, n) array.
 
@@ -138,7 +141,7 @@ def flag_from_determinant(det: complex) -> SigmaFlag:
     raise NotPreserverError(f"stage discriminant: det J(G) = {det:.6f} is near neither 0 nor -1")
 
 
-def detect_sigma(phi: Superoperator, seed=0) -> SigmaFlag:
+def detect_sigma(phi, seed=0) -> SigmaFlag:
     """Identity/transpose discriminant via det J(G).
 
     A preserver gives det 0 (identity branch) or -1 (transpose branch)
@@ -152,7 +155,7 @@ def detect_sigma(phi: Superoperator, seed=0) -> SigmaFlag:
     return flag_from_determinant(np.linalg.det(choi_matrix(G)))
 
 
-def align_images(phi: Superoperator, family) -> list[np.ndarray]:
+def align_images(phi, family) -> list[np.ndarray]:
     """Phase-coherent image family B_1..B_k, each its (m, n) array, of a
     mutually orthogonal family of coisometries (a list or a (k, m, n) stack).
 

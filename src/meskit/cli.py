@@ -40,7 +40,6 @@ from .extension import extend
 from .states import pi, random_coisometry
 from .superop import (
     SigmaFlag,
-    Superoperator,
     make_adjoint_preserver,
     make_swap_preserver,
     make_trace_preserver,
@@ -109,13 +108,8 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _load_superop(path: str) -> Superoperator:
-    matrix, dims = serialize.read_superoperator(path)
-    return Superoperator(matrix=matrix, dims=dims)
-
-
 def cmd_classify(args) -> int:
-    payload = _decomposition_obj(decompose(_load_superop(args.input), tol=args.tol))
+    payload = _decomposition_obj(decompose(serialize.read_superoperator(args.input), tol=args.tol))
     if args.out:
         serialize.write_json(args.out, payload)
     print(serialize.dumps(payload))
@@ -123,7 +117,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    phi = _load_superop(args.input)
+    phi = serialize.read_superoperator(args.input)
     auto = args.sigma == "auto"
     try:
         dec = decompose(phi, tol=args.tol)

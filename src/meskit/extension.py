@@ -9,10 +9,13 @@ The extension applies the base map blockwise -- ``[Phi(M_pq)]`` in the
 identity branch, ``[Phi(M_qp)]`` (block transpose first) in the transpose
 branch -- and commutes with conjugation by the structural sign and block-swap
 unitaries built below.  It is stored as the base map and the flag and
-evaluated block by block, one (mn)^2 x (mn)^2 product for all k^2 blocks;
-its dense n^4 x n^4 matrix comes in row slabs
-(:meth:`ExtendedSuperoperator.row_slabs`), which ``meskit extend`` writes one
-at a time.
+evaluated block by block, each block through :func:`~meskit.superop.apply`,
+so the base may be any map ``apply`` evaluates: a dense
+:class:`~meskit.superop.Superoperator`, or a map with its own ``apply_to``
+such as the lemma suite's W M^sigma W*.  Only the dense n^4 x n^4 matrix,
+which comes in row slabs (:meth:`ExtendedSuperoperator.row_slabs`, written
+one at a time by ``meskit extend``) and as :attr:`~ExtendedSuperoperator.matrix`,
+reads the base's dense ``matrix``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,13 @@ from .tensor import Dims, as_complex, frobenius, kron
 
 @dataclass(frozen=True, eq=False)
 class ExtendedSuperoperator:
-    """Superoperator on L(Y (x) Y) obtained by blockwise extension of ``base``."""
+    """Superoperator on L(Y (x) Y) obtained by blockwise extension of ``base``.
+
+    ``base`` is any map on L(X (x) Y) with ``dims`` that
+    :func:`~meskit.superop.apply` evaluates; :meth:`apply_to` goes through
+    ``apply`` block by block, and only :meth:`row_slabs` and :attr:`matrix`
+    read ``base.matrix``.
+    """
 
     base: Superoperator
     sigma: SigmaFlag
@@ -47,12 +56,11 @@ class ExtendedSuperoperator:
         """The image [phi(M_pq)] (identity) or [phi(M_qp)] (transpose) of an
         n^2 x n^2 operator M, without the dense matrix."""
         dims = self.base.dims
-        k, mn = dims.k, dims.mn
         blocks = block_split(M, dims)
         if self.sigma is SigmaFlag.TRANSPOSE:
             blocks = blocks.transpose(1, 0, 2, 3)
-        images = blocks.reshape(k * k, mn * mn) @ self.base.matrix.T
-        return block_join(images.reshape(k, k, mn, mn), dims)
+        images = [[apply(self.base, block) for block in row] for row in blocks]
+        return block_join(images, dims)
 
     def row_slabs(self):
         """Yield the dense n^4 x n^4 matrix as n^2 fresh row slabs of shape

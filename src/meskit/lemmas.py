@@ -2,6 +2,12 @@
 rests on.  Each check returns its worst residual over randomized instances;
 the CLI aggregates them into a machine-readable report.
 
+The checks that evaluate a preserver draw it as M -> W M^sigma W* with
+W = U (x) V for Haar U and V, the form every invertible MES preserver takes,
+and apply it as that product, O((mn)^3) per operator, never as its dense
+(mn)^2 x (mn)^2 matrix; the blockwise extension takes the same map as its
+base.
+
 Count-style checks (set equivalences, membership biconditionals) report the
 number of disagreements as the residual, so 0.0 means a clean pass at any
 positive tolerance.
@@ -9,13 +15,15 @@ positive tolerance.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .choi import align_images, choi_matrix, restricted_g
 from .errors import DimensionError
 from .extension import ad_commutation_residual, extend, structural_unitaries
 from .states import is_coisometry, orthogonal_family, pi, random_coisometry
-from .superop import SigmaFlag, Superoperator, _as_int, apply, make_adjoint_preserver
+from .superop import SigmaFlag, _as_int, apply, make_adjoint_preserver
 from .tensor import (
     DEFAULT_TOL,
     Dims,
@@ -37,10 +45,39 @@ def _complex_matrix(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
 
 
-def _random_preserver(dims: Dims, sigma: SigmaFlag, seed, *path) -> Superoperator:
+@dataclass(frozen=True, eq=False)
+class _AdjointMap:
+    """The preserver M -> W M^sigma W*, W = U (x) V, held as its factors.
+
+    :func:`apply` evaluates it through :meth:`apply_to` as that product;
+    :attr:`matrix` is the dense matrix :func:`make_adjoint_preserver` builds,
+    made anew on each access, for readers that need one (an extension's
+    :meth:`~meskit.extension.ExtendedSuperoperator.row_slabs`).
+    """
+
+    u: np.ndarray
+    v: np.ndarray
+    sigma: SigmaFlag
+    dims: Dims
+    w: np.ndarray
+
+    def apply_to(self, M: np.ndarray) -> np.ndarray:
+        mn = self.dims.mn
+        if M.shape != (mn, mn):
+            raise DimensionError(f"expected {mn}x{mn} operator, got {M.shape}")
+        if self.sigma is SigmaFlag.TRANSPOSE:
+            M = M.T
+        return self.w @ M @ self.w.conj().T
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return make_adjoint_preserver(self.u, self.v, self.sigma).matrix
+
+
+def _random_preserver(dims: Dims, sigma: SigmaFlag, seed, *path) -> _AdjointMap:
     u = haar_unitary(dims.m, np.random.SeedSequence([_as_int(seed), *path, 0]))
     v = haar_unitary(dims.n, np.random.SeedSequence([_as_int(seed), *path, 1]))
-    return make_adjoint_preserver(u, v, sigma)
+    return _AdjointMap(u, v, sigma, dims, kron(u, v))
 
 
 def check_vec_partial_trace(dims: Dims, samples: int, seed) -> float:

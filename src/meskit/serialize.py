@@ -5,9 +5,10 @@ entries of a 2-D matrix in row-major order.  In memory, :func:`matrix_to_obj`
 carries ``data`` as an ``(r*c, 2)`` float64 view of the matrix, and
 :func:`row_slabs_to_obj` as a one-shot iterator of such views, one per slab of
 rows; the encoder writes either in fixed-size chunks.
-:func:`read_superoperator` reads a superoperator file back without building
-the matrix as Python lists: it parses the ``data`` array in slices of rows
-straight into one float64 array.
+:func:`read_superoperator` reads a superoperator file back as a
+:class:`~meskit.superop.Superoperator` without building the matrix as Python
+lists: it parses the ``data`` array in slices of rows straight into one
+float64 array.
 
 Serialization is deterministic: floats are emitted with 17 significant digits
 (lossless for float64; both readers read ``-0`` back as -0.0), keys in fixed
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
+from .superop import Superoperator
 from .tensor import Dims
 
 
@@ -155,7 +157,7 @@ def read_json(path: str):
         return _loads(handle.read())
 
 
-def read_superoperator(path: str) -> tuple[np.ndarray, Dims]:
+def read_superoperator(path: str) -> Superoperator:
     """``superoperator_from_obj(read_json(path))``, with the same checks,
     holding only the file's bytes, the matrix and one slice of rows.  A file
     with faults in more than one place may be refused for another of them.
@@ -317,13 +319,13 @@ def _field(obj, key: str):
 
 
 def _count(obj, key: str) -> int:
-    """``int(obj[key])``, or a ValueError naming ``key`` when its value is not
-    a finite number (such as ``1e999``)."""
+    """``obj[key]``, or a ValueError naming ``key`` when its value is not an
+    integer: a float such as ``2.9`` or ``1e999``, a string or a boolean is
+    refused, not truncated."""
     value = _field(obj, key)
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"the key {key!r} must hold an integer, got {value!r:.40}") from None
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"the key {key!r} must hold an integer, got {value!r:.40}")
+    return int(value)
 
 
 def matrix_from_obj(obj) -> np.ndarray:
@@ -375,16 +377,11 @@ def superoperator_to_obj(matrix: np.ndarray, dims: Dims) -> dict:
     return {"dims": dims_to_obj(dims), "matrix": matrix_to_obj(matrix)}
 
 
-def superoperator_from_obj(obj) -> tuple[np.ndarray, Dims]:
-    """The matrix and dims of a superoperator object.  A document that is not
-    one (a missing or mistyped key, or a count such as ``1e999``) raises
-    ValueError naming the key, and an inconsistent shape DimensionError, so
+def superoperator_from_obj(obj) -> Superoperator:
+    """The superoperator of a superoperator object.  A document that is not
+    one (a missing or mistyped key, or a count such as ``2.9`` or ``1e999``)
+    raises ValueError naming the key, and a matrix whose side does not fit the
+    dims the DimensionError of :class:`~meskit.superop.Superoperator`, so
     reading a file raises only ValueError and OSError."""
     dims = dims_from_obj(_field(obj, "dims"))
-    matrix = matrix_from_obj(_field(obj, "matrix"))
-    side = dims.mn * dims.mn
-    if matrix.shape != (side, side):
-        raise DimensionError(
-            f"superoperator for dims {dims} must be {side}x{side}, got {matrix.shape}"
-        )
-    return matrix, dims
+    return Superoperator(matrix=matrix_from_obj(_field(obj, "matrix")), dims=dims)

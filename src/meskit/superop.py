@@ -77,7 +77,8 @@ def apply(phi, M) -> np.ndarray:
     """Evaluate a superoperator on an operator: unvec(matrix @ vec(M)).
 
     A map that evaluates itself without a dense matrix (the blockwise
-    extension) provides ``apply_to(M)``, which is called instead.
+    extension, the lemma suite's W M^sigma W*) provides ``apply_to(M)``,
+    which is called instead.
     """
     M = as_complex(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:

@@ -254,6 +254,41 @@ def test_not_a_superoperator_exit_2_naming_the_key(kind, command, tmp_path, caps
 
 
 @pytest.mark.parametrize("command", ["classify", "extend"])
+def test_fractional_counts_exit_2(command, tmp_path, capsys):
+    # truncating 2.9, 4.5, 2.5 and 64.99 would read a (2,2) map that classify certifies
+    sop, path = tmp_path / "sop.json", tmp_path / "fractional.json"
+    assert run_cli(capsys, "gen", "--m", "2", "--k", "2", "--out", str(sop))[0] == 0
+    text = sop.read_text()
+    for count, fraction in [('"m": 2', '"m": 2.9'), ('"n": 4', '"n": 4.5'), ('"k": 2', '"k": 2.5'),
+                            ('"rows": 64', '"rows": 64.99')]:
+        assert text.count(count) == 1
+        text = text.replace(count, fraction)
+    path.write_text(text)
+    out = tmp_path / "out.json"
+    code, stdout, stderr = run_cli(capsys, command, str(path), "--out", str(out))
+    assert code == 2 and stdout == "" and not out.exists()
+    assert json.loads(stderr) == {
+        "error": "ValueError",
+        "message": "the key 'm' must hold an integer, got 2.9",
+        "exit_code": 2,
+    }
+
+
+@pytest.mark.parametrize("command", ["classify", "extend"])
+def test_wrong_side_exit_2(command, tmp_path, capsys):
+    path = tmp_path / "side.json"
+    obj = serialize.superoperator_to_obj(np.eye(9, dtype=complex), Dims.from_mk(1, 2))
+    serialize.write_json(str(path), obj)
+    code, stdout, stderr = run_cli(capsys, command, str(path), "--out", str(tmp_path / "out.json"))
+    assert code == 2 and stdout == ""
+    assert json.loads(stderr) == {
+        "error": "DimensionError",
+        "message": "superoperator for dims Dims(m=1, n=2) must be 4x4, got (9, 9)",
+        "exit_code": 2,
+    }
+
+
+@pytest.mark.parametrize("command", ["classify", "extend"])
 def test_missing_input_is_named(command, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, stdout, stderr = run_cli(capsys, command, "nonexist.json")
@@ -326,9 +361,9 @@ def test_gen_swap_square_space_ok(tmp_path, capsys):
     out = str(tmp_path / "swap.json")
     code, _, _ = run_cli(capsys, "gen", "--m", "3", "--k", "1", "--form", "swap", "--out", out)
     assert code == 0
-    matrix, dims = serialize.superoperator_from_obj(json.loads((tmp_path / "swap.json").read_text()))
-    assert dims == Dims(3, 3)
-    assert matrix.shape == (81, 81)
+    phi = serialize.superoperator_from_obj(json.loads((tmp_path / "swap.json").read_text()))
+    assert phi.dims == Dims(3, 3)
+    assert phi.matrix.shape == (81, 81)
 
 
 def test_extend_reports_the_certificate(tmp_path, capsys):
@@ -423,7 +458,7 @@ def test_extend_certificate_bounds_every_mes(m, k, sigma, tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "extend", str(sop), "--out", str(tmp_path / "ext.json"))
     assert code == 0
     bound = json.loads(stdout)["certificate"]
-    phi = Superoperator(*serialize.read_superoperator(str(sop)))
+    phi = serialize.read_superoperator(str(sop))
     dec = decompose(phi)
     ext, w = extend(phi, dec.sigma), kron(np.eye(k), kron(dec.U, dec.V))
     worst = 0.0
@@ -442,10 +477,10 @@ def test_extend_file_matches_dense_reference(m, k, sigma, tmp_path, capsys, monk
     sop, out = tmp_path / "sop.json", tmp_path / "ext.json"
     gen = ["gen", "--m", str(m), "--k", str(k), "--sigma", sigma, "--seed", "4", "--out", str(sop)]
     assert run_cli(capsys, *gen)[0] == 0
-    matrix, dims = serialize.superoperator_from_obj(serialize.read_json(str(sop)))
-    ext = extend(Superoperator(matrix, dims), SigmaFlag(sigma))
+    phi = serialize.superoperator_from_obj(serialize.read_json(str(sop)))
+    ext = extend(phi, SigmaFlag(sigma))
     reference = {
-        "base_dims": serialize.dims_to_obj(dims),
+        "base_dims": serialize.dims_to_obj(phi.dims),
         "sigma": sigma,
         "matrix": serialize.matrix_to_obj(ext.matrix),
     }

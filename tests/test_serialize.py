@@ -302,11 +302,9 @@ def test_write_json_peak_memory_below_the_matrix(tmp_path):
 def test_superoperator_obj_roundtrip(rng):
     dims = Dims.from_mk(1, 2)
     mat = complex_gaussian(rng, 4, 4)
-    back, back_dims = serialize.superoperator_from_obj(
-        serialize.superoperator_to_obj(mat, dims)
-    )
-    assert back_dims == dims
-    np.testing.assert_array_equal(back, mat)
+    back = serialize.superoperator_from_obj(serialize.superoperator_to_obj(mat, dims))
+    assert back.dims == dims
+    np.testing.assert_array_equal(back.matrix, mat)
 
 
 def test_superoperator_obj_checks_side(rng):
@@ -328,13 +326,17 @@ _DROP = object()
         (("dims", "n"), _DROP, "n"),
         (("dims", "m"), "one", "m"),
         (("dims", "k"), None, "k"),
+        (("dims", "m"), True, "m"),
+        (("dims", "n"), 2.0, "n"),
+        (("dims", "k"), "2", "k"),
         (("matrix",), _DROP, "matrix"),
         (("matrix", "rows"), float("inf"), "rows"),
+        (("matrix", "rows"), 4.5, "rows"),
         (("matrix", "cols"), _DROP, "cols"),
         (("matrix", "data"), _DROP, "data"),
     ],
-    ids=["no dims", "dims list", "no n", "m text", "k null", "no matrix", "rows inf", "no cols",
-         "no data"],
+    ids=["no dims", "dims list", "no n", "m text", "k null", "m true", "n float", "k digits",
+         "no matrix", "rows inf", "rows fraction", "no cols", "no data"],
 )
 def test_superoperator_from_obj_names_the_key(where, value, key, rng):
     # a document that is no superoperator object is a ValueError, never a
@@ -398,10 +400,10 @@ def _superop_file(path, m, k, form, sigma=SigmaFlag.IDENTITY) -> str:
 
 
 def _assert_reads_as_json_reader(path) -> None:
-    matrix, dims = serialize.read_superoperator(path)
-    want, want_dims = serialize.superoperator_from_obj(serialize.read_json(path))
-    assert dims == want_dims
-    assert _same_bits(matrix, want)
+    phi = serialize.read_superoperator(path)
+    want = serialize.superoperator_from_obj(serialize.read_json(path))
+    assert phi.dims == want.dims
+    assert _same_bits(phi.matrix, want.matrix)
 
 
 @pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)])
@@ -419,7 +421,7 @@ def test_read_superoperator_keeps_signed_zeros(tmp_path):
     a[5, 6] = complex(0.0, -0.0)
     path = str(tmp_path / "z.json")
     serialize.write_json(path, serialize.superoperator_to_obj(a, Dims.from_mk(2, 1)))
-    back, _ = serialize.read_superoperator(path)
+    back = serialize.read_superoperator(path).matrix
     assert _same_bits(back, a)
 
 
@@ -504,7 +506,7 @@ def test_read_superoperator_peak_memory_below_file_and_two_matrices(tmp_path):
     size = os.path.getsize(path)
     tracemalloc.start()
     try:
-        matrix, _ = serialize.read_superoperator(path)
+        matrix = serialize.read_superoperator(path).matrix
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
