@@ -40,9 +40,9 @@ that is rank 2 and stage 1 refuses; at (m,k) = (1,2) the two columns form a
 unitary and stage 2 refuses (residual 2 on exact maps).
 
 Stage 2 decides success.  ``verification_residual`` is the spectral norm eps
-of ``phi - Ad_W o sigma`` on span(MES), with the closed-form basis P of the
-span's complement {A (x) I_n : tr A = 0} projected out; it bounds the
-residual of every MES (each has unit Frobenius norm).  Ad_W o sigma is a
+of ``phi - Ad_W o sigma`` on span(MES), with the span's complement
+{A (x) I_n : tr A = 0} projected out in closed form; it bounds the residual
+of every MES (each has unit Frobenius norm).  Ad_W o sigma is a
 Frobenius isometry of span(MES) onto itself, so eps < 1 puts phi's smallest
 singular value on the span at or above 1 - eps: no separate invertibility
 check is needed.
@@ -61,7 +61,7 @@ from .errors import (
     NotKroneckerError,
     NotPreserverError,
 )
-from .superop import SigmaFlag, Superoperator, _add_product, _conjugation_matrix, _span_complement
+from .superop import SigmaFlag, Superoperator, _conjugation_matrix, _project_out_complement
 from .tensor import (
     DEFAULT_TOL,
     Dims,
@@ -199,14 +199,14 @@ def verify_theorem_form(phi: Superoperator, dec: Decomposition) -> float:
 
     Every MES M has unit Frobenius norm, so this bounds
     ``|| phi(M) - (U (x) V) M^sigma (U (x) V)* ||_F`` for all of them.  It is
-    computed as ``|| X (I - PP*) ||_2`` with X = phi - Ad_{U (x) V} o sigma
-    and P the closed-form basis of the span's complement, since
-    QQ* = I - PP*: X is formed once and P projected out of it in place, so
-    phi, X and the norm's own copy are the only matrices of that size.  It is
-    deterministic and never raises on a large residual.
+    computed as ``|| X (I - Pi) ||_2`` with X = phi - Ad_{U (x) V} o sigma
+    and Pi the real, symmetric projector onto the span's complement, since
+    QQ* = I - Pi: X is formed once and its rows projected onto the span in
+    place, by partial traces, so phi, X and the norm's own copy are the only
+    matrices of that size.  It is deterministic and never raises on a large
+    residual.
     """
     x = _conjugation_matrix(kron(dec.U, dec.V), dec.sigma)
     np.subtract(phi.matrix, x, out=x)
-    p = _span_complement(phi.dims)
-    _add_product(x, -(x @ p), p.conj().T)
+    _project_out_complement(x, phi.dims, axis=1)
     return float(np.linalg.norm(x, 2))

@@ -29,6 +29,7 @@ import json
 import math
 import os
 import re
+import stat
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -119,21 +120,29 @@ def _array_chunks(slabs):
 
 
 def write_json(path: str, obj) -> None:
-    """Atomically write ``obj`` as JSON to ``path`` (temp file + rename),
-    streaming the text so the whole document is never held in memory.  Every
-    ``OSError`` names ``path``, never the temp file."""
-    directory, name = os.path.split(os.path.abspath(path))
-    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    """Write ``obj`` as JSON to ``path``, streaming the text so the whole
+    document is never held in memory.  A new path or a regular file is
+    written atomically (temp file + rename); any other existing file, such
+    as a device or a FIFO, is written in place, since a rename would replace
+    it with a regular file.  Every ``OSError`` names ``path``, never the temp
+    file."""
+    tmp = None
     try:
-        # a new file of its own, with the mode open() gives: 0o666 less the umask
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        if os.path.exists(path) and not stat.S_ISREG(os.stat(path).st_mode):
+            fd = os.open(path, os.O_WRONLY)
+        else:
+            directory, name = os.path.split(os.path.abspath(path))
+            tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+            # a new file of its own, with the mode open() gives: 0o666 less the umask
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with open(fd, "wb") as handle:
                 handle.writelines(_chunks(obj))
                 handle.write(b"\n")
-            os.replace(tmp, path)
+            if tmp:
+                os.replace(tmp, path)
         except BaseException:
-            if os.path.exists(tmp):
+            if tmp and os.path.exists(tmp):
                 os.unlink(tmp)
             raise
     except OSError as exc:

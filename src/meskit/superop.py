@@ -16,15 +16,14 @@ The constructors cover the three canonical preserver families:
 * ``make_trace_preserver``: ``M -> tr(M) rho`` for a fixed MES ``rho``
 
 span(MES) has a closed-form orthogonal complement, {A (x) I_n : tr A = 0}
-(plus {I_m (x) B : tr B = 0} when k = 1), so the checks on the span work with
-its small orthonormal basis P and the projector I - PP*; no basis of the
-span itself is built.
+(plus {I_m (x) B : tr B = 0} when k = 1), so the checks on the span project
+onto it with partial traces alone; no basis of the span or of its
+complement is built.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,69 +146,54 @@ def make_trace_preserver(rho: np.ndarray, dims: Dims) -> Superoperator:
     return Superoperator(matrix=mat, dims=dims)
 
 
-def _traceless_basis(m: int) -> list[np.ndarray]:
-    """Orthonormal real basis of the traceless m x m matrices: the m(m - 1)
-    matrix units off the diagonal, then the m - 1 diagonal matrices
-    diag(1, ..., 1, -j, 0, ..., 0) / sqrt(j (j + 1)) with j ones."""
-    eye = np.eye(m)
-    basis = [np.outer(eye[i], eye[j]) for i in range(m) for j in range(m) if i != j]
-    for j in range(1, m):
-        diagonal = np.r_[np.ones(j), -j, np.zeros(m - j - 1)]
-        basis.append(np.diag(diagonal) / np.sqrt(j * (j + 1)))
-    return basis
+def _project_out_complement(a: np.ndarray, dims: Dims, axis: int) -> None:
+    """Project, in place, each operator M vectorized along ``axis`` of the
+    square matrix ``a`` (1: its rows, 0: its columns) onto span(MES).
 
-
-@functools.lru_cache(maxsize=32)
-def _span_complement(dims: Dims) -> np.ndarray:
-    """Orthonormal column basis P of the orthogonal complement of span(MES)
-    inside C^{(mn)^2}, in closed form.
-
-    span(MES) is the kernel of M -> tr_Y(M) - (tr M / m) I_m, so its
-    complement is the range of the adjoint map A -> A (x) I_n - (tr A / m) I,
-    that is {A (x) I_n : tr A = 0}: the columns are vec(A_j (x) I_n) / sqrt(n)
-    over the traceless basis A_j, m^2 - 1 of them.  For k = 1 the tr_X
-    constraint adds vec(I_m (x) B_j) / sqrt(m), orthogonal to the first
-    family, for 2m^2 - 2 columns.
+    span(MES) is the kernel of M -> tr_Y(M) - (tr M / m) I_m, plus that of
+    M -> tr_X(M) - (tr M / n) I_n when k = 1, so the part removed is
+    (tr_Y M - (tr M / m) I_m) (x) I_n / n, plus
+    I_m (x) (tr_X M - (tr M / n) I_n) / m when k = 1; the two parts are
+    orthogonal and each traceless.  ``a`` must be C-contiguous, so that the
+    operators are a view of it.
     """
     m, n = dims.m, dims.n
-    cols = [kron(a, np.eye(n)) / np.sqrt(n) for a in _traceless_basis(m)]
-    if dims.k == 1:
-        cols += [kron(np.eye(m), b) / np.sqrt(m) for b in _traceless_basis(n)]
-    p = np.array(cols, dtype=complex).reshape(len(cols), dims.mn**2).T
-    p.flags.writeable = False
-    return p
-
-
-# Bytes of the temporary of one row slab in :func:`_add_product`.
-_SLAB_BYTES = 1 << 20
-
-
-def _add_product(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    """``x += a @ b`` in place, one slab of rows at a time, so no temporary
-    the size of x is made; a has few columns."""
-    step = max(1, _SLAB_BYTES // (x.itemsize * x.shape[1]))
-    for i in range(0, x.shape[0], step):
-        x[i : i + step] += a[i : i + step] @ b
+    if axis == 0:
+        ops = np.moveaxis(a.reshape(m, n, m, n, -1), -1, 0)
+    else:
+        ops = a.reshape(-1, m, n, m, n)
+    tr_y = np.einsum("jxyzy->jxz", ops)
+    trace = np.einsum("jxx->j", tr_y)[:, None, None]
+    part = (tr_y - trace * np.eye(m) / m) / n
+    for y in range(n):
+        ops[:, :, y, :, y] -= part
+    if dims.k == 1:  # the part removed above has tr_X = 0
+        part = (np.einsum("jxyxw->jyw", ops) - trace * np.eye(n) / n) / m
+        for x in range(m):
+            ops[:, x, :, x, :] -= part
 
 
 def is_invertible_on_span(phi: Superoperator) -> bool:
     """True iff the restriction of phi to span(MES) has smallest singular
     value above 1e-9 (in orthonormal coordinates of the span).
 
-    With P the closed-form complement basis and Q any orthonormal basis of
-    the span, QQ* = I - PP*, so ``(I - PP*) phi (I - PP*) + PP*`` has the
-    singular values of Q* phi Q plus a 1 per column of P, and 1 is above the
-    threshold.  The matrix is formed in one copy of phi.
+    With Pi the orthogonal projector onto the complement of span(MES) and Q
+    any orthonormal basis of the span, QQ* = I - Pi, so
+    ``I + (I - Pi)(phi - I)(I - Pi)`` has the singular values of Q* phi Q
+    plus ones on the complement, and 1 is above the threshold.  It is formed
+    in one copy of phi: 1 is taken off the diagonal, the rows and then the
+    columns are projected onto the span, and 1 is put back.
 
     Not on :func:`meskit.classify.decompose`'s path (its span certificate
-    implies invertibility).  Its only caller outside the tests is
-    ``perfbench``, whose set-up warms P's cache with it; that is why it stays.
+    implies invertibility).  Its only caller outside the tests is the set-up
+    of ``perfbench``; that is why it stays.
     """
-    p = _span_complement(phi.dims)
-    ph = p.conj().T
     r = phi.matrix.copy()
-    _add_product(r, -(phi.matrix @ p), ph)  # phi (I - PP*)
-    _add_product(r, p, ph - ph @ r)  # (I - PP*) r + PP*
+    diagonal = r.reshape(-1)[:: r.shape[0] + 1]
+    diagonal -= 1.0
+    _project_out_complement(r, phi.dims, axis=1)
+    _project_out_complement(r, phi.dims, axis=0)
+    diagonal += 1.0
     s = np.linalg.svd(r, compute_uv=False)
     return float(s[-1]) > 1e-9
 

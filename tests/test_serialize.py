@@ -1,7 +1,9 @@
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -403,14 +405,28 @@ def test_write_json_into_a_missing_directory_names_the_path(tmp_path):
 
 
 def test_write_json_over_a_directory_names_the_path(tmp_path):
-    # the rename fails after the temp file is written: its error too names
-    # only the file asked for, and the temp file is removed
+    # a directory is no regular file, so it is opened in place and that
+    # fails: the error names only the file asked for, and no temp file is left
     path = tmp_path / "x.json"
     path.mkdir()
     with pytest.raises(IsADirectoryError) as raised:
         serialize.write_json(str(path), {"a": 1})
     assert raised.value.filename == str(path) and raised.value.filename2 is None
     assert list(tmp_path.iterdir()) == [path] and list(path.iterdir()) == []
+
+
+def test_write_json_writes_a_fifo_in_place(tmp_path):
+    # a rename would replace the FIFO (or a device) with a regular file
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    serialize.write_json(str(fifo), {"a": [1.5, -0.0]})
+    reader.join(timeout=30)
+    assert received == [b'{"a": [1.5, -0]}\n']
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert list(tmp_path.iterdir()) == [fifo]  # no stray temp files
 
 
 def _same_bits(a, b) -> bool:

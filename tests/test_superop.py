@@ -13,6 +13,7 @@ from meskit import (
     NotMESError,
     NotUnitaryError,
     SigmaFlag,
+    Superoperator,
     apply,
     haar_unitary,
     is_invertible_on_span,
@@ -280,6 +281,19 @@ def test_is_invertible_on_span_identity_and_adjoint():
     assert is_invertible_on_span(phi)
 
 
+@pytest.mark.parametrize("m,k", [(2, 2), (3, 2), (2, 1)])
+@pytest.mark.parametrize("scale,invertible", [(1e-7, True), (2e-9, True), (5e-10, False), (1e-10, False)])
+def test_is_invertible_on_span_threshold_on_scaled_preservers(m, k, scale, invertible):
+    # a scaled preserver's singular values on the span all equal the scale, so
+    # the verdict flips at the 1e-9 threshold; the ones put on the diagonal
+    # around the projection must not round the small values away
+    dims = Dims.from_mk(m, k)
+    make = make_swap_preserver if k == 1 else make_adjoint_preserver
+    phi = make(*unitary_pair(dims, 39), SigmaFlag.IDENTITY)
+    scaled = Superoperator(matrix=scale * phi.matrix, dims=dims)
+    assert is_invertible_on_span(scaled) is invertible
+
+
 def test_identity_restriction_is_isometric():
     # smallest singular value of the restricted identity is exactly 1
     q = _span_columns(DIMS)
@@ -313,17 +327,25 @@ def test_equal_conjugations_share_a_line():
     assert np.linalg.matrix_rank(stacked, tol=1e-10) == 1
 
 
+@pytest.mark.parametrize("axis", [0, 1])
 @pytest.mark.parametrize("m,k", [(1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
-def test_span_complement_is_orthogonal_to_the_dense_span_basis(m, k):
-    from meskit.superop import _span_complement
+def test_projecting_out_the_complement_is_the_dense_span_projector(m, k, axis):
+    from meskit.superop import _project_out_complement
 
     dims = Dims.from_mk(m, k)
-    p = _span_complement(dims)
-    q = _span_columns(dims)
     side = dims.mn * dims.mn
-    assert p.shape == (side, side - q.shape[1])
-    assert p.shape[1] == (m * m - 1) * (2 if k == 1 else 1)
-    np.testing.assert_allclose(p.conj().T @ p, np.eye(p.shape[1]), atol=1e-13)
-    assert np.abs(p.conj().T @ q).max(initial=0.0) < 1e-12
-    # together they span the whole space: QQ* + PP* = I
-    np.testing.assert_allclose(q @ q.conj().T + p @ p.conj().T, np.eye(side), atol=1e-12)
+    q = _span_columns(dims)
+    qq = q @ q.conj().T
+    # applied to the identity's columns (axis 0) or rows (axis 1), the
+    # projection leaves the matrix I - Pi, Pi the projector onto the complement
+    rest = np.eye(side, dtype=complex)
+    _project_out_complement(rest, dims, axis)
+    np.testing.assert_allclose(rest, qq, atol=1e-13)
+    proj = np.eye(side) - rest
+    np.testing.assert_allclose(proj @ proj, proj, atol=1e-13)
+    assert np.linalg.matrix_rank(proj, tol=1e-9) == (m * m - 1) * (2 if k == 1 else 1)
+    # on a matrix that is not symmetric, the axis decides the side QQ* acts on
+    g = complex_gaussian(np.random.default_rng(m * 10 + k), side, side)
+    expected = qq @ g if axis == 0 else g @ qq.T
+    _project_out_complement(g, dims, axis)
+    np.testing.assert_allclose(g, expected, atol=1e-12)
