@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DimensionError, NotInvertibleError, NotOrthogonalError, NotPreserverError
 from .states import are_orthogonal, is_coisometry, orthogonal_family, pi, representative
 from .superop import SigmaFlag, _as_int, apply
-from .tensor import frobenius, kron, scaled_tol, unvec, vec
+from .tensor import frobenius, scaled_tol, unvec, vec
 
 # Relative threshold of the sin^2 check between image representatives, the
 # subspace and phase-coherence residuals and the aligned images' coisometry
@@ -61,58 +61,44 @@ def _image_table(phi, family) -> tuple[list[np.ndarray], list[list[np.ndarray]]]
     return images, table
 
 
-def _expand_in_image_basis(T: np.ndarray, b: tuple[np.ndarray, np.ndarray], gram4: np.ndarray):
-    """Least-squares coefficients of T in {b_p b_q*} (index 2p + q) via the
-    Gram system, and the residual of the expansion.
-
-    The basis need not be orthogonal (its orthogonality is a conclusion, not a
-    premise), hence the explicit 4 x 4 Gram solve with ``gram4``, the Gram
-    matrix of {b_p b_q*}.
-    """
-    rhs = np.array([np.vdot(bp, T @ bq) for bp in b for bq in b])
-    coeffs = np.linalg.solve(gram4, rhs)
-    recon = sum(
-        coeffs[2 * p + q] * np.outer(b[p], b[q].conj()) for p in range(2) for q in range(2)
-    )
-    return coeffs, frobenius(T - recon)
-
-
 def restricted_g(phi, A1: np.ndarray, A2: np.ndarray) -> np.ndarray:
     """The 4 x 4 matrix G of phi on the cross-term subspace of the orthogonal
     coisometries A1, A2, each its (m, n) array.
 
-    G acts on row-vectorized 2 x 2 matrices: its column 2i + j is vec(G(E_ij)),
-    the coefficients of phi(vec(A_i) vec(A_j)*) in {vec(B_p) vec(B_q)*} for
-    the image representatives B_p, so G(E11) = E11 and G(E22) = E22.  A large
-    expansion residual means phi moved the subspace, which no MES preserver
-    can do, hence NotPreserverError.  Image representatives that are
-    (nearly) parallel mean phi sends pi(A1) - pi(A2) to zero, so phi is not
-    injective on span(MES), hence NotInvertibleError.  Both messages start
-    with "stage restricted map: ".  An image that is not an MES raises
-    NotMESError from :func:`representative`.
+    G acts on row-vectorized 2 x 2 matrices: its column 2i + j is vec(C_ij),
+    the coefficients of T_ij = phi(vec(A_i) vec(A_j)*) in {vec(B_p) vec(B_q)*}
+    for the image representatives B_p, so G(E11) = E11 and G(E22) = E22.
+    With B = [vec(B_1) vec(B_2)], which need not be orthonormal, the
+    least-squares coefficients separate: C_ij = B+ T_ij (B+)* for
+    B+ = (B*B)^-1 B*.  A large residual ||T_ij - B C_ij B*||_F means phi
+    moved the subspace, which no MES preserver can do, hence
+    NotPreserverError.  Image representatives that are (nearly) parallel mean
+    phi sends pi(A1) - pi(A2) to zero, so phi is not injective on span(MES),
+    hence NotInvertibleError.  Both messages start with "stage restricted
+    map: ".  An image that is not an MES raises NotMESError from
+    :func:`representative`.
     """
     images, table = _image_table(phi, [A1, A2])
-    b = tuple(vec(representative(image, phi.dims)) for image in images)
-    gram2 = np.array([[np.vdot(bp, bq) for bq in b] for bp in b])
+    b = np.column_stack([vec(representative(image, phi.dims)) for image in images])
+    gram = b.conj().T @ b
     # det / (product of the diagonal) is sin^2 of the angle between B1 and B2
-    sin2 = float(np.linalg.det(gram2).real / (gram2[0, 0].real * gram2[1, 1].real))
+    sin2 = float(np.linalg.det(gram).real / (gram[0, 0].real * gram[1, 1].real))
     if sin2 < _TOL:
         raise NotInvertibleError(
             "stage restricted map: orthogonal coisometries share one image class "
             f"(sin^2 {sin2:.3e}): map is singular on span(MES)"
         )
-    gram4 = kron(gram2, gram2.conj())
+    pinv = np.linalg.solve(gram, b.conj().T)
     gmat = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            target = table[i][j]
-            coeffs, residual = _expand_in_image_basis(target, b, gram4)
-            if residual >= scaled_tol(_TOL, frobenius(target)):
-                raise NotPreserverError(
-                    "stage restricted map: cross-term image left its subspace "
-                    f"(residual {residual:.3e})"
-                )
-            gmat[:, 2 * i + j] = coeffs
+    for col, target in enumerate(t for row in table for t in row):  # col = 2i + j
+        coeffs = pinv @ target @ pinv.conj().T
+        residual = frobenius(target - b @ coeffs @ b.conj().T)
+        if residual >= scaled_tol(_TOL, frobenius(target)):
+            raise NotPreserverError(
+                "stage restricted map: cross-term image left its subspace "
+                f"(residual {residual:.3e})"
+            )
+        gmat[:, col] = coeffs.reshape(-1)
     return gmat
 
 

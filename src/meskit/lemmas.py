@@ -23,7 +23,7 @@ from .choi import align_images, choi_matrix, restricted_g
 from .errors import DimensionError
 from .extension import ad_commutation_residual, extend, structural_unitaries
 from .states import is_coisometry, orthogonal_family, pi, random_coisometry
-from .superop import SigmaFlag, _as_int, apply, make_adjoint_preserver
+from .superop import SigmaFlag, _as_int, _conjugation_matrix, apply
 from .tensor import (
     DEFAULT_TOL,
     Dims,
@@ -37,12 +37,16 @@ from .tensor import (
 )
 
 
+def _seq(seed, *path) -> np.random.SeedSequence:
+    return np.random.SeedSequence([_as_int(seed), *path])
+
+
 def _rng(seed, *path) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([_as_int(seed), *path]))
+    return np.random.default_rng(_seq(seed, *path))
 
 
-def _complex_matrix(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
-    return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+def _complex_gaussian(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,8 +54,8 @@ class _AdjointMap:
     """The preserver M -> W M^sigma W*, W = U (x) V, held as its factors.
 
     :func:`apply` evaluates it through :meth:`apply_to` as that product;
-    :attr:`matrix` is the dense matrix :func:`make_adjoint_preserver` builds,
-    made anew on each access, for readers that need one (an extension's
+    :attr:`matrix` is its dense matrix, made anew on each access, for
+    readers that need one (an extension's
     :meth:`~meskit.extension.ExtendedSuperoperator.row_slabs`).
     """
 
@@ -71,13 +75,43 @@ class _AdjointMap:
 
     @property
     def matrix(self) -> np.ndarray:
-        return make_adjoint_preserver(self.u, self.v, self.sigma).matrix
+        return _conjugation_matrix(self.w, self.sigma)
 
 
 def _random_preserver(dims: Dims, sigma: SigmaFlag, seed, *path) -> _AdjointMap:
-    u = haar_unitary(dims.m, np.random.SeedSequence([_as_int(seed), *path, 0]))
-    v = haar_unitary(dims.n, np.random.SeedSequence([_as_int(seed), *path, 1]))
+    u = haar_unitary(dims.m, _seq(seed, *path, 0))
+    v = haar_unitary(dims.n, _seq(seed, *path, 1))
     return _AdjointMap(u, v, sigma, dims, kron(u, v))
+
+
+def _preserver_draws(dims: Dims, samples: int, seed, path: int):
+    """(sigma, preserver, orthogonal family) per sample and branch: the
+    preserver drawn from ``path``, the family from ``path + 1``."""
+    for i in range(samples):
+        family = orthogonal_family(dims, _seq(seed, path + 1, i))
+        for sigma in SigmaFlag:
+            yield sigma, _random_preserver(dims, sigma, seed, path, i), family
+
+
+def _extension_draws(dims: Dims, samples: int, seed, path: int):
+    """(extension, MES of Y (x) Y) per branch and sample: the extended
+    preserver drawn from ``path``, the states from ``path + 1``."""
+    for sigma in SigmaFlag:
+        ext = extend(_random_preserver(dims, sigma, seed, path), sigma)
+        for i in range(samples):
+            yield ext, pi(random_coisometry(ext.yy_dims, _seq(seed, path + 1, i)))
+
+
+def _action_residual(phi, sigma: SigmaFlag, family, images, rng) -> float:
+    """||phi(pi(sum_j c_j A_j)) - pi(sum_j c'_j B_j)||_F for a random unit c,
+    with c' = c (identity branch) or conj(c) (transpose branch): the
+    (conjugate-)linear action of phi on the aligned images B_j of A_j."""
+    coeff = _complex_gaussian(rng, len(images))
+    coeff /= np.linalg.norm(coeff)
+    out_coeff = coeff.conj() if sigma is SigmaFlag.TRANSPOSE else coeff
+    source = sum(c * f for c, f in zip(coeff, family))
+    target = sum(c * b for c, b in zip(out_coeff, images))
+    return frobenius(apply(phi, pi(source)) - pi(target))
 
 
 def check_vec_partial_trace(dims: Dims, samples: int, seed) -> float:
@@ -85,8 +119,8 @@ def check_vec_partial_trace(dims: Dims, samples: int, seed) -> float:
     rng = _rng(seed, 101)
     worst = 0.0
     for _ in range(samples):
-        a = _complex_matrix(rng, dims.m, dims.n)
-        b = _complex_matrix(rng, dims.m, dims.n)
+        a = _complex_gaussian(rng, dims.m, dims.n)
+        b = _complex_gaussian(rng, dims.m, dims.n)
         lhs = partial_trace_y(np.outer(vec(a), vec(b).conj()), dims)
         worst = max(worst, frobenius(lhs - a @ b.conj().T))
     return worst
@@ -98,12 +132,9 @@ def check_mes_partial_trace(dims: Dims, samples: int, seed) -> float:
     eye = np.eye(dims.m)
     worst = 0.0
     for i in range(samples):
-        states = [
-            pi(random_coisometry(dims, np.random.SeedSequence([_as_int(seed), 102, i, j])))
-            for j in range(3)
-        ]
+        states = [pi(random_coisometry(dims, _seq(seed, 102, i, j))) for j in range(3)]
         worst = max(worst, frobenius(partial_trace_y(states[0], dims) - eye / dims.m))
-        coeff = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        coeff = _complex_gaussian(rng, 3)
         combo = sum(c * s for c, s in zip(coeff, states))
         expected = (np.trace(combo) / dims.m) * eye
         worst = max(worst, frobenius(partial_trace_y(combo, dims) - expected))
@@ -119,9 +150,9 @@ def check_pure_states_in_span(dims: Dims, samples: int, seed) -> float:
     worst = 0.0
     for i in range(samples):
         if i % 2 == 0:
-            mat = pi(random_coisometry(dims, np.random.SeedSequence([_as_int(seed), 103, i])))
+            mat = pi(random_coisometry(dims, _seq(seed, 103, i)))
         else:
-            u = rng.standard_normal(dims.mn) + 1j * rng.standard_normal(dims.mn)
+            u = _complex_gaussian(rng, dims.mn)
             u /= np.linalg.norm(u)
             mat = np.outer(u, u.conj())
         ptrace_ok = frobenius(partial_trace_y(mat, dims) - np.eye(dims.m) / dims.m) < 1e-8
@@ -145,7 +176,7 @@ def _five_way_conditions(A1: np.ndarray, A2: np.ndarray, rng, tol: float = DEFAU
     c3 = is_coisometry(np.vstack([A1, A2]), tol)
     c4 = True
     for _ in range(20):
-        ab = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        ab = _complex_gaussian(rng, 2)
         ab /= np.linalg.norm(ab)
         c4 = c4 and is_coisometry(ab[0] * A1 + ab[1] * A2, tol)
     # row spaces via orthonormal bases, independent of the product tests above
@@ -161,12 +192,12 @@ def check_orthogonality_equivalence(dims: Dims, samples: int, seed) -> float:
     rng = _rng(seed, 104)
     disagreements = 0
     for i in range(samples):
-        family = orthogonal_family(dims, np.random.SeedSequence([_as_int(seed), 104, i]))
+        family = orthogonal_family(dims, _seq(seed, 104, i))
         conds = _five_way_conditions(family[0], family[1], rng)
         if not all(conds):
             disagreements += 1
-        b1 = random_coisometry(dims, np.random.SeedSequence([_as_int(seed), 105, i, 0]))
-        b2 = random_coisometry(dims, np.random.SeedSequence([_as_int(seed), 105, i, 1]))
+        b1 = random_coisometry(dims, _seq(seed, 105, i, 0))
+        b2 = random_coisometry(dims, _seq(seed, 105, i, 1))
         conds = _five_way_conditions(b1, b2, rng)
         if any(conds):
             disagreements += 1
@@ -177,13 +208,9 @@ def check_choi_discriminant(dims: Dims, samples: int, seed) -> float:
     """det J(G) sits at 0 for identity-branch preservers and -1 for
     transpose-branch preservers, for every orthogonal pair used to build G."""
     worst = 0.0
-    for i in range(samples):
-        for sigma in SigmaFlag:
-            phi = _random_preserver(dims, sigma, seed, 106, i)
-            family = orthogonal_family(dims, np.random.SeedSequence([_as_int(seed), 107, i]))
-            det = complex(np.linalg.det(choi_matrix(restricted_g(phi, family[0], family[1]))))
-            target = 0.0 if sigma is SigmaFlag.IDENTITY else -1.0
-            worst = max(worst, abs(det - target))
+    for sigma, phi, family in _preserver_draws(dims, samples, seed, 106):
+        det = complex(np.linalg.det(choi_matrix(restricted_g(phi, family[0], family[1]))))
+        worst = max(worst, abs(det - (0.0 if sigma is SigmaFlag.IDENTITY else -1.0)))
     return worst
 
 
@@ -193,21 +220,9 @@ def check_pair_semilinearity(dims: Dims, samples: int, seed) -> float:
     coefficients."""
     rng = _rng(seed, 108)
     worst = 0.0
-    for i in range(samples):
-        for sigma in SigmaFlag:
-            phi = _random_preserver(dims, sigma, seed, 109, i)
-            family = orthogonal_family(dims, np.random.SeedSequence([_as_int(seed), 110, i]))
-            pair = [family[0], family[1]]
-            images = align_images(phi, pair)
-            ab = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            ab /= np.linalg.norm(ab)
-            coeff = ab.conj() if sigma is SigmaFlag.TRANSPOSE else ab
-            source = ab[0] * pair[0] + ab[1] * pair[1]
-            target = coeff[0] * images[0] + coeff[1] * images[1]
-            worst = max(
-                worst,
-                frobenius(apply(phi, pi(source)) - pi(target)),
-            )
+    for sigma, phi, family in _preserver_draws(dims, samples, seed, 109):
+        pair = family[:2]
+        worst = max(worst, _action_residual(phi, sigma, pair, align_images(phi, pair), rng))
     return worst
 
 
@@ -216,8 +231,8 @@ def check_polarization(dims: Dims, samples: int, seed) -> float:
     rng = _rng(seed, 111)
     worst = 0.0
     for _ in range(samples):
-        a = _complex_matrix(rng, dims.m, dims.n)
-        b = _complex_matrix(rng, dims.m, dims.n)
+        a = _complex_gaussian(rng, dims.m, dims.n)
+        b = _complex_gaussian(rng, dims.m, dims.n)
         total = np.zeros((dims.m, dims.m), dtype=complex)
         for ell in range(4):
             c = a + (1j**ell) * b
@@ -231,45 +246,24 @@ def check_family_alignment(dims: Dims, samples: int, seed) -> float:
     k-term (conjugate-)linear action on coefficients."""
     rng = _rng(seed, 112)
     worst = 0.0
-    for i in range(samples):
-        for sigma in SigmaFlag:
-            phi = _random_preserver(dims, sigma, seed, 113, i)
-            family = orthogonal_family(dims, np.random.SeedSequence([_as_int(seed), 114, i]))
-            images = align_images(phi, family)
-            for p in range(dims.k):
-                for q in range(dims.k):
-                    expect = np.eye(dims.m) if p == q else np.zeros((dims.m, dims.m))
-                    worst = max(
-                        worst,
-                        frobenius(images[p] @ images[q].conj().T - expect),
-                    )
-            coeff = rng.standard_normal(dims.k) + 1j * rng.standard_normal(dims.k)
-            coeff /= np.linalg.norm(coeff)
-            out_coeff = coeff.conj() if sigma is SigmaFlag.TRANSPOSE else coeff
-            source = sum(c * f for c, f in zip(coeff, family))
-            target = sum(c * b for c, b in zip(out_coeff, images))
-            worst = max(
-                worst,
-                frobenius(apply(phi, pi(source)) - pi(target)),
-            )
+    for sigma, phi, family in _preserver_draws(dims, samples, seed, 113):
+        images = align_images(phi, family)
+        for p in range(dims.k):
+            for q in range(dims.k):
+                expect = np.eye(dims.m) if p == q else 0.0
+                worst = max(worst, frobenius(images[p] @ images[q].conj().T - expect))
+        worst = max(worst, _action_residual(phi, sigma, family, images, rng))
     return worst
 
 
 def check_extension_preserves_mes(dims: Dims, samples: int, seed) -> float:
     """The blockwise extension maps MES of Y (x) Y to MES of Y (x) Y."""
     worst = 0.0
-    for sigma in SigmaFlag:
-        phi = _random_preserver(dims, sigma, seed, 115)
-        ext = extend(phi, sigma)
-        for i in range(samples):
-            seq = np.random.SeedSequence([_as_int(seed), 116, i])
-            state = pi(random_coisometry(ext.yy_dims, seq))
-            image = apply(ext, state)
-            _, rank1_residual = rank_one_factor(image, 1e-6)
-            ptrace_dev = frobenius(
-                partial_trace_y(image, ext.yy_dims) - np.eye(dims.n) / dims.n
-            )
-            worst = max(worst, rank1_residual, ptrace_dev)
+    for ext, state in _extension_draws(dims, samples, seed, 115):
+        image = apply(ext, state)
+        _, rank1_residual = rank_one_factor(image, 1e-6)
+        ptrace_dev = frobenius(partial_trace_y(image, ext.yy_dims) - np.eye(dims.n) / dims.n)
+        worst = max(worst, rank1_residual, ptrace_dev)
     return worst
 
 
@@ -277,14 +271,9 @@ def check_structural_commutation(dims: Dims, samples: int, seed) -> float:
     """The extension commutes with conjugation by every P_j (x) I and Q_pq."""
     operators = [w for _, w in structural_unitaries(dims)]
     worst = 0.0
-    for sigma in SigmaFlag:
-        phi = _random_preserver(dims, sigma, seed, 117)
-        ext = extend(phi, sigma)
-        for i in range(samples):
-            seq = np.random.SeedSequence([_as_int(seed), 118, i])
-            state = pi(random_coisometry(ext.yy_dims, seq))
-            for w in operators:
-                worst = max(worst, ad_commutation_residual(ext, w, state))
+    for ext, state in _extension_draws(dims, samples, seed, 117):
+        for w in operators:
+            worst = max(worst, ad_commutation_residual(ext, w, state))
     return worst
 
 
@@ -298,9 +287,9 @@ def check_switch_identities(dims: Dims, samples: int, seed) -> float:
     n = dims.n
     worst = 0.0
     for i in range(samples):
-        a = haar_unitary(n, np.random.SeedSequence([_as_int(seed), 119, i, 0]))
-        u = haar_unitary(n, np.random.SeedSequence([_as_int(seed), 119, i, 1]))
-        v = haar_unitary(n, np.random.SeedSequence([_as_int(seed), 119, i, 2]))
+        a = haar_unitary(n, _seq(seed, 119, i, 0))
+        u = haar_unitary(n, _seq(seed, 119, i, 1))
+        v = haar_unitary(n, _seq(seed, 119, i, 2))
         state = pi(a)
         switched = state.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)
         worst = max(worst, frobenius(switched - pi(a.T)))

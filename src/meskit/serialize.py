@@ -121,26 +121,31 @@ def _array_chunks(slabs):
 
 def write_json(path: str, obj) -> None:
     """Write ``obj`` as JSON to ``path``, streaming the text so the whole
-    document is never held in memory.  A new path or a regular file is
-    written atomically (temp file + rename); any other existing file, such
-    as a device or a FIFO, is written in place, since a rename would replace
-    it with a regular file.  Every ``OSError`` names ``path``, never the temp
-    file."""
+    document is never held in memory.  A symlink's target is written and
+    the link kept.  A new path or a regular file is written atomically (temp
+    file + rename), an existing one keeping its mode; any other existing
+    file, such as a device or a FIFO, is written in place, since a rename
+    would replace it with a regular file.  Every ``OSError`` names ``path``,
+    never the temp file or a link's target."""
     tmp = None
     try:
-        if os.path.exists(path) and not stat.S_ISREG(os.stat(path).st_mode):
-            fd = os.open(path, os.O_WRONLY)
+        real = os.path.realpath(path)
+        mode = os.stat(real).st_mode if os.path.exists(real) else None
+        if mode is not None and not stat.S_ISREG(mode):
+            fd = os.open(real, os.O_WRONLY)
         else:
-            directory, name = os.path.split(os.path.abspath(path))
+            directory, name = os.path.split(real)
             tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
             # a new file of its own, with the mode open() gives: 0o666 less the umask
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with open(fd, "wb") as handle:
+                if tmp and mode is not None:  # the file it replaces keeps its mode
+                    os.fchmod(fd, stat.S_IMODE(mode))
                 handle.writelines(_chunks(obj))
                 handle.write(b"\n")
             if tmp:
-                os.replace(tmp, path)
+                os.replace(tmp, real)
         except BaseException:
             if tmp and os.path.exists(tmp):
                 os.unlink(tmp)

@@ -12,10 +12,14 @@ from meskit import (
     kron,
     pi,
     random_coisometry,
+    representative,
     unvec,
+    vec,
 )
+from meskit.choi import _image_table
 from meskit.extension import ad_commutation_residual
 from meskit.superop import _as_int
+from meskit.tensor import frobenius
 
 
 def complex_gaussian(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
@@ -47,8 +51,9 @@ def canonical_family(dims: Dims) -> np.ndarray:
 
 
 # Reference implementations the closed forms in meskit are checked against:
-# the permutation matrix of the transpose, a dense basis of span(MES), and a
-# sampled commutation test with its switch-form witness.
+# the permutation matrix of the transpose, a dense basis of span(MES), a
+# sampled commutation test with its switch-form witness, and the Gram-system
+# expansion of the restricted map G.
 def transpose_matrix(d: int) -> np.ndarray:
     """Permutation matrix T with T @ vec(M) = vec(M^T) for d x d matrices."""
     t = np.zeros((d * d, d * d))
@@ -116,6 +121,36 @@ def switch_commutation_witness(dims: Dims, u) -> np.ndarray:
     rotation = np.eye(dims.n, dtype=complex)
     rotation[: 2 * dims.m, : 2 * dims.m] = kron(h, np.eye(dims.m))
     return (u.conj().T @ rotation).T
+
+
+def expand_in_image_basis(T: np.ndarray, b, gram4: np.ndarray):
+    """Least-squares coefficients of T in {b_p b_q*} (index 2p + q) via the
+    Gram system, and the residual of the expansion.
+
+    The basis need not be orthogonal (its orthogonality is a conclusion, not a
+    premise), hence the explicit 4 x 4 Gram solve with ``gram4``, the Gram
+    matrix of {b_p b_q*}.
+    """
+    rhs = np.array([np.vdot(bp, T @ bq) for bp in b for bq in b])
+    coeffs = np.linalg.solve(gram4, rhs)
+    recon = sum(
+        coeffs[2 * p + q] * np.outer(b[p], b[q].conj()) for p in range(2) for q in range(2)
+    )
+    return coeffs, frobenius(T - recon)
+
+
+def gram_solve_g(phi, A1: np.ndarray, A2: np.ndarray) -> np.ndarray:
+    """The matrix G of meskit.restricted_g built column by column from
+    :func:`expand_in_image_basis`, with its refusals left out."""
+    images, table = _image_table(phi, [A1, A2])
+    b = [vec(representative(image, phi.dims)) for image in images]
+    gram2 = np.array([[np.vdot(bp, bq) for bq in b] for bp in b])
+    gram4 = kron(gram2, gram2.conj())
+    g = np.zeros((4, 4), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            g[:, 2 * i + j] = expand_in_image_basis(table[i][j], b, gram4)[0]
+    return g
 
 
 @pytest.fixture

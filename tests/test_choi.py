@@ -26,6 +26,7 @@ from meskit.superop import _conjugation_matrix
 from conftest import (
     canonical_family,
     complex_gaussian,
+    gram_solve_g,
     identity_superop,
     unitary_pair,
 )
@@ -165,6 +166,22 @@ def test_choi_matrix_realigns_g_exactly(m, k, sigma):
         j, reference = choi_matrix(g), _choi_by_definition(g)
         assert np.array_equal(j, reference)
         assert np.linalg.det(j) == np.linalg.det(reference)
+
+
+@pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("sigma", [SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE])
+def test_restricted_g_matches_the_gram_solve(m, k, sigma):
+    # the closed form B+ T (B+)* is the least-squares solution the 4 x 4 Gram
+    # system gives, on exact preservers and on one with 1e-9 noise
+    dims = Dims.from_mk(m, k)
+    u, v = unitary_pair(dims, 80 + m + k)
+    exact = make_adjoint_preserver(u, v, sigma)
+    noise = complex_gaussian(np.random.default_rng(m * k), *exact.matrix.shape)
+    noisy = Superoperator(exact.matrix + 1e-9 * noise / np.linalg.norm(noise), dims)
+    for seed, phi in [(90, exact), (91, exact), (92, noisy)]:
+        fam = orthogonal_family(dims, seed)
+        g, oracle = restricted_g(phi, fam[0], fam[1]), gram_solve_g(phi, fam[0], fam[1])
+        assert np.linalg.norm(g - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
 def test_restricted_g_and_align_images_reject_non_orthogonal():

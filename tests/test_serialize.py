@@ -429,6 +429,40 @@ def test_write_json_writes_a_fifo_in_place(tmp_path):
     assert list(tmp_path.iterdir()) == [fifo]  # no stray temp files
 
 
+def test_write_json_keeps_an_existing_files_mode(tmp_path):
+    # the rename carries the temp file's mode over, so the temp file takes
+    # the old file's mode first: a private file is not widened to the umask's
+    path = tmp_path / "out.json"
+    path.write_text("old\n")
+    os.chmod(path, 0o600)
+    old = os.umask(0o022)
+    try:
+        serialize.write_json(str(path), {"a": 1})
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+    assert json.loads(path.read_text()) == {"a": 1}
+    assert list(tmp_path.iterdir()) == [path]  # no stray temp files
+
+
+@pytest.mark.parametrize("dangling", [False, True])
+def test_write_json_writes_a_symlinks_target(dangling, tmp_path):
+    # a rename over the link would replace it with a regular file and leave
+    # its target alone; the link stays, and the target gets the document
+    links, real = tmp_path / "links", tmp_path / "real"
+    links.mkdir()
+    real.mkdir()
+    target = real / "real.json"
+    if not dangling:
+        target.write_text("old\n")
+    link = links / "link.json"
+    link.symlink_to(os.path.join("..", "real", "real.json"))
+    serialize.write_json(str(link), {"a": 1})
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert json.loads(target.read_text()) == {"a": 1}
+    assert list(links.iterdir()) == [link] and list(real.iterdir()) == [target]
+
+
 def _same_bits(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
