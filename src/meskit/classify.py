@@ -208,5 +208,5 @@ def verify_theorem_form(phi: Superoperator, dec: Decomposition) -> float:
     """
     x = _conjugation_matrix(kron(dec.U, dec.V), dec.sigma)
     np.subtract(phi.matrix, x, out=x)
-    _project_out_complement(x, phi.dims, axis=1)
+    _project_out_complement(x, phi.dims)
     return float(np.linalg.norm(x, 2))

@@ -14,8 +14,9 @@ written, ``check-lemmas`` with k = 1), 3 not a preserver (at stage recovery
 or a failed span certificate), 4 singular on the MES span, 6 recovered
 unitary not a Kronecker product, 1 unexpected numerical breakdown or a report
 with ``"all_pass": false`` (``extend`` under an explicit sigma,
-``check-lemmas``).  :func:`main` maps every refusal once: a package error
-exits with its type's ``exit_code``, and any other ``ValueError`` or an
+``check-lemmas``), or a stdout closed by its reader.  :func:`main` maps every
+refusal once: a package error exits with its type's ``exit_code``, a closed
+stdout with 1 and nothing more printed, and any other ``ValueError`` or
 ``OSError`` with 2.
 
 Each subcommand accepts only the flags it reads: ``--tol`` for ``classify``,
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -220,7 +222,15 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else _EXIT_USAGE
     try:
         _check_settings(args)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed stdout fails here, not at shutdown
+        return code
+    except BrokenPipeError as exc:
+        if exc.filename is not None:  # an --out FIFO whose reader left
+            return _fail(exc, _EXIT_USAGE)
+        # stdout's reader left: the interpreter's last flush must find nothing to print to
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except MESKitError as exc:
         return _fail(exc, exc.exit_code)
     except (ValueError, OSError) as exc:

@@ -9,8 +9,9 @@ rows; the encoder writes either in fixed-size chunks.
 :class:`~meskit.superop.Superoperator`.  A file in the layout
 :func:`write_json` writes is read without building the matrix as Python
 lists: its ``data`` array is parsed in slices of rows straight into one
-float64 array.  Any other file, and a refused one, is parsed whole, as
-:func:`read_json` parses it.
+float64 array, which the matrix views.  That path returns the array or
+declines; any file it declines is parsed whole, as :func:`read_json` parses
+it, from the bytes already read, so a pipe or a FIFO can be read too.
 
 Serialization is deterministic: floats are emitted with 17 significant digits
 (lossless for float64; both readers read ``-0`` back as -0.0), keys in fixed
@@ -31,7 +32,6 @@ import os
 import re
 import stat
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -179,11 +179,12 @@ def read_superoperator(path: str) -> Superoperator:
 
     A file in :func:`write_json`'s layout is read holding only its bytes, the
     matrix and one slice of rows: its head through ``"data": [`` and its end
-    from ``]}}`` are matched as bytes, and the array between is parsed in
-    slices of about ``_SLICE_BYTES``, each cut after a row, into one float64
-    array.  If no slice is empty and each parses as a JSON array, the slices
-    joined by their commas are one, so the file is JSON with exactly those
-    values.  Any other file, and one refused that way, is parsed whole.
+    from ``]}}`` are matched as bytes, and the array between is parsed by
+    :func:`_sliced_pairs` into one float64 array, which the matrix views.  If
+    no slice is empty and each parses as a JSON array, the slices joined by
+    their commas are one, so the file is JSON with exactly those values.  Any
+    other file, and one whose counts, pairs or values that path declines, is
+    parsed whole from the bytes already read; that parse makes every refusal.
     """
     with open(path, "rb") as handle:
         buf = handle.read()
@@ -193,9 +194,10 @@ def read_superoperator(path: str) -> Superoperator:
     if end:
         try:
             m, n, k, rows, cols = map(int, head.groups())
-            data = _DataSpan(buf, head.end() - 1, end.start() + 1)
-            matrix = {"rows": rows, "cols": cols, "data": data}
-            return superoperator_from_obj({"dims": {"m": m, "n": n, "k": k}, "matrix": matrix})
+            dims = dims_from_obj({"m": m, "n": n, "k": k})
+            pairs = _sliced_pairs(buf, head.end() - 1, end.start() + 1, rows * cols)
+            if pairs is not None and np.isfinite(pairs).all():
+                return Superoperator(matrix=pairs.view(complex).reshape(rows, cols), dims=dims)
         except ValueError:
             pass
     # as read_json reads the file: a bad byte raises ValueError, and \r\n and \r
@@ -217,42 +219,26 @@ _WRITER_END = re.compile(rb"\]\}\}[ \t\n\r]*\Z")
 _PAIR_END = re.compile(rb"\][ \t\n\r]*,")
 
 
-@dataclass(frozen=True)
-class _DataSpan:
-    """A matrix's ``data`` array as the bytes ``buf[start:end]``, parsed when
-    the matrix is built.  Any fault raises ValueError, whose message
-    :func:`read_superoperator` replaces with the whole-document reader's."""
-
-    buf: bytes
-    start: int
-    end: int
-
-    def row_slices(self):
-        """The array's entries as lists of about ``_SLICE_BYTES`` of text."""
-        pos, stop = self.start + 1, self.end - 1
-        while pos < stop:
-            cut = None
-            if pos + _SLICE_BYTES < stop:
-                cut = _PAIR_END.search(self.buf, pos + _SLICE_BYTES, stop)
-            end = cut.start() + 1 if cut else stop
-            rows = _loads("[" + self.buf[pos:end].decode("utf-8") + "]")
-            if not rows:  # joined by commas, an empty slice would not be JSON
-                raise ValueError("empty slice of matrix data")
-            yield rows
-            pos = cut.end() if cut else stop
-
-    def pairs(self, expected: int) -> np.ndarray:
-        # a pair takes at least 6 bytes with its separator, which bounds the
-        # allocation whatever rows and cols claim
-        out = np.empty((min(expected, (self.end - self.start) // 6), 2))
-        count = 0
-        for rows in self.row_slices():
-            if count + len(rows) <= len(out):
-                out[count : count + len(rows)] = _pairs(rows)
-            count += len(rows)
-        if count != expected or count > len(out):  # or entries too short to be pairs
-            raise ValueError(f"expected {expected} [re, im] pairs, got {count} entries")
-        return out
+def _sliced_pairs(buf: bytes, start: int, stop: int, expected: int):
+    """The JSON array ``buf[start:stop]`` of ``expected`` ``[re, im]`` pairs as
+    one ``(expected, 2)`` float64 array, parsed in slices of about
+    ``_SLICE_BYTES``, each cut after a row; ``None`` if a slice is empty, or
+    the entries' count or bytes do not fit ``expected`` pairs.  A slice that
+    is not JSON ``[re, im]`` pairs raises ValueError."""
+    # a pair takes at least 6 bytes with its separator, which bounds the
+    # allocation whatever rows and cols claim
+    out = np.empty((min(expected, (stop - start) // 6), 2))
+    count, pos, last = 0, start + 1, stop - 1
+    while pos < last:
+        cut = _PAIR_END.search(buf, pos + _SLICE_BYTES, last) if pos + _SLICE_BYTES < last else None
+        rows = _loads("[" + buf[pos : cut.start() + 1 if cut else last].decode("utf-8") + "]")
+        # joined by commas, an empty slice would not be JSON
+        if not rows or count + len(rows) > len(out):
+            return None
+        out[count : count + len(rows)] = _pairs(rows)
+        count += len(rows)
+        pos = cut.end() if cut else last
+    return out if count == expected else None
 
 
 def matrix_to_obj(a: np.ndarray) -> dict:
@@ -313,14 +299,11 @@ def matrix_from_obj(obj) -> np.ndarray:
     if rows < 1 or cols < 1:
         raise DimensionError(f"matrix dimensions must be positive: {rows}x{cols}")
     data = _field(obj, "data")
-    if isinstance(data, _DataSpan):
-        pairs = data.pairs(rows * cols)
-    elif not isinstance(data, (list, np.ndarray)):
+    if not isinstance(data, (list, np.ndarray)):
         raise ValueError(_NOT_PAIRS)
-    elif len(data) != rows * cols:
+    if len(data) != rows * cols:
         raise DimensionError(f"expected {rows * cols} entries, got {len(data)}")
-    else:
-        pairs = _pairs(data)
+    pairs = _pairs(data)
     if not np.isfinite(pairs).all():
         raise ValueError("matrix contains non-finite entries")
     return pairs.view(complex).reshape(rows, cols)

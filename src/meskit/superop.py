@@ -146,9 +146,10 @@ def make_trace_preserver(rho: np.ndarray, dims: Dims) -> Superoperator:
     return Superoperator(matrix=mat, dims=dims)
 
 
-def _project_out_complement(a: np.ndarray, dims: Dims, axis: int) -> None:
-    """Project, in place, each operator M vectorized along ``axis`` of the
-    square matrix ``a`` (1: its rows, 0: its columns) onto span(MES).
+def _project_out_complement(a: np.ndarray, dims: Dims) -> None:
+    """Project, in place, each operator M vectorized as a row of ``a`` onto
+    span(MES), so that ``a`` becomes ``a (I - Pi)``, Pi the real, symmetric
+    projector onto the complement.
 
     span(MES) is the kernel of M -> tr_Y(M) - (tr M / m) I_m, plus that of
     M -> tr_X(M) - (tr M / n) I_n when k = 1, so the part removed is
@@ -158,10 +159,7 @@ def _project_out_complement(a: np.ndarray, dims: Dims, axis: int) -> None:
     operators are a view of it.
     """
     m, n = dims.m, dims.n
-    if axis == 0:
-        ops = np.moveaxis(a.reshape(m, n, m, n, -1), -1, 0)
-    else:
-        ops = a.reshape(-1, m, n, m, n)
+    ops = a.reshape(-1, m, n, m, n)
     tr_y = np.einsum("jxyzy->jxz", ops)
     trace = np.einsum("jxx->j", tr_y)[:, None, None]
     part = (tr_y - trace * np.eye(m) / m) / n
@@ -180,20 +178,22 @@ def is_invertible_on_span(phi: Superoperator) -> bool:
     With Pi the orthogonal projector onto the complement of span(MES) and Q
     any orthonormal basis of the span, QQ* = I - Pi, so
     ``I + (I - Pi)(phi - I)(I - Pi)`` has the singular values of Q* phi Q
-    plus ones on the complement, and 1 is above the threshold.  It is formed
-    in one copy of phi: 1 is taken off the diagonal, the rows and then the
-    columns are projected onto the span, and 1 is put back.
+    plus ones on the complement, and 1 is above the threshold.  Its transpose,
+    which has the same singular values, is formed from one copy of phi: 1 is
+    taken off the diagonal, the rows are projected onto the span, the copy is
+    replaced by its transpose and its rows are projected again (Pi is real
+    and symmetric), and 1 is put back.
 
     Not on :func:`meskit.classify.decompose`'s path (its span certificate
     implies invertibility).  Its only caller outside the tests is the set-up
     of ``perfbench``; that is why it stays.
     """
     r = phi.matrix.copy()
-    diagonal = r.reshape(-1)[:: r.shape[0] + 1]
-    diagonal -= 1.0
-    _project_out_complement(r, phi.dims, axis=1)
-    _project_out_complement(r, phi.dims, axis=0)
-    diagonal += 1.0
+    r.reshape(-1)[:: r.shape[0] + 1] -= 1.0
+    _project_out_complement(r, phi.dims)
+    r = np.ascontiguousarray(r.T)
+    _project_out_complement(r, phi.dims)
+    r.reshape(-1)[:: r.shape[0] + 1] += 1.0
     s = np.linalg.svd(r, compute_uv=False)
     return float(s[-1]) > 1e-9
 

@@ -293,7 +293,7 @@ def _sampled_stage_blind_map():
         for b in (0, 1):
             rows += [eye[a * d + b], eye[b * d + a]]
     complement = np.eye(d * d, dtype=complex)
-    _project_out_complement(complement, dims, axis=1)
+    _project_out_complement(complement, dims)
     complement = np.eye(d * d) - complement  # Pi, whose rows span the complement of span(MES)
     constraints = np.vstack([np.array(rows).conj(), complement])
     assert np.linalg.matrix_rank(constraints) == 55

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -573,6 +578,42 @@ def test_unwritable_out_exit_2(command, tmp_path, capsys):
     error = json.loads(stderr)
     assert error["error"] == "FileNotFoundError" and error["message"].endswith(f": {out!r}")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sop.json", "sop.truth.json"]
+
+
+def test_closed_stdout_exits_1_quietly():
+    # a reader that leaves before the report is written, as `| head -c 10` may
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = Path(__file__).resolve().parents[1] / "src"
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "meskit.cli", "check-lemmas", "--m", "1", "--k", "2", "--samples", "2"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+    finally:
+        os.close(write_end)
+    assert out.returncode == 1, out.stderr
+    assert out.stderr == ""  # no error JSON, no Traceback, no "Exception ignored"
+
+
+def test_out_fifo_closed_by_its_reader_exit_2(tmp_path, capsys):
+    source = str(tmp_path / "sop.json")
+    assert run_cli(capsys, "gen", "--m", "2", "--k", "2", "--out", source)[0] == 0
+    fifo = str(tmp_path / "fifo")
+    os.mkfifo(fifo)
+
+    def read_one_byte():
+        with open(fifo, "rb") as handle:
+            handle.read(1)
+
+    reader = threading.Thread(target=read_one_byte, daemon=True)
+    reader.start()
+    code, stdout, stderr = run_cli(capsys, "extend", source, "--out", fifo)
+    reader.join(timeout=60)
+    assert code == 2 and stdout == ""
+    error = json.loads(stderr)
+    assert error["error"] == "BrokenPipeError" and error["message"].endswith(f": {fifo!r}")
 
 
 def test_tol_flag_overrides_default_tol(tmp_path, capsys):

@@ -562,6 +562,27 @@ def test_read_superoperator_accepts_what_json_accepts(tmp_path, monkeypatch):
             _assert_reads_as_json_reader(str(path))
 
 
+def test_read_superoperator_reads_a_fifo_once(tmp_path):
+    # a FIFO gives its bytes once: a file the sliced path declines must be
+    # parsed from the bytes already read, not opened again
+    text, _, data, _ = _writer_text(tmp_path)
+    want = serialize.read_superoperator(str(tmp_path / "sop.json"))
+    reordered = {"matrix": {"data": "D", "cols": 64, "rows": 64}, "dims": json.loads(text)["dims"]}
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    for variant in (text, json.dumps(reordered).replace('"D"', data)):
+        threading.Thread(target=fifo.write_bytes, args=(variant.encode(),), daemon=True).start()
+        got = []
+        # read in a thread too: a second open would wait for a writer forever
+        reader = threading.Thread(
+            target=lambda: got.append(serialize.read_superoperator(str(fifo))), daemon=True
+        )
+        reader.start()
+        reader.join(timeout=60)
+        assert got, "no superoperator read from the FIFO"
+        assert got[0].dims == want.dims and _same_bits(got[0].matrix, want.matrix)
+
+
 def test_read_superoperator_refuses_what_the_json_reader_refuses(tmp_path, capsys):
     text, head, data, rest = _writer_text(tmp_path)
     first = text.index("[[") + 1
