@@ -327,24 +327,33 @@ def test_equal_conjugations_share_a_line():
     assert np.linalg.matrix_rank(stacked, tol=1e-10) == 1
 
 
+@pytest.mark.parametrize("axis", [0, 1])
 @pytest.mark.parametrize("m,k", [(1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
-def test_projecting_out_the_complement_is_the_dense_span_projector(m, k):
+def test_projecting_out_the_complement_is_the_dense_span_projector(m, k, axis):
     from meskit.superop import _project_out_complement
+
+    def project(a):
+        # rows (axis 1) directly; columns (axis 0) as is_invertible_on_span
+        # reaches them, through the rows of a C-contiguous transposed copy
+        if axis == 1:
+            _project_out_complement(a, dims)
+            return a
+        t = np.ascontiguousarray(a.T)
+        _project_out_complement(t, dims)
+        return t.T
 
     dims = Dims.from_mk(m, k)
     side = dims.mn * dims.mn
     q = _span_columns(dims)
     qq = q @ q.conj().T
-    # applied to the identity's rows, the projection leaves the matrix
-    # I - Pi, Pi the projector onto the complement
-    rest = np.eye(side, dtype=complex)
-    _project_out_complement(rest, dims)
+    # applied to the identity's columns (axis 0) or rows (axis 1), the
+    # projection leaves the matrix I - Pi, Pi the projector onto the complement
+    rest = project(np.eye(side, dtype=complex))
     np.testing.assert_allclose(rest, qq, atol=1e-13)
     proj = np.eye(side) - rest
     np.testing.assert_allclose(proj @ proj, proj, atol=1e-13)
     assert np.linalg.matrix_rank(proj, tol=1e-9) == (m * m - 1) * (2 if k == 1 else 1)
-    # on a matrix that is not symmetric, QQ* acts on the rows' side
+    # on a matrix that is not symmetric, the axis decides the side QQ* acts on
     g = complex_gaussian(np.random.default_rng(m * 10 + k), side, side)
-    expected = g @ qq.T
-    _project_out_complement(g, dims)
-    np.testing.assert_allclose(g, expected, atol=1e-12)
+    expected = qq @ g if axis == 0 else g @ qq.T
+    np.testing.assert_allclose(project(g), expected, atol=1e-12)
