@@ -39,8 +39,6 @@ from .errors import (
 from .extension import (
     ExtendedSuperoperator,
     ad_commutation_residual,
-    block_join,
-    block_split,
     extend,
     p_operator,
     q_operator,
@@ -100,8 +98,6 @@ __all__ = [
     "align_images",
     "apply",
     "are_orthogonal",
-    "block_join",
-    "block_split",
     "choi_matrix",
     "decompose",
     "detect_sigma",

@@ -54,13 +54,18 @@ class ExtendedSuperoperator:
 
     def apply_to(self, M) -> np.ndarray:
         """The image [phi(M_pq)] (identity) or [phi(M_qp)] (transpose) of an
-        n^2 x n^2 operator M, without the dense matrix."""
-        dims = self.base.dims
-        blocks = block_split(M, dims)
-        if self.sigma is SigmaFlag.TRANSPOSE:
-            blocks = blocks.transpose(1, 0, 2, 3)
-        images = [[apply(self.base, block) for block in row] for row in blocks]
-        return block_join(images, dims)
+        n^2 x n^2 operator M, without the dense matrix; block (p, q) of M is
+        ``M.reshape(k, mn, k, mn)[p, :, q, :]``."""
+        n, mn, k = self.base.dims.n, self.base.dims.mn, self.base.dims.k
+        if M.shape != (n * n, n * n):
+            raise DimensionError(f"expected {n * n}x{n * n} operator, got {M.shape}")
+        blocks = M.reshape(k, mn, k, mn)
+        image = np.empty((k, mn, k, mn), dtype=complex)
+        for p in range(k):
+            for q in range(k):
+                a, b = (q, p) if self.sigma is SigmaFlag.TRANSPOSE else (p, q)
+                image[p, :, q, :] = apply(self.base, blocks[a, :, b, :])
+        return image.reshape(n * n, n * n)
 
     def row_slabs(self):
         """Yield the dense n^4 x n^4 matrix as n^2 fresh row slabs of shape
@@ -93,24 +98,6 @@ class ExtendedSuperoperator:
         for rows, slab in zip(matrix.reshape(n**2, n**2, n**4), self.row_slabs()):
             rows[...] = slab
         return matrix
-
-
-def block_split(M, dims: Dims) -> np.ndarray:
-    """View an n^2 x n^2 operator on Y (x) Y as a (k, k, mn, mn) block array."""
-    n, mn, k = dims.n, dims.mn, dims.k
-    M = as_complex(M)
-    if M.shape != (n * n, n * n):
-        raise DimensionError(f"expected {n * n}x{n * n} operator, got {M.shape}")
-    return M.reshape(k, mn, k, mn).transpose(0, 2, 1, 3)
-
-
-def block_join(blocks, dims: Dims) -> np.ndarray:
-    """Inverse of :func:`block_split`."""
-    n, mn, k = dims.n, dims.mn, dims.k
-    blocks = as_complex(blocks)
-    if blocks.shape != (k, k, mn, mn):
-        raise DimensionError(f"expected block array of shape {(k, k, mn, mn)}, got {blocks.shape}")
-    return blocks.transpose(0, 2, 1, 3).reshape(n * n, n * n).copy()
 
 
 def extend(phi: Superoperator, sigma: SigmaFlag) -> ExtendedSuperoperator:

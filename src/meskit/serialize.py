@@ -15,8 +15,10 @@ it, from the bytes already read, so a pipe or a FIFO can be read too.
 
 Serialization is deterministic: floats are emitted with 17 significant digits
 (lossless for float64; both readers read ``-0`` back as -0.0), keys in fixed
-insertion order, files written via a temp file + rename so readers never
-observe partial output; a written file gets the mode ``0o666`` less the umask.
+insertion order.  A new or regular file is written via a temp file + rename,
+so readers never observe partial output; a new file gets the mode ``0o666``
+less the umask, and an existing one keeps its mode.  A device or a FIFO is
+written in place, and a symlink's target is written.
 Every float is written as ``format(x, ".17g")`` writes it: a matrix's floats
 by an array kernel (:mod:`meskit._float_kernel`) that rounds a chunk's digits
 in long double and sends each value whose rounding it cannot certify to
@@ -32,6 +34,7 @@ import os
 import re
 import stat
 from collections.abc import Iterator
+from itertools import chain
 
 import numpy as np
 
@@ -222,18 +225,21 @@ _PAIR_END = re.compile(rb"\][ \t\n\r]*,")
 def _sliced_pairs(buf: bytes, start: int, stop: int, expected: int):
     """The JSON array ``buf[start:stop]`` of ``expected`` ``[re, im]`` pairs as
     one ``(expected, 2)`` float64 array, parsed in slices of about
-    ``_SLICE_BYTES``, each cut after a row; ``None`` if a slice is empty, or
-    the entries' count or bytes do not fit ``expected`` pairs.  A slice that
-    is not JSON ``[re, im]`` pairs raises ValueError."""
+    ``_SLICE_BYTES``, each cut after a row; ``None`` if a slice is empty or
+    has a byte of '"tfn', or the entries' count or bytes do not fit
+    ``expected`` pairs.  A slice that is not JSON ``[re, im]`` pairs raises
+    ValueError."""
     # a pair takes at least 6 bytes with its separator, which bounds the
     # allocation whatever rows and cols claim
     out = np.empty((min(expected, (stop - start) // 6), 2))
     count, pos, last = 0, start + 1, stop - 1
     while pos < last:
         cut = _PAIR_END.search(buf, pos + _SLICE_BYTES, last) if pos + _SLICE_BYTES < last else None
-        rows = _loads("[" + buf[pos : cut.start() + 1 if cut else last].decode("utf-8") + "]")
-        # joined by commas, an empty slice would not be JSON
-        if not rows or count + len(rows) > len(out):
+        piece = buf[pos : cut.start() + 1 if cut else last]
+        rows = _loads("[" + piece.decode("utf-8") + "]")
+        # joined by commas, an empty slice would not be JSON; numpy would read a
+        # string, true, false or null as a number, and each starts with one of '"tfn'
+        if not rows or count + len(rows) > len(out) or any(c in piece for c in b'"tfn'):
             return None
         out[count : count + len(rows)] = _pairs(rows)
         count += len(rows)
@@ -304,6 +310,9 @@ def matrix_from_obj(obj) -> np.ndarray:
     if len(data) != rows * cols:
         raise DimensionError(f"expected {rows * cols} entries, got {len(data)}")
     pairs = _pairs(data)
+    # numpy reads a string, a boolean or null in a parsed list as a float: refuse them
+    if isinstance(data, list) and set(map(type, chain.from_iterable(data))) - {int, float}:
+        raise ValueError(_NOT_PAIRS)
     if not np.isfinite(pairs).all():
         raise ValueError("matrix contains non-finite entries")
     return pairs.view(complex).reshape(rows, cols)

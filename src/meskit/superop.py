@@ -65,13 +65,6 @@ class Superoperator:
             )
 
 
-def _transpose_columns(a: np.ndarray, d: int) -> np.ndarray:
-    """The d^2 columns of ``a`` permuted by the transpose of d x d matrices:
-    column (i, j) of the result is column (j, i) of ``a``."""
-    rows = a.shape[0]
-    return a.reshape(rows, d, d).transpose(0, 2, 1).reshape(rows, d * d)
-
-
 def apply(phi, M) -> np.ndarray:
     """Evaluate a superoperator on an operator: unvec(matrix @ vec(M)).
 
@@ -134,7 +127,7 @@ def make_swap_preserver(U, V, sigma: SigmaFlag) -> Superoperator:
         raise DimensionError(f"switch form needs equal factor dimensions, got {U.shape} and {V.shape}")
     m = U.shape[0]
     dims = Dims(m, m)
-    w = _transpose_columns(kron(U, V), m)
+    w = kron(U, V).reshape(m * m, m, m).transpose(0, 2, 1).reshape(m * m, m * m)
     return Superoperator(matrix=_conjugation_matrix(w, sigma), dims=dims)
 
 

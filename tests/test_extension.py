@@ -10,8 +10,6 @@ from meskit import (
     Superoperator,
     ad_commutation_residual,
     apply,
-    block_join,
-    block_split,
     extend,
     haar_unitary,
     is_mes,
@@ -24,7 +22,7 @@ from meskit import (
     random_coisometry,
     structural_unitaries,
 )
-from meskit.lemmas import check_switch_identities
+from meskit.lemmas import _random_preserver, check_switch_identities
 from conftest import (
     commutes_with_ad,
     complex_gaussian,
@@ -39,15 +37,6 @@ BOTH = (SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE)
 
 def _preserver(seed, sigma, dims=DIMS):
     return make_adjoint_preserver(*unitary_pair(dims, seed), sigma)
-
-
-def test_block_split_join_convention(rng):
-    m = complex_gaussian(rng, 16, 16)
-    blocks = block_split(m, DIMS)
-    assert blocks.shape == (2, 2, 8, 8)
-    # block (p, q) occupies rows p*mn..(p+1)*mn and the matching columns
-    np.testing.assert_array_equal(blocks[1, 0], m[8:16, 0:8])
-    np.testing.assert_array_equal(block_join(blocks, DIMS), m)
 
 
 def test_extend_identity_is_identity():
@@ -88,14 +77,25 @@ def test_extend_equals_kron_construction(m, k, sigma, rng):
 
 @pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (2, 3)])
 @pytest.mark.parametrize("sigma", BOTH)
-def test_blockwise_apply_equals_dense_matvec(m, k, sigma, rng):
+@pytest.mark.parametrize("base", ["dense", "lemma-suite W M^sigma W*"])
+def test_blockwise_apply_equals_dense_matvec(m, k, sigma, base, rng):
     dims = Dims.from_mk(m, k)
-    phi = Superoperator(complex_gaussian(rng, dims.mn**2, dims.mn**2), dims)
+    if base == "dense":
+        phi = Superoperator(complex_gaussian(rng, dims.mn**2, dims.mn**2), dims)
+    else:
+        phi = _random_preserver(dims, sigma, 0, 0)
     ext = extend(phi, sigma)
     side = dims.n**2
     M = complex_gaussian(rng, side, side)
+    image = apply(ext, M)
+    # bit for bit the base applied to each block, block (q, p) under the transpose
+    blocks = M.reshape(k, dims.mn, k, dims.mn)
+    if sigma is SigmaFlag.TRANSPOSE:
+        blocks = blocks.transpose(2, 1, 0, 3)
+    reference = np.block([[apply(phi, blocks[p, :, q, :]) for q in range(k)] for p in range(k)])
+    np.testing.assert_array_equal(image, reference)
     dense = (ext.matrix @ M.reshape(-1)).reshape(side, side)
-    assert np.linalg.norm(apply(ext, M) - dense) <= 1e-13 * np.linalg.norm(dense)
+    assert np.linalg.norm(image - dense) <= 1e-13 * np.linalg.norm(dense)
 
 
 @pytest.mark.parametrize("shape", [(8, 8), (16, 8), (16,)])
@@ -134,14 +134,17 @@ def test_extend_acts_blockwise(sigma, rng):
     phi = _preserver(3, sigma)
     ext = extend(phi, sigma)
     m = complex_gaussian(rng, 16, 16)
-    out_blocks = block_split(apply(ext, m), DIMS)
-    in_blocks = block_split(m, DIMS)
+    image = apply(ext, m)
+    # block (p, q) occupies rows p*mn..(p+1)*mn and the matching columns
+    source = m[0:8, 8:16] if sigma is SigmaFlag.TRANSPOSE else m[8:16, 0:8]
+    np.testing.assert_array_equal(image[8:16, 0:8], apply(phi, source))
+    out_blocks, in_blocks = image.reshape(2, 8, 2, 8), m.reshape(2, 8, 2, 8)
     for p in range(2):
         for q in range(2):
-            source = in_blocks[q, p] if sigma is SigmaFlag.TRANSPOSE else in_blocks[p, q]
-            np.testing.assert_allclose(out_blocks[p, q], apply(phi, source), atol=1e-11)
+            source = in_blocks[q, :, p, :] if sigma is SigmaFlag.TRANSPOSE else in_blocks[p, :, q, :]
+            np.testing.assert_allclose(out_blocks[p, :, q, :], apply(phi, source), atol=1e-11)
     # the (1,1) block is diagonal, hence the same in both branches
-    np.testing.assert_allclose(out_blocks[0, 0], apply(phi, in_blocks[0, 0]), atol=1e-11)
+    np.testing.assert_allclose(out_blocks[0, :, 0, :], apply(phi, in_blocks[0, :, 0, :]), atol=1e-11)
 
 
 @pytest.mark.parametrize("sigma", BOTH)
@@ -190,11 +193,11 @@ def test_q_operator_formula_and_involution():
 def test_q_operator_swaps_blocks(rng):
     q = q_operator(1, 2, DIMS)
     m = complex_gaussian(rng, 16, 16)
-    swapped = block_split(q @ m @ q.conj().T, DIMS)
-    blocks = block_split(m, DIMS)
-    np.testing.assert_allclose(swapped[0, 0], blocks[1, 1], atol=1e-12)
-    np.testing.assert_allclose(swapped[1, 1], blocks[0, 0], atol=1e-12)
-    np.testing.assert_allclose(swapped[0, 1], blocks[1, 0], atol=1e-12)
+    swapped = (q @ m @ q.conj().T).reshape(2, 8, 2, 8)
+    blocks = m.reshape(2, 8, 2, 8)
+    np.testing.assert_allclose(swapped[0, :, 0, :], blocks[1, :, 1, :], atol=1e-12)
+    np.testing.assert_allclose(swapped[1, :, 1, :], blocks[0, :, 0, :], atol=1e-12)
+    np.testing.assert_allclose(swapped[0, :, 1, :], blocks[1, :, 0, :], atol=1e-12)
 
 
 @pytest.mark.parametrize("sigma", BOTH)

@@ -272,8 +272,15 @@ def test_dumps_rejects_nonfinite_array():
         [[0.0, 0.0], [{}, 1.0]],
         [[0.0, 0.0], [10**400, 1.0]],
         5,
+        # numpy reads these as numbers; JSON numbers they are not
+        [[0.0, 0.0], ["1.5", 1.0]],
+        [[0.0, 0.0], [True, 1.0]],
+        [[0.0, 0.0], [None, 1.0]],
     ],
-    ids=["ragged", "non-numeric", "triples", "flat", "object entry", "beyond float", "scalar"],
+    ids=[
+        "ragged", "non-numeric", "triples", "flat", "object entry", "beyond float", "scalar",
+        "string", "bool", "null",
+    ],
 )
 def test_matrix_from_obj_rejects_malformed_data(data):
     with pytest.raises(ValueError):
@@ -589,6 +596,7 @@ def test_read_superoperator_refuses_what_the_json_reader_refuses(tmp_path, capsy
     pair = text[first : text.index("]", first) + 1]
     cut = text.index("], [", first + serialize._SLICE_BYTES)
     later = text[cut + 3 : text.index("]", cut + 3) + 1]  # a pair in the second slice
+    reordered = {"matrix": {"data": "D", "cols": 64, "rows": 64}, "dims": json.loads(text)["dims"]}
     refused = {
         "truncated": text[:4096],
         "one-element row": text.replace(pair, "[0.5]", 1),
@@ -606,6 +614,14 @@ def test_read_superoperator_refuses_what_the_json_reader_refuses(tmp_path, capsy
         "missing matrix": text.replace('"matrix"', '"matrices"'),
         "rows 1e999": text.replace('"rows": 64', '"rows": 1e999'),
         "integer entry beyond float": text.replace(pair, "[1" + "0" * 400 + ", 0]", 1),
+        # numpy reads these as numbers; JSON numbers they are not
+        "string entry": text.replace(pair, '["0.5", 0]', 1),
+        "true entry": text.replace(pair, "[true, 0]", 1),
+        "false entry in the second slice": text.replace(later, "[0, false]", 1),
+        "null entry": text.replace(pair, "[null, 0]", 1),
+        "string entry, keys reordered": json.dumps(reordered).replace(
+            '"D"', data.replace(pair, '["0.5", 0]', 1)
+        ),
         # a repeated key replaces the array: with a string, and after an
         # array that is not JSON
         "repeated data key, NUL": head + data + ', "data": "\\u0000"' + rest,
