@@ -7,9 +7,9 @@ captured by a map G on 2 x 2 matrices whose Choi matrix J(G) has determinant
 0 when the preserver is a plain conjugation and -1 when it composes with the
 transpose.  Everything here is computed only from values of the preserver on
 MES elements (cross terms come from the polarization identity), so ``phi``
-may be any map with ``dims`` that :func:`~meskit.superop.apply` evaluates: a
-dense :class:`~meskit.superop.Superoperator`, or a map with its own
-``apply_to``, as the lemma suite's preservers are.
+may be any map with ``dims`` and ``apply_to``: a dense
+:class:`~meskit.superop.Superoperator`, or one with no dense matrix, as the
+lemma suite's preservers are.
 """
 
 from __future__ import annotations
@@ -17,14 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, NotInvertibleError, NotOrthogonalError, NotPreserverError
-from .states import are_orthogonal, is_coisometry, orthogonal_family, pi, representative
+from .states import _VALIDATION_TOL, are_orthogonal, is_coisometry, orthogonal_family, pi, representative
 from .superop import SigmaFlag, _as_int, apply
 from .tensor import frobenius, scaled_tol, unvec, vec
-
-# Relative threshold of the sin^2 check between image representatives, the
-# subspace and phase-coherence residuals and the aligned images' coisometry
-# test; :func:`representative` tests images for MES at the same 1e-8.
-_TOL = 1e-8
 
 
 def phi_on_cross_term(phi, A1: np.ndarray, A2: np.ndarray) -> np.ndarray:
@@ -83,7 +78,7 @@ def restricted_g(phi, A1: np.ndarray, A2: np.ndarray) -> np.ndarray:
     gram = b.conj().T @ b
     # det / (product of the diagonal) is sin^2 of the angle between B1 and B2
     sin2 = float(np.linalg.det(gram).real / (gram[0, 0].real * gram[1, 1].real))
-    if sin2 < _TOL:
+    if sin2 < _VALIDATION_TOL:
         raise NotInvertibleError(
             "stage restricted map: orthogonal coisometries share one image class "
             f"(sin^2 {sin2:.3e}): map is singular on span(MES)"
@@ -93,7 +88,7 @@ def restricted_g(phi, A1: np.ndarray, A2: np.ndarray) -> np.ndarray:
     for col, target in enumerate(t for row in table for t in row):  # col = 2i + j
         coeffs = pinv @ target @ pinv.conj().T
         residual = frobenius(target - b @ coeffs @ b.conj().T)
-        if residual >= scaled_tol(_TOL, frobenius(target)):
+        if residual >= scaled_tol(_VALIDATION_TOL, frobenius(target)):
             raise NotPreserverError(
                 "stage restricted map: cross-term image left its subspace "
                 f"(residual {residual:.3e})"
@@ -170,12 +165,12 @@ def align_images(phi, family) -> list[np.ndarray]:
         )
         readings.append((residual, vecs))
     residual, vecs = min(readings, key=lambda r: r[0])  # a tie goes to the identity reading
-    if residual >= scaled_tol(_TOL, float(dims.m)):
+    if residual >= scaled_tol(_VALIDATION_TOL, float(dims.m)):
         raise NotPreserverError(
             f"stage alignment: no coherent phase assignment (best residual {residual:.3e})"
         )
     aligned = [unvec(v, dims.m, dims.n) for v in vecs]
     for j, b in enumerate(aligned[1:], 2):
-        if not is_coisometry(b, _TOL):
+        if not is_coisometry(b, _VALIDATION_TOL):
             raise NotPreserverError(f"stage alignment: image {j} is not a coisometry")
     return aligned

@@ -174,16 +174,17 @@ def decompose(phi: Superoperator, tol: float = DEFAULT_TOL) -> Decomposition:
     that is refused, and returns the first record: its certificate is below
     min(5 ``tol``, 1e-6) and its Kronecker residual below ``tol``.  When both
     are refused, raises the refusal of the attempt that got further (see the
-    module docstring).  A non-finite entry is refused first
+    module docstring).  A map with k < 2 is refused first (DimensionError),
+    before its matrix is read, and then a non-finite entry
     (NotPreserverError, "stage input").  No random number is drawn.
     """
-    if not np.isfinite(phi.matrix).all():
-        raise NotPreserverError("stage input: the matrix has a non-finite entry")
     if phi.dims.k < 2:
         raise DimensionError(
             "classification applies to block counts k >= 2; square-space (k = 1) "
             "maps are out of scope"
         )
+    if not np.isfinite(phi.matrix).all():
+        raise NotPreserverError("stage input: the matrix has a non-finite entry")
     refusals = []
     for sigma in SigmaFlag:  # the identity first; the transpose only if it is refused
         try:

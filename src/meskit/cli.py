@@ -138,7 +138,7 @@ def cmd_extend(args) -> int:
         "tol": args.tol,
         "all_pass": certified,
     }
-    side = ext.yy_dims.mn**2
+    side = ext.dims.mn**2
     serialize.write_json(
         args.out or "extended.json",
         {

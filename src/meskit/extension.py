@@ -8,14 +8,14 @@ of blocks ``M_pq`` in L(X (x) Y) occupying contiguous mn x mn slices.
 The extension applies the base map blockwise -- ``[Phi(M_pq)]`` in the
 identity branch, ``[Phi(M_qp)]`` (block transpose first) in the transpose
 branch -- and commutes with conjugation by the structural sign and block-swap
-unitaries built below.  It is stored as the base map and the flag and
-evaluated block by block, each block through :func:`~meskit.superop.apply`,
-so the base may be any map ``apply`` evaluates: a dense
-:class:`~meskit.superop.Superoperator`, or a map with its own ``apply_to``
-such as the lemma suite's W M^sigma W*.  Only the dense n^4 x n^4 matrix,
-which comes in row slabs (:meth:`ExtendedSuperoperator.row_slabs`, written
-one at a time by ``meskit extend``) and as :attr:`~ExtendedSuperoperator.matrix`,
-reads the base's dense ``matrix``.
+unitaries built below.  It is a map with ``dims`` (Y (x) Y) and ``apply_to``,
+stored as the base map and the flag and evaluated block by block through
+the base's own ``apply_to``, so the base may be any such map: a dense
+:class:`~meskit.superop.Superoperator`, or the lemma suite's W M^sigma W*.
+Only the dense n^4 x n^4 matrix, which comes in row slabs
+(:meth:`ExtendedSuperoperator.row_slabs`, written one at a time by
+``meskit extend``) and as :attr:`~ExtendedSuperoperator.matrix`, reads the
+base's dense ``matrix``.
 """
 
 from __future__ import annotations
@@ -33,10 +33,9 @@ from .tensor import Dims, as_complex, frobenius, kron
 class ExtendedSuperoperator:
     """Superoperator on L(Y (x) Y) obtained by blockwise extension of ``base``.
 
-    ``base`` is any map on L(X (x) Y) with ``dims`` that
-    :func:`~meskit.superop.apply` evaluates; :meth:`apply_to` goes through
-    ``apply`` block by block, and only :meth:`row_slabs` and :attr:`matrix`
-    read ``base.matrix``.
+    ``base`` is any map on L(X (x) Y) with ``dims`` and ``apply_to``;
+    :meth:`apply_to` calls the base's block by block, and only
+    :meth:`row_slabs` and :attr:`matrix` read ``base.matrix``.
     """
 
     base: Superoperator
@@ -47,24 +46,23 @@ class ExtendedSuperoperator:
             raise DimensionError("extension is defined for block counts k >= 2")
 
     @property
-    def yy_dims(self) -> Dims:
-        """Dims of the square space the extension acts on."""
+    def dims(self) -> Dims:
+        """Dims of the square space Y (x) Y the extension acts on."""
         n = self.base.dims.n
         return Dims(n, n)
 
-    def apply_to(self, M) -> np.ndarray:
+    def apply_to(self, M: np.ndarray) -> np.ndarray:
         """The image [phi(M_pq)] (identity) or [phi(M_qp)] (transpose) of an
         n^2 x n^2 operator M, without the dense matrix; block (p, q) of M is
-        ``M.reshape(k, mn, k, mn)[p, :, q, :]``."""
+        ``M.reshape(k, mn, k, mn)[p, :, q, :]``, an mn x mn operator by that
+        reshape, so each goes straight to the base's ``apply_to``."""
         n, mn, k = self.base.dims.n, self.base.dims.mn, self.base.dims.k
-        if M.shape != (n * n, n * n):
-            raise DimensionError(f"expected {n * n}x{n * n} operator, got {M.shape}")
         blocks = M.reshape(k, mn, k, mn)
         image = np.empty((k, mn, k, mn), dtype=complex)
         for p in range(k):
             for q in range(k):
                 a, b = (q, p) if self.sigma is SigmaFlag.TRANSPOSE else (p, q)
-                image[p, :, q, :] = apply(self.base, blocks[a, :, b, :])
+                image[p, :, q, :] = self.base.apply_to(blocks[a, :, b, :])
         return image.reshape(n * n, n * n)
 
     def row_slabs(self):

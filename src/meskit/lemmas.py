@@ -5,8 +5,8 @@ the CLI aggregates them into a machine-readable report.
 The checks that evaluate a preserver draw it as M -> W M^sigma W* with
 W = U (x) V for Haar U and V, the form every invertible MES preserver takes,
 and apply it as that product, O((mn)^3) per operator, never as its dense
-(mn)^2 x (mn)^2 matrix; the blockwise extension takes the same map as its
-base.
+(mn)^2 x (mn)^2 matrix; it is a map with ``dims`` and ``apply_to``, and the
+blockwise extension takes it as its base.
 
 Count-style checks (set equivalences, membership biconditionals) report the
 number of disagreements as the residual, so 0.0 means a clean pass at any
@@ -66,9 +66,6 @@ class _AdjointMap:
     w: np.ndarray
 
     def apply_to(self, M: np.ndarray) -> np.ndarray:
-        mn = self.dims.mn
-        if M.shape != (mn, mn):
-            raise DimensionError(f"expected {mn}x{mn} operator, got {M.shape}")
         if self.sigma is SigmaFlag.TRANSPOSE:
             M = M.T
         return self.w @ M @ self.w.conj().T
@@ -99,7 +96,7 @@ def _extension_draws(dims: Dims, samples: int, seed, path: int):
     for sigma in SigmaFlag:
         ext = extend(_random_preserver(dims, sigma, seed, path), sigma)
         for i in range(samples):
-            yield ext, pi(random_coisometry(ext.yy_dims, _seq(seed, path + 1, i)))
+            yield ext, pi(random_coisometry(ext.dims, _seq(seed, path + 1, i)))
 
 
 def _action_residual(phi, sigma: SigmaFlag, family, images, rng) -> float:
@@ -262,7 +259,7 @@ def check_extension_preserves_mes(dims: Dims, samples: int, seed) -> float:
     for ext, state in _extension_draws(dims, samples, seed, 115):
         image = apply(ext, state)
         _, rank1_residual = rank_one_factor(image, 1e-6)
-        ptrace_dev = frobenius(partial_trace_y(image, ext.yy_dims) - np.eye(dims.n) / dims.n)
+        ptrace_dev = frobenius(partial_trace_y(image, ext.dims) - np.eye(dims.n) / dims.n)
         worst = max(worst, rank1_residual, ptrace_dev)
     return worst
 

@@ -319,11 +319,11 @@ def matrix_from_obj(obj) -> np.ndarray:
 
 
 def _pairs(data) -> np.ndarray:
-    # ragged or non-numeric data raises ValueError here, and so does an
-    # entry that no float holds, such as an integer of 400 digits
+    # numpy's own text for ragged, nested or non-numeric data, or an entry
+    # that no float holds, such as an integer of 400 digits, becomes ours
     try:
         pairs = np.array(data, dtype=np.float64, order="C")
-    except (TypeError, OverflowError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(_NOT_PAIRS) from None
     if pairs.shape != (len(data), 2):
         raise ValueError(_NOT_PAIRS)

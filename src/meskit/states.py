@@ -35,6 +35,7 @@ from .tensor import (
     vec,
 )
 
+# Relative threshold of the tests on computed images, here and in ``choi``
 _VALIDATION_TOL = 1e-8
 
 

@@ -1,7 +1,9 @@
 """Superoperators on L(X (x) Y) and the canonical entanglement-preserver forms.
 
-A superoperator is stored as an (mn)^2 x (mn)^2 matrix acting on row-vectorized
-operators: ``vec(Phi(M)) = Phi.matrix @ vec(M)``.  Under the row-stacking
+A map is anything with ``dims`` and ``apply_to``; :func:`apply` checks the
+operator's shape once and calls ``apply_to``.  A :class:`Superoperator`
+stores an (mn)^2 x (mn)^2 matrix acting on row-vectorized operators:
+``vec(Phi(M)) = Phi.matrix @ vec(M)``.  Under the row-stacking
 convention, conjugation ``M -> W M W*`` has matrix ``kron(W, conj(W))``;
 composing it with the transpose ``M -> M^T`` moves column (j, i) to column
 (i, j), so each matrix is written once as an outer product of W and conj(W)
@@ -64,23 +66,19 @@ class Superoperator:
                 f"got {self.matrix.shape}"
             )
 
+    def apply_to(self, M: np.ndarray) -> np.ndarray:
+        """unvec(matrix @ vec(M)) for an mn x mn operator M."""
+        return (self.matrix @ M.reshape(-1)).reshape(M.shape)
+
 
 def apply(phi, M) -> np.ndarray:
-    """Evaluate a superoperator on an operator: unvec(matrix @ vec(M)).
-
-    A map that evaluates itself without a dense matrix (the blockwise
-    extension, the lemma suite's W M^sigma W*) provides ``apply_to(M)``,
-    which is called instead.
-    """
+    """``phi.apply_to(M)`` for any map with ``dims`` and ``apply_to``, after
+    the one check that M is an operator on the space of ``phi.dims``."""
     M = as_complex(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionError(f"expected a square operator, got shape {M.shape}")
-    if hasattr(phi, "apply_to"):
-        return phi.apply_to(M)
-    mat, d = phi.matrix, M.shape[0]
-    if mat.shape != (d * d, d * d):
-        raise DimensionError(f"superoperator side {mat.shape} does not match operator {M.shape}")
-    return (mat @ M.reshape(-1)).reshape(d, d)
+    mn = phi.dims.mn
+    if M.shape != (mn, mn):
+        raise DimensionError(f"expected {mn}x{mn} operator, got {M.shape}")
+    return phi.apply_to(M)
 
 
 def _require_unitary(U: np.ndarray, name: str) -> np.ndarray:

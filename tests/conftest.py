@@ -6,7 +6,6 @@ import pytest
 from meskit import (
     DimensionError,
     Dims,
-    ExtendedSuperoperator,
     Superoperator,
     haar_unitary,
     kron,
@@ -93,13 +92,9 @@ def span_mes_basis(dims: Dims) -> tuple[np.ndarray, ...]:
 
 
 def _yy_sampling_dims(phi_like) -> Dims:
-    if isinstance(phi_like, ExtendedSuperoperator):
-        return phi_like.yy_dims
-    if isinstance(phi_like, Superoperator):
-        if phi_like.dims.m != phi_like.dims.n:
-            raise DimensionError("commutation sampling needs a map on a square space")
-        return phi_like.dims
-    raise TypeError("expected an ExtendedSuperoperator or a square-space Superoperator")
+    if phi_like.dims.m != phi_like.dims.n:
+        raise DimensionError("commutation sampling needs a map on a square space")
+    return phi_like.dims
 
 
 def commutes_with_ad(phi_tilde, W, seed=0) -> bool:

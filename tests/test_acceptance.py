@@ -208,9 +208,9 @@ def test_criterion_6_extension():
         for sigma in BOTH:
             ext = extend(_preserver(dims, sigma, 7000), sigma)
             for i in range(50):
-                state = pi(random_coisometry(ext.yy_dims, np.random.SeedSequence([7100, i])))
+                state = pi(random_coisometry(ext.dims, np.random.SeedSequence([7100, i])))
                 image = apply(ext, state)
-                assert is_mes(image, ext.yy_dims, 1e-8)
+                assert is_mes(image, ext.dims, 1e-8)
                 for w in operators:
                     worst_comm = max(worst_comm, ad_commutation_residual(ext, w, state))
     ok = worst_comm < 1e-9

@@ -23,6 +23,7 @@ from meskit import (
     apply,
     decompose,
     detect_sigma,
+    extend,
     flag_from_determinant,
     haar_unitary,
     is_invertible_on_span,
@@ -133,6 +134,21 @@ def test_decompose_rejects_single_block():
     assert phi.dims == square
     with pytest.raises(DimensionError):
         decompose(phi)
+
+
+def test_decompose_refuses_an_extension_before_its_dense_matrix():
+    # the extension is a k = 1 map on Y (x) Y; its n^4 x n^4 matrix is 27 MB at (3,2)
+    dims = Dims.from_mk(3, 2)
+    ext = extend(make_adjoint_preserver(*unitary_pair(dims, 5), SigmaFlag.IDENTITY), SigmaFlag.IDENTITY)
+    dense_nbytes = dims.n**8 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionError, match="k >= 2"):
+            decompose(ext)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_nbytes / 10
 
 
 def test_decompose_exclusive_outcome():

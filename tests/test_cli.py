@@ -468,7 +468,7 @@ def test_extend_certificate_bounds_every_mes(m, k, sigma, tmp_path, capsys):
     ext, w = extend(phi, dec.sigma), kron(np.eye(k), kron(dec.U, dec.V))
     worst = 0.0
     for i in range(20):
-        rho = pi(random_coisometry(ext.yy_dims, np.random.SeedSequence([7, i])))
+        rho = pi(random_coisometry(ext.dims, np.random.SeedSequence([7, i])))
         target = w @ (rho.T if sigma is SigmaFlag.TRANSPOSE else rho) @ w.conj().T
         worst = max(worst, np.linalg.norm(ext.apply_to(rho) - target))
     assert 0.0 < worst <= bound < 1e-9

@@ -98,13 +98,6 @@ def test_blockwise_apply_equals_dense_matvec(m, k, sigma, base, rng):
     assert np.linalg.norm(image - dense) <= 1e-13 * np.linalg.norm(dense)
 
 
-@pytest.mark.parametrize("shape", [(8, 8), (16, 8), (16,)])
-def test_blockwise_apply_rejects_wrong_shape(shape, rng):
-    ext = extend(_preserver(3, SigmaFlag.IDENTITY), SigmaFlag.IDENTITY)
-    with pytest.raises(DimensionError):
-        apply(ext, rng.standard_normal(shape))
-
-
 def test_extension_peak_memory_far_below_the_dense_matrix(rng):
     dims = Dims.from_mk(3, 2)
     phi = _preserver(1, SigmaFlag.TRANSPOSE, dims)
@@ -152,8 +145,8 @@ def test_extend_preserves_square_mes(sigma):
     phi = _preserver(5, sigma)
     ext = extend(phi, sigma)
     for seed in range(25):
-        state = pi(random_coisometry(ext.yy_dims, seed))
-        assert is_mes(apply(ext, state), ext.yy_dims, 1e-8)
+        state = pi(random_coisometry(ext.dims, seed))
+        assert is_mes(apply(ext, state), ext.dims, 1e-8)
 
 
 @pytest.mark.parametrize("sigma", BOTH)

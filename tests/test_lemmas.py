@@ -32,12 +32,6 @@ def test_random_preserver_is_the_dense_adjoint_preserver(m, k, sigma, rng):
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
-def test_random_preserver_rejects_wrong_shape(rng):
-    phi = _random_preserver(Dims.from_mk(2, 2), SigmaFlag.IDENTITY, 0, 106, 0)
-    with pytest.raises(DimensionError):
-        apply(phi, complex_gaussian(rng, 4, 4))
-
-
 def test_suite_peak_memory_below_one_dense_preserver():
     dims = Dims(3, 6)
     dense_nbytes = dims.mn**4 * np.dtype(complex).itemsize  # 1.68 MB at (3,2)

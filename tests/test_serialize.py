@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -276,14 +277,15 @@ def test_dumps_rejects_nonfinite_array():
         [[0.0, 0.0], ["1.5", 1.0]],
         [[0.0, 0.0], [True, 1.0]],
         [[0.0, 0.0], [None, 1.0]],
+        [[0.0, 0.0], [[1.0], 2.0]],
     ],
     ids=[
         "ragged", "non-numeric", "triples", "flat", "object entry", "beyond float", "scalar",
-        "string", "bool", "null",
+        "string", "bool", "null", "nested",
     ],
 )
 def test_matrix_from_obj_rejects_malformed_data(data):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("matrix data must be a list of [re, im] pairs")):
         serialize.matrix_from_obj({"rows": 2, "cols": 1, "data": data})
 
 

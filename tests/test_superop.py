@@ -15,6 +15,7 @@ from meskit import (
     SigmaFlag,
     Superoperator,
     apply,
+    extend,
     haar_unitary,
     is_invertible_on_span,
     is_mes,
@@ -27,6 +28,7 @@ from meskit import (
     random_coisometry,
     vec,
 )
+from meskit.lemmas import _random_preserver
 from conftest import (
     complex_gaussian,
     identity_superop,
@@ -58,10 +60,20 @@ def test_apply_identity_and_linearity(rng):
     )
 
 
-def test_apply_rejects_mismatched_shapes(rng):
-    phi = identity_superop(DIMS)
-    with pytest.raises(DimensionError):
-        apply(phi, complex_gaussian(rng, 4, 4))
+@pytest.mark.parametrize("kind", ["dense", "extension", "lemma suite W M^sigma W*"])
+@pytest.mark.parametrize("wrong", ["wrong side", "non-square", "1-D"])
+def test_apply_rejects_wrong_shapes(kind, wrong, rng):
+    # apply is the one check of an operator's shape, whatever the map
+    dense = make_adjoint_preserver(*unitary_pair(DIMS, 3), SigmaFlag.IDENTITY)
+    phi = {
+        "dense": dense,
+        "extension": extend(dense, SigmaFlag.IDENTITY),
+        "lemma suite W M^sigma W*": _random_preserver(DIMS, SigmaFlag.IDENTITY, 0, 106, 0),
+    }[kind]
+    side = phi.dims.mn
+    shape = {"wrong side": (side // 2, side // 2), "non-square": (side, side // 2), "1-D": (side,)}[wrong]
+    with pytest.raises(DimensionError, match=f"expected {side}x{side} operator"):
+        apply(phi, rng.standard_normal(shape))
 
 
 def test_transpose_matrix_action(rng):
