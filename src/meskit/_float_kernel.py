@@ -6,8 +6,9 @@ fixed notation for decimal exponents -4 <= e < 17 and scientific otherwise,
 trailing zeros dropped and then a dot with no digit after it.  The kernel
 takes the digits of a whole chunk as rint(|x| * 10**(16 - e)) in long double
 (after Adams, "Ryu revisited: printf floating point conversion", OOPSLA
-2019).  A value whose rounding that cannot certify goes to ``format``; where
-long double is a plain double, that is every nonzero value.
+2019); each power 10**(16 - e) is numpy's correctly rounded parse of its
+decimal text.  A value whose rounding that cannot certify goes to ``format``;
+where long double is a plain double, that is every nonzero value.
 
 Each value is laid out in a slot of ``_SLOT`` bytes, the bytes it does not
 use left NUL, and the chunk's NULs are dropped at the end:
@@ -102,37 +103,14 @@ def tables() -> Tables:
 
 
 def powers_of_ten(exponents, info) -> np.ndarray:
-    """10**k for each k, rounded to the nearest long double (ties to even);
-    a power beyond the long double range is its largest finite value."""
-    bits = info.nmant + 1
-    tens = [1]
-    for _ in range(max(map(abs, exponents))):
-        tens.append(tens[-1] * 10)
-    mantissas, shifts = [], []
-    for k in exponents:
-        num, den = (tens[k], 1) if k >= 0 else (1, tens[-k])
-        # num / den / 2**shift lies in [2**(bits - 1), 2**bits)
-        shift = num.bit_length() - den.bit_length() - bits
-        if shift < 0:
-            num <<= -shift
-        else:
-            den <<= shift
-        if num >= den << bits:
-            shift += 1
-            den <<= 1
-        q, r = divmod(num, den)
-        q += 2 * r > den or (2 * r == den and q & 1)
-        mantissas.append(q)
-        shifts.append(shift)
-    # sum the mantissas' 32-bit limbs: every partial sum is exact
-    top = (bits - 1) // 32 * 32
-    limbs = np.array([[(q >> s) & 0xFFFFFFFF for s in range(top, -1, -32)] for q in mantissas], float)
-    value = np.zeros(len(mantissas), np.longdouble)
-    for limb in limbs.T:
-        value = value * 2**32 + limb
-    shifts = np.array(shifts)
-    big = shifts + bits > info.maxexp
-    return np.where(big, info.max, np.ldexp(value, np.where(big, 0, shifts).astype(np.intc)))
+    """10**k for each k in ``info``'s dtype, rounded to the nearest value (ties
+    to even); a power beyond the range is its largest finite value.
+
+    numpy parses the text ``1eK`` correctly rounded: a long double with the C
+    library's ``strtold`` (Clinger, "How to read floating point numbers
+    accurately", PLDI 1990), a double as ``float`` does.  The text holds no
+    decimal separator, so the locale cannot change it."""
+    return np.minimum(np.array([f"1e{k}" for k in exponents]).astype(info.dtype), info.max)
 
 
 def encode_block(pairs: np.ndarray) -> bytes:

@@ -17,7 +17,7 @@ with ``"all_pass": false`` (``extend`` under an explicit sigma,
 ``check-lemmas``), or a stdout closed by its reader.  :func:`main` maps every
 refusal once: a package error exits with its type's ``exit_code``, a closed
 stdout with 1 and nothing more printed, and any other ``ValueError`` or
-``OSError`` with 2.
+``OSError`` with 2.  A refused input file's path leads the error's message.
 
 Each subcommand accepts only the flags it reads: ``--tol`` for ``classify``,
 ``extend`` and ``check-lemmas``, ``--samples`` (default 20) for ``check-lemmas``
@@ -52,7 +52,9 @@ _EXIT_USAGE = 2
 
 
 def _fail(exc: BaseException, code: int) -> int:
-    payload = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
+    where = getattr(exc, "input_path", None)  # set by _read
+    message = f"{where}: {exc}" if where else str(exc)
+    payload = {"error": type(exc).__name__, "message": message, "exit_code": code}
     print(serialize.dumps(payload), file=sys.stderr)
     return code
 
@@ -69,6 +71,16 @@ def _check_settings(args) -> None:
         raise ValueError("samples must be >= 1")
     if "seed" in args and args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
+
+
+def _read(path: str):
+    """``serialize.read_superoperator(path)``; a refusal keeps its type, and
+    :func:`_fail` names the file before its message."""
+    try:
+        return serialize.read_superoperator(path)
+    except ValueError as exc:
+        exc.input_path = path
+        raise
 
 
 def _truth_path(out: str) -> str:
@@ -111,7 +123,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    payload = _decomposition_obj(decompose(serialize.read_superoperator(args.input), tol=args.tol))
+    payload = _decomposition_obj(decompose(_read(args.input), tol=args.tol))
     if args.out:
         serialize.write_json(args.out, payload)
     print(serialize.dumps(payload))
@@ -119,7 +131,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    phi = serialize.read_superoperator(args.input)
+    phi = _read(args.input)
     auto = args.sigma == "auto"
     try:
         dec = decompose(phi, tol=args.tol)

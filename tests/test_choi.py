@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from meskit import (
+    DimensionError,
     Dims,
     NotMESError,
     NotOrthogonalError,
@@ -221,6 +222,9 @@ def test_detect_sigma_identity_and_transpose():
     assert detect_sigma(identity_superop(DIMS)) is SigmaFlag.IDENTITY
     assert detect_sigma(_preserver(37, SigmaFlag.IDENTITY)) is SigmaFlag.IDENTITY
     assert detect_sigma(_preserver(37, SigmaFlag.TRANSPOSE)) is SigmaFlag.TRANSPOSE
+    # at k = 1 there is no orthogonal pair
+    with pytest.raises(DimensionError, match="k >= 2"):
+        detect_sigma(identity_superop(Dims(2, 2)))
 
 
 def test_detect_sigma_pair_independent():

@@ -255,7 +255,7 @@ def test_not_a_superoperator_exit_2_naming_the_key(kind, command, tmp_path, caps
     assert code == 2 and stdout == "" and not out.exists()
     error = json.loads(stderr)  # one error JSON, no traceback
     assert error["error"] == "ValueError" and error["exit_code"] == 2
-    assert repr(key) in error["message"]
+    assert error["message"].startswith(f"{path}: ") and repr(key) in error["message"]
 
 
 @pytest.mark.parametrize("command", ["classify", "extend"])
@@ -274,7 +274,7 @@ def test_fractional_counts_exit_2(command, tmp_path, capsys):
     assert code == 2 and stdout == "" and not out.exists()
     assert json.loads(stderr) == {
         "error": "ValueError",
-        "message": "the key 'm' must hold an integer, got 2.9",
+        "message": f"{path}: the key 'm' must hold an integer, got 2.9",
         "exit_code": 2,
     }
 
@@ -288,7 +288,7 @@ def test_wrong_side_exit_2(command, tmp_path, capsys):
     assert code == 2 and stdout == ""
     assert json.loads(stderr) == {
         "error": "DimensionError",
-        "message": "superoperator for dims Dims(m=1, n=2) must be 4x4, got (9, 9)",
+        "message": f"{path}: superoperator for dims Dims(m=1, n=2) must be 4x4, got (9, 9)",
         "exit_code": 2,
     }
 
@@ -305,11 +305,21 @@ def test_missing_input_is_named(command, tmp_path, capsys, monkeypatch):
     }
 
 
-def test_classify_parse_failure_exit_2(tmp_path, capsys):
-    path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    code, _, _ = run_cli(capsys, "classify", str(path))
-    assert code == 2
+@pytest.mark.parametrize("command", ["classify", "extend"])
+def test_parse_failure_exit_2_naming_the_file(command, tmp_path, capsys):
+    # a truncated file and one that is not UTF-8: the parser's error type,
+    # its message after the path
+    for text, error, message in [
+        (b'{"dims":\n', "JSONDecodeError", "Expecting value: line 2 column 1 (char 9)"),
+        (b"\xff{}", "UnicodeDecodeError", "'utf-8' codec can't decode byte 0xff in position 0"),
+    ]:
+        path = tmp_path / "broken.json"
+        path.write_bytes(text)
+        code, stdout, stderr = run_cli(capsys, command, str(path), "--out", str(tmp_path / "out.json"))
+        assert code == 2 and stdout == ""
+        got = json.loads(stderr)
+        assert got["error"] == error and got["exit_code"] == 2
+        assert got["message"].startswith(f"{path}: {message}")
 
 
 def test_classify_ragged_data_exit_2(tmp_path, capsys):

@@ -124,6 +124,8 @@ def test_matrix_to_obj_rejects_a_vector():
 def test_matrix_rejects_wrong_count():
     with pytest.raises(DimensionError):
         serialize.matrix_from_obj({"rows": 2, "cols": 2, "data": [[0.0, 0.0]]})
+    with pytest.raises(DimensionError, match="positive"):
+        serialize.matrix_from_obj({"rows": 0, "cols": 1, "data": []})
 
 
 def test_dumps_is_deterministic_and_17g():
@@ -226,13 +228,21 @@ def test_dumps_without_extended_precision_formats_every_value(monkeypatch, rng):
     assert len(formatted) == np.count_nonzero(flat)
 
 
-def test_powers_of_ten_are_correctly_rounded():
-    # the kernel's error bound assumes each power within half an ulp
-    largest = np.finfo(np.longdouble).max
+@pytest.mark.parametrize("dtype", [np.longdouble, np.float64])
+def test_powers_of_ten_are_correctly_rounded(dtype):
+    # the kernel's error bound assumes each power within half an ulp; the
+    # float64 table is the one of a platform whose long double is a double,
+    # where 10**309 and beyond are clamped to the largest finite value
+    info = np.finfo(dtype)
     exponents = range(16 - _float_kernel._E_MAX, 17 - _float_kernel._E_MIN)
-    for k, power in zip(exponents, _float_kernel.tables().pow10):
-        if power < largest:
-            error = abs(Fraction(*power.as_integer_ratio()) - Fraction(10) ** k)
+    powers = _float_kernel.powers_of_ten(exponents, info)
+    assert powers.dtype == dtype
+    for k, power in zip(exponents, powers):
+        exact = Fraction(10) ** k
+        if exact > Fraction(*info.max.as_integer_ratio()):
+            assert power == info.max, k
+        else:
+            error = abs(Fraction(*power.as_integer_ratio()) - exact)
             assert error <= Fraction(*np.spacing(power).as_integer_ratio()) / 2, k
 
 
@@ -258,9 +268,34 @@ def test_row_slabs_write_the_bytes_of_the_whole_matrix(rng):
             serialize.dumps(serialize.row_slabs_to_obj(bad, *a.shape))
 
 
-def test_dumps_rejects_nonfinite_array():
+@pytest.mark.parametrize(
+    "obj,error,message",
+    [
+        ({"data": np.array([[0.0, np.nan]])}, ValueError, "non-finite"),
+        ({"x": float("inf")}, ValueError, "non-finite number inf"),
+        ({"x": {1j}}, TypeError, "type set"),
+        ({"data": iter([[0.0, 1.0]])}, TypeError, "a list as matrix data"),
+        (np.zeros((2, 3)), TypeError, "shape (2, 3)"),
+        (np.zeros((2, 2), np.int64), TypeError, "int64 array"),
+    ],
+    ids=["nan in an array", "inf scalar", "unsupported type", "slab not an array", "not pairs", "not floats"],
+)
+def test_dumps_rejects_what_it_cannot_write(obj, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        serialize.dumps(obj)
+
+
+def test_write_json_failing_partway_leaves_no_temp_file(tmp_path):
+    # the document fails after its first bytes: a new path stays absent, and
+    # an existing file keeps its bytes
+    path = tmp_path / "out.json"
     with pytest.raises(ValueError):
-        serialize.dumps({"data": np.array([[0.0, np.nan]])})
+        serialize.write_json(str(path), {"a": float("nan")})
+    assert list(tmp_path.iterdir()) == []
+    path.write_bytes(b"old\n")
+    with pytest.raises(ValueError):
+        serialize.write_json(str(path), {"a": float("nan")})
+    assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == b"old\n"
 
 
 @pytest.mark.parametrize(
@@ -648,7 +683,7 @@ def test_read_superoperator_refuses_what_the_json_reader_refuses(tmp_path, capsy
         assert main(["classify", str(path)]) == 2, name
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == want.type.__name__, name
-        assert err["message"] == str(want.value), name
+        assert err["message"] == f"{path}: {want.value}", name
 
 
 def _read_outcome(read, path):

@@ -119,6 +119,8 @@ def test_orthogonal_family_blocks():
 def test_are_orthogonal_negative():
     a = random_coisometry(DIMS, 1)
     assert not are_orthogonal(a, a)
+    with pytest.raises(DimensionError, match="shape mismatch"):
+        are_orthogonal(a, a[:, :2])
 
 
 def test_unit_sphere_combinations_of_orthogonal_pair(rng):
@@ -173,12 +175,13 @@ def test_representative_rejects_rank_two():
         np.triu(np.ones((8, 8))) / 8,
         np.eye(8) / 4,
         np.diag([2.0, -1.0, 0, 0, 0, 0, 0, 0]),
+        np.eye(4) / 4,
     ],
-    ids=["hermitian", "trace", "eigenvalue"],
+    ids=["hermitian", "trace", "eigenvalue", "shape"],
 )
 def test_non_states_are_not_mes(matrix):
     # a matrix that is no state (not Hermitian, wrong trace, a negative
-    # eigenvalue) is simply not an MES, and has no representative
+    # eigenvalue, not mn x mn) is simply not an MES, and has no representative
     assert not is_mes(matrix, DIMS)
     with pytest.raises(NotMESError):
         representative(matrix, DIMS)

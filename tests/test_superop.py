@@ -159,6 +159,8 @@ def test_adjoint_preserver_preserves_mes():
 def test_adjoint_preserver_rejects_non_unitary(rng):
     with pytest.raises(NotUnitaryError):
         make_adjoint_preserver(complex_gaussian(rng, 2, 2), np.eye(4), SigmaFlag.IDENTITY)
+    with pytest.raises(NotUnitaryError, match="square"):
+        make_adjoint_preserver(np.eye(2), np.eye(4)[:3], SigmaFlag.IDENTITY)
 
 
 def test_adjoint_preserver_functoriality():

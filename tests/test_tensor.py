@@ -146,6 +146,8 @@ def test_haar_unitary_scalar_case():
     u = haar_unitary(1, 3)
     assert u.shape == (1, 1)
     assert abs(abs(u[0, 0]) - 1.0) < 1e-14
+    with pytest.raises(DimensionError, match="got 0"):
+        haar_unitary(0)
 
 
 def test_haar_unitary_deterministic():
@@ -191,6 +193,8 @@ def test_rank_one_factor_zero():
 def test_rank_one_factor_rejects_non_hermitian(rng):
     with pytest.raises(NotHermitianError):
         rank_one_factor(complex_gaussian(rng, 3, 3))
+    with pytest.raises(DimensionError, match="square"):
+        rank_one_factor(np.ones((2, 3)))
 
 
 def test_nearest_kron_factor_roundtrip():
@@ -208,6 +212,8 @@ def test_nearest_kron_factor_identity():
     assert residual < 1e-12
     np.testing.assert_allclose(u, np.eye(2), atol=1e-12)
     np.testing.assert_allclose(v, np.eye(6), atol=1e-12)
+    with pytest.raises(DimensionError, match="12x12"):
+        nearest_kron_factor(np.eye(8), dims)
 
 
 def test_nearest_kron_factor_swap_is_far():
