@@ -15,11 +15,11 @@ from meskit import (
     SigmaFlag,
     choi_matrix,
     detect_sigma,
-    haar_unitary,
     make_adjoint_preserver,
     orthogonal_family,
     restricted_g,
 )
+from meskit.tensor import unitary_pair
 
 
 def main() -> None:
@@ -36,9 +36,7 @@ def main() -> None:
             worst = 0.0
             hits = 0
             for i in range(args.trials):
-                u = haar_unitary(dims.m, np.random.SeedSequence([args.seed, i, 0]))
-                v = haar_unitary(dims.n, np.random.SeedSequence([args.seed, i, 1]))
-                phi = make_adjoint_preserver(u, v, sigma)
+                phi = make_adjoint_preserver(*unitary_pair(dims, args.seed, i), sigma)
                 pair = orthogonal_family(dims, np.random.SeedSequence([args.seed, i, 2]))
                 det = complex(np.linalg.det(choi_matrix(restricted_g(phi, pair[0], pair[1]))))
                 worst = max(worst, abs(det - target))

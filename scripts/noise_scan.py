@@ -3,14 +3,16 @@
 
 For each (m, k), ``tol`` and seed it builds:
 
-* ``noise``: Ad_{U (x) V} o sigma plus Frobenius-relative Gaussian noise on
-  the map's matrix, at nine levels from 1e-10 to 1e-6 (half decades), both
-  sigma;
-* ``nonkron``: Ad_W o sigma with W the unitary nearest to U (x) V plus
-  Frobenius-relative noise 2e-9 or 3.2e-9 (a conjugation that is not a
+* ``noise``: ``perturb`` of the matrix of Ad_{U (x) V} o sigma, at nine
+  levels eps from 1e-10 to 1e-6 (half decades), both sigma;
+* ``nonkron``: Ad_W o sigma with W the unitary nearest to
+  ``perturb(U (x) V, eps)``, eps 2e-9 or 3.2e-9 (a conjugation that is not a
   Kronecker product), both sigma;
 * ``trace``: a trace form tr(M) rho, singular on span(MES);
 * ``random``: a complex Gaussian matrix.
+
+``meskit.tensor.perturb(a, eps, rng)`` adds noise in the one unit: Frobenius
+norm eps ||a||_F.  (U, V) is ``unitary_pair(dims, seed)``.
 
 It calls only ``decompose(phi, tol)`` and prints one JSON line per map: the
 map's description, the verdict (sigma or error type), the CLI exit code, the
@@ -28,41 +30,32 @@ import json
 
 import numpy as np
 
-from meskit import Dims, MESKitError, SigmaFlag, Superoperator, decompose, haar_unitary, kron
-from meskit.superop import _conjugation_matrix
+from meskit import Dims, MESKitError, SigmaFlag, Superoperator, decompose, kron, pi, random_coisometry
+from meskit.superop import _conjugation_matrix, make_trace_preserver
+from meskit.tensor import complex_gaussian, perturb, unitary_pair
 
 NOISE = tuple(10.0 ** (-10 + i / 2) for i in range(9))
 NONKRON = (2e-9, 10**-8.5)
 TOLS = (1e-9, 1e-3)
 
 
-def _gaussian(rng, shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def _relative(a, eps, rng):
-    g = _gaussian(rng, a.shape)
-    return a + eps * np.linalg.norm(a) * g / np.linalg.norm(g)
+def _rng(*path):
+    return np.random.default_rng(np.random.SeedSequence(path))
 
 
 def maps(dims: Dims, seed: int):
     """Yields (description, superoperator) for one dims and seed."""
-    u = haar_unitary(dims.m, np.random.SeedSequence([seed, 0]))
-    v = haar_unitary(dims.n, np.random.SeedSequence([seed, 1]))
+    u, v = unitary_pair(dims, seed)
     for sigma in SigmaFlag:
         exact = _conjugation_matrix(kron(u, v), sigma)
         for i, eps in enumerate(NOISE):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, 2, i]))
-            yield {"kind": "noise", "sigma": sigma.value, "eps": eps}, _relative(exact, eps, rng)
+            yield {"kind": "noise", "sigma": sigma.value, "eps": eps}, perturb(exact, eps, _rng(seed, 2, i))
         for i, eps in enumerate(NONKRON):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, 3, i]))
-            a, _, b = np.linalg.svd(_relative(kron(u, v), eps, rng))
+            a, _, b = np.linalg.svd(perturb(kron(u, v), eps, _rng(seed, 3, i)))
             yield {"kind": "nonkron", "sigma": sigma.value, "eps": eps}, _conjugation_matrix(a @ b, sigma)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
-    a = haar_unitary(dims.n, np.random.SeedSequence([seed, 5]))[: dims.m]  # a coisometry Y -> X
-    rho = np.outer(a.reshape(-1), a.reshape(-1).conj()) / dims.m
-    yield {"kind": "trace"}, np.outer(rho.reshape(-1), np.eye(dims.mn).reshape(-1))
-    yield {"kind": "random"}, _gaussian(rng, (dims.mn**2, dims.mn**2))
+    rho = pi(random_coisometry(dims, np.random.SeedSequence([seed, 5])))
+    yield {"kind": "trace"}, make_trace_preserver(rho, dims).matrix
+    yield {"kind": "random"}, complex_gaussian(_rng(seed, 4), dims.mn**2, dims.mn**2)
 
 
 def verdict(phi: Superoperator, tol: float) -> dict:

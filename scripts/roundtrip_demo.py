@@ -15,13 +15,13 @@ from meskit import (
     SigmaFlag,
     decompose,
     extend,
-    haar_unitary,
     kron,
     make_adjoint_preserver,
     serialize,
 )
 from meskit.extension import ad_commutation_residual, p_operator, q_operator
 from meskit.states import pi, random_coisometry
+from meskit.tensor import unitary_pair
 
 
 def main() -> None:
@@ -34,8 +34,7 @@ def main() -> None:
 
     dims = Dims.from_mk(args.m, args.k)
     sigma = SigmaFlag(args.sigma)
-    u = haar_unitary(dims.m, np.random.SeedSequence([args.seed, 0]))
-    v = haar_unitary(dims.n, np.random.SeedSequence([args.seed, 1]))
+    u, v = unitary_pair(dims, args.seed)
     hidden = make_adjoint_preserver(u, v, sigma)
 
     # round-trip through the file format, then classify the reloaded map blind

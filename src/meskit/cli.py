@@ -46,7 +46,7 @@ from .superop import (
     make_swap_preserver,
     make_trace_preserver,
 )
-from .tensor import DEFAULT_TOL, Dims, haar_unitary
+from .tensor import DEFAULT_TOL, Dims, unitary_pair
 
 _EXIT_USAGE = 2
 
@@ -110,8 +110,7 @@ def cmd_gen(args) -> int:
         if args.form == "swap" and args.k != 1:
             raise DimensionError("the switch form needs a square space: use --k 1")
         make = make_swap_preserver if args.form == "swap" else make_adjoint_preserver
-        u = haar_unitary(dims.m, np.random.SeedSequence([args.seed, 41, 0]))
-        v = haar_unitary(dims.n, np.random.SeedSequence([args.seed, 41, 1]))
+        u, v = unitary_pair(dims, args.seed, 41)
         phi = make(u, v, sigma)
         truth.update(
             {"sigma": sigma.value, "U": serialize.matrix_to_obj(u), "V": serialize.matrix_to_obj(v)}

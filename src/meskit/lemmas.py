@@ -27,11 +27,13 @@ from .superop import SigmaFlag, _as_int, _conjugation_matrix, apply
 from .tensor import (
     DEFAULT_TOL,
     Dims,
+    complex_gaussian,
     frobenius,
     haar_unitary,
     kron,
     partial_trace_y,
     rank_one_factor,
+    unitary_pair,
     unvec,
     vec,
 )
@@ -43,10 +45,6 @@ def _seq(seed, *path) -> np.random.SeedSequence:
 
 def _rng(seed, *path) -> np.random.Generator:
     return np.random.default_rng(_seq(seed, *path))
-
-
-def _complex_gaussian(rng: np.random.Generator, *shape: int) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,8 +74,7 @@ class _AdjointMap:
 
 
 def _random_preserver(dims: Dims, sigma: SigmaFlag, seed, *path) -> _AdjointMap:
-    u = haar_unitary(dims.m, _seq(seed, *path, 0))
-    v = haar_unitary(dims.n, _seq(seed, *path, 1))
+    u, v = unitary_pair(dims, _as_int(seed), *path)
     return _AdjointMap(u, v, sigma, dims, kron(u, v))
 
 
@@ -103,7 +100,7 @@ def _action_residual(phi, sigma: SigmaFlag, family, images, rng) -> float:
     """||phi(pi(sum_j c_j A_j)) - pi(sum_j c'_j B_j)||_F for a random unit c,
     with c' = c (identity branch) or conj(c) (transpose branch): the
     (conjugate-)linear action of phi on the aligned images B_j of A_j."""
-    coeff = _complex_gaussian(rng, len(images))
+    coeff = complex_gaussian(rng, len(images))
     coeff /= np.linalg.norm(coeff)
     out_coeff = coeff.conj() if sigma is SigmaFlag.TRANSPOSE else coeff
     source = sum(c * f for c, f in zip(coeff, family))
@@ -116,8 +113,8 @@ def check_vec_partial_trace(dims: Dims, samples: int, seed) -> float:
     rng = _rng(seed, 101)
     worst = 0.0
     for _ in range(samples):
-        a = _complex_gaussian(rng, dims.m, dims.n)
-        b = _complex_gaussian(rng, dims.m, dims.n)
+        a = complex_gaussian(rng, dims.m, dims.n)
+        b = complex_gaussian(rng, dims.m, dims.n)
         lhs = partial_trace_y(np.outer(vec(a), vec(b).conj()), dims)
         worst = max(worst, frobenius(lhs - a @ b.conj().T))
     return worst
@@ -131,7 +128,7 @@ def check_mes_partial_trace(dims: Dims, samples: int, seed) -> float:
     for i in range(samples):
         states = [pi(random_coisometry(dims, _seq(seed, 102, i, j))) for j in range(3)]
         worst = max(worst, frobenius(partial_trace_y(states[0], dims) - eye / dims.m))
-        coeff = _complex_gaussian(rng, 3)
+        coeff = complex_gaussian(rng, 3)
         combo = sum(c * s for c, s in zip(coeff, states))
         expected = (np.trace(combo) / dims.m) * eye
         worst = max(worst, frobenius(partial_trace_y(combo, dims) - expected))
@@ -149,7 +146,7 @@ def check_pure_states_in_span(dims: Dims, samples: int, seed) -> float:
         if i % 2 == 0:
             mat = pi(random_coisometry(dims, _seq(seed, 103, i)))
         else:
-            u = _complex_gaussian(rng, dims.mn)
+            u = complex_gaussian(rng, dims.mn)
             u /= np.linalg.norm(u)
             mat = np.outer(u, u.conj())
         ptrace_ok = frobenius(partial_trace_y(mat, dims) - np.eye(dims.m) / dims.m) < 1e-8
@@ -173,7 +170,7 @@ def _five_way_conditions(A1: np.ndarray, A2: np.ndarray, rng, tol: float = DEFAU
     c3 = is_coisometry(np.vstack([A1, A2]), tol)
     c4 = True
     for _ in range(20):
-        ab = _complex_gaussian(rng, 2)
+        ab = complex_gaussian(rng, 2)
         ab /= np.linalg.norm(ab)
         c4 = c4 and is_coisometry(ab[0] * A1 + ab[1] * A2, tol)
     # row spaces via orthonormal bases, independent of the product tests above
@@ -228,8 +225,8 @@ def check_polarization(dims: Dims, samples: int, seed) -> float:
     rng = _rng(seed, 111)
     worst = 0.0
     for _ in range(samples):
-        a = _complex_gaussian(rng, dims.m, dims.n)
-        b = _complex_gaussian(rng, dims.m, dims.n)
+        a = complex_gaussian(rng, dims.m, dims.n)
+        b = complex_gaussian(rng, dims.m, dims.n)
         total = np.zeros((dims.m, dims.m), dtype=complex)
         for ell in range(4):
             c = a + (1j**ell) * b

@@ -114,17 +114,34 @@ def fix_global_phase(a) -> np.ndarray:
     return a * (abs(pivot) / pivot)
 
 
+def complex_gaussian(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """Standard normal real part, then i times a standard normal imaginary part."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def haar_unitary(d: int, seed=0) -> np.ndarray:
     """Haar-distributed d x d unitary: QR of a complex Ginibre matrix with the
     R-diagonal phase correction.  Deterministic given ``seed``."""
     if d < 1:
         raise DimensionError(f"unitary dimension must be >= 1, got {d}")
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
+    z = complex_gaussian(np.random.default_rng(seed), d, d) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r)
     safe = np.where(np.abs(diag) > 0, diag, 1.0)
     return q * (safe / np.abs(safe))[np.newaxis, :]
+
+
+def unitary_pair(dims: Dims, *path: int) -> tuple[np.ndarray, np.ndarray]:
+    """Haar U on X from ``SeedSequence([*path, 0])`` and V on Y from ``[*path, 1]``."""
+    u = haar_unitary(dims.m, np.random.SeedSequence([*path, 0]))
+    v = haar_unitary(dims.n, np.random.SeedSequence([*path, 1]))
+    return u, v
+
+
+def perturb(a, eps: float, rng: np.random.Generator) -> np.ndarray:
+    """``a + eps ||a||_F G / ||G||_F`` with G drawn by :func:`complex_gaussian`."""
+    g = complex_gaussian(rng, *a.shape)
+    return a + eps * np.linalg.norm(a) * g / np.linalg.norm(g)
 
 
 def rank_one_factor(M, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, float]:

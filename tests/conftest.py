@@ -7,7 +7,6 @@ from meskit import (
     DimensionError,
     Dims,
     Superoperator,
-    haar_unitary,
     kron,
     pi,
     random_coisometry,
@@ -21,21 +20,11 @@ from meskit.superop import _as_int
 from meskit.tensor import frobenius
 
 
-def complex_gaussian(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
-    return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-
-
 def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Frobenius distance between a and b after removing one global phase."""
     overlap = np.vdot(a.reshape(-1), b.reshape(-1))
     phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
     return float(np.linalg.norm(a * phase - b))
-
-
-def unitary_pair(dims: Dims, seed: int):
-    u = haar_unitary(dims.m, np.random.SeedSequence([seed, 0]))
-    v = haar_unitary(dims.n, np.random.SeedSequence([seed, 1]))
-    return u, v
 
 
 def identity_superop(dims: Dims) -> Superoperator:

@@ -39,9 +39,9 @@ from meskit import (
     vec,
 )
 from meskit.superop import Superoperator
+from meskit.tensor import complex_gaussian, unitary_pair
 from conftest import (
     commutes_with_ad,
-    complex_gaussian,
     phase_aligned_distance,
     switch_commutation_witness,
 )
@@ -54,12 +54,6 @@ def _report(number: int, label: str, ok: bool, detail: str) -> None:
     print(f"[acceptance] criterion {number} ({label}): {status} -- {detail}")
 
 
-def _preserver(dims: Dims, sigma: SigmaFlag, seed: int) -> Superoperator:
-    u = haar_unitary(dims.m, np.random.SeedSequence([seed, 0]))
-    v = haar_unitary(dims.n, np.random.SeedSequence([seed, 1]))
-    return make_adjoint_preserver(u, v, sigma)
-
-
 def test_criterion_1_choi_discriminant():
     start = time.time()
     worst = 0.0
@@ -69,7 +63,7 @@ def test_criterion_1_choi_discriminant():
         dims = Dims.from_mk(m, k)
         for i in range(50):
             for sigma in BOTH:
-                phi = _preserver(dims, sigma, 1000 + i)
+                phi = make_adjoint_preserver(*unitary_pair(dims, 1000 + i), sigma)
                 family = orthogonal_family(dims, np.random.SeedSequence([2000, i]))
                 det = complex(
                     np.linalg.det(choi_matrix(restricted_g(phi, family[0], family[1])))
@@ -101,8 +95,7 @@ def test_criterion_2_decomposition_roundtrip():
         dims = Dims.from_mk(m, k)
         for sigma in BOTH:
             for seed in range(50):
-                u = haar_unitary(dims.m, np.random.SeedSequence([3000 + seed, 0]))
-                v = haar_unitary(dims.n, np.random.SeedSequence([3000 + seed, 1]))
+                u, v = unitary_pair(dims, 3000 + seed)
                 dec = decompose(make_adjoint_preserver(u, v, sigma))
                 total += 1
                 if dec.sigma is sigma:
@@ -144,7 +137,7 @@ def _five_conditions(a1, a2, rng, tol=1e-9):
     c3 = is_coisometry(np.vstack([a1, a2]), tol)
     c4 = True
     for _ in range(20):
-        ab = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        ab = complex_gaussian(rng, 2)
         ab /= np.linalg.norm(ab)
         c4 = c4 and is_coisometry(ab[0] * a1 + ab[1] * a2, tol)
     q1 = np.linalg.qr(a1.conj().T)[0]
@@ -182,7 +175,7 @@ def test_criterion_5_polarization_reconstruction():
     for dims in (Dims.from_mk(2, 2), Dims.from_mk(2, 3)):
         for i in range(50):
             for sigma in BOTH:
-                phi = _preserver(dims, sigma, 6000 + i)
+                phi = make_adjoint_preserver(*unitary_pair(dims, 6000 + i), sigma)
                 family = orthogonal_family(dims, np.random.SeedSequence([6100, i]))
                 a1, a2 = family[0], family[1]
                 reconstructed = phi_on_cross_term(phi, a1, a2)
@@ -206,7 +199,7 @@ def test_criterion_6_extension():
             q_operator(p, q, dims) for p in range(1, k + 1) for q in range(p + 1, k + 1)
         ]
         for sigma in BOTH:
-            ext = extend(_preserver(dims, sigma, 7000), sigma)
+            ext = extend(make_adjoint_preserver(*unitary_pair(dims, 7000), sigma), sigma)
             for i in range(50):
                 state = pi(random_coisometry(ext.dims, np.random.SeedSequence([7100, i])))
                 image = apply(ext, state)
@@ -239,8 +232,7 @@ def test_criterion_7_negative_controls():
             false_accepts += 1
         except NotPreserverError:
             pass
-        u = haar_unitary(4, np.random.SeedSequence([8200, seed, 0]))
-        v = haar_unitary(4, np.random.SeedSequence([8200, seed, 1]))
+        u, v = unitary_pair(Dims(4, 4), 8200, seed)
         psi = make_swap_preserver(u, v, SigmaFlag.IDENTITY)
         w = kron(p_operator(1, dims), np.eye(4))
         witness = pi(switch_commutation_witness(dims, u))
@@ -258,11 +250,11 @@ def test_criterion_8_family_semilinearity():
     rng = np.random.default_rng(9000)
     worst = 0.0
     for sigma in BOTH:
-        phi = _preserver(dims, sigma, 9100)
+        phi = make_adjoint_preserver(*unitary_pair(dims, 9100), sigma)
         family = orthogonal_family(dims, np.random.SeedSequence([9200]))
         images = align_images(phi, family)
         for _ in range(100):
-            coeff = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            coeff = complex_gaussian(rng, 3)
             coeff /= np.linalg.norm(coeff)
             out_coeff = coeff.conj() if sigma is SigmaFlag.TRANSPOSE else coeff
             source = sum(c * f for c, f in zip(coeff, family))

@@ -24,12 +24,11 @@ from meskit import (
     vec,
 )
 from meskit.superop import _conjugation_matrix
+from meskit.tensor import complex_gaussian, perturb, unitary_pair
 from conftest import (
     canonical_family,
-    complex_gaussian,
     gram_solve_g,
     identity_superop,
-    unitary_pair,
 )
 
 DIMS = Dims.from_mk(2, 2)
@@ -50,8 +49,7 @@ def test_detect_sigma_refuses_a_near_mes_image_with_a_typed_error(seed):
     # rescaled rank-one factor is not a coisometry within 1e-8
     dims = Dims.from_mk(2, 3)
     w = kron(haar_unitary(2, seed), haar_unitary(6, seed + 100))
-    noise = complex_gaussian(np.random.default_rng(seed), *w.shape)
-    w = w + 3e-8 * np.linalg.norm(w) * noise / np.linalg.norm(noise)
+    w = perturb(w, 3e-8, np.random.default_rng(seed))
     phi = Superoperator(_conjugation_matrix(w, SigmaFlag.IDENTITY), dims)
     with pytest.raises(NotMESError, match="rank-one factor is not a coisometry"):
         detect_sigma(phi)
@@ -173,12 +171,10 @@ def test_choi_matrix_realigns_g_exactly(m, k, sigma):
 @pytest.mark.parametrize("sigma", [SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE])
 def test_restricted_g_matches_the_gram_solve(m, k, sigma):
     # the closed form B+ T (B+)* is the least-squares solution the 4 x 4 Gram
-    # system gives, on exact preservers and on one with 1e-9 noise
+    # system gives, on exact preservers and on one with noise of Frobenius norm 1e-9
     dims = Dims.from_mk(m, k)
-    u, v = unitary_pair(dims, 80 + m + k)
-    exact = make_adjoint_preserver(u, v, sigma)
-    noise = complex_gaussian(np.random.default_rng(m * k), *exact.matrix.shape)
-    noisy = Superoperator(exact.matrix + 1e-9 * noise / np.linalg.norm(noise), dims)
+    exact = make_adjoint_preserver(*unitary_pair(dims, 80 + m + k), sigma)
+    noisy = Superoperator(perturb(exact.matrix, 1e-9 / dims.mn, np.random.default_rng(m * k)), dims)
     for seed, phi in [(90, exact), (91, exact), (92, noisy)]:
         fam = orthogonal_family(dims, seed)
         g, oracle = restricted_g(phi, fam[0], fam[1]), gram_solve_g(phi, fam[0], fam[1])
@@ -198,7 +194,7 @@ def test_restricted_g_rank_one_preservation(rng):
     # images of rank-1 PSD coefficient matrices stay rank-1 PSD
     g = restricted_g(_preserver(33, SigmaFlag.IDENTITY), *orthogonal_family(DIMS, 35)[:2])
     for _ in range(50):
-        ab = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        ab = complex_gaussian(rng, 2)
         ab /= np.linalg.norm(ab)
         image = _evaluate(g, np.outer(ab, ab.conj()))
         assert abs(np.linalg.det(image)) < 1e-8
@@ -273,7 +269,7 @@ def test_projective_semilinearity_on_pairs(sigma, rng):
     fam = orthogonal_family(DIMS, 47)[:2]
     images = align_images(phi, fam)
     for _ in range(25):
-        ab = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        ab = complex_gaussian(rng, 2)
         ab /= np.linalg.norm(ab)
         coeff = ab.conj() if sigma is SigmaFlag.TRANSPOSE else ab
         source = ab[0] * fam[0] + ab[1] * fam[1]

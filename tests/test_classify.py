@@ -50,12 +50,11 @@ from meskit.superop import (
     _require_unitary,
     make_swap_preserver,
 )
+from meskit.tensor import complex_gaussian, perturb, unitary_pair
 from conftest import (
-    complex_gaussian,
     identity_superop,
     phase_aligned_distance,
     span_mes_basis,
-    unitary_pair,
 )
 
 DIMS = Dims.from_mk(2, 2)
@@ -182,22 +181,16 @@ def test_verify_theorem_form_matching_and_mismatched():
     assert verify_theorem_form(phi, other) > 0.1
 
 
-def _noisy_preserver(dims, sigma, eps, seed):
-    u, v = unitary_pair(dims, seed)
-    phi = make_adjoint_preserver(u, v, sigma)
-    g = complex_gaussian(np.random.default_rng(seed), *phi.matrix.shape)
-    noisy = Superoperator(matrix=phi.matrix + eps * g / np.linalg.norm(g), dims=dims)
-    return noisy, u, v
-
-
-# At (1,2) the whole noise norm falls on 16 entries: maps at 1e-8 certify near
-# 1e-8, above 5 tol, while 3e-9 certifies below it.
-@pytest.mark.parametrize("m,k,eps", [(1, 2, 3e-9), (2, 2, 1e-8), (2, 3, 1e-8), (3, 2, 1e-8)])
+# At (1,2) the whole noise norm falls on 16 entries: maps at relative noise 5e-9
+# certify near 1e-8, above 5 tol, while 1.5e-9 certifies below it.
+@pytest.mark.parametrize("m,k,eps", [(1, 2, 1.5e-9), (2, 2, 1.25e-9), (2, 3, 1e-8 / 12), (3, 2, 1e-8 / 18)])
 @pytest.mark.parametrize("sigma", [SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE])
 def test_decompose_tolerates_small_noise(m, k, eps, sigma):
-    # Frobenius-normalised noise still decomposes, within criterion 2's bound
-    phi, u, v = _noisy_preserver(Dims.from_mk(m, k), sigma, eps, 21)
-    dec = decompose(phi)
+    # noise relative to the map's Frobenius norm still decomposes, within criterion 2's bound
+    dims = Dims.from_mk(m, k)
+    u, v = unitary_pair(dims, 21)
+    phi = perturb(make_adjoint_preserver(u, v, sigma).matrix, eps, np.random.default_rng(21))
+    dec = decompose(Superoperator(phi, dims))
     assert dec.sigma is sigma
     assert phase_aligned_distance(kron(dec.U, dec.V), kron(u, v)) < 1e-7
 
@@ -205,7 +198,8 @@ def test_decompose_tolerates_small_noise(m, k, eps, sigma):
 @pytest.mark.parametrize("sigma", [SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE])
 def test_decompose_names_certificate_stage_on_noise(sigma):
     # this noisy map certifies at 8.9e-9 or 1.0e-8, above 5 tol, and the refusal names that stage
-    phi, _, _ = _noisy_preserver(Dims.from_mk(1, 2), sigma, 1e-8, 3)
+    phi = make_adjoint_preserver(*unitary_pair(Dims.from_mk(1, 2), 3), sigma)
+    phi = Superoperator(perturb(phi.matrix, 5e-9, np.random.default_rng(3)), phi.dims)
     with pytest.raises(NotPreserverError, match=r"^stage certificate: span residual .* >= 5\.0e-09$"):
         decompose(phi)
 
@@ -276,13 +270,15 @@ def test_refusals_name_their_verdict_and_stage(rng):
         assert type(raised.value) is error and str(raised.value).startswith(stage), raised.value
 
 
-# Frobenius-normalised noise that every seed survived before the certificate
-# gated success; tol=1e-3 keeps the Kronecker gate from deciding
-@pytest.mark.parametrize("m,k,eps", [(1, 2, 3e-9), (2, 2, 2e-8), (2, 3, 2e-8), (3, 2, 2e-8)])
+# Relative noise that every seed survived before the certificate gated
+# success; tol=1e-3 keeps the Kronecker gate from deciding
+@pytest.mark.parametrize("m,k,eps", [(1, 2, 1.5e-9), (2, 2, 2.5e-9), (2, 3, 2e-8 / 12), (3, 2, 2e-8 / 18)])
 @pytest.mark.parametrize("sigma", [SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE])
 def test_certificate_gate_keeps_the_noise_band(m, k, eps, sigma):
+    dims = Dims.from_mk(m, k)
     for seed in range(20):
-        phi, _, _ = _noisy_preserver(Dims.from_mk(m, k), sigma, eps, seed)
+        phi = make_adjoint_preserver(*unitary_pair(dims, seed), sigma)
+        phi = Superoperator(perturb(phi.matrix, eps, np.random.default_rng(seed)), dims)
         dec = decompose(phi, tol=1e-3)
         assert dec.sigma is sigma
         assert dec.verification_residual < 1e-7
@@ -336,7 +332,9 @@ def test_certificate_refuses_a_map_the_sampled_stages_miss(tmp_path, capsys):
 def test_verification_residual_bounds_every_mes(m, k, sigma):
     # the span certificate covers all MES, not just a sampled few
     dims = Dims.from_mk(m, k)
-    phi, _, _ = _noisy_preserver(dims, sigma, 1e-9, 23)
+    phi = make_adjoint_preserver(*unitary_pair(dims, 23), sigma)
+    # noise of Frobenius norm 1e-9: ||phi||_F = mn
+    phi = Superoperator(perturb(phi.matrix, 1e-9 / dims.mn, np.random.default_rng(23)), dims)
     dec = decompose(phi)
     W = kron(dec.U, dec.V)
     for i in range(50):
@@ -515,11 +513,13 @@ def _stage_readings(phi, sigma):
 def test_noise_contract_default_tol_follows_the_certificate(m, k):
     # one closed-form rule: accept exactly when the certificate is below 5 tol and
     # the Kronecker residual below tol; a certificate refusal names a residual >= 5 tol
+    dims = Dims.from_mk(m, k)
     verdicts = set()
     for sigma in SigmaFlag:
-        for eps in (1e-9, 1e-8, 3e-8, 1e-6):
-            for seed in range(3):
-                phi, _, _ = _noisy_preserver(Dims.from_mk(m, k), sigma, eps, 60 + seed)
+        for eps in (1e-9, 1e-8, 3e-8, 1e-6):  # the noise's Frobenius norm: ||phi||_F = mn
+            for seed in range(60, 63):
+                phi = make_adjoint_preserver(*unitary_pair(dims, seed), sigma)
+                phi = Superoperator(perturb(phi.matrix, eps / dims.mn, np.random.default_rng(seed)), dims)
                 certificate, kron_residual = _stage_readings(phi, sigma)
                 try:
                     verdict = decompose(phi).sigma
@@ -534,11 +534,12 @@ def test_noise_contract_default_tol_follows_the_certificate(m, k):
     assert set(SigmaFlag) < verdicts
 
 
-# Noise that certifies above 5 tol but below 1e-6 under the right sigma.
-@pytest.mark.parametrize("m,k,eps", [(1, 2, 3e-8), (2, 2, 1e-7), (2, 3, 1e-7), (3, 2, 3e-7)])
+# Relative noise that certifies above 5 tol but below 1e-6 under the right sigma.
+@pytest.mark.parametrize("m,k,eps", [(1, 2, 1.5e-8), (2, 2, 1.25e-8), (2, 3, 1e-7 / 12), (3, 2, 3e-7 / 18)])
 @pytest.mark.parametrize("sigma", [SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE])
 def test_noise_contract_loose_tol_accepts_the_band_without_sampling(m, k, eps, sigma, monkeypatch):
-    phi, _, _ = _noisy_preserver(Dims.from_mk(m, k), sigma, eps, 21)
+    phi = make_adjoint_preserver(*unitary_pair(Dims.from_mk(m, k), 21), sigma)
+    phi = Superoperator(perturb(phi.matrix, eps, np.random.default_rng(21)), phi.dims)
     with pytest.raises(NotPreserverError, match=r"^stage certificate: "):
         decompose(phi)
     _forbid_sampling(monkeypatch)
@@ -549,7 +550,8 @@ def test_noise_contract_loose_tol_accepts_the_band_without_sampling(m, k, eps, s
 
 def test_noise_contract_default_tol_accepts_below_five_tol(monkeypatch):
     # noise that certifies between tol and 5 tol is accepted, without sampling
-    phi, _, _ = _noisy_preserver(DIMS, SigmaFlag.IDENTITY, 1e-8, 21)
+    phi = make_adjoint_preserver(*unitary_pair(DIMS, 21), SigmaFlag.IDENTITY)
+    phi = Superoperator(perturb(phi.matrix, 1.25e-9, np.random.default_rng(21)), DIMS)
     _forbid_sampling(monkeypatch)
     dec = decompose(phi)
     assert dec.kron_residual < 1e-9 < dec.verification_residual < 5e-9
@@ -561,10 +563,12 @@ def _refusals():
     yield pytest.param(trace, NotInvertibleError, id="trace")
     g = complex_gaussian(np.random.default_rng(57), 64, 64)
     yield pytest.param(Superoperator(matrix=g, dims=DIMS), NotPreserverError, id="random")
-    noise = _noisy_preserver(DIMS, SigmaFlag.TRANSPOSE, 1e-6, 21)[0]
+    noise = make_adjoint_preserver(*unitary_pair(DIMS, 21), SigmaFlag.TRANSPOSE)
+    noise = Superoperator(perturb(noise.matrix, 1.25e-7, np.random.default_rng(21)), DIMS)
     yield pytest.param(noise, NotPreserverError, id="noise")
-    # Frobenius-relative noise 2.5e-9: certified below 5 tol, Kronecker residual 1.5e-9
-    band = _noisy_preserver(DIMS, SigmaFlag.IDENTITY, 2e-8, 21)[0]
+    # relative noise 2.5e-9: certified below 5 tol, Kronecker residual 1.5e-9
+    band = make_adjoint_preserver(*unitary_pair(DIMS, 21), SigmaFlag.IDENTITY)
+    band = Superoperator(perturb(band.matrix, 2.5e-9, np.random.default_rng(21)), DIMS)
     yield pytest.param(band, NotKroneckerError, id="kronecker-band")
 
 

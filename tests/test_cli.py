@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import complex_gaussian, unitary_pair
 from meskit import (
     DimensionError,
     Dims,
@@ -32,6 +31,7 @@ from meskit import (
 from meskit.cli import main
 from meskit.extension import ExtendedSuperoperator
 from meskit.superop import _conjugation_matrix
+from meskit.tensor import complex_gaussian, perturb, unitary_pair
 
 
 def run_cli(capsys, *argv):
@@ -64,6 +64,22 @@ def test_gen_classify_roundtrip(tmp_path, capsys):
     )
     overlap = np.vdot(w.reshape(-1), w_true.reshape(-1))
     assert np.linalg.norm(w * overlap / abs(overlap) - w_true) < 1e-7
+
+
+@pytest.mark.parametrize("form,mk", [("adjoint", (1, 2)), ("trace", (1, 2)), ("swap", (2, 1))])
+def test_gen_draws_from_its_seed_path(form, mk, tmp_path, capsys):
+    # every gen file, and the benchmark's gate, rely on this path: (U, V) from
+    # unitary_pair(dims, seed, 41), rho from [seed, 41, 2]
+    dims, out = Dims.from_mk(*mk), str(tmp_path / "sop.json")
+    argv = ["--m", str(mk[0]), "--k", str(mk[1]), "--form", form, "--seed", "8", "--out", out]
+    assert run_cli(capsys, "gen", *argv)[0] == 0
+    truth = json.loads((tmp_path / "sop.truth.json").read_text())
+    if form == "trace":
+        expected = {"rho": pi(random_coisometry(dims, np.random.SeedSequence([8, 41, 2])))}
+    else:
+        expected = dict(zip("UV", unitary_pair(dims, 8, 41)))
+    for key, matrix in expected.items():
+        assert serialize.matrix_from_obj(truth[key]).tobytes() == matrix.tobytes(), key
 
 
 def test_gen_is_byte_deterministic(tmp_path, capsys):
@@ -167,7 +183,7 @@ def test_seed_only_where_drawn(command, tmp_path, capsys):
 def test_classify_random_matrix_exit_3(tmp_path, capsys):
     rng = np.random.default_rng(0)
     dims = Dims.from_mk(2, 2)
-    mat = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    mat = complex_gaussian(rng, 64, 64)
     path = tmp_path / "random.json"
     serialize.write_json(str(path), serialize.superoperator_to_obj(mat, dims))
     code, _, stderr = run_cli(capsys, "classify", str(path))
@@ -403,19 +419,17 @@ def test_extend_reports_the_certificate(tmp_path, capsys):
 
 def _write_map(path, dims, sigma, eps=0.0, form="adjoint"):
     """Write a trace form, Ad_W o sigma with W the unitary nearest to
-    U (x) V plus Frobenius-normalised noise ``eps`` (a conjugation that is
-    not a Kronecker product once ``eps`` > 0), or, for the "noisy" form,
-    Ad_{U (x) V} o sigma plus noise ``eps`` on the map's matrix."""
+    ``perturb(U (x) V, eps)`` (a conjugation that is not a Kronecker product
+    once ``eps`` > 0), or, for the "noisy" form, ``perturb`` of the matrix of
+    Ad_{U (x) V} o sigma."""
+    rng = np.random.default_rng(31)
     if form == "trace":
         phi = make_trace_preserver(pi(random_coisometry(dims, 31)), dims)
     elif form == "noisy":
         exact = _conjugation_matrix(kron(*unitary_pair(dims, 31)), sigma)
-        g = complex_gaussian(np.random.default_rng(31), *exact.shape)
-        phi = Superoperator(exact + eps * np.linalg.norm(exact) * g / np.linalg.norm(g), dims)
+        phi = Superoperator(perturb(exact, eps, rng), dims)
     else:
-        u, v = unitary_pair(dims, 31)
-        g = complex_gaussian(np.random.default_rng(31), dims.mn, dims.mn)
-        a, _, b = np.linalg.svd(kron(u, v) + eps * g / np.linalg.norm(g))
+        a, _, b = np.linalg.svd(perturb(kron(*unitary_pair(dims, 31)), eps, rng))
         phi = Superoperator(_conjugation_matrix(a @ b, sigma), dims)
     serialize.write_json(str(path), serialize.superoperator_to_obj(phi.matrix, dims))
 
@@ -427,7 +441,8 @@ def _write_map(path, dims, sigma, eps=0.0, form="adjoint"):
     + [
         ("adjoint", (2, 2), sigma, eps, code)
         for sigma in SigmaFlag
-        for eps, code in ((0.0, 0), (3e-9, 6))
+        # noise of Frobenius norm 3e-9 on U (x) V, whose norm is sqrt(8)
+        for eps, code in ((0.0, 0), (3e-9 / 8**0.5, 6))
     ]
     # certifies below 1e-6 but not below 5 tol
     + [("noisy", (1, 2), sigma, 3e-8, 3) for sigma in SigmaFlag]
@@ -469,7 +484,7 @@ def test_extend_certificate_bounds_every_mes(m, k, sigma, tmp_path, capsys):
     # each block of an MES of Y (x) Y lies in span(MES), so the certificate bounds
     # the extension's distance from Ad_{I_k (x) U (x) V} o sigma on MES of Y (x) Y
     dims, sop = Dims.from_mk(m, k), tmp_path / "sop.json"
-    _write_map(sop, dims, sigma, 1e-9)
+    _write_map(sop, dims, sigma, 1e-9 / dims.mn**0.5)  # Frobenius norm 1e-9 on U (x) V
     code, stdout, _ = run_cli(capsys, "extend", str(sop), "--out", str(tmp_path / "ext.json"))
     assert code == 0
     bound = json.loads(stdout)["certificate"]

@@ -23,12 +23,11 @@ from meskit import (
     structural_unitaries,
 )
 from meskit.lemmas import _random_preserver, check_switch_identities
+from meskit.tensor import complex_gaussian, unitary_pair
 from conftest import (
     commutes_with_ad,
-    complex_gaussian,
     identity_superop,
     switch_commutation_witness,
-    unitary_pair,
 )
 
 DIMS = Dims.from_mk(2, 2)

@@ -3,9 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import complex_gaussian
 from meskit import DimensionError, Dims, SigmaFlag, apply, extend, make_adjoint_preserver
 from meskit.lemmas import _random_preserver, run_all
+from meskit.tensor import complex_gaussian
 
 
 @pytest.mark.parametrize("m", [1, 2])

@@ -28,7 +28,7 @@ from meskit import (
 )
 from meskit import _float_kernel
 from meskit.cli import main
-from conftest import complex_gaussian, unitary_pair
+from meskit.tensor import complex_gaussian, unitary_pair
 
 CHUNK = _float_kernel._BLOCK
 

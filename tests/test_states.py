@@ -19,7 +19,8 @@ from meskit import (
     representative,
     vec,
 )
-from conftest import canonical_family, complex_gaussian
+from meskit.tensor import complex_gaussian
+from conftest import canonical_family
 
 DIMS = Dims.from_mk(2, 2)
 
@@ -71,8 +72,8 @@ def test_is_coisometry_haar_rows():
 def test_is_mes_positive_and_negatives(rng):
     assert is_mes(pi(random_coisometry(DIMS, 3)), DIMS)
     # unentangled product vector: partial trace is a rank-1 projection, not I/2
-    x = complex_gaussian(rng, 2, 1)[:, 0]
-    y = complex_gaussian(rng, 4, 1)[:, 0]
+    x = complex_gaussian(rng, 2)
+    y = complex_gaussian(rng, 4)
     u = np.kron(x, y)
     u /= np.linalg.norm(u)
     assert not is_mes(np.outer(u, u.conj()), DIMS)
@@ -126,7 +127,7 @@ def test_are_orthogonal_negative():
 def test_unit_sphere_combinations_of_orthogonal_pair(rng):
     family = orthogonal_family(DIMS, 13)
     for _ in range(20):
-        ab = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        ab = complex_gaussian(rng, 2)
         ab /= np.linalg.norm(ab)
         assert is_coisometry(ab[0] * family[0] + ab[1] * family[1], 1e-10)
 
@@ -202,7 +203,7 @@ def test_five_way_orthogonality_equivalence(seed):
         c3 = is_coisometry(np.vstack([x1, x2]), 1e-9)
         c4 = True
         for _ in range(20):
-            ab = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            ab = complex_gaussian(rng, 2)
             ab /= np.linalg.norm(ab)
             c4 = c4 and is_coisometry(ab[0] * x1 + ab[1] * x2, 1e-9)
         q1 = np.linalg.qr(x1.conj().T)[0]
@@ -216,7 +217,7 @@ def test_pure_state_span_membership_biconditional(rng):
     from meskit import rank_one_factor, unvec
 
     mes = pi(random_coisometry(DIMS, 23))
-    u = complex_gaussian(rng, 8, 1)[:, 0]
+    u = complex_gaussian(rng, 8)
     u /= np.linalg.norm(u)
     generic = np.outer(u, u.conj())
     for mat, expect in [(mes, True), (generic, False)]:

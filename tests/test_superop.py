@@ -29,12 +29,11 @@ from meskit import (
     vec,
 )
 from meskit.lemmas import _random_preserver
+from meskit.tensor import complex_gaussian, unitary_pair
 from conftest import (
-    complex_gaussian,
     identity_superop,
     span_mes_basis,
     transpose_matrix,
-    unitary_pair,
 )
 
 DIMS = Dims.from_mk(2, 2)
@@ -221,7 +220,7 @@ def test_trace_preserver_behavior(rng):
 
 
 def test_trace_preserver_rejects_non_mes(rng):
-    u = complex_gaussian(rng, 8, 1)[:, 0]
+    u = complex_gaussian(rng, 8)
     u /= np.linalg.norm(u)
     with pytest.raises(NotMESError):
         make_trace_preserver(np.outer(u, u.conj()), DIMS)

@@ -18,7 +18,7 @@ from meskit import (
     unvec,
     vec,
 )
-from conftest import complex_gaussian
+from meskit.tensor import complex_gaussian
 
 
 def test_vec_stacks_rows():
@@ -31,8 +31,8 @@ def test_vec_scalar_case():
 
 
 def test_vec_of_outer_product_is_kron(rng):
-    x = complex_gaussian(rng, 2, 1)[:, 0]
-    y = complex_gaussian(rng, 3, 1)[:, 0]
+    x = complex_gaussian(rng, 2)
+    y = complex_gaussian(rng, 3)
     np.testing.assert_allclose(vec(np.outer(x, y)), np.kron(x, y), atol=1e-14)
 
 
@@ -171,7 +171,7 @@ def test_fix_global_phase_pivot_and_ties():
 
 
 def test_rank_one_factor_recovers_projection(rng):
-    u = complex_gaussian(rng, 5, 1)[:, 0]
+    u = complex_gaussian(rng, 5)
     u /= np.linalg.norm(u)
     v, residual = rank_one_factor(np.outer(u, u.conj()))
     assert residual < 1e-12

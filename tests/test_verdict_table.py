@@ -1,0 +1,89 @@
+"""The verdict table over the shared draws: each map kind built from
+``unitary_pair``, ``perturb`` and ``complex_gaussian`` gets the verdict the
+classification gives it, in process and through ``meskit classify``."""
+
+import os
+import tempfile
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from meskit import (
+    Dims,
+    MESKitError,
+    NotInvertibleError,
+    NotPreserverError,
+    SigmaFlag,
+    Superoperator,
+    decompose,
+    make_adjoint_preserver,
+    make_trace_preserver,
+    pi,
+    random_coisometry,
+    serialize,
+)
+from meskit.cli import main
+from meskit.tensor import complex_gaussian, perturb, unitary_pair
+
+# noise_scan at seeds 0-2 accepts every 1e-10 row and refuses every >= 1e-8 row
+# at tol 1e-9: both levels sit a decade or more from the band
+KINDS = (("adjoint", 0.0), ("noise", 1e-10), ("noise", 1e-7), ("trace", None), ("random", None))
+
+
+def _build(kind, eps, dims, sigma, seed):
+    if kind == "trace":
+        return make_trace_preserver(pi(random_coisometry(dims, seed)), dims)
+    if kind == "random":
+        return Superoperator(complex_gaussian(np.random.default_rng(seed), dims.mn**2, dims.mn**2), dims)
+    phi = make_adjoint_preserver(*unitary_pair(dims, seed), sigma)
+    if kind == "adjoint":
+        return phi
+    return Superoperator(perturb(phi.matrix, eps, np.random.default_rng(seed)), dims)
+
+
+def _verdict(phi):
+    """(sigma, U, V, residuals) of an accept, or (error type, message) of a refusal."""
+    try:
+        dec = decompose(phi)
+    except MESKitError as exc:
+        return type(exc), str(exc)
+    return dec.sigma, dec.U.tobytes(), dec.V.tobytes(), dec.kron_residual, dec.verification_residual
+
+
+def _classify_exit(phi):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "superop.json")
+        serialize.write_json(path, serialize.superoperator_to_obj(phi.matrix, phi.dims))
+        return main(["classify", path])
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    mk=st.sampled_from([(1, 2), (2, 2), (2, 3), (3, 2)]),
+    sigma=st.sampled_from(list(SigmaFlag)),
+    seed=st.integers(0, 999),
+    kind=st.sampled_from(KINDS),
+    cli=st.just(False),
+)
+# one example of each kind also goes through the CLI
+@example(mk=(1, 2), sigma=SigmaFlag.TRANSPOSE, seed=0, kind=KINDS[0], cli=True)
+@example(mk=(2, 2), sigma=SigmaFlag.TRANSPOSE, seed=1, kind=KINDS[1], cli=True)
+@example(mk=(1, 2), sigma=SigmaFlag.IDENTITY, seed=2, kind=KINDS[2], cli=True)
+@example(mk=(2, 2), sigma=SigmaFlag.IDENTITY, seed=3, kind=KINDS[3], cli=True)
+@example(mk=(1, 2), sigma=SigmaFlag.IDENTITY, seed=4, kind=KINDS[4], cli=True)
+def test_each_kind_gets_its_verdict(mk, sigma, seed, kind, cli):
+    phi = _build(*kind, Dims.from_mk(*mk), sigma, seed)
+    verdict = _verdict(phi)
+    if kind in KINDS[:2]:
+        assert verdict[0] is sigma, verdict
+        expected_exit = 0
+    else:
+        error = NotInvertibleError if kind == KINDS[3] else NotPreserverError
+        assert verdict[0] is error, verdict
+        if error is NotInvertibleError:
+            assert verdict[1].startswith("stage recovery"), verdict
+        expected_exit = error.exit_code
+    assert _verdict(phi) == verdict
+    if cli:
+        assert _classify_exit(phi) == expected_exit
