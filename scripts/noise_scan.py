@@ -30,8 +30,19 @@ import json
 
 import numpy as np
 
-from meskit import Dims, MESKitError, SigmaFlag, Superoperator, decompose, kron, pi, random_coisometry
-from meskit.superop import _conjugation_matrix, make_trace_preserver
+from meskit import (
+    Conjugation,
+    Dims,
+    MESKitError,
+    SigmaFlag,
+    Superoperator,
+    decompose,
+    kron,
+    make_adjoint_preserver,
+    make_trace_preserver,
+    pi,
+    random_coisometry,
+)
 from meskit.tensor import complex_gaussian, perturb, unitary_pair
 
 NOISE = tuple(10.0 ** (-10 + i / 2) for i in range(9))
@@ -47,12 +58,13 @@ def maps(dims: Dims, seed: int):
     """Yields (description, superoperator) for one dims and seed."""
     u, v = unitary_pair(dims, seed)
     for sigma in SigmaFlag:
-        exact = _conjugation_matrix(kron(u, v), sigma)
+        exact = make_adjoint_preserver(u, v, sigma).matrix
         for i, eps in enumerate(NOISE):
             yield {"kind": "noise", "sigma": sigma.value, "eps": eps}, perturb(exact, eps, _rng(seed, 2, i))
         for i, eps in enumerate(NONKRON):
             a, _, b = np.linalg.svd(perturb(kron(u, v), eps, _rng(seed, 3, i)))
-            yield {"kind": "nonkron", "sigma": sigma.value, "eps": eps}, _conjugation_matrix(a @ b, sigma)
+            nonkron = Conjugation(a @ b, sigma, dims)
+            yield {"kind": "nonkron", "sigma": sigma.value, "eps": eps}, nonkron.matrix
     rho = pi(random_coisometry(dims, np.random.SeedSequence([seed, 5])))
     yield {"kind": "trace"}, make_trace_preserver(rho, dims).matrix
     yield {"kind": "random"}, complex_gaussian(_rng(seed, 4), dims.mn**2, dims.mn**2)

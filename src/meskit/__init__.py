@@ -54,6 +54,7 @@ from .states import (
     representative,
 )
 from .superop import (
+    Conjugation,
     SigmaFlag,
     Superoperator,
     apply,
@@ -78,6 +79,7 @@ from .tensor import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "Conjugation",
     "DEFAULT_TOL",
     "Decomposition",
     "DimensionError",

@@ -8,8 +8,8 @@ captured by a map G on 2 x 2 matrices whose Choi matrix J(G) has determinant
 transpose.  Everything here is computed only from values of the preserver on
 MES elements (cross terms come from the polarization identity), so ``phi``
 may be any map with ``dims`` and ``apply_to``: a dense
-:class:`~meskit.superop.Superoperator`, or one with no dense matrix, as the
-lemma suite's preservers are.
+:class:`~meskit.superop.Superoperator`, or a
+:class:`~meskit.superop.Conjugation`, applied as W M^sigma W*.
 """
 
 from __future__ import annotations

@@ -61,7 +61,7 @@ from .errors import (
     NotKroneckerError,
     NotPreserverError,
 )
-from .superop import SigmaFlag, Superoperator, _conjugation_matrix, _project_out_complement
+from .superop import Conjugation, SigmaFlag, Superoperator, _project_out_complement
 from .tensor import (
     DEFAULT_TOL,
     Dims,
@@ -71,7 +71,14 @@ from .tensor import (
     nearest_kron_factor,
 )
 
-_STAGES = ("stage recovery", "stage certificate", "stage factorization")
+_STAGES = ("recovery", "certificate", "factorization")
+
+
+def _refusal(error_type: type, stage: str, detail: str, **attributes) -> MESKitError:
+    """``error_type("stage <stage>: <detail>")``, with ``stage`` and ``attributes`` set on it."""
+    refusal = error_type(f"stage {stage}: {detail}")
+    vars(refusal).update(stage=stage, **attributes)
+    return refusal
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,10 +112,8 @@ def recover_unitary(images: np.ndarray, dims: Dims) -> np.ndarray:
     Z = images[:, :, r, s]
     z_norm = frobenius(Z)
     if z_norm <= 1e-6 * frobenius(images) / d:
-        raise NotInvertibleError(
-            f"stage recovery: singular on span(MES): |phi(x_r x_s*)|_F = {z_norm:.3e} "
-            "for a unit element"
-        )
+        detail = f"singular on span(MES): |phi(x_r x_s*)|_F = {z_norm:.3e} for a unit element"
+        raise _refusal(NotInvertibleError, "recovery", detail)
     w_r = np.linalg.svd(Z)[0][:, 0]
     w_s = Z.conj().T @ w_r
     nonzero_y = (np.arange(d) % dims.n != 0)[None, :]
@@ -120,19 +125,18 @@ def recover_unitary(images: np.ndarray, dims: Dims) -> np.ndarray:
     u, svals, vh = np.linalg.svd(W0)
     top = float(svals[0])
     if top <= 0.0 or float(svals[-1]) < (1.0 - 1e-6) * top:
-        raise NotPreserverError(
-            "stage recovery: no conjugation form: singular ratio "
-            f"{svals[-1] / max(top, 1e-300):.3e} of the recovered columns"
-        )
+        ratio = svals[-1] / max(top, 1e-300)
+        detail = f"no conjugation form: singular ratio {ratio:.3e} of the recovered columns"
+        raise _refusal(NotPreserverError, "recovery", detail)
     return fix_global_phase(u @ vh)
 
 
 def _certify(phi: Superoperator, sigma: SigmaFlag, tol: float) -> Decomposition:
     """Stages 1-3 under ``sigma``: recovery, span certificate, factorization.
 
-    Raises the typed error of the first failing stage, its message prefixed
-    with the stage's name (:func:`recover_unitary` raises stage recovery's
-    itself); a certificate failure carries its ``residual``.
+    Raises the typed error of the first failing stage (:func:`recover_unitary`
+    raises stage recovery's itself), which carries the stage's name as
+    ``stage``; a certificate failure also carries its ``residual``.
     """
     dims = phi.dims
     images = phi.matrix.reshape((dims.mn,) * 4)  # images[:, :, a, b] = phi(x_a x_b*)
@@ -143,28 +147,24 @@ def _certify(phi: Superoperator, sigma: SigmaFlag, tol: float) -> Decomposition:
     residual = verify_theorem_form(phi, dec)
     bound = min(5 * tol, 1e-6)
     if residual >= bound:
-        refusal = NotPreserverError(f"stage certificate: span residual {residual:.3e} >= {bound:.1e}")
-        refusal.residual = residual
-        raise refusal
+        detail = f"span residual {residual:.3e} >= {bound:.1e}"
+        raise _refusal(NotPreserverError, "certificate", detail, residual=residual)
     if kron_residual >= tol:
-        raise NotKroneckerError(
-            f"stage factorization: Kronecker residual {kron_residual:.3e} >= {tol:.1e}"
-        )
+        detail = f"Kronecker residual {kron_residual:.3e} >= {tol:.1e}"
+        raise _refusal(NotKroneckerError, "factorization", detail)
     unitary_dev = max(
         frobenius(U @ U.conj().T - np.eye(dims.m)),
         frobenius(V @ V.conj().T - np.eye(dims.n)),
     )
     if unitary_dev >= 1e-8:
-        raise NotKroneckerError(
-            f"stage factorization: factors deviate from unitarity by {unitary_dev:.3e}"
-        )
+        detail = f"factors deviate from unitarity by {unitary_dev:.3e}"
+        raise _refusal(NotKroneckerError, "factorization", detail)
     return replace(dec, verification_residual=residual)
 
 
 def _progress(refusal: MESKitError) -> tuple:
     """How far a refused attempt got: its stage, then the smaller residual."""
-    stage = str(refusal).partition(":")[0]
-    return _STAGES.index(stage), -getattr(refusal, "residual", 0.0)
+    return _STAGES.index(refusal.stage), -getattr(refusal, "residual", 0.0)
 
 
 def decompose(phi: Superoperator, tol: float = DEFAULT_TOL) -> Decomposition:
@@ -174,17 +174,20 @@ def decompose(phi: Superoperator, tol: float = DEFAULT_TOL) -> Decomposition:
     that is refused, and returns the first record: its certificate is below
     min(5 ``tol``, 1e-6) and its Kronecker residual below ``tol``.  When both
     are refused, raises the refusal of the attempt that got further (see the
-    module docstring).  A map with k < 2 is refused first (DimensionError),
-    before its matrix is read, and then a non-finite entry
-    (NotPreserverError, "stage input").  No random number is drawn.
+    module docstring).  A ``tol`` that is not finite and positive is refused
+    first (ValueError), then a map with k < 2 (DimensionError), before its
+    matrix is read, and then a non-finite entry (NotPreserverError, "stage
+    input").  No random number is drawn.
     """
+    if not 0.0 < tol < np.inf:  # a NaN tol would pass every gate
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if phi.dims.k < 2:
         raise DimensionError(
             "classification applies to block counts k >= 2; square-space (k = 1) "
             "maps are out of scope"
         )
     if not np.isfinite(phi.matrix).all():
-        raise NotPreserverError("stage input: the matrix has a non-finite entry")
+        raise _refusal(NotPreserverError, "input", "the matrix has a non-finite entry")
     refusals = []
     for sigma in SigmaFlag:  # the identity first; the transpose only if it is refused
         try:
@@ -207,7 +210,7 @@ def verify_theorem_form(phi: Superoperator, dec: Decomposition) -> float:
     matrices of that size.  It is deterministic and never raises on a large
     residual.
     """
-    x = _conjugation_matrix(kron(dec.U, dec.V), dec.sigma)
+    x = Conjugation(kron(dec.U, dec.V), dec.sigma, phi.dims).matrix
     np.subtract(phi.matrix, x, out=x)
     _project_out_complement(x, phi.dims)
     return float(np.linalg.norm(x, 2))

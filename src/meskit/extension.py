@@ -10,8 +10,9 @@ identity branch, ``[Phi(M_qp)]`` (block transpose first) in the transpose
 branch -- and commutes with conjugation by the structural sign and block-swap
 unitaries built below.  It is a map with ``dims`` (Y (x) Y) and ``apply_to``,
 stored as the base map and the flag and evaluated block by block through
-the base's own ``apply_to``, so the base may be any such map: a dense
-:class:`~meskit.superop.Superoperator`, or the lemma suite's W M^sigma W*.
+the base's own ``apply_to``, so the base may be any such map: a
+:class:`~meskit.superop.Superoperator` or a
+:class:`~meskit.superop.Conjugation`, as the lemma suite's are.
 Only the dense n^4 x n^4 matrix, which comes in row slabs
 (:meth:`ExtendedSuperoperator.row_slabs`, written one at a time by
 ``meskit extend``) and as :attr:`~ExtendedSuperoperator.matrix`, reads the
@@ -21,24 +22,25 @@ base's dense ``matrix``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 from .errors import DimensionError
-from .superop import SigmaFlag, Superoperator, apply
-from .tensor import Dims, as_complex, frobenius, kron
+from .superop import Conjugation, SigmaFlag, apply
+from .tensor import Dims, frobenius, kron
 
 
 @dataclass(frozen=True, eq=False)
 class ExtendedSuperoperator:
-    """Superoperator on L(Y (x) Y) obtained by blockwise extension of ``base``.
+    """Map on L(Y (x) Y) obtained by blockwise extension of ``base``.
 
     ``base`` is any map on L(X (x) Y) with ``dims`` and ``apply_to``;
     :meth:`apply_to` calls the base's block by block, and only
     :meth:`row_slabs` and :attr:`matrix` read ``base.matrix``.
     """
 
-    base: Superoperator
+    base: Any
     sigma: SigmaFlag
 
     def __post_init__(self) -> None:
@@ -98,8 +100,9 @@ class ExtendedSuperoperator:
         return matrix
 
 
-def extend(phi: Superoperator, sigma: SigmaFlag) -> ExtendedSuperoperator:
-    """Blockwise extension of ``phi`` to L(Y (x) Y).
+def extend(phi, sigma: SigmaFlag) -> ExtendedSuperoperator:
+    """Blockwise extension of ``phi``, any map with ``dims`` and ``apply_to``,
+    to L(Y (x) Y).
 
     With M = [M_pq] in k x k blocks, the result sends M to [phi(M_pq)] when
     ``sigma`` is the identity flag and to [phi(M_qp)] when it is the transpose
@@ -149,8 +152,5 @@ def structural_unitaries(dims: Dims) -> list[tuple[str, np.ndarray]]:
 
 def ad_commutation_residual(phi_like, W, M) -> float:
     """|| phi(W M W*) - W phi(M) W* ||_F at a single operator M."""
-    W = as_complex(W)
-    M = as_complex(M)
-    left = apply(phi_like, W @ M @ W.conj().T)
-    right = W @ apply(phi_like, M) @ W.conj().T
-    return frobenius(left - right)
+    ad = Conjugation(W, SigmaFlag.IDENTITY, phi_like.dims)
+    return frobenius(apply(phi_like, apply(ad, M)) - apply(ad, apply(phi_like, M)))

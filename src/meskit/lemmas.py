@@ -2,11 +2,11 @@
 rests on.  Each check returns its worst residual over randomized instances;
 the CLI aggregates them into a machine-readable report.
 
-The checks that evaluate a preserver draw it as M -> W M^sigma W* with
-W = U (x) V for Haar U and V, the form every invertible MES preserver takes,
-and apply it as that product, O((mn)^3) per operator, never as its dense
-(mn)^2 x (mn)^2 matrix; it is a map with ``dims`` and ``apply_to``, and the
-blockwise extension takes it as its base.
+The checks that evaluate a preserver draw it as the
+:class:`~meskit.superop.Conjugation` M -> W M^sigma W* with W = U (x) V for
+Haar U and V, the form every invertible MES preserver takes, and apply it as
+that product, O((mn)^3) per operator, never as its dense (mn)^2 x (mn)^2
+matrix; the blockwise extension takes it as its base.
 
 Count-style checks (set equivalences, membership biconditionals) report the
 number of disagreements as the residual, so 0.0 means a clean pass at any
@@ -15,22 +15,19 @@ positive tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .choi import align_images, choi_matrix, restricted_g
 from .errors import DimensionError
 from .extension import ad_commutation_residual, extend, structural_unitaries
 from .states import is_coisometry, orthogonal_family, pi, random_coisometry
-from .superop import SigmaFlag, _as_int, _conjugation_matrix, apply
+from .superop import SigmaFlag, _as_int, apply, make_adjoint_preserver
 from .tensor import (
     DEFAULT_TOL,
     Dims,
     complex_gaussian,
     frobenius,
     haar_unitary,
-    kron,
     partial_trace_y,
     rank_one_factor,
     unitary_pair,
@@ -47,51 +44,22 @@ def _rng(seed, *path) -> np.random.Generator:
     return np.random.default_rng(_seq(seed, *path))
 
 
-@dataclass(frozen=True, eq=False)
-class _AdjointMap:
-    """The preserver M -> W M^sigma W*, W = U (x) V, held as its factors.
-
-    :func:`apply` evaluates it through :meth:`apply_to` as that product;
-    :attr:`matrix` is its dense matrix, made anew on each access, for
-    readers that need one (an extension's
-    :meth:`~meskit.extension.ExtendedSuperoperator.row_slabs`).
-    """
-
-    u: np.ndarray
-    v: np.ndarray
-    sigma: SigmaFlag
-    dims: Dims
-    w: np.ndarray
-
-    def apply_to(self, M: np.ndarray) -> np.ndarray:
-        if self.sigma is SigmaFlag.TRANSPOSE:
-            M = M.T
-        return self.w @ M @ self.w.conj().T
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return _conjugation_matrix(self.w, self.sigma)
-
-
-def _random_preserver(dims: Dims, sigma: SigmaFlag, seed, *path) -> _AdjointMap:
-    u, v = unitary_pair(dims, _as_int(seed), *path)
-    return _AdjointMap(u, v, sigma, dims, kron(u, v))
-
-
 def _preserver_draws(dims: Dims, samples: int, seed, path: int):
     """(sigma, preserver, orthogonal family) per sample and branch: the
     preserver drawn from ``path``, the family from ``path + 1``."""
     for i in range(samples):
         family = orthogonal_family(dims, _seq(seed, path + 1, i))
+        u, v = unitary_pair(dims, _as_int(seed), path, i)
         for sigma in SigmaFlag:
-            yield sigma, _random_preserver(dims, sigma, seed, path, i), family
+            yield sigma, make_adjoint_preserver(u, v, sigma), family
 
 
 def _extension_draws(dims: Dims, samples: int, seed, path: int):
     """(extension, MES of Y (x) Y) per branch and sample: the extended
     preserver drawn from ``path``, the states from ``path + 1``."""
+    u, v = unitary_pair(dims, _as_int(seed), path)
     for sigma in SigmaFlag:
-        ext = extend(_random_preserver(dims, sigma, seed, path), sigma)
+        ext = extend(make_adjoint_preserver(u, v, sigma), sigma)
         for i in range(samples):
             yield ext, pi(random_coisometry(ext.dims, _seq(seed, path + 1, i)))
 
@@ -288,8 +256,8 @@ def check_switch_identities(dims: Dims, samples: int, seed) -> float:
         switched = state.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)
         worst = max(worst, frobenius(switched - pi(a.T)))
         worst = max(worst, frobenius(state.T - pi(a.conj())))
-        w = kron(u, v)
-        worst = max(worst, frobenius(w @ state @ w.conj().T - pi(u @ a @ v.T)))
+        ad = make_adjoint_preserver(u, v, SigmaFlag.IDENTITY)
+        worst = max(worst, frobenius(apply(ad, state) - pi(u @ a @ v.T)))
     return worst
 
 

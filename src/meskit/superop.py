@@ -3,19 +3,20 @@
 A map is anything with ``dims`` and ``apply_to``; :func:`apply` checks the
 operator's shape once and calls ``apply_to``.  A :class:`Superoperator`
 stores an (mn)^2 x (mn)^2 matrix acting on row-vectorized operators:
-``vec(Phi(M)) = Phi.matrix @ vec(M)``.  Under the row-stacking
-convention, conjugation ``M -> W M W*`` has matrix ``kron(W, conj(W))``;
-composing it with the transpose ``M -> M^T`` moves column (j, i) to column
-(i, j), so each matrix is written once as an outer product of W and conj(W)
-in the permuted index order, with no permutation matrix.
+``vec(Phi(M)) = Phi.matrix @ vec(M)``.  A :class:`Conjugation` is
+``M -> W M^sigma W*``, the form of every invertible MES preserver, held as W
+and applied as that product.  Its matrix is ``kron(W, conj(W))``, with column
+(j, i) moved to column (i, j) under the transpose, written once as an outer
+product of W and conj(W) in the permuted index order.
 
 The constructors cover the three canonical preserver families:
 
 * ``make_adjoint_preserver``: ``M -> (U (x) V) M^sigma (U (x) V)*``
 * ``make_swap_preserver`` (square case only): the same composed with the
   switch ``A (x) B -> B (x) A``, which is conjugation by the flip unitary F,
-  so the map is the adjoint form of ``(U (x) V) F``
-* ``make_trace_preserver``: ``M -> tr(M) rho`` for a fixed MES ``rho``
+  so it is the :class:`Conjugation` by ``(U (x) V) F``
+* ``make_trace_preserver``: the :class:`Superoperator` ``M -> tr(M) rho``
+  for a fixed MES ``rho``
 
 span(MES) has a closed-form orthogonal complement, {A (x) I_n : tr A = 0}
 (plus {I_m (x) B : tr B = 0} when k = 1), so the checks on the span project
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -91,27 +93,52 @@ def _require_unitary(U: np.ndarray, name: str) -> np.ndarray:
     return U
 
 
-def _conjugation_matrix(w: np.ndarray, sigma: SigmaFlag) -> np.ndarray:
-    """Matrix of M -> w M^sigma w*: ``kron(w, conj(w))``, with its columns
-    permuted by the transpose when sigma is the transpose flag."""
-    d = w.shape[0]
-    if sigma is SigmaFlag.TRANSPOSE:
-        blocks = np.multiply(w[:, None, None, :], w.conj()[None, :, :, None])
-    else:
-        blocks = np.multiply(w[:, None, :, None], w.conj()[None, :, None, :])
-    return blocks.reshape(d * d, d * d)
+@dataclass(frozen=True, eq=False)
+class Conjugation:
+    """The map M -> w M^sigma w* on L(X (x) Y), for an mn x mn matrix w.
+
+    :func:`apply` evaluates it as that product, O((mn)^3) per operator; the
+    dense :attr:`matrix` is built on first read and kept.  w need not be
+    unitary: the constructors check their factors, and a near-unitary w
+    makes a noisy preserver.
+    """
+
+    w: np.ndarray
+    sigma: SigmaFlag
+    dims: Dims
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "w", as_complex(self.w))
+        side = self.dims.mn
+        if self.w.shape != (side, side):
+            raise DimensionError(f"w for dims {self.dims} must be {side}x{side}, got {self.w.shape}")
+
+    def apply_to(self, M: np.ndarray) -> np.ndarray:
+        """w M^sigma w* for an mn x mn operator M."""
+        if self.sigma is SigmaFlag.TRANSPOSE:
+            M = M.T
+        return self.w @ M @ self.w.conj().T
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """``kron(w, conj(w))``, its columns permuted under the transpose."""
+        w, d = self.w, self.dims.mn
+        if self.sigma is SigmaFlag.TRANSPOSE:
+            blocks = np.multiply(w[:, None, None, :], w.conj()[None, :, :, None])
+        else:
+            blocks = np.multiply(w[:, None, :, None], w.conj()[None, :, None, :])
+        return blocks.reshape(d * d, d * d)
 
 
-def make_adjoint_preserver(U, V, sigma: SigmaFlag) -> Superoperator:
-    """Superoperator M -> (U (x) V) M^sigma (U (x) V)* for unitary U (m x m) and
+def make_adjoint_preserver(U, V, sigma: SigmaFlag) -> Conjugation:
+    """Conjugation M -> (U (x) V) M^sigma (U (x) V)* for unitary U (m x m) and
     V (n x n); m must divide n."""
     U = _require_unitary(U, "U")
     V = _require_unitary(V, "V")
-    dims = Dims(U.shape[0], V.shape[0])
-    return Superoperator(matrix=_conjugation_matrix(kron(U, V), sigma), dims=dims)
+    return Conjugation(kron(U, V), sigma, Dims(U.shape[0], V.shape[0]))
 
 
-def make_swap_preserver(U, V, sigma: SigmaFlag) -> Superoperator:
+def make_swap_preserver(U, V, sigma: SigmaFlag) -> Conjugation:
     """Square-case preserver M -> (U (x) V) (S(M))^sigma (U (x) V)* where S is
     the switch A (x) B -> B (x) A; requires U and V of equal size.
 
@@ -124,9 +151,8 @@ def make_swap_preserver(U, V, sigma: SigmaFlag) -> Superoperator:
     if U.shape != V.shape:
         raise DimensionError(f"switch form needs equal factor dimensions, got {U.shape} and {V.shape}")
     m = U.shape[0]
-    dims = Dims(m, m)
     w = kron(U, V).reshape(m * m, m, m).transpose(0, 2, 1).reshape(m * m, m * m)
-    return Superoperator(matrix=_conjugation_matrix(w, sigma), dims=dims)
+    return Conjugation(w, sigma, Dims(m, m))
 
 
 def make_trace_preserver(rho: np.ndarray, dims: Dims) -> Superoperator:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from meskit import (
+    Conjugation,
     DimensionError,
     Dims,
     NotMESError,
@@ -23,7 +24,6 @@ from meskit import (
     unvec,
     vec,
 )
-from meskit.superop import _conjugation_matrix
 from meskit.tensor import complex_gaussian, perturb, unitary_pair
 from conftest import (
     canonical_family,
@@ -50,7 +50,7 @@ def test_detect_sigma_refuses_a_near_mes_image_with_a_typed_error(seed):
     dims = Dims.from_mk(2, 3)
     w = kron(haar_unitary(2, seed), haar_unitary(6, seed + 100))
     w = perturb(w, 3e-8, np.random.default_rng(seed))
-    phi = Superoperator(_conjugation_matrix(w, SigmaFlag.IDENTITY), dims)
+    phi = Conjugation(w, SigmaFlag.IDENTITY, dims)
     with pytest.raises(NotMESError, match="rank-one factor is not a coisometry"):
         detect_sigma(phi)
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from meskit import (
+    Conjugation,
     DimensionError,
     Dims,
     MESKitError,
@@ -45,7 +46,6 @@ from meskit import choi, classify, lemmas
 from meskit.classify import Decomposition, _certify
 from meskit.cli import main
 from meskit.superop import (
-    _conjugation_matrix,
     _project_out_complement,
     _require_unitary,
     make_swap_preserver,
@@ -244,7 +244,7 @@ def _twist_fixing(a1, dims, seed):
     basis = np.linalg.svd(w.conj()[np.newaxis])[2][1:].conj().T
     h = haar_unitary(dims.mn - 1, seed)
     twist = np.outer(w, w.conj()) + basis @ h @ basis.conj().T
-    return Superoperator(_conjugation_matrix(twist, SigmaFlag.IDENTITY), dims)
+    return Conjugation(twist, SigmaFlag.IDENTITY, dims)
 
 
 def test_refusals_name_their_verdict_and_stage(rng):
@@ -465,6 +465,31 @@ def test_decompose_refuses_non_finite_input(value):
         decompose(Superoperator(matrix=matrix, dims=DIMS))
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+def test_decompose_refuses_a_tol_that_is_not_finite_and_positive(tol):
+    # a NaN tol fails every ">=" gate, so this map, with a certificate near 2e-6,
+    # would be accepted above the hard 1e-6 cap; an infinite tol passes any Kronecker residual
+    dims = Dims.from_mk(2, 2)
+    phi = make_adjoint_preserver(*unitary_pair(dims, 61), SigmaFlag.IDENTITY)
+    phi = Superoperator(perturb(phi.matrix, 1e-6, np.random.default_rng(61)), dims)
+    with pytest.raises(ValueError, match=r"^tol must be finite and positive, got ") as raised:
+        decompose(phi, tol)
+    assert type(raised.value) is ValueError
+
+
+@pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("sigma", list(SigmaFlag))
+def test_decompose_reads_a_conjugation_as_its_dense_matrix(m, k, sigma):
+    dims = Dims.from_mk(m, k)
+    phi = make_adjoint_preserver(*unitary_pair(dims, 59), sigma)
+    got, want = decompose(phi), decompose(Superoperator(phi.matrix, dims))
+    assert got.sigma is want.sigma is sigma
+    assert got.U.tobytes() == want.U.tobytes() and got.V.tobytes() == want.V.tobytes()
+    assert repr((got.kron_residual, got.verification_residual)) == repr(
+        (want.kron_residual, want.verification_residual)
+    )
+
+
 @pytest.mark.parametrize(
     "form,expected,loaded",
     [("adjoint", "0", False), ("trace", "4", False), ("check-lemmas", "0", True)],
@@ -584,6 +609,19 @@ def test_refusal_makes_at_most_two_certify_calls(phi, error, monkeypatch):
     with pytest.raises(error):
         decompose(phi)
     assert calls == [SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE]
+
+
+@pytest.mark.parametrize("phi,error", list(_refusals()))
+def test_refusal_order_reads_the_stage_attribute(phi, error, monkeypatch):
+    # each refusal carries its stage, set where it is raised; which of the two
+    # attempts' refusals is raised does not depend on the message's text
+    with pytest.raises(error) as plain:
+        decompose(phi)
+    assert plain.value.args[0].startswith(f"stage {plain.value.stage}: ")
+    monkeypatch.setattr(MESKitError, "__str__", lambda self: "")
+    with pytest.raises(error) as blind:
+        decompose(phi)
+    assert blind.value.args == plain.value.args and blind.value.stage == plain.value.stage
 
 
 @pytest.mark.parametrize("phi,error", [pytest.param(None, None, id="accept"), *_refusals()])

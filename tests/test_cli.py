@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from meskit import (
+    Conjugation,
     DimensionError,
     Dims,
     MESKitError,
@@ -23,6 +24,7 @@ from meskit import (
     decompose,
     extend,
     kron,
+    make_adjoint_preserver,
     make_trace_preserver,
     pi,
     random_coisometry,
@@ -30,7 +32,6 @@ from meskit import (
 )
 from meskit.cli import main
 from meskit.extension import ExtendedSuperoperator
-from meskit.superop import _conjugation_matrix
 from meskit.tensor import complex_gaussian, perturb, unitary_pair
 
 
@@ -426,11 +427,11 @@ def _write_map(path, dims, sigma, eps=0.0, form="adjoint"):
     if form == "trace":
         phi = make_trace_preserver(pi(random_coisometry(dims, 31)), dims)
     elif form == "noisy":
-        exact = _conjugation_matrix(kron(*unitary_pair(dims, 31)), sigma)
-        phi = Superoperator(perturb(exact, eps, rng), dims)
+        exact = make_adjoint_preserver(*unitary_pair(dims, 31), sigma)
+        phi = Superoperator(perturb(exact.matrix, eps, rng), dims)
     else:
         a, _, b = np.linalg.svd(perturb(kron(*unitary_pair(dims, 31)), eps, rng))
-        phi = Superoperator(_conjugation_matrix(a @ b, sigma), dims)
+        phi = Conjugation(a @ b, sigma, dims)
     serialize.write_json(str(path), serialize.superoperator_to_obj(phi.matrix, dims))
 
 

@@ -22,7 +22,7 @@ from meskit import (
     random_coisometry,
     structural_unitaries,
 )
-from meskit.lemmas import _random_preserver, check_switch_identities
+from meskit.lemmas import check_switch_identities
 from meskit.tensor import complex_gaussian, unitary_pair
 from conftest import (
     commutes_with_ad,
@@ -76,13 +76,13 @@ def test_extend_equals_kron_construction(m, k, sigma, rng):
 
 @pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (2, 3)])
 @pytest.mark.parametrize("sigma", BOTH)
-@pytest.mark.parametrize("base", ["dense", "lemma-suite W M^sigma W*"])
+@pytest.mark.parametrize("base", ["dense", "conjugation"])
 def test_blockwise_apply_equals_dense_matvec(m, k, sigma, base, rng):
     dims = Dims.from_mk(m, k)
     if base == "dense":
         phi = Superoperator(complex_gaussian(rng, dims.mn**2, dims.mn**2), dims)
     else:
-        phi = _random_preserver(dims, sigma, 0, 0)
+        phi = make_adjoint_preserver(*unitary_pair(dims, 0, 0), sigma)
     ext = extend(phi, sigma)
     side = dims.n**2
     M = complex_gaussian(rng, side, side)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from meskit import (
+    Conjugation,
     DimensionError,
     Dims,
     NotMESError,
@@ -28,7 +29,6 @@ from meskit import (
     random_coisometry,
     vec,
 )
-from meskit.lemmas import _random_preserver
 from meskit.tensor import complex_gaussian, unitary_pair
 from conftest import (
     identity_superop,
@@ -59,20 +59,43 @@ def test_apply_identity_and_linearity(rng):
     )
 
 
-@pytest.mark.parametrize("kind", ["dense", "extension", "lemma suite W M^sigma W*"])
+@pytest.mark.parametrize("kind", ["dense", "extension", "conjugation"])
 @pytest.mark.parametrize("wrong", ["wrong side", "non-square", "1-D"])
 def test_apply_rejects_wrong_shapes(kind, wrong, rng):
     # apply is the one check of an operator's shape, whatever the map
-    dense = make_adjoint_preserver(*unitary_pair(DIMS, 3), SigmaFlag.IDENTITY)
+    conjugation = make_adjoint_preserver(*unitary_pair(DIMS, 3), SigmaFlag.IDENTITY)
     phi = {
-        "dense": dense,
-        "extension": extend(dense, SigmaFlag.IDENTITY),
-        "lemma suite W M^sigma W*": _random_preserver(DIMS, SigmaFlag.IDENTITY, 0, 106, 0),
+        "dense": Superoperator(conjugation.matrix, DIMS),
+        "extension": extend(conjugation, SigmaFlag.IDENTITY),
+        "conjugation": conjugation,
     }[kind]
     side = phi.dims.mn
     shape = {"wrong side": (side // 2, side // 2), "non-square": (side, side // 2), "1-D": (side,)}[wrong]
     with pytest.raises(DimensionError, match=f"expected {side}x{side} operator"):
         apply(phi, rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize(
+    "form,m,k",
+    [("adjoint", 1, 2), ("adjoint", 2, 2), ("adjoint", 3, 2), ("swap", 1, 1), ("swap", 2, 1), ("swap", 3, 1)],
+)
+@pytest.mark.parametrize("sigma", list(SigmaFlag))
+def test_conjugation_applies_its_own_matrix(form, m, k, sigma, rng):
+    # apply evaluates w M^sigma w*, and the dense matrix, built once, is the same map
+    dims = Dims.from_mk(m, k)
+    make = make_swap_preserver if form == "swap" else make_adjoint_preserver
+    phi = make(*unitary_pair(dims, 3), sigma)
+    assert isinstance(phi, Conjugation) and phi.dims == dims
+    assert phi.matrix is phi.matrix
+    maps = [phi, extend(phi, sigma)] if dims.k >= 2 else [phi]  # the extension: blockwise vs dense
+    for psi in maps:
+        for _ in range(3):
+            M = complex_gaussian(rng, psi.dims.mn, psi.dims.mn)
+            want = (psi.matrix @ vec(M)).reshape(M.shape)
+            assert np.linalg.norm(apply(psi, M) - want) <= 1e-13 * np.linalg.norm(want)
+    for w in (phi.w[:-1, :-1], phi.w[:, :-1], np.eye(dims.mn + 1)):
+        with pytest.raises(DimensionError, match=f"must be {dims.mn}x{dims.mn}"):
+            Conjugation(w, sigma, dims)
 
 
 def test_transpose_matrix_action(rng):
