@@ -177,7 +177,9 @@ def decompose(phi: Superoperator, tol: float = DEFAULT_TOL) -> Decomposition:
     module docstring).  A ``tol`` that is not finite and positive is refused
     first (ValueError), then a map with k < 2 (DimensionError), before its
     matrix is read, and then a non-finite entry (NotPreserverError, "stage
-    input").  No random number is drawn.
+    input").  ``phi.matrix`` is read once per call, and every stage reads
+    that one dense array; nothing built here outlives the call or the
+    refusal it raises.  No random number is drawn.
     """
     if not 0.0 < tol < np.inf:  # a NaN tol would pass every gate
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
@@ -186,15 +188,19 @@ def decompose(phi: Superoperator, tol: float = DEFAULT_TOL) -> Decomposition:
             "classification applies to block counts k >= 2; square-space (k = 1) "
             "maps are out of scope"
         )
+    phi = Superoperator(phi.matrix, phi.dims)  # the one dense read; a Superoperator's is not copied
     if not np.isfinite(phi.matrix).all():
         raise _refusal(NotPreserverError, "input", "the matrix has a non-finite entry")
     refusals = []
-    for sigma in SigmaFlag:  # the identity first; the transpose only if it is refused
-        try:
-            return _certify(phi, sigma, tol)
-        except (NotInvertibleError, NotKroneckerError, NotPreserverError) as exc:
-            refusals.append(exc)
-    raise max(refusals, key=_progress)  # max keeps the first of equals: the identity's
+    try:
+        for sigma in SigmaFlag:  # the identity first; the transpose only if it is refused
+            try:
+                return _certify(phi, sigma, tol)
+            except (NotInvertibleError, NotKroneckerError, NotPreserverError) as exc:
+                refusals.append(exc)
+        raise max(refusals, key=_progress)  # max keeps the first of equals: the identity's
+    finally:  # each refusal's traceback holds this frame: break the cycle for refcounting
+        refusals.clear()
 
 
 def verify_theorem_form(phi: Superoperator, dec: Decomposition) -> float:

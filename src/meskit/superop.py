@@ -5,9 +5,10 @@ operator's shape once and calls ``apply_to``.  A :class:`Superoperator`
 stores an (mn)^2 x (mn)^2 matrix acting on row-vectorized operators:
 ``vec(Phi(M)) = Phi.matrix @ vec(M)``.  A :class:`Conjugation` is
 ``M -> W M^sigma W*``, the form of every invertible MES preserver, held as W
-and applied as that product.  Its matrix is ``kron(W, conj(W))``, with column
-(j, i) moved to column (i, j) under the transpose, written once as an outer
-product of W and conj(W) in the permuted index order.
+and applied as that product.  Its matrix, built on each read and never kept,
+is ``kron(W, conj(W))``, with column (j, i) moved to column (i, j) under the
+transpose, written once as an outer product of W and conj(W) in the permuted
+index order.
 
 The constructors cover the three canonical preserver families:
 
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -98,9 +98,9 @@ class Conjugation:
     """The map M -> w M^sigma w* on L(X (x) Y), for an mn x mn matrix w.
 
     :func:`apply` evaluates it as that product, O((mn)^3) per operator; the
-    dense :attr:`matrix` is built on first read and kept.  w need not be
-    unitary: the constructors check their factors, and a near-unitary w
-    makes a noisy preserver.
+    dense :attr:`matrix` is built on each read, and only w is kept.  w need
+    not be unitary: the constructors check their factors, and a near-unitary
+    w makes a noisy preserver.
     """
 
     w: np.ndarray
@@ -119,7 +119,7 @@ class Conjugation:
             M = M.T
         return self.w @ M @ self.w.conj().T
 
-    @cached_property
+    @property
     def matrix(self) -> np.ndarray:
         """``kron(w, conj(w))``, its columns permuted under the transpose."""
         w, d = self.w, self.dims.mn

@@ -1,3 +1,4 @@
+import gc
 import inspect
 import json
 import os
@@ -5,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -417,6 +419,53 @@ def test_decompose_peak_memory_near_the_map(sigma):
     assert peak < 3.5 * phi.matrix.nbytes
 
 
+def _decompose_dropped(matrix, dims):
+    """decompose a Superoperator of ``matrix`` that nothing else holds: its
+    sigma or refusal type, and a weak reference to the matrix.  No
+    pytest.raises: its ExceptionInfo would keep the refusal's frames."""
+    phi = Superoperator(matrix, dims)
+    del matrix
+    alive = weakref.ref(phi.matrix)
+    try:
+        verdict = decompose(phi).sigma
+    except MESKitError as exc:
+        verdict = type(exc)
+    del phi
+    return verdict, alive
+
+
+def test_decompose_leaves_nothing_behind():
+    # with the cyclic collector off, reference counting alone must free what a
+    # call built: a refused attempt's traceback may not keep the call's frames
+    dims = Dims.from_mk(3, 2)
+    u, v = unitary_pair(dims, 61)
+
+    def make():  # a fresh map each time: one whose matrix was never read
+        return make_adjoint_preserver(u, v, SigmaFlag.TRANSPOSE)
+
+    gc.disable()
+    try:
+        noisy = perturb(make().matrix, 1e-6, np.random.default_rng(61))
+        verdict, alive = _decompose_dropped(noisy, dims)
+        del noisy  # the last reference but the weak one
+        assert verdict is NotPreserverError and alive() is None
+        # accepted under the transpose after the identity's attempt was refused
+        verdict, alive = _decompose_dropped(make().matrix.copy(), dims)
+        assert verdict is SigmaFlag.TRANSPOSE and alive() is None
+        phi = make()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            dec = decompose(phi)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+    finally:
+        gc.enable()
+    assert dec.sigma is SigmaFlag.TRANSPOSE
+    assert abs(held) < 0.1 * 16 * dims.mn**4  # a tenth of one dense matrix
+
+
 def _forbid_sampling(monkeypatch):
     """Make the sampled stages' draws, and numpy's generators, raise, so a
     run that samples fails."""
@@ -642,7 +691,7 @@ def test_wrong_sigma_is_refused_before_it_can_accept(m, k, sigma, monkeypatch):
     # the identity is tried first; on a transpose map it fails at recovery (mn >= 3:
     # the columns read off have rank 2) or, at (1,2), at the certificate
     phi = make_adjoint_preserver(*unitary_pair(Dims.from_mk(m, k), 43), sigma)
-    attempts, shared = [], []
+    attempts, roots = [], []
 
     def certify(*args):
         try:
@@ -655,7 +704,10 @@ def test_wrong_sigma_is_refused_before_it_can_accept(m, k, sigma, monkeypatch):
         return outcome
 
     def recover(images, dims):
-        shared.append(np.shares_memory(images, phi.matrix))
+        root = images
+        while root.base is not None:
+            root = root.base
+        roots.append(root)
         return recover_unitary(images, dims)
 
     monkeypatch.setattr(classify, "_certify", certify)
@@ -670,5 +722,7 @@ def test_wrong_sigma_is_refused_before_it_can_accept(m, k, sigma, monkeypatch):
         wrong = attempts[0][1]
         stage = "recovery" if m >= 2 else "certificate"
         assert isinstance(wrong, MESKitError) and str(wrong).startswith(f"stage {stage}: ")
-    # the transpose's corrected images are a view of phi's matrix, not a copy
-    assert all(shared) and len(shared) == len(attempts)
+    # one dense read per call: every attempt's images are a view of one array,
+    # the transpose's too, and not a copy
+    assert len(roots) == len(attempts) and all(root is roots[0] for root in roots)
+    assert roots[0].nbytes == phi.matrix.nbytes

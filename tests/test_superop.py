@@ -81,12 +81,14 @@ def test_apply_rejects_wrong_shapes(kind, wrong, rng):
 )
 @pytest.mark.parametrize("sigma", list(SigmaFlag))
 def test_conjugation_applies_its_own_matrix(form, m, k, sigma, rng):
-    # apply evaluates w M^sigma w*, and the dense matrix, built once, is the same map
+    # apply evaluates w M^sigma w*, and the dense matrix, built on each read and
+    # never kept, is the same map
     dims = Dims.from_mk(m, k)
     make = make_swap_preserver if form == "swap" else make_adjoint_preserver
     phi = make(*unitary_pair(dims, 3), sigma)
     assert isinstance(phi, Conjugation) and phi.dims == dims
-    assert phi.matrix is phi.matrix
+    assert _same_bits(phi.matrix, phi.matrix)
+    assert vars(phi).keys() == {"w", "sigma", "dims"}
     maps = [phi, extend(phi, sigma)] if dims.k >= 2 else [phi]  # the extension: blockwise vs dense
     for psi in maps:
         for _ in range(3):

@@ -17,18 +17,28 @@ from meskit import (
     SigmaFlag,
     Superoperator,
     decompose,
+    kron,
     make_adjoint_preserver,
     make_trace_preserver,
     pi,
     random_coisometry,
     serialize,
+    vec,
 )
 from meskit.cli import main
 from meskit.tensor import complex_gaussian, perturb, unitary_pair
 
 # noise_scan at seeds 0-2 accepts every 1e-10 row and refuses every >= 1e-8 row
-# at tol 1e-9: both levels sit a decade or more from the band
-KINDS = (("adjoint", 0.0), ("noise", 1e-10), ("noise", 1e-7), ("trace", None), ("random", None))
+# at tol 1e-9: both levels sit a decade or more from the band.  "offspan" adds
+# a term of unit norm that vanishes on span(MES); the first three are accepted
+KINDS = (
+    ("adjoint", 0.0),
+    ("noise", 1e-10),
+    ("offspan", 1.0),
+    ("noise", 1e-7),
+    ("trace", None),
+    ("random", None),
+)
 
 
 def _build(kind, eps, dims, sigma, seed):
@@ -39,6 +49,12 @@ def _build(kind, eps, dims, sigma, seed):
     phi = make_adjoint_preserver(*unitary_pair(dims, seed), sigma)
     if kind == "adjoint":
         return phi
+    if kind == "offspan":  # Ad_W o sigma + c vec(J) vec(A (x) I_n)*, tr A = 0 (A = 0 at m = 1)
+        rng = np.random.default_rng(seed)
+        j, a = complex_gaussian(rng, dims.mn, dims.mn), complex_gaussian(rng, dims.m, dims.m)
+        off = kron(a - np.trace(a) / dims.m * np.eye(dims.m), np.eye(dims.n))
+        scale = eps / max(np.linalg.norm(j) * np.linalg.norm(off), 1e-300)
+        return Superoperator(phi.matrix + scale * np.outer(vec(j), vec(off).conj()), dims)
     return Superoperator(perturb(phi.matrix, eps, np.random.default_rng(seed)), dims)
 
 
@@ -69,17 +85,18 @@ def _classify_exit(phi):
 # one example of each kind also goes through the CLI
 @example(mk=(1, 2), sigma=SigmaFlag.TRANSPOSE, seed=0, kind=KINDS[0], cli=True)
 @example(mk=(2, 2), sigma=SigmaFlag.TRANSPOSE, seed=1, kind=KINDS[1], cli=True)
-@example(mk=(1, 2), sigma=SigmaFlag.IDENTITY, seed=2, kind=KINDS[2], cli=True)
-@example(mk=(2, 2), sigma=SigmaFlag.IDENTITY, seed=3, kind=KINDS[3], cli=True)
-@example(mk=(1, 2), sigma=SigmaFlag.IDENTITY, seed=4, kind=KINDS[4], cli=True)
+@example(mk=(2, 2), sigma=SigmaFlag.IDENTITY, seed=5, kind=KINDS[2], cli=True)
+@example(mk=(1, 2), sigma=SigmaFlag.IDENTITY, seed=2, kind=KINDS[3], cli=True)
+@example(mk=(2, 2), sigma=SigmaFlag.IDENTITY, seed=3, kind=KINDS[4], cli=True)
+@example(mk=(1, 2), sigma=SigmaFlag.IDENTITY, seed=4, kind=KINDS[5], cli=True)
 def test_each_kind_gets_its_verdict(mk, sigma, seed, kind, cli):
     phi = _build(*kind, Dims.from_mk(*mk), sigma, seed)
     verdict = _verdict(phi)
-    if kind in KINDS[:2]:
+    if kind in KINDS[:3]:
         assert verdict[0] is sigma, verdict
         expected_exit = 0
     else:
-        error = NotInvertibleError if kind == KINDS[3] else NotPreserverError
+        error = NotInvertibleError if kind == KINDS[4] else NotPreserverError
         assert verdict[0] is error, verdict
         if error is NotInvertibleError:
             assert verdict[1].startswith("stage recovery"), verdict
