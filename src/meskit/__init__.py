@@ -13,8 +13,6 @@ J(G), is one of the identities ``meskit check-lemmas`` verifies.
 from .choi import (
     align_images,
     choi_matrix,
-    detect_sigma,
-    flag_from_determinant,
     phi_on_cross_term,
     restricted_g,
 )
@@ -102,10 +100,8 @@ __all__ = [
     "are_orthogonal",
     "choi_matrix",
     "decompose",
-    "detect_sigma",
     "extend",
     "fix_global_phase",
-    "flag_from_determinant",
     "haar_unitary",
     "is_coisometry",
     "is_invertible_on_span",

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, NotInvertibleError, NotOrthogonalError, NotPreserverError
-from .states import _VALIDATION_TOL, are_orthogonal, is_coisometry, orthogonal_family, pi, representative
-from .superop import SigmaFlag, _as_int, apply
+from .errors import NotInvertibleError, NotOrthogonalError, NotPreserverError
+from .states import _VALIDATION_TOL, are_orthogonal, is_coisometry, pi, representative
+from .superop import apply
 from .tensor import frobenius, scaled_tol, unvec, vec
 
 
@@ -104,36 +104,6 @@ def choi_matrix(G: np.ndarray) -> np.ndarray:
     G[2a + b, 2i + j], so J is a realignment of G's entries.
     """
     return G.reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
-
-
-def flag_from_determinant(det: complex) -> SigmaFlag:
-    """Map det J(G) to a branch flag.
-
-    Acceptance balls of radius 0.5 around 0 (identity) and -1 (transpose):
-    the two theoretical values are distance 1 apart, so 0.5 is the maximal
-    symmetric margin.  Anything outside both balls is not a preserver:
-    NotPreserverError, its message starting with "stage discriminant: ".
-    """
-    det = complex(det)
-    if abs(det) < 0.5:
-        return SigmaFlag.IDENTITY
-    if abs(det + 1.0) < 0.5:
-        return SigmaFlag.TRANSPOSE
-    raise NotPreserverError(f"stage discriminant: det J(G) = {det:.6f} is near neither 0 nor -1")
-
-
-def detect_sigma(phi, seed=0) -> SigmaFlag:
-    """Identity/transpose discriminant via det J(G).
-
-    A preserver gives det 0 (identity branch) or -1 (transpose branch)
-    regardless of the orthogonal pair used to build G.  ``seed`` must be an
-    integer (TypeError otherwise); it picks that pair.
-    """
-    if phi.dims.k < 2:
-        raise DimensionError("sigma detection needs an orthogonal pair, so k >= 2")
-    family = orthogonal_family(phi.dims, np.random.SeedSequence([_as_int(seed), 13]))
-    G = restricted_g(phi, family[0], family[1])
-    return flag_from_determinant(np.linalg.det(choi_matrix(G)))
 
 
 def align_images(phi, family) -> list[np.ndarray]:

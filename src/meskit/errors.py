@@ -48,7 +48,7 @@ class NotOrthogonalError(MESKitError, ValueError):
 class NotPreserverError(MESKitError):
     """The map is not an MES preserver.  Raised by ``decompose`` at stages
     input, recovery and certificate, and by :mod:`meskit.choi` at stages
-    restricted map, discriminant and alignment."""
+    restricted map and alignment."""
 
     exit_code = 3
 

@@ -106,11 +106,11 @@ def extend(phi, sigma: SigmaFlag) -> ExtendedSuperoperator:
 
     With M = [M_pq] in k x k blocks, the result sends M to [phi(M_pq)] when
     ``sigma`` is the identity flag and to [phi(M_qp)] when it is the transpose
-    flag.  The flag must come from the discriminant of ``phi`` for the
-    extension to preserve MES; it is taken as an explicit argument so that the
-    (fallible) detection stays separate from this (infallible) construction.
-    Nothing of size n^4 x n^4 is allocated; see
-    :meth:`ExtendedSuperoperator.row_slabs` for the dense form.
+    flag.  The extension preserves MES when the flag is the sigma of ``phi``
+    that :func:`~meskit.classify.decompose` certifies; it is taken as an
+    explicit argument so that the (fallible) classification stays separate
+    from this (infallible) construction.  Nothing of size n^4 x n^4 is
+    allocated; see :meth:`ExtendedSuperoperator.row_slabs` for the dense form.
     """
     return ExtendedSuperoperator(base=phi, sigma=sigma)
 

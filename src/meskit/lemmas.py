@@ -21,7 +21,7 @@ from .choi import align_images, choi_matrix, restricted_g
 from .errors import DimensionError
 from .extension import ad_commutation_residual, extend, structural_unitaries
 from .states import is_coisometry, orthogonal_family, pi, random_coisometry
-from .superop import SigmaFlag, _as_int, apply, make_adjoint_preserver
+from .superop import SigmaFlag, apply, make_adjoint_preserver
 from .tensor import (
     DEFAULT_TOL,
     Dims,
@@ -34,6 +34,12 @@ from .tensor import (
     unvec,
     vec,
 )
+
+
+def _as_int(seed) -> int:
+    if isinstance(seed, (int, np.integer)):
+        return int(seed)
+    raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
 
 
 def _seq(seed, *path) -> np.random.SeedSequence:
@@ -278,9 +284,15 @@ _CHECKS = [
 
 def run_all(dims: Dims, tol: float = DEFAULT_TOL, samples: int = 20, seed: int = 0) -> list[dict]:
     """Run every structural check at the given dimensions (k >= 2), giving
-    each check's report row ``{"name", "max_residual", "pass"}``."""
+    each check's report row ``{"name", "max_residual", "pass"}``.  Before any
+    check runs, ``samples`` < 1 and a ``tol`` that is not finite and positive
+    raise ValueError, as either would let every row pass unchecked."""
     if dims.k < 2:
         raise DimensionError("the lemma suite needs an orthogonal pair, so k >= 2")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     results = []
     for name, func in _CHECKS:
         residual = float(func(dims, samples, seed))

@@ -213,9 +213,3 @@ def is_invertible_on_span(phi: Superoperator) -> bool:
     r.reshape(-1)[:: r.shape[0] + 1] += 1.0
     s = np.linalg.svd(r, compute_uv=False)
     return float(s[-1]) > 1e-9
-
-
-def _as_int(seed) -> int:
-    if isinstance(seed, (int, np.integer)):
-        return int(seed)
-    raise TypeError(f"seed must be an integer, got {type(seed).__name__}")

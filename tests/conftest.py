@@ -16,7 +16,7 @@ from meskit import (
 )
 from meskit.choi import _image_table
 from meskit.extension import ad_commutation_residual
-from meskit.superop import _as_int
+from meskit.lemmas import _as_int
 from meskit.tensor import frobenius
 
 

@@ -3,7 +3,6 @@ import pytest
 
 from meskit import (
     Conjugation,
-    DimensionError,
     Dims,
     NotMESError,
     NotOrthogonalError,
@@ -12,7 +11,6 @@ from meskit import (
     align_images,
     apply,
     choi_matrix,
-    detect_sigma,
     haar_unitary,
     kron,
     make_adjoint_preserver,
@@ -44,15 +42,16 @@ def _evaluate(g, X):
 
 
 @pytest.mark.parametrize("seed", [3, 4])
-def test_detect_sigma_refuses_a_near_mes_image_with_a_typed_error(seed):
+def test_restricted_g_refuses_a_near_mes_image_with_a_typed_error(seed):
     # Ad_W for W = U (x) V plus 3e-8 noise: an image passes is_mes at 1e-8, but its
     # rescaled rank-one factor is not a coisometry within 1e-8
     dims = Dims.from_mk(2, 3)
     w = kron(haar_unitary(2, seed), haar_unitary(6, seed + 100))
     w = perturb(w, 3e-8, np.random.default_rng(seed))
     phi = Conjugation(w, SigmaFlag.IDENTITY, dims)
+    pair = orthogonal_family(dims, np.random.SeedSequence([0, 13]))[:2]
     with pytest.raises(NotMESError, match="rank-one factor is not a coisometry"):
-        detect_sigma(phi)
+        restricted_g(phi, *pair)
 
 
 def test_cross_term_identity_map():
@@ -202,31 +201,10 @@ def test_restricted_g_rank_one_preservation(rng):
         assert np.linalg.eigvalsh((image + image.conj().T) / 2.0)[0] > -1e-8
 
 
-def test_flag_from_determinant_balls():
-    from meskit import NotPreserverError, flag_from_determinant
-
-    assert flag_from_determinant(0.0) is SigmaFlag.IDENTITY
-    assert flag_from_determinant(0.2 - 0.3j) is SigmaFlag.IDENTITY
-    assert flag_from_determinant(-1.0) is SigmaFlag.TRANSPOSE
-    assert flag_from_determinant(-0.8 + 0.1j) is SigmaFlag.TRANSPOSE
-    for outside in (-0.5, 0.7, -1.9, 2.0, -0.5 + 0.2j):
-        with pytest.raises(NotPreserverError):
-            flag_from_determinant(outside)
-
-
-def test_detect_sigma_identity_and_transpose():
-    assert detect_sigma(identity_superop(DIMS)) is SigmaFlag.IDENTITY
-    assert detect_sigma(_preserver(37, SigmaFlag.IDENTITY)) is SigmaFlag.IDENTITY
-    assert detect_sigma(_preserver(37, SigmaFlag.TRANSPOSE)) is SigmaFlag.TRANSPOSE
-    # at k = 1 there is no orthogonal pair
-    with pytest.raises(DimensionError, match="k >= 2"):
-        detect_sigma(identity_superop(Dims(2, 2)))
-
-
-def test_detect_sigma_pair_independent():
-    phi = _preserver(39, SigmaFlag.TRANSPOSE)
-    flags = {detect_sigma(phi, seed=s) for s in range(20)}
-    assert flags == {SigmaFlag.TRANSPOSE}
+def test_choi_determinant_of_the_dense_identity_is_zero():
+    pair = orthogonal_family(DIMS, np.random.SeedSequence([0, 13]))[:2]
+    g = restricted_g(identity_superop(DIMS), *pair)
+    assert abs(np.linalg.det(choi_matrix(g))) < 1e-12
 
 
 def test_align_images_identity_on_canonical_family():

@@ -25,9 +25,7 @@ from meskit import (
     align_images,
     apply,
     decompose,
-    detect_sigma,
     extend,
-    flag_from_determinant,
     haar_unitary,
     is_invertible_on_span,
     kron,
@@ -44,7 +42,7 @@ from meskit import (
     verify_theorem_form,
     vec,
 )
-from meskit import choi, classify, lemmas
+from meskit import classify, lemmas
 from meskit.classify import Decomposition, _certify
 from meskit.cli import main
 from meskit.superop import (
@@ -260,7 +258,6 @@ def test_refusals_name_their_verdict_and_stage(rng):
     cases = [
         (lambda: recover_unitary(_images(noise), DIMS), NotPreserverError, "stage recovery: "),
         (lambda: recover_unitary(_images(trace), DIMS), NotInvertibleError, "stage recovery: "),
-        (lambda: flag_from_determinant(0.7), NotPreserverError, "stage discriminant: "),
         (lambda: restricted_g(leak, a1, a2), NotPreserverError, "stage restricted map: "),
         (lambda: restricted_g(trace, a1, a2), NotInvertibleError, "stage restricted map: "),
         (lambda: align_images(leak, [a1, a2]), NotPreserverError, "stage alignment: "),
@@ -352,7 +349,6 @@ def test_verification_residual_bounds_every_mes(m, k, sigma):
         is_invertible_on_span,
         _require_unitary,
         restricted_g,
-        detect_sigma,
         align_images,
         representative,
     ],
@@ -467,13 +463,11 @@ def test_decompose_leaves_nothing_behind():
 
 
 def _forbid_sampling(monkeypatch):
-    """Make the sampled stages' draws, and numpy's generators, raise, so a
-    run that samples fails."""
+    """Make numpy's generators raise, so a run that samples fails."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("a sampled stage ran")
 
-    monkeypatch.setattr(choi, "orthogonal_family", refuse)
     monkeypatch.setattr(np.random, "default_rng", refuse)
     monkeypatch.setattr(np.random, "SeedSequence", refuse)
 
@@ -482,8 +476,8 @@ def _forbid_sampling(monkeypatch):
 @pytest.mark.parametrize("sigma", list(SigmaFlag))
 def test_accept_runs_no_sampled_stage(m, k, sigma, monkeypatch):
     phi = make_adjoint_preserver(*unitary_pair(Dims.from_mk(m, k), 41), sigma)
-    # the sampled reference: discriminant, then stages 1-3
-    reference = _certify(phi, detect_sigma(phi), 1e-9)
+    # the reference: stages 1-3 under the sigma the map was built with
+    reference = _certify(phi, sigma, 1e-9)
     _forbid_sampling(monkeypatch)
     dec = decompose(phi)
     assert dec.sigma is reference.sigma is sigma
@@ -495,11 +489,6 @@ def test_accept_runs_no_sampled_stage(m, k, sigma, monkeypatch):
 
 @pytest.mark.parametrize("seed", [2.7, "1"])
 def test_seed_must_be_an_integer(seed):
-    accept = make_adjoint_preserver(*unitary_pair(DIMS, 47), SigmaFlag.IDENTITY)
-    refusal = make_trace_preserver(pi(random_coisometry(DIMS, 47)), DIMS)
-    for phi in (accept, refusal):
-        with pytest.raises(TypeError, match="seed must be an integer"):
-            detect_sigma(phi, seed=seed)
     with pytest.raises(TypeError, match="seed must be an integer"):
         lemmas.run_all(DIMS, samples=1, seed=seed)
 

@@ -11,17 +11,23 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 PERFBENCH = SCRIPTS.parent / "perfbench"
 
 
-@pytest.mark.parametrize(
-    "script,argv",
-    [
-        ("roundtrip_demo.py", ["--m", "2", "--k", "2"]),
-        ("discriminant_sweep.py", ["--trials", "2"]),
-    ],
-)
-def test_script_runs(script, argv, monkeypatch, capsys):
-    monkeypatch.setattr(sys, "argv", [script, *argv])
-    runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+def test_roundtrip_demo_runs(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["roundtrip_demo.py", "--m", "2", "--k", "2"])
+    runpy.run_path(str(SCRIPTS / "roundtrip_demo.py"), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def test_discriminant_sweep_names_every_branch(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["discriminant_sweep.py", "--trials", "2"])
+    runpy.run_path(str(SCRIPTS / "discriminant_sweep.py"), run_name="__main__")
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split()[-1] == "detected"
+    assert len(rows) == 8  # 4 dims x 2 branches
+    for row in rows:
+        label, branch, worst, detected = row.split()
+        assert branch in ("identity", "transpose")
+        assert float(worst) < 1e-8, row
+        assert detected == "2/2", row
 
 
 def test_noise_scan_prints_one_verdict_per_map(monkeypatch, capsys):
