@@ -7,7 +7,8 @@ For each (m, k), ``tol`` and seed it builds:
   levels eps from 1e-10 to 1e-6 (half decades), both sigma;
 * ``nonkron``: Ad_W o sigma with W the unitary nearest to
   ``perturb(U (x) V, eps)``, eps 2e-9 or 3.2e-9 (a conjugation that is not a
-  Kronecker product), both sigma;
+  Kronecker product once mn >= 4), both sigma; accepted when its
+  certificate is below min(5 tol, 1e-6), whatever its Kronecker residual;
 * ``trace``: a trace form tr(M) rho, singular on span(MES);
 * ``random``: a complex Gaussian matrix.
 
@@ -15,10 +16,10 @@ For each (m, k), ``tol`` and seed it builds:
 norm eps ||a||_F.  (U, V) is ``unitary_pair(dims, seed)``.
 
 It calls only ``decompose(phi, tol)`` and prints one JSON line per map: the
-map's description, the verdict (sigma or error type), the CLI exit code, the
-message, the certificate and Kronecker residual as ``repr`` strings, and a
-hash of the bits of U and V.  The output depends only on the arguments, so
-two checkouts are compared with ``diff``:
+map's description, the verdict (sigma or error type), the CLI exit code (0,
+3 or 4), the message, the certificate and Kronecker residual as ``repr``
+strings, and a hash of the bits of U and V.  The output depends only on the
+arguments, so two checkouts are compared with ``diff``:
 
     PYTHONPATH=src python scripts/noise_scan.py > scan.jsonl
     PYTHONPATH=src python scripts/noise_scan.py --dims 1x2 --seeds 1

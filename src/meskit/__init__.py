@@ -27,7 +27,6 @@ from .errors import (
     MESKitError,
     NotHermitianError,
     NotInvertibleError,
-    NotKroneckerError,
     NotMESError,
     NotOrthogonalError,
     NotPreserverError,
@@ -86,7 +85,6 @@ __all__ = [
     "MESKitError",
     "NotHermitianError",
     "NotInvertibleError",
-    "NotKroneckerError",
     "NotMESError",
     "NotOrthogonalError",
     "NotPreserverError",

@@ -11,10 +11,10 @@ certificate, which bounds the extension on every MES of Y (x) Y; an explicit
 
 Exit codes: 0 success, 2 usage/parse errors (an ``--out`` that cannot be
 written, ``check-lemmas`` with k = 1), 3 not a preserver (at stage recovery
-or a failed span certificate), 4 singular on the MES span, 6 recovered
-unitary not a Kronecker product, 1 unexpected numerical breakdown or a report
-with ``"all_pass": false`` (``extend`` under an explicit sigma,
-``check-lemmas``), or a stdout closed by its reader.  :func:`main` maps every
+or a failed span certificate), 4 singular on the MES span (5 and 6 are
+retired), 1 unexpected numerical breakdown or a report with ``"all_pass":
+false`` (``extend`` under an explicit sigma, ``check-lemmas``), or a stdout
+closed by its reader.  :func:`main` maps every
 refusal once: a package error exits with its type's ``exit_code``, a closed
 stdout with 1 and nothing more printed, and any other ``ValueError`` or
 ``OSError`` with 2.  A refused input file's path leads the error's message.

@@ -4,12 +4,12 @@ Library code raises these instead of bare ``ValueError`` so that callers can
 branch on the failure mode.  Each type carries the CLI's exit code for it as
 the class attribute ``exit_code``: 2 for a DimensionError (a usage error),
 1 for the base class and every other type without a code of its own.  A
-verdict on a map has one of three types, one per way to miss the invertible
-preserver form: NotPreserverError (3), NotInvertibleError (4) or
-NotKroneckerError (6).  The type names the verdict, and the message's
-``stage ...:`` prefix names the step that reached it.  A file that is not
-a superoperator object (a missing or mistyped key, or a count such as
-``1e999``) is refused with a plain ``ValueError`` that names the key.
+refusal of a map has one of two types, one per way to miss the invertible
+preserver form: NotPreserverError (3) or NotInvertibleError (4).  The type
+names the verdict, and the message's ``stage ...:`` prefix names the step
+that reached it.  Exits 5 and 6 are retired.  A file that is not a
+superoperator object (a missing or mistyped key, or a count such as 1e999)
+is refused with a plain ``ValueError`` that names the key.
 """
 
 
@@ -57,9 +57,3 @@ class NotInvertibleError(MESKitError):
     """The map is singular on the span of the maximally entangled states."""
 
     exit_code = 4
-
-
-class NotKroneckerError(MESKitError):
-    """The recovered conjugation unitary is not a Kronecker product within tolerance."""
-
-    exit_code = 6

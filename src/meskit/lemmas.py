@@ -25,6 +25,7 @@ from .superop import SigmaFlag, apply, make_adjoint_preserver
 from .tensor import (
     DEFAULT_TOL,
     Dims,
+    check_tol,
     complex_gaussian,
     frobenius,
     haar_unitary,
@@ -291,8 +292,7 @@ def run_all(dims: Dims, tol: float = DEFAULT_TOL, samples: int = 20, seed: int =
         raise DimensionError("the lemma suite needs an orthogonal pair, so k >= 2")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    check_tol(tol)
     results = []
     for name, func in _CHECKS:
         residual = float(func(dims, samples, seed))

@@ -51,6 +51,12 @@ class Dims:
         return self.m * self.n
 
 
+def check_tol(tol: float) -> None:
+    """Raises ValueError unless ``tol`` is finite and positive (a NaN passes every gate)."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+
+
 def scaled_tol(tol: float, scale: float) -> float:
     """Absolute threshold for a structural predicate at relative tolerance ``tol``."""
     return tol * max(1.0, float(scale))

@@ -18,7 +18,6 @@ from meskit import (
     Dims,
     MESKitError,
     NotInvertibleError,
-    NotKroneckerError,
     NotPreserverError,
     SigmaFlag,
     Superoperator,
@@ -270,7 +269,7 @@ def test_refusals_name_their_verdict_and_stage(rng):
 
 
 # Relative noise that every seed survived before the certificate gated
-# success; tol=1e-3 keeps the Kronecker gate from deciding
+# success; at tol=1e-3 the certificate's bound is the 1e-6 cap
 @pytest.mark.parametrize("m,k,eps", [(1, 2, 1.5e-9), (2, 2, 2.5e-9), (2, 3, 2e-8 / 12), (3, 2, 2e-8 / 18)])
 @pytest.mark.parametrize("sigma", [SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE])
 def test_certificate_gate_keeps_the_noise_band(m, k, eps, sigma):
@@ -506,7 +505,7 @@ def test_decompose_refuses_non_finite_input(value):
 @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
 def test_decompose_refuses_a_tol_that_is_not_finite_and_positive(tol):
     # a NaN tol fails every ">=" gate, so this map, with a certificate near 2e-6,
-    # would be accepted above the hard 1e-6 cap; an infinite tol passes any Kronecker residual
+    # would be accepted above the hard 1e-6 cap
     dims = Dims.from_mk(2, 2)
     phi = make_adjoint_preserver(*unitary_pair(dims, 61), SigmaFlag.IDENTITY)
     phi = Superoperator(perturb(phi.matrix, 1e-6, np.random.default_rng(61)), dims)
@@ -563,19 +562,17 @@ def test_classify_accept_does_not_import_numpy_random(tmp_path, form, expected, 
     assert after == str(loaded or eager == "True")
 
 
-def _stage_readings(phi, sigma):
-    """The certificate and Kronecker residual under ``sigma``, read off without
-    the verdict's bounds."""
+def _certificate(phi, sigma):
+    """The certificate under ``sigma``, read off without the verdict's bound."""
     images = _images(phi)
     w = recover_unitary(images.swapaxes(2, 3) if sigma is SigmaFlag.TRANSPOSE else images, phi.dims)
-    u, v, kron_residual = nearest_kron_factor(w, phi.dims)
-    return verify_theorem_form(phi, Decomposition(sigma, u, v, kron_residual, 0.0)), kron_residual
+    return verify_theorem_form(phi, Decomposition(sigma, *nearest_kron_factor(w, phi.dims), 0.0))
 
 
 @pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (3, 2)])
 def test_noise_contract_default_tol_follows_the_certificate(m, k):
-    # one closed-form rule: accept exactly when the certificate is below 5 tol and
-    # the Kronecker residual below tol; a certificate refusal names a residual >= 5 tol
+    # one closed-form rule: accept exactly when the certificate is below 5 tol; a
+    # certificate refusal names a residual >= 5 tol
     dims = Dims.from_mk(m, k)
     verdicts = set()
     for sigma in SigmaFlag:
@@ -583,7 +580,7 @@ def test_noise_contract_default_tol_follows_the_certificate(m, k):
             for seed in range(60, 63):
                 phi = make_adjoint_preserver(*unitary_pair(dims, seed), sigma)
                 phi = Superoperator(perturb(phi.matrix, eps / dims.mn, np.random.default_rng(seed)), dims)
-                certificate, kron_residual = _stage_readings(phi, sigma)
+                certificate = _certificate(phi, sigma)
                 try:
                     verdict = decompose(phi).sigma
                 except MESKitError as exc:
@@ -591,7 +588,7 @@ def test_noise_contract_default_tol_follows_the_certificate(m, k):
                     if str(exc).startswith("stage certificate: "):
                         refused = re.fullmatch(r"stage certificate: span residual (\S+) >= 5\.0e-09", str(exc))
                         assert refused and float(refused[1]) >= 5e-9, str(exc)
-                accept = certificate < 5e-9 and kron_residual < 1e-9
+                accept = certificate < 5e-9
                 assert (verdict is sigma) == accept, (sigma, eps, seed, verdict, certificate)
                 verdicts.add(verdict)
     assert set(SigmaFlag) < verdicts
@@ -629,10 +626,70 @@ def _refusals():
     noise = make_adjoint_preserver(*unitary_pair(DIMS, 21), SigmaFlag.TRANSPOSE)
     noise = Superoperator(perturb(noise.matrix, 1.25e-7, np.random.default_rng(21)), DIMS)
     yield pytest.param(noise, NotPreserverError, id="noise")
-    # relative noise 2.5e-9: certified below 5 tol, Kronecker residual 1.5e-9
-    band = make_adjoint_preserver(*unitary_pair(DIMS, 21), SigmaFlag.IDENTITY)
-    band = Superoperator(perturb(band.matrix, 2.5e-9, np.random.default_rng(21)), DIMS)
-    yield pytest.param(band, NotKroneckerError, id="kronecker-band")
+
+
+def test_kronecker_residual_above_tol_is_reported_not_gated():
+    # relative noise 2.5e-9: certified below 5 tol, so accepted, with its
+    # Kronecker residual of about 1.5e-9, above tol, in the record
+    phi = make_adjoint_preserver(*unitary_pair(DIMS, 21), SigmaFlag.IDENTITY)
+    phi = Superoperator(perturb(phi.matrix, 2.5e-9, np.random.default_rng(21)), DIMS)
+    dec = decompose(phi)
+    assert dec.sigma is SigmaFlag.IDENTITY
+    assert dec.verification_residual < 5e-9
+    assert 1e-9 < dec.kron_residual < 2e-9
+
+
+def _near_preservers(dims, seed, sigma):
+    """Noise maps and non-Kronecker conjugations Ad_W o sigma, with W the
+    unitary nearest to noisy U (x) V, at relative noise 1e-9 to 1e-6."""
+    u, v = unitary_pair(dims, seed)
+    exact = make_adjoint_preserver(u, v, sigma).matrix
+    for i in range(7):
+        eps, rng = 10.0 ** (-9 + i / 2), np.random.default_rng([seed, i])
+        yield Superoperator(perturb(exact, eps, rng), dims)
+        a, _, b = np.linalg.svd(perturb(kron(u, v), eps, rng))
+        yield Conjugation(a @ b, sigma, dims)
+
+
+def test_accepted_factors_are_unitary_to_second_order():
+    # _certify's argument for having no unitarity gate, on every accept at tol 1e-3:
+    # U and V miss unitarity far under 1e-10, and the Kronecker residual stays
+    # within twice the certificate
+    accepts = 0
+    for m, k in ((1, 2), (2, 2), (2, 3), (3, 2)):
+        for seed in range(2):
+            for sigma in SigmaFlag:
+                for phi in _near_preservers(Dims.from_mk(m, k), seed, sigma):
+                    try:
+                        dec = decompose(phi, tol=1e-3)
+                    except NotPreserverError:
+                        continue
+                    accepts += 1
+                    assert dec.sigma is sigma
+                    for x in (dec.U, dec.V):
+                        assert np.linalg.norm(x @ x.conj().T - np.eye(len(x))) <= 1e-10
+                    assert dec.kron_residual <= 2 * dec.verification_residual + 1e-13
+    assert accepts >= 180  # 196 of the 224 maps certify under the 1e-6 cap
+
+
+@pytest.mark.parametrize("sigma", list(SigmaFlag))
+def test_refusal_at_both_certificates_names_the_smaller_residual(sigma):
+    # at (1,2) a wrong sigma passes recovery, so on this noisy map (certified near
+    # 2e-8 under its sigma, near 2 under the other) both attempts stop at the certificate
+    dims = Dims.from_mk(1, 2)
+    phi = make_adjoint_preserver(*unitary_pair(dims, 3), sigma)
+    phi = Superoperator(perturb(phi.matrix, 1e-8, np.random.default_rng(3)), dims)
+    residuals = {}
+    for attempt in SigmaFlag:
+        with pytest.raises(NotPreserverError) as raised:
+            _certify(phi, attempt, 1e-9)
+        assert raised.value.stage == "certificate"
+        residuals[attempt] = raised.value.residual
+    other = next(s for s in SigmaFlag if s is not sigma)
+    assert 5e-9 < residuals[sigma] < 1e-7 and residuals[other] > 1.0, residuals
+    with pytest.raises(NotPreserverError) as raised:
+        decompose(phi)
+    assert raised.value.residual == residuals[sigma]
 
 
 @pytest.mark.parametrize("phi,error", list(_refusals()))

@@ -15,7 +15,6 @@ from meskit import (
     Dims,
     MESKitError,
     NotInvertibleError,
-    NotKroneckerError,
     NotPreserverError,
     NotUnitaryError,
     SigmaFlag,
@@ -198,7 +197,6 @@ def test_classify_random_matrix_exit_3(tmp_path, capsys):
         (DimensionError, 2),
         (NotPreserverError, 3),
         (NotInvertibleError, 4),
-        (NotKroneckerError, 6),
         (MESKitError, 1),
         # a ValueError too, but no verdict: unexpected, not a usage error
         (ZeroOperatorError, 1),
@@ -440,15 +438,16 @@ def _write_map(path, dims, sigma, eps=0.0, form="adjoint"):
     "form,mk,sigma,eps,code",
     [("trace", (2, 2), SigmaFlag.IDENTITY, 0.0, 4)]
     + [
-        ("adjoint", (2, 2), sigma, eps, code)
+        ("adjoint", (2, 2), sigma, eps, 0)
         for sigma in SigmaFlag
-        # noise of Frobenius norm 3e-9 on U (x) V, whose norm is sqrt(8)
-        for eps, code in ((0.0, 0), (3e-9 / 8**0.5, 6))
+        # noise of Frobenius norm 3e-9 on U (x) V, whose norm is sqrt(8): no
+        # Kronecker product, but certified below 5 tol
+        for eps in (0.0, 3e-9 / 8**0.5)
     ]
     # certifies below 1e-6 but not below 5 tol
     + [("noisy", (1, 2), sigma, 3e-8, 3) for sigma in SigmaFlag]
     # certifies below 5 tol, with a Kronecker residual above tol
-    + [("noisy", (2, 2), sigma, 2.5e-9, 6) for sigma in SigmaFlag],
+    + [("noisy", (2, 2), sigma, 2.5e-9, 0) for sigma in SigmaFlag],
 )
 def test_extend_auto_agrees_with_classify(form, mk, sigma, eps, code, requested, tmp_path, capsys):
     # one decision for both commands: under auto the same exit code and error type,

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meskit import (
+    Conjugation,
     Dims,
     MESKitError,
     NotInvertibleError,
@@ -30,11 +31,16 @@ from meskit.tensor import complex_gaussian, perturb, unitary_pair
 
 # noise_scan at seeds 0-2 accepts every 1e-10 row and refuses every >= 1e-8 row
 # at tol 1e-9: both levels sit a decade or more from the band.  "offspan" adds
-# a term of unit norm that vanishes on span(MES); the first three are accepted
+# a term of unit norm that vanishes on span(MES).  "nonkron" is Ad_W o sigma
+# with W the unitary nearest to perturb(U (x) V, 1.5e-9): from mn = 4 up no
+# Kronecker product, yet certified below 5 tol (on every tenth seed to 990,
+# Kronecker residual 2.0e-9 to 4.5e-9, certificate at most 4.1e-9).  The
+# first four kinds are accepted
 KINDS = (
     ("adjoint", 0.0),
     ("noise", 1e-10),
     ("offspan", 1.0),
+    ("nonkron", 1.5e-9),
     ("noise", 1e-7),
     ("trace", None),
     ("random", None),
@@ -46,6 +52,9 @@ def _build(kind, eps, dims, sigma, seed):
         return make_trace_preserver(pi(random_coisometry(dims, seed)), dims)
     if kind == "random":
         return Superoperator(complex_gaussian(np.random.default_rng(seed), dims.mn**2, dims.mn**2), dims)
+    if kind == "nonkron":
+        a, _, b = np.linalg.svd(perturb(kron(*unitary_pair(dims, seed)), eps, np.random.default_rng(seed)))
+        return Conjugation(a @ b, sigma, dims)
     phi = make_adjoint_preserver(*unitary_pair(dims, seed), sigma)
     if kind == "adjoint":
         return phi
@@ -86,17 +95,18 @@ def _classify_exit(phi):
 @example(mk=(1, 2), sigma=SigmaFlag.TRANSPOSE, seed=0, kind=KINDS[0], cli=True)
 @example(mk=(2, 2), sigma=SigmaFlag.TRANSPOSE, seed=1, kind=KINDS[1], cli=True)
 @example(mk=(2, 2), sigma=SigmaFlag.IDENTITY, seed=5, kind=KINDS[2], cli=True)
-@example(mk=(1, 2), sigma=SigmaFlag.IDENTITY, seed=2, kind=KINDS[3], cli=True)
-@example(mk=(2, 2), sigma=SigmaFlag.IDENTITY, seed=3, kind=KINDS[4], cli=True)
-@example(mk=(1, 2), sigma=SigmaFlag.IDENTITY, seed=4, kind=KINDS[5], cli=True)
+@example(mk=(2, 2), sigma=SigmaFlag.TRANSPOSE, seed=6, kind=KINDS[3], cli=True)
+@example(mk=(1, 2), sigma=SigmaFlag.IDENTITY, seed=2, kind=KINDS[4], cli=True)
+@example(mk=(2, 2), sigma=SigmaFlag.IDENTITY, seed=3, kind=KINDS[5], cli=True)
+@example(mk=(1, 2), sigma=SigmaFlag.IDENTITY, seed=4, kind=KINDS[6], cli=True)
 def test_each_kind_gets_its_verdict(mk, sigma, seed, kind, cli):
     phi = _build(*kind, Dims.from_mk(*mk), sigma, seed)
     verdict = _verdict(phi)
-    if kind in KINDS[:3]:
+    if kind in KINDS[:4]:
         assert verdict[0] is sigma, verdict
         expected_exit = 0
     else:
-        error = NotInvertibleError if kind == KINDS[4] else NotPreserverError
+        error = NotInvertibleError if kind == KINDS[5] else NotPreserverError
         assert verdict[0] is error, verdict
         if error is NotInvertibleError:
             assert verdict[1].startswith("stage recovery"), verdict
