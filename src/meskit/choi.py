@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotInvertibleError, NotOrthogonalError, NotPreserverError
+from .errors import NotInvertibleError, NotOrthogonalError, NotPreserverError, _refusal
 from .states import _VALIDATION_TOL, are_orthogonal, is_coisometry, pi, representative
 from .superop import apply
 from .tensor import frobenius, scaled_tol, unvec, vec
@@ -79,20 +79,19 @@ def restricted_g(phi, A1: np.ndarray, A2: np.ndarray) -> np.ndarray:
     # det / (product of the diagonal) is sin^2 of the angle between B1 and B2
     sin2 = float(np.linalg.det(gram).real / (gram[0, 0].real * gram[1, 1].real))
     if sin2 < _VALIDATION_TOL:
-        raise NotInvertibleError(
-            "stage restricted map: orthogonal coisometries share one image class "
-            f"(sin^2 {sin2:.3e}): map is singular on span(MES)"
+        detail = (
+            f"orthogonal coisometries share one image class (sin^2 {sin2:.3e}): "
+            "map is singular on span(MES)"
         )
+        raise _refusal(NotInvertibleError, "restricted map", detail)
     pinv = np.linalg.solve(gram, b.conj().T)
     gmat = np.zeros((4, 4), dtype=complex)
     for col, target in enumerate(t for row in table for t in row):  # col = 2i + j
         coeffs = pinv @ target @ pinv.conj().T
         residual = frobenius(target - b @ coeffs @ b.conj().T)
         if residual >= scaled_tol(_VALIDATION_TOL, frobenius(target)):
-            raise NotPreserverError(
-                "stage restricted map: cross-term image left its subspace "
-                f"(residual {residual:.3e})"
-            )
+            detail = f"cross-term image left its subspace (residual {residual:.3e})"
+            raise _refusal(NotPreserverError, "restricted map", detail)
         gmat[:, col] = coeffs.reshape(-1)
     return gmat
 
@@ -136,11 +135,10 @@ def align_images(phi, family) -> list[np.ndarray]:
         readings.append((residual, vecs))
     residual, vecs = min(readings, key=lambda r: r[0])  # a tie goes to the identity reading
     if residual >= scaled_tol(_VALIDATION_TOL, float(dims.m)):
-        raise NotPreserverError(
-            f"stage alignment: no coherent phase assignment (best residual {residual:.3e})"
-        )
+        detail = f"no coherent phase assignment (best residual {residual:.3e})"
+        raise _refusal(NotPreserverError, "alignment", detail)
     aligned = [unvec(v, dims.m, dims.n) for v in vecs]
     for j, b in enumerate(aligned[1:], 2):
         if not is_coisometry(b, _VALIDATION_TOL):
-            raise NotPreserverError(f"stage alignment: image {j} is not a coisometry")
+            raise _refusal(NotPreserverError, "alignment", f"image {j} is not a coisometry")
     return aligned

@@ -17,9 +17,10 @@ Verdict rule: phi is accepted, with the first sigma whose attempt passes
 both stages, exactly when its certificate is below min(5 ``tol``, 1e-6);
 the Kronecker residual ||W - U (x) V||_F is reported, not gated, as the
 certificate already compares phi with Ad_{U (x) V} o sigma.  When both
-attempts are refused, the one that got further is raised (recovery <
-certificate); when both stopped at the certificate (only seen at (m,k) =
-(1,2)), the one with the smaller residual, and otherwise the identity's.
+attempts are refused, a NotInvertibleError from either is raised (phi is
+singular), else the one that got further (recovery < certificate); when
+both stopped at the certificate (only seen at (m,k) = (1,2)), the one with
+the smaller residual, and otherwise the identity's.
 
 Stage 1 reads the unitary W off phi's images.  For basis vectors x_a, x_b
 with different Y indices, x_a x_b* lies in span(MES) (its trace and partial
@@ -28,6 +29,7 @@ vec(w_a w_b*), with w_a the columns of W.  One rank-one column fixes w_r and
 w_s up to a common phase, and every other w_a follows by one matrix-vector
 product.  x_r x_s* is a unit element of span(MES), so a map that sends it to
 (relatively) zero is singular on the span: the trace form gives exactly 0.
+The transpose attempt reads x_s x_r* in its place.
 
 A wrong sigma cannot accept: under it phi(x_a x_b*) is w_b w_a*, so stage 1
 reads off w_1 and w_0 as columns 0 and 1 and zeros elsewhere.  For mn >= 3
@@ -49,7 +51,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionError, MESKitError, NotInvertibleError, NotPreserverError
+from .errors import DimensionError, MESKitError, NotInvertibleError, NotPreserverError, _refusal
 from .superop import Conjugation, SigmaFlag, Superoperator, _project_out_complement
 from .tensor import (
     DEFAULT_TOL,
@@ -62,13 +64,6 @@ from .tensor import (
 )
 
 _STAGES = ("recovery", "certificate")
-
-
-def _refusal(error_type: type, stage: str, detail: str, **attributes) -> MESKitError:
-    """``error_type("stage <stage>: <detail>")``, with ``stage`` and ``attributes`` set on it."""
-    refusal = error_type(f"stage {stage}: {detail}")
-    vars(refusal).update(stage=stage, **attributes)
-    return refusal
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,8 +142,9 @@ def _certify(phi: Superoperator, sigma: SigmaFlag, tol: float) -> Decomposition:
 
 
 def _progress(refusal: MESKitError) -> tuple:
-    """How far a refused attempt got: its stage, then the smaller residual."""
-    return _STAGES.index(refusal.stage), -getattr(refusal, "residual", 0.0)
+    """A refused attempt's rank: singular first, then its stage, then the smaller residual."""
+    singular = isinstance(refusal, NotInvertibleError)
+    return singular, _STAGES.index(refusal.stage), -getattr(refusal, "residual", 0.0)
 
 
 def decompose(phi: Superoperator, tol: float = DEFAULT_TOL) -> Decomposition:

@@ -10,11 +10,11 @@ certificate, which bounds the extension on every MES of Y (x) Y; an explicit
 ``--sigma`` passes only when ``classify`` accepts the map with that sigma.
 
 Exit codes: 0 success, 2 usage/parse errors (an ``--out`` that cannot be
-written, ``check-lemmas`` with k = 1), 3 not a preserver (at stage recovery
-or a failed span certificate), 4 singular on the MES span (5 and 6 are
-retired), 1 unexpected numerical breakdown or a report with ``"all_pass":
-false`` (``extend`` under an explicit sigma, ``check-lemmas``), or a stdout
-closed by its reader.  :func:`main` maps every
+written, a k = 1 input or ``check-lemmas --k 1``), 3 not a preserver (at
+stage recovery or a failed span certificate), 4 singular on the MES span
+(5 and 6 are retired), 1 unexpected numerical breakdown, a report with
+``"all_pass": false`` (``extend`` under an explicit sigma,
+``check-lemmas``), or a stdout closed by its reader.  :func:`main` maps every
 refusal once: a package error exits with its type's ``exit_code``, a closed
 stdout with 1 and nothing more printed, and any other ``ValueError`` or
 ``OSError`` with 2.  A refused input file's path leads the error's message.
@@ -29,7 +29,6 @@ environment variable sets it.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -46,7 +45,7 @@ from .superop import (
     make_swap_preserver,
     make_trace_preserver,
 )
-from .tensor import DEFAULT_TOL, Dims, unitary_pair
+from .tensor import DEFAULT_TOL, Dims, check_tol, unitary_pair
 
 _EXIT_USAGE = 2
 
@@ -60,15 +59,11 @@ def _fail(exc: BaseException, code: int) -> int:
 
 
 def _check_settings(args) -> None:
-    """Rejects a non-positive or non-finite tolerance, a non-positive sample
-    count and a negative seed."""
+    """Rejects, before any file is read, a tolerance that is not finite and
+    positive (:func:`~meskit.tensor.check_tol`) and a negative seed;
+    ``lemmas.run_all`` refuses a sample count below 1 before any check runs."""
     if "tol" in args:
-        if args.tol <= 0:
-            raise ValueError("tol must be positive")
-        if not math.isfinite(args.tol):
-            raise ValueError("tol must be finite")
-    if "samples" in args and args.samples < 1:
-        raise ValueError("samples must be >= 1")
+        check_tol(args.tol)
     if "seed" in args and args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
 
@@ -135,9 +130,9 @@ def cmd_extend(args) -> int:
     try:
         dec = decompose(phi, tol=args.tol)
     except MESKitError as exc:
-        if auto or isinstance(exc, DimensionError):  # k = 1 is a usage error under any sigma
+        if auto:
             raise
-        dec = exc
+        dec = exc  # reported below; extend() itself refuses a k = 1 map
     ext = extend(phi, dec.sigma if auto else SigmaFlag(args.sigma))
     if isinstance(dec, Decomposition) and dec.sigma is not ext.sigma:
         dec = f"stage sigma: certified as {dec.sigma.value}, not {ext.sigma.value}"

@@ -7,7 +7,8 @@ the class attribute ``exit_code``: 2 for a DimensionError (a usage error),
 refusal of a map has one of two types, one per way to miss the invertible
 preserver form: NotPreserverError (3) or NotInvertibleError (4).  The type
 names the verdict, and the message's ``stage ...:`` prefix names the step
-that reached it.  Exits 5 and 6 are retired.  A file that is not a
+that reached it; :func:`_refusal` builds every such refusal and sets that
+step as its ``stage``.  Exits 5 and 6 are retired.  A file that is not a
 superoperator object (a missing or mistyped key, or a count such as 1e999)
 is refused with a plain ``ValueError`` that names the key.
 """
@@ -57,3 +58,10 @@ class NotInvertibleError(MESKitError):
     """The map is singular on the span of the maximally entangled states."""
 
     exit_code = 4
+
+
+def _refusal(error_type: type, stage: str, detail: str, **attributes) -> MESKitError:
+    """``error_type("stage <stage>: <detail>")``, with ``stage`` and ``attributes`` set on it."""
+    refusal = error_type(f"stage {stage}: {detail}")
+    vars(refusal).update(stage=stage, **attributes)
+    return refusal

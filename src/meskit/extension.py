@@ -108,8 +108,8 @@ def extend(phi, sigma: SigmaFlag) -> ExtendedSuperoperator:
     ``sigma`` is the identity flag and to [phi(M_qp)] when it is the transpose
     flag.  The extension preserves MES when the flag is the sigma of ``phi``
     that :func:`~meskit.classify.decompose` certifies; it is taken as an
-    explicit argument so that the (fallible) classification stays separate
-    from this (infallible) construction.  Nothing of size n^4 x n^4 is
+    explicit argument, apart from the (fallible) classification.  A map with
+    k < 2 is refused (DimensionError).  Nothing of size n^4 x n^4 is
     allocated; see :meth:`ExtendedSuperoperator.row_slabs` for the dense form.
     """
     return ExtendedSuperoperator(base=phi, sigma=sigma)

@@ -223,6 +223,73 @@ def test_decompose_names_recovery_stage(phi, error):
     assert type(raised.value) is error
 
 
+def _scaled_unit_column(dims, sigma, column, t):
+    """Ad_{U (x) V} o sigma with one column of its matrix, the image of a unit
+    element x_a x_b* of span(MES) (column a*mn + b), scaled by t."""
+    matrix = make_adjoint_preserver(*unitary_pair(dims, 0), sigma).matrix
+    matrix[:, column] *= t
+    return Superoperator(matrix, dims)
+
+
+@pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (3, 2)])
+@pytest.mark.parametrize("sigma", list(SigmaFlag))
+@pytest.mark.parametrize("element", ["x0x1", "x1x0"])
+def test_a_killed_unit_element_is_singular_under_either_sigma(m, k, sigma, element):
+    # the identity attempt reads phi(x_0 x_1*) as its rank-one column, the transpose
+    # attempt phi(x_1 x_0*); whichever finds the zero proves phi singular (exit 4)
+    dims = Dims.from_mk(m, k)
+    phi = _scaled_unit_column(dims, sigma, 1 if element == "x0x1" else dims.mn, 0.0)
+    with pytest.raises(NotInvertibleError, match=r"^stage recovery: singular on span\(MES\)"):
+        decompose(phi)
+
+
+def test_classify_exits_4_on_a_killed_unit_element(tmp_path, capsys):
+    # killing x_1 x_0* leaves the identity attempt a non-unitary reading (exit 3 alone)
+    path = str(tmp_path / "killed.json")
+    phi = _scaled_unit_column(DIMS, SigmaFlag.IDENTITY, DIMS.mn, 0.0)
+    serialize.write_json(path, serialize.superoperator_to_obj(phi.matrix, DIMS))
+    assert main(["classify", path]) == 4
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "NotInvertibleError" and error["message"].startswith("stage recovery: ")
+
+
+@pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (3, 2)])
+@pytest.mark.parametrize("sigma", list(SigmaFlag))
+def test_singularity_threshold_is_a_relative_1e_6(m, k, sigma):
+    # recovery calls phi(x_0 x_1*) zero below a relative 1e-6: scaled by 1e-7 the
+    # map is singular, scaled by 1e-5 it is not, and its columns are not unitary
+    dims = Dims.from_mk(m, k)
+    for t, error in ((1e-7, NotInvertibleError), (1e-5, NotPreserverError)):
+        with pytest.raises(MESKitError, match=r"^stage recovery: ") as raised:
+            decompose(_scaled_unit_column(dims, sigma, 1, t))
+        assert type(raised.value) is error, (t, raised.value)
+
+
+def _largest_entry_angle(x):
+    """|angle| of x's largest-magnitude entry; entries within a relative 1e-9
+    of it tie, and a tie goes to the lowest row-major index (|U_00| = |U_11|
+    for every 2 x 2 unitary)."""
+    mags = np.abs(x).reshape(-1)
+    return abs(np.angle(x.reshape(-1)[np.argmax(mags >= (1.0 - 1e-9) * mags.max())]))
+
+
+@pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (2, 3), (3, 2)])
+def test_recovered_factors_are_phase_gauged(m, k, tmp_path, capsys):
+    # U and V each have their largest entry real and positive, in process and in
+    # classify's stdout: the one phase freedom of U (x) V is fixed, not left to rounding
+    dims = Dims.from_mk(m, k)
+    path = str(tmp_path / "sop.json")
+    for seed in range(3):
+        for sigma in SigmaFlag:
+            phi = make_adjoint_preserver(*unitary_pair(dims, seed), sigma)
+            dec = decompose(phi)
+            serialize.write_json(path, serialize.superoperator_to_obj(phi.matrix, dims))
+            assert main(["classify", path]) == 0
+            printed = json.loads(capsys.readouterr().out)
+            for x in (dec.U, dec.V, *(serialize.matrix_from_obj(printed[f]) for f in "UV")):
+                assert _largest_entry_angle(x) < 1e-12, (seed, sigma)
+
+
 def _cross_term_leak(dims, seed):
     """Ad_W plus a term that vanishes on pi(A1) and pi(A2) but not on the
     cross term vec(A1) vec(A2)*, with (A1, A2) an orthogonal pair."""
@@ -255,17 +322,18 @@ def test_refusals_name_their_verdict_and_stage(rng):
     noise = Superoperator(matrix=complex_gaussian(rng, 64, 64), dims=DIMS)
     twist = _twist_fixing(a1, DIMS, 43)
     cases = [
-        (lambda: recover_unitary(_images(noise), DIMS), NotPreserverError, "stage recovery: "),
-        (lambda: recover_unitary(_images(trace), DIMS), NotInvertibleError, "stage recovery: "),
-        (lambda: restricted_g(leak, a1, a2), NotPreserverError, "stage restricted map: "),
-        (lambda: restricted_g(trace, a1, a2), NotInvertibleError, "stage restricted map: "),
-        (lambda: align_images(leak, [a1, a2]), NotPreserverError, "stage alignment: "),
-        (lambda: align_images(twist, [a1, a2]), NotPreserverError, "stage alignment: "),
+        (lambda: recover_unitary(_images(noise), DIMS), NotPreserverError, "recovery"),
+        (lambda: recover_unitary(_images(trace), DIMS), NotInvertibleError, "recovery"),
+        (lambda: restricted_g(leak, a1, a2), NotPreserverError, "restricted map"),
+        (lambda: restricted_g(trace, a1, a2), NotInvertibleError, "restricted map"),
+        (lambda: align_images(leak, [a1, a2]), NotPreserverError, "alignment"),
+        (lambda: align_images(twist, [a1, a2]), NotPreserverError, "alignment"),
     ]
     for call, error, stage in cases:
         with pytest.raises(MESKitError) as raised:
             call()
-        assert type(raised.value) is error and str(raised.value).startswith(stage), raised.value
+        assert type(raised.value) is error and raised.value.stage == stage, raised.value
+        assert str(raised.value).startswith(f"stage {stage}: "), raised.value
 
 
 # Relative noise that every seed survived before the certificate gated

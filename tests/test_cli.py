@@ -142,24 +142,25 @@ def test_flags_only_where_read(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["classify", "SOP", "--tol", "0"], "tol must be positive"),
-        (["classify", "SOP", "--tol", "-5"], "tol must be positive"),
-        (["extend", "SOP", "--tol", "0"], "tol must be positive"),
+        (["classify", "SOP", "--tol", "0"], "tol must be finite and positive, got 0.0"),
+        (["classify", "SOP", "--tol", "-5"], "tol must be finite and positive, got -5.0"),
+        (["extend", "SOP", "--tol", "0"], "tol must be finite and positive, got 0.0"),
         (["check-lemmas", "--samples", "0"], "samples must be >= 1"),
-        (["check-lemmas", "--tol", "0", "--samples", "0"], "tol must be positive"),
-        (["classify", "SOP", "--tol", "nan"], "tol must be finite"),
-        (["extend", "SOP", "--tol", "nan"], "tol must be finite"),
-        (["check-lemmas", "--tol", "inf"], "tol must be finite"),
-        (["extend", "SOP", "--tol", "-1"], "tol must be positive"),
-        (["classify", "SOP", "--tol", "inf"], "tol must be finite"),
-        (["check-lemmas", "--tol", "nan"], "tol must be finite"),
-        (["classify", "SOP", "--tol=-inf"], "tol must be positive"),
+        (["check-lemmas", "--tol", "0", "--samples", "0"], "tol must be finite and positive, got 0.0"),
+        (["classify", "SOP", "--tol", "nan"], "tol must be finite and positive, got nan"),
+        (["extend", "SOP", "--tol", "nan"], "tol must be finite and positive, got nan"),
+        (["check-lemmas", "--tol", "inf"], "tol must be finite and positive, got inf"),
+        (["extend", "SOP", "--tol", "-1"], "tol must be finite and positive, got -1.0"),
+        (["classify", "SOP", "--tol", "inf"], "tol must be finite and positive, got inf"),
+        (["check-lemmas", "--tol", "nan"], "tol must be finite and positive, got nan"),
+        (["classify", "SOP", "--tol=-inf"], "tol must be finite and positive, got -inf"),
         (["gen", "--seed", "-1"], "--seed must be >= 0, got -1"),
         (["check-lemmas", "--seed", "-1"], "--seed must be >= 0, got -1"),
     ],
 )
 def test_invalid_settings_exit_2(argv, message, tmp_path, capsys):
-    # checked before the command runs: one error JSON, nothing on stdout, no file
+    # refused before any file is read or any check runs: one error JSON, nothing
+    # on stdout, no file; a bad tol gets tensor.check_tol's text
     sop, out = tmp_path / "sop.json", tmp_path / "out.json"
     assert run_cli(capsys, "gen", "--out", str(sop))[0] == 0
     argv = [str(sop) if a == "SOP" else a for a in argv]

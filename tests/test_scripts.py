@@ -1,6 +1,7 @@
 import ast
 import importlib.util
 import json
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -8,6 +9,8 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+# the output of noise_scan.py --dims 1x2 2x2 --seeds 1
+GOLDEN_SCAN = Path(__file__).resolve().parent / "noise_scan_1x2_2x2.jsonl"
 PERFBENCH = SCRIPTS.parent / "perfbench"
 
 
@@ -30,16 +33,29 @@ def test_discriminant_sweep_names_every_branch(monkeypatch, capsys):
         assert detected == "2/2", row
 
 
+def _outcome(row):
+    """A noise_scan row's map, verdict, exit code, refusal stage and certificate
+    (an accept's, or the span residual a certificate refusal names) to 3
+    significant digits, or only as below 1e-12, at rounding level."""
+    message = row.get("message", "")
+    stage = re.match(r"stage ([a-z ]+): ", message)
+    residual = re.search(r"span residual (\S+) ", message)
+    certificate = row.get("certificate", residual and residual.group(1))
+    if certificate is not None:
+        certificate = "< 1e-12" if float(certificate) < 1e-12 else f"{float(certificate):.2e}"
+    described = [row.get(k) for k in ("dims", "seed", "kind", "sigma", "eps", "tol")]
+    return described, row["verdict"], row["exit"], stage and stage.group(1), certificate
+
+
 def test_noise_scan_prints_one_verdict_per_map(monkeypatch, capsys):
-    monkeypatch.setattr(sys, "argv", ["noise_scan.py", "--dims", "2x2", "--seeds", "1"])
+    # each row matches the checked-in output of the same command (see _outcome)
+    monkeypatch.setattr(sys, "argv", ["noise_scan.py", "--dims", "1x2", "2x2", "--seeds", "1"])
     runpy.run_path(str(SCRIPTS / "noise_scan.py"), run_name="__main__")
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert len(rows) == 48  # 2 tol x (2 sigma x 11 noisy maps + a trace form + a random map)
-    exits = {(row["kind"], row["exit"]) for row in rows}
-    assert {("noise", 0), ("noise", 3), ("trace", 4), ("random", 3)} <= exits
-    for row in rows:
-        if row["exit"] == 0:
-            assert row["verdict"] == row["sigma"] and float(row["certificate"]) < 1e-6
+    golden = [json.loads(line) for line in GOLDEN_SCAN.read_text(encoding="utf-8").splitlines()]
+    assert len(rows) == len(golden) == 96  # 2 dims x 2 tol x (2 sigma x 11 noisy maps + 2)
+    for row, want in zip(rows, golden):
+        assert _outcome(row) == _outcome(want), want
 
 
 def _perfbench_meskit_imports():
