@@ -4,11 +4,26 @@ Each float is written as ``format(x, ".17g")`` writes it, which stays the one
 reference: the 17 significant digits of |x| correctly rounded (ties to even),
 fixed notation for decimal exponents -4 <= e < 17 and scientific otherwise,
 trailing zeros dropped and then a dot with no digit after it.  The kernel
-takes the digits of a whole chunk as rint(|x| * 10**(16 - e)) in long double
+takes the digits of a whole chunk as n = rint(y), y = |x| * 10**(16 - e)
 (after Adams, "Ryu revisited: printf floating point conversion", OOPSLA
-2019); each power 10**(16 - e) is numpy's correctly rounded parse of its
-decimal text.  A value whose rounding that cannot certify goes to ``format``;
-where long double is a plain double, that is every nonzero value.
+2019), in float64 alone, so the same on every platform.  e is exact:
+log10's estimate, corrected by comparing |x| with the least float64 >= 10**e.
+10**k is held as hi + lo, hi the float64 nearest 10**k and lo the one nearest
+10**k - hi.  Dekker's product (with Veltkamp's split; "A floating-point
+technique for extending the available precision", Numer. Math. 18, 1971)
+gives the error d of p = fl(|x| * hi) exactly, so y = p + d + |x| * (10**k -
+hi), p an integer.  The kernel takes tail = fl(d + fl(|x| * lo)) and
+n = p + rint(tail).
+
+The bound B on |tail - (y - p)|, with u = 2**-53: y < 1e17, so p < 2**57,
+|d| <= ulp(p) / 2 <= 8, and |x| * |10**k - hi| <= u * |x| * hi < 11.2.
+Rounding lo costs at most u * 11.2 < 1.3e-15 of |x| * lo, the product's
+rounding as much again, and the sum's, below 20 in magnitude, at most
+u * 20 < 2.3e-15: B < 5e-15.  f = tail - rint(tail) is exact, so where
+|f| < 1/2 - _MARGIN (twice B), y lies within 1/2 of n and rounds to it; an
+exact tie never certifies.  ``format`` writes each value whose rounding that
+does not certify, and each |x| outside [1e-280, 1e280], a range well inside
+the one where the splits of |x| and of hi stay finite and lo normal.
 
 Each value is laid out in a slot of ``_SLOT`` bytes, the bytes it does not
 use left NUL, and the chunk's NULs are dropped at the end:
@@ -18,7 +33,7 @@ use left NUL, and the chunk's NULs are dropped at the end:
   bytes 2-6     "0." and the zeros before the first digit, for e < 0
   bytes 7-23    the 17 digits; with a dot after digit p, digits 0..p sit one
                 byte lower and the dot at byte 7 + p
-  bytes 24-28   the exponent, "e-05" to "e+308"
+  bytes 24-28   the exponent, "e-05" to "e+280"
   bytes 29-31   ", " after a real part, "], " after an imaginary one
 """
 
@@ -30,9 +45,13 @@ from typing import NamedTuple
 import numpy as np
 
 _SLOT = 32
-# Decimal exponents of nonzero float64 values, one beyond at each end for an
-# estimate from log10 that is one off.
-_E_MIN, _E_MAX = -325, 309
+# |x| the kernel lays out; format writes every other value
+_X_MIN, _X_MAX = 1e-280, 1e280
+# Their decimal exponents (1e-280 lies below 10**-280), one beyond at each
+# end: log10's estimate may be one below, and a rounding may carry up.
+_E_MIN, _E_MAX = -282, 281
+# Twice the bound B on the error of tail (see the module docstring)
+_MARGIN = 1e-14
 # Layout classes: fixed notation for e = -4..16, then scientific.
 _CLASSES = 22
 _WORD = np.dtype("<u8")
@@ -42,7 +61,8 @@ _BLOCK = 1 << 12
 
 
 class Tables(NamedTuple):
-    pow10: np.ndarray  # 10**(16 - e) correctly rounded, at _E_MAX - e
+    pow10: np.ndarray  # hi, hi's two halves and lo of 10**k, at row k - _E_MIN
+    ceil: np.ndarray  # the least float64 >= 10**k, at k - _E_MIN
     groups: np.ndarray  # ASCII digits of 0..9999 as one little-endian word each
     zeros: np.ndarray  # trailing decimal zeros of 0..9999 (4 for 0)
     keep: np.ndarray  # slot masks by (class, kept digits): unmoved digits
@@ -50,13 +70,11 @@ class Tables(NamedTuple):
     punct: np.ndarray  # slot bytes by (imaginary, class, kept digits)
     sign_exp: np.ndarray  # slot bytes by (exponent or fixed, sign)
     zero: np.ndarray  # the slots of 0 and -0, by (sign, imaginary)
-    slack: float  # relative error bound of |x| * pow10 in long double
 
 
 @functools.cache
 def tables() -> Tables:
     """The kernel's tables, built on first use (not at import)."""
-    info = np.finfo(np.longdouble)
     i = np.arange(10000, dtype=_WORD)
     groups = 0x30303030 + (i // 1000 | i // 100 % 10 << 8 | i // 10 % 10 << 16 | i % 10 << 24)
     zeros = (i % 10 == 0).astype(np.int8) + (i % 100 == 0) + (i % 1000 == 0) + (i == 0)
@@ -72,8 +90,7 @@ def tables() -> Tables:
     text = np.where(dot & (b == 7 + p), ord("."), 0)
     fraction = (c < 4) & (b >= 6 + e) & (b < 7)  # "0." and zeros, for e < 0
     text = text + fraction * np.where(b == 7 + e, ord("."), ord("0"))
-    punct = np.zeros((2, _CLASSES, 18, _SLOT), np.uint8)
-    punct[:] = text
+    punct = np.array([text, text], np.uint8)
     punct[0, ..., 0] = ord("[")
     punct[0, ..., 29:31] = np.frombuffer(b", ", np.uint8)
     punct[1, ..., 29:32] = np.frombuffer(b"], ", np.uint8)
@@ -87,8 +104,10 @@ def tables() -> Tables:
     def words(mask):
         return np.ascontiguousarray(mask, np.uint8).view(_WORD).reshape(-1, _SLOT // 8)
 
+    hi, lo = np.array([_power(k) for k in range(_E_MIN, 17 - _E_MIN)]).T
     return Tables(
-        pow10=powers_of_ten(range(16 - _E_MAX, 17 - _E_MIN), info),
+        pow10=np.stack([hi, *_halves(hi), lo], axis=1),
+        ceil=np.where(lo > 0, np.nextafter(hi, np.inf), hi),
         groups=groups,
         zeros=zeros,
         keep=words(keep * 0xFF),
@@ -96,21 +115,25 @@ def tables() -> Tables:
         punct=words(punct),
         sign_exp=words(sign_exp),
         zero=words(zero),
-        # 10**k and the product each round by at most eps/2 relative, so y
-        # is within about eps*y of the exact value; twice that is a margin
-        slack=2 * float(info.eps),
     )
 
 
-def powers_of_ten(exponents, info) -> np.ndarray:
-    """10**k for each k in ``info``'s dtype, rounded to the nearest value (ties
-    to even); a power beyond the range is its largest finite value.
+def _power(k: int) -> tuple[float, float]:
+    """10**k = hi + lo, hi and lo correctly rounded: from exact Python ints,
+    which CPython converts to float and divides correctly rounded."""
+    ten = 10 ** abs(k)
+    hi = float(ten) if k >= 0 else 1 / ten
+    n, d = hi.as_integer_ratio()
+    # for k < 0, 10**k - hi = (d - n * ten) / (ten * d), and d is a power of
+    # two: dividing by it last is exact (lo is normal here)
+    return hi, (float(ten - n) if k >= 0 else (d - n * ten) / ten / d)
 
-    numpy parses the text ``1eK`` correctly rounded: a long double with the C
-    library's ``strtold`` (Clinger, "How to read floating point numbers
-    accurately", PLDI 1990), a double as ``float`` does.  The text holds no
-    decimal separator, so the locale cannot change it."""
-    return np.minimum(np.array([f"1e{k}" for k in exponents]).astype(info.dtype), info.max)
+
+def _halves(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: v = high + low exactly, each half of 26 bits."""
+    split = v * 134217729.0  # 2**27 + 1
+    high = split - (split - v)
+    return high, v - high
 
 
 def encode_block(pairs: np.ndarray) -> bytes:
@@ -124,38 +147,31 @@ def encode_block(pairs: np.ndarray) -> bytes:
     slots = t.zero.take(zero.reshape(-1), axis=0)
     where = np.flatnonzero(pairs)
     x = pairs.reshape(-1).take(where)
-    a = np.abs(x)
-    e = np.floor(np.log10(a)).astype(np.int64)
-    a_long = a.astype(np.longdouble)
-    y = a_long * t.pow10.take(_E_MAX - e)
-    # log10 may be one off near a power of ten: correct e where y left
-    # [1e16, 1e17), compared in long double (a float64 y may round onto the
-    # bound); one still outside after rounding goes to format below
-    off = (y >= 1e17).astype(np.int64) - (y < 1e16)
-    redo = np.flatnonzero(off)
-    e[redo] += off[redo]
-    y[redo] = a_long[redo] * t.pow10.take(_E_MAX - e[redo])
-    y64 = y.astype(np.float64)
-    r = np.rint(y)
-    # certified: y lies within 0.5 of r by more than its error bound, so the
-    # exact |x| * 10**(16 - e) rounds to r as well (an exact tie never does);
-    # the bound exceeds 0.5 long before y leaves the int64 range
-    ok = np.abs((y - r).astype(np.float64)) < 0.5 - t.slack * y64
-    n = np.where(ok, r, 0).astype(np.int64)
-    # a power of ten clamped to the long double range leaves y short
-    ok &= (n >= 10**16) & (n <= 10**17)
+    # a value clipped to the range laid out goes to format below
+    a = np.clip(np.abs(x), _X_MIN, _X_MAX)
+    # log10 less a margin far above its rounding is the decimal exponent or one
+    # below it; one comparison makes it exact: 10**e <= |x| < 10**(e + 1)
+    e = np.floor(np.log10(a) - 1e-9).astype(np.int64)
+    e += a >= t.ceil.take(e + 1 - _E_MIN)
+    hi, hi_hi, hi_lo, lo = t.pow10.take(16 - _E_MIN - e, axis=0).T
+    p = a * hi
+    a_hi, a_lo = _halves(a)
+    tail = ((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo + a * lo
+    # freed here, the block's peak stays below what glibc keeps between
+    # blocks: otherwise each block faults its temporaries in again
+    del hi, hi_hi, hi_lo, lo, a_hi, a_lo
+    r = np.rint(tail)
+    n = p.astype(np.int64) + r.astype(np.int64)
+    # unclipped and certified (see the module docstring)
+    ok = (a == np.abs(x)) & (np.abs(tail - r) < 0.5 - _MARGIN)
     carry = n == 10**17
     n[carry] = 10**16
     e += carry
-    # the 17 digits: a lead digit and four groups of four
-    high = n // 10**8
-    low = n - high * 10**8
-    lead = high // 10**8
-    high -= lead * 10**8
-    g0 = high // 10**4
-    g1 = high - g0 * 10**4
-    g2 = low // 10**4
-    g3 = low - g2 * 10**4
+    # the 17 digits: a lead digit and four groups of four, each n // 10**j less
+    # the one before it times 10**4
+    g = n // 10 ** np.arange(16, -1, -4, dtype=np.int64)[:, None]
+    g[1:] -= g[:-1] * 10**4
+    lead, g0, g1, g2, g3 = g
     zeros = np.where(
         g3, t.zeros.take(g3),
         np.where(g2, 4 + t.zeros.take(g2), np.where(g1, 8 + t.zeros.take(g1), 12 + t.zeros.take(g0))),
@@ -176,10 +192,7 @@ def encode_block(pairs: np.ndarray) -> bytes:
     laid |= t.punct.take(layout + (where & 1) * (_CLASSES * 18), axis=0)
     exponent = np.where(fixed, len(t.sign_exp) // 2 - 1, e - _E_MIN)
     laid |= t.sign_exp.take(exponent * 2 + np.signbit(x), axis=0)
-    fallback = np.flatnonzero(~ok)
-    strings = [format(v, ".17g") for v in x[fallback].tolist()]
-    text = laid.view(np.uint8)
-    text[fallback, 1:29] = 0
-    text[fallback, 1:25] = np.array(strings, "S24").view(np.uint8).reshape(-1, 24)
+    strings = [format(v, ".17g") for v in x[~ok].tolist()]
+    laid.view(np.uint8)[~ok, 1:29] = np.array(strings, "S28").view(np.uint8).reshape(-1, 28)
     np.put(slots.view(_ROW).reshape(-1), where, laid.view(_ROW).reshape(-1))
     return slots.tobytes().translate(None, b"\0")[:-2]

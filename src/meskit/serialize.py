@@ -21,8 +21,10 @@ less the umask, and an existing one keeps its mode.  A device or a FIFO is
 written in place, and a symlink's target is written.
 Every float is written as ``format(x, ".17g")`` writes it: a matrix's floats
 by an array kernel (:mod:`meskit._float_kernel`) that rounds a chunk's digits
-in long double and sends each value whose rounding it cannot certify to
-``format``.
+in float64 alone (Dekker's exact product with each power of ten held as two
+doubles), the same on every platform.  It sends to ``format`` only a value
+whose rounding it cannot certify (within 1e-14 of a decimal tie) and any
+|x| outside [1e-280, 1e280].
 Files are UTF-8 (the writer's JSON is ASCII) whatever the locale.
 """
 

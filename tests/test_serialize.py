@@ -167,8 +167,22 @@ def _assert_encodes_as_format(values) -> np.ndarray:
     return flat
 
 
+def _scaled_onto_bounds() -> np.ndarray:
+    """|x| whose product with a tabulated hi rounds onto 1e16 or 1e17, while
+    lo moves the exact |x| * 10**k below or above it."""
+    hi, _, _, lo = _float_kernel.tables().pow10.T
+    near = np.concatenate([1e16 / hi, 1e17 / hi])
+    near = near * (1 + np.arange(-3, 4)[:, None] * np.finfo(np.float64).eps)
+    hi, lo = np.tile(hi, 2 * 7), np.tile(lo, 2 * 7)
+    near = near.reshape(-1)
+    onto = np.isin(near * hi, [1e16, 1e17]) & (near >= _float_kernel._X_MIN) & (near <= _float_kernel._X_MAX)
+    assert (lo[onto] > 0).any() and (lo[onto] < 0).any()
+    return near[onto]
+
+
 def _edge_values() -> np.ndarray:
     info = np.finfo(np.float64)
+    bounds = np.array([_float_kernel._X_MIN, _float_kernel._X_MAX])
     powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
     switches = np.array([1e-5, 1e-4, 1e16, 1e17])  # fixed/scientific switches
     steps = np.arange(-8, 9)[:, None]
@@ -184,6 +198,11 @@ def _edge_values() -> np.ndarray:
         np.arange(0.0, 2.0**53, 2.0**53 / 997),  # exact integers
         # exact 18-digit ties, to even: 0.10000228881835938, 0.10000991821289062
         [26215 / 2**18, 26217 / 2**18],
+        # and the ties whose power of ten, 1e23 or 1e24, is no float64
+        np.arange(3, 17, 2) * 2.0**-24, [2.0**-25, 3 * 2.0**-25],
+        # the smallest and largest |x| the kernel certifies, and their neighbours
+        bounds, np.nextafter(bounds, 0), np.nextafter(bounds, np.inf),
+        _scaled_onto_bounds(),
     ])
     values = values[np.isfinite(values)]
     return np.concatenate([values, -values])
@@ -207,43 +226,51 @@ def test_dumps_is_format_for_any_bit_pattern(bits):
     _assert_encodes_as_format(values[np.isfinite(values)])
 
 
-def test_dumps_without_extended_precision_formats_every_value(monkeypatch, rng):
-    # where long double is a plain double, its powers of ten stop at 1e308
-    # and its error bound certifies no rounding: every nonzero value takes
-    # the format route
-    double = np.finfo(np.float64)
-    exponents = range(16 - _float_kernel._E_MAX, 17 - _float_kernel._E_MIN)
-    tables = _float_kernel.tables()._replace(
-        pow10=_float_kernel.powers_of_ten(exponents, double), slack=2 * float(double.eps)
-    )
-    monkeypatch.setattr(_float_kernel, "tables", lambda: tables)
-    formatted = []
+@pytest.fixture
+def formatted(monkeypatch):
+    """The floats the kernel hands to ``format``, recorded as it calls it."""
+    calls = []
 
     def counting_format(x, spec):
-        formatted.append(x)
+        calls.append(x)
         return format(x, spec)
 
     monkeypatch.setattr(_float_kernel, "format", counting_format, raising=False)
+    return calls
+
+
+def test_dumps_formats_every_value_it_cannot_certify(monkeypatch, rng, formatted):
+    # with the certification margin at 1/2 no rounding certifies: every
+    # nonzero value takes the format route, and the bytes stay the same
+    monkeypatch.setattr(_float_kernel, "_MARGIN", 0.5)
     flat = _assert_encodes_as_format(np.concatenate([_edge_values(), rng.standard_normal(CHUNK)]))
     assert len(formatted) == np.count_nonzero(flat)
 
 
-@pytest.mark.parametrize("dtype", [np.longdouble, np.float64])
-def test_powers_of_ten_are_correctly_rounded(dtype):
-    # the kernel's error bound assumes each power within half an ulp; the
-    # float64 table is the one of a platform whose long double is a double,
-    # where 10**309 and beyond are clamped to the largest finite value
-    info = np.finfo(dtype)
-    exponents = range(16 - _float_kernel._E_MAX, 17 - _float_kernel._E_MIN)
-    powers = _float_kernel.powers_of_ten(exponents, info)
-    assert powers.dtype == dtype
-    for k, power in zip(exponents, powers):
+def test_powers_of_ten_are_correctly_rounded():
+    # the kernel's error bound assumes 10**k = hi + lo with hi within half an
+    # ulp of 10**k, and lo within half an ulp of 10**k - hi; its decimal
+    # exponent compares |x| with the least float64 >= 10**k
+    t = _float_kernel.tables()
+    hi, hi_hi, hi_lo, lo = t.pow10.T
+    exponents = range(_float_kernel._E_MIN, 17 - _float_kernel._E_MIN)
+    assert len(hi) == len(t.ceil) == len(exponents)
+    np.testing.assert_array_equal(hi_hi + hi_lo, hi)
+    for k, h, rest, ceil in zip(exponents, hi.tolist(), lo.tolist(), t.ceil.tolist()):
         exact = Fraction(10) ** k
-        if exact > Fraction(*info.max.as_integer_ratio()):
-            assert power == info.max, k
-        else:
-            error = abs(Fraction(*power.as_integer_ratio()) - exact)
-            assert error <= Fraction(*np.spacing(power).as_integer_ratio()) / 2, k
+        assert abs(Fraction(h) - exact) <= Fraction(np.spacing(h)) / 2, k
+        assert abs(Fraction(rest) - (exact - Fraction(h))) <= Fraction(abs(np.spacing(rest))) / 2, k
+        assert Fraction(np.nextafter(ceil, 0)) < exact <= Fraction(ceil), k
+
+
+@pytest.mark.parametrize("sigma", SigmaFlag)
+@pytest.mark.parametrize("m,k", [(2, 2), (2, 3), (3, 2)])
+def test_dumps_certifies_every_float_of_a_gen_file(m, k, sigma, formatted):
+    # gen --seed 1's matrix: the array route decides every float, format none
+    dims = Dims.from_mk(m, k)
+    phi = make_adjoint_preserver(*unitary_pair(dims, 1, 41), sigma)
+    serialize.dumps(serialize.superoperator_to_obj(phi.matrix, dims))
+    assert formatted == []
 
 
 def test_matrix_to_obj_is_a_view(rng):
