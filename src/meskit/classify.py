@@ -3,38 +3,37 @@ preserver and recover its (sigma, U, V) conjugation form.
 
 :func:`decompose` draws no random number.  It tries sigma = identity, then,
 only when that attempt is refused, sigma = transpose; each attempt runs two
-stages, each with a typed failure and a fixed threshold (only ``tol`` is an
-argument):
+stages, each refusing with NotPreserverError at a fixed threshold (only
+``tol`` is an argument):
 
-1. recovery of the conjugation unitary W
-   -> NotInvertibleError when phi(x_r x_s*) is (relatively) zero,
-      NotPreserverError when the columns read off are not unitary
+1. recovery of the conjugation unitary W, screened: refused when the
+   columns read off have singular ratio at most 1/2 (no conjugation form)
 2. span certificate of Ad_{U (x) V} o sigma, with U (x) V the nearest
    Kronecker product to W (``verification_residual`` < min(5 ``tol``, 1e-6))
-   -> NotPreserverError
 
 Verdict rule: phi is accepted, with the first sigma whose attempt passes
 both stages, exactly when its certificate is below min(5 ``tol``, 1e-6);
 the Kronecker residual ||W - U (x) V||_F is reported, not gated, as the
 certificate already compares phi with Ad_{U (x) V} o sigma.  When both
-attempts are refused, a NotInvertibleError from either is raised (phi is
-singular), else the one that got further (recovery < certificate); when
-both stopped at the certificate (only seen at (m,k) = (1,2)), the one with
-the smaller residual, and otherwise the identity's.
+attempts are refused, singularity is decided once (see :func:`decompose`),
+and otherwise the refusal with the smaller certificate residual is raised, a
+screened attempt's counting as infinite; of equals, the identity's.
 
 Stage 1 reads the unitary W off phi's images.  For basis vectors x_a, x_b
 with different Y indices, x_a x_b* lies in span(MES) (its trace and partial
 trace vanish), so column ``a*mn + b`` of phi o sigma's matrix is
 vec(w_a w_b*), with w_a the columns of W.  One rank-one column fixes w_r and
 w_s up to a common phase, and every other w_a follows by one matrix-vector
-product.  x_r x_s* is a unit element of span(MES), so a map that sends it to
-(relatively) zero is singular on the span: the trace form gives exactly 0.
-The transpose attempt reads x_s x_r* in its place.
+product.  The transpose attempt reads x_s x_r* in place of x_r x_s*.  The
+screen is structural: an attempt whose certificate eps is below the 1e-6 cap
+reads columns within O(sqrt(mn) eps) of orthonormal, with a ratio far above
+1/2, so it never refuses what the certificate would accept.  A map that
+kills x_r x_s* (the trace form does) gives zero columns, which it refuses.
 
 A wrong sigma cannot accept: under it phi(x_a x_b*) is w_b w_a*, so stage 1
 reads off w_1 and w_0 as columns 0 and 1 and zeros elsewhere.  For mn >= 3
-that is rank 2 and stage 1 refuses; at (m,k) = (1,2) the two columns form a
-unitary and stage 2 refuses (residual 2 on exact maps).
+that is rank 2 (ratio about 1e-19) and the screen refuses; at (m,k) = (1,2)
+the two columns form a unitary and stage 2 refuses (residual 2 on exact maps).
 
 Stage 2's ``verification_residual`` is the spectral norm eps of
 ``phi - Ad_{U (x) V} o sigma`` on span(MES), with the span's complement
@@ -42,7 +41,7 @@ Stage 2's ``verification_residual`` is the spectral norm eps of
 of every MES (each has unit Frobenius norm).  Ad_{U (x) V} o sigma is a
 Frobenius isometry of span(MES) onto itself (U and V are unitary to second
 order, see :func:`_certify`), so eps < 1 puts phi's smallest singular value
-on the span at or above 1 - eps: no separate invertibility check runs.
+on the span at or above 1 - eps.
 """
 
 from __future__ import annotations
@@ -51,19 +50,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionError, MESKitError, NotInvertibleError, NotPreserverError, _refusal
-from .superop import Conjugation, SigmaFlag, Superoperator, _project_out_complement
+from .errors import DimensionError, NotInvertibleError, NotPreserverError, _refusal
+from .superop import Conjugation, SigmaFlag, Superoperator, _project_out_complement, _span_sigma_min
 from .tensor import (
     DEFAULT_TOL,
     Dims,
     check_tol,
     fix_global_phase,
-    frobenius,
     kron,
     nearest_kron_factor,
 )
-
-_STAGES = ("recovery", "certificate")
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,20 +81,16 @@ def recover_unitary(images: np.ndarray, dims: Dims) -> np.ndarray:
     Then w_a = phi(x_a x_r*) w_r when a's Y index is nonzero, and
     w_a = phi(x_a x_s*) w_s otherwise; all columns share one phase.  The
     result is corrected to the nearest unitary and phase-gauged.  Raises
-    NotInvertibleError when ``||Z||_F <= 1e-6 ||phi||_F / mn`` (phi is
-    singular on span(MES); the trace form gives Z = 0) and NotPreserverError
-    when the columns read off are not unitary within a relative 1e-6, each
-    with the prefix "stage recovery: ".
+    NotPreserverError, "stage recovery: ", when the columns' smallest singular
+    value is at most half their largest: a screen, not a gate, since a map
+    within eps < 1e-6 of Ad_W on span(MES) reads columns within
+    O(sqrt(mn) eps) of orthonormal.  A zero Z gives zero columns.
     ``images`` is the sigma-corrected map's (d, d, d, d) image array
     ``images[:, :, a, b] = phi(x_a x_b*)``, which may be a view.
     """
     d = dims.mn
     r, s = 0, 1
     Z = images[:, :, r, s]
-    z_norm = frobenius(Z)
-    if z_norm <= 1e-6 * frobenius(images) / d:
-        detail = f"singular on span(MES): |phi(x_r x_s*)|_F = {z_norm:.3e} for a unit element"
-        raise _refusal(NotInvertibleError, "recovery", detail)
     w_r = np.linalg.svd(Z)[0][:, 0]
     w_s = Z.conj().T @ w_r
     nonzero_y = (np.arange(d) % dims.n != 0)[None, :]
@@ -108,9 +100,8 @@ def recover_unitary(images: np.ndarray, dims: Dims) -> np.ndarray:
         np.einsum("ija,j->ia", images[:, :, :, s], w_s),
     )
     u, svals, vh = np.linalg.svd(W0)
-    top = float(svals[0])
-    if top <= 0.0 or float(svals[-1]) < (1.0 - 1e-6) * top:
-        ratio = svals[-1] / max(top, 1e-300)
+    ratio = svals[-1] / max(svals[0], 1e-300)
+    if ratio <= 0.5:
         detail = f"no conjugation form: singular ratio {ratio:.3e} of the recovered columns"
         raise _refusal(NotPreserverError, "recovery", detail)
     return fix_global_phase(u @ vh)
@@ -119,8 +110,8 @@ def recover_unitary(images: np.ndarray, dims: Dims) -> np.ndarray:
 def _certify(phi: Superoperator, sigma: SigmaFlag, tol: float) -> Decomposition:
     """Stages 1-2 under ``sigma``: recovery, then the span certificate.
 
-    Raises the first failing stage's typed error, with the stage's name as
-    ``stage`` and, at the certificate, its ``residual``.  U and V need no
+    Raises the first failing stage's NotPreserverError, with the stage's name
+    as ``stage`` and, at the certificate, its ``residual``.  U and V need no
     unitarity gate.  Write W = (U0 (x) V0) exp(iH), with U0 (x) V0 the
     nearest Kronecker unitary and H Hermitian: to first order in ||H|| the
     nearest Kronecker product is U0 exp(iA) (x) V0 exp(iB), A and B
@@ -141,22 +132,20 @@ def _certify(phi: Superoperator, sigma: SigmaFlag, tol: float) -> Decomposition:
     return replace(dec, verification_residual=residual)
 
 
-def _progress(refusal: MESKitError) -> tuple:
-    """A refused attempt's rank: singular first, then its stage, then the smaller residual."""
-    singular = isinstance(refusal, NotInvertibleError)
-    return singular, _STAGES.index(refusal.stage), -getattr(refusal, "residual", 0.0)
-
-
 def decompose(phi: Superoperator, tol: float = DEFAULT_TOL) -> Decomposition:
     """Classify an invertible MES preserver as (sigma, U, V).
 
     Runs :func:`_certify` under the identity, then under the transpose if
     that is refused, and returns the first record: its certificate is below
-    min(5 ``tol``, 1e-6).  When both are refused, raises the refusal of the
-    attempt that got further (see the module docstring).  A ``tol`` that is
-    not finite and positive is refused first (ValueError), then a map with
-    k < 2 (DimensionError), before its matrix is read, and then a non-finite
-    entry (NotPreserverError, "stage input").  ``phi.matrix`` is read once
+    min(5 ``tol``, 1e-6).  One rule decides singularity: when both are
+    refused and neither certificate is below 1/2, phi's smallest singular
+    value on span(MES) is computed once, and at or below 1e-6 ||phi||_F / mn
+    raises NotInvertibleError, "stage recovery: " (a certificate eps < 1/2
+    puts it at or above 1 - eps).  Otherwise the refusal with the smaller
+    residual is raised (see the module docstring).  A ``tol`` that is not
+    finite and positive is refused first (ValueError), then a map with k < 2
+    (DimensionError), before its matrix is read, and then a non-finite entry
+    (NotPreserverError, "stage input").  ``phi.matrix`` is read once
     per call, and every stage reads that one dense array; nothing built here
     outlives the call or the refusal it raises.  No random number is drawn.
     """
@@ -174,9 +163,15 @@ def decompose(phi: Superoperator, tol: float = DEFAULT_TOL) -> Decomposition:
         for sigma in SigmaFlag:  # the identity first; the transpose only if it is refused
             try:
                 return _certify(phi, sigma, tol)
-            except (NotInvertibleError, NotPreserverError) as exc:
+            except NotPreserverError as exc:
                 refusals.append(exc)
-        raise max(refusals, key=_progress)  # max keeps the first of equals: the identity's
+        refusals.sort(key=lambda refusal: getattr(refusal, "residual", np.inf))  # stable
+        if getattr(refusals[0], "residual", np.inf) >= 0.5:  # else invertible on the span
+            smallest, threshold = _span_sigma_min(phi)
+            if smallest <= threshold:
+                detail = f"singular on span(MES): smallest singular value {smallest:.3e} <= {threshold:.3e}"
+                raise _refusal(NotInvertibleError, "recovery", detail)
+        raise refusals[0]
     finally:  # each refusal's traceback holds this frame: break the cycle for refcounting
         refusals.clear()
 

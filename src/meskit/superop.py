@@ -188,28 +188,33 @@ def _project_out_complement(a: np.ndarray, dims: Dims) -> None:
             ops[:, x, :, x, :] -= part
 
 
-def is_invertible_on_span(phi: Superoperator) -> bool:
-    """True iff the restriction of phi to span(MES) has smallest singular
-    value above 1e-9 (in orthonormal coordinates of the span).
+def _span_sigma_min(phi: Superoperator) -> tuple[float, float]:
+    """phi's smallest singular value on span(MES), in orthonormal coordinates
+    of the span, and the threshold 1e-6 ||phi||_F / mn at or below which phi
+    is singular there.
 
-    With Pi the orthogonal projector onto the complement of span(MES) and Q
-    any orthonormal basis of the span, QQ* = I - Pi, so
-    ``I + (I - Pi)(phi - I)(I - Pi)`` has the singular values of Q* phi Q
-    plus ones on the complement, and 1 is above the threshold.  Its transpose,
-    which has the same singular values, is formed from one copy of phi: 1 is
-    taken off the diagonal, the rows are projected onto the span, the copy is
-    replaced by its transpose and its rows are projected again (Pi is real
-    and symmetric), and 1 is put back.
-
-    Not on :func:`meskit.classify.decompose`'s path (its span certificate
-    implies invertibility).  Its only caller outside the tests is the set-up
-    of ``perfbench``; that is why it stays.
+    With Pi the orthogonal projector onto the span's complement, Q any
+    orthonormal basis of the span and c = ||phi||_F / mn, QQ* = I - Pi, so
+    ``c I + (I - Pi)(phi - c I)(I - Pi)`` has the singular values of Q* phi Q
+    plus c on the complement: above the threshold, so the padding never sets
+    the smallest value, and scaled with phi, so it rounds no small value away.
+    Its transpose, with the same singular values, is formed from one copy of
+    phi: c is taken off the diagonal, the rows are projected onto the span,
+    the copy is transposed and its rows projected again (Pi is real and
+    symmetric), and c is put back.
     """
     r = phi.matrix.copy()
-    r.reshape(-1)[:: r.shape[0] + 1] -= 1.0
+    c = frobenius(r) / phi.dims.mn
+    r.reshape(-1)[:: r.shape[0] + 1] -= c
     _project_out_complement(r, phi.dims)
     r = np.ascontiguousarray(r.T)
     _project_out_complement(r, phi.dims)
-    r.reshape(-1)[:: r.shape[0] + 1] += 1.0
-    s = np.linalg.svd(r, compute_uv=False)
-    return float(s[-1]) > 1e-9
+    r.reshape(-1)[:: r.shape[0] + 1] += c
+    return float(np.linalg.svd(r, compute_uv=False)[-1]), 1e-6 * c
+
+
+def is_invertible_on_span(phi: Superoperator) -> bool:
+    """True iff phi is invertible on span(MES) by :func:`_span_sigma_min`'s rule,
+    the one singularity test of :func:`meskit.classify.decompose`."""
+    smallest, threshold = _span_sigma_min(phi)
+    return smallest > threshold

@@ -86,11 +86,15 @@ def test_recover_unitary_identity_map_on_non_square_split():
 
 
 def test_recover_unitary_rejects_trace_form():
-    # the trace form sends the unit element x_r x_s* of span(MES) to exactly 0
+    # the trace form sends the unit element x_r x_s* of span(MES) to exactly 0, so
+    # every column read off is 0: the screen refuses it, and decompose alone names
+    # the map singular
     rho = pi(random_coisometry(DIMS, 3))
     phi = make_trace_preserver(rho, DIMS)
-    with pytest.raises(NotInvertibleError):
+    with pytest.raises(NotPreserverError, match=r"^stage recovery: no conjugation form: singular ratio 0\.000e\+00 "):
         recover_unitary(_images(phi), DIMS)
+    with pytest.raises(NotInvertibleError, match=r"^stage recovery: singular on span\(MES\): "):
+        decompose(phi)
 
 
 @pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (2, 3), (3, 2)])
@@ -215,6 +219,20 @@ def test_decompose_names_certificate_stage_on_noise(sigma):
         decompose(phi)
 
 
+@pytest.mark.parametrize("m,k", [(2, 2), (3, 2)])
+@pytest.mark.parametrize("sigma", list(SigmaFlag))
+def test_physical_noise_is_refused_at_its_certificate(m, k, sigma):
+    # Ad o sigma o ((1 - p) id + p D), D the global depolarizing map M -> tr(M) I / mn,
+    # at p = 1e-6: the columns read off are within 1e-6 of orthonormal, so recovery
+    # passes and the refusal names the right sigma's certificate, p on the span
+    dims = Dims.from_mk(m, k)
+    p, eye = 1e-6, vec(np.eye(dims.mn))
+    channel = (1 - p) * np.eye(dims.mn**2) + p / dims.mn * np.outer(eye, eye)
+    phi = Superoperator(make_adjoint_preserver(*unitary_pair(dims, 0), sigma).matrix @ channel, dims)
+    with pytest.raises(NotPreserverError, match=r"^stage certificate: span residual 1\.000e-06 >= 5\.0e-09$"):
+        decompose(phi)
+
+
 def _recovery_refusals():
     """Trace forms and the zero map are singular on span(MES); 1e-7 phi is
     not, but its columns read off are not unitary."""
@@ -243,15 +261,26 @@ def _scaled_unit_column(dims, sigma, column, t):
     return Superoperator(matrix, dims)
 
 
-@pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (3, 2)])
+def _killed_elements():
+    """(m, k, a, b) for the unit elements x_a x_b* of span(MES) that are killed:
+    x_0 x_1* and x_1 x_0*, which the two attempts read as their rank-one
+    column, and x_1 x_2*, x_{d-1} x_{d-2}* and x_0 x_{d-1}*, which neither does."""
+    for m, k in ((1, 2), (2, 2), (2, 3), (3, 2)):
+        d = m * m * k
+        pairs = ((0, 1), (1, 0), (1, 2), (d - 1, d - 2), (0, d - 1))
+        for a, b in dict.fromkeys(pair for pair in pairs if max(pair) < d):
+            yield pytest.param(m, k, a, b, id=f"{m}-{k}-x{a}x{b}")
+
+
+@pytest.mark.parametrize("m,k,a,b", list(_killed_elements()))
 @pytest.mark.parametrize("sigma", list(SigmaFlag))
-@pytest.mark.parametrize("element", ["x0x1", "x1x0"])
-def test_a_killed_unit_element_is_singular_under_either_sigma(m, k, sigma, element):
-    # the identity attempt reads phi(x_0 x_1*) as its rank-one column, the transpose
-    # attempt phi(x_1 x_0*); whichever finds the zero proves phi singular (exit 4)
+def test_a_killed_unit_element_is_singular_under_either_sigma(m, k, a, b, sigma):
+    # whichever element is killed, and whichever attempt reads it, the one
+    # singularity rule proves phi singular (exit 4)
     dims = Dims.from_mk(m, k)
-    phi = _scaled_unit_column(dims, sigma, 1 if element == "x0x1" else dims.mn, 0.0)
-    with pytest.raises(NotInvertibleError, match=r"^stage recovery: singular on span\(MES\)"):
+    assert a % dims.n != b % dims.n  # different Y indices: x_a x_b* lies in span(MES)
+    phi = _scaled_unit_column(dims, sigma, a * dims.mn + b, 0.0)
+    with pytest.raises(NotInvertibleError, match=r"^stage recovery: singular on span\(MES\): "):
         decompose(phi)
 
 
@@ -268,8 +297,9 @@ def test_classify_exits_4_on_a_killed_unit_element(tmp_path, capsys):
 @pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (3, 2)])
 @pytest.mark.parametrize("sigma", list(SigmaFlag))
 def test_singularity_threshold_is_a_relative_1e_6(m, k, sigma):
-    # recovery calls phi(x_0 x_1*) zero below a relative 1e-6: scaled by 1e-7 the
-    # map is singular, scaled by 1e-5 it is not, and its columns are not unitary
+    # phi's smallest singular value on the span is singular at or below a relative
+    # 1e-6: scaled by 1e-7 the map is singular, scaled by 1e-5 it is not, and the
+    # screen refuses its columns
     dims = Dims.from_mk(m, k)
     for t, error in ((1e-7, NotInvertibleError), (1e-5, NotPreserverError)):
         with pytest.raises(MESKitError, match=r"^stage recovery: ") as raised:
@@ -335,7 +365,7 @@ def test_refusals_name_their_verdict_and_stage(rng):
     twist = _twist_fixing(a1, DIMS, 43)
     cases = [
         (lambda: recover_unitary(_images(noise), DIMS), NotPreserverError, "recovery"),
-        (lambda: recover_unitary(_images(trace), DIMS), NotInvertibleError, "recovery"),
+        (lambda: decompose(trace), NotInvertibleError, "recovery"),
         (lambda: restricted_g(leak, a1, a2), NotPreserverError, "restricted map"),
         (lambda: restricted_g(trace, a1, a2), NotInvertibleError, "restricted map"),
         (lambda: align_images(leak, [a1, a2]), NotPreserverError, "alignment"),

@@ -180,6 +180,14 @@ def _scaled_onto_bounds() -> np.ndarray:
     return near[onto]
 
 
+# Doubles x whose scaled |x| * 10**(16 - e) lies within 3e-15 of a half-integer,
+# but not on it, so that only the kernel's margin keeps their rounding
+# uncertified.  Each is m / 2**p with m of 53 bits, a fractional part a multiple
+# of 2**-(p - k) with p - k > 60, k = 16 - e: found by a 2-D lattice search, in
+# exact ints, for m * 10**k = 2**(p - 1) (mod 2**p) near that residue.
+NEAR_TIES = (7.05482353209107e-120, 9.580454101173112e-150, 5.381832978910322e-200, 6.350626636710146e-250)
+
+
 def _edge_values() -> np.ndarray:
     info = np.finfo(np.float64)
     bounds = np.array([_float_kernel._X_MIN, _float_kernel._X_MAX])
@@ -203,6 +211,7 @@ def _edge_values() -> np.ndarray:
         # the smallest and largest |x| the kernel certifies, and their neighbours
         bounds, np.nextafter(bounds, 0), np.nextafter(bounds, np.inf),
         _scaled_onto_bounds(),
+        NEAR_TIES,
     ])
     values = values[np.isfinite(values)]
     return np.concatenate([values, -values])
@@ -245,6 +254,20 @@ def test_dumps_formats_every_value_it_cannot_certify(monkeypatch, rng, formatted
     monkeypatch.setattr(_float_kernel, "_MARGIN", 0.5)
     flat = _assert_encodes_as_format(np.concatenate([_edge_values(), rng.standard_normal(CHUNK)]))
     assert len(formatted) == np.count_nonzero(flat)
+
+
+def test_dumps_formats_the_near_ties(formatted):
+    # within the margin of a half-integer, not on it: encode_block hands each to format
+    for x in NEAR_TIES:
+        e = int(f"{x:e}".split("e")[1])
+        assert Fraction(10) ** e <= Fraction(x) < Fraction(10) ** (e + 1)
+        y = Fraction(x) * Fraction(10) ** (16 - e)
+        assert 0 < abs(y - int(y) - Fraction(1, 2)) < Fraction(3, 10**15), x
+    values = np.array(NEAR_TIES + tuple(-x for x in NEAR_TIES))
+    text = _float_kernel.encode_block(values.reshape(-1, 2))
+    assert formatted == values.tolist()
+    pairs = values.reshape(-1, 2).tolist()
+    assert text == ", ".join(f"[{format(x, '.17g')}, {format(y, '.17g')}]" for x, y in pairs).encode()
 
 
 def test_powers_of_ten_are_correctly_rounded():

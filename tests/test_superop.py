@@ -320,16 +320,21 @@ def test_is_invertible_on_span_identity_and_adjoint():
 
 
 @pytest.mark.parametrize("m,k", [(2, 2), (3, 2), (2, 1)])
-@pytest.mark.parametrize("scale,invertible", [(1e-7, True), (2e-9, True), (5e-10, False), (1e-10, False)])
-def test_is_invertible_on_span_threshold_on_scaled_preservers(m, k, scale, invertible):
-    # a scaled preserver's singular values on the span all equal the scale, so
-    # the verdict flips at the 1e-9 threshold; the ones put on the diagonal
-    # around the projection must not round the small values away
+def test_is_invertible_on_span_threshold_is_relative(m, k):
+    # a scaled preserver's singular values on the span all equal the scale, and the
+    # threshold scales with it: invertible at every scale, the padding of the span's
+    # complement rounding no small value away.  With the image of the unit element
+    # x_0 x_{d-1}* (in the span for every k) scaled by t, the smallest singular value
+    # is t: singular at t = 1e-7, not at 1e-5, with ||phi||_F / mn just under 1
     dims = Dims.from_mk(m, k)
     make = make_swap_preserver if k == 1 else make_adjoint_preserver
-    phi = make(*unitary_pair(dims, 39), SigmaFlag.IDENTITY)
-    scaled = Superoperator(matrix=scale * phi.matrix, dims=dims)
-    assert is_invertible_on_span(scaled) is invertible
+    phi = make(*unitary_pair(dims, 39), SigmaFlag.IDENTITY).matrix
+    for scale in (1e3, 1.0, 1e-7, 1e-10, 1e-20):
+        assert is_invertible_on_span(Superoperator(matrix=scale * phi, dims=dims)), scale
+    for t, invertible in ((1e-7, False), (1e-5, True)):
+        column = phi.copy()
+        column[:, dims.mn - 1] *= t
+        assert is_invertible_on_span(Superoperator(matrix=column, dims=dims)) is invertible, t
 
 
 def test_identity_restriction_is_isometric():

@@ -35,7 +35,9 @@ from meskit.tensor import complex_gaussian, perturb, unitary_pair
 # with W the unitary nearest to perturb(U (x) V, 1.5e-9): from mn = 4 up no
 # Kronecker product, yet certified below 5 tol (on every tenth seed to 990,
 # Kronecker residual 2.0e-9 to 4.5e-9, certificate at most 4.1e-9).  The
-# first four kinds are accepted
+# first four kinds are accepted.  "killed" is Ad_W o sigma with the image of one
+# unit element x_a x_b* of span(MES), picked by the seed, scaled by eps = 0: it
+# is singular on the span, like "trace"
 KINDS = (
     ("adjoint", 0.0),
     ("noise", 1e-10),
@@ -44,6 +46,7 @@ KINDS = (
     ("noise", 1e-7),
     ("trace", None),
     ("random", None),
+    ("killed", 0.0),
 )
 
 
@@ -58,6 +61,13 @@ def _build(kind, eps, dims, sigma, seed):
     phi = make_adjoint_preserver(*unitary_pair(dims, seed), sigma)
     if kind == "adjoint":
         return phi
+    if kind == "killed":
+        d = dims.mn
+        a = seed % d
+        others = [b for b in range(d) if b % dims.n != a % dims.n]  # x_a x_b* lies in span(MES)
+        matrix = phi.matrix
+        matrix[:, a * d + others[seed // d % len(others)]] *= eps
+        return Superoperator(matrix, dims)
     if kind == "offspan":  # Ad_W o sigma + c vec(J) vec(A (x) I_n)*, tr A = 0 (A = 0 at m = 1)
         rng = np.random.default_rng(seed)
         j, a = complex_gaussian(rng, dims.mn, dims.mn), complex_gaussian(rng, dims.m, dims.m)
@@ -99,6 +109,7 @@ def _classify_exit(phi):
 @example(mk=(1, 2), sigma=SigmaFlag.IDENTITY, seed=2, kind=KINDS[4], cli=True)
 @example(mk=(2, 2), sigma=SigmaFlag.IDENTITY, seed=3, kind=KINDS[5], cli=True)
 @example(mk=(1, 2), sigma=SigmaFlag.IDENTITY, seed=4, kind=KINDS[6], cli=True)
+@example(mk=(3, 2), sigma=SigmaFlag.TRANSPOSE, seed=47, kind=KINDS[7], cli=True)
 def test_each_kind_gets_its_verdict(mk, sigma, seed, kind, cli):
     phi = _build(*kind, Dims.from_mk(*mk), sigma, seed)
     verdict = _verdict(phi)
@@ -106,7 +117,7 @@ def test_each_kind_gets_its_verdict(mk, sigma, seed, kind, cli):
         assert verdict[0] is sigma, verdict
         expected_exit = 0
     else:
-        error = NotInvertibleError if kind == KINDS[5] else NotPreserverError
+        error = NotInvertibleError if kind[0] in ("trace", "killed") else NotPreserverError
         assert verdict[0] is error, verdict
         if error is NotInvertibleError:
             assert verdict[1].startswith("stage recovery"), verdict
