@@ -40,8 +40,8 @@ Stage 2's ``verification_residual`` is the spectral norm eps of
 {A (x) I_n : tr A = 0} projected out in closed form; it bounds the residual
 of every MES (each has unit Frobenius norm).  Ad_{U (x) V} o sigma is a
 Frobenius isometry of span(MES) onto itself (U and V are unitary to second
-order, see :func:`_certify`), so eps < 1 puts phi's smallest singular value
-on the span at or above 1 - eps.
+order, see :func:`_certify`), so by Weyl's inequality eps < 1 puts phi's
+smallest singular value on the span at or above 1 - eps.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionError, NotInvertibleError, NotPreserverError, _refusal
-from .superop import Conjugation, SigmaFlag, Superoperator, _project_out_complement, _span_sigma_min
+from .superop import Conjugation, SigmaFlag, Superoperator, _span_sigma_min, _span_singular_values
 from .tensor import (
     DEFAULT_TOL,
     Dims,
@@ -139,15 +139,16 @@ def decompose(phi: Superoperator, tol: float = DEFAULT_TOL) -> Decomposition:
     that is refused, and returns the first record: its certificate is below
     min(5 ``tol``, 1e-6).  One rule decides singularity: when both are
     refused and neither certificate is below 1/2, phi's smallest singular
-    value on span(MES) is computed once, and at or below 1e-6 ||phi||_F / mn
-    raises NotInvertibleError, "stage recovery: " (a certificate eps < 1/2
-    puts it at or above 1 - eps).  Otherwise the refusal with the smaller
-    residual is raised (see the module docstring).  A ``tol`` that is not
-    finite and positive is refused first (ValueError), then a map with k < 2
-    (DimensionError), before its matrix is read, and then a non-finite entry
-    (NotPreserverError, "stage input").  ``phi.matrix`` is read once
-    per call, and every stage reads that one dense array; nothing built here
-    outlives the call or the refusal it raises.  No random number is drawn.
+    value on span(MES) is computed once, and at or below 1e-6 times phi's
+    RMS singular value there raises NotInvertibleError, "stage recovery: "
+    (a certificate eps < 1/2 puts it at or above 1 - eps).  Otherwise the
+    refusal with the smaller residual is raised (see the module docstring).
+    A ``tol`` that is not finite and positive is refused first (ValueError),
+    then a map with k < 2 (DimensionError), before its matrix is read, and
+    then a non-finite entry (NotPreserverError, "stage input").
+    ``phi.matrix`` is read once per call, and every stage reads that one
+    dense array; nothing built here outlives the call or the refusal it
+    raises.  No random number is drawn.
     """
     check_tol(tol)
     if phi.dims.k < 2:
@@ -185,11 +186,10 @@ def verify_theorem_form(phi: Superoperator, dec: Decomposition) -> float:
     computed as ``|| X (I - Pi) ||_2`` with X = phi - Ad_{U (x) V} o sigma
     and Pi the real, symmetric projector onto the span's complement, since
     QQ* = I - Pi: X is formed once and its rows projected onto the span in
-    place, by partial traces, so phi, X and the norm's own copy are the only
+    place, by partial traces, so phi, X and the SVD's own copy are the only
     matrices of that size.  It is deterministic and never raises on a large
     residual.
     """
     x = Conjugation(kron(dec.U, dec.V), dec.sigma, phi.dims).matrix
     np.subtract(phi.matrix, x, out=x)
-    _project_out_complement(x, phi.dims)
-    return float(np.linalg.norm(x, 2))
+    return float(_span_singular_values(x, phi.dims)[0])

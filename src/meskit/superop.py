@@ -21,8 +21,8 @@ The constructors cover the three canonical preserver families:
 
 span(MES) has a closed-form orthogonal complement, {A (x) I_n : tr A = 0}
 (plus {I_m (x) B : tr B = 0} when k = 1), so the checks on the span project
-onto it with partial traces alone; no basis of the span or of its
-complement is built.
+onto it with partial traces alone and read one SVD; no basis of the span or
+of its complement is built.
 """
 
 from __future__ import annotations
@@ -188,33 +188,23 @@ def _project_out_complement(a: np.ndarray, dims: Dims) -> None:
             ops[:, x, :, x, :] -= part
 
 
-def _span_sigma_min(phi: Superoperator) -> tuple[float, float]:
-    """phi's smallest singular value on span(MES), in orthonormal coordinates
-    of the span, and the threshold 1e-6 ||phi||_F / mn at or below which phi
-    is singular there.
+def _span_singular_values(a: np.ndarray, dims: Dims) -> np.ndarray:
+    """Singular values, largest first, of a (I - Pi) = a Q Q*, Q an orthonormal
+    basis of span(MES): a Q's, then zeros.  Projects ``a``'s rows in place."""
+    _project_out_complement(a, dims)
+    return np.linalg.svd(a, compute_uv=False)
 
-    With Pi the orthogonal projector onto the span's complement, Q any
-    orthonormal basis of the span and c = ||phi||_F / mn, QQ* = I - Pi, so
-    ``c I + (I - Pi)(phi - c I)(I - Pi)`` has the singular values of Q* phi Q
-    plus c on the complement: above the threshold, so the padding never sets
-    the smallest value, and scaled with phi, so it rounds no small value away.
-    Its transpose, with the same singular values, is formed from one copy of
-    phi: c is taken off the diagonal, the rows are projected onto the span,
-    the copy is transposed and its rows projected again (Pi is real and
-    symmetric), and c is put back.
-    """
-    r = phi.matrix.copy()
-    c = frobenius(r) / phi.dims.mn
-    r.reshape(-1)[:: r.shape[0] + 1] -= c
-    _project_out_complement(r, phi.dims)
-    r = np.ascontiguousarray(r.T)
-    _project_out_complement(r, phi.dims)
-    r.reshape(-1)[:: r.shape[0] + 1] += c
-    return float(np.linalg.svd(r, compute_uv=False)[-1]), 1e-6 * c
+
+def _span_sigma_min(phi: Superoperator) -> tuple[float, float]:
+    """phi Q's smallest singular value, and the threshold at or below which phi is singular
+    on span(MES): 1e-6 times the RMS of phi Q's D singular values (1e-6 on a unitary preserver)."""
+    span = phi.dims.mn**2 - (phi.dims.m**2 - 1) * (2 if phi.dims.k == 1 else 1)
+    s = _span_singular_values(phi.matrix.copy(), phi.dims)
+    return float(s[span - 1]), 1e-6 * float(np.linalg.norm(s)) / span**0.5
 
 
 def is_invertible_on_span(phi: Superoperator) -> bool:
-    """True iff phi is invertible on span(MES) by :func:`_span_sigma_min`'s rule,
-    the one singularity test of :func:`meskit.classify.decompose`."""
+    """True iff phi restricted to span(MES) is injective by :func:`_span_sigma_min`'s
+    rule, the one singularity test of :func:`meskit.classify.decompose`."""
     smallest, threshold = _span_sigma_min(phi)
     return smallest > threshold

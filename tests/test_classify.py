@@ -47,6 +47,7 @@ from meskit.cli import main
 from meskit.superop import (
     _project_out_complement,
     _require_unitary,
+    _span_sigma_min,
     make_swap_preserver,
 )
 from meskit.tensor import complex_gaussian, perturb, unitary_pair
@@ -307,6 +308,36 @@ def test_singularity_threshold_is_a_relative_1e_6(m, k, sigma):
         assert type(raised.value) is error, (t, raised.value)
 
 
+def _unit_off_span(dims):
+    """vec(A (x) I_n) / ||A (x) I_n||_F with tr A = 0: a unit vector of the
+    complement of span(MES), so vec(M)* of it is 0 for every M in the span."""
+    c = vec(kron(np.diag([1.0, -1.0] + [0.0] * (dims.m - 2)), np.eye(dims.n)))
+    return c / np.linalg.norm(c)
+
+
+def test_a_term_that_vanishes_on_the_span_moves_no_verdict():
+    # x_1 x_2*'s image scaled by 1e-3 leaves phi injective on the span (its smallest
+    # singular value there is 1e-3), and its certificate refuses it; adding a term of
+    # Frobenius norm 1e4 that vanishes on the span changes neither phi on the span nor
+    # the verdict, since the singularity threshold reads phi on the span alone
+    phi = _scaled_unit_column(DIMS, SigmaFlag.IDENTITY, 1 * DIMS.mn + 2, 1e-3)
+    c = _unit_off_span(DIMS)
+    for matrix in (phi.matrix, phi.matrix + 1e4 * np.outer(c, c)):
+        with pytest.raises(NotPreserverError, match=r"^stage certificate: span residual 9\.990e-01 "):
+            decompose(Superoperator(matrix, DIMS))
+
+
+def test_a_map_injective_on_the_span_is_refused_at_its_certificate():
+    # x_1 x_2* sent to a unit A (x) I_n, off the span: phi is no preserver, yet it
+    # is injective on the span (an isometry there), so it is refused at its
+    # certificate, ||A (x) I_n - Ad(x_1 x_2*)||_F = sqrt(2), not named singular
+    phi = _scaled_unit_column(DIMS, SigmaFlag.IDENTITY, 1 * DIMS.mn + 2, 1.0)
+    phi.matrix[:, 1 * DIMS.mn + 2] = _unit_off_span(DIMS)
+    assert is_invertible_on_span(phi)
+    with pytest.raises(NotPreserverError, match=r"^stage certificate: span residual 1\.414e\+00 "):
+        decompose(phi)
+
+
 def _largest_entry_angle(x):
     """|angle| of x's largest-magnitude entry; entries within a relative 1e-9
     of it tie, and a tie goes to the lowest row-major index (|U_00| = |U_11|
@@ -468,17 +499,19 @@ def test_stage_thresholds_are_fixed(func):
 
 
 def _dense_oracle(phi, dec):
-    """The invertibility verdict and the certificate residual on an
-    orthonormal basis Q of span(MES) built from span_mes_basis."""
+    """phi Q's smallest singular value, the singularity threshold 1e-6 ||phi Q||_F
+    / sqrt(D) and the certificate residual, on an orthonormal basis Q of the D
+    dimensions of span(MES) built from span_mes_basis."""
     q = np.array([vec(e) for e in span_mes_basis(phi.dims)]).T
-    s = np.linalg.svd(q.conj().T @ phi.matrix @ q, compute_uv=False)
+    s = np.linalg.svd(phi.matrix @ q, compute_uv=False)
     d = phi.dims.mn
     W = kron(dec.U, dec.V)
     basis = q.T.reshape(-1, d, d)
     if dec.sigma is SigmaFlag.TRANSPOSE:
         basis = basis.transpose(0, 2, 1)
     expected = (W @ basis @ W.conj().T).reshape(-1, d * d).T
-    return float(s[-1]) > 1e-9, float(np.linalg.norm(phi.matrix @ q - expected, 2))
+    threshold = 1e-6 * np.linalg.norm(s) / np.sqrt(q.shape[1])
+    return float(s[-1]), float(threshold), float(np.linalg.norm(phi.matrix @ q - expected, 2))
 
 
 def _stage_inputs(m, k):
@@ -503,25 +536,41 @@ def _stage_inputs(m, k):
 @pytest.mark.parametrize("m,k", [(1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
 def test_closed_form_stages_match_the_dense_span_basis(m, k):
     for name, phi, dec in _stage_inputs(m, k):
-        invertible, residual = _dense_oracle(phi, dec)
-        assert invertible == (name != "trace"), name
-        assert is_invertible_on_span(phi) == invertible, name
+        smallest, threshold, residual = _dense_oracle(phi, dec)
+        assert (smallest > threshold) == (name != "trace"), name
+        assert _span_sigma_min(phi) == pytest.approx((smallest, threshold), rel=1e-12, abs=1e-14), name
+        assert is_invertible_on_span(phi) == (name != "trace"), name
         assert verify_theorem_form(phi, dec) == pytest.approx(residual, rel=1e-12, abs=1e-14), name
+
+
+def _traced_decompose(phi):
+    """decompose(phi)'s sigma or refusal type, and the peak memory it traced."""
+    tracemalloc.start()
+    try:
+        try:
+            verdict = decompose(phi).sigma
+        except MESKitError as exc:
+            verdict = type(exc)
+        return verdict, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("sigma", list(SigmaFlag))
 def test_decompose_peak_memory_near_the_map(sigma):
-    # phi, the certificate's X = phi - Ad_W o sigma and the norm's own copy
+    # an accept holds phi and the certificate's X = phi - Ad_W o sigma; a singular
+    # refusal, the trace form's or a killed unit element's, one projected copy of phi
     dims = Dims.from_mk(3, 2)
     phi = make_adjoint_preserver(*unitary_pair(dims, 37), sigma)
-    tracemalloc.start()
-    try:
-        dec = decompose(phi)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert dec.sigma is sigma
+    verdict, peak = _traced_decompose(phi)
+    assert verdict is sigma
     assert peak < 3.5 * phi.matrix.nbytes
+    trace = make_trace_preserver(pi(random_coisometry(dims, 37)), dims)
+    killed = _scaled_unit_column(dims, sigma, 1 * dims.mn + 2, 0.0)
+    for refused in (trace, killed):
+        verdict, peak = _traced_decompose(refused)
+        assert verdict is NotInvertibleError
+        assert peak < 1.5 * refused.matrix.nbytes
 
 
 def _decompose_dropped(matrix, dims):

@@ -322,10 +322,10 @@ def test_is_invertible_on_span_identity_and_adjoint():
 @pytest.mark.parametrize("m,k", [(2, 2), (3, 2), (2, 1)])
 def test_is_invertible_on_span_threshold_is_relative(m, k):
     # a scaled preserver's singular values on the span all equal the scale, and the
-    # threshold scales with it: invertible at every scale, the padding of the span's
-    # complement rounding no small value away.  With the image of the unit element
-    # x_0 x_{d-1}* (in the span for every k) scaled by t, the smallest singular value
-    # is t: singular at t = 1e-7, not at 1e-5, with ||phi||_F / mn just under 1
+    # threshold, 1e-6 times their RMS, scales with it: invertible at every scale.
+    # With the image of the unit element x_0 x_{d-1}* (in the span for every k)
+    # scaled by t, the smallest singular value is t: singular at t = 1e-7, not at
+    # 1e-5, with the RMS singular value on the span just under 1
     dims = Dims.from_mk(m, k)
     make = make_swap_preserver if k == 1 else make_adjoint_preserver
     phi = make(*unitary_pair(dims, 39), SigmaFlag.IDENTITY).matrix
@@ -376,8 +376,8 @@ def test_projecting_out_the_complement_is_the_dense_span_projector(m, k, axis):
     from meskit.superop import _project_out_complement
 
     def project(a):
-        # rows (axis 1) directly; columns (axis 0) as is_invertible_on_span
-        # reaches them, through the rows of a C-contiguous transposed copy
+        # rows (axis 1) directly; columns (axis 0) through the rows of a
+        # C-contiguous transposed copy
         if axis == 1:
             _project_out_complement(a, dims)
             return a
