@@ -44,6 +44,7 @@ class ExtendedSuperoperator:
     sigma: SigmaFlag
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "sigma", SigmaFlag(self.sigma))
         if self.base.dims.k < 2:
             raise DimensionError("extension is defined for block counts k >= 2")
 

@@ -109,6 +109,7 @@ class Conjugation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "w", as_complex(self.w))
+        object.__setattr__(self, "sigma", SigmaFlag(self.sigma))  # "transpose" too; "bogus" raises
         side = self.dims.mn
         if self.w.shape != (side, side):
             raise DimensionError(f"w for dims {self.dims} must be {side}x{side}, got {self.w.shape}")

@@ -14,6 +14,7 @@ Conventions used by every module in this package:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,8 @@ class Dims:
     n: int
 
     def __post_init__(self) -> None:
+        if not all(isinstance(side, numbers.Integral) and not isinstance(side, bool) for side in (self.m, self.n)):
+            raise DimensionError(f"dimensions must be integers, got {self}")
         if self.m < 1 or self.n < 1:
             raise DimensionError(f"dimensions must be positive, got {self}")
         if self.n % self.m != 0:

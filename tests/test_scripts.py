@@ -14,25 +14,6 @@ GOLDEN_SCAN = Path(__file__).resolve().parent / "noise_scan_1x2_2x2.jsonl"
 PERFBENCH = SCRIPTS.parent / "perfbench"
 
 
-def test_roundtrip_demo_runs(monkeypatch, capsys):
-    monkeypatch.setattr(sys, "argv", ["roundtrip_demo.py", "--m", "2", "--k", "2"])
-    runpy.run_path(str(SCRIPTS / "roundtrip_demo.py"), run_name="__main__")
-    assert capsys.readouterr().out
-
-
-def test_discriminant_sweep_names_every_branch(monkeypatch, capsys):
-    monkeypatch.setattr(sys, "argv", ["discriminant_sweep.py", "--trials", "2"])
-    runpy.run_path(str(SCRIPTS / "discriminant_sweep.py"), run_name="__main__")
-    header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split()[-1] == "detected"
-    assert len(rows) == 8  # 4 dims x 2 branches
-    for row in rows:
-        label, branch, worst, detected = row.split()
-        assert branch in ("identity", "transpose")
-        assert float(worst) < 1e-8, row
-        assert detected == "2/2", row
-
-
 def _outcome(row):
     """A noise_scan row's map, verdict, exit code, refusal stage and certificate
     (an accept's, or the span residual a certificate refusal names) to 3

@@ -100,6 +100,28 @@ def test_conjugation_applies_its_own_matrix(form, m, k, sigma, rng):
             Conjugation(w, sigma, dims)
 
 
+@pytest.mark.parametrize("sigma", list(SigmaFlag))
+def test_sigma_given_by_its_value_is_the_flag(sigma, rng):
+    # a map built with "transpose" must not apply the identity branch
+    dims = Dims.from_mk(1, 2)
+    u, v = unitary_pair(dims, 3)
+    M = complex_gaussian(rng, dims.mn, dims.mn)
+    flag = make_adjoint_preserver(u, v, sigma)
+    for phi in (make_adjoint_preserver(u, v, sigma.value), Conjugation(flag.w, sigma.value, dims)):
+        assert phi.sigma is sigma
+        assert np.array_equal(phi.matrix, flag.matrix)
+        assert np.array_equal(phi.apply_to(M), flag.apply_to(M))
+    by_value, by_flag = extend(flag, sigma.value), extend(flag, sigma)
+    assert by_value.sigma is sigma
+    assert np.array_equal(by_value.matrix, by_flag.matrix)
+    big = complex_gaussian(rng, by_flag.dims.mn, by_flag.dims.mn)
+    assert np.array_equal(by_value.apply_to(big), by_flag.apply_to(big))
+    with pytest.raises(ValueError):
+        Conjugation(flag.w, "bogus", dims)
+    with pytest.raises(ValueError):
+        extend(flag, "bogus")
+
+
 def test_transpose_matrix_action(rng):
     m = complex_gaussian(rng, 3, 3)
     np.testing.assert_allclose(transpose_matrix(3) @ vec(m), vec(m.T), atol=1e-14)

@@ -127,6 +127,11 @@ def test_dims_validation():
         Dims(2, 5)
     with pytest.raises(DimensionError):
         Dims(0, 0)
+    # a float or bool side is refused, though 2.0 divides 4 and True divides 2
+    for m, n in ((2.0, 4), (2, 4.0), (np.float64(2), 4), (True, 2), (1, True), (np.int64(2), 4.0)):
+        with pytest.raises(DimensionError, match="integers"):
+            Dims(m, n)
+    assert Dims(np.int64(2), np.int32(4)).mn == 8
     assert Dims.from_mk(2, 3).mn == 12
 
 
