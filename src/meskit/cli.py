@@ -11,13 +11,13 @@ certificate, which bounds the extension on every MES of Y (x) Y; an explicit
 
 Exit codes: 0 success, 2 usage/parse errors (an ``--out`` that cannot be
 written, a k = 1 input or ``check-lemmas --k 1``), 3 not a preserver (at
-stage recovery or a failed span certificate), 4 singular on the MES span
-(5 and 6 are retired), 1 unexpected numerical breakdown, a report with
-``"all_pass": false`` (``extend`` under an explicit sigma,
-``check-lemmas``), or a stdout closed by its reader.  :func:`main` maps every
-refusal once: a package error exits with its type's ``exit_code``, a closed
-stdout with 1 and nothing more printed, and any other ``ValueError`` or
-``OSError`` with 2.  A refused input file's path leads the error's message.
+stage recovery or a failed span certificate), 4 singular on the MES span,
+1 unexpected numerical breakdown, a report with ``"all_pass": false``
+(``extend`` under an explicit sigma, ``check-lemmas``), or a stdout closed by
+its reader.  :func:`main` maps every refusal once: a package error exits with
+its type's ``exit_code``, a closed stdout with 1 and nothing more printed, and
+any other ``ValueError`` or ``OSError`` with 2.  A refused input file's path
+leads the error's message.
 
 Each subcommand accepts only the flags it reads: ``--tol`` for ``classify``,
 ``extend`` and ``check-lemmas``, ``--samples`` (default 20) for ``check-lemmas``

@@ -8,9 +8,9 @@ refusal of a map has one of two types, one per way to miss the invertible
 preserver form: NotPreserverError (3) or NotInvertibleError (4).  The type
 names the verdict, and the message's ``stage ...:`` prefix names the step
 that reached it; :func:`_refusal` builds every such refusal and sets that
-step as its ``stage``.  Exits 5 and 6 are retired.  A file that is not a
-superoperator object (a missing or mistyped key, or a count such as 1e999)
-is refused with a plain ``ValueError`` that names the key.
+step as its ``stage``.  A file that is not a superoperator object (a
+missing or mistyped key, or a count such as 1e999) is refused with a plain
+``ValueError`` that names the key.
 """
 
 

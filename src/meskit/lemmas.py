@@ -138,20 +138,20 @@ def check_pure_states_in_span(dims: Dims, samples: int, seed) -> float:
     return max(worst, float(disagreements))
 
 
-def _five_way_conditions(A1: np.ndarray, A2: np.ndarray, rng, tol: float = DEFAULT_TOL) -> list[bool]:
+def _five_way_conditions(A1: np.ndarray, A2: np.ndarray, rng) -> list[bool]:
     m = A1.shape[0]
-    c1 = frobenius(A1 @ A2.conj().T) < tol
-    c2 = frobenius(A2 @ A1.conj().T) < tol
-    c3 = is_coisometry(np.vstack([A1, A2]), tol)
+    c1 = frobenius(A1 @ A2.conj().T) < DEFAULT_TOL
+    c2 = frobenius(A2 @ A1.conj().T) < DEFAULT_TOL
+    c3 = is_coisometry(np.vstack([A1, A2]))
     c4 = True
     for _ in range(20):
         ab = complex_gaussian(rng, 2)
         ab /= np.linalg.norm(ab)
-        c4 = c4 and is_coisometry(ab[0] * A1 + ab[1] * A2, tol)
+        c4 = c4 and is_coisometry(ab[0] * A1 + ab[1] * A2)
     # row spaces via orthonormal bases, independent of the product tests above
     q1 = np.linalg.qr(A1.conj().T)[0]
     q2 = np.linalg.qr(A2.conj().T)[0]
-    c5 = frobenius(q1.conj().T @ q2) < tol * 10 * m
+    c5 = frobenius(q1.conj().T @ q2) < DEFAULT_TOL * 10 * m
     return [c1, c2, c3, c4, c5]
 
 

@@ -103,7 +103,8 @@ def test_classify_trace_form_exit_4(tmp_path, capsys):
     assert run_cli(capsys, "gen", "--form", "trace", "--out", out)[0] == 0
     code, _, stderr = run_cli(capsys, "classify", out)
     assert code == 4
-    assert json.loads(stderr)["error"] == "NotInvertibleError"
+    error = json.loads(stderr)
+    assert error["error"] == "NotInvertibleError" and error["message"].startswith("stage recovery: ")
 
 
 def test_extend_auto_sigma_trace_form_exit_4(tmp_path, capsys):
@@ -113,7 +114,8 @@ def test_extend_auto_sigma_trace_form_exit_4(tmp_path, capsys):
         capsys, "extend", out, "--sigma", "auto", "--out", str(tmp_path / "ext.json")
     )
     assert code == 4
-    assert json.loads(stderr)["error"] == "NotInvertibleError"
+    error = json.loads(stderr)
+    assert error["error"] == "NotInvertibleError" and error["message"].startswith("stage recovery: ")
 
 
 def test_extend_failing_report_exit_1(tmp_path, capsys):
@@ -189,7 +191,8 @@ def test_classify_random_matrix_exit_3(tmp_path, capsys):
     serialize.write_json(str(path), serialize.superoperator_to_obj(mat, dims))
     code, _, stderr = run_cli(capsys, "classify", str(path))
     assert code == 3
-    assert json.loads(stderr)["error"] == "NotPreserverError"
+    error = json.loads(stderr)
+    assert error["error"] == "NotPreserverError" and error["message"].startswith("stage recovery: ")
 
 
 @pytest.mark.parametrize(

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from meskit import (
+    Decomposition,
     DimensionError,
     Dims,
     SigmaFlag,
     Superoperator,
     ad_commutation_residual,
     apply,
+    decompose,
     extend,
     haar_unitary,
     is_mes,
@@ -21,9 +23,10 @@ from meskit import (
     q_operator,
     random_coisometry,
     structural_unitaries,
+    verify_theorem_form,
 )
 from meskit.lemmas import check_switch_identities
-from meskit.tensor import complex_gaussian, unitary_pair
+from meskit.tensor import complex_gaussian, perturb, unitary_pair
 from conftest import (
     commutes_with_ad,
     identity_superop,
@@ -156,6 +159,24 @@ def test_extend_consistency_with_block_diagonal_conjugation(sigma):
     ext = extend(make_adjoint_preserver(u, v, sigma), sigma)
     big = make_adjoint_preserver(kron(np.eye(2), u), v, sigma)
     assert np.linalg.norm(ext.matrix - big.matrix) < 1e-10
+
+
+@pytest.mark.parametrize("m,k", [(1, 2), (1, 3), (2, 2)])
+@pytest.mark.parametrize("sigma", BOTH)
+@pytest.mark.parametrize("eps", [0.0, 1e-9, 1e-7])
+@pytest.mark.parametrize("seed", range(2))
+def test_extension_certificate_is_bounded_by_the_base(m, k, sigma, eps, seed):
+    # each block of an element of span(MES(Y (x) Y)) lies in span(MES(X (x) Y)),
+    # so the extension misses Ad_{(I_k (x) U) (x) V} o sigma on its span by no more
+    # than phi misses Ad_{U (x) V} o sigma on its own; the extension has k = 1
+    dims = Dims.from_mk(m, k)
+    exact = _preserver(seed, sigma, dims).matrix
+    phi = Superoperator(perturb(exact, eps, np.random.default_rng([seed, 7])), dims)
+    dec = decompose(phi, tol=1e-6)  # the certificate's bound is then its 1e-6 cap
+    ext = Superoperator(extend(phi, dec.sigma).matrix, Dims(dims.n, dims.n))
+    lifted = Decomposition(dec.sigma, kron(np.eye(k), dec.U), dec.V, 0.0, 0.0)
+    # 1e-15 of slack for rounding, which is all of an exact map's certificate
+    assert verify_theorem_form(ext, lifted) <= dec.verification_residual + 1e-15
 
 
 def test_p_operator_formula_and_involution():

@@ -684,6 +684,7 @@ def test_read_superoperator_refuses_what_the_json_reader_refuses(tmp_path, capsy
     cut = text.index("], [", first + serialize._SLICE_BYTES)
     later = text[cut + 3 : text.index("]", cut + 3) + 1]  # a pair in the second slice
     reordered = {"matrix": {"data": "D", "cols": 64, "rows": 64}, "dims": json.loads(text)["dims"]}
+    assert len(head) < 4096 < len(text) - len(rest)  # "truncated" cuts inside the data array
     refused = {
         "truncated": text[:4096],
         "one-element row": text.replace(pair, "[0.5]", 1),
