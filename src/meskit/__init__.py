@@ -36,7 +36,6 @@ from .errors import (
 from .extension import (
     ExtendedSuperoperator,
     ad_commutation_residual,
-    extend,
     p_operator,
     q_operator,
     structural_unitaries,
@@ -98,7 +97,6 @@ __all__ = [
     "are_orthogonal",
     "choi_matrix",
     "decompose",
-    "extend",
     "fix_global_phase",
     "haar_unitary",
     "is_coisometry",

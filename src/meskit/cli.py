@@ -37,7 +37,7 @@ import numpy as np
 from . import lemmas, serialize
 from .classify import Decomposition, decompose
 from .errors import DimensionError, MESKitError
-from .extension import extend
+from .extension import ExtendedSuperoperator
 from .states import pi, random_coisometry
 from .superop import (
     SigmaFlag,
@@ -126,35 +126,37 @@ def cmd_classify(args) -> int:
 
 def cmd_extend(args) -> int:
     phi = _read(args.input)
-    auto = args.sigma == "auto"
+    sigma = None if args.sigma == "auto" else SigmaFlag(args.sigma)
     try:
         dec = decompose(phi, tol=args.tol)
     except MESKitError as exc:
-        if auto:
+        if sigma is None:
             raise
-        dec = exc  # reported below; extend() itself refuses a k = 1 map
-    ext = extend(phi, dec.sigma if auto else SigmaFlag(args.sigma))
-    if isinstance(dec, Decomposition) and dec.sigma is not ext.sigma:
-        dec = f"stage sigma: certified as {dec.sigma.value}, not {ext.sigma.value}"
-    certified = isinstance(dec, Decomposition)
+        certificate = str(exc)  # reported below, unless the extension refuses a k = 1 map
+    else:
+        sigma = sigma or dec.sigma
+        certificate = dec.verification_residual
+        if dec.sigma is not sigma:
+            certificate = f"stage sigma: certified as {dec.sigma.value}, not {sigma.value}"
+    ext = ExtendedSuperoperator(phi, sigma)
     report = {
-        "sigma": ext.sigma.value,
+        "sigma": sigma.value,
         "dims": serialize.dims_to_obj(phi.dims),
-        "certificate": dec.verification_residual if certified else str(dec),
+        "certificate": certificate,
         "tol": args.tol,
-        "all_pass": certified,
+        "all_pass": not isinstance(certificate, str),
     }
     side = ext.dims.mn**2
     serialize.write_json(
         args.out or "extended.json",
         {
             "base_dims": serialize.dims_to_obj(phi.dims),
-            "sigma": ext.sigma.value,
+            "sigma": sigma.value,
             "matrix": serialize.row_slabs_to_obj(ext.row_slabs(), side, side),
         },
     )
     print(serialize.dumps(report))
-    return 0 if certified else 1
+    return 0 if report["all_pass"] else 1
 
 
 def cmd_check_lemmas(args) -> int:

@@ -15,8 +15,7 @@ the base's own ``apply_to``, so the base may be any such map: a
 :class:`~meskit.superop.Conjugation`, as the lemma suite's are.
 Only the dense n^4 x n^4 matrix, which comes in row slabs
 (:meth:`ExtendedSuperoperator.row_slabs`, written one at a time by
-``meskit extend``) and as :attr:`~ExtendedSuperoperator.matrix`, reads the
-base's dense ``matrix``.
+``meskit extend``), reads the base's dense ``matrix``.
 """
 
 from __future__ import annotations
@@ -37,7 +36,10 @@ class ExtendedSuperoperator:
 
     ``base`` is any map on L(X (x) Y) with ``dims`` and ``apply_to``;
     :meth:`apply_to` calls the base's block by block, and only
-    :meth:`row_slabs` and :attr:`matrix` read ``base.matrix``.
+    :meth:`row_slabs` reads ``base.matrix``.  ``sigma`` is a flag or its
+    value; the extension preserves MES when it is the sigma that
+    :func:`~meskit.classify.decompose` certifies for ``base``.  A base with
+    k < 2 is refused (DimensionError).
     """
 
     base: Any
@@ -88,32 +90,6 @@ class ExtendedSuperoperator:
                     a, b = (q, p) if self.sigma is SigmaFlag.TRANSPOSE else (p, q)
                     slab[q, :, a, :, b, :] = block[r]
                 yield slab.reshape(dims.n**2, dims.n**4)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense n^4 x n^4 matrix, built anew on each access from
-        :meth:`row_slabs`.  Its only reader outside the tests is
-        ``perfbench``'s span hook on :func:`extend`; that is why it stays."""
-        n = self.base.dims.n
-        matrix = np.empty((n**4, n**4), dtype=complex)
-        for rows, slab in zip(matrix.reshape(n**2, n**2, n**4), self.row_slabs()):
-            rows[...] = slab
-        return matrix
-
-
-def extend(phi, sigma: SigmaFlag) -> ExtendedSuperoperator:
-    """Blockwise extension of ``phi``, any map with ``dims`` and ``apply_to``,
-    to L(Y (x) Y).
-
-    With M = [M_pq] in k x k blocks, the result sends M to [phi(M_pq)] when
-    ``sigma`` is the identity flag and to [phi(M_qp)] when it is the transpose
-    flag.  The extension preserves MES when the flag is the sigma of ``phi``
-    that :func:`~meskit.classify.decompose` certifies; it is taken as an
-    explicit argument, apart from the (fallible) classification.  A map with
-    k < 2 is refused (DimensionError).  Nothing of size n^4 x n^4 is
-    allocated; see :meth:`ExtendedSuperoperator.row_slabs` for the dense form.
-    """
-    return ExtendedSuperoperator(base=phi, sigma=sigma)
 
 
 def p_operator(j: int, dims: Dims) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .choi import align_images, choi_matrix, restricted_g
 from .errors import DimensionError
-from .extension import ad_commutation_residual, extend, structural_unitaries
+from .extension import ExtendedSuperoperator, ad_commutation_residual, structural_unitaries
 from .states import is_coisometry, orthogonal_family, pi, random_coisometry
 from .superop import SigmaFlag, apply, make_adjoint_preserver
 from .tensor import (
@@ -66,7 +66,7 @@ def _extension_draws(dims: Dims, samples: int, seed, path: int):
     preserver drawn from ``path``, the states from ``path + 1``."""
     u, v = unitary_pair(dims, _as_int(seed), path)
     for sigma in SigmaFlag:
-        ext = extend(make_adjoint_preserver(u, v, sigma), sigma)
+        ext = ExtendedSuperoperator(make_adjoint_preserver(u, v, sigma), sigma)
         for i in range(samples):
             yield ext, pi(random_coisometry(ext.dims, _seq(seed, path + 1, i)))
 

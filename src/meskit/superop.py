@@ -52,8 +52,8 @@ class Superoperator:
     The matrix is defined on all of L(X (x) Y) even though the classification
     results only constrain behavior on span(MES); every certificate and
     recovery in this package reads the map on MES elements or on span(MES)
-    with its complement projected out, so the off-span action is a
-    representation detail.
+    with its complement projected out, so the off-span action reaches them
+    only as rounding, of order 1e-16 of its norm.
     """
 
     matrix: np.ndarray

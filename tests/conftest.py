@@ -80,6 +80,12 @@ def span_mes_basis(dims: Dims) -> tuple[np.ndarray, ...]:
     return tuple(basis)
 
 
+def dense_extension(ext) -> np.ndarray:
+    """The dense n^4 x n^4 matrix of an ExtendedSuperoperator: its row slabs,
+    stacked top to bottom."""
+    return np.vstack(tuple(ext.row_slabs()))
+
+
 def _yy_sampling_dims(phi_like) -> Dims:
     if phi_like.dims.m != phi_like.dims.n:
         raise DimensionError("commutation sampling needs a map on a square space")

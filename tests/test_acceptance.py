@@ -11,6 +11,7 @@ import pytest
 
 from meskit import (
     Dims,
+    ExtendedSuperoperator,
     NotInvertibleError,
     NotPreserverError,
     SigmaFlag,
@@ -19,7 +20,6 @@ from meskit import (
     apply,
     choi_matrix,
     decompose,
-    extend,
     haar_unitary,
     is_coisometry,
     is_mes,
@@ -199,7 +199,7 @@ def test_criterion_6_extension():
             q_operator(p, q, dims) for p in range(1, k + 1) for q in range(p + 1, k + 1)
         ]
         for sigma in BOTH:
-            ext = extend(make_adjoint_preserver(*unitary_pair(dims, 7000), sigma), sigma)
+            ext = ExtendedSuperoperator(make_adjoint_preserver(*unitary_pair(dims, 7000), sigma), sigma)
             for i in range(50):
                 state = pi(random_coisometry(ext.dims, np.random.SeedSequence([7100, i])))
                 image = apply(ext, state)

@@ -16,6 +16,7 @@ from meskit import (
     Conjugation,
     DimensionError,
     Dims,
+    ExtendedSuperoperator,
     MESKitError,
     NotInvertibleError,
     NotPreserverError,
@@ -24,7 +25,6 @@ from meskit import (
     align_images,
     apply,
     decompose,
-    extend,
     haar_unitary,
     is_invertible_on_span,
     kron,
@@ -154,7 +154,8 @@ def test_decompose_rejects_single_block():
 def test_decompose_refuses_an_extension_before_its_dense_matrix():
     # the extension is a k = 1 map on Y (x) Y; its n^4 x n^4 matrix is 27 MB at (3,2)
     dims = Dims.from_mk(3, 2)
-    ext = extend(make_adjoint_preserver(*unitary_pair(dims, 5), SigmaFlag.IDENTITY), SigmaFlag.IDENTITY)
+    phi = make_adjoint_preserver(*unitary_pair(dims, 5), SigmaFlag.IDENTITY)
+    ext = ExtendedSuperoperator(phi, SigmaFlag.IDENTITY)
     dense_nbytes = dims.n**8 * np.dtype(complex).itemsize
     tracemalloc.start()
     try:

@@ -7,12 +7,12 @@ from meskit import (
     Decomposition,
     DimensionError,
     Dims,
+    ExtendedSuperoperator,
     SigmaFlag,
     Superoperator,
     ad_commutation_residual,
     apply,
     decompose,
-    extend,
     haar_unitary,
     is_mes,
     kron,
@@ -29,6 +29,7 @@ from meskit.lemmas import check_switch_identities
 from meskit.tensor import complex_gaussian, perturb, unitary_pair
 from conftest import (
     commutes_with_ad,
+    dense_extension,
     identity_superop,
     switch_commutation_witness,
 )
@@ -42,8 +43,8 @@ def _preserver(seed, sigma, dims=DIMS):
 
 
 def test_extend_identity_is_identity():
-    ext = extend(identity_superop(DIMS), SigmaFlag.IDENTITY)
-    np.testing.assert_allclose(ext.matrix, np.eye(256), atol=1e-14)
+    ext = ExtendedSuperoperator(identity_superop(DIMS), SigmaFlag.IDENTITY)
+    np.testing.assert_allclose(dense_extension(ext), np.eye(256), atol=1e-14)
 
 
 def _kron_extension(phi, sigma):
@@ -70,7 +71,7 @@ def _kron_extension(phi, sigma):
 def test_extend_equals_kron_construction(m, k, sigma, rng):
     dims = Dims.from_mk(m, k)
     phi = Superoperator(complex_gaussian(rng, dims.mn**2, dims.mn**2), dims)
-    ext = extend(phi, sigma).matrix
+    ext = dense_extension(ExtendedSuperoperator(phi, sigma))
     assert np.array_equal(ext, _kron_extension(phi, sigma))
     # structural zeros are +0 (kron wrote 0 * negative as -0)
     zeros = ext[ext == 0]
@@ -86,7 +87,7 @@ def test_blockwise_apply_equals_dense_matvec(m, k, sigma, base, rng):
         phi = Superoperator(complex_gaussian(rng, dims.mn**2, dims.mn**2), dims)
     else:
         phi = make_adjoint_preserver(*unitary_pair(dims, 0, 0), sigma)
-    ext = extend(phi, sigma)
+    ext = ExtendedSuperoperator(phi, sigma)
     side = dims.n**2
     M = complex_gaussian(rng, side, side)
     image = apply(ext, M)
@@ -96,7 +97,7 @@ def test_blockwise_apply_equals_dense_matvec(m, k, sigma, base, rng):
         blocks = blocks.transpose(2, 1, 0, 3)
     reference = np.block([[apply(phi, blocks[p, :, q, :]) for q in range(k)] for p in range(k)])
     np.testing.assert_array_equal(image, reference)
-    dense = (ext.matrix @ M.reshape(-1)).reshape(side, side)
+    dense = (dense_extension(ext) @ M.reshape(-1)).reshape(side, side)
     assert np.linalg.norm(image - dense) <= 1e-13 * np.linalg.norm(dense)
 
 
@@ -107,7 +108,7 @@ def test_extension_peak_memory_far_below_the_dense_matrix(rng):
     dense_nbytes = dims.n**8 * np.dtype(complex).itemsize  # the n^4 x n^4 matrix
     tracemalloc.start()
     try:
-        ext = extend(phi, SigmaFlag.TRANSPOSE)
+        ext = ExtendedSuperoperator(phi, SigmaFlag.TRANSPOSE)
         for state in states:
             apply(ext, state)
         peak = tracemalloc.get_traced_memory()[1]
@@ -121,13 +122,13 @@ def test_extend_rejects_single_block():
     phi = make_adjoint_preserver(np.eye(2), np.eye(2), SigmaFlag.IDENTITY)
     assert phi.dims == square
     with pytest.raises(DimensionError):
-        extend(phi, SigmaFlag.IDENTITY)
+        ExtendedSuperoperator(phi, SigmaFlag.IDENTITY)
 
 
 @pytest.mark.parametrize("sigma", BOTH)
 def test_extend_acts_blockwise(sigma, rng):
     phi = _preserver(3, sigma)
-    ext = extend(phi, sigma)
+    ext = ExtendedSuperoperator(phi, sigma)
     m = complex_gaussian(rng, 16, 16)
     image = apply(ext, m)
     # block (p, q) occupies rows p*mn..(p+1)*mn and the matching columns
@@ -145,7 +146,7 @@ def test_extend_acts_blockwise(sigma, rng):
 @pytest.mark.parametrize("sigma", BOTH)
 def test_extend_preserves_square_mes(sigma):
     phi = _preserver(5, sigma)
-    ext = extend(phi, sigma)
+    ext = ExtendedSuperoperator(phi, sigma)
     for seed in range(25):
         state = pi(random_coisometry(ext.dims, seed))
         assert is_mes(apply(ext, state), ext.dims, 1e-8)
@@ -156,9 +157,9 @@ def test_extend_consistency_with_block_diagonal_conjugation(sigma):
     # extending ad_{U (x) V} (with the matching branch flag) equals the
     # square-space conjugation by (I_k (x) U) (x) V
     u, v = unitary_pair(DIMS, 7)
-    ext = extend(make_adjoint_preserver(u, v, sigma), sigma)
+    ext = ExtendedSuperoperator(make_adjoint_preserver(u, v, sigma), sigma)
     big = make_adjoint_preserver(kron(np.eye(2), u), v, sigma)
-    assert np.linalg.norm(ext.matrix - big.matrix) < 1e-10
+    assert np.linalg.norm(dense_extension(ext) - big.matrix) < 1e-10
 
 
 @pytest.mark.parametrize("m,k", [(1, 2), (1, 3), (2, 2)])
@@ -173,7 +174,7 @@ def test_extension_certificate_is_bounded_by_the_base(m, k, sigma, eps, seed):
     exact = _preserver(seed, sigma, dims).matrix
     phi = Superoperator(perturb(exact, eps, np.random.default_rng([seed, 7])), dims)
     dec = decompose(phi, tol=1e-6)  # the certificate's bound is then its 1e-6 cap
-    ext = Superoperator(extend(phi, dec.sigma).matrix, Dims(dims.n, dims.n))
+    ext = Superoperator(dense_extension(ExtendedSuperoperator(phi, dec.sigma)), Dims(dims.n, dims.n))
     lifted = Decomposition(dec.sigma, kron(np.eye(k), dec.U), dec.V, 0.0, 0.0)
     # 1e-15 of slack for rounding, which is all of an exact map's certificate
     assert verify_theorem_form(ext, lifted) <= dec.verification_residual + 1e-15
@@ -216,7 +217,7 @@ def test_q_operator_swaps_blocks(rng):
 @pytest.mark.parametrize("sigma", BOTH)
 def test_extension_commutes_with_structural_conjugations(sigma):
     dims = Dims.from_mk(2, 3)
-    ext = extend(_preserver(9, sigma, dims), sigma)
+    ext = ExtendedSuperoperator(_preserver(9, sigma, dims), sigma)
     eye_n = np.eye(dims.n)
     for j in range(1, dims.k + 1):
         assert commutes_with_ad(ext, kron(p_operator(j, dims), eye_n))

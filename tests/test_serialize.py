@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from meskit import (
     DimensionError,
     Dims,
+    ExtendedSuperoperator,
     SigmaFlag,
-    extend,
     make_adjoint_preserver,
     make_swap_preserver,
     make_trace_preserver,
@@ -29,6 +29,7 @@ from meskit import (
 from meskit import _float_kernel
 from meskit.cli import main
 from meskit.tensor import complex_gaussian, unitary_pair
+from conftest import dense_extension
 
 CHUNK = _float_kernel._BLOCK
 
@@ -386,7 +387,7 @@ def test_write_json_peak_memory_below_the_matrix(tmp_path):
     # the (3,2) extension, 1296 x 1296: the writer streams it in chunks
     dims = Dims.from_mk(3, 2)
     phi = make_adjoint_preserver(*unitary_pair(dims, 1), SigmaFlag.IDENTITY)
-    matrix = extend(phi, SigmaFlag.IDENTITY).matrix
+    matrix = dense_extension(ExtendedSuperoperator(phi, SigmaFlag.IDENTITY))
     tracemalloc.start()
     try:
         serialize.write_json(str(tmp_path / "ext.json"), serialize.matrix_to_obj(matrix))

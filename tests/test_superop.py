@@ -11,12 +11,12 @@ from meskit import (
     Conjugation,
     DimensionError,
     Dims,
+    ExtendedSuperoperator,
     NotMESError,
     NotUnitaryError,
     SigmaFlag,
     Superoperator,
     apply,
-    extend,
     haar_unitary,
     is_invertible_on_span,
     is_mes,
@@ -31,6 +31,7 @@ from meskit import (
 )
 from meskit.tensor import complex_gaussian, unitary_pair
 from conftest import (
+    dense_extension,
     identity_superop,
     span_mes_basis,
     transpose_matrix,
@@ -66,7 +67,7 @@ def test_apply_rejects_wrong_shapes(kind, wrong, rng):
     conjugation = make_adjoint_preserver(*unitary_pair(DIMS, 3), SigmaFlag.IDENTITY)
     phi = {
         "dense": Superoperator(conjugation.matrix, DIMS),
-        "extension": extend(conjugation, SigmaFlag.IDENTITY),
+        "extension": ExtendedSuperoperator(conjugation, SigmaFlag.IDENTITY),
         "conjugation": conjugation,
     }[kind]
     side = phi.dims.mn
@@ -89,11 +90,14 @@ def test_conjugation_applies_its_own_matrix(form, m, k, sigma, rng):
     assert isinstance(phi, Conjugation) and phi.dims == dims
     assert _same_bits(phi.matrix, phi.matrix)
     assert vars(phi).keys() == {"w", "sigma", "dims"}
-    maps = [phi, extend(phi, sigma)] if dims.k >= 2 else [phi]  # the extension: blockwise vs dense
-    for psi in maps:
+    maps = [(phi, phi.matrix)]
+    if dims.k >= 2:  # the extension: blockwise vs dense
+        ext = ExtendedSuperoperator(phi, sigma)
+        maps.append((ext, dense_extension(ext)))
+    for psi, matrix in maps:
         for _ in range(3):
             M = complex_gaussian(rng, psi.dims.mn, psi.dims.mn)
-            want = (psi.matrix @ vec(M)).reshape(M.shape)
+            want = (matrix @ vec(M)).reshape(M.shape)
             assert np.linalg.norm(apply(psi, M) - want) <= 1e-13 * np.linalg.norm(want)
     for w in (phi.w[:-1, :-1], phi.w[:, :-1], np.eye(dims.mn + 1)):
         with pytest.raises(DimensionError, match=f"must be {dims.mn}x{dims.mn}"):
@@ -111,15 +115,15 @@ def test_sigma_given_by_its_value_is_the_flag(sigma, rng):
         assert phi.sigma is sigma
         assert np.array_equal(phi.matrix, flag.matrix)
         assert np.array_equal(phi.apply_to(M), flag.apply_to(M))
-    by_value, by_flag = extend(flag, sigma.value), extend(flag, sigma)
+    by_value, by_flag = ExtendedSuperoperator(flag, sigma.value), ExtendedSuperoperator(flag, sigma)
     assert by_value.sigma is sigma
-    assert np.array_equal(by_value.matrix, by_flag.matrix)
+    assert np.array_equal(dense_extension(by_value), dense_extension(by_flag))
     big = complex_gaussian(rng, by_flag.dims.mn, by_flag.dims.mn)
     assert np.array_equal(by_value.apply_to(big), by_flag.apply_to(big))
     with pytest.raises(ValueError):
         Conjugation(flag.w, "bogus", dims)
     with pytest.raises(ValueError):
-        extend(flag, "bogus")
+        ExtendedSuperoperator(flag, "bogus")
 
 
 def test_transpose_matrix_action(rng):
