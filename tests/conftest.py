@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from meskit import (
+    Conjugation,
     DimensionError,
     Dims,
     Superoperator,
@@ -17,7 +18,7 @@ from meskit import (
 from meskit.choi import _image_table
 from meskit.extension import ad_commutation_residual
 from meskit.lemmas import _as_int
-from meskit.tensor import frobenius
+from meskit.tensor import frobenius, perturb
 
 
 def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -31,6 +32,13 @@ def identity_superop(dims: Dims) -> Superoperator:
     """The identity map on L(X (x) Y)."""
     side = dims.mn * dims.mn
     return Superoperator(matrix=np.eye(side, dtype=complex), dims=dims)
+
+
+def nonkron_conjugation(u, v, sigma, eps: float, rng: np.random.Generator) -> Conjugation:
+    """Ad_W o sigma with W the unitary nearest to ``perturb(U (x) V, eps, rng)``:
+    a conjugation that is no Kronecker product once eps > 0 (and mn >= 4)."""
+    a, _, b = np.linalg.svd(perturb(kron(u, v), eps, rng))
+    return Conjugation(a @ b, sigma, Dims(len(u), len(v)))
 
 
 def canonical_family(dims: Dims) -> np.ndarray:

@@ -41,18 +41,14 @@ from meskit import (
     verify_theorem_form,
     vec,
 )
-from meskit import classify, lemmas
+from meskit import classify
 from meskit.classify import Decomposition, _certify
 from meskit.cli import main
-from meskit.superop import (
-    _project_out_complement,
-    _require_unitary,
-    _span_sigma_min,
-    make_swap_preserver,
-)
+from meskit.superop import _require_unitary, _span_sigma_min, make_swap_preserver
 from meskit.tensor import complex_gaussian, perturb, unitary_pair
 from conftest import (
     identity_superop,
+    nonkron_conjugation,
     phase_aligned_distance,
     span_mes_basis,
 )
@@ -98,18 +94,40 @@ def test_recover_unitary_rejects_trace_form():
         decompose(phi)
 
 
-@pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (2, 3), (3, 2)])
-@pytest.mark.parametrize("sigma", [SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE])
-def test_decompose_roundtrip(m, k, sigma):
-    dims = Dims.from_mk(m, k)
-    u, v = unitary_pair(dims, 5)
-    dec = decompose(make_adjoint_preserver(u, v, sigma))
+def _round_trips():
+    """Ad_{U (x) V} o sigma at seed 5 over the ladder, both sigma, and the identity map."""
+    for m, k in ((1, 2), (2, 2), (2, 3), (3, 2), (3, 3)):
+        u, v = unitary_pair(Dims.from_mk(m, k), 5)
+        for sigma in SigmaFlag:
+            yield pytest.param(make_adjoint_preserver(u, v, sigma), u, v, sigma, id=f"{sigma.value}-{m}-{k}")
+    yield pytest.param(identity_superop(DIMS), np.eye(2), np.eye(4), SigmaFlag.IDENTITY, id="identity-map")
+
+
+@pytest.mark.parametrize("phi,u,v,sigma", list(_round_trips()))
+def test_decompose_roundtrip(phi, u, v, sigma, monkeypatch):
+    # each factor comes back up to a phase; the record is the one _certify(phi, sigma,
+    # 1e-9) returned, and, bit for bit, the record of the map's dense matrix
+    records = []
+
+    def certify(*args):
+        records.append((args[1:], _certify(*args)))
+        return records[-1][1]
+
+    monkeypatch.setattr(classify, "_certify", certify)
+    dec = decompose(phi)
+    assert records == [((sigma, 1e-9), dec)]  # a Decomposition compares by identity
     assert dec.sigma is sigma
-    assert dec.kron_residual < 1e-9
-    assert dec.verification_residual < 1e-9
-    assert phase_aligned_distance(kron(dec.U, dec.V), kron(u, v)) < 1e-7
-    assert np.linalg.norm(dec.U @ dec.U.conj().T - np.eye(m)) < 1e-8
-    assert np.linalg.norm(dec.V @ dec.V.conj().T - np.eye(dims.n)) < 1e-8
+    assert dec.kron_residual < 1e-9 and dec.verification_residual < 1e-9
+    assert dec.U.shape == u.shape and dec.V.shape == v.shape
+    assert max(phase_aligned_distance(dec.U, u), phase_aligned_distance(dec.V, v)) < 1e-9
+    for x in (dec.U, dec.V):
+        assert np.linalg.norm(x @ x.conj().T - np.eye(len(x))) < 1e-8
+    dense = decompose(Superoperator(phi.matrix, phi.dims))
+    assert dense.sigma is sigma
+    assert dense.U.tobytes() == dec.U.tobytes() and dense.V.tobytes() == dec.V.tobytes()
+    assert repr((dense.kron_residual, dense.verification_residual)) == repr(
+        (dec.kron_residual, dec.verification_residual)
+    )
 
 
 @pytest.mark.parametrize("m,k,seed", [(3, 2, 2), (2, 3, 21)])
@@ -122,25 +140,6 @@ def test_decompose_factors_to_rounding(m, k, seed):
     bound = 10 * 2.0**-53 * np.sqrt(dims.mn)  # 10 u ||W||_F, W unitary
     assert dec.kron_residual < bound
     assert phase_aligned_distance(kron(dec.U, dec.V), kron(u, v)) < bound
-
-
-def test_decompose_identity():
-    dec = decompose(identity_superop(DIMS))
-    assert dec.sigma is SigmaFlag.IDENTITY
-    assert phase_aligned_distance(dec.U, np.eye(2)) < 1e-9
-    assert phase_aligned_distance(dec.V, np.eye(4)) < 1e-9
-
-
-def test_decompose_rejects_trace_form():
-    phi = make_trace_preserver(pi(random_coisometry(DIMS, 7)), DIMS)
-    with pytest.raises(NotInvertibleError):
-        decompose(phi)
-
-
-def test_decompose_rejects_random_superoperator(rng):
-    bad = Superoperator(matrix=complex_gaussian(rng, 64, 64), dims=DIMS)
-    with pytest.raises(NotPreserverError):
-        decompose(bad)
 
 
 def test_decompose_rejects_single_block():
@@ -165,14 +164,6 @@ def test_decompose_refuses_an_extension_before_its_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < dense_nbytes / 10
-
-
-def test_decompose_exclusive_outcome():
-    # exactly one of: a decomposition, or a typed error; never a partial result
-    phi = make_adjoint_preserver(*unitary_pair(DIMS, 9), SigmaFlag.TRANSPOSE)
-    dec = decompose(phi)
-    assert dec.sigma is SigmaFlag.TRANSPOSE
-    assert dec.U.shape == (2, 2) and dec.V.shape == (4, 4)
 
 
 def test_decompose_gauge_deterministic():
@@ -203,13 +194,15 @@ def test_verify_theorem_form_matching_and_mismatched():
 @pytest.mark.parametrize("m,k,eps", [(1, 2, 1.5e-9), (2, 2, 1.25e-9), (2, 3, 1e-8 / 12), (3, 2, 1e-8 / 18)])
 @pytest.mark.parametrize("sigma", [SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE])
 def test_decompose_tolerates_small_noise(m, k, eps, sigma):
-    # noise relative to the map's Frobenius norm still decomposes, within criterion 2's bound
+    # noise relative to the map's Frobenius norm still decomposes, within criterion 2's
+    # bound, and is accepted with a certificate between tol and 5 tol
     dims = Dims.from_mk(m, k)
     u, v = unitary_pair(dims, 21)
     phi = perturb(make_adjoint_preserver(u, v, sigma).matrix, eps, np.random.default_rng(21))
     dec = decompose(Superoperator(phi, dims))
     assert dec.sigma is sigma
     assert phase_aligned_distance(kron(dec.U, dec.V), kron(u, v)) < 1e-7
+    assert dec.kron_residual < 1e-9 < dec.verification_residual < 5e-9
 
 
 @pytest.mark.parametrize("sigma", [SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE])
@@ -424,49 +417,6 @@ def test_certificate_gate_keeps_the_noise_band(m, k, eps, sigma):
         assert dec.verification_residual < 1e-7
 
 
-def _sampled_stage_blind_map():
-    """Ad_W o (I + c w w*) at (2,2) with c = 1e-3 and w a unit vector of
-    span(MES) orthogonal to every input the sampled stages (seed 0) and the
-    unitary recovery evaluate, so only the span certificate can see c."""
-    dims = DIMS
-    d = dims.mn
-    rows = [
-        vec(pi(random_coisometry(dims, np.random.SeedSequence([0, 11, i]))))
-        for i in range(20)
-    ]
-    a1, a2 = orthogonal_family(dims, np.random.SeedSequence([0, 13]))[:2]
-    for x, y in ((a1, a2), (a2, a1)):
-        rows.append(vec(pi(x)))
-        rows += [
-            vec(pi((x + 1j**ell * y) / np.sqrt(2))) for ell in range(4)
-        ]
-    eye = np.eye(d * d)
-    for a in range(d):
-        for b in (0, 1):
-            rows += [eye[a * d + b], eye[b * d + a]]
-    complement = np.eye(d * d, dtype=complex)
-    _project_out_complement(complement, dims)
-    complement = np.eye(d * d) - complement  # Pi, whose rows span the complement of span(MES)
-    constraints = np.vstack([np.array(rows).conj(), complement])
-    assert np.linalg.matrix_rank(constraints) == 55
-    w = np.linalg.svd(constraints)[2][-1].conj()
-    assert np.abs(constraints @ w).max() < 1e-12
-    phi = make_adjoint_preserver(*unitary_pair(dims, 51), SigmaFlag.IDENTITY)
-    return Superoperator(matrix=phi.matrix @ (eye + 1e-3 * np.outer(w, w.conj())), dims=dims)
-
-
-def test_certificate_refuses_a_map_the_sampled_stages_miss(tmp_path, capsys):
-    phi = _sampled_stage_blind_map()
-    with pytest.raises(NotPreserverError, match=r"^stage certificate: span residual 1\.000e-03 "):
-        decompose(phi)
-    path = str(tmp_path / "blind.json")
-    serialize.write_json(path, serialize.superoperator_to_obj(phi.matrix, phi.dims))
-    assert main(["classify", path]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert json.loads(captured.err)["error"] == "NotPreserverError"
-
-
 @pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (2, 3), (3, 2)])
 @pytest.mark.parametrize("sigma", [SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE])
 def test_verification_residual_bounds_every_mes(m, k, sigma):
@@ -621,37 +571,6 @@ def test_decompose_leaves_nothing_behind():
     assert abs(held) < 0.1 * 16 * dims.mn**4  # a tenth of one dense matrix
 
 
-def _forbid_sampling(monkeypatch):
-    """Make numpy's generators raise, so a run that samples fails."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a sampled stage ran")
-
-    monkeypatch.setattr(np.random, "default_rng", refuse)
-    monkeypatch.setattr(np.random, "SeedSequence", refuse)
-
-
-@pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)])
-@pytest.mark.parametrize("sigma", list(SigmaFlag))
-def test_accept_runs_no_sampled_stage(m, k, sigma, monkeypatch):
-    phi = make_adjoint_preserver(*unitary_pair(Dims.from_mk(m, k), 41), sigma)
-    # the reference: stages 1-3 under the sigma the map was built with
-    reference = _certify(phi, sigma, 1e-9)
-    _forbid_sampling(monkeypatch)
-    dec = decompose(phi)
-    assert dec.sigma is reference.sigma is sigma
-    np.testing.assert_array_equal(dec.U, reference.U)
-    np.testing.assert_array_equal(dec.V, reference.V)
-    assert dec.kron_residual == reference.kron_residual
-    assert dec.verification_residual == reference.verification_residual
-
-
-@pytest.mark.parametrize("seed", [2.7, "1"])
-def test_seed_must_be_an_integer(seed):
-    with pytest.raises(TypeError, match="seed must be an integer"):
-        lemmas.run_all(DIMS, samples=1, seed=seed)
-
-
 @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])
 def test_decompose_refuses_non_finite_input(value):
     # a typed refusal before any stage, not numpy's LinAlgError from an SVD
@@ -672,19 +591,6 @@ def test_decompose_refuses_a_tol_that_is_not_finite_and_positive(tol):
     with pytest.raises(ValueError, match=r"^tol must be finite and positive, got ") as raised:
         decompose(phi, tol)
     assert type(raised.value) is ValueError
-
-
-@pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (2, 3), (3, 2)])
-@pytest.mark.parametrize("sigma", list(SigmaFlag))
-def test_decompose_reads_a_conjugation_as_its_dense_matrix(m, k, sigma):
-    dims = Dims.from_mk(m, k)
-    phi = make_adjoint_preserver(*unitary_pair(dims, 59), sigma)
-    got, want = decompose(phi), decompose(Superoperator(phi.matrix, dims))
-    assert got.sigma is want.sigma is sigma
-    assert got.U.tobytes() == want.U.tobytes() and got.V.tobytes() == want.V.tobytes()
-    assert repr((got.kron_residual, got.verification_residual)) == repr(
-        (want.kron_residual, want.verification_residual)
-    )
 
 
 @pytest.mark.parametrize(
@@ -757,24 +663,14 @@ def test_noise_contract_default_tol_follows_the_certificate(m, k):
 # Relative noise that certifies above 5 tol but below 1e-6 under the right sigma.
 @pytest.mark.parametrize("m,k,eps", [(1, 2, 1.5e-8), (2, 2, 1.25e-8), (2, 3, 1e-7 / 12), (3, 2, 3e-7 / 18)])
 @pytest.mark.parametrize("sigma", [SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE])
-def test_noise_contract_loose_tol_accepts_the_band_without_sampling(m, k, eps, sigma, monkeypatch):
+def test_noise_contract_loose_tol_accepts_the_band(m, k, eps, sigma):
     phi = make_adjoint_preserver(*unitary_pair(Dims.from_mk(m, k), 21), sigma)
     phi = Superoperator(perturb(phi.matrix, eps, np.random.default_rng(21)), phi.dims)
     with pytest.raises(NotPreserverError, match=r"^stage certificate: "):
         decompose(phi)
-    _forbid_sampling(monkeypatch)
     dec = decompose(phi, tol=1e-3)
     assert dec.sigma is sigma
     assert 1e-8 < dec.verification_residual < 1e-6
-
-
-def test_noise_contract_default_tol_accepts_below_five_tol(monkeypatch):
-    # noise that certifies between tol and 5 tol is accepted, without sampling
-    phi = make_adjoint_preserver(*unitary_pair(DIMS, 21), SigmaFlag.IDENTITY)
-    phi = Superoperator(perturb(phi.matrix, 1.25e-9, np.random.default_rng(21)), DIMS)
-    _forbid_sampling(monkeypatch)
-    dec = decompose(phi)
-    assert dec.kron_residual < 1e-9 < dec.verification_residual < 5e-9
 
 
 def _refusals():
@@ -807,8 +703,7 @@ def _near_preservers(dims, seed, sigma):
     for i in range(7):
         eps, rng = 10.0 ** (-9 + i / 2), np.random.default_rng([seed, i])
         yield Superoperator(perturb(exact, eps, rng), dims)
-        a, _, b = np.linalg.svd(perturb(kron(u, v), eps, rng))
-        yield Conjugation(a @ b, sigma, dims)
+        yield nonkron_conjugation(u, v, sigma, eps, rng)
 
 
 def test_accepted_factors_are_unitary_to_second_order():
@@ -879,16 +774,37 @@ def test_refusal_order_reads_the_stage_attribute(phi, error, monkeypatch):
     assert blind.value.args == plain.value.args and blind.value.stage == plain.value.stage
 
 
-@pytest.mark.parametrize("phi,error", [pytest.param(None, None, id="accept"), *_refusals()])
-def test_decompose_never_samples(phi, error, monkeypatch):
-    if phi is None:
-        phi = make_adjoint_preserver(*unitary_pair(DIMS, 57), SigmaFlag.TRANSPOSE)
+def _forbid_sampling(monkeypatch):
+    """Make numpy's generators raise, so a run that draws a random number fails."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("decompose drew a random number")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+
+
+def _never_sampled():
+    """(phi, sigma or refusal type, tol): exact accepts under both sigma; at seed 21,
+    the band accept at tol 1e-3 and the accept between tol and 5 tol; each refusal kind."""
+    for sigma in SigmaFlag:
+        yield pytest.param(make_adjoint_preserver(*unitary_pair(DIMS, 57), sigma), sigma, 1e-9, id=sigma.value)
+    exact = make_adjoint_preserver(*unitary_pair(DIMS, 21), SigmaFlag.IDENTITY).matrix
+    for eps, tol, name in ((1.25e-8, 1e-3, "band"), (1.25e-9, 1e-9, "below-5-tol")):
+        noisy = Superoperator(perturb(exact, eps, np.random.default_rng(21)), DIMS)
+        yield pytest.param(noisy, SigmaFlag.IDENTITY, tol, id=name)
+    for refusal in _refusals():
+        yield pytest.param(*refusal.values, 1e-9, id=refusal.id)
+
+
+@pytest.mark.parametrize("phi,verdict,tol", list(_never_sampled()))
+def test_decompose_never_samples(phi, verdict, tol, monkeypatch):
     _forbid_sampling(monkeypatch)
-    if error is None:
-        assert decompose(phi).sigma is SigmaFlag.TRANSPOSE
+    if isinstance(verdict, SigmaFlag):
+        assert decompose(phi, tol).sigma is verdict
     else:
-        with pytest.raises(error):
-            decompose(phi)
+        with pytest.raises(verdict):
+            decompose(phi, tol)
 
 
 @pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)])
@@ -918,7 +834,6 @@ def test_wrong_sigma_is_refused_before_it_can_accept(m, k, sigma, monkeypatch):
 
     monkeypatch.setattr(classify, "_certify", certify)
     monkeypatch.setattr(classify, "recover_unitary", recover)
-    _forbid_sampling(monkeypatch)
     dec = decompose(phi)
     assert dec.sigma is sigma
     if sigma is SigmaFlag.IDENTITY:

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from meskit import (
-    Conjugation,
     DimensionError,
     Dims,
     MESKitError,
@@ -31,7 +30,7 @@ from meskit import (
 from meskit.cli import main
 from meskit.extension import ExtendedSuperoperator
 from meskit.tensor import complex_gaussian, perturb, unitary_pair
-from conftest import dense_extension
+from conftest import dense_extension, nonkron_conjugation
 
 
 def run_cli(capsys, *argv):
@@ -432,8 +431,7 @@ def _write_map(path, dims, sigma, eps=0.0, form="adjoint"):
         exact = make_adjoint_preserver(*unitary_pair(dims, 31), sigma)
         phi = Superoperator(perturb(exact.matrix, eps, rng), dims)
     else:
-        a, _, b = np.linalg.svd(perturb(kron(*unitary_pair(dims, 31)), eps, rng))
-        phi = Conjugation(a @ b, sigma, dims)
+        phi = nonkron_conjugation(*unitary_pair(dims, 31), sigma, eps, rng)
     serialize.write_json(str(path), serialize.superoperator_to_obj(phi.matrix, dims))
 
 

@@ -45,3 +45,9 @@ def test_suite_peak_memory_below_one_dense_preserver():
     finally:
         tracemalloc.stop()
     assert peak < dense_nbytes
+
+
+@pytest.mark.parametrize("seed", [2.7, "1"])
+def test_seed_must_be_an_integer(seed):
+    with pytest.raises(TypeError, match="seed must be an integer"):
+        run_all(Dims.from_mk(2, 2), samples=1, seed=seed)

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from meskit import (
     DimensionError,
@@ -186,30 +184,6 @@ def test_non_states_are_not_mes(matrix):
     assert not is_mes(matrix, DIMS)
     with pytest.raises(NotMESError):
         representative(matrix, DIMS)
-
-
-@given(st.integers(0, 10**6))
-@settings(max_examples=25, deadline=None)
-def test_five_way_orthogonality_equivalence(seed):
-    dims = Dims.from_mk(2, 3)
-    rng = np.random.default_rng(seed)
-    family = orthogonal_family(dims, seed)
-    a1, a2 = family[0], family[1]
-    b1 = random_coisometry(dims, np.random.SeedSequence([seed, 1]))
-    b2 = random_coisometry(dims, np.random.SeedSequence([seed, 2]))
-    for x1, x2, expect in [(a1, a2, True), (b1, b2, False)]:
-        c1 = np.linalg.norm(x1 @ x2.conj().T) < 1e-9
-        c2 = np.linalg.norm(x2 @ x1.conj().T) < 1e-9
-        c3 = is_coisometry(np.vstack([x1, x2]), 1e-9)
-        c4 = True
-        for _ in range(20):
-            ab = complex_gaussian(rng, 2)
-            ab /= np.linalg.norm(ab)
-            c4 = c4 and is_coisometry(ab[0] * x1 + ab[1] * x2, 1e-9)
-        q1 = np.linalg.qr(x1.conj().T)[0]
-        q2 = np.linalg.qr(x2.conj().T)[0]
-        c5 = np.linalg.norm(q1.conj().T @ q2) < 1e-8
-        assert [c1, c2, c3, c4, c5] == [expect] * 5
 
 
 def test_pure_state_span_membership_biconditional(rng):

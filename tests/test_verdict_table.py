@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meskit import (
-    Conjugation,
     Dims,
     MESKitError,
     NotInvertibleError,
@@ -28,6 +27,7 @@ from meskit import (
 )
 from meskit.cli import main
 from meskit.tensor import complex_gaussian, perturb, unitary_pair
+from conftest import nonkron_conjugation
 
 # noise_scan at seeds 0-2 accepts every 1e-10 row and refuses every >= 1e-8 row
 # at tol 1e-9: both levels sit a decade or more from the band.  "offspan" adds
@@ -56,8 +56,7 @@ def _build(kind, eps, dims, sigma, seed):
     if kind == "random":
         return Superoperator(complex_gaussian(np.random.default_rng(seed), dims.mn**2, dims.mn**2), dims)
     if kind == "nonkron":
-        a, _, b = np.linalg.svd(perturb(kron(*unitary_pair(dims, seed)), eps, np.random.default_rng(seed)))
-        return Conjugation(a @ b, sigma, dims)
+        return nonkron_conjugation(*unitary_pair(dims, seed), sigma, eps, np.random.default_rng(seed))
     phi = make_adjoint_preserver(*unitary_pair(dims, seed), sigma)
     if kind == "adjoint":
         return phi
