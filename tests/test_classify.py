@@ -1,5 +1,6 @@
 import gc
 import inspect
+import itertools
 import json
 import os
 import re
@@ -54,11 +55,20 @@ from conftest import (
 )
 
 DIMS = Dims.from_mk(2, 2)
+# Relative noise certified, at seed 21 under the right sigma, in (tol, 5 tol) and (5 tol, 1e-6)
+_SMALL_NOISE = [(1, 2, 1.5e-9), (2, 2, 1.25e-9), (2, 3, 1e-8 / 12), (3, 2, 1e-8 / 18)]
+_BAND = [(1, 2, 1.5e-8), (2, 2, 1.25e-8), (2, 3, 1e-7 / 12), (3, 2, 3e-7 / 18)]
 
 
 def _images(phi):
     """The (d, d, d, d) image array ``images[:, :, a, b] = phi(x_a x_b*)``."""
     return phi.matrix.reshape((phi.dims.mn,) * 4)
+
+
+def _noisy(dims, seed, sigma, eps):
+    """Ad_{U (x) V} o sigma with U, V drawn at ``seed``, plus relative noise ``eps`` drawn at ``seed``."""
+    phi = make_adjoint_preserver(*unitary_pair(dims, seed), sigma)
+    return Superoperator(perturb(phi.matrix, eps, np.random.default_rng(seed)), dims)
 
 
 def test_recover_unitary_from_conjugation():
@@ -191,15 +201,13 @@ def test_verify_theorem_form_matching_and_mismatched():
 
 # At (1,2) the whole noise norm falls on 16 entries: maps at relative noise 5e-9
 # certify near 1e-8, above 5 tol, while 1.5e-9 certifies below it.
-@pytest.mark.parametrize("m,k,eps", [(1, 2, 1.5e-9), (2, 2, 1.25e-9), (2, 3, 1e-8 / 12), (3, 2, 1e-8 / 18)])
+@pytest.mark.parametrize("m,k,eps", _SMALL_NOISE)
 @pytest.mark.parametrize("sigma", [SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE])
 def test_decompose_tolerates_small_noise(m, k, eps, sigma):
     # noise relative to the map's Frobenius norm still decomposes, within criterion 2's
     # bound, and is accepted with a certificate between tol and 5 tol
-    dims = Dims.from_mk(m, k)
-    u, v = unitary_pair(dims, 21)
-    phi = perturb(make_adjoint_preserver(u, v, sigma).matrix, eps, np.random.default_rng(21))
-    dec = decompose(Superoperator(phi, dims))
+    u, v = unitary_pair(Dims.from_mk(m, k), 21)
+    dec = decompose(_noisy(Dims.from_mk(m, k), 21, sigma, eps))
     assert dec.sigma is sigma
     assert phase_aligned_distance(kron(dec.U, dec.V), kron(u, v)) < 1e-7
     assert dec.kron_residual < 1e-9 < dec.verification_residual < 5e-9
@@ -208,8 +216,7 @@ def test_decompose_tolerates_small_noise(m, k, eps, sigma):
 @pytest.mark.parametrize("sigma", [SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE])
 def test_decompose_names_certificate_stage_on_noise(sigma):
     # this noisy map certifies at 8.9e-9 or 1.0e-8, above 5 tol, and the refusal names that stage
-    phi = make_adjoint_preserver(*unitary_pair(Dims.from_mk(1, 2), 3), sigma)
-    phi = Superoperator(perturb(phi.matrix, 5e-9, np.random.default_rng(3)), phi.dims)
+    phi = _noisy(Dims.from_mk(1, 2), 3, sigma, 5e-9)
     with pytest.raises(NotPreserverError, match=r"^stage certificate: span residual .* >= 5\.0e-09$"):
         decompose(phi)
 
@@ -410,9 +417,7 @@ def test_refusals_name_their_verdict_and_stage(rng):
 def test_certificate_gate_keeps_the_noise_band(m, k, eps, sigma):
     dims = Dims.from_mk(m, k)
     for seed in range(20):
-        phi = make_adjoint_preserver(*unitary_pair(dims, seed), sigma)
-        phi = Superoperator(perturb(phi.matrix, eps, np.random.default_rng(seed)), dims)
-        dec = decompose(phi, tol=1e-3)
+        dec = decompose(_noisy(dims, seed, sigma, eps), tol=1e-3)
         assert dec.sigma is sigma
         assert dec.verification_residual < 1e-7
 
@@ -422,9 +427,8 @@ def test_certificate_gate_keeps_the_noise_band(m, k, eps, sigma):
 def test_verification_residual_bounds_every_mes(m, k, sigma):
     # the span certificate covers all MES, not just a sampled few
     dims = Dims.from_mk(m, k)
-    phi = make_adjoint_preserver(*unitary_pair(dims, 23), sigma)
     # noise of Frobenius norm 1e-9: ||phi||_F = mn
-    phi = Superoperator(perturb(phi.matrix, 1e-9 / dims.mn, np.random.default_rng(23)), dims)
+    phi = _noisy(dims, 23, sigma, 1e-9 / dims.mn)
     dec = decompose(phi)
     W = kron(dec.U, dec.V)
     for i in range(50):
@@ -585,9 +589,7 @@ def test_decompose_refuses_non_finite_input(value):
 def test_decompose_refuses_a_tol_that_is_not_finite_and_positive(tol):
     # a NaN tol fails every ">=" gate, so this map, with a certificate near 2e-6,
     # would be accepted above the hard 1e-6 cap
-    dims = Dims.from_mk(2, 2)
-    phi = make_adjoint_preserver(*unitary_pair(dims, 61), SigmaFlag.IDENTITY)
-    phi = Superoperator(perturb(phi.matrix, 1e-6, np.random.default_rng(61)), dims)
+    phi = _noisy(DIMS, 61, SigmaFlag.IDENTITY, 1e-6)
     with pytest.raises(ValueError, match=r"^tol must be finite and positive, got ") as raised:
         decompose(phi, tol)
     assert type(raised.value) is ValueError
@@ -644,8 +646,7 @@ def test_noise_contract_default_tol_follows_the_certificate(m, k):
     for sigma in SigmaFlag:
         for eps in (1e-9, 1e-8, 3e-8, 1e-6):  # the noise's Frobenius norm: ||phi||_F = mn
             for seed in range(60, 63):
-                phi = make_adjoint_preserver(*unitary_pair(dims, seed), sigma)
-                phi = Superoperator(perturb(phi.matrix, eps / dims.mn, np.random.default_rng(seed)), dims)
+                phi = _noisy(dims, seed, sigma, eps / dims.mn)
                 certificate = _certificate(phi, sigma)
                 try:
                     verdict = decompose(phi).sigma
@@ -660,12 +661,10 @@ def test_noise_contract_default_tol_follows_the_certificate(m, k):
     assert set(SigmaFlag) < verdicts
 
 
-# Relative noise that certifies above 5 tol but below 1e-6 under the right sigma.
-@pytest.mark.parametrize("m,k,eps", [(1, 2, 1.5e-8), (2, 2, 1.25e-8), (2, 3, 1e-7 / 12), (3, 2, 3e-7 / 18)])
+@pytest.mark.parametrize("m,k,eps", _BAND)
 @pytest.mark.parametrize("sigma", [SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE])
 def test_noise_contract_loose_tol_accepts_the_band(m, k, eps, sigma):
-    phi = make_adjoint_preserver(*unitary_pair(Dims.from_mk(m, k), 21), sigma)
-    phi = Superoperator(perturb(phi.matrix, eps, np.random.default_rng(21)), phi.dims)
+    phi = _noisy(Dims.from_mk(m, k), 21, sigma, eps)
     with pytest.raises(NotPreserverError, match=r"^stage certificate: "):
         decompose(phi)
     dec = decompose(phi, tol=1e-3)
@@ -679,16 +678,13 @@ def _refusals():
     yield pytest.param(trace, NotInvertibleError, id="trace")
     g = complex_gaussian(np.random.default_rng(57), 64, 64)
     yield pytest.param(Superoperator(matrix=g, dims=DIMS), NotPreserverError, id="random")
-    noise = make_adjoint_preserver(*unitary_pair(DIMS, 21), SigmaFlag.TRANSPOSE)
-    noise = Superoperator(perturb(noise.matrix, 1.25e-7, np.random.default_rng(21)), DIMS)
-    yield pytest.param(noise, NotPreserverError, id="noise")
+    yield pytest.param(_noisy(DIMS, 21, SigmaFlag.TRANSPOSE, 1.25e-7), NotPreserverError, id="noise")
 
 
 def test_kronecker_residual_above_tol_is_reported_not_gated():
     # relative noise 2.5e-9: certified below 5 tol, so accepted, with its
     # Kronecker residual of about 1.5e-9, above tol, in the record
-    phi = make_adjoint_preserver(*unitary_pair(DIMS, 21), SigmaFlag.IDENTITY)
-    phi = Superoperator(perturb(phi.matrix, 2.5e-9, np.random.default_rng(21)), DIMS)
+    phi = _noisy(DIMS, 21, SigmaFlag.IDENTITY, 2.5e-9)
     dec = decompose(phi)
     assert dec.sigma is SigmaFlag.IDENTITY
     assert dec.verification_residual < 5e-9
@@ -732,8 +728,7 @@ def test_refusal_at_both_certificates_names_the_smaller_residual(sigma):
     # at (1,2) a wrong sigma passes recovery, so on this noisy map (certified near
     # 2e-8 under its sigma, near 2 under the other) both attempts stop at the certificate
     dims = Dims.from_mk(1, 2)
-    phi = make_adjoint_preserver(*unitary_pair(dims, 3), sigma)
-    phi = Superoperator(perturb(phi.matrix, 1e-8, np.random.default_rng(3)), dims)
+    phi = _noisy(dims, 3, sigma, 1e-8)
     residuals = {}
     for attempt in SigmaFlag:
         with pytest.raises(NotPreserverError) as raised:
@@ -785,14 +780,15 @@ def _forbid_sampling(monkeypatch):
 
 
 def _never_sampled():
-    """(phi, sigma or refusal type, tol): exact accepts under both sigma; at seed 21,
-    the band accept at tol 1e-3 and the accept between tol and 5 tol; each refusal kind."""
-    for sigma in SigmaFlag:
-        yield pytest.param(make_adjoint_preserver(*unitary_pair(DIMS, 57), sigma), sigma, 1e-9, id=sigma.value)
-    exact = make_adjoint_preserver(*unitary_pair(DIMS, 21), SigmaFlag.IDENTITY).matrix
-    for eps, tol, name in ((1.25e-8, 1e-3, "band"), (1.25e-9, 1e-9, "below-5-tol")):
-        noisy = Superoperator(perturb(exact, eps, np.random.default_rng(21)), DIMS)
-        yield pytest.param(noisy, SigmaFlag.IDENTITY, tol, id=name)
+    """(phi, sigma or refusal type, tol): exact accepts over the ladder under both sigma;
+    the _BAND maps at tol 1e-3 and the _SMALL_NOISE maps; each refusal kind."""
+    for (m, k), sigma in itertools.product(((1, 2), (2, 2), (2, 3), (3, 2), (3, 3)), SigmaFlag):
+        phi = make_adjoint_preserver(*unitary_pair(Dims.from_mk(m, k), 57), sigma)
+        yield pytest.param(phi, sigma, 1e-9, id=f"{sigma.value}-{m}-{k}")
+    for cases, tol, name in ((_BAND, 1e-3, "band"), (_SMALL_NOISE, 1e-9, "below-5-tol")):
+        for (m, k, eps), sigma in itertools.product(cases, SigmaFlag):
+            phi = _noisy(Dims.from_mk(m, k), 21, sigma, eps)
+            yield pytest.param(phi, sigma, tol, id=f"{name}-{sigma.value}-{m}-{k}")
     for refusal in _refusals():
         yield pytest.param(*refusal.values, 1e-9, id=refusal.id)
 
