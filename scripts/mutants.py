@@ -3,10 +3,12 @@
 text of ``src/meskit``, and the fast subset of the tests must fail on it.
 
 For each row it copies ``src/``, ``tests/`` and ``scripts/`` to a temporary
-directory, replaces the row's old text, which must occur exactly once, with
-its new text, and runs ``FAST`` there with ``pytest -x``, at one BLAS thread
-unless ``OPENBLAS_NUM_THREADS`` is set.  It prints one line per row: "killed"
-and the first failing test, or "survived", with the seconds the run took.  It exits 1 if a survivor is not marked equivalent, if
+directory of its own, replaces the row's old text, which must occur exactly
+once, with its new text, and runs ``FAST`` there with ``pytest -x``, at one
+BLAS thread unless ``OPENBLAS_NUM_THREADS`` is set.  Rows run concurrently,
+one per CPU the process may use.  It prints one line per row, in table order:
+"killed" and the first failing test, or "survived", with the seconds the run
+took.  It exits 1 if a survivor is not marked equivalent, if
 an old text does not occur exactly once, or if a run stops without a failing
 test (a collection error kills nothing).  Nothing in the checkout is written.
 
@@ -20,6 +22,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,6 +58,8 @@ MUTANTS = (
     (CLASSIFY, BOUND, "bound = min(6 * tol, 1e-6)", "bound at 6 tol", None),
     (CLASSIFY, "if residual >= bound:", "if residual > bound:", "> at the certificate",
      "differs only where the certificate equals its bound exactly"),
+    (CLASSIFY, "        refusals.sort(", "        refusals.reverse()\n        refusals.sort(",
+     "tie rule reversed", None),
     (CLASSIFY, "return fix_global_phase(u @ vh)", "return u @ vh", "gauge dropped", None),
     (TENSOR, f"int(np.argmax({TIES}))", f"mags.size - 1 - int(np.argmax(({TIES})[::-1]))",
      "gauge tie rule reversed", None),
@@ -97,20 +102,26 @@ def run(path, old, new, tmp):
     return True, failed.group(1)
 
 
+def timed(mutant):
+    """Run one row in a temporary directory of its own: (killed, first failure, seconds)."""
+    path, old, new, *_ = mutant
+    began = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        killed, first = run(path, old, new, Path(tmp))
+    return killed, first, time.perf_counter() - began
+
+
 def main() -> int:
     survived, bad, start = 0, 0, time.perf_counter()
-    for path, old, new, label, equivalent in MUTANTS:
-        began = time.perf_counter()
-        with tempfile.TemporaryDirectory() as tmp:
-            killed, first = run(path, old, new, Path(tmp))
-        seconds = time.perf_counter() - began
-        if killed:
-            print(f"killed    {seconds:5.1f} s  {label}: {first}", flush=True)
-        else:
-            survived += 1
-            bad += equivalent is None
-            note = f"equivalent: {equivalent}" if equivalent else "NOT EQUIVALENT"
-            print(f"survived  {seconds:5.1f} s  {label} ({note})", flush=True)
+    with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
+        for (*_, label, equivalent), (killed, first, seconds) in zip(MUTANTS, pool.map(timed, MUTANTS)):
+            if killed:
+                print(f"killed    {seconds:5.1f} s  {label}: {first}", flush=True)
+            else:
+                survived += 1
+                bad += equivalent is None
+                note = f"equivalent: {equivalent}" if equivalent else "NOT EQUIVALENT"
+                print(f"survived  {seconds:5.1f} s  {label} ({note})", flush=True)
     print(
         f"{len(MUTANTS) - survived} of {len(MUTANTS)} killed, {survived - bad} equivalent survivors, "
         f"{bad} other survivors, in {time.perf_counter() - start:.1f} s"

@@ -139,7 +139,6 @@ def check_pure_states_in_span(dims: Dims, samples: int, seed) -> float:
 
 
 def _five_way_conditions(A1: np.ndarray, A2: np.ndarray, rng) -> list[bool]:
-    m = A1.shape[0]
     c1 = frobenius(A1 @ A2.conj().T) < DEFAULT_TOL
     c2 = frobenius(A2 @ A1.conj().T) < DEFAULT_TOL
     c3 = is_coisometry(np.vstack([A1, A2]))
@@ -151,7 +150,7 @@ def _five_way_conditions(A1: np.ndarray, A2: np.ndarray, rng) -> list[bool]:
     # row spaces via orthonormal bases, independent of the product tests above
     q1 = np.linalg.qr(A1.conj().T)[0]
     q2 = np.linalg.qr(A2.conj().T)[0]
-    c5 = frobenius(q1.conj().T @ q2) < DEFAULT_TOL * 10 * m
+    c5 = frobenius(q1.conj().T @ q2) < DEFAULT_TOL * 10
     return [c1, c2, c3, c4, c5]
 
 

@@ -1,5 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
+Criteria 1, 3, 4, 6 and 8 run the checks that ``meskit check-lemmas`` ships
+in :mod:`meskit.lemmas`, each at its own dims, draw count and bound, so the
+lemma code the CLI reports on is the code these criteria accept.  Criteria 2,
+5 and 7 have no shipped twin and keep their own loops.
+
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 summary lines and residuals.
 """
@@ -11,34 +16,35 @@ import pytest
 
 from meskit import (
     Dims,
-    ExtendedSuperoperator,
     NotInvertibleError,
     NotPreserverError,
     SigmaFlag,
     ad_commutation_residual,
-    align_images,
     apply,
-    choi_matrix,
     decompose,
     haar_unitary,
-    is_coisometry,
-    is_mes,
     kron,
     make_adjoint_preserver,
     make_swap_preserver,
     make_trace_preserver,
     orthogonal_family,
     p_operator,
-    partial_trace_y,
     phi_on_cross_term,
     pi,
-    q_operator,
     random_coisometry,
-    restricted_g,
     vec,
 )
+from meskit.lemmas import (
+    check_choi_discriminant,
+    check_extension_preserves_mes,
+    check_family_alignment,
+    check_orthogonality_equivalence,
+    check_pair_semilinearity,
+    check_structural_commutation,
+    check_vec_partial_trace,
+)
 from meskit.superop import Superoperator
-from meskit.tensor import complex_gaussian, unitary_pair
+from meskit.tensor import unitary_pair
 from conftest import (
     commutes_with_ad,
     phase_aligned_distance,
@@ -54,35 +60,14 @@ def _report(number: int, label: str, ok: bool, detail: str) -> None:
 
 
 def test_criterion_1_choi_discriminant():
+    # 50 preservers per dims under both sigma; a residual under 1e-8 also puts
+    # each det within 0.5, half the distance between 0 and -1, of its branch
     start = time.time()
-    worst = 0.0
-    correct = 0
-    total = 0
-    for m, k in [(2, 2), (2, 3), (3, 2)]:
-        dims = Dims.from_mk(m, k)
-        for i in range(50):
-            for sigma in BOTH:
-                phi = make_adjoint_preserver(*unitary_pair(dims, 1000 + i), sigma)
-                family = orthogonal_family(dims, np.random.SeedSequence([2000, i]))
-                det = complex(
-                    np.linalg.det(choi_matrix(restricted_g(phi, family[0], family[1])))
-                )
-                target = 0.0 if sigma is SigmaFlag.IDENTITY else -1.0
-                worst = max(worst, abs(det - target))
-                total += 1
-                # the flag is the branch whose value is within 0.5, half their distance
-                if abs(det - target) < 0.5:
-                    correct += 1
+    worst = max(check_choi_discriminant(Dims.from_mk(m, k), 50, 1000) for m, k in [(2, 2), (2, 3), (3, 2)])
     elapsed = time.time() - start
-    ok = worst < 1e-8 and correct == total and elapsed < 60.0
-    _report(
-        1,
-        "choi-discriminant",
-        ok,
-        f"max |det - target| = {worst:.2e}, {correct}/{total} flags correct, {elapsed:.1f}s",
-    )
+    ok = worst < 1e-8 and elapsed < 60.0
+    _report(1, "choi-discriminant", ok, f"max |det - target| = {worst:.2e} over 300 maps, {elapsed:.1f}s")
     assert worst < 1e-8
-    assert correct == total
     assert elapsed < 60.0
 
 
@@ -115,57 +100,19 @@ def test_criterion_2_decomposition_roundtrip():
 
 
 def test_criterion_3_partial_trace_identity():
-    rng = np.random.default_rng(4000)
-    worst = 0.0
-    count = 0
     grids = [(1, 2), (1, 5), (1, 9), (2, 4), (2, 6), (2, 8), (3, 3), (3, 6), (3, 9)]
-    while count < 1000:
-        for m, n in grids:
-            a = complex_gaussian(rng, m, n)
-            b = complex_gaussian(rng, m, n)
-            lhs = partial_trace_y(np.outer(vec(a), vec(b).conj()), Dims(m, n))
-            worst = max(worst, float(np.linalg.norm(lhs - a @ b.conj().T)))
-            count += 1
+    worst = max(check_vec_partial_trace(Dims(m, n), 112, 4000) for m, n in grids)
     ok = worst < 1e-12
-    _report(3, "vec-partial-trace-product", ok, f"max residual = {worst:.2e} over {count} pairs")
+    _report(3, "vec-partial-trace-product", ok, f"max residual = {worst:.2e} over {112 * len(grids)} pairs")
     assert worst < 1e-12
 
 
-def _five_conditions(a1, a2, rng, tol=1e-9):
-    c1 = np.linalg.norm(a1 @ a2.conj().T) < tol
-    c2 = np.linalg.norm(a2 @ a1.conj().T) < tol
-    c3 = is_coisometry(np.vstack([a1, a2]), tol)
-    c4 = True
-    for _ in range(20):
-        ab = complex_gaussian(rng, 2)
-        ab /= np.linalg.norm(ab)
-        c4 = c4 and is_coisometry(ab[0] * a1 + ab[1] * a2, tol)
-    q1 = np.linalg.qr(a1.conj().T)[0]
-    q2 = np.linalg.qr(a2.conj().T)[0]
-    c5 = np.linalg.norm(q1.conj().T @ q2) < tol * 10
-    return [c1, c2, c3, c4, c5]
-
-
 def test_criterion_4_orthogonality_equivalence():
-    rng = np.random.default_rng(5000)
+    # 125 orthogonal and 125 control pairs per dims
     dims_cycle = [Dims.from_mk(2, 2), Dims.from_mk(2, 3), Dims.from_mk(3, 2), Dims.from_mk(1, 3)]
-    disagreements = 0
-    for i in range(500):
-        dims = dims_cycle[i % len(dims_cycle)]
-        family = orthogonal_family(dims, np.random.SeedSequence([5100, i]))
-        if not all(_five_conditions(family[0], family[1], rng)):
-            disagreements += 1
-        b1 = random_coisometry(dims, np.random.SeedSequence([5200, i, 0]))
-        b2 = random_coisometry(dims, np.random.SeedSequence([5200, i, 1]))
-        if any(_five_conditions(b1, b2, rng)):
-            disagreements += 1
+    disagreements = sum(check_orthogonality_equivalence(dims, 125, 5000) for dims in dims_cycle)
     ok = disagreements == 0
-    _report(
-        4,
-        "orthogonality-equivalence",
-        ok,
-        f"{disagreements} disagreements over 500 orthogonal + 500 control pairs",
-    )
+    _report(4, "orthogonality-equivalence", ok, f"{disagreements:.0f} disagreements, 500 orthogonal + 500 controls")
     assert disagreements == 0
 
 
@@ -190,29 +137,17 @@ def test_criterion_5_polarization_reconstruction():
 
 
 def test_criterion_6_extension():
-    worst_mes = 0.0
-    worst_comm = 0.0
+    # 50 MES of Y (x) Y per dims under both sigma; the residual r bounds is_mes's
+    # rank-one and partial-trace deviations by r and its Hermitian deviation by
+    # 2r, so r < 5e-9 is at least as tight as is_mes at 1e-8
+    worst_mes = worst_comm = 0.0
     for m, k in [(2, 2), (2, 3)]:
         dims = Dims.from_mk(m, k)
-        operators = [kron(p_operator(j, dims), np.eye(dims.n)) for j in range(1, k + 1)]
-        operators += [
-            q_operator(p, q, dims) for p in range(1, k + 1) for q in range(p + 1, k + 1)
-        ]
-        for sigma in BOTH:
-            ext = ExtendedSuperoperator(make_adjoint_preserver(*unitary_pair(dims, 7000), sigma), sigma)
-            for i in range(50):
-                state = pi(random_coisometry(ext.dims, np.random.SeedSequence([7100, i])))
-                image = apply(ext, state)
-                assert is_mes(image, ext.dims, 1e-8)
-                for w in operators:
-                    worst_comm = max(worst_comm, ad_commutation_residual(ext, w, state))
-    ok = worst_comm < 1e-9
-    _report(
-        6,
-        "blockwise-extension",
-        ok,
-        f"all images MES at 1e-8, max commutation residual = {worst_comm:.2e}",
-    )
+        worst_mes = max(worst_mes, check_extension_preserves_mes(dims, 50, 7000))
+        worst_comm = max(worst_comm, check_structural_commutation(dims, 50, 7000))
+    ok = worst_mes < 5e-9 and worst_comm < 1e-9
+    _report(6, "blockwise-extension", ok, f"max MES residual = {worst_mes:.2e}, commutation = {worst_comm:.2e}")
+    assert worst_mes < 5e-9
     assert worst_comm < 1e-9
 
 
@@ -246,23 +181,12 @@ def test_criterion_7_negative_controls():
 
 
 def test_criterion_8_family_semilinearity():
-    dims = Dims.from_mk(2, 3)
-    rng = np.random.default_rng(9000)
-    worst = 0.0
-    for sigma in BOTH:
-        phi = make_adjoint_preserver(*unitary_pair(dims, 9100), sigma)
-        family = orthogonal_family(dims, np.random.SeedSequence([9200]))
-        images = align_images(phi, family)
-        for _ in range(100):
-            coeff = complex_gaussian(rng, 3)
-            coeff /= np.linalg.norm(coeff)
-            out_coeff = coeff.conj() if sigma is SigmaFlag.TRANSPOSE else coeff
-            source = sum(c * f for c, f in zip(coeff, family))
-            target = sum(c * b for c, b in zip(out_coeff, images))
-            dist = float(
-                np.linalg.norm(apply(phi, pi(source)) - pi(target))
-            )
-            worst = max(worst, dist)
-    ok = worst < 1e-8
-    _report(8, "family-semilinearity", ok, f"max residual = {worst:.2e} over 100 vectors x 2 branches")
-    assert worst < 1e-8
+    # 100 preservers at (2,3) under both sigma, one unit coefficient vector each on
+    # the whole aligned family, whose images must stay orthogonal; and 25 on one
+    # orthogonal pair at (2,2)
+    family = check_family_alignment(Dims.from_mk(2, 3), 100, 9000)
+    pair = check_pair_semilinearity(Dims.from_mk(2, 2), 25, 9000)
+    ok = family < 1e-8 and pair < 1e-8
+    _report(8, "family-semilinearity", ok, f"max residual = {family:.2e} over 100 families, {pair:.2e} over 25 pairs")
+    assert family < 1e-8
+    assert pair < 1e-8
