@@ -241,6 +241,21 @@ def test_align_images_orthogonality_and_coherence(sigma):
             assert np.linalg.norm(target - recon) < 1e-9
 
 
+@pytest.mark.parametrize("sigma", [SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE])
+def test_projective_semilinearity_on_pairs(sigma, rng):
+    phi = _preserver(45, sigma)
+    fam = orthogonal_family(DIMS, 47)[:2]
+    images = align_images(phi, fam)
+    for _ in range(25):
+        ab = complex_gaussian(rng, 2)
+        ab /= np.linalg.norm(ab)
+        coeff = ab.conj() if sigma is SigmaFlag.TRANSPOSE else ab
+        source = ab[0] * fam[0] + ab[1] * fam[1]
+        target = coeff[0] * images[0] + coeff[1] * images[1]
+        dist = np.linalg.norm(apply(phi, pi(source)) - pi(target))
+        assert dist < 1e-8
+
+
 @pytest.mark.parametrize("m,k", [(3, 2), (2, 3)])
 def test_align_images_reads_each_value_once(m, k, monkeypatch):
     # k diagonal values and four MES evaluations per cross term, each made once

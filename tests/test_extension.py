@@ -14,12 +14,14 @@ from meskit import (
     apply,
     decompose,
     haar_unitary,
+    is_mes,
     kron,
     make_adjoint_preserver,
     make_swap_preserver,
     p_operator,
     pi,
     q_operator,
+    random_coisometry,
     structural_unitaries,
     verify_theorem_form,
 )
@@ -142,6 +144,15 @@ def test_extend_acts_blockwise(sigma, rng):
 
 
 @pytest.mark.parametrize("sigma", BOTH)
+def test_extend_preserves_square_mes(sigma):
+    phi = _preserver(5, sigma)
+    ext = ExtendedSuperoperator(phi, sigma)
+    for seed in range(25):
+        state = pi(random_coisometry(ext.dims, seed))
+        assert is_mes(apply(ext, state), ext.dims, 1e-8)
+
+
+@pytest.mark.parametrize("sigma", BOTH)
 def test_extend_consistency_with_block_diagonal_conjugation(sigma):
     # extending ad_{U (x) V} (with the matching branch flag) equals the
     # square-space conjugation by (I_k (x) U) (x) V
@@ -201,6 +212,18 @@ def test_q_operator_swaps_blocks(rng):
     np.testing.assert_allclose(swapped[0, :, 0, :], blocks[1, :, 1, :], atol=1e-12)
     np.testing.assert_allclose(swapped[1, :, 1, :], blocks[0, :, 0, :], atol=1e-12)
     np.testing.assert_allclose(swapped[0, :, 1, :], blocks[1, :, 0, :], atol=1e-12)
+
+
+@pytest.mark.parametrize("sigma", BOTH)
+def test_extension_commutes_with_structural_conjugations(sigma):
+    dims = Dims.from_mk(2, 3)
+    ext = ExtendedSuperoperator(_preserver(9, sigma, dims), sigma)
+    eye_n = np.eye(dims.n)
+    for j in range(1, dims.k + 1):
+        assert commutes_with_ad(ext, kron(p_operator(j, dims), eye_n))
+    for p in range(1, dims.k + 1):
+        for q in range(p + 1, dims.k + 1):
+            assert commutes_with_ad(ext, q_operator(p, q, dims))
 
 
 def test_structural_unitaries_order_and_values():

@@ -100,6 +100,14 @@ def test_partial_trace_of_identity():
     np.testing.assert_allclose(partial_trace_y(np.eye(18), dims), 6 * np.eye(3))
 
 
+def test_partial_trace_vec_outer_rule(rng):
+    dims = Dims.from_mk(2, 2)
+    a = complex_gaussian(rng, 2, 4)
+    b = complex_gaussian(rng, 2, 4)
+    lhs = partial_trace_y(np.outer(vec(a), vec(b).conj()), dims)
+    np.testing.assert_allclose(lhs, a @ b.conj().T, atol=1e-12)
+
+
 def test_partial_trace_preserves_trace_and_positivity(rng):
     dims = Dims.from_mk(2, 2)
     g = complex_gaussian(rng, 8, 8)
