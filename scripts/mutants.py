@@ -1,16 +1,22 @@
 #!/usr/bin/env python3
-"""Mutation score of the verdict path: each row of ``MUTANTS`` changes one
-text of ``src/meskit``, and the fast subset of the tests must fail on it.
+"""Mutation score of the verdict, I/O, CLI and lemma paths: each row of
+``MUTANTS`` changes one text of ``src/meskit``, and the fast subset of tests
+that ``FAST`` maps its source file to must fail on it.
 
-For each row it copies ``src/``, ``tests/`` and ``scripts/`` to a temporary
-directory of its own, replaces the row's old text, which must occur exactly
-once, with its new text, and runs ``FAST`` there with ``pytest -x``, at one
-BLAS thread unless ``OPENBLAS_NUM_THREADS`` is set.  Rows run concurrently,
-one per CPU the process may use.  It prints one line per row, in table order:
-"killed" and the first failing test, or "survived", with the seconds the run
-took.  It exits 1 if a survivor is not marked equivalent, if
-an old text does not occur exactly once, or if a run stops without a failing
-test (a collection error kills nothing).  Nothing in the checkout is written.
+The subsets are the verdict path's (``classify``, ``superop``, ``tensor``),
+the float kernel's and the reader and writer's (``_float_kernel``,
+``serialize``), the CLI's (``cli``), the lemma suite's (``lemmas``,
+``extension``) and ``states``'; each lists its files cheapest first, since
+with ``-x`` a run stops at its first failure.  For each row it copies
+``src/``, ``tests/`` and ``scripts/`` to a temporary directory of its own,
+replaces the row's old text, which must occur exactly once, with its new text,
+and runs the subset there with ``pytest -x``, at one BLAS thread unless
+``OPENBLAS_NUM_THREADS`` is set.  Rows run concurrently, one per CPU the
+process may use.  It prints one line per row, in table order: "killed" and the
+first failing test, or "survived", with the seconds the run took.  It exits 1
+if a survivor is not marked equivalent, if an old text does not occur exactly
+once, or if a run stops without a failing test (a collection error kills
+nothing).  Nothing in the checkout is written.
 
     python scripts/mutants.py
 """
@@ -26,15 +32,29 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# cheapest first: with -x a run stops at its first failure
-FAST = (
+# each source file's fast subset, cheapest first: with -x a run stops at its first failure
+VERDICT = (
     "tests/test_scripts.py::test_noise_scan_prints_one_verdict_per_map",
     "tests/test_superop.py",
     "tests/test_verdict_table.py",
     "tests/test_relations.py",
     "tests/test_classify.py",
 )
+LEMMA = ("tests/test_lemmas.py", "tests/test_extension.py", "tests/test_acceptance.py")
 CLASSIFY, SUPEROP, TENSOR = "src/meskit/classify.py", "src/meskit/superop.py", "src/meskit/tensor.py"
+KERNEL, SERIALIZE, CLI = "src/meskit/_float_kernel.py", "src/meskit/serialize.py", "src/meskit/cli.py"
+LEMMAS, EXTENSION, STATES = "src/meskit/lemmas.py", "src/meskit/extension.py", "src/meskit/states.py"
+FAST = {
+    CLASSIFY: VERDICT,
+    SUPEROP: VERDICT,
+    TENSOR: VERDICT,
+    KERNEL: ("tests/test_serialize.py",),
+    SERIALIZE: ("tests/test_cli.py", "tests/test_serialize.py"),
+    CLI: ("tests/test_cli.py",),
+    LEMMAS: LEMMA,
+    EXTENSION: LEMMA,
+    STATES: ("tests/test_states.py",),
+}
 SCREEN = "    if ratio <= 0.5:\n"
 SHORTCUT = 'if getattr(refusals[0], "residual", np.inf) >= 0.5:'
 TIES = "mags >= (1.0 - 1e-9) * mags.max()"
@@ -45,6 +65,9 @@ WEYL = (
     "by Weyl a certificate eps < 1 puts sigma_min on the span at >= 1 - eps: "
     "no cut-off in (0, 1), or none, moves a verdict"
 )
+DECLINE = "if not rows or count + len(rows) > len(out) or any(c in piece for c in b'\"tfn'):"
+PACKAGE = "    except MESKitError as exc:\n        return _fail(exc, exc.exit_code)\n"
+OTHER = "    except (ValueError, OSError) as exc:\n        return _fail(exc, _EXIT_USAGE)\n"
 
 # (file, old text, new text, label, reason the mutant is verdict-equivalent or None)
 MUTANTS = (
@@ -77,11 +100,65 @@ MUTANTS = (
      "an accept between tol and 5 tol draws", None),
     (CLASSIFY, ACCEPT, f"    if residual > 5e-9:\n        np.random.default_rng(0)\n{ACCEPT}",
      "an accept above 5e-9 (tol 1e-3) draws", None),
+    # I/O: the float kernel's certified rounding, the writer and the readers
+    (KERNEL, "_MARGIN = 1e-14", "_MARGIN = 0.0", "tie margin 0", None),
+    (KERNEL, "_MARGIN = 1e-14", "_MARGIN = 1e-15", "tie margin below the error bound", None),
+    (KERNEL, "ok = (a == np.abs(x)) & ", "ok = ", "clipped values laid out", None),
+    (KERNEL, "+ a_lo * hi_lo + a * lo", "+ a_lo * hi_lo", "lo of 10**k dropped", None),
+    (KERNEL, "e += a >= t.ceil", "e += a > t.ceil", "exponent of an exact power one low", None),
+    (KERNEL, "carry = n == 10**17", "carry = n > 10**17", "no carry into a new digit", None),
+    (KERNEL, "zero = np.signbit(pairs) * 2", "zero = np.signbit(pairs) * 0", "-0 written as 0", None),
+    (SERIALIZE, "yield separator + text", "yield text", "no separator at a chunk boundary", None),
+    (SERIALIZE, 'return -0.0 if token == "-0" else int(token)', "return int(token)", "-0 read as 0", None),
+    (SERIALIZE, DECLINE, DECLINE.replace("tfn'", "'"),
+     "sliced reader reads true, false and null", None),
+    (SERIALIZE, "return out if count == expected else None", "return out", "sliced reader ignores its count", None),
+    (SERIALIZE, "if pairs is not None and np.isfinite(pairs).all():", "if pairs is not None:",
+     "sliced reader takes inf and nan", None),
+    (SERIALIZE, r'_PAIR_END = re.compile(rb"\][ \t\n\r]*,")', r'_PAIR_END = re.compile(rb"\][ \t\n\r\f]*,")',
+     "slices cut after a form feed", None),
+    (SERIALIZE, '.replace("\\r\\n", "\\n").replace("\\r", "\\n")', "", "whole parse keeps carriage returns", None),
+    (SERIALIZE, "if isinstance(data, list) and set(", "if False and set(", "strings and booleans read as numbers", None),
+    (SERIALIZE, "    if k != dims.k:", "    if False:", "k disagreeing with n / m read", None),
+    (SERIALIZE, "if tmp and mode is not None:", "if False:", "replaced file takes the umask's mode", None),
+    (SERIALIZE, "if mode is not None and not stat.S_ISREG(mode):", "if mode is not None and stat.S_ISCHR(mode):",
+     "FIFO replaced by a regular file", None),
+    (SERIALIZE, 'with open(path, "rb") as handle:\n        buf = handle.read()',
+     'with open(path, "rb") as handle:\n        buf = handle.read(os.path.getsize(path))',
+     "input read by its size, so a FIFO reads empty", None),
+    (SERIALIZE, "raise type(exc)(exc.errno, exc.strerror, path) from None", "raise",
+     "write error names the temp file", None),
+    # CLI: the exit-code mapping, a closed stdout and the order of the checks
+    (CLI, PACKAGE, PACKAGE.replace("exc.exit_code)", "1)"), "package errors exit 1", None),
+    (CLI, PACKAGE + OTHER, OTHER + PACKAGE, "ValueError caught before package errors", None),
+    (CLI, OTHER, OTHER.replace("_EXIT_USAGE", "1"), "read and usage errors exit 1", None),
+    (CLI, "if exc.filename is not None:", "if False:", "--out FIFO closed exits 1 quietly", None),
+    (CLI, "        os.dup2(", "        0 and os.dup2(", "closed stdout left open at shutdown", None),
+    (CLI, "        _check_settings(args)\n        code = args.func(args)\n",
+     "        code = args.func(args)\n        _check_settings(args)\n", "--tol checked after the command", None),
+    (CLI, "    except ValueError as exc:\n        exc.input_path", "    except (ValueError, OSError) as exc:\n        exc.input_path",
+     "OSError's path named twice", None),
+    (CLI, "        exc.input_path = path\n", "", "refused input file not named", None),
+    (CLI, 'return 0 if report["all_pass"] else 1\n\n\ndef cmd_check', 'return 0\n\n\ndef cmd_check',
+     "failing extend report exits 0", None),
+    # the lemma suite's checks and the blockwise extension
+    (LEMMAS, "(0.0 if sigma is SigmaFlag.IDENTITY else -1.0)", "(-1.0 if sigma is SigmaFlag.IDENTITY else 0.0)",
+     "discriminant targets swapped", None),
+    (LEMMAS, "out_coeff = coeff.conj() if sigma is SigmaFlag.TRANSPOSE else coeff", "out_coeff = coeff",
+     "semilinearity without conjugation", None),
+    (LEMMAS, "lhs - a @ b.conj().T", "lhs - a @ b.T", "partial-trace product without conjugation", None),
+    (LEMMAS, "is_coisometry(np.vstack([A1, A2]))", "is_coisometry(np.vstack([A1, A1]))", "c3 stacks A1 twice", None),
+    (EXTENSION, "self.base.apply_to(blocks[a, :, b, :])", "self.base.apply_to(blocks[p, :, q, :])",
+     "apply_to ignores the transpose's block swap", None),
+    (EXTENSION, "slab[q, :, a, :, b, :] = block[r]", "slab[q, :, b, :, a, :] = block[r]",
+     "row slabs swap the block index", None),
+    (STATES, "return v if ptrace_dev < bound else None", "return v", "MES test without the partial trace", None),
 )
 
 
 def run(path, old, new, tmp):
-    """Copy the tree to ``tmp``, apply one mutant, run FAST: (killed, first failure)."""
+    """Copy the tree to ``tmp``, apply one mutant, run its file's FAST subset:
+    (killed, first failure)."""
     for part in ("src", "tests", "scripts"):
         shutil.copytree(ROOT / part, tmp / part, ignore=shutil.ignore_patterns("__pycache__"))
     target = tmp / path
@@ -91,10 +168,10 @@ def run(path, old, new, tmp):
     target.write_text(text.replace(old, new), encoding="utf-8")
     env = {"OPENBLAS_NUM_THREADS": "1", **os.environ, "PYTHONPATH": str(tmp / "src")}
     out = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-rf", "-p", "no:cacheprovider", *FAST],
+        [sys.executable, "-m", "pytest", "-x", "-q", "-rf", "-p", "no:cacheprovider", *FAST[path]],
         cwd=tmp, env=env, capture_output=True, text=True,
     )
-    failed = re.search(r"^FAILED (\S+)", out.stdout, re.M)
+    failed = re.search(r"^FAILED (.+?)(?: - .*)?$", out.stdout, re.M)
     if out.returncode == 0:
         return False, ""
     if failed is None:

@@ -120,10 +120,7 @@ def representative(M, dims: Dims) -> np.ndarray:
     if v is None:
         raise NotMESError("operator is not a maximally entangled state within tolerance")
     A = np.sqrt(dims.m) * unvec(v, dims.m, dims.n)
-    gram = A @ A.conj().T
-    mean_diag = float(np.trace(gram).real) / dims.m
-    if mean_diag > 0:
-        A = A / np.sqrt(mean_diag)
+    A = A / np.sqrt(float(np.trace(A @ A.conj().T).real) / dims.m)
     if not is_coisometry(A, _VALIDATION_TOL):
         raise NotMESError("operator's rank-one factor is not a coisometry within tolerance")
     return fix_global_phase(A)

@@ -1,4 +1,6 @@
 import functools
+import json
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -7,18 +9,21 @@ from meskit import (
     Conjugation,
     DimensionError,
     Dims,
+    SigmaFlag,
     Superoperator,
     kron,
+    make_adjoint_preserver,
     pi,
     random_coisometry,
     representative,
+    serialize,
     unvec,
     vec,
 )
 from meskit.choi import _image_table
 from meskit.extension import ad_commutation_residual
 from meskit.lemmas import _as_int
-from meskit.tensor import frobenius, perturb
+from meskit.tensor import frobenius, perturb, unitary_pair
 
 
 def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -149,6 +154,112 @@ def gram_solve_g(phi, A1: np.ndarray, A2: np.ndarray) -> np.ndarray:
         for j in range(2):
             g[:, 2 * i + j] = expand_in_image_basis(table[i][j], b, gram4)[0]
     return g
+
+
+class WriterFile(NamedTuple):
+    """A (2,2) superoperator file as ``write_json`` lays it out, three data
+    slices long: its text, split around the data array (``head`` ends at
+    ``"data": ``); the first [re, im] pair, one in the second slice, and the
+    offset of the "], [" where that slice is cut."""
+
+    text: str
+    head: str
+    data: str
+    rest: str
+    pair: str
+    later: str
+    cut: int
+
+    def reordered(self, data: str) -> str:
+        """The document with its keys in another order and ``data`` as the data."""
+        dims = json.loads(self.text)["dims"]
+        return json.dumps({"matrix": {"data": "D", "cols": 64, "rows": 64}, "dims": dims}).replace('"D"', data)
+
+    def first_pair(self, new: str) -> str:
+        """The text with its first pair replaced by ``new``."""
+        return self.text.replace(self.pair, new, 1)
+
+
+@functools.cache
+def writer_file() -> WriterFile:
+    dims = Dims.from_mk(2, 2)
+    phi = make_adjoint_preserver(*unitary_pair(dims, 5), SigmaFlag.TRANSPOSE)
+    text = serialize.dumps(serialize.superoperator_to_obj(phi.matrix, dims)) + "\n"
+    head, tail = text.split('"data": ')
+    close = tail.index("]]") + 2
+    first = text.index("[[") + 1
+    cut = text.index("], [", first + serialize._SLICE_BYTES)
+    pair, later = (text[i : text.index("]", i) + 1] for i in (first, cut + 3))
+    w = WriterFile(text, head + '"data": ', tail[:close], tail[close:], pair, later, cut)
+    # "truncated" cuts inside the data array, which spans three slices
+    assert len(w.head) < 4096 < len(text) - len(w.rest) and len(text) > 2 * serialize._SLICE_BYTES
+    return w
+
+
+# Input files every reader must refuse, by kind: the text of each (bytes where
+# it is no UTF-8, None for a path that does not exist), from ``writer_file()``.
+# The whole-document reader, ``superoperator_from_obj(read_json(path))``, is
+# the oracle for each file's error type and text.
+REFUSED = {
+    "missing file": lambda w: None,
+    "not UTF-8": lambda w: b"\xff{}",
+    "truncated head": lambda w: '{"dims":\n',
+    "truncated": lambda w: w.text[:4096],
+    "list": lambda w: "[" + w.text.strip() + "]",
+    # extend's output: {base_dims, sigma, matrix}
+    "extend output": lambda w: w.text.replace('{"dims"', '{"base_dims"', 1)
+    .replace(', "matrix"', ', "sigma": "identity", "matrix"', 1),
+    "missing n": lambda w: w.text.replace('"n": 4, ', "", 1),
+    "missing matrix": lambda w: w.text.replace('"matrix"', '"matrices"'),
+    "rows 1e999": lambda w: w.text.replace('"rows": 64', '"rows": 1e999'),
+    # truncated, 2.9, 4.5, 2.5 and 64.99 would read a (2,2) map that classify certifies
+    "fractional counts": lambda w: w.text.replace('"m": 2', '"m": 2.9').replace('"n": 4', '"n": 4.5')
+    .replace('"k": 2', '"k": 2.5').replace('"rows": 64', '"rows": 64.99'),
+    # k is derived from (m, n)
+    "k disagrees": lambda w: w.text.replace('"k": 2', '"k": 3'),
+    "wrong side": lambda w: w.text.replace('"m": 2, "n": 4', '"m": 1, "n": 2'),
+    "one-element row": lambda w: w.first_pair("[0.5]"),
+    "one-element last row": lambda w: w.text[: w.text.rindex("[")] + "[0.5]]}}\n",
+    "three-element row": lambda w: w.first_pair(w.pair[:-1] + ", 0.5]"),
+    "nan token": lambda w: w.first_pair("[NaN, 0]"),
+    "overflow": lambda w: w.first_pair("[1e999, 0]"),
+    "count": lambda w: w.text.replace(w.pair + ", ", "", 1),
+    "count, one more": lambda w: w.first_pair(w.pair + ", " + w.pair),
+    "empty data": lambda w: w.head + "[ ]" + w.rest,
+    "comma before the end": lambda w: w.text[: -len(w.rest) - 1] + ", ]" + w.rest,
+    # as many entries as rows x cols, but too short to be pairs
+    "one-element rows": lambda w: w.head + "[" + ", ".join(["[0]"] * 64 * 64) + "]" + w.rest,
+    # where a slice is cut: only JSON whitespace may sit between rows
+    "form feed between rows": lambda w: w.text[: w.cut] + "]\f, [" + w.text[w.cut + 4 :],
+    "integer entry beyond float": lambda w: w.first_pair("[1" + "0" * 400 + ", 0]"),
+    # numpy reads these as numbers; JSON numbers they are not
+    "string entry": lambda w: w.first_pair('["0.5", 0]'),
+    "true entry": lambda w: w.first_pair("[true, 0]"),
+    "false entry in the second slice": lambda w: w.text.replace(w.later, "[0, false]", 1),
+    "null entry": lambda w: w.first_pair("[null, 0]"),
+    "string entry, keys reordered": lambda w: w.reordered(w.data.replace(w.pair, '["0.5", 0]', 1)),
+    # a repeated key replaces the array: with a string, and after an array that is not JSON
+    "repeated data key, NUL": lambda w: w.head + w.data + ', "data": "\\u0000"' + w.rest,
+    "repeated data key, bad array": lambda w: w.head + "[[1, 2,]], " + '"data": ' + w.data + w.rest,
+    # deeper than json's recursion can go: a ValueError, not a RecursionError
+    "deep nesting": lambda w: '{"dims": ' + "[" * 100000 + "]" * 100000 + "}",
+    "deep object in a row": lambda w: w.first_pair("[" + '{"a": ' * 100000 + "0" + "}" * 100000 + ", 0]"),
+    # faults in two places: the whole-document reader names the one it meets first
+    "one-element row, then nan": lambda w: w.first_pair("[0.5]").replace(w.later, "[NaN, 0]", 1),
+    "count, then a syntax error": lambda w: w.text.replace(w.pair + ", ", "", 1)[: -len(w.rest)] + "}, }\n",
+    "syntax error on a later line": lambda w: w.first_pair("[0.5]")[:-2] + "\r\n,}",
+}
+
+
+def refused_file(tmp_path, kind: str) -> tuple[str, Exception]:
+    """Write the ``REFUSED`` file ``kind`` under ``tmp_path``: its path, and
+    the error the whole-document reader raises on it."""
+    path, bad = tmp_path / "bad.json", REFUSED[kind](writer_file())
+    if bad is not None:
+        path.write_bytes(bad if isinstance(bad, bytes) else bad.encode())
+    with pytest.raises(Exception) as want:
+        serialize.superoperator_from_obj(serialize.read_json(str(path)))
+    return str(path), want.value
 
 
 @pytest.fixture

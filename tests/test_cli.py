@@ -29,8 +29,8 @@ from meskit import (
 )
 from meskit.cli import main
 from meskit.extension import ExtendedSuperoperator
-from meskit.tensor import complex_gaussian, perturb, unitary_pair
-from conftest import dense_extension, nonkron_conjugation
+from meskit.tensor import perturb, unitary_pair
+from conftest import REFUSED, dense_extension, nonkron_conjugation, refused_file
 
 
 def run_cli(capsys, *argv):
@@ -97,38 +97,6 @@ def test_classify_stdout_is_deterministic(tmp_path, capsys):
     assert first == second
 
 
-def test_classify_trace_form_exit_4(tmp_path, capsys):
-    out = str(tmp_path / "trace.json")
-    assert run_cli(capsys, "gen", "--form", "trace", "--out", out)[0] == 0
-    code, _, stderr = run_cli(capsys, "classify", out)
-    assert code == 4
-    error = json.loads(stderr)
-    assert error["error"] == "NotInvertibleError" and error["message"].startswith("stage recovery: ")
-
-
-def test_extend_auto_sigma_trace_form_exit_4(tmp_path, capsys):
-    out = str(tmp_path / "trace.json")
-    assert run_cli(capsys, "gen", "--form", "trace", "--out", out)[0] == 0
-    code, _, stderr = run_cli(
-        capsys, "extend", out, "--sigma", "auto", "--out", str(tmp_path / "ext.json")
-    )
-    assert code == 4
-    error = json.loads(stderr)
-    assert error["error"] == "NotInvertibleError" and error["message"].startswith("stage recovery: ")
-
-
-def test_extend_failing_report_exit_1(tmp_path, capsys):
-    # classify refuses the trace form at recovery, so its forced identity
-    # extension reports that refusal; the extension is still written
-    out, ext = str(tmp_path / "trace.json"), tmp_path / "ext.json"
-    assert run_cli(capsys, "gen", "--form", "trace", "--out", out)[0] == 0
-    code, stdout, _ = run_cli(capsys, "extend", out, "--sigma", "identity", "--out", str(ext))
-    assert code == 1
-    report = json.loads(stdout)
-    assert not report["all_pass"] and report["certificate"].startswith("stage recovery: ")
-    assert json.loads(ext.read_text())["sigma"] == "identity"
-
-
 def test_flags_only_where_read(tmp_path, capsys):
     out = str(tmp_path / "sop.json")
     for flag, value in (("--tol", "-5"), ("--samples", "3")):
@@ -182,18 +150,6 @@ def test_seed_only_where_drawn(command, tmp_path, capsys):
     assert code == 2 and stdout == "" and "--seed" in stderr
 
 
-def test_classify_random_matrix_exit_3(tmp_path, capsys):
-    rng = np.random.default_rng(0)
-    dims = Dims.from_mk(2, 2)
-    mat = complex_gaussian(rng, 64, 64)
-    path = tmp_path / "random.json"
-    serialize.write_json(str(path), serialize.superoperator_to_obj(mat, dims))
-    code, _, stderr = run_cli(capsys, "classify", str(path))
-    assert code == 3
-    error = json.loads(stderr)
-    assert error["error"] == "NotPreserverError" and error["message"].startswith("stage recovery: ")
-
-
 @pytest.mark.parametrize(
     "error,code",
     [
@@ -245,110 +201,68 @@ def test_non_verdict_error_exits_1_from_every_command(argv, target, tmp_path, ca
     assert json.loads(stderr) == {"error": "NotUnitaryError", "message": "broken", "exit_code": 1}
 
 
-def _not_a_superoperator(tmp_path, capsys, kind):
-    """A JSON document that is no superoperator object, and the key it misses
-    or mistypes."""
-    sop, path = tmp_path / "sop.json", tmp_path / f"{kind}.json"
-    assert run_cli(capsys, "gen", "--m", "1", "--k", "2", "--out", str(sop))[0] == 0
-    if kind == "extend output":
-        assert run_cli(capsys, "extend", str(sop), "--out", str(path))[0] == 0
-        return path, "dims"
-    text = sop.read_text()
-    bad, key = {
-        "list": ("[" + text.strip() + "]", "dims"),
-        "missing n": (text.replace('"n": 2, ', ""), "n"),
-        "rows 1e999": (text.replace('"rows": 4', '"rows": 1e999'), "rows"),
-    }[kind]
-    assert bad != text
-    path.write_text(bad)
-    return path, key
-
-
 @pytest.mark.parametrize("command", ["classify", "extend"])
-@pytest.mark.parametrize("kind", ["extend output", "list", "missing n", "rows 1e999"])
-def test_not_a_superoperator_exit_2_naming_the_key(kind, command, tmp_path, capsys):
-    path, key = _not_a_superoperator(tmp_path, capsys, kind)
+@pytest.mark.parametrize("kind", REFUSED)
+def test_refused_input_exits_2_naming_the_file(kind, command, tmp_path, capsys):
+    # one error JSON of the whole-document reader's type, its text after the
+    # path (an OSError's own text names it), nothing on stdout, no --out file
+    path, want = refused_file(tmp_path, kind)
     out = tmp_path / "out.json"
-    code, stdout, stderr = run_cli(capsys, command, str(path), "--out", str(out))
+    code, stdout, stderr = run_cli(capsys, command, path, "--out", str(out))
     assert code == 2 and stdout == "" and not out.exists()
-    error = json.loads(stderr)  # one error JSON, no traceback
-    assert error["error"] == "ValueError" and error["exit_code"] == 2
-    assert error["message"].startswith(f"{path}: ") and repr(key) in error["message"]
+    message = str(want) if isinstance(want, OSError) else f"{path}: {want}"
+    assert stderr == serialize.dumps({"error": type(want).__name__, "message": message, "exit_code": 2}) + "\n"
 
 
-@pytest.mark.parametrize("command", ["classify", "extend"])
-def test_fractional_counts_exit_2(command, tmp_path, capsys):
-    # truncating 2.9, 4.5, 2.5 and 64.99 would read a (2,2) map that classify certifies
-    sop, path = tmp_path / "sop.json", tmp_path / "fractional.json"
-    assert run_cli(capsys, "gen", "--m", "2", "--k", "2", "--out", str(sop))[0] == 0
-    text = sop.read_text()
-    for count, fraction in [('"m": 2', '"m": 2.9'), ('"n": 4', '"n": 4.5'), ('"k": 2', '"k": 2.5'),
-                            ('"rows": 64', '"rows": 64.99')]:
-        assert text.count(count) == 1
-        text = text.replace(count, fraction)
-    path.write_text(text)
-    out = tmp_path / "out.json"
-    code, stdout, stderr = run_cli(capsys, command, str(path), "--out", str(out))
-    assert code == 2 and stdout == "" and not out.exists()
-    assert json.loads(stderr) == {
-        "error": "ValueError",
-        "message": f"{path}: the key 'm' must hold an integer, got 2.9",
-        "exit_code": 2,
-    }
-
-
-@pytest.mark.parametrize("command", ["classify", "extend"])
-def test_wrong_side_exit_2(command, tmp_path, capsys):
-    path = tmp_path / "side.json"
-    obj = serialize.superoperator_to_obj(np.eye(9, dtype=complex), Dims.from_mk(1, 2))
-    serialize.write_json(str(path), obj)
-    code, stdout, stderr = run_cli(capsys, command, str(path), "--out", str(tmp_path / "out.json"))
+@pytest.mark.parametrize("command", ["gen", "classify", "extend"])
+def test_unwritable_out_exit_2(command, tmp_path, capsys):
+    source = str(tmp_path / "sop.json")
+    assert run_cli(capsys, "gen", "--m", "1", "--k", "2", "--out", source)[0] == 0
+    argv = ["gen", "--m", "1", "--k", "2"] if command == "gen" else [command, source]
+    out = str(tmp_path / "missing" / "x.json")
+    code, stdout, stderr = run_cli(capsys, *argv, "--out", out)
     assert code == 2 and stdout == ""
-    assert json.loads(stderr) == {
-        "error": "DimensionError",
-        "message": f"{path}: superoperator for dims Dims(m=1, n=2) must be 4x4, got (9, 9)",
-        "exit_code": 2,
-    }
+    error = json.loads(stderr)
+    assert error["error"] == "FileNotFoundError" and error["message"].endswith(f": {out!r}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sop.json", "sop.truth.json"]
 
 
-@pytest.mark.parametrize("command", ["classify", "extend"])
-def test_missing_input_is_named(command, tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    code, stdout, stderr = run_cli(capsys, command, "nonexist.json")
-    assert code == 2 and stdout == ""
-    assert json.loads(stderr) == {
-        "error": "FileNotFoundError",
-        "message": "[Errno 2] No such file or directory: 'nonexist.json'",
-        "exit_code": 2,
-    }
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_1_quietly(unbuffered):
+    # a reader that leaves before the report is written, as `| head -c 10` may:
+    # buffered, the report fails at main's flush; unbuffered, at its print
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = Path(__file__).resolve().parents[1] / "src"
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "meskit.cli", "check-lemmas", "--m", "1", "--k", "2", "--samples", "2"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": unbuffered},
+        )
+    finally:
+        os.close(write_end)
+    assert out.returncode == 1, out.stderr
+    assert out.stderr == ""  # no error JSON, no Traceback, no "Exception ignored"
 
 
-@pytest.mark.parametrize("command", ["classify", "extend"])
-def test_parse_failure_exit_2_naming_the_file(command, tmp_path, capsys):
-    # a truncated file and one that is not UTF-8: the parser's error type,
-    # its message after the path
-    for text, error, message in [
-        (b'{"dims":\n', "JSONDecodeError", "Expecting value: line 2 column 1 (char 9)"),
-        (b"\xff{}", "UnicodeDecodeError", "'utf-8' codec can't decode byte 0xff in position 0"),
-    ]:
-        path = tmp_path / "broken.json"
-        path.write_bytes(text)
-        code, stdout, stderr = run_cli(capsys, command, str(path), "--out", str(tmp_path / "out.json"))
-        assert code == 2 and stdout == ""
-        got = json.loads(stderr)
-        assert got["error"] == error and got["exit_code"] == 2
-        assert got["message"].startswith(f"{path}: {message}")
+def test_out_fifo_closed_by_its_reader_exit_2(tmp_path, capsys):
+    source = str(tmp_path / "sop.json")
+    assert run_cli(capsys, "gen", "--m", "2", "--k", "2", "--out", source)[0] == 0
+    fifo = str(tmp_path / "fifo")
+    os.mkfifo(fifo)
 
+    def read_one_byte():
+        with open(fifo, "rb") as handle:
+            handle.read(1)
 
-def test_classify_ragged_data_exit_2(tmp_path, capsys):
-    path = tmp_path / "ragged.json"
-    obj = serialize.superoperator_to_obj(np.eye(16, dtype=complex), Dims.from_mk(1, 2))
-    obj["matrix"]["data"] = [[0.0, 0.0]] * 255 + [[0.0]]
-    path.write_text(json.dumps(obj))
-    code, stdout, stderr = run_cli(capsys, "classify", str(path))
-    assert code == 2 and stdout == ""
-    error = json.loads(stderr)  # one error JSON, no traceback
-    assert error["error"] == "ValueError" and error["exit_code"] == 2
+    reader = threading.Thread(target=read_one_byte, daemon=True)
+    reader.start()
+    code, stdout, stderr = run_cli(capsys, "extend", source, "--out", fifo)
+    assert code == 2 and stdout == ""  # before the join: a replaced FIFO has no writer
+    reader.join(timeout=60)
+    error = json.loads(stderr)
+    assert error["error"] == "BrokenPipeError" and error["message"].endswith(f": {fifo!r}")
 
 
 def test_classify_single_block_out_of_scope(tmp_path, capsys):
@@ -356,17 +270,6 @@ def test_classify_single_block_out_of_scope(tmp_path, capsys):
     assert run_cli(capsys, "gen", "--m", "2", "--k", "1", "--form", "adjoint", "--out", out)[0] == 0
     code, _, stderr = run_cli(capsys, "classify", out)
     assert code == 2
-    assert json.loads(stderr)["error"] == "DimensionError"
-
-
-def test_classify_block_count_must_match_the_shape(tmp_path, capsys):
-    # k is derived from (m, n), so a file whose "k" disagrees is refused on reading
-    path = tmp_path / "k.json"
-    obj = serialize.superoperator_to_obj(np.eye(64, dtype=complex), Dims.from_mk(2, 2))
-    obj["dims"]["k"] = 3
-    serialize.write_json(str(path), obj)
-    code, stdout, stderr = run_cli(capsys, "classify", str(path))
-    assert code == 2 and stdout == ""
     assert json.loads(stderr)["error"] == "DimensionError"
 
 
@@ -462,7 +365,7 @@ def test_extend_auto_agrees_with_classify(form, mk, sigma, eps, code, requested,
     if requested == "auto":
         assert extended[0] == code
         if code:
-            assert json.loads(extended[2])["error"] == json.loads(classified[2])["error"]
+            assert extended[2] == classified[2]  # the same error JSON
             assert extended[1] == "" and not ext.exists()
         else:
             assert json.loads(extended[1])["sigma"] == json.loads(classified[1])["sigma"]
@@ -548,28 +451,17 @@ def test_extend_identity_superop_is_identity_extension(tmp_path, capsys):
     )
 
 
-def test_check_lemmas_passes_at_default_dims(capsys):
-    code, stdout, _ = run_cli(capsys, "check-lemmas", "--m", "2", "--k", "2", "--samples", "5")
-    assert code == 0
-    report = json.loads(stdout)
-    assert report["all_pass"]
-    assert len(report["checks"]) == 11
-    assert all(c["max_residual"] < 1e-9 for c in report["checks"])
-
-
-def test_check_lemmas_passes_at_bigger_dims(capsys):
-    code, stdout, _ = run_cli(capsys, "check-lemmas", "--m", "3", "--k", "2", "--samples", "3")
-    assert code == 0
-    assert json.loads(stdout)["all_pass"]
-
-
-@pytest.mark.parametrize("k", ["2", "3"])
-def test_check_lemmas_passes_with_single_row_coisometries(k, capsys):
+@pytest.mark.parametrize(
+    "m,k,samples",
     # at m = 1 every coisometry is one unit row
-    code, stdout, _ = run_cli(capsys, "check-lemmas", "--m", "1", "--k", k, "--samples", "5")
-    assert code == 0
+    [(2, 2, 5), (3, 2, 3), (1, 2, 5), (1, 3, 5)],
+    ids=["at_default_dims", "at_bigger_dims", "with_single_row_coisometries_k2", "with_single_row_coisometries_k3"],
+)
+def test_check_lemmas_passes(m, k, samples, capsys):
+    code, stdout, _ = run_cli(capsys, "check-lemmas", "--m", str(m), "--k", str(k), "--samples", str(samples))
     report = json.loads(stdout)
-    assert report["all_pass"] and report["dims"] == {"m": 1, "n": int(k), "k": int(k)}
+    assert code == 0 and report["all_pass"] and report["dims"] == {"m": m, "n": m * k, "k": k}
+    assert len(report["checks"]) == 11 and all(c["max_residual"] < 1e-9 for c in report["checks"])
 
 
 def test_check_lemmas_reports_tolerance_floor(capsys):
@@ -587,55 +479,6 @@ def test_check_lemmas_single_block_exit_2(m, capsys):
     assert code == 2 and stdout == ""
     error = json.loads(stderr)  # one error JSON, no traceback
     assert error["error"] == "DimensionError" and "k >= 2" in error["message"]
-
-
-@pytest.mark.parametrize("command", ["gen", "classify", "extend"])
-def test_unwritable_out_exit_2(command, tmp_path, capsys):
-    source = str(tmp_path / "sop.json")
-    assert run_cli(capsys, "gen", "--m", "1", "--k", "2", "--out", source)[0] == 0
-    argv = ["gen", "--m", "1", "--k", "2"] if command == "gen" else [command, source]
-    out = str(tmp_path / "missing" / "x.json")
-    code, stdout, stderr = run_cli(capsys, *argv, "--out", out)
-    assert code == 2 and stdout == ""
-    error = json.loads(stderr)
-    assert error["error"] == "FileNotFoundError" and error["message"].endswith(f": {out!r}")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["sop.json", "sop.truth.json"]
-
-
-def test_closed_stdout_exits_1_quietly():
-    # a reader that leaves before the report is written, as `| head -c 10` may
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    src = Path(__file__).resolve().parents[1] / "src"
-    try:
-        out = subprocess.run(
-            [sys.executable, "-m", "meskit.cli", "check-lemmas", "--m", "1", "--k", "2", "--samples", "2"],
-            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": str(src)},
-        )
-    finally:
-        os.close(write_end)
-    assert out.returncode == 1, out.stderr
-    assert out.stderr == ""  # no error JSON, no Traceback, no "Exception ignored"
-
-
-def test_out_fifo_closed_by_its_reader_exit_2(tmp_path, capsys):
-    source = str(tmp_path / "sop.json")
-    assert run_cli(capsys, "gen", "--m", "2", "--k", "2", "--out", source)[0] == 0
-    fifo = str(tmp_path / "fifo")
-    os.mkfifo(fifo)
-
-    def read_one_byte():
-        with open(fifo, "rb") as handle:
-            handle.read(1)
-
-    reader = threading.Thread(target=read_one_byte, daemon=True)
-    reader.start()
-    code, stdout, stderr = run_cli(capsys, "extend", source, "--out", fifo)
-    reader.join(timeout=60)
-    assert code == 2 and stdout == ""
-    error = json.loads(stderr)
-    assert error["error"] == "BrokenPipeError" and error["message"].endswith(f": {fifo!r}")
 
 
 def test_tol_flag_overrides_default_tol(tmp_path, capsys):

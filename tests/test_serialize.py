@@ -27,9 +27,8 @@ from meskit import (
     serialize,
 )
 from meskit import _float_kernel
-from meskit.cli import main
 from meskit.tensor import complex_gaussian, unitary_pair
-from conftest import dense_extension
+from conftest import REFUSED, dense_extension, refused_file, writer_file
 
 CHUNK = _float_kernel._BLOCK
 
@@ -518,9 +517,9 @@ def test_write_json_writes_a_fifo_in_place(tmp_path):
     reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
     reader.start()
     serialize.write_json(str(fifo), {"a": [1.5, -0.0]})
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)  # before the join: a replaced FIFO has no writer
     reader.join(timeout=30)
     assert received == [b'{"a": [1.5, -0]}\n']
-    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
     assert list(tmp_path.iterdir()) == [fifo]  # no stray temp files
 
 
@@ -580,12 +579,6 @@ def _assert_reads_as_json_reader(path) -> None:
     assert _same_bits(phi.matrix, want.matrix)
 
 
-@pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)])
-@pytest.mark.parametrize("sigma", list(SigmaFlag))
-def test_read_superoperator_matches_the_json_reader(m, k, sigma, tmp_path):
-    _assert_reads_as_json_reader(_superop_file(tmp_path / "sop.json", m, k, "adjoint", sigma))
-
-
 def test_read_superoperator_keeps_signed_zeros(tmp_path):
     path = _superop_file(tmp_path / "trace.json", 2, 2, "trace")
     assert "-0]" in open(path).read()  # the trace form has -0 entries
@@ -597,17 +590,6 @@ def test_read_superoperator_keeps_signed_zeros(tmp_path):
     serialize.write_json(path, serialize.superoperator_to_obj(a, Dims.from_mk(2, 1)))
     back = serialize.read_superoperator(path).matrix
     assert _same_bits(back, a)
-
-
-def _writer_text(tmp_path):
-    """A (2,2) file as the writer lays it out, three data slices long, and its
-    text split around the data array: ``head`` ends at ``"data": ``."""
-    path = _superop_file(tmp_path / "sop.json", 2, 2, "adjoint", SigmaFlag.TRANSPOSE)
-    text = open(path).read()
-    assert len(text) > 2 * serialize._SLICE_BYTES
-    head, tail = text.split('"data": ')
-    close = tail.index("]]") + 2
-    return text, head + '"data": ', tail[:close], tail[close:]
 
 
 def _reads_whole(path, monkeypatch) -> bool:
@@ -627,8 +609,8 @@ def _reads_whole(path, monkeypatch) -> bool:
 
 
 def test_read_superoperator_accepts_what_json_accepts(tmp_path, monkeypatch):
-    text, head, data, rest = _writer_text(tmp_path)
-    reordered = {"matrix": {"data": "D", "cols": 64, "rows": 64}, "dims": json.loads(text)["dims"]}
+    w = writer_file()
+    text, head, data, rest, *_ = w
     spaced = data.replace("], [", "]\n ,\r\n\t[").replace(", ", " ,  ")
     swap = make_swap_preserver(*unitary_pair(Dims.from_mk(2, 1), 3), SigmaFlag.TRANSPOSE)
     swap_path = str(tmp_path / "swap.json")
@@ -641,7 +623,7 @@ def test_read_superoperator_accepts_what_json_accepts(tmp_path, monkeypatch):
         "k = 1 swap": Path(swap_path).read_text(),
     }
     whole = {
-        "reordered": json.dumps(reordered).replace('"D"', data),
+        "reordered": w.reordered(data),
         "whitespace": head[:-1] + "\n" + spaced + "\n" + rest,
         # strings with brackets, and "matrix" and "data" keys off the path
         "extra keys": '{"note": "a ]], [[ \\" \\\\", "data": [[1, 2]], '
@@ -660,12 +642,12 @@ def test_read_superoperator_accepts_what_json_accepts(tmp_path, monkeypatch):
 def test_read_superoperator_reads_a_fifo_once(tmp_path):
     # a FIFO gives its bytes once: a file the sliced path declines must be
     # parsed from the bytes already read, not opened again
-    text, _, data, _ = _writer_text(tmp_path)
+    w = writer_file()
+    (tmp_path / "sop.json").write_text(w.text)
     want = serialize.read_superoperator(str(tmp_path / "sop.json"))
-    reordered = {"matrix": {"data": "D", "cols": 64, "rows": 64}, "dims": json.loads(text)["dims"]}
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
-    for variant in (text, json.dumps(reordered).replace('"D"', data)):
+    for variant in (w.text, w.reordered(w.data)):
         threading.Thread(target=fifo.write_bytes, args=(variant.encode(),), daemon=True).start()
         got = []
         # read in a thread too: a second open would wait for a writer forever
@@ -678,64 +660,14 @@ def test_read_superoperator_reads_a_fifo_once(tmp_path):
         assert got[0].dims == want.dims and _same_bits(got[0].matrix, want.matrix)
 
 
-def test_read_superoperator_refuses_what_the_json_reader_refuses(tmp_path, capsys):
-    text, head, data, rest = _writer_text(tmp_path)
-    first = text.index("[[") + 1
-    pair = text[first : text.index("]", first) + 1]
-    cut = text.index("], [", first + serialize._SLICE_BYTES)
-    later = text[cut + 3 : text.index("]", cut + 3) + 1]  # a pair in the second slice
-    reordered = {"matrix": {"data": "D", "cols": 64, "rows": 64}, "dims": json.loads(text)["dims"]}
-    assert len(head) < 4096 < len(text) - len(rest)  # "truncated" cuts inside the data array
-    refused = {
-        "truncated": text[:4096],
-        "one-element row": text.replace(pair, "[0.5]", 1),
-        "three-element row": text.replace(pair, pair[:-1] + ", 0.5]", 1),
-        "nan token": text.replace(pair, "[NaN, 0]", 1),
-        "overflow": text.replace(pair, "[1e999, 0]", 1),
-        "count": text.replace(pair + ", ", "", 1),
-        "count, one more": text.replace(pair, pair + ", " + pair, 1),
-        "empty data": head + "[ ]" + rest,
-        "comma before the end": text[: -len(rest) - 1] + ", ]" + rest,
-        # as many entries as rows x cols, but too short to be pairs
-        "one-element rows": head + "[" + ", ".join(["[0]"] * 64 * 64) + "]" + rest,
-        # where a slice is cut: only JSON whitespace may sit between rows
-        "form feed between rows": text[:cut] + "]\f, [" + text[cut + 4 :],
-        "missing matrix": text.replace('"matrix"', '"matrices"'),
-        "rows 1e999": text.replace('"rows": 64', '"rows": 1e999'),
-        "integer entry beyond float": text.replace(pair, "[1" + "0" * 400 + ", 0]", 1),
-        # numpy reads these as numbers; JSON numbers they are not
-        "string entry": text.replace(pair, '["0.5", 0]', 1),
-        "true entry": text.replace(pair, "[true, 0]", 1),
-        "false entry in the second slice": text.replace(later, "[0, false]", 1),
-        "null entry": text.replace(pair, "[null, 0]", 1),
-        "string entry, keys reordered": json.dumps(reordered).replace(
-            '"D"', data.replace(pair, '["0.5", 0]', 1)
-        ),
-        # a repeated key replaces the array: with a string, and after an
-        # array that is not JSON
-        "repeated data key, NUL": head + data + ', "data": "\\u0000"' + rest,
-        "repeated data key, bad array": head + "[[1, 2,]], " + '"data": ' + data + rest,
-        # deeper than json's recursion can go: a ValueError, not a RecursionError
-        "deep nesting": '{"dims": ' + "[" * 100000 + "]" * 100000 + "}",
-        "deep object in a row": text.replace(
-            pair, "[" + '{"a": ' * 100000 + "0" + "}" * 100000 + ", 0]", 1
-        ),
-        # faults in two places: the whole-document reader names the one it meets first
-        "one-element row, then nan": text.replace(pair, "[0.5]", 1).replace(later, "[NaN, 0]", 1),
-        "count, then a syntax error": text.replace(pair + ", ", "", 1)[: -len(rest)] + "}, }\n",
-        "syntax error on a later line": text.replace(pair, "[0.5]", 1)[:-2] + "\r\n,}",
-    }
-    for name, bad in refused.items():
-        path = tmp_path / "bad.json"
-        path.write_bytes(bad.encode())
-        with pytest.raises(Exception) as want:  # the whole-document reader, as the oracle
-            serialize.superoperator_from_obj(serialize.read_json(str(path)))
-        with pytest.raises(want.type):
-            serialize.read_superoperator(str(path))
-        assert main(["classify", str(path)]) == 2, name
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == want.type.__name__, name
-        assert err["message"] == f"{path}: {want.value}", name
+@pytest.mark.parametrize("kind", REFUSED)
+def test_read_superoperator_refuses_what_the_json_reader_refuses(kind, tmp_path):
+    # the same error type and text as the whole-document reader, whichever
+    # path, sliced or whole, meets the fault
+    path, want = refused_file(tmp_path, kind)
+    with pytest.raises(Exception) as got:
+        serialize.read_superoperator(path)
+    assert (type(got.value), str(got.value)) == (type(want), str(want))
 
 
 def _read_outcome(read, path):
@@ -771,6 +703,12 @@ def test_read_superoperator_agrees_with_the_json_reader_on_mutated_files(tmp_pat
             got = _read_outcome(serialize.read_superoperator, path)
             assert got == want, mutant[max(pos - 9, 0) : pos + 9]
     assert "accepted" in outcomes and len(outcomes) >= 3  # the edits reach more than one verdict
+
+
+@pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("sigma", list(SigmaFlag))
+def test_read_superoperator_matches_the_json_reader(m, k, sigma, tmp_path):
+    _assert_reads_as_json_reader(_superop_file(tmp_path / "sop.json", m, k, "adjoint", sigma))
 
 
 def test_read_superoperator_peak_memory_below_file_and_two_matrices(tmp_path):

@@ -29,6 +29,7 @@ from meskit import (
     random_coisometry,
     vec,
 )
+from meskit.superop import _span_sigma_min
 from meskit.tensor import complex_gaussian, unitary_pair
 from conftest import (
     dense_extension,
@@ -356,11 +357,15 @@ def test_is_invertible_on_span_threshold_is_relative(m, k):
     make = make_swap_preserver if k == 1 else make_adjoint_preserver
     phi = make(*unitary_pair(dims, 39), SigmaFlag.IDENTITY).matrix
     for scale in (1e3, 1.0, 1e-7, 1e-10, 1e-20):
-        assert is_invertible_on_span(Superoperator(matrix=scale * phi, dims=dims)), scale
+        smallest, threshold = _span_sigma_min(Superoperator(matrix=scale * phi, dims=dims))
+        assert smallest == pytest.approx(scale, rel=1e-12), scale
+        assert threshold == pytest.approx(1e-6 * scale, rel=1e-12), scale
     for t, invertible in ((1e-7, False), (1e-5, True)):
         column = phi.copy()
         column[:, dims.mn - 1] *= t
-        assert is_invertible_on_span(Superoperator(matrix=column, dims=dims)) is invertible, t
+        smallest, threshold = _span_sigma_min(Superoperator(matrix=column, dims=dims))
+        assert smallest == pytest.approx(t, rel=1e-9) and 0.9e-6 < threshold < 1e-6, t
+        assert (smallest > threshold) is invertible, t
 
 
 def test_identity_restriction_is_isometric():
