@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Mutation score of the verdict, I/O, CLI and lemma paths: each row of
-``MUTANTS`` changes one text of ``src/meskit``, and the fast subset of tests
-that ``FAST`` maps its source file to must fail on it.
+"""Mutation score of every module of ``src/meskit`` but the package's
+``__init__``: each row of ``MUTANTS`` changes one text of ``src/meskit``, and
+the fast subset of tests that ``FAST`` maps its source file to must fail on it.
 
-The subsets are the verdict path's (``classify``, ``superop``, ``tensor``),
-the float kernel's and the reader and writer's (``_float_kernel``,
-``serialize``), the CLI's (``cli``), the lemma suite's (``lemmas``,
-``extension``) and ``states``'; each lists its files cheapest first, since
-with ``-x`` a run stops at its first failure.  For each row it copies
+The subsets are the verdict path's (``classify``, ``superop``, and
+``tensor`` with ``test_tensor.py`` first), the float kernel's and the reader
+and writer's (``_float_kernel``, ``serialize``), the CLI's (``cli``), the
+lemma suite's (``lemmas``, ``extension``), ``states``', the sigma
+discriminant's (``choi``) and the error types' (``errors``); each lists its
+files, or single tests, cheapest first, since with ``-x`` a run stops at its
+first failure.  For each row it copies
 ``src/``, ``tests/`` and ``scripts/`` to a temporary directory of its own,
 replaces the row's old text, which must occur exactly once, with its new text,
 and runs the subset there with ``pytest -x``, at one BLAS thread unless
@@ -44,16 +46,27 @@ LEMMA = ("tests/test_lemmas.py", "tests/test_extension.py", "tests/test_acceptan
 CLASSIFY, SUPEROP, TENSOR = "src/meskit/classify.py", "src/meskit/superop.py", "src/meskit/tensor.py"
 KERNEL, SERIALIZE, CLI = "src/meskit/_float_kernel.py", "src/meskit/serialize.py", "src/meskit/cli.py"
 LEMMAS, EXTENSION, STATES = "src/meskit/lemmas.py", "src/meskit/extension.py", "src/meskit/states.py"
+CHOI, ERRORS = "src/meskit/choi.py", "src/meskit/errors.py"
 FAST = {
     CLASSIFY: VERDICT,
     SUPEROP: VERDICT,
-    TENSOR: VERDICT,
+    TENSOR: ("tests/test_tensor.py", *VERDICT),
     KERNEL: ("tests/test_serialize.py",),
     SERIALIZE: ("tests/test_cli.py", "tests/test_serialize.py"),
     CLI: ("tests/test_cli.py",),
     LEMMAS: LEMMA,
     EXTENSION: LEMMA,
-    STATES: ("tests/test_states.py",),
+    STATES: (
+        "tests/test_states.py",
+        "tests/test_choi.py::test_restricted_g_refuses_a_near_mes_image_with_a_typed_error",
+    ),
+    CHOI: (
+        "tests/test_choi.py",
+        "tests/test_classify.py::test_refusals_name_their_verdict_and_stage",
+        "tests/test_acceptance.py::test_criterion_1_choi_discriminant",
+        "tests/test_acceptance.py::test_criterion_8_family_semilinearity",
+    ),
+    ERRORS: ("tests/test_classify.py::test_refusals_name_their_verdict_and_stage", "tests/test_cli.py"),
 }
 SCREEN = "    if ratio <= 0.5:\n"
 SHORTCUT = 'if getattr(refusals[0], "residual", np.inf) >= 0.5:'
@@ -65,7 +78,7 @@ WEYL = (
     "by Weyl a certificate eps < 1 puts sigma_min on the span at >= 1 - eps: "
     "no cut-off in (0, 1), or none, moves a verdict"
 )
-DECLINE = "if not rows or count + len(rows) > len(out) or any(c in piece for c in b'\"tfn'):"
+DECLINE = "if any(c in piece for c in b'\"tfn'):"
 PACKAGE = "    except MESKitError as exc:\n        return _fail(exc, exc.exit_code)\n"
 OTHER = "    except (ValueError, OSError) as exc:\n        return _fail(exc, _EXIT_USAGE)\n"
 
@@ -153,6 +166,56 @@ MUTANTS = (
     (EXTENSION, "slab[q, :, a, :, b, :] = block[r]", "slab[q, :, b, :, a, :] = block[r]",
      "row slabs swap the block index", None),
     (STATES, "return v if ptrace_dev < bound else None", "return v", "MES test without the partial trace", None),
+    (STATES, "return np.outer(w, w.conj()) / norm2", "return np.outer(w.conj(), w) / norm2", "pi transposed", None),
+    (STATES, "if norm2 <= 0.0:", "if False:", "pi of zero not refused", None),
+    (STATES, "dev = frobenius(A @ A.conj().T - np.eye(A.shape[0]))",
+     "dev = frobenius(A.conj().T @ A - np.eye(A.shape[1]))", "coisometry tested as an isometry", None),
+    (STATES, "    A = A / np.sqrt(float(np.trace(A @ A.conj().T).real) / dims.m)\n", "",
+     "representative not renormalized", None),
+    (STATES, "    if not is_coisometry(A, _VALIDATION_TOL):", "    if False:",
+     "representative's coisometry check dropped", None),
+    (STATES, "return fix_global_phase(A)", "return A", "representative not gauged",
+     "rank_one_factor gauges the factor and A is a positive multiple of it: the second gauge moves A by rounding"),
+    (EXTENSION, "return kron(sign, np.eye(dims.m))", "return kron(np.eye(dims.m), sign)", "P_j flips within X", None),
+    (EXTENSION, "    t[[p - 1, q - 1]] = t[[q - 1, p - 1]]\n", "", "Q_pq the identity", None),
+    (EXTENSION, "kron(kron(t, np.eye(dims.m)), np.eye(dims.n))", "kron(np.eye(dims.n), kron(t, np.eye(dims.m)))",
+     "Q_pq swaps the second factor's blocks", None),
+    # the helpers the verdict subset does not reach
+    (TENSOR, "return v.reshape(m, n).copy()", "return v.reshape(n, m).T.copy()", "unvec reads columns", None),
+    (TENSOR, "    if v.size != m * n:\n", "    if False:\n", "unvec takes any length", None),
+    (TENSOR, '"ipjp->ij"', '"ipjp->ji"', "partial trace transposed", None),
+    (TENSOR, "v = np.sqrt(lam) * fix_global_phase(Q[:, -1])", "v = np.sqrt(lam) * Q[:, -1]",
+     "rank-one factor not gauged", None),
+    (TENSOR, "return q * (safe / np.abs(safe))[np.newaxis, :]", "return q",
+     "Haar draw without its phase correction", None),
+    (SUPEROP, ".reshape(m * m, m, m).transpose(0, 2, 1)", ".reshape(m * m, m, m)",
+     "switch form without the flip", None),
+    (SUPEROP, "if dev >= scaled_tol(1e-10, frobenius(U)):", "if False:", "factors not checked unitary", None),
+    # the sigma discriminant and the phase-coherent image family
+    (CHOI, "comb = (A1 + (1j**ell) * A2)", "comb = (A1 - (1j**ell) * A2)", "polarization by A1 - i^l A2", None),
+    (CHOI, "total += (1j**ell) * 2.0", "total += (1j**-ell) * 2.0", "polarization weighted by i^-l", None),
+    (CHOI, "phi.dims.m * images[p] if p == q", "images[p] if p == q", "diagonal without its factor m", None),
+    (CHOI, "if sin2 < _VALIDATION_TOL:", "if False:", "sin^2 gate dropped", None),
+    (CHOI, "if residual >= scaled_tol(_VALIDATION_TOL, frobenius(target)):", "if False:",
+     "subspace gate dropped", None),
+    (CHOI, ".transpose(2, 0, 3, 1)", ".transpose(0, 2, 1, 3)", "J(G) realigned by the wrong axes", None),
+    (CHOI, "min(readings, key=", "min(readings[::-1], key=", "alignment tie goes to the transpose reading",
+     "the readings tie exactly where they build the same images (a one-element family, zero cross terms), "
+     "and elsewhere only by a coincidence of rounding"),
+    (CHOI, "(t @ b1 if swap else t.conj().T @ b1)", "(t.conj().T @ b1 if swap else t @ b1)",
+     "branch readings swapped", None),
+    (CHOI, "(table[q][p] if swap else table[p][q])", "table[p][q]", "transpose reading of the identity's table", None),
+    (CHOI, "if residual >= scaled_tol(_VALIDATION_TOL, float(dims.m)):", "if False:", "coherence gate dropped", None),
+    (CHOI, "if not is_coisometry(b, _VALIDATION_TOL):", "if False:", "aligned images not checked", None),
+    # the error types' exit codes, ValueError base and stage
+    (ERRORS, "    exit_code = 1\n", "    exit_code = 2\n", "package errors without a code exit 2", None),
+    (ERRORS, "    exit_code = 2\n", "    exit_code = 1\n", "DimensionError exits 1", None),
+    (ERRORS, "    exit_code = 3\n", "    exit_code = 4\n", "not-a-preserver exits 4", None),
+    (ERRORS, "    exit_code = 4\n", "    exit_code = 3\n", "singular exits 3", None),
+    (ERRORS, "class DimensionError(MESKitError, ValueError):", "class DimensionError(MESKitError):",
+     "DimensionError no ValueError", None),
+    (ERRORS, "vars(refusal).update(stage=stage, **attributes)", "vars(refusal).update(attributes)",
+     "refusal without its stage", None),
 )
 
 

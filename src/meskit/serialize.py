@@ -227,10 +227,10 @@ _PAIR_END = re.compile(rb"\][ \t\n\r]*,")
 def _sliced_pairs(buf: bytes, start: int, stop: int, expected: int):
     """The JSON array ``buf[start:stop]`` of ``expected`` ``[re, im]`` pairs as
     one ``(expected, 2)`` float64 array, parsed in slices of about
-    ``_SLICE_BYTES``, each cut after a row; ``None`` if a slice is empty or
-    has a byte of '"tfn', or the entries' count or bytes do not fit
-    ``expected`` pairs.  A slice that is not JSON ``[re, im]`` pairs raises
-    ValueError."""
+    ``_SLICE_BYTES``, each cut after a row; ``None`` if a slice has a byte of
+    '"tfn' or the entries' count is not ``expected``.  A slice that is empty,
+    is not JSON ``[re, im]`` pairs, or holds more pairs than ``expected`` or
+    its bytes allow raises ValueError."""
     # a pair takes at least 6 bytes with its separator, which bounds the
     # allocation whatever rows and cols claim
     out = np.empty((min(expected, (stop - start) // 6), 2))
@@ -239,9 +239,9 @@ def _sliced_pairs(buf: bytes, start: int, stop: int, expected: int):
         cut = _PAIR_END.search(buf, pos + _SLICE_BYTES, last) if pos + _SLICE_BYTES < last else None
         piece = buf[pos : cut.start() + 1 if cut else last]
         rows = _loads("[" + piece.decode("utf-8") + "]")
-        # joined by commas, an empty slice would not be JSON; numpy would read a
-        # string, true, false or null as a number, and each starts with one of '"tfn'
-        if not rows or count + len(rows) > len(out) or any(c in piece for c in b'"tfn'):
+        # numpy would read a string, true, false or null as a number, and each
+        # starts with one of '"tfn'; an empty or overfull slice raises ValueError below
+        if any(c in piece for c in b'"tfn'):
             return None
         out[count : count + len(rows)] = _pairs(rows)
         count += len(rows)

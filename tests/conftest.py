@@ -1,5 +1,6 @@
 import functools
 import json
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -260,6 +261,15 @@ def refused_file(tmp_path, kind: str) -> tuple[str, Exception]:
     with pytest.raises(Exception) as want:
         serialize.superoperator_from_obj(serialize.read_json(str(path)))
     return str(path), want.value
+
+
+def peak_traced_bytes(fn):
+    """``fn()``'s value, and the peak of the memory that tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

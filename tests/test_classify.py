@@ -50,6 +50,7 @@ from meskit.tensor import complex_gaussian, perturb, unitary_pair
 from conftest import (
     identity_superop,
     nonkron_conjugation,
+    peak_traced_bytes,
     phase_aligned_distance,
     span_mes_basis,
 )
@@ -166,14 +167,12 @@ def test_decompose_refuses_an_extension_before_its_dense_matrix():
     phi = make_adjoint_preserver(*unitary_pair(dims, 5), SigmaFlag.IDENTITY)
     ext = ExtendedSuperoperator(phi, SigmaFlag.IDENTITY)
     dense_nbytes = dims.n**8 * np.dtype(complex).itemsize
-    tracemalloc.start()
-    try:
+
+    def refuse():
         with pytest.raises(DimensionError, match="k >= 2"):
             decompose(ext)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < dense_nbytes / 10
+
+    assert peak_traced_bytes(refuse)[1] < dense_nbytes / 10
 
 
 def test_decompose_gauge_deterministic():
@@ -388,7 +387,7 @@ def _twist_fixing(a1, dims, seed):
 
 
 def test_refusals_name_their_verdict_and_stage(rng):
-    # each refusal is raised where it is found, with its verdict's type and its stage's name
+    # each refusal is raised where it is found, with its verdict's type, its stage's name and its reason
     leak, a1, a2 = _cross_term_leak(DIMS, 43)
     for a in (a1, a2):  # the leak leaves the images of pi(A1) and pi(A2) MES
         representative(apply(leak, pi(a)), DIMS)
@@ -396,18 +395,18 @@ def test_refusals_name_their_verdict_and_stage(rng):
     noise = Superoperator(matrix=complex_gaussian(rng, 64, 64), dims=DIMS)
     twist = _twist_fixing(a1, DIMS, 43)
     cases = [
-        (lambda: recover_unitary(_images(noise), DIMS), NotPreserverError, "recovery"),
-        (lambda: decompose(trace), NotInvertibleError, "recovery"),
-        (lambda: restricted_g(leak, a1, a2), NotPreserverError, "restricted map"),
-        (lambda: restricted_g(trace, a1, a2), NotInvertibleError, "restricted map"),
-        (lambda: align_images(leak, [a1, a2]), NotPreserverError, "alignment"),
-        (lambda: align_images(twist, [a1, a2]), NotPreserverError, "alignment"),
+        (lambda: recover_unitary(_images(noise), DIMS), NotPreserverError, "recovery", "no conjugation form"),
+        (lambda: decompose(trace), NotInvertibleError, "recovery", "singular on span(MES)"),
+        (lambda: restricted_g(leak, a1, a2), NotPreserverError, "restricted map", "cross-term image left"),
+        (lambda: restricted_g(trace, a1, a2), NotInvertibleError, "restricted map", "orthogonal coisometries share"),
+        (lambda: align_images(leak, [a1, a2]), NotPreserverError, "alignment", "no coherent phase"),
+        (lambda: align_images(twist, [a1, a2]), NotPreserverError, "alignment", "image 2 is not a coisometry"),
     ]
-    for call, error, stage in cases:
+    for call, error, stage, reason in cases:
         with pytest.raises(MESKitError) as raised:
             call()
         assert type(raised.value) is error and raised.value.stage == stage, raised.value
-        assert str(raised.value).startswith(f"stage {stage}: "), raised.value
+        assert str(raised.value).startswith(f"stage {stage}: {reason}"), raised.value
 
 
 # Relative noise that every seed survived before the certificate gated
@@ -500,15 +499,14 @@ def test_closed_form_stages_match_the_dense_span_basis(m, k):
 
 def _traced_decompose(phi):
     """decompose(phi)'s sigma or refusal type, and the peak memory it traced."""
-    tracemalloc.start()
-    try:
+
+    def verdict():
         try:
-            verdict = decompose(phi).sigma
+            return decompose(phi).sigma
         except MESKitError as exc:
-            verdict = type(exc)
-        return verdict, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+            return type(exc)
+
+    return peak_traced_bytes(verdict)
 
 
 @pytest.mark.parametrize("sigma", list(SigmaFlag))

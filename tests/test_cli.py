@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import threading
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +29,7 @@ from meskit import (
 from meskit.cli import main
 from meskit.extension import ExtendedSuperoperator
 from meskit.tensor import perturb, unitary_pair
-from conftest import REFUSED, dense_extension, nonkron_conjugation, refused_file
+from conftest import REFUSED, dense_extension, nonkron_conjugation, peak_traced_bytes, refused_file
 
 
 def run_cli(capsys, *argv):
@@ -427,12 +426,7 @@ def test_extend_peak_memory_below_the_dense_matrix(tmp_path, capsys):
     # at (2,3), n = 6: the dense n^4 x n^4 extension would be 16 n^8 = 26.9 MB
     sop, out = str(tmp_path / "sop.json"), str(tmp_path / "ext.json")
     assert run_cli(capsys, "gen", "--m", "2", "--k", "3", "--out", sop)[0] == 0
-    tracemalloc.start()
-    try:
-        code = main(["extend", sop, "--out", out])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = peak_traced_bytes(lambda: main(["extend", sop, "--out", out]))
     assert code == 0
     assert peak < 16 * 6**8 / 4
 

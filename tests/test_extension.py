@@ -1,4 +1,3 @@
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,14 +13,12 @@ from meskit import (
     apply,
     decompose,
     haar_unitary,
-    is_mes,
     kron,
     make_adjoint_preserver,
     make_swap_preserver,
     p_operator,
     pi,
     q_operator,
-    random_coisometry,
     structural_unitaries,
     verify_theorem_form,
 )
@@ -31,6 +28,7 @@ from conftest import (
     commutes_with_ad,
     dense_extension,
     identity_superop,
+    peak_traced_bytes,
     switch_commutation_witness,
 )
 
@@ -106,15 +104,12 @@ def test_extension_peak_memory_far_below_the_dense_matrix(rng):
     phi = _preserver(1, SigmaFlag.TRANSPOSE, dims)
     states = [complex_gaussian(rng, dims.n**2, dims.n**2) for _ in range(3)]
     dense_nbytes = dims.n**8 * np.dtype(complex).itemsize  # the n^4 x n^4 matrix
-    tracemalloc.start()
-    try:
+    def apply_all():
         ext = ExtendedSuperoperator(phi, SigmaFlag.TRANSPOSE)
         for state in states:
             apply(ext, state)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < dense_nbytes / 10
+
+    assert peak_traced_bytes(apply_all)[1] < dense_nbytes / 10
 
 
 def test_extend_rejects_single_block():
@@ -123,33 +118,6 @@ def test_extend_rejects_single_block():
     assert phi.dims == square
     with pytest.raises(DimensionError):
         ExtendedSuperoperator(phi, SigmaFlag.IDENTITY)
-
-
-@pytest.mark.parametrize("sigma", BOTH)
-def test_extend_acts_blockwise(sigma, rng):
-    phi = _preserver(3, sigma)
-    ext = ExtendedSuperoperator(phi, sigma)
-    m = complex_gaussian(rng, 16, 16)
-    image = apply(ext, m)
-    # block (p, q) occupies rows p*mn..(p+1)*mn and the matching columns
-    source = m[0:8, 8:16] if sigma is SigmaFlag.TRANSPOSE else m[8:16, 0:8]
-    np.testing.assert_array_equal(image[8:16, 0:8], apply(phi, source))
-    out_blocks, in_blocks = image.reshape(2, 8, 2, 8), m.reshape(2, 8, 2, 8)
-    for p in range(2):
-        for q in range(2):
-            source = in_blocks[q, :, p, :] if sigma is SigmaFlag.TRANSPOSE else in_blocks[p, :, q, :]
-            np.testing.assert_allclose(out_blocks[p, :, q, :], apply(phi, source), atol=1e-11)
-    # the (1,1) block is diagonal, hence the same in both branches
-    np.testing.assert_allclose(out_blocks[0, :, 0, :], apply(phi, in_blocks[0, :, 0, :]), atol=1e-11)
-
-
-@pytest.mark.parametrize("sigma", BOTH)
-def test_extend_preserves_square_mes(sigma):
-    phi = _preserver(5, sigma)
-    ext = ExtendedSuperoperator(phi, sigma)
-    for seed in range(25):
-        state = pi(random_coisometry(ext.dims, seed))
-        assert is_mes(apply(ext, state), ext.dims, 1e-8)
 
 
 @pytest.mark.parametrize("sigma", BOTH)
@@ -214,18 +182,6 @@ def test_q_operator_swaps_blocks(rng):
     np.testing.assert_allclose(swapped[0, :, 1, :], blocks[1, :, 0, :], atol=1e-12)
 
 
-@pytest.mark.parametrize("sigma", BOTH)
-def test_extension_commutes_with_structural_conjugations(sigma):
-    dims = Dims.from_mk(2, 3)
-    ext = ExtendedSuperoperator(_preserver(9, sigma, dims), sigma)
-    eye_n = np.eye(dims.n)
-    for j in range(1, dims.k + 1):
-        assert commutes_with_ad(ext, kron(p_operator(j, dims), eye_n))
-    for p in range(1, dims.k + 1):
-        for q in range(p + 1, dims.k + 1):
-            assert commutes_with_ad(ext, q_operator(p, q, dims))
-
-
 def test_structural_unitaries_order_and_values():
     dims = Dims.from_mk(2, 3)
     pairs = structural_unitaries(dims)
@@ -284,11 +240,6 @@ def test_square_space_projection_identities():
 def test_switch_check_peak_memory_below_the_switch_matrix():
     # at n = 6 the dense switch on L(Y (x) Y) would be 16 n^8 = 26.9 MB
     dims = Dims.from_mk(3, 2)
-    tracemalloc.start()
-    try:
-        residual = check_switch_identities(dims, 3, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    residual, peak = peak_traced_bytes(lambda: check_switch_identities(dims, 3, 0))
     assert residual < 1e-9
     assert peak < 16 * dims.n**8 / 4

@@ -1,10 +1,10 @@
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from meskit import DimensionError, Dims, lemmas
 from meskit.lemmas import run_all
+from conftest import peak_traced_bytes
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -38,13 +38,7 @@ def test_run_all_refuses_settings_that_pass_every_row_unchecked(settings, messag
 def test_suite_peak_memory_below_one_dense_preserver():
     dims = Dims(3, 6)
     dense_nbytes = dims.mn**4 * np.dtype(complex).itemsize  # 1.68 MB at (3,2)
-    tracemalloc.start()
-    try:
-        run_all(dims, samples=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < dense_nbytes
+    assert peak_traced_bytes(lambda: run_all(dims, samples=2))[1] < dense_nbytes
 
 
 @pytest.mark.parametrize("seed", [2.7, "1"])

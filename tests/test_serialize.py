@@ -5,7 +5,6 @@ import stat
 import subprocess
 import sys
 import threading
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +27,7 @@ from meskit import (
 )
 from meskit import _float_kernel
 from meskit.tensor import complex_gaussian, unitary_pair
-from conftest import REFUSED, dense_extension, refused_file, writer_file
+from conftest import REFUSED, dense_extension, peak_traced_bytes, refused_file, writer_file
 
 CHUNK = _float_kernel._BLOCK
 
@@ -387,13 +386,8 @@ def test_write_json_peak_memory_below_the_matrix(tmp_path):
     dims = Dims.from_mk(3, 2)
     phi = make_adjoint_preserver(*unitary_pair(dims, 1), SigmaFlag.IDENTITY)
     matrix = dense_extension(ExtendedSuperoperator(phi, SigmaFlag.IDENTITY))
-    tracemalloc.start()
-    try:
-        serialize.write_json(str(tmp_path / "ext.json"), serialize.matrix_to_obj(matrix))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < matrix.nbytes
+    out = str(tmp_path / "ext.json")
+    assert peak_traced_bytes(lambda: serialize.write_json(out, serialize.matrix_to_obj(matrix)))[1] < matrix.nbytes
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="counts glibc's minor page faults")
@@ -714,12 +708,7 @@ def test_read_superoperator_matches_the_json_reader(m, k, sigma, tmp_path):
 def test_read_superoperator_peak_memory_below_file_and_two_matrices(tmp_path):
     path = _superop_file(tmp_path / "sop.json", 3, 2, "adjoint")
     size = os.path.getsize(path)
-    tracemalloc.start()
-    try:
-        matrix = serialize.read_superoperator(path).matrix
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    matrix, peak = peak_traced_bytes(lambda: serialize.read_superoperator(path).matrix)
     assert peak < size + 2 * matrix.nbytes
 
 
