@@ -22,7 +22,7 @@ from meskit import (
     unvec,
     vec,
 )
-from meskit.tensor import perturb, unitary_pair
+from meskit.tensor import complex_gaussian, perturb, unitary_pair
 from conftest import (
     canonical_family,
     gram_solve_g,
@@ -54,6 +54,19 @@ def test_restricted_g_refuses_a_near_mes_image_with_a_typed_error(seed):
         restricted_g(phi, *pair)
 
 
+def test_cross_term_identity_map():
+    fam = orthogonal_family(DIMS, 13)
+    out = phi_on_cross_term(identity_superop(DIMS), fam[0], fam[1])
+    expected = np.outer(vec(fam[0]), vec(fam[1]).conj())
+    np.testing.assert_allclose(out, expected, atol=1e-12)
+
+
+def test_cross_term_rejects_non_orthogonal():
+    a = random_coisometry(DIMS, 15)
+    with pytest.raises(NotOrthogonalError):
+        phi_on_cross_term(identity_superop(DIMS), a, a)
+
+
 def test_cross_term_matches_direct_conjugation():
     u, v = unitary_pair(DIMS, 17)
     phi = make_adjoint_preserver(u, v, SigmaFlag.IDENTITY)
@@ -63,7 +76,26 @@ def test_cross_term_matches_direct_conjugation():
     np.testing.assert_allclose(
         phi_on_cross_term(phi, fam[0], fam[1]), w @ cross @ w.conj().T, atol=1e-11
     )
-    np.testing.assert_allclose(phi_on_cross_term(identity_superop(DIMS), fam[0], fam[1]), cross, atol=1e-12)
+
+
+def test_restricted_g_identity():
+    # the canonical family already satisfies the phase gauge, so the image
+    # representatives coincide with the inputs and G is exactly the identity
+    fam = canonical_family(DIMS)
+    g = restricted_g(identity_superop(DIMS), fam[0], fam[1])
+    np.testing.assert_allclose(g, np.eye(4), atol=1e-10)
+
+
+def test_restricted_g_identity_on_random_pair_is_diagonal_phase():
+    # for a gauge-free input pair the identity map still gives a diagonal G
+    # with unimodular entries and normalized corners
+    fam = orthogonal_family(DIMS, 21)
+    g = restricted_g(identity_superop(DIMS), fam[0], fam[1])
+    off = g - np.diag(np.diagonal(g))
+    assert np.abs(off).max() < 1e-10
+    np.testing.assert_allclose(np.abs(np.diagonal(g)), np.ones(4), atol=1e-10)
+    assert g[0, 0] == pytest.approx(1.0)
+    assert g[3, 3] == pytest.approx(1.0)
 
 
 def test_restricted_g_diagonal_normalization_and_offdiagonal_phase():
@@ -156,11 +188,21 @@ def test_restricted_g_and_align_images_reject_non_orthogonal():
     phi = _preserver(27, SigmaFlag.IDENTITY)
     a = random_coisometry(DIMS, 15)
     with pytest.raises(NotOrthogonalError):
-        phi_on_cross_term(identity_superop(DIMS), a, a)
-    with pytest.raises(NotOrthogonalError):
         restricted_g(phi, a, a)
     with pytest.raises(NotOrthogonalError):
         align_images(phi, [a, a])
+
+
+def test_restricted_g_rank_one_preservation(rng):
+    # images of rank-1 PSD coefficient matrices stay rank-1 PSD
+    g = restricted_g(_preserver(33, SigmaFlag.IDENTITY), *orthogonal_family(DIMS, 35)[:2])
+    for _ in range(50):
+        ab = complex_gaussian(rng, 2)
+        ab /= np.linalg.norm(ab)
+        image = _evaluate(g, np.outer(ab, ab.conj()))
+        assert abs(np.linalg.det(image)) < 1e-8
+        assert abs(np.trace(image) - 1.0) < 1e-8
+        assert np.linalg.eigvalsh((image + image.conj().T) / 2.0)[0] > -1e-8
 
 
 def test_choi_determinant_of_the_dense_identity_is_zero():
@@ -201,6 +243,21 @@ def test_align_images_orthogonality_and_coherence(sigma):
             )
             recon = np.outer(vec(bp), vec(bq).conj())
             assert np.linalg.norm(target - recon) < 1e-9
+
+
+@pytest.mark.parametrize("sigma", [SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE])
+def test_projective_semilinearity_on_pairs(sigma, rng):
+    phi = _preserver(45, sigma)
+    fam = orthogonal_family(DIMS, 47)[:2]
+    images = align_images(phi, fam)
+    for _ in range(25):
+        ab = complex_gaussian(rng, 2)
+        ab /= np.linalg.norm(ab)
+        coeff = ab.conj() if sigma is SigmaFlag.TRANSPOSE else ab
+        source = ab[0] * fam[0] + ab[1] * fam[1]
+        target = coeff[0] * images[0] + coeff[1] * images[1]
+        dist = np.linalg.norm(apply(phi, pi(source)) - pi(target))
+        assert dist < 1e-8
 
 
 @pytest.mark.parametrize("m,k", [(3, 2), (2, 3)])

@@ -13,12 +13,14 @@ from meskit import (
     apply,
     decompose,
     haar_unitary,
+    is_mes,
     kron,
     make_adjoint_preserver,
     make_swap_preserver,
     p_operator,
     pi,
     q_operator,
+    random_coisometry,
     structural_unitaries,
     verify_theorem_form,
 )
@@ -121,6 +123,33 @@ def test_extend_rejects_single_block():
 
 
 @pytest.mark.parametrize("sigma", BOTH)
+def test_extend_acts_blockwise(sigma, rng):
+    phi = _preserver(3, sigma)
+    ext = ExtendedSuperoperator(phi, sigma)
+    m = complex_gaussian(rng, 16, 16)
+    image = apply(ext, m)
+    # block (p, q) occupies rows p*mn..(p+1)*mn and the matching columns
+    source = m[0:8, 8:16] if sigma is SigmaFlag.TRANSPOSE else m[8:16, 0:8]
+    np.testing.assert_array_equal(image[8:16, 0:8], apply(phi, source))
+    out_blocks, in_blocks = image.reshape(2, 8, 2, 8), m.reshape(2, 8, 2, 8)
+    for p in range(2):
+        for q in range(2):
+            source = in_blocks[q, :, p, :] if sigma is SigmaFlag.TRANSPOSE else in_blocks[p, :, q, :]
+            np.testing.assert_allclose(out_blocks[p, :, q, :], apply(phi, source), atol=1e-11)
+    # the (1,1) block is diagonal, hence the same in both branches
+    np.testing.assert_allclose(out_blocks[0, :, 0, :], apply(phi, in_blocks[0, :, 0, :]), atol=1e-11)
+
+
+@pytest.mark.parametrize("sigma", BOTH)
+def test_extend_preserves_square_mes(sigma):
+    phi = _preserver(5, sigma)
+    ext = ExtendedSuperoperator(phi, sigma)
+    for seed in range(25):
+        state = pi(random_coisometry(ext.dims, seed))
+        assert is_mes(apply(ext, state), ext.dims, 1e-8)
+
+
+@pytest.mark.parametrize("sigma", BOTH)
 def test_extend_consistency_with_block_diagonal_conjugation(sigma):
     # extending ad_{U (x) V} (with the matching branch flag) equals the
     # square-space conjugation by (I_k (x) U) (x) V
@@ -180,6 +209,18 @@ def test_q_operator_swaps_blocks(rng):
     np.testing.assert_allclose(swapped[0, :, 0, :], blocks[1, :, 1, :], atol=1e-12)
     np.testing.assert_allclose(swapped[1, :, 1, :], blocks[0, :, 0, :], atol=1e-12)
     np.testing.assert_allclose(swapped[0, :, 1, :], blocks[1, :, 0, :], atol=1e-12)
+
+
+@pytest.mark.parametrize("sigma", BOTH)
+def test_extension_commutes_with_structural_conjugations(sigma):
+    dims = Dims.from_mk(2, 3)
+    ext = ExtendedSuperoperator(_preserver(9, sigma, dims), sigma)
+    eye_n = np.eye(dims.n)
+    for j in range(1, dims.k + 1):
+        assert commutes_with_ad(ext, kron(p_operator(j, dims), eye_n))
+    for p in range(1, dims.k + 1):
+        for q in range(p + 1, dims.k + 1):
+            assert commutes_with_ad(ext, q_operator(p, q, dims))
 
 
 def test_structural_unitaries_order_and_values():

@@ -31,6 +31,12 @@ def test_pi_is_the_projector_array(rng):
         assert np.array_equal(pi(a), expected)
 
 
+def test_pi_of_canonical_coisometry():
+    a = canonical_family(DIMS)[0]
+    w = vec(a)
+    np.testing.assert_allclose(pi(a), np.outer(w, w.conj()) / 2.0, atol=1e-15)
+
+
 def test_pi_scale_invariance(rng):
     a = complex_gaussian(rng, 2, 4)
     np.testing.assert_allclose(pi(3j * a), pi(a), atol=1e-14)
@@ -56,6 +62,11 @@ def test_is_coisometry_canonical_and_scaled():
     assert not is_coisometry(bad)
 
 
+def test_is_coisometry_haar_rows():
+    u = haar_unitary(4, 9)
+    assert is_coisometry(u[:2], 1e-12)
+
+
 def test_is_mes_positive_and_negatives(rng):
     assert is_mes(pi(random_coisometry(DIMS, 3)), DIMS)
     # unentangled product vector: partial trace is a rank-1 projection, not I/2
@@ -70,6 +81,14 @@ def test_is_mes_positive_and_negatives(rng):
     assert not is_mes(mix, DIMS)
     # non-Hermitian input is simply not an MES
     assert not is_mes(complex_gaussian(rng, 8, 8), DIMS)
+
+
+def test_random_coisometry_properties():
+    for seed in range(100):
+        a = random_coisometry(DIMS, seed)
+        dev = np.linalg.norm(a @ a.conj().T - np.eye(2))
+        assert dev < 1e-12
+    assert np.linalg.norm(random_coisometry(DIMS, 0) - random_coisometry(DIMS, 1)) > 1e-3
 
 
 def test_random_coisometry_unit_row_case():
@@ -143,6 +162,14 @@ def test_representative_factors_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_representative_rejects_rank_two():
+    fam = orthogonal_family(DIMS, 17)
+    mix = (pi(fam[0]) + pi(fam[1])) / 2.0
+    assert not is_mes(mix, DIMS)
+    with pytest.raises(NotMESError):
+        representative(mix, DIMS)
+
+
 @pytest.mark.parametrize(
     "matrix",
     [
@@ -150,13 +177,12 @@ def test_representative_factors_once(monkeypatch):
         np.eye(8) / 4,
         np.diag([2.0, -1.0, 0, 0, 0, 0, 0, 0]),
         np.eye(4) / 4,
-        sum(pi(a) for a in orthogonal_family(DIMS, 17)) / 2.0,
     ],
-    ids=["hermitian", "trace", "eigenvalue", "shape", "rank two"],
+    ids=["hermitian", "trace", "eigenvalue", "shape"],
 )
 def test_non_states_are_not_mes(matrix):
-    # a matrix that is no pure state (not Hermitian, wrong trace, a negative
-    # eigenvalue, not mn x mn, rank two) is simply not an MES, and has no representative
+    # a matrix that is no state (not Hermitian, wrong trace, a negative
+    # eigenvalue, not mn x mn) is simply not an MES, and has no representative
     assert not is_mes(matrix, DIMS)
     with pytest.raises(NotMESError):
         representative(matrix, DIMS)
@@ -188,3 +214,8 @@ def test_pi_injective_on_projective_classes():
     assert np.linalg.norm(pi(a) - pi(b)) > 1e-3
 
 
+def test_dims_cannot_represent_m_gt_n():
+    # a coisometry needs m <= n; the Dims block constraint already rules the
+    # rest out, so the failure surfaces at Dims construction
+    with pytest.raises(DimensionError):
+        Dims(4, 2)

@@ -23,6 +23,7 @@ from meskit import (
     make_adjoint_preserver,
     make_swap_preserver,
     make_trace_preserver,
+    partial_trace_y,
     pi,
     random_coisometry,
     vec,
@@ -47,6 +48,17 @@ SPAN_DIMS = {(1, 2): 4, (2, 1): 10, (2, 2): 61, (2, 3): 141, (3, 1): 65}
 def _span_columns(dims: Dims) -> np.ndarray:
     """Orthonormal column basis Q of span(MES) from the dense span_mes_basis."""
     return np.array([vec(e) for e in span_mes_basis(dims)]).T
+
+
+def test_apply_identity_and_linearity(rng):
+    ident = identity_superop(DIMS)
+    m = complex_gaussian(rng, 8, 8)
+    n = complex_gaussian(rng, 8, 8)
+    np.testing.assert_allclose(apply(ident, m), m, atol=1e-14)
+    phi = make_adjoint_preserver(*unitary_pair(DIMS, 3), SigmaFlag.IDENTITY)
+    np.testing.assert_allclose(
+        apply(phi, m + n), apply(phi, m) + apply(phi, n), atol=1e-12
+    )
 
 
 @pytest.mark.parametrize("kind", ["dense", "extension", "conjugation"])
@@ -177,6 +189,11 @@ def test_transpose_preserver_conjugates_projections():
     np.testing.assert_allclose(apply(phi, pi(a)), expected, atol=1e-12)
 
 
+def test_adjoint_preserver_identity_case():
+    phi = make_adjoint_preserver(np.eye(2), np.eye(4), SigmaFlag.IDENTITY)
+    np.testing.assert_allclose(phi.matrix, np.eye(64), atol=1e-14)
+
+
 def test_adjoint_preserver_preserves_mes():
     for sigma in (SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE):
         phi = make_adjoint_preserver(*unitary_pair(DIMS, 11), sigma)
@@ -202,6 +219,14 @@ def test_adjoint_preserver_functoriality():
     assert np.linalg.norm(composed.matrix - chained) < 1e-10
 
 
+def test_swap_preserver_transposes_projections():
+    sw = make_swap_preserver(np.eye(2), np.eye(2), SigmaFlag.IDENTITY)
+    a = haar_unitary(2, 17)
+    np.testing.assert_allclose(apply(sw, pi(a)), pi(a.T), atol=1e-12)
+    # the switch is an involution
+    np.testing.assert_allclose(sw.matrix @ sw.matrix, np.eye(16), atol=1e-14)
+
+
 def test_swap_preserver_preserves_square_mes():
     square = Dims(2, 2)
     u = haar_unitary(2, 19)
@@ -216,6 +241,18 @@ def test_swap_preserver_preserves_square_mes():
 def test_swap_preserver_rejects_rectangular():
     with pytest.raises(DimensionError):
         make_swap_preserver(np.eye(2), np.eye(4), SigmaFlag.IDENTITY)
+
+
+def test_swap_and_adjoint_agree_on_symmetric_products(rng):
+    square = Dims(2, 2)
+    u = haar_unitary(2, 23)
+    v = haar_unitary(2, 25)
+    a = complex_gaussian(rng, 2, 2)
+    sym = kron(a, a)
+    for sigma in (SigmaFlag.IDENTITY, SigmaFlag.TRANSPOSE):
+        ad = make_adjoint_preserver(u, v, sigma)
+        sw = make_swap_preserver(u, v, sigma)
+        np.testing.assert_allclose(apply(ad, sym), apply(sw, sym), atol=1e-12)
 
 
 def test_trace_preserver_behavior(rng):
@@ -265,6 +302,13 @@ def test_span_dimension_against_sampling_oracle(m, k):
     assert np.linalg.norm(outside, axis=0).max() < 1e-10
 
 
+def test_span_basis_elements_satisfy_partial_trace_law():
+    basis = span_mes_basis(DIMS)
+    for b in basis:
+        expected = (np.trace(b) / 2.0) * np.eye(2)
+        assert np.linalg.norm(partial_trace_y(b, DIMS) - expected) < 1e-10
+
+
 def test_import_does_not_load_scipy():
     src = Path(__file__).resolve().parents[1] / "src"
     code = "import meskit, sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
@@ -284,6 +328,11 @@ def test_public_names_resolve():
     namespace: dict = {}
     exec("from meskit import *", namespace)
     assert set(meskit.__all__) <= set(namespace)
+
+
+def test_span_basis_m1_is_full_operator_space():
+    dims = Dims.from_mk(1, 3)
+    assert len(span_mes_basis(dims)) == 9
 
 
 def test_is_invertible_on_span_identity_and_adjoint():
@@ -312,6 +361,14 @@ def test_is_invertible_on_span_threshold_is_relative(m, k):
         smallest, threshold = _span_sigma_min(Superoperator(matrix=column, dims=dims))
         assert smallest == pytest.approx(t, rel=1e-9) and 0.9e-6 < threshold < 1e-6, t
         assert (smallest > threshold) is invertible, t
+
+
+def test_identity_restriction_is_isometric():
+    # smallest singular value of the restricted identity is exactly 1
+    q = _span_columns(DIMS)
+    restricted = q.conj().T @ (identity_superop(DIMS).matrix @ q)
+    s = np.linalg.svd(restricted, compute_uv=False)
+    assert s[-1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_scalar_commutant_of_mes_samples():

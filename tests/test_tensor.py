@@ -21,13 +21,24 @@ from meskit import (
 from meskit.tensor import complex_gaussian
 
 
-def test_vec_stacks_rows(rng):
+def test_vec_stacks_rows():
     a = np.array([[1 + 2j, 3], [4, 5 - 1j]])
     np.testing.assert_array_equal(vec(a), np.array([1 + 2j, 3, 4, 5 - 1j]))
+
+
+def test_vec_scalar_case():
     np.testing.assert_array_equal(vec(np.array([[2 - 3j]])), np.array([2 - 3j]))
+
+
+def test_vec_of_outer_product_is_kron(rng):
     x = complex_gaussian(rng, 2)
     y = complex_gaussian(rng, 3)
     np.testing.assert_allclose(vec(np.outer(x, y)), np.kron(x, y), atol=1e-14)
+
+
+def test_unvec_inverts_vec():
+    a = np.array([[1, 2], [3, 4]], dtype=complex)
+    np.testing.assert_array_equal(unvec(vec(a), 2, 2), a)
 
 
 def test_unvec_rejects_bad_length():
@@ -44,6 +55,32 @@ def test_vec_unvec_roundtrip(seed, m, n):
 
 @given(st.integers(0, 10**6))
 @settings(max_examples=40, deadline=None)
+def test_vec_is_linear_and_isometric(seed):
+    rng = np.random.default_rng(seed)
+    a = complex_gaussian(rng, 3, 4)
+    b = complex_gaussian(rng, 3, 4)
+    alpha, beta = complex(rng.standard_normal(), rng.standard_normal()), 2.0 - 1.5j
+    np.testing.assert_allclose(
+        vec(alpha * a + beta * b), alpha * vec(a) + beta * vec(b), atol=1e-12
+    )
+    # Hilbert-Schmidt pairing carries over: <vec b, vec a> = tr(a b*)
+    assert np.vdot(vec(b), vec(a)) == pytest.approx(np.trace(a @ b.conj().T))
+
+
+def test_kron_identity_blocks():
+    np.testing.assert_array_equal(kron(np.eye(2), np.eye(3)), np.eye(6))
+
+
+def test_kron_basis_case():
+    e11 = np.zeros((2, 2))
+    e11[0, 0] = 1.0
+    expected = np.zeros((4, 4))
+    expected[0, 0] = 1.0
+    np.testing.assert_array_equal(kron(e11, e11), expected)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
 def test_kron_consistent_with_vec(seed):
     rng = np.random.default_rng(seed)
     a, x, b = (complex_gaussian(rng, 2, 2) for _ in range(3))
@@ -56,6 +93,28 @@ def test_partial_trace_product_rule(rng):
     np.testing.assert_allclose(
         partial_trace_y(kron(a, b), Dims(2, 4)), np.trace(b) * a, atol=1e-12
     )
+
+
+def test_partial_trace_of_identity():
+    dims = Dims.from_mk(3, 2)
+    np.testing.assert_allclose(partial_trace_y(np.eye(18), dims), 6 * np.eye(3))
+
+
+def test_partial_trace_vec_outer_rule(rng):
+    dims = Dims.from_mk(2, 2)
+    a = complex_gaussian(rng, 2, 4)
+    b = complex_gaussian(rng, 2, 4)
+    lhs = partial_trace_y(np.outer(vec(a), vec(b).conj()), dims)
+    np.testing.assert_allclose(lhs, a @ b.conj().T, atol=1e-12)
+
+
+def test_partial_trace_preserves_trace_and_positivity(rng):
+    dims = Dims.from_mk(2, 2)
+    g = complex_gaussian(rng, 8, 8)
+    psd = g @ g.conj().T
+    reduced = partial_trace_y(psd, dims)
+    assert np.trace(reduced) == pytest.approx(np.trace(psd))
+    assert np.linalg.eigvalsh(reduced)[0] >= -1e-12
 
 
 def test_partial_trace_rejects_bad_shape():
