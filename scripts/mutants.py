@@ -5,11 +5,11 @@ the fast subset of tests that ``FAST`` maps its source file to must fail on it.
 
 The subsets are the verdict path's (``classify``, ``superop``, and
 ``tensor`` with ``test_tensor.py`` first), the float kernel's and the reader
-and writer's (``_float_kernel``, ``serialize``), the CLI's (``cli``), the
-lemma suite's (``lemmas``, ``extension``), ``states``', the sigma
-discriminant's (``choi``) and the error types' (``errors``); each lists its
-files, or single tests, cheapest first, since with ``-x`` a run stops at its
-first failure.  For each row it copies
+and writer's (``_float_kernel``, ``serialize``) and the CLI's (``cli``), these
+three with the CLI byte pins first, the lemma suite's (``lemmas``,
+``extension``), ``states``', the sigma discriminant's (``choi``) and the
+error types' (``errors``); each lists its files, or single tests, cheapest
+first, since with ``-x`` a run stops at its first failure.  For each row it copies
 ``src/``, ``tests/`` and ``scripts/`` to a temporary directory of its own,
 replaces the row's old text, which must occur exactly once, with its new text,
 and runs the subset there with ``pytest -x``, at one BLAS thread unless
@@ -42,6 +42,7 @@ VERDICT = (
     "tests/test_relations.py",
     "tests/test_classify.py",
 )
+PINS = "tests/test_cli_bytes.py"
 LEMMA = ("tests/test_lemmas.py", "tests/test_extension.py", "tests/test_acceptance.py")
 CLASSIFY, SUPEROP, TENSOR = "src/meskit/classify.py", "src/meskit/superop.py", "src/meskit/tensor.py"
 KERNEL, SERIALIZE, CLI = "src/meskit/_float_kernel.py", "src/meskit/serialize.py", "src/meskit/cli.py"
@@ -51,9 +52,9 @@ FAST = {
     CLASSIFY: VERDICT,
     SUPEROP: VERDICT,
     TENSOR: ("tests/test_tensor.py", *VERDICT),
-    KERNEL: ("tests/test_serialize.py",),
-    SERIALIZE: ("tests/test_cli.py", "tests/test_serialize.py"),
-    CLI: ("tests/test_cli.py",),
+    KERNEL: (PINS, "tests/test_serialize.py"),
+    SERIALIZE: (PINS, "tests/test_cli.py", "tests/test_serialize.py"),
+    CLI: (PINS, "tests/test_cli.py"),
     LEMMAS: LEMMA,
     EXTENSION: LEMMA,
     STATES: (
@@ -107,6 +108,7 @@ MUTANTS = (
      "singularity threshold scaled by sigma_max", None),
     (SUPEROP, "(2 if phi.dims.k == 1 else 1)", "1", "k = 1 span dimension", None),
     (SUPEROP, "    if dims.k == 1:  # the part", "    if False:  # the part", "k = 1 projection dropped", None),
+    (TENSOR, "if isinstance(tol, bool) or not", "if not", "tol True read as 1", None),
     (TENSOR, "U = U / (pivot / abs(pivot))", "U = U / (pivot / abs(pivot)) * (1 + 1e-4)", "U scaled by 1 + 1e-4", None),
     (CLASSIFY, "    check_tol(tol)\n", "    np.random.default_rng(0)\n    check_tol(tol)\n", "decompose draws", None),
     (CLASSIFY, ACCEPT, f"    if residual > tol:\n        np.random.default_rng(0)\n{ACCEPT}",
@@ -160,6 +162,8 @@ MUTANTS = (
     (LEMMAS, "out_coeff = coeff.conj() if sigma is SigmaFlag.TRANSPOSE else coeff", "out_coeff = coeff",
      "semilinearity without conjugation", None),
     (LEMMAS, "lhs - a @ b.conj().T", "lhs - a @ b.T", "partial-trace product without conjugation", None),
+    (LEMMAS, "np.integer)) and not isinstance(seed, bool):", "np.integer)):", "seed True read as 1", None),
+    (LEMMAS, "if isinstance(samples, bool) or samples < 1:", "if samples < 1:", "samples True read as 1", None),
     (LEMMAS, "is_coisometry(np.vstack([A1, A2]))", "is_coisometry(np.vstack([A1, A1]))", "c3 stacks A1 twice", None),
     (EXTENSION, "self.base.apply_to(blocks[a, :, b, :])", "self.base.apply_to(blocks[p, :, q, :])",
      "apply_to ignores the transpose's block swap", None),

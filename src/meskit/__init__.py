@@ -10,6 +10,8 @@ identity-vs-transpose discriminant, the determinant of the 4x4 Choi matrix
 J(G), is one of the identities ``meskit check-lemmas`` verifies.
 """
 
+from types import ModuleType as _ModuleType
+
 from .choi import (
     align_images,
     choi_matrix,
@@ -74,52 +76,6 @@ from .tensor import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Conjugation",
-    "DEFAULT_TOL",
-    "Decomposition",
-    "DimensionError",
-    "Dims",
-    "ExtendedSuperoperator",
-    "MESKitError",
-    "NotHermitianError",
-    "NotInvertibleError",
-    "NotMESError",
-    "NotOrthogonalError",
-    "NotPreserverError",
-    "NotUnitaryError",
-    "SigmaFlag",
-    "Superoperator",
-    "ZeroOperatorError",
-    "ad_commutation_residual",
-    "align_images",
-    "apply",
-    "are_orthogonal",
-    "choi_matrix",
-    "decompose",
-    "fix_global_phase",
-    "haar_unitary",
-    "is_coisometry",
-    "is_invertible_on_span",
-    "is_mes",
-    "kron",
-    "make_adjoint_preserver",
-    "make_swap_preserver",
-    "make_trace_preserver",
-    "nearest_kron_factor",
-    "orthogonal_family",
-    "p_operator",
-    "partial_trace_y",
-    "phi_on_cross_term",
-    "pi",
-    "q_operator",
-    "random_coisometry",
-    "rank_one_factor",
-    "recover_unitary",
-    "representative",
-    "restricted_g",
-    "structural_unitaries",
-    "unvec",
-    "vec",
-    "verify_theorem_form",
-]
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="emit a canonical preserver and its ground truth")
     _add_common(gen, dims=True)
-    gen.add_argument("--sigma", choices=["identity", "transpose"], default="identity")
+    gen.add_argument("--sigma", choices=[s.value for s in SigmaFlag], default=SigmaFlag.IDENTITY.value)
     gen.add_argument("--form", choices=["adjoint", "swap", "trace"], default="adjoint")
     gen.add_argument("--out", default="superop.json", help="output path for the superoperator")
     gen.set_defaults(func=cmd_gen)
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     ext = sub.add_parser("extend", help="blockwise extension plus its span certificate")
     ext.add_argument("input", help="superoperator JSON file")
     _add_common(ext, tol=True)
-    ext.add_argument("--sigma", choices=["identity", "transpose", "auto"], default="auto")
+    ext.add_argument("--sigma", choices=[*(s.value for s in SigmaFlag), "auto"], default="auto")
     ext.add_argument("--out", default=None, help="output path for the extension (default extended.json)")
     ext.set_defaults(func=cmd_extend)
 

@@ -38,7 +38,7 @@ from .tensor import (
 
 
 def _as_int(seed) -> int:
-    if isinstance(seed, (int, np.integer)):
+    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool):
         return int(seed)
     raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
 
@@ -286,10 +286,10 @@ def run_all(dims: Dims, tol: float = DEFAULT_TOL, samples: int = 20, seed: int =
     """Run every structural check at the given dimensions (k >= 2), giving
     each check's report row ``{"name", "max_residual", "pass"}``.  Before any
     check runs, ``samples`` < 1 and a ``tol`` that is not finite and positive
-    raise ValueError, as either would let every row pass unchecked."""
+    raise ValueError, as either would let every row pass unchecked, and so does a bool."""
     if dims.k < 2:
         raise DimensionError("the lemma suite needs an orthogonal pair, so k >= 2")
-    if samples < 1:
+    if isinstance(samples, bool) or samples < 1:
         raise ValueError("samples must be >= 1")
     check_tol(tol)
     results = []

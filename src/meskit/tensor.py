@@ -55,8 +55,8 @@ class Dims:
 
 
 def check_tol(tol: float) -> None:
-    """Raises ValueError unless ``tol`` is finite and positive (a NaN passes every gate)."""
-    if not 0.0 < tol < np.inf:
+    """Raises ValueError unless ``tol`` is finite, positive and not a bool (a NaN passes every gate)."""
+    if isinstance(tol, bool) or not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 

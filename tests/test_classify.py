@@ -583,7 +583,7 @@ def test_decompose_refuses_non_finite_input(value):
         decompose(Superoperator(matrix=matrix, dims=DIMS))
 
 
-@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0, True])
 def test_decompose_refuses_a_tol_that_is_not_finite_and_positive(tol):
     # a NaN tol fails every ">=" gate, so this map, with a certificate near 2e-6,
     # would be accepted above the hard 1e-6 cap

@@ -1,0 +1,84 @@
+"""The CLI's output bytes, pinned by SHA-256 digest.
+
+At (1,2) and (2,2), the dims whose outputs CI also compares byte for byte
+under one and two BLAS threads (from (2,3) up the last digits differ): ``gen``'s
+superoperator and truth files, ``classify``'s stdout and ``extend --sigma
+auto``'s stdout and file, both sigma, one seed each; and ``classify``'s exit
+code and stderr on a (2,2) trace-form file.  A change that moves one of these
+outputs on purpose takes the new digests from ``pytest -vv`` on this file,
+updates ``DIGESTS`` or ``TRACE_STDERR``, and names the change in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from meskit.cli import main
+
+# (m, k, sigma, seed): each output's SHA-256
+DIGESTS = {
+    (1, 2, "identity", 3): {
+        "superop": "947956b0f872811dd13441713a676b2a2f995dcf07683792e3149d4ce8a4ad83",
+        "truth": "a84681434115d5d6e995c0f508abf48c3756edc37c93d93a5dbd7441172112e2",
+        "classify": "6644926bc53f42a78d3bd508624e438539f8bf5c307ec008468413f50465d4b5",
+        "extend": "c166823269dc63c938b070dc7507b6d6c8d960d67095d8d239f8f997857c734a",
+        "extended": "c43f2cd0e8d229db3dbe6ee14069094606f5653a32174f89f8fc2d3f943ad5f5",
+    },
+    (1, 2, "transpose", 8): {
+        "superop": "8e89af8d2a5e226e237c446f7bca9dc469d9b6b5c79e93685559af2f7a36b879",
+        "truth": "30d839b79007f655ebcfd828a94744a1adbc2f2560c16fae22b6891642a9a5ec",
+        "classify": "9ab47adeaaff838394ba97bfc167433b6894e68547242d5653f4efbd4bf8cec1",
+        "extend": "c99031736e54e1edaf34ffd6c83f5115329fc3f50ad9ba741270e18e13291fd9",
+        "extended": "6dcdd861e6d2618edc94daa846082b4ffba09479b30db37572c8feffdbb5781e",
+    },
+    (2, 2, "identity", 0): {
+        "superop": "556c305bc9fc173241cb14a821943b5a787544d49902d432e3396d66d3797784",
+        "truth": "8a1bfc25411240c90855d127217b5521edcc7aec0fcb602d1194417493b097c5",
+        "classify": "d26c72576edf93fffb821a6a73d1db6ba10a0307919740dfd9e339208884aa35",
+        "extend": "c25dc7b99ddb9631ed781390b65c8c49b400ffdf0f04394a96d747a91135ab32",
+        "extended": "548a7c4eac06d96b4c4c4064db6004edeb6b85fb38239753e1be439b8089dfbf",
+    },
+    (2, 2, "transpose", 5): {
+        "superop": "c333efdebf9588e597be382cdf0420009380dbb227b24a21675cca6932da0334",
+        "truth": "15f7ad26e11eb299b13fbcb5a696ae6c73212a87c7dd975c4fb17aeb0be62cb0",
+        "classify": "07172b95620888459abefb764c27322e0074958689fd058b865cc29d30c20f15",
+        "extend": "611a08b68ed435fd9bdd85e829a98b5afe9c8a0913ad730c04ba62e4d98c3f48",
+        "extended": "f28620d3a14bcc3f0b073d10fb2d9f67f666596ae72348199ad212028bb510c3",
+    },
+}
+TRACE_STDERR = "de4b532aafc04a502e4b8e03820faf0eefdf7325ec798cc3de18baf54dc46e16"
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(capsysbinary, *argv):
+    code = main(list(argv))
+    captured = capsysbinary.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("m,k,sigma,seed", sorted(DIGESTS))
+def test_cli_outputs_keep_their_bytes(m, k, sigma, seed, tmp_path, monkeypatch, capsysbinary):
+    monkeypatch.chdir(tmp_path)
+    dims = ["--m", str(m), "--k", str(k)]
+    assert _run(capsysbinary, "gen", *dims, "--sigma", sigma, "--seed", str(seed), "--out", "sop.json")[0] == 0
+    classify = _run(capsysbinary, "classify", "sop.json")
+    extend = _run(capsysbinary, "extend", "sop.json", "--sigma", "auto", "--out", "ext.json")
+    assert classify[0] == extend[0] == 0
+    outputs = {
+        "superop": (tmp_path / "sop.json").read_bytes(),
+        "truth": (tmp_path / "sop.truth.json").read_bytes(),
+        "classify": classify[1],
+        "extend": extend[1],
+        "extended": (tmp_path / "ext.json").read_bytes(),
+    }
+    assert {key: _sha(data) for key, data in outputs.items()} == DIGESTS[m, k, sigma, seed]
+
+
+def test_classify_trace_form_keeps_its_exit_and_stderr(tmp_path, monkeypatch, capsysbinary):
+    monkeypatch.chdir(tmp_path)
+    assert _run(capsysbinary, "gen", "--m", "2", "--k", "2", "--form", "trace", "--out", "sop.json")[0] == 0
+    code, out, err = _run(capsysbinary, "classify", "sop.json")
+    assert (code, out, _sha(err)) == (4, b"", TRACE_STDERR)

@@ -23,6 +23,8 @@ def test_run_all_refuses_a_single_block(m):
         ({"tol": np.nan}, "tol must be finite and positive"),
         ({"tol": 0.0}, "tol must be finite and positive"),
         ({"tol": -1e-9}, "tol must be finite and positive"),
+        ({"samples": True}, "samples must be >= 1"),
+        ({"tol": True}, "tol must be finite and positive, got True"),
     ],
 )
 def test_run_all_refuses_settings_that_pass_every_row_unchecked(settings, message, monkeypatch):
@@ -41,7 +43,7 @@ def test_suite_peak_memory_below_one_dense_preserver():
     assert peak_traced_bytes(lambda: run_all(dims, samples=2))[1] < dense_nbytes
 
 
-@pytest.mark.parametrize("seed", [2.7, "1"])
+@pytest.mark.parametrize("seed", [2.7, "1", True])
 def test_seed_must_be_an_integer(seed):
     with pytest.raises(TypeError, match="seed must be an integer"):
         run_all(Dims.from_mk(2, 2), samples=1, seed=seed)
