@@ -7,18 +7,20 @@ The subsets are the verdict path's (``classify``, ``superop``, and
 ``tensor`` with ``test_tensor.py`` first), the float kernel's and the reader
 and writer's (``_float_kernel``, ``serialize``) and the CLI's (``cli``), these
 three with the CLI byte pins first, the lemma suite's (``lemmas``,
-``extension``), ``states``', the sigma discriminant's (``choi``) and the
-error types' (``errors``); each lists its files, or single tests, cheapest
-first, since with ``-x`` a run stops at its first failure.  For each row it copies
-``src/``, ``tests/`` and ``scripts/`` to a temporary directory of its own,
-replaces the row's old text, which must occur exactly once, with its new text,
-and runs the subset there with ``pytest -x``, at one BLAS thread unless
-``OPENBLAS_NUM_THREADS`` is set.  Rows run concurrently, one per CPU the
-process may use.  It prints one line per row, in table order: "killed" and the
-first failing test, or "survived", with the seconds the run took.  It exits 1
-if a survivor is not marked equivalent, if an old text does not occur exactly
-once, or if a run stops without a failing test (a collection error kills
-nothing).  Nothing in the checkout is written.
+``extension``), ``states``' (with the ``check-lemmas`` byte pins last), the
+sigma discriminant's (``choi``) and the error types' (``errors``); each lists
+its files, or single tests, cheapest first, since with ``-x`` a run stops at
+its first failure.  For each row it copies ``src/``, ``tests/`` and
+``scripts/`` to a temporary directory of its own, replaces the row's old
+text, which must occur exactly once, with its new text, and runs the subset
+there with ``pytest -x``, at one BLAS thread unless ``OPENBLAS_NUM_THREADS``
+is set, and without Hypothesis's pytest plugin, which only reports: its
+end-of-run summary imports all of Hypothesis, about 0.7 s a row.  Rows run
+concurrently, one per CPU the process may use.  It prints one line per row,
+in table order: "killed" and the first failing test, or "survived", with the
+seconds the run took.  It exits 1 if a survivor is not marked equivalent, if
+an old text does not occur exactly once, or if a run stops without a failing
+test (a collection error kills nothing).  Nothing in the checkout is written.
 
     python scripts/mutants.py
 """
@@ -60,6 +62,7 @@ FAST = {
     STATES: (
         "tests/test_states.py",
         "tests/test_choi.py::test_restricted_g_refuses_a_near_mes_image_with_a_typed_error",
+        f"{PINS}::test_check_lemmas_keeps_its_bytes",
     ),
     CHOI: (
         "tests/test_choi.py",
@@ -120,10 +123,15 @@ MUTANTS = (
     (KERNEL, "_MARGIN = 1e-14", "_MARGIN = 1e-15", "tie margin below the error bound", None),
     (KERNEL, "ok = (a == np.abs(x)) & ", "ok = ", "clipped values laid out", None),
     (KERNEL, "+ a_lo * hi_lo + a * lo", "+ a_lo * hi_lo", "lo of 10**k dropped", None),
-    (KERNEL, "e += a >= t.ceil", "e += a > t.ceil", "exponent of an exact power one low", None),
+    (KERNEL, "e += a >= _CEIL", "e += a > _CEIL", "exponent of an exact power one low", None),
     (KERNEL, "carry = n == 10**17", "carry = n > 10**17", "no carry into a new digit", None),
     (KERNEL, "zero = np.signbit(pairs) * 2", "zero = np.signbit(pairs) * 0", "-0 written as 0", None),
-    (SERIALIZE, "yield separator + text", "yield text", "no separator at a chunk boundary", None),
+    (KERNEL, "yield separator + text", "yield text", "no separator at a chunk boundary", None),
+    (KERNEL, "if not np.isfinite(chunk).all():", "if False:", "inf and nan written", None),
+    (KERNEL, 'if a.ndim != 2 or a.shape[1] != 2 or a.dtype.kind != "f":', "if False:",
+     "arrays not of float pairs written", None),
+    (SERIALIZE, "from .errors import", "from ._float_kernel import encode\nfrom .errors import",
+     "float kernel imported with serialize", None),
     (SERIALIZE, 'return -0.0 if token == "-0" else int(token)', "return int(token)", "-0 read as 0", None),
     (SERIALIZE, DECLINE, DECLINE.replace("tfn'", "'"),
      "sliced reader reads true, false and null", None),
@@ -178,8 +186,7 @@ MUTANTS = (
      "representative not renormalized", None),
     (STATES, "    if not is_coisometry(A, _VALIDATION_TOL):", "    if False:",
      "representative's coisometry check dropped", None),
-    (STATES, "return fix_global_phase(A)", "return A", "representative not gauged",
-     "rank_one_factor gauges the factor and A is a positive multiple of it: the second gauge moves A by rounding"),
+    (STATES, "return fix_global_phase(A)", "return A", "representative not gauged", None),
     (EXTENSION, "return kron(sign, np.eye(dims.m))", "return kron(np.eye(dims.m), sign)", "P_j flips within X", None),
     (EXTENSION, "    t[[p - 1, q - 1]] = t[[q - 1, p - 1]]\n", "", "Q_pq the identity", None),
     (EXTENSION, "kron(kron(t, np.eye(dims.m)), np.eye(dims.n))", "kron(np.eye(dims.n), kron(t, np.eye(dims.m)))",
@@ -235,7 +242,8 @@ def run(path, old, new, tmp):
     target.write_text(text.replace(old, new), encoding="utf-8")
     env = {"OPENBLAS_NUM_THREADS": "1", **os.environ, "PYTHONPATH": str(tmp / "src")}
     out = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-rf", "-p", "no:cacheprovider", *FAST[path]],
+        [sys.executable, "-m", "pytest", "-x", "-q", "-rf", "-p", "no:cacheprovider", "-p", "no:hypothesispytest",
+         *FAST[path]],
         cwd=tmp, env=env, capture_output=True, text=True,
     )
     failed = re.search(r"^FAILED (.+?)(?: - .*)?$", out.stdout, re.M)

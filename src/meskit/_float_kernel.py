@@ -39,8 +39,7 @@ use left NUL, and the chunk's NULs are dropped at the end:
 
 from __future__ import annotations
 
-import functools
-from typing import NamedTuple
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -60,24 +59,27 @@ _ROW = np.dtype((np.void, _SLOT))
 _BLOCK = 1 << 12
 
 
-class Tables(NamedTuple):
-    pow10: np.ndarray  # hi, hi's two halves and lo of 10**k, at row k - _E_MIN
-    ceil: np.ndarray  # the least float64 >= 10**k, at k - _E_MIN
-    groups: np.ndarray  # ASCII digits of 0..9999 as one little-endian word each
-    zeros: np.ndarray  # trailing decimal zeros of 0..9999 (4 for 0)
-    keep: np.ndarray  # slot masks by (class, kept digits): unmoved digits
-    move: np.ndarray  # ... and digits moved one byte down for the dot
-    punct: np.ndarray  # slot bytes by (imaginary, class, kept digits)
-    sign_exp: np.ndarray  # slot bytes by (exponent or fixed, sign)
-    zero: np.ndarray  # the slots of 0 and -0, by (sign, imaginary)
+def _power(k: int) -> tuple[float, float, float, float]:
+    """10**k = hi + lo, hi and lo correctly rounded, and hi's two halves: from
+    exact Python ints, which CPython converts to float and divides correctly
+    rounded."""
+    ten = 10 ** abs(k)
+    hi = float(ten) if k >= 0 else 1 / ten
+    n, d = hi.as_integer_ratio()
+    # for k < 0, 10**k - hi = (d - n * ten) / (ten * d), and d is a power of
+    # two: dividing by it last is exact (lo is normal here)
+    return hi, *_halves(hi), (float(ten - n) if k >= 0 else (d - n * ten) / ten / d)
 
 
-@functools.cache
-def tables() -> Tables:
-    """The kernel's tables, built on first use (not at import)."""
-    i = np.arange(10000, dtype=_WORD)
-    groups = 0x30303030 + (i // 1000 | i // 100 % 10 << 8 | i // 10 % 10 << 16 | i % 10 << 24)
-    zeros = (i % 10 == 0).astype(np.int8) + (i % 100 == 0) + (i % 1000 == 0) + (i == 0)
+def _halves(v):
+    """Veltkamp's split: v = high + low exactly, each half of 26 bits."""
+    split = v * 134217729.0  # 2**27 + 1
+    high = split - (split - v)
+    return high, v - high
+
+
+def _slots() -> tuple[np.ndarray, ...]:
+    """The slot tables below, each slot a row of ``_SLOT // 8`` words."""
     # slot byte b by class c and kept digits k; the dot follows digit p
     b = np.arange(_SLOT)
     c = np.arange(_CLASSES)[:, None, None]
@@ -100,51 +102,35 @@ def tables() -> Tables:
     sign_exp[:, 1, 1] = ord("-")
     zero = punct[:, 4, 1] | sign_exp[-1, :, None]  # class e = 0, one digit
     zero[..., 7] = ord("0")
-
-    def words(mask):
-        return np.ascontiguousarray(mask, np.uint8).view(_WORD).reshape(-1, _SLOT // 8)
-
-    hi, lo = np.array([_power(k) for k in range(_E_MIN, 17 - _E_MIN)]).T
-    return Tables(
-        pow10=np.stack([hi, *_halves(hi), lo], axis=1),
-        ceil=np.where(lo > 0, np.nextafter(hi, np.inf), hi),
-        groups=groups,
-        zeros=zeros,
-        keep=words(keep * 0xFF),
-        move=words(move * 0xFF),
-        punct=words(punct),
-        sign_exp=words(sign_exp),
-        zero=words(zero),
-    )
+    tables = keep * 0xFF, move * 0xFF, punct, sign_exp, zero
+    return tuple(np.ascontiguousarray(t, np.uint8).view(_WORD).reshape(-1, _SLOT // 8) for t in tables)
 
 
-def _power(k: int) -> tuple[float, float]:
-    """10**k = hi + lo, hi and lo correctly rounded: from exact Python ints,
-    which CPython converts to float and divides correctly rounded."""
-    ten = 10 ** abs(k)
-    hi = float(ten) if k >= 0 else 1 / ten
-    n, d = hi.as_integer_ratio()
-    # for k < 0, 10**k - hi = (d - n * ten) / (ten * d), and d is a power of
-    # two: dividing by it last is exact (lo is normal here)
-    return hi, (float(ten - n) if k >= 0 else (d - n * ten) / ten / d)
-
-
-def _halves(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Veltkamp's split: v = high + low exactly, each half of 26 bits."""
-    split = v * 134217729.0  # 2**27 + 1
-    high = split - (split - v)
-    return high, v - high
+# hi, hi's two halves and lo of 10**k, at row k - _E_MIN
+_POW10 = np.array([_power(k) for k in range(_E_MIN, 17 - _E_MIN)])
+# the least float64 >= 10**k, at k - _E_MIN
+_CEIL = np.where(_POW10[:, 3] > 0, np.nextafter(_POW10[:, 0], np.inf), _POW10[:, 0])
+# ASCII digits of 0..9999 as one little-endian word each
+_GROUPS = 0x30303030 + sum(np.arange(10000, dtype=_WORD) // 10 ** (3 - j) % 10 << 8 * j for j in range(4))
+# trailing decimal zeros of 0..9999 (4 for 0)
+_ZEROS = np.sum([np.arange(10000) % 10**j == 0 for j in range(1, 5)], axis=0, dtype=np.int8)
+(
+    _KEEP,  # slot masks by (class, kept digits): unmoved digits
+    _MOVE,  # ... and digits moved one byte down for the dot
+    _PUNCT,  # slot bytes by (imaginary, class, kept digits)
+    _SIGN_EXP,  # slot bytes by (exponent or fixed, sign)
+    _ZERO,  # the slots of 0 and -0, by (sign, imaginary)
+) = _slots()
 
 
 def encode_block(pairs: np.ndarray) -> bytes:
     """The text ``[x, y], [x, y], ...`` of a contiguous ``(N, 2)`` float64
     array of finite values, at most ``_BLOCK`` rows, each float as
     ``format(x, ".17g")`` writes it."""
-    t = tables()
     # a zero is "0" or "-0"; the nonzero values are laid out below
     zero = np.signbit(pairs) * 2
     zero[:, 1] += 1
-    slots = t.zero.take(zero.reshape(-1), axis=0)
+    slots = _ZERO.take(zero.reshape(-1), axis=0)
     where = np.flatnonzero(pairs)
     x = pairs.reshape(-1).take(where)
     # a value clipped to the range laid out goes to format below
@@ -152,8 +138,8 @@ def encode_block(pairs: np.ndarray) -> bytes:
     # log10 less a margin far above its rounding is the decimal exponent or one
     # below it; one comparison makes it exact: 10**e <= |x| < 10**(e + 1)
     e = np.floor(np.log10(a) - 1e-9).astype(np.int64)
-    e += a >= t.ceil.take(e + 1 - _E_MIN)
-    hi, hi_hi, hi_lo, lo = t.pow10.take(16 - _E_MIN - e, axis=0).T
+    e += a >= _CEIL.take(e + 1 - _E_MIN)
+    hi, hi_hi, hi_lo, lo = _POW10.take(16 - _E_MIN - e, axis=0).T
     p = a * hi
     a_hi, a_lo = _halves(a)
     tail = ((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo + a * lo
@@ -173,26 +159,48 @@ def encode_block(pairs: np.ndarray) -> bytes:
     g[1:] -= g[:-1] * 10**4
     lead, g0, g1, g2, g3 = g
     zeros = np.where(
-        g3, t.zeros.take(g3),
-        np.where(g2, 4 + t.zeros.take(g2), np.where(g1, 8 + t.zeros.take(g1), 12 + t.zeros.take(g0))),
+        g3, _ZEROS.take(g3),
+        np.where(g2, 4 + _ZEROS.take(g2), np.where(g1, 8 + _ZEROS.take(g1), 12 + _ZEROS.take(g0))),
     )
     fixed = (e >= -4) & (e < 17)
     kept = np.where(fixed & (e > 0), np.maximum(17 - zeros, e + 1), 17 - zeros)
     layout = np.where(fixed, e + 4, _CLASSES - 1) * 18 + kept
     digits = np.zeros((len(x), _SLOT // 8), _WORD)
     digits[:, 0] = (lead + ord("0")).astype(_WORD) << 56
-    digits[:, 1] = t.groups.take(g0) | t.groups.take(g1) << 32
-    digits[:, 2] = t.groups.take(g2) | t.groups.take(g3) << 32
+    digits[:, 1] = _GROUPS.take(g0) | _GROUPS.take(g1) << 32
+    digits[:, 2] = _GROUPS.take(g2) | _GROUPS.take(g3) << 32
     # every slot moved one byte down; byte 0 of each slot is NUL here
     flat = digits.reshape(-1)
     moved = flat >> 8
     moved[:-1] |= flat[1:] << 56
-    laid = digits & t.keep.take(layout, axis=0)
-    laid |= moved.reshape(digits.shape) & t.move.take(layout, axis=0)
-    laid |= t.punct.take(layout + (where & 1) * (_CLASSES * 18), axis=0)
-    exponent = np.where(fixed, len(t.sign_exp) // 2 - 1, e - _E_MIN)
-    laid |= t.sign_exp.take(exponent * 2 + np.signbit(x), axis=0)
+    laid = digits & _KEEP.take(layout, axis=0)
+    laid |= moved.reshape(digits.shape) & _MOVE.take(layout, axis=0)
+    laid |= _PUNCT.take(layout + (where & 1) * (_CLASSES * 18), axis=0)
+    exponent = np.where(fixed, len(_SIGN_EXP) // 2 - 1, e - _E_MIN)
+    laid |= _SIGN_EXP.take(exponent * 2 + np.signbit(x), axis=0)
     strings = [format(v, ".17g") for v in x[~ok].tolist()]
     laid.view(np.uint8)[~ok, 1:29] = np.array(strings, "S28").view(np.uint8).reshape(-1, 28)
     np.put(slots.view(_ROW).reshape(-1), where, laid.view(_ROW).reshape(-1))
     return slots.tobytes().translate(None, b"\0")[:-2]
+
+
+def encode(slabs) -> Iterator[bytes]:
+    """Yield the rows of a sequence of ``(N, 2)`` float arrays as the one text
+    ``[[x, y], ...]``, ``_BLOCK`` rows at a time."""
+    yield b"["
+    separator = b""
+    for a in slabs:
+        if not isinstance(a, np.ndarray):
+            raise TypeError(f"cannot serialize a {type(a).__name__} as matrix data")
+        if a.ndim != 2 or a.shape[1] != 2 or a.dtype.kind != "f":
+            raise TypeError(f"cannot serialize a {a.dtype} array of shape {a.shape}")
+        for start in range(0, len(a), _BLOCK):
+            chunk = np.ascontiguousarray(a[start : start + _BLOCK], dtype=np.float64)
+            if not np.isfinite(chunk).all():
+                raise ValueError("non-finite number cannot be serialized")
+            # kept until the next block is encoded: freed first, glibc trims the heap
+            # and each block faults its temporaries in again (5x the page faults)
+            text = encode_block(chunk)
+            yield separator + text
+            separator = b", "
+    yield b"]"

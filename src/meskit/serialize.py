@@ -61,10 +61,10 @@ def _chunks(obj):
     float array (a matrix's ``data``) is written as the list of its rows, and
     an iterator of such arrays (the data in row slabs) as the one list of all
     their rows."""
-    if isinstance(obj, np.ndarray):
-        yield from _array_chunks((obj,))
-    elif isinstance(obj, Iterator):
-        yield from _array_chunks(obj)
+    if isinstance(obj, (np.ndarray, Iterator)):
+        from ._float_kernel import encode  # imported, tables and all, on the first matrix written
+
+        yield from encode((obj,) if isinstance(obj, np.ndarray) else obj)
     elif isinstance(obj, dict):
         yield b"{"
         for i, (k, v) in enumerate(obj.items()):
@@ -97,31 +97,6 @@ def _scalar(obj) -> str:
     if obj is None:
         return "null"
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
-
-
-def _array_chunks(slabs):
-    """Yield the rows of a sequence of ``(N, 2)`` float arrays as the one text
-    ``[[x, y], ...]``, each chunk of the float kernel's ``_BLOCK`` rows
-    encoded by it."""
-    from ._float_kernel import _BLOCK, encode_block  # compiled on first use, not at import
-
-    yield b"["
-    separator = b""
-    for a in slabs:
-        if not isinstance(a, np.ndarray):
-            raise TypeError(f"cannot serialize a {type(a).__name__} as matrix data")
-        if a.ndim != 2 or a.shape[1] != 2 or a.dtype.kind != "f":
-            raise TypeError(f"cannot serialize a {a.dtype} array of shape {a.shape}")
-        for start in range(0, len(a), _BLOCK):
-            chunk = np.ascontiguousarray(a[start : start + _BLOCK], dtype=np.float64)
-            if not np.isfinite(chunk).all():
-                raise ValueError("non-finite number cannot be serialized")
-            # kept until the next block is encoded: freed first, glibc trims the heap
-            # and each block faults its temporaries in again (5x the page faults)
-            text = encode_block(chunk)
-            yield separator + text
-            separator = b", "
-    yield b"]"
 
 
 def write_json(path: str, obj) -> None:

@@ -97,7 +97,7 @@ def partial_trace_y(M, dims: Dims) -> np.ndarray:
     M = as_complex(M)
     if M.shape != (m * n, m * n):
         raise DimensionError(f"expected {m * n}x{m * n} operator, got {M.shape}")
-    return np.einsum("ipjp->ij", M.reshape(m, n, m, n)).copy()
+    return np.einsum("ipjp->ij", M.reshape(m, n, m, n))
 
 
 def _pivot(a) -> complex:

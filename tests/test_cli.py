@@ -245,6 +245,19 @@ def test_closed_stdout_exits_1_quietly(unbuffered):
     assert out.stderr == ""  # no error JSON, no Traceback, no "Exception ignored"
 
 
+def test_a_run_that_writes_no_matrix_does_not_import_the_float_kernel():
+    # the kernel builds its tables at import, a few ms that only a process
+    # writing a matrix should pay: not check-lemmas, a refusal or --help
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, meskit.cli; meskit.cli.main(['check-lemmas', '--m', '1', '--k', '2', '--samples', '2']); "
+        "sys.stderr.write(str('meskit._float_kernel' in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stderr == "False"
+
+
 def test_out_fifo_closed_by_its_reader_exit_2(tmp_path, capsys):
     source = str(tmp_path / "sop.json")
     assert run_cli(capsys, "gen", "--m", "2", "--k", "2", "--out", source)[0] == 0

@@ -1,12 +1,14 @@
 """The CLI's output bytes, pinned by SHA-256 digest.
 
 At (1,2) and (2,2), the dims whose outputs CI also compares byte for byte
-under one and two BLAS threads (from (2,3) up the last digits differ): ``gen``'s
+under one and two BLAS threads (from (2,3) up their last digits differ): ``gen``'s
 superoperator and truth files, ``classify``'s stdout and ``extend --sigma
 auto``'s stdout and file, both sigma, one seed each; and ``classify``'s exit
-code and stderr on a (2,2) trace-form file.  A change that moves one of these
-outputs on purpose takes the new digests from ``pytest -vv`` on this file,
-updates ``DIGESTS`` or ``TRACE_STDERR``, and names the change in CHANGES.md.
+code and stderr on a (2,2) trace-form file; and ``check-lemmas --seed 1``'s
+stdout at (2,3) and (3,2), which CI compares the same way.  A change that
+moves one of these outputs on purpose takes the new digests from ``pytest
+-vv`` on this file, updates ``DIGESTS``, ``TRACE_STDERR`` or ``LEMMAS``, and
+names the change in CHANGES.md.
 """
 
 import hashlib
@@ -47,6 +49,11 @@ DIGESTS = {
     },
 }
 TRACE_STDERR = "de4b532aafc04a502e4b8e03820faf0eefdf7325ec798cc3de18baf54dc46e16"
+# (m, k) of check-lemmas --seed 1, 20 samples: its stdout's SHA-256
+LEMMAS = {
+    (2, 3): "f012670ed28a1fd319cac75c08774280c74a6752a21dbcc576b095d03324d4e4",
+    (3, 2): "3e5121341de65795fa4b6e2ffdb630e8eb60a8f4efe927d7ddd426f3261971de",
+}
 
 
 def _sha(data: bytes) -> str:
@@ -82,3 +89,9 @@ def test_classify_trace_form_keeps_its_exit_and_stderr(tmp_path, monkeypatch, ca
     assert _run(capsysbinary, "gen", "--m", "2", "--k", "2", "--form", "trace", "--out", "sop.json")[0] == 0
     code, out, err = _run(capsysbinary, "classify", "sop.json")
     assert (code, out, _sha(err)) == (4, b"", TRACE_STDERR)
+
+
+@pytest.mark.parametrize("m,k", sorted(LEMMAS))
+def test_check_lemmas_keeps_its_bytes(m, k, capsysbinary):
+    code, out, _ = _run(capsysbinary, "check-lemmas", "--m", str(m), "--k", str(k), "--seed", "1")
+    assert (code, _sha(out)) == (0, LEMMAS[m, k])

@@ -169,7 +169,7 @@ def _assert_encodes_as_format(values) -> np.ndarray:
 def _scaled_onto_bounds() -> np.ndarray:
     """|x| whose product with a tabulated hi rounds onto 1e16 or 1e17, while
     lo moves the exact |x| * 10**k below or above it."""
-    hi, _, _, lo = _float_kernel.tables().pow10.T
+    hi, _, _, lo = _float_kernel._POW10.T
     near = np.concatenate([1e16 / hi, 1e17 / hi])
     near = near * (1 + np.arange(-3, 4)[:, None] * np.finfo(np.float64).eps)
     hi, lo = np.tile(hi, 2 * 7), np.tile(lo, 2 * 7)
@@ -273,12 +273,11 @@ def test_powers_of_ten_are_correctly_rounded():
     # the kernel's error bound assumes 10**k = hi + lo with hi within half an
     # ulp of 10**k, and lo within half an ulp of 10**k - hi; its decimal
     # exponent compares |x| with the least float64 >= 10**k
-    t = _float_kernel.tables()
-    hi, hi_hi, hi_lo, lo = t.pow10.T
+    hi, hi_hi, hi_lo, lo = _float_kernel._POW10.T
     exponents = range(_float_kernel._E_MIN, 17 - _float_kernel._E_MIN)
-    assert len(hi) == len(t.ceil) == len(exponents)
+    assert len(hi) == len(_float_kernel._CEIL) == len(exponents)
     np.testing.assert_array_equal(hi_hi + hi_lo, hi)
-    for k, h, rest, ceil in zip(exponents, hi.tolist(), lo.tolist(), t.ceil.tolist()):
+    for k, h, rest, ceil in zip(exponents, hi.tolist(), lo.tolist(), _float_kernel._CEIL.tolist()):
         exact = Fraction(10) ** k
         assert abs(Fraction(h) - exact) <= Fraction(np.spacing(h)) / 2, k
         assert abs(Fraction(rest) - (exact - Fraction(h))) <= Fraction(abs(np.spacing(rest))) / 2, k
