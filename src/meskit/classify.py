@@ -7,7 +7,8 @@ stages, each refusing with NotPreserverError at a fixed threshold (only
 ``tol`` is an argument):
 
 1. recovery of the conjugation unitary W, screened: refused when the
-   columns read off have singular ratio at most 1/2 (no conjugation form)
+   columns read off are not finite or have singular ratio at most 1/2 (no
+   conjugation form)
 2. span certificate of Ad_{U (x) V} o sigma, with U (x) V the nearest
    Kronecker product to W (``verification_residual`` < min(5 ``tol``, 1e-6))
 
@@ -81,10 +82,12 @@ def recover_unitary(images: np.ndarray, dims: Dims) -> np.ndarray:
     Then w_a = phi(x_a x_r*) w_r when a's Y index is nonzero, and
     w_a = phi(x_a x_s*) w_s otherwise; all columns share one phase.  The
     result is corrected to the nearest unitary and phase-gauged.  Raises
-    NotPreserverError, "stage recovery: ", when the columns' smallest singular
-    value is at most half their largest: a screen, not a gate, since a map
-    within eps < 1e-6 of Ad_W on span(MES) reads columns within
-    O(sqrt(mn) eps) of orthonormal.  A zero Z gives zero columns.
+    NotPreserverError, "stage recovery: ", when a column is not finite (the
+    columns read through w_s carry c^2 for c phi, so overflow from about
+    c = 1.34e154), or when the columns' smallest singular value is at most
+    half their largest: a screen, not a gate, since a map within eps < 1e-6
+    of Ad_W on span(MES) reads columns within O(sqrt(mn) eps) of
+    orthonormal.  A zero Z gives zero columns.
     ``images`` is the sigma-corrected map's (d, d, d, d) image array
     ``images[:, :, a, b] = phi(x_a x_b*)``, which may be a view.
     """
@@ -99,6 +102,8 @@ def recover_unitary(images: np.ndarray, dims: Dims) -> np.ndarray:
         np.einsum("ija,j->ia", images[:, :, :, r], w_r),
         np.einsum("ija,j->ia", images[:, :, :, s], w_s),
     )
+    if not np.isfinite(W0).all():
+        raise _refusal(NotPreserverError, "recovery", "no conjugation form: the recovered columns are not finite")
     u, svals, vh = np.linalg.svd(W0)
     ratio = svals[-1] / max(svals[0], 1e-300)
     if ratio <= 0.5:

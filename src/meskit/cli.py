@@ -15,9 +15,10 @@ stage recovery or a failed span certificate), 4 singular on the MES span,
 1 unexpected numerical breakdown, a report with ``"all_pass": false``
 (``extend`` under an explicit sigma, ``check-lemmas``), or a stdout closed by
 its reader.  :func:`main` maps every refusal once: a package error exits with
-its type's ``exit_code``, a closed stdout with 1 and nothing more printed, and
-any other ``ValueError`` or ``OSError`` with 2.  A refused input file's path
-leads the error's message.
+its type's ``exit_code``, a closed stdout with 1 and nothing more printed,
+numpy's ``LinAlgError`` and a ``MemoryError`` with 1, and any other
+``ValueError`` or ``OSError`` with 2.  A refused input file's path leads the
+error's message.
 
 Each subcommand accepts only the flags it reads: ``--tol`` for ``classify``,
 ``extend`` and ``check-lemmas``, ``--samples`` (default 20) for ``check-lemmas``
@@ -239,6 +240,8 @@ def main(argv=None) -> int:
         # stdout's reader left: the interpreter's last flush must find nothing to print to
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except (np.linalg.LinAlgError, MemoryError) as exc:  # LinAlgError is a ValueError, but no usage error
+        return _fail(exc, 1)
     except MESKitError as exc:
         return _fail(exc, exc.exit_code)
     except (ValueError, OSError) as exc:

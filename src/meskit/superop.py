@@ -198,10 +198,12 @@ def _span_singular_values(a: np.ndarray, dims: Dims) -> np.ndarray:
 
 def _span_sigma_min(phi: Superoperator) -> tuple[float, float]:
     """phi Q's smallest singular value, and the threshold at or below which phi is singular
-    on span(MES): 1e-6 times the RMS of phi Q's D singular values (1e-6 on a unitary preserver)."""
+    on span(MES): 1e-6 times the RMS of phi Q's D singular values (1e-6 on a unitary preserver),
+    taken of the values scaled by 2^-e, s[0] < 2^e, and scaled back: exact, and no square overflows."""
     span = phi.dims.mn**2 - (phi.dims.m**2 - 1) * (2 if phi.dims.k == 1 else 1)
     s = _span_singular_values(phi.matrix.copy(), phi.dims)
-    return float(s[span - 1]), 1e-6 * float(np.linalg.norm(s)) / span**0.5
+    e = int(np.frexp(s[0])[1])
+    return float(s[span - 1]), float(np.ldexp(1e-6 * np.linalg.norm(np.ldexp(s, -e)) / span**0.5, e))
 
 
 def is_invertible_on_span(phi: Superoperator) -> bool:

@@ -54,19 +54,6 @@ def test_restricted_g_refuses_a_near_mes_image_with_a_typed_error(seed):
         restricted_g(phi, *pair)
 
 
-def test_cross_term_identity_map():
-    fam = orthogonal_family(DIMS, 13)
-    out = phi_on_cross_term(identity_superop(DIMS), fam[0], fam[1])
-    expected = np.outer(vec(fam[0]), vec(fam[1]).conj())
-    np.testing.assert_allclose(out, expected, atol=1e-12)
-
-
-def test_cross_term_rejects_non_orthogonal():
-    a = random_coisometry(DIMS, 15)
-    with pytest.raises(NotOrthogonalError):
-        phi_on_cross_term(identity_superop(DIMS), a, a)
-
-
 def test_cross_term_matches_direct_conjugation():
     u, v = unitary_pair(DIMS, 17)
     phi = make_adjoint_preserver(u, v, SigmaFlag.IDENTITY)
@@ -76,26 +63,6 @@ def test_cross_term_matches_direct_conjugation():
     np.testing.assert_allclose(
         phi_on_cross_term(phi, fam[0], fam[1]), w @ cross @ w.conj().T, atol=1e-11
     )
-
-
-def test_restricted_g_identity():
-    # the canonical family already satisfies the phase gauge, so the image
-    # representatives coincide with the inputs and G is exactly the identity
-    fam = canonical_family(DIMS)
-    g = restricted_g(identity_superop(DIMS), fam[0], fam[1])
-    np.testing.assert_allclose(g, np.eye(4), atol=1e-10)
-
-
-def test_restricted_g_identity_on_random_pair_is_diagonal_phase():
-    # for a gauge-free input pair the identity map still gives a diagonal G
-    # with unimodular entries and normalized corners
-    fam = orthogonal_family(DIMS, 21)
-    g = restricted_g(identity_superop(DIMS), fam[0], fam[1])
-    off = g - np.diag(np.diagonal(g))
-    assert np.abs(off).max() < 1e-10
-    np.testing.assert_allclose(np.abs(np.diagonal(g)), np.ones(4), atol=1e-10)
-    assert g[0, 0] == pytest.approx(1.0)
-    assert g[3, 3] == pytest.approx(1.0)
 
 
 def test_restricted_g_diagonal_normalization_and_offdiagonal_phase():
@@ -191,18 +158,6 @@ def test_restricted_g_and_align_images_reject_non_orthogonal():
         restricted_g(phi, a, a)
     with pytest.raises(NotOrthogonalError):
         align_images(phi, [a, a])
-
-
-def test_restricted_g_rank_one_preservation(rng):
-    # images of rank-1 PSD coefficient matrices stay rank-1 PSD
-    g = restricted_g(_preserver(33, SigmaFlag.IDENTITY), *orthogonal_family(DIMS, 35)[:2])
-    for _ in range(50):
-        ab = complex_gaussian(rng, 2)
-        ab /= np.linalg.norm(ab)
-        image = _evaluate(g, np.outer(ab, ab.conj()))
-        assert abs(np.linalg.det(image)) < 1e-8
-        assert abs(np.trace(image) - 1.0) < 1e-8
-        assert np.linalg.eigvalsh((image + image.conj().T) / 2.0)[0] > -1e-8
 
 
 def test_choi_determinant_of_the_dense_identity_is_zero():

@@ -158,6 +158,9 @@ def test_seed_only_where_drawn(command, tmp_path, capsys):
         (MESKitError, 1),
         # a ValueError too, but no verdict: unexpected, not a usage error
         (ZeroOperatorError, 1),
+        (np.linalg.LinAlgError, 1),
+        # an allocation failure: an error JSON, not a stack trace
+        (MemoryError, 1),
     ],
 )
 def test_each_refusal_exits_with_its_documented_code(error, code, tmp_path, capsys, monkeypatch):

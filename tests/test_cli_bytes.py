@@ -1,14 +1,20 @@
 """The CLI's output bytes, pinned by SHA-256 digest.
 
 At (1,2) and (2,2), the dims whose outputs CI also compares byte for byte
-under one and two BLAS threads (from (2,3) up their last digits differ): ``gen``'s
-superoperator and truth files, ``classify``'s stdout and ``extend --sigma
-auto``'s stdout and file, both sigma, one seed each; and ``classify``'s exit
-code and stderr on a (2,2) trace-form file; and ``check-lemmas --seed 1``'s
-stdout at (2,3) and (3,2), which CI compares the same way.  A change that
-moves one of these outputs on purpose takes the new digests from ``pytest
--vv`` on this file, updates ``DIGESTS``, ``TRACE_STDERR`` or ``LEMMAS``, and
-names the change in CHANGES.md.
+under one and two BLAS threads (from (2,3) up the last digits of ``classify``'s
+and ``extend``'s stdout differ): ``gen``'s superoperator and truth files,
+``classify``'s stdout and ``extend --sigma auto``'s stdout and file, both
+sigma, one seed each; and ``classify``'s exit code and stderr on a (2,2)
+trace-form file.  Beyond these, the outputs CI compares the same way: the
+files of ``gen --m 3 --k 2 --sigma transpose --seed 8`` and of ``extend
+--sigma auto`` on it, of the (3,2) trace form and of the (2,1) switch form;
+and ``check-lemmas``' stdout at (2,3) and (3,2) with ``--seed 1``, and at
+(1,2), (2,3), (3,2), (3,3) and (4,2) with the default seed.  A cross-thread
+comparison cannot see a change that moves both runs alike; these digests do.
+A change that moves one of these outputs on purpose takes the new digests
+from ``pytest -vv`` on this file, updates ``DIGESTS``, ``TRACE_STDERR``,
+``GEN_FILES``, ``LEMMAS`` or ``LEMMAS_DEFAULT_SEED``, and names the change in
+CHANGES.md.
 """
 
 import hashlib
@@ -49,10 +55,34 @@ DIGESTS = {
     },
 }
 TRACE_STDERR = "de4b532aafc04a502e4b8e03820faf0eefdf7325ec798cc3de18baf54dc46e16"
+# (form, m, k, sigma, seed) of gen: the SHA-256 of its files and, for the adjoint form, extend's file
+GEN_FILES = {
+    ("adjoint", 3, 2, "transpose", 8): {
+        "superop": "8fc174c890966558fa6ed4f56b1177f693ebb5f7505f96423489a49cb94084fd",
+        "truth": "97948819e8726fed336f0fb212cf00dbedc3591928f570b10f7503714ebaa93b",
+        "extended": "257b325176003509a435ccae4153c7adb18f646a530844e65f549076fa483853",
+    },
+    ("swap", 2, 1, "identity", 0): {
+        "superop": "5b24d6c4bb26eb7449fd1eb1695f12c50353c0fd34f6b4f7b9172235689b6efe",
+        "truth": "7c09e9a92675736f4553c197ff1d6d120c4c9962bc37f52f128a023e0f8be65b",
+    },
+    ("trace", 3, 2, "identity", 0): {
+        "superop": "45fd2b0bfe9fb762b0da840e56457c7c30172c48a01851df9e219a1bcb17e048",
+        "truth": "1d3e720d13b7ea19120e21927bdcbd4131e5e258f5a8c525d60e5d72ecb04646",
+    },
+}
 # (m, k) of check-lemmas --seed 1, 20 samples: its stdout's SHA-256
 LEMMAS = {
     (2, 3): "f012670ed28a1fd319cac75c08774280c74a6752a21dbcc576b095d03324d4e4",
     (3, 2): "3e5121341de65795fa4b6e2ffdb630e8eb60a8f4efe927d7ddd426f3261971de",
+}
+# (m, k) of check-lemmas at the default seed, 20 samples: its stdout's SHA-256
+LEMMAS_DEFAULT_SEED = {
+    (1, 2): "0ca4931d2154de79714529ef95916f6972c55c1a2bc08f98564ffd1b3ca2452c",
+    (2, 3): "756cbcecbb7775433300653f4f1cb87cb234d7206f30419d38876b29b6c5a558",
+    (3, 2): "0cc5a36617fa97ad9e0d3cda0a667991a7b1ba5873943e1d5f02d44bb0b012e1",
+    (3, 3): "dfaab70dc458eadd9baed2e33c6eeff93ab99134a8ceec69422f44c852f911d6",
+    (4, 2): "68eef3e002e8793d87303ae1d93890b33869fb8c1b655b296d4d7d8bf501ea6a",
 }
 
 
@@ -91,7 +121,26 @@ def test_classify_trace_form_keeps_its_exit_and_stderr(tmp_path, monkeypatch, ca
     assert (code, out, _sha(err)) == (4, b"", TRACE_STDERR)
 
 
+@pytest.mark.parametrize("form,m,k,sigma,seed", sorted(GEN_FILES))
+def test_gen_and_extend_files_keep_their_bytes(form, m, k, sigma, seed, tmp_path, monkeypatch, capsysbinary):
+    monkeypatch.chdir(tmp_path)
+    argv = ["--form", form, "--m", str(m), "--k", str(k), "--sigma", sigma, "--seed", str(seed)]
+    assert _run(capsysbinary, "gen", *argv, "--out", "sop.json")[0] == 0
+    files = {"superop": "sop.json", "truth": "sop.truth.json"}
+    if form == "adjoint":
+        assert _run(capsysbinary, "extend", "sop.json", "--sigma", "auto", "--out", "ext.json")[0] == 0
+        files["extended"] = "ext.json"
+    digests = {key: _sha((tmp_path / name).read_bytes()) for key, name in files.items()}
+    assert digests == GEN_FILES[form, m, k, sigma, seed]
+
+
 @pytest.mark.parametrize("m,k", sorted(LEMMAS))
 def test_check_lemmas_keeps_its_bytes(m, k, capsysbinary):
     code, out, _ = _run(capsysbinary, "check-lemmas", "--m", str(m), "--k", str(k), "--seed", "1")
     assert (code, _sha(out)) == (0, LEMMAS[m, k])
+
+
+@pytest.mark.parametrize("m,k", sorted(LEMMAS_DEFAULT_SEED))
+def test_check_lemmas_at_the_default_seed_keeps_its_bytes(m, k, capsysbinary):
+    code, out, _ = _run(capsysbinary, "check-lemmas", "--m", str(m), "--k", str(k))
+    assert (code, _sha(out)) == (0, LEMMAS_DEFAULT_SEED[m, k])

@@ -123,24 +123,6 @@ def test_extend_rejects_single_block():
 
 
 @pytest.mark.parametrize("sigma", BOTH)
-def test_extend_acts_blockwise(sigma, rng):
-    phi = _preserver(3, sigma)
-    ext = ExtendedSuperoperator(phi, sigma)
-    m = complex_gaussian(rng, 16, 16)
-    image = apply(ext, m)
-    # block (p, q) occupies rows p*mn..(p+1)*mn and the matching columns
-    source = m[0:8, 8:16] if sigma is SigmaFlag.TRANSPOSE else m[8:16, 0:8]
-    np.testing.assert_array_equal(image[8:16, 0:8], apply(phi, source))
-    out_blocks, in_blocks = image.reshape(2, 8, 2, 8), m.reshape(2, 8, 2, 8)
-    for p in range(2):
-        for q in range(2):
-            source = in_blocks[q, :, p, :] if sigma is SigmaFlag.TRANSPOSE else in_blocks[p, :, q, :]
-            np.testing.assert_allclose(out_blocks[p, :, q, :], apply(phi, source), atol=1e-11)
-    # the (1,1) block is diagonal, hence the same in both branches
-    np.testing.assert_allclose(out_blocks[0, :, 0, :], apply(phi, in_blocks[0, :, 0, :]), atol=1e-11)
-
-
-@pytest.mark.parametrize("sigma", BOTH)
 def test_extend_preserves_square_mes(sigma):
     phi = _preserver(5, sigma)
     ext = ExtendedSuperoperator(phi, sigma)

@@ -83,6 +83,17 @@ def test_a_scaled_preserver_is_refused_by_its_distance(mk, sigma, c):
     assert refused.value.residual == pytest.approx(abs(1 - c), rel=1e-11)
 
 
+@pytest.mark.parametrize("mk", LADDER)
+@pytest.mark.parametrize("sigma", list(SigmaFlag))
+@pytest.mark.parametrize("c", [1e154, 1e300])
+def test_a_preserver_scaled_past_overflow_is_refused_at_recovery(mk, sigma, c):
+    # the columns read through w_s carry c^2, which overflows from about 1.34e154, and the
+    # singularity threshold's sum of squares from about 1.3e154: neither may decide the verdict
+    matrix, dims = _exact(mk, sigma)
+    with pytest.raises(NotPreserverError, match=r"^stage recovery: no conjugation form: "):
+        decompose(Superoperator(c * matrix, dims))
+
+
 def _outcome(phi):
     """(sigma, certificate) of an accept, or (error type, stage, span residual or None)."""
     try:
