@@ -1,20 +1,21 @@
 """The CLI's output bytes, pinned by SHA-256 digest.
 
-At (1,2) and (2,2), the dims whose outputs CI also compares byte for byte
-under one and two BLAS threads (from (2,3) up the last digits of ``classify``'s
-and ``extend``'s stdout differ): ``gen``'s superoperator and truth files,
-``classify``'s stdout and ``extend --sigma auto``'s stdout and file, both
-sigma, one seed each; and ``classify``'s exit code and stderr on a (2,2)
-trace-form file.  Beyond these, the outputs CI compares the same way: the
-files of ``gen --m 3 --k 2 --sigma transpose --seed 8`` and of ``extend
---sigma auto`` on it, of the (3,2) trace form and of the (2,1) switch form;
-and ``check-lemmas``' stdout at (2,3) and (3,2) with ``--seed 1``, and at
-(1,2), (2,3), (3,2), (3,3) and (4,2) with the default seed.  A cross-thread
-comparison cannot see a change that moves both runs alike; these digests do.
+At (1,2) and (2,2), the dims whose ``classify`` and ``extend`` stdout do not
+move with the BLAS thread count (from (2,3) up their last digits do):
+``gen``'s superoperator and truth files, ``classify``'s stdout and ``extend
+--sigma auto``'s stdout and file, both sigma, at the seeds of ``DIGESTS`` and
+of ``GRID``; and ``classify``'s exit code and stderr on a (2,2) trace-form
+file.  Beyond these: the files of ``gen --m 3 --k 2 --sigma transpose --seed
+8`` and of ``extend --sigma auto`` on it, of the (3,2) trace form and of the
+(2,1) switch form; and ``check-lemmas``' stdout at (2,3) and (3,2) with
+``--seed 1``, and at (1,2), (2,3), (3,2), (3,3) and (4,2) with the default
+seed.  CI runs this module under ``OPENBLAS_NUM_THREADS=1`` and ``=2``: both
+runs meet the same digests, so the thread counts agree with each other, and
+a change that moves both alike is caught too.
 A change that moves one of these outputs on purpose takes the new digests
-from ``pytest -vv`` on this file, updates ``DIGESTS``, ``TRACE_STDERR``,
-``GEN_FILES``, ``LEMMAS`` or ``LEMMAS_DEFAULT_SEED``, and names the change in
-CHANGES.md.
+from ``pytest -vv`` on this file, updates ``DIGESTS``, ``GRID``,
+``TRACE_STDERR``, ``GEN_FILES``, ``LEMMAS`` or ``LEMMAS_DEFAULT_SEED``, and
+names the change in CHANGES.md.
 """
 
 import hashlib
@@ -52,6 +53,52 @@ DIGESTS = {
         "classify": "07172b95620888459abefb764c27322e0074958689fd058b865cc29d30c20f15",
         "extend": "611a08b68ed435fd9bdd85e829a98b5afe9c8a0913ad730c04ba62e4d98c3f48",
         "extended": "f28620d3a14bcc3f0b073d10fb2d9f67f666596ae72348199ad212028bb510c3",
+    },
+}
+# (m, k, sigma, seed) of the grid m in {1, 2}, k = 2, both sigma, seeds 0 and 8
+# that DIGESTS lacks: each output's SHA-256
+GRID = {
+    (1, 2, "identity", 0): {
+        "superop": "a5c897cc192113962f807e6d7f1214dac7d4d229b1a87506e8d0a94f715e621e",
+        "truth": "6783370a102201003ca6be74aa00f5eba24b3eaea9246aab68a355d32a5c770f",
+        "classify": "30eb1247e371d9b290f9935bbd7652879cac334e02b33fb278d4a9457acbd1bf",
+        "extend": "c67e8cf447786f8c1ca29b39174f16b499a484b778872c72548ede399c4e4c4b",
+        "extended": "830d11b9c9f4f64ba490a21da05aaa809da1af662cab9554fb279f80dfce6193",
+    },
+    (1, 2, "identity", 8): {
+        "superop": "5671ae0d0995647e35e62fd8ccc4f5b20f6a6602d85d4ef9a10c7c12fe0a7ebe",
+        "truth": "abe7aead36a12bbc6336aeb0abf922ace8523edc049c64767cb63066148c4af1",
+        "classify": "f2b4baf953999236724ffd1f973dcaa5f9cf4e01e3e27eda48dedff36e3caf6c",
+        "extend": "a89d7bdb5a891f8642b50e40dde4c3512fcc43a79d8bfdfe4c51fe35ee3a7f5b",
+        "extended": "2d2fb5ae024fd328526f24430eae1b0967e8a727865c38d41d9ca0dbbaefd90f",
+    },
+    (1, 2, "transpose", 0): {
+        "superop": "706051b0d7fbcd56374c28807f2e6bf3abe13142241b6636ca3bee19c44fc2fa",
+        "truth": "5ca19cc55df27cc8806d991736c71c98f8e2d9a77440307ab605c67031f706c0",
+        "classify": "aa4c860b5feee918aba4dac7b626cd01bb37ca685a7797b27e7b997257b3f693",
+        "extend": "fb1bd44fac37b9a12d83e9ea7081c0f76c7868bcd7259a1c6ab1478e39820a55",
+        "extended": "4ed15ebad029a53304db9c556c7bfe9870d3db5d1de00976ad1698ec49507fd3",
+    },
+    (2, 2, "identity", 8): {
+        "superop": "85941f94755215f8e0fb460afe17a878488f19baf5acaa5da28b25b2ef0a52ec",
+        "truth": "8bbdcbaff71c62575447f79f8d650bd58e2d8e8f34c34c5b77b05c4f8059768a",
+        "classify": "8ec814cb6eada51645aadab0cae656a575f0307b5165e6ff7675f38ad26dbbe8",
+        "extend": "d93c2a5b1e8e9118d5bb421ff1397aacf49e65737be5076a750431b671da3d15",
+        "extended": "2cb49ab2b113f25b38a275cd722665b57c78019bab1b975c0c5fb91539b5b8f4",
+    },
+    (2, 2, "transpose", 0): {
+        "superop": "1a7acee0ba9396b62a028ca17a20ab5ee509a1368676c65e69596180d3d29313",
+        "truth": "c19c69e7055e980c730e78915b4bb43959bd71f5ee1590ef4018534c955ec891",
+        "classify": "19be439e424bf8330eedfbe57b8e088e63840eb3cc4c03ede6116b74ebb47770",
+        "extend": "bb75b706da3de6fc895837547fe44487c592736a50161597a415f177deb267fc",
+        "extended": "436626a1987214652a69eea37fed987771073001bd947bbe24d3e6ee41f6fa24",
+    },
+    (2, 2, "transpose", 8): {
+        "superop": "6b50120817bd6665b730afcdea3f5456cf7e85fc7c4ba97122208fd580dafb71",
+        "truth": "16607046acc57bcd4a297cc66a5bbe064f6f554a8f413388b41c0096e7e7f945",
+        "classify": "3e60f10f9a5e50f15f05dc4aad028e3f9da95bde83493fb385ad7f9d7772ca0b",
+        "extend": "bea28028eddfd21723bfeb6322035a7536402da66e89a863d2c370e8b5fa2162",
+        "extended": "8fb9dd0f84c7722c093c70eafb7ea5399ee79030c8d950b954919f17e8300f64",
     },
 }
 TRACE_STDERR = "de4b532aafc04a502e4b8e03820faf0eefdf7325ec798cc3de18baf54dc46e16"
@@ -96,9 +143,9 @@ def _run(capsysbinary, *argv):
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("m,k,sigma,seed", sorted(DIGESTS))
-def test_cli_outputs_keep_their_bytes(m, k, sigma, seed, tmp_path, monkeypatch, capsysbinary):
-    monkeypatch.chdir(tmp_path)
+def _cli_digests(m, k, sigma, seed, tmp_path, capsysbinary):
+    """The SHA-256 of gen's files, classify's stdout and extend --sigma auto's
+    stdout and file, run in ``tmp_path``."""
     dims = ["--m", str(m), "--k", str(k)]
     assert _run(capsysbinary, "gen", *dims, "--sigma", sigma, "--seed", str(seed), "--out", "sop.json")[0] == 0
     classify = _run(capsysbinary, "classify", "sop.json")
@@ -111,7 +158,20 @@ def test_cli_outputs_keep_their_bytes(m, k, sigma, seed, tmp_path, monkeypatch, 
         "extend": extend[1],
         "extended": (tmp_path / "ext.json").read_bytes(),
     }
-    assert {key: _sha(data) for key, data in outputs.items()} == DIGESTS[m, k, sigma, seed]
+    return {key: _sha(data) for key, data in outputs.items()}
+
+
+@pytest.mark.parametrize("m,k,sigma,seed", sorted(DIGESTS))
+def test_cli_outputs_keep_their_bytes(m, k, sigma, seed, tmp_path, monkeypatch, capsysbinary):
+    monkeypatch.chdir(tmp_path)
+    assert _cli_digests(m, k, sigma, seed, tmp_path, capsysbinary) == DIGESTS[m, k, sigma, seed]
+
+
+# a test of its own, so that scripts/mutants.py's IO_PINS, which names the one above, does not run it
+@pytest.mark.parametrize("m,k,sigma,seed", sorted(GRID))
+def test_cli_outputs_on_the_seed_grid_keep_their_bytes(m, k, sigma, seed, tmp_path, monkeypatch, capsysbinary):
+    monkeypatch.chdir(tmp_path)
+    assert _cli_digests(m, k, sigma, seed, tmp_path, capsysbinary) == GRID[m, k, sigma, seed]
 
 
 def test_classify_trace_form_keeps_its_exit_and_stderr(tmp_path, monkeypatch, capsysbinary):
