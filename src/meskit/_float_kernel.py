@@ -6,20 +6,21 @@ fixed notation for decimal exponents -4 <= e < 17 and scientific otherwise,
 trailing zeros dropped and then a dot with no digit after it.  The kernel
 takes the digits of a whole chunk as n = rint(y), y = |x| * 10**(16 - e)
 (after Adams, "Ryu revisited: printf floating point conversion", OOPSLA
-2019), in float64 alone, so the same on every platform.  e is exact:
-log10's estimate, corrected by comparing |x| with the least float64 >= 10**e.
-10**k is held as hi + lo, hi the float64 nearest 10**k and lo the one nearest
-10**k - hi.  Dekker's product (with Veltkamp's split; "A floating-point
-technique for extending the available precision", Numer. Math. 18, 1971)
-gives the error d of p = fl(|x| * hi) exactly, so y = p + d + |x| * (10**k -
-hi), p an integer.  The kernel takes tail = fl(d + fl(|x| * lo)) and
-n = p + rint(tail).
+2019), in float64 alone, so the same on every platform.  e is log10's
+estimate: the decimal exponent of |x|, or one below it where |x| lies less
+than 2.31e-9 (relative) above a power of ten; a certified n = 10**17 then
+carries, and a larger n goes to ``format``.  10**k is held as hi + lo, hi
+the float64 nearest 10**k and lo the one nearest 10**k - hi.  Dekker's
+product (with Veltkamp's split; "A floating-point technique for extending
+the available precision", Numer. Math. 18, 1971) gives the error d of
+p = fl(|x| * hi) exactly, so y = p + d + |x| * (10**k - hi), p an integer.
+The kernel takes tail = fl(d + fl(|x| * lo)) and n = p + rint(tail).
 
-The bound B on |tail - (y - p)|, with u = 2**-53: y < 1e17, so p < 2**57,
-|d| <= ulp(p) / 2 <= 8, and |x| * |10**k - hi| <= u * |x| * hi < 11.2.
-Rounding lo costs at most u * 11.2 < 1.3e-15 of |x| * lo, the product's
-rounding as much again, and the sum's, below 20 in magnitude, at most
-u * 20 < 2.3e-15: B < 5e-15.  f = tail - rint(tail) is exact, so where
+The bound B on |tail - (y - p)|, with u = 2**-53: y < 1e17 * (1 + 2.4e-9),
+so p < 2**57, |d| <= ulp(p) / 2 <= 8, and |x| * |10**k - hi| <= u * |x| * hi
+< 11.2.  Rounding lo costs at most u * 11.2 < 1.3e-15 of |x| * lo, the
+product's rounding as much again, and the sum's, below 20 in magnitude, at
+most u * 20 < 2.3e-15: B < 5e-15.  f = tail - rint(tail) is exact, so where
 |f| < 1/2 - _MARGIN (twice B), y lies within 1/2 of n and rounds to it; an
 exact tie never certifies.  ``format`` writes each value whose rounding that
 does not certify, and each |x| outside [1e-280, 1e280], a range well inside
@@ -108,8 +109,6 @@ def _slots() -> tuple[np.ndarray, ...]:
 
 # hi, hi's two halves and lo of 10**k, at row k - _E_MIN
 _POW10 = np.array([_power(k) for k in range(_E_MIN, 17 - _E_MIN)])
-# the least float64 >= 10**k, at k - _E_MIN
-_CEIL = np.where(_POW10[:, 3] > 0, np.nextafter(_POW10[:, 0], np.inf), _POW10[:, 0])
 # ASCII digits of 0..9999 as one little-endian word each
 _GROUPS = 0x30303030 + sum(np.arange(10000, dtype=_WORD) // 10 ** (3 - j) % 10 << 8 * j for j in range(4))
 # trailing decimal zeros of 0..9999 (4 for 0)
@@ -136,9 +135,8 @@ def encode_block(pairs: np.ndarray) -> bytes:
     # a value clipped to the range laid out goes to format below
     a = np.clip(np.abs(x), _X_MIN, _X_MAX)
     # log10 less a margin far above its rounding is the decimal exponent or one
-    # below it; one comparison makes it exact: 10**e <= |x| < 10**(e + 1)
+    # below it (see the module docstring)
     e = np.floor(np.log10(a) - 1e-9).astype(np.int64)
-    e += a >= _CEIL.take(e + 1 - _E_MIN)
     hi, hi_hi, hi_lo, lo = _POW10.take(16 - _E_MIN - e, axis=0).T
     p = a * hi
     a_hi, a_lo = _halves(a)
@@ -148,8 +146,8 @@ def encode_block(pairs: np.ndarray) -> bytes:
     del hi, hi_hi, hi_lo, lo, a_hi, a_lo
     r = np.rint(tail)
     n = p.astype(np.int64) + r.astype(np.int64)
-    # unclipped and certified (see the module docstring)
-    ok = (a == np.abs(x)) & (np.abs(tail - r) < 0.5 - _MARGIN)
+    # unclipped, certified and at most the carry 10**17 (see the module docstring)
+    ok = (a == np.abs(x)) & (np.abs(tail - r) < 0.5 - _MARGIN) & (n <= 10**17)
     carry = n == 10**17
     n[carry] = 10**16
     e += carry

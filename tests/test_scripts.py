@@ -52,6 +52,22 @@ def test_noise_scan_verdicts_at_2x3_and_3x2(monkeypatch, capsys):
         assert _outcome(row)[:4] == _outcome(want)[:4], want
 
 
+def test_mutation_table_rows_and_subsets_resolve():
+    # each row's old text occurs once in a file that has a subset, and each
+    # subset names existing files and top-level tests, never a test beside
+    # its own file, where pytest drops a missing one silently
+    table = runpy.run_path(str(SCRIPTS / "mutants.py"))
+    fast, root = table["FAST"], SCRIPTS.parent
+    for path, old, *_ in table["MUTANTS"]:
+        assert path in fast and (root / path).read_text(encoding="utf-8").count(old) == 1, (path, old)
+    for subset in fast.values():
+        for entry in subset:
+            file, *name = entry.split("::")
+            tree = ast.parse((root / file).read_text(encoding="utf-8"))
+            tests = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+            assert not name or (name[0] in tests and file not in subset), entry
+
+
 def _perfbench_meskit_imports():
     """``file:module[:name]`` of each meskit import in ``perfbench/*.py``, at
     any depth (the workloads import inside their functions)."""

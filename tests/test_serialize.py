@@ -271,17 +271,32 @@ def test_dumps_formats_the_near_ties(formatted):
 
 def test_powers_of_ten_are_correctly_rounded():
     # the kernel's error bound assumes 10**k = hi + lo with hi within half an
-    # ulp of 10**k, and lo within half an ulp of 10**k - hi; its decimal
-    # exponent compares |x| with the least float64 >= 10**k
+    # ulp of 10**k, and lo within half an ulp of 10**k - hi
     hi, hi_hi, hi_lo, lo = _float_kernel._POW10.T
     exponents = range(_float_kernel._E_MIN, 17 - _float_kernel._E_MIN)
-    assert len(hi) == len(_float_kernel._CEIL) == len(exponents)
+    assert len(hi) == len(exponents)
     np.testing.assert_array_equal(hi_hi + hi_lo, hi)
-    for k, h, rest, ceil in zip(exponents, hi.tolist(), lo.tolist(), _float_kernel._CEIL.tolist()):
+    for k, h, rest in zip(exponents, hi.tolist(), lo.tolist()):
         exact = Fraction(10) ** k
         assert abs(Fraction(h) - exact) <= Fraction(np.spacing(h)) / 2, k
         assert abs(Fraction(rest) - (exact - Fraction(h))) <= Fraction(abs(np.spacing(rest))) / 2, k
-        assert Fraction(np.nextafter(ceil, 0)) < exact <= Fraction(ceil), k
+
+
+def test_an_exponent_one_low_carries_or_goes_to_format(formatted):
+    # log10's exponent is one low for |x| just above a power of ten: there n is
+    # 10**17, the carry, or above it, and format writes the value
+    above = [0.1, 0.01, 1e-4, 1e-5]  # each float64 lies above its power of ten
+    for k in (-200, -3, 0, 5, 17, 150):
+        above += [float(Fraction(10) ** k * (1 + Fraction(delta))) for delta in (2e-15, 1e-12, 1e-9, 1.9e-9)]
+    for x in above:
+        e = int(f"{x:e}".split("e")[1])
+        assert Fraction(10) ** e < Fraction(x) < Fraction(10) ** e * (1 + Fraction(2, 10**9)), x
+    powers = [1.0, 1e16, 1e22]  # exact, so log10 puts each one low
+    values = np.array(above + [-x for x in above] + powers + [-x for x in powers])
+    text = _float_kernel.encode_block(values.reshape(-1, 2))
+    assert formatted == above + [-x for x in above]
+    pairs = values.reshape(-1, 2).tolist()
+    assert text == ", ".join(f"[{format(x, '.17g')}, {format(y, '.17g')}]" for x, y in pairs).encode()
 
 
 @pytest.mark.parametrize("sigma", SigmaFlag)
